@@ -21,7 +21,7 @@ import numpy as np
 
 from .cluster import ClusterState, OutcomeRecord, build_cluster, interaction_graph, measure_all
 from .complexes import build_g8_complex
-from .rng import philox_generator
+from .rng import philox_generator, trial_generators
 
 FACE_QUBITS = (1, 2, 3, 4, 5, 6)
 PROTECTED_QUBITS = (5, 6)
@@ -313,8 +313,7 @@ def _count_failures_engine(
 ) -> tuple[int, int]:
     model = NoiseModel(p)
     protected = unprotected = 0
-    for trial in range(trials):
-        rng = philox_generator(seed, point_index, trial)
+    for rng in trial_generators(seed, point_index, trials):
         pf, uf, _ = simulate_trial(model, rng, engine)
         protected += pf
         unprotected += uf
@@ -345,7 +344,7 @@ class SweepPoint:
 
     @property
     def se_protected(self) -> float:
-        return _binomial_se(self.mc_protected, self.trials)
+        return binomial_se(self.mc_protected, self.trials)
 
     @property
     def mc_unprotected(self) -> float:
@@ -353,7 +352,7 @@ class SweepPoint:
 
     @property
     def se_unprotected(self) -> float:
-        return _binomial_se(self.mc_unprotected, self.trials)
+        return binomial_se(self.mc_unprotected, self.trials)
 
     @property
     def analytic_protected(self) -> float:
@@ -364,8 +363,13 @@ class SweepPoint:
         return analytic_unprotected(self.p)
 
 
-def _binomial_se(rate: float, trials: int) -> float:
-    return math.sqrt(rate * (1.0 - rate) / trials)
+def binomial_se(rate: float, trials: int) -> float:
+    """Binomial standard error of ``rate`` over ``trials`` draws.
+
+    A rate that roundoff put a hair outside [0, 1] (the closed form gives
+    about -1e-16 at p = 1e-9) has zero spread.
+    """
+    return math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
 
 
 def monte_carlo_sweep(
@@ -383,6 +387,8 @@ def monte_carlo_sweep(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if engine not in SWEEP_ENGINES:
         raise ValueError(f"engine must be one of {SWEEP_ENGINES}, got {engine!r}")
     p_values = [float(p) for p in p_values]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tecsim import __version__
+from tecsim import __version__, tec
 from tecsim.cli import main
 
 
@@ -41,7 +41,7 @@ def test_syndrome_table_json(capsys):
 
 def test_sweep_grid_and_trivial_rows(tmp_path, capsys):
     out_file = tmp_path / "sweep.csv"
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys,
         "sweep",
         "--steps",
@@ -54,7 +54,7 @@ def test_sweep_grid_and_trivial_rows(tmp_path, capsys):
         str(out_file),
     )
     assert code == 0
-    assert "max |MC - analytic|" in out
+    assert "max |MC - analytic|" in err
     lines = out_file.read_text().splitlines()
     assert lines[0].startswith(f"# tecsim {__version__} sweep seed=5")
     assert lines[1] == (
@@ -103,9 +103,53 @@ def test_sweep_json_format(capsys):
         capsys, "sweep", "--steps", "2", "--trials", "500", "--format", "json"
     )
     assert code == 0
-    payload = json.loads(out[out.index("{") :])
+    payload = json.loads(out)
     assert payload["version"] == __version__
     assert len(payload["points"]) == 2
+
+
+def test_sweep_zero_failure_point_is_not_a_false_alarm(capsys):
+    # p = 0.01 expects 0.6 protected failures in 1000 trials, so observing
+    # none is ordinary; its observed standard error is 0, the analytic one is not
+    code, out, err = run_cli(
+        capsys, "sweep", "--engine", "fast", "--trials", "1000", "--p-min", "0",
+        "--p-max", "0.1", "--steps", "11", "--seed", "0",
+    )
+    assert code == 0, err
+    assert out.splitlines()[2].startswith("0,")
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_sweep_exact_point_fails_on_any_deviation(monkeypatch, capsys, p):
+    def one_stray_failure(grid, trials, seed, engine, workers):
+        return [tec.SweepPoint(grid[0], trials, 0, 1)]
+
+    monkeypatch.setattr(tec, "monte_carlo_sweep", one_stray_failure)
+    code, out, err = run_cli(
+        capsys, "sweep", "--trials", "1000000", "--steps", "1", "--p-min", str(p),
+        "--p-max", str(p),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"tecsim: error: zero-variance point p={p} deviates from the analytic value\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_nonpositive_workers(capsys, workers):
+    code, out, err = run_cli(capsys, "sweep", "--steps", "2", "--trials", "10",
+                             "--workers", workers)
+    assert code == 1
+    assert out == ""
+    assert err == "tecsim: error: workers must be >= 1\n"
+
+
+@pytest.mark.parametrize("engine", ["fast", "tableau"])
+def test_sweep_negative_seed_is_one_error_line(capsys, engine):
+    code, out, err = run_cli(capsys, "sweep", "--engine", engine, "--seed", "-1",
+                             "--steps", "2", "--trials", "10")
+    assert code == 1
+    assert out == ""
+    assert err == "tecsim: error: expected non-negative integer\n"
 
 
 def test_sweep_unwritable_path_fails(capsys):

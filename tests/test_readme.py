@@ -1,0 +1,13 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_blocks_run(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    # the quick start prints the error-free syndrome first
+    assert capsys.readouterr().out.startswith("SyndromeVector(c12=1, c25=1, c36=1, c34=1)\n")

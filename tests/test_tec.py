@@ -277,3 +277,21 @@ def test_sweep_validation():
         monte_carlo_sweep([1.5], 10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_sweep([0.1], 10, seed=0, engine="warp")
+
+
+@pytest.mark.parametrize("engine,trials", [("tableau", 120), ("dense", 40)])
+def test_engine_sweep_counts_match_per_trial_reference(engine, trials):
+    grid, seed = [0.15, 0.4], 21
+    expected = []
+    for i, p in enumerate(grid):
+        model = NoiseModel(p)
+        prot = unprot = 0
+        for t in range(trials):
+            pf, uf, _ = simulate_trial(model, philox_generator(seed, i, t), engine)
+            prot += pf
+            unprot += uf
+        expected.append((prot, unprot))
+    for workers in (1, 2):
+        points = monte_carlo_sweep(grid, trials, seed=seed, engine=engine, workers=workers)
+        got = [(pt.protected_failures, pt.unprotected_failures) for pt in points]
+        assert got == expected, workers
