@@ -235,7 +235,11 @@ def _load_complex(name: str) -> tuple[str, complexes.CellComplex]:
         return name, complexes.build_cuboid_complex(*dims)
     path = Path(name)
     if path.exists():
-        return path.name, complexes.complex_from_json(path.read_text(encoding="utf-8"))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            raise ValueError(f"cannot read complex file {name!r}: {exc.strerror}") from exc
+        return path.name, complexes.complex_from_json(text)
     raise ValueError(
         f"unknown complex {name!r}: expected elementary, g8, 'cuboid LxWxT', or a JSON file"
     )

@@ -194,18 +194,18 @@ class ClusterState:
 
 
 def build_cluster(graph: InteractionGraph, engine: str = "tableau") -> ClusterState:
-    """Prepare |+>^n and apply CZ across every interaction edge."""
+    """The graph state of ``graph``: stabilizer v is X_v Z_N(v), signs +1.
+
+    The tableau engine writes these rows in closed form
+    (:meth:`StabilizerTableau.graph_state`), with no gate sequence; the
+    dense engine phase-flips the uniform superposition on every edge.
+    """
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    n = graph.qubit_count
     if engine == "dense":
         return ClusterState(graph, "dense", vector=dense.build_graph_state_dense(graph))
-    tab = StabilizerTableau(n)
-    for q in range(n):
-        tab.h(q)
-    for a, b in graph.edge_indexes():
-        tab.cz(a, b)
-    return ClusterState(graph, "tableau", tableau=tab)
+    masks = [g.operator.z_bits for g in stabilizer_generators(graph)]
+    return ClusterState(graph, "tableau", tableau=StabilizerTableau.graph_state(masks))
 
 
 def surface_correlation(state: ClusterState, face_qubits) -> int:

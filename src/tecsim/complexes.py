@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import CapacityError
 
@@ -247,8 +248,12 @@ def is_closed(chain: Chain, cx: CellComplex) -> bool:
     return not boundary(chain, cx).cells
 
 
-def _solve_gf2_subset(vectors: list[int], target: int):
-    """Subset of ``vectors`` XORing to ``target`` as a chooser bitmask, or None."""
+def _gf2_reduce(vectors: list[int], target: int) -> tuple[int, int]:
+    """(residue, chooser) with ``target`` = residue XOR the chosen ``vectors``.
+
+    Reduction runs against one echelon basis of ``vectors``; the residue is
+    the canonical coset representative, zero iff ``target`` is in the span.
+    """
     pivots: dict[int, tuple[int, int]] = {}
     for i, vec in enumerate(vectors):
         combo = 1 << i
@@ -260,15 +265,17 @@ def _solve_gf2_subset(vectors: list[int], target: int):
             pv, pc = pivots[top]
             vec ^= pv
             combo ^= pc
-    combo = 0
+    residue = combo = 0
     while target:
         top = target.bit_length() - 1
-        if top not in pivots:
-            return None
-        pv, pc = pivots[top]
-        target ^= pv
-        combo ^= pc
-    return combo
+        if top in pivots:
+            pv, pc = pivots[top]
+            target ^= pv
+            combo ^= pc
+        else:
+            residue |= 1 << top
+            target ^= 1 << top
+    return residue, combo
 
 
 def _face_mask(cells: frozenset[str], face_index: dict[str, int]) -> int:
@@ -296,8 +303,8 @@ def homologically_equivalent(
     volume_names = cx.cells(3)
     columns = [_face_mask(cx.volumes[v], face_index) for v in volume_names]
     target = _face_mask(surface.cells ^ other.cells, face_index)
-    combo = _solve_gf2_subset(columns, target)
-    if combo is None:
+    residue, combo = _gf2_reduce(columns, target)
+    if residue:
         return None
     return frozenset(v for i, v in enumerate(volume_names) if (combo >> i) & 1)
 
@@ -310,40 +317,24 @@ def homology_class_key(surface: Chain, cx: CellComplex) -> frozenset[str]:
     """
     if surface.dimension != 2 or not is_closed(surface, cx):
         raise ValueError("expected a closed 2-chain")
-    face_names = cx.cells(2)
-    face_index = {name: i for i, name in enumerate(face_names)}
-    pivots: dict[int, int] = {}
-    for v in cx.cells(3):
-        vec = _face_mask(cx.volumes[v], face_index)
-        while vec:
-            top = vec.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = vec
-                break
-            vec ^= pivots[top]
-    mask = _face_mask(surface.cells, face_index)
-    result = 0
-    while mask:
-        top = mask.bit_length() - 1
-        if top in pivots:
-            mask ^= pivots[top]
-        else:
-            # no pivot can clear this bit: it is part of the canonical form
-            result |= 1 << top
-            mask ^= 1 << top
+    face_index = {name: i for i, name in enumerate(cx.cells(2))}
+    columns = [_face_mask(cx.volumes[v], face_index) for v in cx.cells(3)]
+    result, _ = _gf2_reduce(columns, _face_mask(surface.cells, face_index))
     return frozenset(name for name, i in face_index.items() if (result >> i) & 1)
 
 
 def closed_two_face_surfaces(cx: CellComplex) -> list[Chain]:
-    """All closed surfaces made of exactly two faces."""
-    names = cx.cells(2)
+    """All closed surfaces made of exactly two faces, in sorted pair order.
+
+    {a, b} is closed iff a and b have equal boundaries, so faces are grouped by it.
+    """
+    groups: dict[frozenset[str], list[str]] = {}
+    for name in cx.cells(2):
+        groups.setdefault(cx.faces[name], []).append(name)
     out = []
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            chain = Chain(2, frozenset({a, b}))
-            if is_closed(chain, cx):
-                out.append(chain)
-    return out
+    for group in groups.values():
+        out.extend(Chain(2, frozenset(pair)) for pair in combinations(group, 2))
+    return sorted(out, key=lambda chain: sorted(chain.cells))
 
 
 def closed_surface_summary(cx: CellComplex) -> dict:
@@ -379,11 +370,15 @@ def complex_from_json(text: str) -> CellComplex:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed complex JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(payload, dict):
+        raise ValueError("complex JSON must be an object")
+    maps = {}
     for key in ("volumes", "faces", "edges"):
-        if key not in payload or not isinstance(payload[key], dict):
+        table = payload.get(key)
+        if not isinstance(table, dict):
             raise ValueError(f"complex JSON must contain a {key!r} object")
-    return CellComplex(
-        volumes={k: frozenset(v) for k, v in payload["volumes"].items()},
-        faces={k: frozenset(v) for k, v in payload["faces"].items()},
-        edges={k: frozenset(v) for k, v in payload["edges"].items()},
-    )
+        for name, cells in table.items():
+            if not isinstance(cells, list) or not all(isinstance(c, str) for c in cells):
+                raise ValueError(f"boundary of {key[:-1]} {name!r} must be a list of cell names")
+        maps[key] = {k: frozenset(v) for k, v in table.items()}
+    return CellComplex(**maps)

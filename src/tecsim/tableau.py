@@ -35,6 +35,21 @@ class StabilizerTableau:
         self._zs = [0] * n + [1 << i for i in range(n)]
         self._rs = [0] * (2 * n)
 
+    @classmethod
+    def graph_state(cls, neighbor_masks: list[int]) -> "StabilizerTableau":
+        """Graph state of a simple undirected graph, written without gates.
+
+        ``neighbor_masks[v]`` has bit u set iff u and v are adjacent.
+        Destabilizer v is Z_v and stabilizer v is X_v Z_N(v), all signs +1:
+        exactly the rows that H on every qubit and CZ on every edge leave.
+        """
+        n = len(neighbor_masks)
+        tab = cls(n)
+        # H on every qubit swaps the x and z halves of the all-zeros tableau
+        tab._xs, tab._zs = tab._zs, tab._xs
+        tab._zs[n:] = neighbor_masks
+        return tab
+
     def copy(self) -> "StabilizerTableau":
         dup = object.__new__(StabilizerTableau)
         dup.n = self.n

@@ -41,6 +41,9 @@ class SyndromeVector(NamedTuple):
 
 ErrorPattern = frozenset  # subset of FACE_QUBITS
 
+# all 64 flip patterns, by weight then lexicographically
+_ALL_PATTERNS = tuple(frozenset(c) for w in range(7) for c in combinations(FACE_QUBITS, w))
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -120,11 +123,8 @@ def build_decode_table() -> dict[SyndromeVector, frozenset]:
     a decoding ambiguity and raises instead of being broken silently.
     """
     by_syndrome: dict[SyndromeVector, list[frozenset]] = {}
-    for w in range(7):
-        for combo in combinations(FACE_QUBITS, w):
-            by_syndrome.setdefault(syndrome_of_pattern(frozenset(combo)), []).append(
-                frozenset(combo)
-            )
+    for pattern in _ALL_PATTERNS:
+        by_syndrome.setdefault(syndrome_of_pattern(pattern), []).append(pattern)
     table: dict[SyndromeVector, frozenset] = {}
     for syndrome, patterns in by_syndrome.items():
         best = min(len(p) for p in patterns)
@@ -166,15 +166,13 @@ def analytic_unprotected(p: float) -> float:
 
 
 def analytic_protected(p: float) -> float:
-    """Residual error rate after decoding, closed form."""
+    """Residual error rate after decoding, summed over the failing patterns.
+
+    6 of weight 2, all 20 of weight 3, 6 of weight 4: no cancellation at tiny p.
+    """
     _check_probability(p)
     q = 1.0 - p
-    return (
-        1.0
-        - (q**6 + p**6)
-        - (6.0 * p * q**5 + 6.0 * q * p**5)
-        - (9.0 * p**2 * q**4 + 9.0 * q**2 * p**4)
-    )
+    return 6.0 * p**2 * q**4 + 20.0 * p**3 * q**3 + 6.0 * p**4 * q**2
 
 
 def _pattern_fails(pattern: frozenset) -> bool:
@@ -184,12 +182,7 @@ def _pattern_fails(pattern: frozenset) -> bool:
 
 @lru_cache(maxsize=1)
 def _failure_patterns() -> tuple[frozenset, ...]:
-    out = []
-    for w in range(7):
-        for combo in combinations(FACE_QUBITS, w):
-            if _pattern_fails(frozenset(combo)):
-                out.append(frozenset(combo))
-    return tuple(out)
+    return tuple(pattern for pattern in _ALL_PATTERNS if _pattern_fails(pattern))
 
 
 def exact_enumeration(p: float) -> float:
@@ -210,10 +203,9 @@ def success_weight_profile() -> dict[int, int]:
     """Pattern count per weight among the decoder's success set."""
     profile: dict[int, int] = {}
     failures = set(_failure_patterns())
-    for w in range(7):
-        for combo in combinations(FACE_QUBITS, w):
-            if frozenset(combo) not in failures:
-                profile[w] = profile.get(w, 0) + 1
+    for pattern in _ALL_PATTERNS:
+        if pattern not in failures:
+            profile[len(pattern)] = profile.get(len(pattern), 0) + 1
     return profile
 
 
@@ -364,12 +356,8 @@ class SweepPoint:
 
 
 def binomial_se(rate: float, trials: int) -> float:
-    """Binomial standard error of ``rate`` over ``trials`` draws.
-
-    A rate that roundoff put a hair outside [0, 1] (the closed form gives
-    about -1e-16 at p = 1e-9) has zero spread.
-    """
-    return math.sqrt(max(rate * (1.0 - rate), 0.0) / trials)
+    """Binomial standard error of a rate in [0, 1] over ``trials`` draws."""
+    return math.sqrt(rate * (1.0 - rate) / trials)
 
 
 def monte_carlo_sweep(

@@ -15,13 +15,11 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .dense import DensityModel, StateVector, expectation_observable
+from .dense import _X, _Y, DensityModel, StateVector, expectation_observable
 
 N_QUBITS = 8
 _DIM = 1 << N_QUBITS
 
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _P0 = np.array([[1, 0], [0, 0]], dtype=complex)  # |H><H|
 _P1 = np.array([[0, 0], [0, 1]], dtype=complex)  # |V><V|
 

@@ -225,6 +225,41 @@ def test_complex_malformed_file(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"volumes": {}, "faces": {"f": 5}, "edges": {}}',
+        "5",
+        '{"volumes": {}, "faces": {"f": [[1]]}, "edges": {}}',
+    ],
+)
+def test_complex_wrongly_typed_json_is_one_error_line(tmp_path, capsys, text):
+    path = tmp_path / "typed.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "complex", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("tecsim: error: ") and err.count("\n") == 1
+
+
+def test_complex_directory_is_one_error_line(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "complex", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("tecsim: error: cannot read complex file") and err.count("\n") == 1
+
+
+def test_sweep_tiny_p_is_not_a_false_alarm(capsys):
+    # the analytic rate at p = 1e-9 is 6e-18; a closed form that cancels to a
+    # negative number has zero sigma and turns the exact zero count into an error
+    code, out, err = run_cli(
+        capsys, "sweep", "--p-min", "1e-9", "--steps", "1", "--trials", "1000"
+    )
+    assert code == 0, err
+    row = out.splitlines()[2].split(",")
+    assert float(row[5]) == pytest.approx(6e-18, rel=1e-6)
+
+
 def test_complex_unknown_name(capsys):
     code, _, err = run_cli(capsys, "complex", "dodecahedron")
     assert code == 1

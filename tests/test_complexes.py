@@ -3,6 +3,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tecsim.complexes import (
     CellComplex,
@@ -270,3 +272,112 @@ def test_json_parse_error_reports_location():
         complex_from_json("{broken")
     with pytest.raises(ValueError, match="'faces'"):
         complex_from_json(json.dumps({"volumes": {}, "edges": {}}))
+
+
+def pair_scan_closed_surfaces(cx):
+    """Reference: test every face pair for an empty boundary."""
+    names = cx.cells(2)
+    return [
+        Chain(2, frozenset({a, b}))
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+        if is_closed(Chain(2, frozenset({a, b})), cx)
+    ]
+
+
+# faces listed out of name order, four of them sharing one boundary and two
+# another, so grouping must restore the sorted pair order
+REPEATED_BOUNDARIES_JSON = json.dumps(
+    {
+        "volumes": {"V": ["alpha", "beta"], "W": ["mid", "omega"]},
+        "faces": {
+            "zeta": ["e1", "e2"],
+            "mid": ["e3", "e4"],
+            "alpha": ["e1", "e2"],
+            "quad": ["e1", "e2", "e3", "e4"],
+            "omega": ["e3", "e4"],
+            "beta": ["e1", "e2"],
+            "gamma": ["e2", "e1"],
+        },
+        "edges": {"e1": ["s", "t"], "e2": ["s", "t"], "e3": ["u", "v"], "e4": ["u", "v"]},
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [
+        build_g8_complex,
+        build_elementary_cell,
+        lambda: build_cuboid_complex(2, 2, 2),
+        lambda: complex_from_json(REPEATED_BOUNDARIES_JSON),
+    ],
+)
+def test_closed_two_face_surfaces_match_pair_scan(builder):
+    cx = builder()
+    assert closed_two_face_surfaces(cx) == pair_scan_closed_surfaces(cx)
+
+
+def test_closed_two_face_surfaces_on_repeated_boundaries():
+    cx = complex_from_json(REPEATED_BOUNDARIES_JSON)
+    assert [sorted(c.cells) for c in closed_two_face_surfaces(cx)] == [
+        ["alpha", "beta"], ["alpha", "gamma"], ["alpha", "zeta"], ["beta", "gamma"],
+        ["beta", "zeta"], ["gamma", "zeta"], ["mid", "omega"],
+    ]
+    # V makes alpha and beta interchangeable: {alpha, beta} and {mid, omega}
+    # are both boundaries, {alpha|beta, gamma} and {alpha|beta, zeta} pair up,
+    # and {gamma, zeta} stands alone
+    assert closed_surface_summary(cx) == {
+        "two_face_closed_surfaces": 7,
+        "homology_classes": 4,
+        "class_sizes": [2, 2, 2, 1],
+    }
+
+
+@st.composite
+def repeated_boundary_complexes(draw):
+    """Faces over k pairs of parallel edges, boundaries drawn from their unions."""
+    k = draw(st.integers(1, 3))
+    edges = {}
+    for i in range(k):
+        edges[f"e{2 * i}"] = edges[f"e{2 * i + 1}"] = [f"s{i}", f"t{i}"]
+    unions = [
+        [f"e{2 * i + d}" for i in range(k) if (bits >> i) & 1 for d in (0, 1)]
+        for bits in range(1, 1 << k)
+    ]
+    names = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=1,
+                          max_size=9, unique=True))
+    faces = {name: draw(st.sampled_from(unions)) for name in names}
+    twins = [(a, b) for a, b in combinations(names, 2) if faces[a] == faces[b]]
+    volumes = {}
+    if twins:
+        for i, pair in enumerate(draw(st.sets(st.sampled_from(twins)))):
+            volumes[f"v{i}"] = list(pair)
+    return complex_from_json(json.dumps({"volumes": volumes, "faces": faces, "edges": edges}))
+
+
+@given(repeated_boundary_complexes())
+def test_grouped_surfaces_and_class_keys_on_random_complexes(cx):
+    surfaces = closed_two_face_surfaces(cx)
+    assert surfaces == pair_scan_closed_surfaces(cx)
+    for a, b in combinations(surfaces, 2):
+        same_key = homology_class_key(a, cx) == homology_class_key(b, cx)
+        assert same_key == (homologically_equivalent(a, b, cx) is not None)
+    assert complex_from_json(complex_to_json(cx)) == cx
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5", "must be an object"),
+        ("[]", "must be an object"),
+        ('{"volumes": {}, "faces": {"f": 5}, "edges": {}}', "face 'f'"),
+        ('{"volumes": {}, "faces": {"f": [[1]]}, "edges": {}}', "face 'f'"),
+        ('{"volumes": {}, "faces": {"f": "ab"}, "edges": {"a": [], "b": []}}', "face 'f'"),
+        ('{"volumes": {"v": [null]}, "faces": {}, "edges": {}}', "volume 'v'"),
+        ('{"volumes": {}, "faces": {}, "edges": {"e": [1, 2]}}', "edge 'e'"),
+    ],
+)
+def test_json_rejects_malformed_boundaries(text, message):
+    with pytest.raises(ValueError, match=message):
+        complex_from_json(text)

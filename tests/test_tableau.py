@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from tecsim.cluster import ClusterState, build_cluster, interaction_graph, measure_all
+from tecsim.complexes import build_cuboid_complex, build_elementary_cell, build_g8_complex
 from tecsim.dense import StateVector
 from tecsim.pauli import PauliOperator, pauli_from_text, pauli_to_text
 from tecsim.rng import philox_generator
-from tecsim.tableau import tableau_init
+from tecsim.tableau import StabilizerTableau, tableau_init
 
 GATE_POOL = (("H", 1), ("S", 1), ("X", 1), ("Z", 1), ("CZ", 2), ("CNOT", 2))
 
@@ -209,3 +213,77 @@ def test_graph_state_generators_all_plus_one():
                     zmask |= 1 << a
             k = PauliOperator(n, 1 << i, zmask, 0)
             assert t.expectation_pauli(k) == 1
+
+
+# ----------------------------------------------------------------------
+# closed-form graph states against the gate sequence they replace
+
+
+def gate_sequence_graph_state(n, edges):
+    """Reference build: H on every qubit, then CZ on every edge."""
+    t = tableau_init(n)
+    for q in range(n):
+        t.h(q)
+    for a, b in edges:
+        t.cz(a, b)
+    return t
+
+
+def neighbor_masks(n, edges):
+    masks = [0] * n
+    for a, b in edges:
+        masks[a] |= 1 << b
+        masks[b] |= 1 << a
+    return masks
+
+
+def rows(t):
+    return t._xs, t._zs, t._rs
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    # CZ gates commute, so any edge order must give the same rows
+    order = draw(st.permutations(sorted(chosen)))
+    return n, [(b, a) if draw(st.booleans()) else (a, b) for a, b in order]
+
+
+@given(random_graphs())
+def test_graph_state_matches_gate_sequence_on_random_graphs(graph):
+    n, edges = graph
+    closed = StabilizerTableau.graph_state(neighbor_masks(n, edges))
+    assert rows(closed) == rows(gate_sequence_graph_state(n, edges))
+
+
+COMPLEXES = {
+    "g8": build_g8_complex,
+    "elementary": build_elementary_cell,
+    "cuboid 2x2x2": lambda: build_cuboid_complex(2, 2, 2),
+    "cuboid 3x3x2": lambda: build_cuboid_complex(3, 3, 2),
+    "cuboid 3x3x3": lambda: build_cuboid_complex(3, 3, 3),
+}
+
+
+@pytest.mark.parametrize("name", COMPLEXES)
+def test_build_cluster_rows_match_gate_sequence(name):
+    graph = interaction_graph(COMPLEXES[name]())
+    built = build_cluster(graph, "tableau").tableau
+    reference = gate_sequence_graph_state(graph.qubit_count, graph.edge_indexes())
+    assert rows(built) == rows(reference)
+
+
+@pytest.mark.parametrize("name", ["g8", "elementary", "cuboid 2x2x2"])
+def test_seeded_x_readout_matches_gate_sequence(name):
+    graph = interaction_graph(COMPLEXES[name]())
+    reference = ClusterState(
+        graph, "tableau", gate_sequence_graph_state(graph.qubit_count, graph.edge_indexes())
+    )
+    built = build_cluster(graph, "tableau")
+    for seed in (0, 7, 2026):
+        assert measure_all(built, philox_generator(seed, 0), "x") == measure_all(
+            reference, philox_generator(seed, 0), "x"
+        )
+

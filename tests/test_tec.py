@@ -146,6 +146,13 @@ def test_analytic_protected_values():
     assert analytic_protected(1.0) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("p", [1e-9, 1e-6, 1.0 - 1e-9])
+def test_analytic_protected_is_relatively_accurate_near_the_ends(p):
+    # the enumeration sums the failing patterns' probabilities, all positive
+    assert analytic_protected(p) > 0.0
+    assert analytic_protected(p) == pytest.approx(exact_enumeration(p), rel=1e-9)
+
+
 def test_probability_domain_checks():
     for func in (analytic_protected, analytic_unprotected, exact_enumeration):
         with pytest.raises(ValueError):
