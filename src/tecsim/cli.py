@@ -348,9 +348,12 @@ def main(argv=None) -> int:
     try:
         text = _COMMANDS[config.command](config)
         _write_output(text, config.out)
-    except (ValueError, KeyError, SelfCheckError, AssertionError) as exc:
+    except (ValueError, KeyError, SelfCheckError) as exc:
         print(f"tecsim: error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:  # a broken invariant of tecsim, not of the input
+        print(f"tecsim: internal error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

@@ -30,19 +30,20 @@ class InteractionGraph:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        if len(self.vertices) != len(set(self.vertices)):
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        if len(pos) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
+        object.__setattr__(self, "_pos", pos)  # label -> qubit index, shared by every lookup
         if len(self.kinds) != len(self.vertices):
             raise ValueError("one kind tag required per vertex")
         for kind in self.kinds:
             if kind not in ("face", "edge"):
                 raise ValueError(f"unknown vertex kind {kind!r}")
-        known = set(self.vertices)
         seen = set()
         for a, b in self.edges:
             if a == b:
                 raise ValueError(f"self-loop at {a!r}")
-            if a not in known or b not in known:
+            if a not in pos or b not in pos:
                 raise ValueError(f"edge ({a!r}, {b!r}) references unknown vertices")
             key = frozenset((a, b))
             if key in seen:
@@ -55,15 +56,15 @@ class InteractionGraph:
 
     def index(self, label: str) -> int:
         try:
-            return self.vertices.index(label)
-        except ValueError:
+            return self._pos[label]
+        except KeyError:
             raise KeyError(f"unknown qubit {label!r}") from None
 
     def kind(self, label: str) -> str:
         return self.kinds[self.index(label)]
 
     def edge_indexes(self) -> list[tuple[int, int]]:
-        pos = {v: i for i, v in enumerate(self.vertices)}
+        pos = self._pos
         return [(pos[a], pos[b]) for a, b in self.edges]
 
     def neighbors(self, label: str) -> tuple[str, ...]:
@@ -77,7 +78,12 @@ class InteractionGraph:
 
     def to_json(self) -> str:
         """Adjacency lists keyed by qubit label, plus the face|edge tags."""
-        adjacency = {v: list(self.neighbors(v)) for v in self.vertices}
+        adjacency = {v: [] for v in self.vertices}
+        for a, b in self.edges:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        for nbrs in adjacency.values():
+            nbrs.sort()
         kinds = dict(zip(self.vertices, self.kinds))
         return json.dumps(
             {"qubits": list(self.vertices), "kinds": kinds, "adjacency": adjacency},
@@ -151,7 +157,7 @@ def interaction_graph(cx: CellComplex) -> InteractionGraph:
 
 def stabilizer_generators(graph: InteractionGraph) -> list[StabilizerGenerator]:
     n = graph.qubit_count
-    pos = {v: i for i, v in enumerate(graph.vertices)}
+    pos = graph._pos
     zmask_of = {v: 0 for v in graph.vertices}
     for a, b in graph.edges:
         zmask_of[a] |= 1 << pos[b]
@@ -164,33 +170,28 @@ def stabilizer_generators(graph: InteractionGraph) -> list[StabilizerGenerator]:
 
 @dataclass
 class ClusterState:
-    """A cluster state bound to its interaction graph and engine."""
+    """A cluster state bound to its interaction graph and one state backend.
+
+    ``backend`` is a :class:`StabilizerTableau` or a :class:`dense.StateVector`.
+    Both speak the same protocol, so nothing below asks which one it holds:
+    ``copy()``, ``apply_gate(gate, *targets)``, ``measure_pauli(op, rng)``,
+    ``measure_x(q, rng)``, ``measure_z(q, rng)`` and ``expectation_pauli(op)``.
+    """
 
     graph: InteractionGraph
-    engine: str
-    tableau: StabilizerTableau | None = None
-    vector: dense.StateVector | None = None
+    backend: StabilizerTableau | dense.StateVector
 
     def copy(self) -> "ClusterState":
-        return ClusterState(
-            self.graph,
-            self.engine,
-            self.tableau.copy() if self.tableau is not None else None,
-            self.vector.copy() if self.vector is not None else None,
-        )
+        return ClusterState(self.graph, self.backend.copy())
 
     def index(self, label: str) -> int:
         return self.graph.index(label)
 
     def expectation(self, op: PauliOperator) -> float:
-        if self.engine == "tableau":
-            return float(self.tableau.expectation_pauli(op))
-        return self.vector.expectation_pauli(op)
+        return float(self.backend.expectation_pauli(op))
 
     def measure(self, op: PauliOperator, rng: np.random.Generator) -> int:
-        if self.engine == "tableau":
-            return self.tableau.measure_pauli(op, rng)
-        return self.vector.measure_pauli(op, rng)
+        return self.backend.measure_pauli(op, rng)
 
 
 def build_cluster(graph: InteractionGraph, engine: str = "tableau") -> ClusterState:
@@ -203,9 +204,9 @@ def build_cluster(graph: InteractionGraph, engine: str = "tableau") -> ClusterSt
     if engine not in ENGINES:
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "dense":
-        return ClusterState(graph, "dense", vector=dense.build_graph_state_dense(graph))
+        return ClusterState(graph, dense.build_graph_state_dense(graph))
     masks = [g.operator.z_bits for g in stabilizer_generators(graph)]
-    return ClusterState(graph, "tableau", tableau=StabilizerTableau.graph_state(masks))
+    return ClusterState(graph, StabilizerTableau.graph_state(masks))
 
 
 def surface_correlation(state: ClusterState, face_qubits) -> int:
@@ -235,18 +236,8 @@ def measure_all(
     if basis not in ("x", "z"):
         raise ValueError(f"basis must be 'x' or 'z', got {basis!r}")
     work = state.copy()
-    outcomes: dict[str, int] = {}
-    if work.engine == "tableau":
-        tab = work.tableau
-        measure = tab.measure_x if basis == "x" else tab.measure_z
-        for i, label in enumerate(work.graph.vertices):
-            outcomes[label] = measure(i, rng)
-    else:
-        n = work.graph.qubit_count
-        for i, label in enumerate(work.graph.vertices):
-            outcomes[label] = work.vector.measure_pauli(
-                PauliOperator.single(n, i, basis.upper()), rng
-            )
+    measure = work.backend.measure_x if basis == "x" else work.backend.measure_z
+    outcomes = {label: measure(i, rng) for i, label in enumerate(work.graph.vertices)}
     return OutcomeRecord(outcomes, {label: basis for label in outcomes})
 
 
@@ -267,15 +258,7 @@ def carve_defect(
     if len(labels) != len(set(labels)):
         raise ValueError("carve list contains duplicate qubits")
     work = state.copy()
-    outcomes: dict[str, int] = {}
-    for label in labels:
-        i = work.index(label)
-        if work.engine == "tableau":
-            outcomes[label] = work.tableau.measure_z(i, rng)
-        else:
-            outcomes[label] = work.vector.measure_pauli(
-                PauliOperator.single(work.graph.qubit_count, i, "Z"), rng
-            )
+    outcomes = {label: work.backend.measure_z(work.index(label), rng) for label in labels}
     basis = {label: "z" for label in outcomes}
     return work, OutcomeRecord(outcomes, basis)
 

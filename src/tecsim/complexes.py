@@ -248,12 +248,8 @@ def is_closed(chain: Chain, cx: CellComplex) -> bool:
     return not boundary(chain, cx).cells
 
 
-def _gf2_reduce(vectors: list[int], target: int) -> tuple[int, int]:
-    """(residue, chooser) with ``target`` = residue XOR the chosen ``vectors``.
-
-    Reduction runs against one echelon basis of ``vectors``; the residue is
-    the canonical coset representative, zero iff ``target`` is in the span.
-    """
+def _gf2_echelon(vectors: list[int]) -> dict[int, tuple[int, int]]:
+    """Echelon basis of ``vectors``: top bit -> (row, chooser of the vectors in it)."""
     pivots: dict[int, tuple[int, int]] = {}
     for i, vec in enumerate(vectors):
         combo = 1 << i
@@ -265,6 +261,16 @@ def _gf2_reduce(vectors: list[int], target: int) -> tuple[int, int]:
             pv, pc = pivots[top]
             vec ^= pv
             combo ^= pc
+    return pivots
+
+
+def _gf2_reduce(pivots: dict[int, tuple[int, int]], target: int) -> tuple[int, int]:
+    """(residue, chooser) with ``target`` = residue XOR the chosen vectors.
+
+    Reduction runs against the echelon ``pivots`` of :func:`_gf2_echelon`; the
+    residue is the canonical coset representative, zero iff ``target`` is in
+    the span.
+    """
     residue = combo = 0
     while target:
         top = target.bit_length() - 1
@@ -285,6 +291,13 @@ def _face_mask(cells: frozenset[str], face_index: dict[str, int]) -> int:
     return mask
 
 
+def _volume_echelon(cx: CellComplex) -> tuple[dict[str, int], dict[int, tuple[int, int]]]:
+    """Face positions and the echelon of the volume boundaries over them."""
+    face_index = {name: i for i, name in enumerate(cx.cells(2))}
+    columns = [_face_mask(cx.volumes[v], face_index) for v in cx.cells(3)]
+    return face_index, _gf2_echelon(columns)
+
+
 def homologically_equivalent(
     surface: Chain, other: Chain, cx: CellComplex
 ) -> frozenset[str] | None:
@@ -299,14 +312,11 @@ def homologically_equivalent(
             raise ValueError("homological equivalence is defined for 2-chains")
         if not is_closed(c, cx):
             raise ValueError(f"chain {sorted(c.cells)} is not closed")
-    face_index = {name: i for i, name in enumerate(cx.cells(2))}
-    volume_names = cx.cells(3)
-    columns = [_face_mask(cx.volumes[v], face_index) for v in volume_names]
-    target = _face_mask(surface.cells ^ other.cells, face_index)
-    residue, combo = _gf2_reduce(columns, target)
+    face_index, pivots = _volume_echelon(cx)
+    residue, combo = _gf2_reduce(pivots, _face_mask(surface.cells ^ other.cells, face_index))
     if residue:
         return None
-    return frozenset(v for i, v in enumerate(volume_names) if (combo >> i) & 1)
+    return frozenset(v for i, v in enumerate(cx.cells(3)) if (combo >> i) & 1)
 
 
 def homology_class_key(surface: Chain, cx: CellComplex) -> frozenset[str]:
@@ -317,9 +327,8 @@ def homology_class_key(surface: Chain, cx: CellComplex) -> frozenset[str]:
     """
     if surface.dimension != 2 or not is_closed(surface, cx):
         raise ValueError("expected a closed 2-chain")
-    face_index = {name: i for i, name in enumerate(cx.cells(2))}
-    columns = [_face_mask(cx.volumes[v], face_index) for v in cx.cells(3)]
-    result, _ = _gf2_reduce(columns, _face_mask(surface.cells, face_index))
+    face_index, pivots = _volume_echelon(cx)
+    result, _ = _gf2_reduce(pivots, _face_mask(surface.cells, face_index))
     return frozenset(name for name, i in face_index.items() if (result >> i) & 1)
 
 
@@ -339,10 +348,12 @@ def closed_two_face_surfaces(cx: CellComplex) -> list[Chain]:
 
 def closed_surface_summary(cx: CellComplex) -> dict:
     """Counts and homology-class sizes of the two-face closed surfaces."""
-    classes: dict[frozenset[str], int] = {}
+    classes: dict[int, int] = {}
     surfaces = closed_two_face_surfaces(cx)
+    # one echelon for every surface; each residue is its homology_class_key as a face mask
+    face_index, pivots = _volume_echelon(cx)
     for chain in surfaces:
-        key = homology_class_key(chain, cx)
+        key, _ = _gf2_reduce(pivots, _face_mask(chain.cells, face_index))
         classes[key] = classes.get(key, 0) + 1
     return {
         "two_face_closed_surfaces": len(surfaces),

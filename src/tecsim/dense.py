@@ -159,6 +159,14 @@ class StateVector:
         self.amps = post / np.sqrt(0.5 * (1.0 + outcome * expect))
         return outcome
 
+    def measure_x(self, q: int, rng: np.random.Generator) -> int:
+        """Projective single-qubit X measurement."""
+        return self.measure_pauli(PauliOperator.single(self.n, q, "X"), rng)
+
+    def measure_z(self, q: int, rng: np.random.Generator) -> int:
+        """Projective single-qubit Z measurement."""
+        return self.measure_pauli(PauliOperator.single(self.n, q, "Z"), rng)
+
 
 def build_graph_state_dense(graph) -> StateVector:
     """CZ over the interaction edges applied to the uniform superposition.

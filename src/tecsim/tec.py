@@ -212,23 +212,14 @@ def success_weight_profile() -> dict[int, int]:
 # ----------------------------------------------------------------------
 # Monte Carlo
 
-_STATE_CACHE: dict[tuple[str, str], ClusterState] = {}
-
-
+@lru_cache(maxsize=None)
 def _base_state(engine: str, frame: str) -> ClusterState:
-    key = (engine, frame)
-    if key not in _STATE_CACHE:
-        graph = interaction_graph(build_g8_complex())
-        state = build_cluster(graph, engine)
-        if frame == "x":
-            if engine == "tableau":
-                for q in range(graph.qubit_count):
-                    state.tableau.h(q)
-            else:
-                for q in range(graph.qubit_count):
-                    state.vector.apply_gate("H", q)
-        _STATE_CACHE[key] = state
-    return _STATE_CACHE[key]
+    """The g8 cluster state, Hadamard-rotated in the x frame; callers copy it."""
+    state = build_cluster(interaction_graph(build_g8_complex()), engine)
+    if frame == "x":
+        for q in range(state.graph.qubit_count):
+            state.backend.apply_gate("H", q)
+    return state
 
 
 def run_pattern(
@@ -240,18 +231,12 @@ def run_pattern(
     The readout basis follows the frame: X readout for Z flips on the
     graph state, Z readout for X flips on the rotated state.
     """
-    if engine not in ("tableau", "dense"):
-        raise ValueError(f"trial engine must be tableau or dense, got {engine!r}")
     if frame not in ("z", "x"):
         raise ValueError(f"frame must be 'z' or 'x', got {frame!r}")
     state = _base_state(engine, frame).copy()
     flip_gate = "Z" if frame == "z" else "X"
     for q in pattern:
-        i = state.index(_face_label(q))
-        if engine == "tableau":
-            state.tableau.apply_gate(flip_gate, i)
-        else:
-            state.vector.apply_gate(flip_gate, i)
+        state.backend.apply_gate(flip_gate, state.index(_face_label(q)))
     record = measure_all(state, rng, "x" if frame == "z" else "z")
     corrected, correction = decode_and_correct(record)
     return corrected, correction, record
@@ -385,7 +370,8 @@ def monte_carlo_sweep(
     jobs = [(i, p, trials, seed, engine) for i, p in enumerate(p_values)]
     results: dict[int, tuple[int, int]] = {}
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts all its workers at once, so never more than there are jobs
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             for idx, prot, unprot in pool.map(_sweep_job, jobs):
                 results[idx] = (prot, unprot)
     else:

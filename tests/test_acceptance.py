@@ -60,7 +60,7 @@ def test_criterion_1_stabilizer_identity():
 
 def test_criterion_2_state_equivalence():
     with criterion(2, "H^8 |G8> equals the experimental state, fidelity 1", 1.0):
-        rotated = _g8_state("dense").vector
+        rotated = _g8_state("dense").backend
         for q in range(8):
             rotated.apply_gate("H", q)
         psi, _ = ts.build_target_states()

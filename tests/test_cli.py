@@ -264,3 +264,14 @@ def test_complex_unknown_name(capsys):
     code, _, err = run_cli(capsys, "complex", "dodecahedron")
     assert code == 1
     assert "unknown complex" in err
+
+
+def test_internal_invariant_failure_is_reported_apart_from_user_errors(monkeypatch, capsys):
+    def broken():
+        raise AssertionError("tableau rows lost GF(2) independence")
+
+    monkeypatch.setattr(tec, "build_decode_table", broken)
+    code, out, err = run_cli(capsys, "syndrome-table")
+    assert code == 3
+    assert out == ""
+    assert err == "tecsim: internal error: tableau rows lost GF(2) independence\n"

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from tecsim.cluster import (
+    ENGINES,
+    ClusterState,
     InteractionGraph,
     OutcomeRecord,
     build_cluster,
@@ -21,10 +25,11 @@ from tecsim.complexes import (
     build_elementary_cell,
     build_g8_complex,
 )
-from tecsim.dense import fidelity
+from tecsim.dense import StateVector, fidelity
 from tecsim.errors import CapacityError
-from tecsim.pauli import pauli_to_text
+from tecsim.pauli import PauliOperator, pauli_to_text
 from tecsim.rng import philox_generator
+from tecsim.tableau import StabilizerTableau
 from tecsim.witness import build_target_states
 
 G8_FACES = tuple(f"f{i}" for i in range(1, 7))
@@ -141,7 +146,7 @@ def test_build_cluster_satisfies_all_generators(g8_graph, engine):
 
 def test_dense_g8_matches_experimental_state(g8_graph):
     state = build_cluster(g8_graph, "dense")
-    rotated = state.vector.copy()
+    rotated = state.backend.copy()
     for q in range(8):
         rotated.apply_gate("H", q)
     psi, _ = build_target_states()
@@ -287,10 +292,10 @@ def test_carve_rejects_duplicates_and_unknowns(g8_tableau):
 def test_dual_syndrome_check(g8_graph, g8_tableau):
     assert dual_syndrome_check(g8_tableau) == 1
     flipped = g8_tableau.copy()
-    flipped.tableau.z(g8_graph.index("e7"))
+    flipped.backend.z(g8_graph.index("e7"))
     assert dual_syndrome_check(flipped) == -1
     face_error = g8_tableau.copy()
-    face_error.tableau.z(g8_graph.index("f3"))
+    face_error.backend.z(g8_graph.index("f3"))
     assert dual_syndrome_check(face_error) == 1
 
 
@@ -318,3 +323,43 @@ def test_outcome_record_validation():
 def test_build_cluster_rejects_unknown_engine(g8_graph):
     with pytest.raises(ValueError):
         build_cluster(g8_graph, "tensor-network")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_single_qubit_measurements_match_measure_pauli(g8_graph, engine):
+    state = build_cluster(g8_graph, engine).backend
+    ours, reference = state.copy(), state.copy()
+    rng_ours, rng_reference = philox_generator(4, 1), philox_generator(4, 1)
+    for q, letter in [(3, "X"), (0, "Z"), (7, "X"), (5, "Z"), (1, "X"), (6, "X"), (2, "Z"), (4, "X")]:
+        measure = ours.measure_x if letter == "X" else ours.measure_z
+        expected = reference.measure_pauli(PauliOperator.single(8, q, letter), rng_reference)
+        assert measure(q, rng_ours) == expected, (q, letter)
+    # same number of draws, and the same post-measurement state
+    assert rng_ours.random() == rng_reference.random()
+    for q in range(8):
+        for letter in "XZ":
+            op = PauliOperator.single(8, q, letter)
+            assert ours.expectation_pauli(op) == pytest.approx(reference.expectation_pauli(op))
+
+
+@pytest.mark.parametrize("engine, backend_type", [("tableau", StabilizerTableau), ("dense", StateVector)])
+def test_cluster_state_holds_one_backend(g8_graph, engine, backend_type):
+    state = build_cluster(g8_graph, engine)
+    assert isinstance(state.backend, backend_type)
+    rebuilt = ClusterState(g8_graph, state.backend.copy())
+    for basis in ("x", "z"):
+        assert measure_all(rebuilt, philox_generator(8, 0), basis) == measure_all(
+            state, philox_generator(8, 0), basis
+        )
+    copied = state.copy()
+    assert copied.graph is state.graph and copied.backend is not state.backend
+
+
+def test_graph_json_and_index_match_per_vertex_scans():
+    graph = interaction_graph(build_cuboid_complex(2, 2, 2))
+    payload = json.loads(graph.to_json())
+    assert payload["adjacency"] == {v: list(graph.neighbors(v)) for v in graph.vertices}
+    assert [graph.index(v) for v in graph.vertices] == list(range(graph.qubit_count))
+    assert graph.edge_indexes() == [(graph.vertices.index(a), graph.vertices.index(b)) for a, b in graph.edges]
+    with pytest.raises(KeyError, match="unknown qubit"):
+        graph.index("nowhere")

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -381,3 +382,29 @@ def test_grouped_surfaces_and_class_keys_on_random_complexes(cx):
 def test_json_rejects_malformed_boundaries(text, message):
     with pytest.raises(ValueError, match=message):
         complex_from_json(text)
+
+
+def _summary_from_class_keys(cx):
+    keys = Counter(homology_class_key(s, cx) for s in closed_two_face_surfaces(cx))
+    return {
+        "two_face_closed_surfaces": sum(keys.values()),
+        "homology_classes": len(keys),
+        "class_sizes": sorted(keys.values(), reverse=True),
+    }
+
+
+def test_summary_matches_class_keys_on_many_faces_over_one_boundary():
+    k = 12
+    cx = complex_from_json(json.dumps({
+        "volumes": {f"v{i}": [f"f{2 * i:02d}", f"f{2 * i + 1:02d}"] for i in range(k // 2)},
+        "faces": {f"f{i:02d}": ["a", "b"] for i in range(k)},
+        "edges": {"a": ["s", "t"], "b": ["s", "t"]},
+    }))
+    summary = closed_surface_summary(cx)
+    assert summary["two_face_closed_surfaces"] == k * (k - 1) // 2
+    assert summary == _summary_from_class_keys(cx)
+
+
+@given(repeated_boundary_complexes())
+def test_summary_matches_class_keys_on_random_complexes(cx):
+    assert closed_surface_summary(cx) == _summary_from_class_keys(cx)

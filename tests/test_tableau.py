@@ -270,7 +270,7 @@ COMPLEXES = {
 @pytest.mark.parametrize("name", COMPLEXES)
 def test_build_cluster_rows_match_gate_sequence(name):
     graph = interaction_graph(COMPLEXES[name]())
-    built = build_cluster(graph, "tableau").tableau
+    built = build_cluster(graph, "tableau").backend
     reference = gate_sequence_graph_state(graph.qubit_count, graph.edge_indexes())
     assert rows(built) == rows(reference)
 
@@ -279,7 +279,7 @@ def test_build_cluster_rows_match_gate_sequence(name):
 def test_seeded_x_readout_matches_gate_sequence(name):
     graph = interaction_graph(COMPLEXES[name]())
     reference = ClusterState(
-        graph, "tableau", gate_sequence_graph_state(graph.qubit_count, graph.edge_indexes())
+        graph, gate_sequence_graph_state(graph.qubit_count, graph.edge_indexes())
     )
     built = build_cluster(graph, "tableau")
     for seed in (0, 7, 2026):

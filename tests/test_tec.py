@@ -4,9 +4,18 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from tecsim import tec
+from tecsim.complexes import (
+    build_g8_complex,
+    homologically_equivalent,
+    homology_class_key,
+    is_closed,
+)
 from tecsim.rng import philox_generator
 from tecsim.tec import (
     FACE_QUBITS,
+    PROTECTED_QUBITS,
+    SYNDROME_PAIRS,
     NoiseModel,
     SyndromeVector,
     analytic_protected,
@@ -302,3 +311,50 @@ def test_engine_sweep_counts_match_per_trial_reference(engine, trials):
         points = monte_carlo_sweep(grid, trials, seed=seed, engine=engine, workers=workers)
         got = [(pt.protected_failures, pt.unprotected_failures) for pt in points]
         assert got == expected, workers
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs jobs in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("grid, workers, expected", [([0.1, 0.2], 1000, 2), ([0.1, 0.2, 0.3], 2, 2)])
+def test_sweep_pool_is_capped_at_the_grid_size(monkeypatch, grid, workers, expected):
+    monkeypatch.setattr(tec, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    points = monte_carlo_sweep(grid, 2000, seed=3, workers=workers)
+    assert RecordingPool.sizes == [expected]
+    assert points == monte_carlo_sweep(grid, 2000, seed=3, workers=1)
+
+
+def test_syndrome_pairs_are_the_g8_volume_boundaries():
+    cx = build_g8_complex()
+    assert cx.cells(3) == ("v", "w", "y", "z")
+    pairs = tuple(tuple(sorted(int(f[1:]) for f in cx.volumes[v])) for v in cx.cells(3))
+    assert pairs == SYNDROME_PAIRS
+
+
+def test_face_qubits_are_the_g8_faces():
+    assert tuple(f"f{q}" for q in FACE_QUBITS) == build_g8_complex().cells(2)
+
+
+def test_protected_pair_is_a_closed_surface_no_volumes_bound():
+    cx = build_g8_complex()
+    assert set(PROTECTED_QUBITS) == {5, 6}
+    surface = cx.chain(2, {f"f{q}" for q in PROTECTED_QUBITS})
+    assert is_closed(surface, cx)
+    assert homology_class_key(surface, cx)
+    assert homologically_equivalent(surface, cx.chain(2, ()), cx) is None

@@ -43,7 +43,7 @@ def test_target_states_are_normalized_and_orthogonal(targets):
 def test_target_state_matches_rotated_cluster_state(targets):
     psi, _ = targets
     state = build_cluster(interaction_graph(build_g8_complex()), "dense")
-    rotated = state.vector.copy()
+    rotated = state.backend.copy()
     for q in range(8):
         rotated.apply_gate("H", q)
     assert abs(fidelity(rotated, psi) - 1.0) < 1e-12
