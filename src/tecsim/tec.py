@@ -175,14 +175,10 @@ def analytic_protected(p: float) -> float:
     return 6.0 * p**2 * q**4 + 20.0 * p**3 * q**3 + 6.0 * p**4 * q**2
 
 
-def _pattern_fails(pattern: frozenset) -> bool:
-    corrected, _ = decode_and_correct(representative_record(pattern))
-    return corrected == -1
-
-
 @lru_cache(maxsize=1)
 def _failure_patterns() -> tuple[frozenset, ...]:
-    return tuple(pattern for pattern in _ALL_PATTERNS if _pattern_fails(pattern))
+    """The flip patterns whose corrected protected product is -1."""
+    return tuple(p for p in _ALL_PATTERNS if decode_and_correct(representative_record(p))[0] == -1)
 
 
 def exact_enumeration(p: float) -> float:
@@ -256,33 +252,37 @@ def simulate_trial(
     return corrected == -1, unprotected == -1, pattern
 
 
+# Trials drawn per chunk by the fast kernel, so its memory does not grow with trials.
+_FAST_CHUNK = 1 << 16
+
+
 @lru_cache(maxsize=1)
-def _correction_parity_table() -> np.ndarray:
-    """Per syndrome index, the parity of the correction on qubits {5, 6}."""
-    table = build_decode_table()
-    out = np.zeros(16, dtype=np.uint8)
-    for syndrome, correction in table.items():
-        idx = sum((1 << i) for i, c in enumerate(syndrome) if c == -1)
-        out[idx] = len(correction & set(PROTECTED_QUBITS)) % 2
-    return out
+def _fast_failure_tables() -> np.ndarray:
+    """Rows protected, unprotected: failure per 6-bit pattern index (bit q-1 <-> face q)."""
+    failures = set(_failure_patterns())
+    tables = np.zeros((2, 64), dtype=np.int64)
+    for pattern in _ALL_PATTERNS:
+        idx = sum(1 << (q - 1) for q in pattern)
+        tables[:, idx] = pattern in failures, len(pattern & set(PROTECTED_QUBITS)) % 2
+    tables.setflags(write=False)  # cached and shared by every caller
+    return tables
 
 
 def _count_failures_fast(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
-    """Vectorized classical-outcome path: flip ideal +1 outcomes per pattern.
+    """Vectorized classical-outcome path: count the 64 flip patterns, then look up.
 
-    Z flips commute classically with X readout products, so sampling the
-    pattern and flipping signs reproduces the engine statistics exactly;
-    the equivalence is pinned by tests against the tableau pipeline.
+    Z flips commute with X readout products, so a trial's verdicts depend on
+    its flip pattern alone; tests pin both tables per pattern against the
+    tableau pipeline. The point's one Philox stream is read in chunks, the
+    same doubles in the same order as one ``(trials, 6)`` draw.
     """
     rng = philox_generator(seed, point_index)
-    flips = rng.random((trials, 6)) < p  # column q-1 <-> face qubit q
-    idx = np.zeros(trials, dtype=np.uint8)
-    for bit, (a, b) in enumerate(SYNDROME_PAIRS):
-        idx |= (flips[:, a - 1] ^ flips[:, b - 1]).astype(np.uint8) << bit
-    corr56 = _correction_parity_table()[idx].astype(bool)
-    unprotected_fail = flips[:, 4] ^ flips[:, 5]
-    protected_fail = unprotected_fail ^ corr56
-    return int(protected_fail.sum()), int(unprotected_fail.sum())
+    bits = 1 << np.arange(6, dtype=np.uint8)
+    counts = np.zeros(64, dtype=np.int64)
+    for start in range(0, trials, _FAST_CHUNK):
+        flips = rng.random((min(_FAST_CHUNK, trials - start), 6)) < p  # column q-1 <-> qubit q
+        counts += np.bincount(flips.view(np.uint8) @ bits, minlength=64)
+    return tuple((_fast_failure_tables() @ counts).tolist())
 
 
 def _count_failures_engine(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -358,3 +359,52 @@ def test_protected_pair_is_a_closed_surface_no_volumes_bound():
     assert is_closed(surface, cx)
     assert homology_class_key(surface, cx)
     assert homologically_equivalent(surface, cx.chain(2, ()), cx) is None
+
+
+def _whole_array_fast_counts(p, trials, seed, point_index):
+    """The fast kernel before chunking: one (trials, 6) draw and column XORs."""
+    parity = np.zeros(16, dtype=np.uint8)
+    for syndrome, correction in build_decode_table().items():
+        idx = sum(1 << i for i, c in enumerate(syndrome) if c == -1)
+        parity[idx] = len(correction & set(PROTECTED_QUBITS)) % 2
+    flips = philox_generator(seed, point_index).random((trials, 6)) < p
+    idx = np.zeros(trials, dtype=np.uint8)
+    for bit, (a, b) in enumerate(SYNDROME_PAIRS):
+        idx |= (flips[:, a - 1] ^ flips[:, b - 1]).astype(np.uint8) << bit
+    unprotected_fail = flips[:, 4] ^ flips[:, 5]
+    protected_fail = unprotected_fail ^ parity[idx].astype(bool)
+    return int(protected_fail.sum()), int(unprotected_fail.sum())
+
+
+_CHUNK = tec._FAST_CHUNK
+
+
+@pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+@pytest.mark.parametrize("p", [0.0, 1e-9, 0.05, 0.5, 0.97, 1.0])
+def test_chunked_fast_kernel_matches_whole_array_draw(trials, p):
+    for seed in (0, 13, 2**64 + 3):
+        for point in (0, 5):
+            expected = _whole_array_fast_counts(p, trials, seed, point)
+            assert tec._count_failures_fast(p, trials, seed, point) == expected, (seed, point)
+
+
+def test_fast_tables_match_tableau_pipeline_per_pattern():
+    protected, unprotected = tec._fast_failure_tables()
+    assert len(ALL_PATTERNS) == 64
+    for n, pattern in enumerate(ALL_PATTERNS):
+        idx = sum(1 << (q - 1) for q in pattern)
+        corrected, _, record = run_pattern(pattern, philox_generator(43, n), "tableau")
+        assert protected[idx] == (corrected == -1), pattern
+        assert unprotected[idx] == (record.product(("f5", "f6")) == -1), pattern
+
+
+@pytest.mark.parametrize("trials", [100_000, 2_000_000])
+def test_fast_sweep_memory_does_not_grow_with_trials(trials):
+    monte_carlo_sweep([0.3], 10, seed=1)  # lazy tables outside the measurement
+    tracemalloc.start()
+    try:
+        monte_carlo_sweep([0.3], trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
