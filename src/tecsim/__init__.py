@@ -40,11 +40,13 @@ from .pauli import PauliOperator, commutes, multiply, pauli_from_text, pauli_to_
 from .rng import philox_generator
 from .tableau import StabilizerTableau, tableau_init
 from .tec import (
+    G8_CODE,
     NoiseModel,
     SweepPoint,
-    SyndromeVector,
+    TopologicalCode,
     analytic_protected,
     analytic_unprotected,
+    build_code,
     build_decode_table,
     decode_and_correct,
     exact_enumeration,

@@ -51,9 +51,14 @@ def _write_output(text: str, out: str | None) -> None:
             raise SelfCheckError(f"cannot write output file {out!r}: {exc}") from exc
 
 
+MAX_STEPS = 10_000  # the finest p grid a sweep takes; the grid is a list, so this bounds its memory
+
+
 def _grid(p_min: float, p_max: float, steps: int) -> list[float]:
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps must be <= {MAX_STEPS}")
     if not 0.0 <= p_min <= p_max <= 1.0:
         raise ValueError("need 0 <= p-min <= p-max <= 1")
     if steps == 1:
@@ -66,49 +71,33 @@ def _grid(p_min: float, p_max: float, steps: int) -> list[float]:
 # syndrome-table
 
 
-def _syndrome_rows() -> list[dict]:
+def _syndrome_rows() -> list[tuple[tuple[int, ...], list[int]]]:
+    """(syndrome, correction) rows: single-face syndromes in face order, then the rest."""
     table = tec.build_decode_table()
-    single = [tec.syndrome_of_pattern({q}) for q in tec.FACE_QUBITS]
-    ordered = single + sorted(
-        (s for s in table if s not in set(single)),
-        key=lambda s: [c != 1 for c in s],
-    )
-    rows = []
-    for syndrome in ordered:
-        correction = table[syndrome]
-        rows.append(
-            {
-                "c12": syndrome.c12,
-                "c25": syndrome.c25,
-                "c36": syndrome.c36,
-                "c34": syndrome.c34,
-                "correction": sorted(correction),
-            }
-        )
-    return rows
+    code = tec.G8_CODE
+    single = [code.syndrome(1 << i) for i in range(len(code.faces))]
+    rest = sorted(table.keys() - set(single), key=lambda s: [c != 1 for c in s])
+    return [(syndrome, sorted(table[syndrome])) for syndrome in single + rest]
 
 
 def cmd_syndrome_table(config: RunConfig) -> str:
+    names = tec.G8_CODE.check_names
     rows = _syndrome_rows()
-    if len(rows) != 16:
-        raise SelfCheckError("syndrome table does not cover all 16 syndromes")
+    if len(rows) != 2 ** len(names):
+        raise SelfCheckError(f"syndrome table does not cover all {2 ** len(names)} syndromes")
     if config.fmt == "json":
-        return json.dumps({"version": __version__, "rows": rows}, indent=2) + "\n"
+        payload = [{**dict(zip(names, syndrome)), "correction": corr} for syndrome, corr in rows]
+        return json.dumps({"version": __version__, "rows": payload}, indent=2) + "\n"
     lines = [f"# tecsim {__version__} syndrome table"]
     if config.fmt == "csv":
-        lines.append("c12,c25,c36,c34,correction")
-        for row in rows:
-            corr = " ".join(str(q) for q in row["correction"])
-            lines.append(
-                f"{row['c12']:+d},{row['c25']:+d},{row['c36']:+d},{row['c34']:+d},{corr}"
-            )
+        lines.append(",".join(names) + ",correction")
+        for syndrome, corr in rows:
+            lines.append(",".join(f"{c:+d}" for c in syndrome) + "," + " ".join(map(str, corr)))
     else:
-        lines.append(f"{'C12':>4} {'C25':>4} {'C36':>4} {'C34':>4}   correction")
-        for row in rows:
-            corr = "{" + ",".join(str(q) for q in row["correction"]) + "}"
-            lines.append(
-                f"{row['c12']:+4d} {row['c25']:+4d} {row['c36']:+4d} {row['c34']:+4d}   {corr}"
-            )
+        lines.append(" ".join(f"{n.upper():>4}" for n in names) + "   correction")
+        for syndrome, corr in rows:
+            cells = " ".join(f"{c:+4d}" for c in syndrome)
+            lines.append(cells + "   {" + ",".join(map(str, corr)) + "}")
     return "\n".join(lines) + "\n"
 
 
@@ -234,7 +223,7 @@ def _load_complex(name: str) -> tuple[str, complexes.CellComplex]:
         dims = tuple(int(g) for g in match.groups())
         return name, complexes.build_cuboid_complex(*dims)
     path = Path(name)
-    if path.exists():
+    if name and path.exists():  # Path("") is the current directory
         try:
             text = path.read_text(encoding="utf-8")
         except OSError as exc:

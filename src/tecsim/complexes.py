@@ -147,6 +147,12 @@ def build_g8_complex() -> CellComplex:
     )
 
 
+# The surface the g8 demo protects. Every pair {a, b}, a in {f1, f2, f5}, b in {f3, f4, f6},
+# is in the one nontrivial class and gives the same decoded verdicts on all 64 flip patterns;
+# the choice only picks the bare pair whose unprotected correlation is reported.
+G8_PROTECTED_SURFACE = frozenset({"f5", "f6"})
+
+
 def build_cuboid_complex(
     length: int, width: int, depth: int, qubit_cap: int = DEFAULT_QUBIT_CAP
 ) -> CellComplex:
@@ -291,11 +297,16 @@ def _face_mask(cells: frozenset[str], face_index: dict[str, int]) -> int:
     return mask
 
 
+def volume_boundary_masks(cx: CellComplex) -> tuple[int, ...]:
+    """Volume boundaries as face bitmasks, in ``cx.cells(3)`` order; bit i is ``cx.cells(2)[i]``."""
+    face_index = {name: i for i, name in enumerate(cx.cells(2))}
+    return tuple(_face_mask(cx.volumes[v], face_index) for v in cx.cells(3))
+
+
 def _volume_echelon(cx: CellComplex) -> tuple[dict[str, int], dict[int, tuple[int, int]]]:
     """Face positions and the echelon of the volume boundaries over them."""
     face_index = {name: i for i, name in enumerate(cx.cells(2))}
-    columns = [_face_mask(cx.volumes[v], face_index) for v in cx.cells(3)]
-    return face_index, _gf2_echelon(columns)
+    return face_index, _gf2_echelon(list(volume_boundary_masks(cx)))
 
 
 def homologically_equivalent(

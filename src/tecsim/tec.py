@@ -1,53 +1,122 @@
-"""Topological error correction on the eight-qubit cluster state.
+"""Topological error correction on the cluster state of a cell complex.
 
-Engineered flip noise on the six face qubits, syndrome extraction from
-X-readout products, lookup-table decoding, and the analytic error-rate
-curves the decoder must reproduce. The decoder is the total minimum-weight
-completion of the six single-error syndrome rows; its 16 entries are
-derived, checked for uniqueness, and validated against the closed-form
-residual error by exhaustive enumeration.
+:func:`build_code` derives the code from the complex: the volume boundaries
+are the parity checks, a nontrivial closed surface carries the protected
+correlation, and the decoder maps each syndrome to its unique minimum-weight
+flip pattern. The eight-qubit demo (:data:`G8_CODE`) adds flip noise,
+Monte-Carlo sweeps and the analytic error curves that enumeration reproduces.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
-from typing import NamedTuple
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .cluster import ClusterState, OutcomeRecord, build_cluster, interaction_graph, measure_all
-from .complexes import build_g8_complex
+from .complexes import (
+    G8_PROTECTED_SURFACE,
+    CellComplex,
+    build_g8_complex,
+    homology_class_key,
+    is_closed,
+    volume_boundary_masks,
+)
+from .errors import CapacityError
 from .rng import philox_generator, trial_generators
-
-FACE_QUBITS = (1, 2, 3, 4, 5, 6)
-PROTECTED_QUBITS = (5, 6)
-SYNDROME_PAIRS = ((1, 2), (2, 5), (3, 6), (3, 4))
 
 SWEEP_ENGINES = ("fast", "tableau", "dense")
 
-
-class SyndromeVector(NamedTuple):
-    """The four volume-boundary correlations, each +-1."""
-
-    c12: int
-    c25: int
-    c36: int
-    c34: int
+MAX_CODE_FACES = 20  # the decoder enumerates all 2^F flip patterns of F faces
 
 
-ErrorPattern = frozenset  # subset of FACE_QUBITS
+def _mask(pattern) -> int:
+    return sum(1 << (q - 1) for q in pattern)
 
-# all 64 flip patterns, by weight then lexicographically
-_ALL_PATTERNS = tuple(frozenset(c) for w in range(7) for c in combinations(FACE_QUBITS, w))
+
+def _pattern(mask: int) -> frozenset:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@dataclass(frozen=True, eq=False)
+class TopologicalCode:
+    """Parity checks, protected surface and lookup decoder of a cell complex.
+
+    Flip patterns, checks and the surface are face bitmasks: bit i is
+    ``faces[i]``, face number i + 1 in the public frozenset form. A syndrome
+    holds one +-1 per check, the product of the face outcomes around that
+    volume; ``leaders`` maps each to its unique minimum-weight flip bitmask.
+    """
+
+    faces: tuple[str, ...]
+    checks: tuple[int, ...]
+    surface: int
+    leaders: dict[tuple[int, ...], int]
+
+    @property
+    def check_names(self) -> tuple[str, ...]:
+        """Each check's "c" and face numbers: c12, c25, c36, c34 for g8."""
+        return tuple("c" + "".join(map(str, sorted(_pattern(c)))) for c in self.checks)
+
+    def syndrome(self, flips: int) -> tuple[int, ...]:
+        return tuple(-1 if (flips & check).bit_count() & 1 else 1 for check in self.checks)
+
+    def flips(self, outcomes: OutcomeRecord) -> int:
+        """Bitmask of the faces whose outcome is -1; a face without an outcome raises KeyError."""
+        values = outcomes.outcomes
+        return sum(1 << i for i, face in enumerate(self.faces) if values[face] == -1)
+
+    def flipped(self, flips: int) -> bool:
+        """Whether ``flips`` flips the protected surface's outcome product."""
+        return bool((flips & self.surface).bit_count() & 1)
+
+    def fails(self, flips: int) -> bool:
+        """Whether the protected product is still flipped after decoding."""
+        return self.flipped(flips ^ self.leaders[self.syndrome(flips)])
+
+    @cached_property
+    def tables(self) -> np.ndarray:
+        """Rows protected, unprotected: failure per flip bitmask, 2^F entries each."""
+        masks = range(1 << len(self.faces))
+        tables = np.array([list(map(self.fails, masks)), list(map(self.flipped, masks))], np.int64)
+        tables.setflags(write=False)  # cached and shared by every caller
+        return tables
+
+
+def build_code(cx: CellComplex, surface) -> TopologicalCode:
+    """The code of ``cx`` that protects ``surface``, a closed and nontrivial set of face names.
+
+    Each syndrome's decoder entry is its first flip pattern in weight order; a
+    tie at that weight is a decoding ambiguity and raises instead of being broken.
+    """
+    faces = cx.cells(2)
+    if len(faces) > MAX_CODE_FACES:
+        raise CapacityError(f"{len(faces)} faces exceed the decoder cap of {MAX_CODE_FACES}")
+    chain = cx.chain(2, surface)
+    if not is_closed(chain, cx):
+        raise ValueError(f"surface {sorted(chain.cells)} is not closed")
+    if not homology_class_key(chain, cx):
+        raise ValueError(f"surface {sorted(chain.cells)} bounds volumes, so it protects nothing")
+    surface_mask = sum(1 << faces.index(f) for f in chain.cells)
+    leaders: dict[tuple[int, ...], int] = {}
+    code = TopologicalCode(faces, volume_boundary_masks(cx), surface_mask, leaders)
+    for flips in sorted(range(1 << len(faces)), key=int.bit_count):
+        best = leaders.setdefault(code.syndrome(flips), flips)
+        if best != flips and best.bit_count() == flips.bit_count():
+            raise AssertionError(f"minimum-weight tie for syndrome {code.syndrome(flips)}")
+    return code
+
+
+G8_CODE = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
 
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Independent flip noise on a set of face qubits.
+    """Independent flip noise on a set of g8 face qubits, by face number.
 
     ``frame`` selects the Pauli applied: "z" flips Z on the graph state,
     "x" flips X on the Hadamard-rotated (experimental) state; the two give
@@ -55,7 +124,7 @@ class NoiseModel:
     """
 
     p: float
-    targets: tuple[int, ...] = FACE_QUBITS
+    targets: tuple[int, ...] = tuple(range(1, len(G8_CODE.faces) + 1))
     frame: str = "z"
 
     def __post_init__(self):
@@ -63,7 +132,7 @@ class NoiseModel:
             raise ValueError(f"flip probability must be in [0, 1], got {self.p}")
         if not self.targets:
             raise ValueError("noise model needs at least one target qubit")
-        unknown = set(self.targets) - set(FACE_QUBITS)
+        unknown = [q for q in self.targets if not 1 <= q <= len(G8_CODE.faces)]
         if unknown:
             raise ValueError(f"unknown target qubits {sorted(unknown)}")
         if self.frame not in ("z", "x"):
@@ -75,79 +144,27 @@ def theta_to_p(theta: float) -> float:
     return math.sin(2.0 * theta) ** 2
 
 
-def sample_errors(model: NoiseModel, rng: np.random.Generator) -> ErrorPattern:
+def sample_errors(model: NoiseModel, rng: np.random.Generator) -> frozenset:
     """Include each target independently with probability p."""
     draws = rng.random(len(model.targets))
     return frozenset(q for q, u in zip(model.targets, draws) if u < model.p)
 
 
-def _face_label(q: int) -> str:
-    return f"f{q}"
-
-
-def syndrome_of_pattern(pattern) -> SyndromeVector:
-    """Deterministic syndrome of a known flip pattern."""
-    pattern = frozenset(pattern)
-    return SyndromeVector(
-        *(-1 if len(pattern & {a, b}) % 2 else 1 for a, b in SYNDROME_PAIRS)
-    )
-
-
-def representative_record(pattern) -> OutcomeRecord:
-    """An X-readout record consistent with the given flip pattern.
-
-    Individual outcomes are random in a real run; only their products are
-    fixed, so the all-(+1) assignment with flips applied is a valid
-    representative for every product-level quantity.
-    """
-    pattern = frozenset(pattern)
-    outcomes = {_face_label(q): -1 if q in pattern else 1 for q in FACE_QUBITS}
-    return OutcomeRecord(outcomes, {q: "x" for q in outcomes})
-
-
-def extract_syndrome(outcomes: OutcomeRecord) -> SyndromeVector:
-    """(lambda1 lambda2, lambda2 lambda5, lambda3 lambda6, lambda3 lambda4)."""
-    return SyndromeVector(
-        *(
-            outcomes.value(_face_label(a)) * outcomes.value(_face_label(b))
-            for a, b in SYNDROME_PAIRS
-        )
-    )
+def extract_syndrome(outcomes: OutcomeRecord) -> tuple[int, ...]:
+    """The g8 syndrome (lambda1 lambda2, lambda2 lambda5, lambda3 lambda6, lambda3 lambda4)."""
+    return G8_CODE.syndrome(G8_CODE.flips(outcomes))
 
 
 @lru_cache(maxsize=1)
-def build_decode_table() -> dict[SyndromeVector, frozenset]:
-    """Map every syndrome to its unique minimum-weight flip pattern.
-
-    Built by enumerating all 64 patterns; a tie at minimum weight would be
-    a decoding ambiguity and raises instead of being broken silently.
-    """
-    by_syndrome: dict[SyndromeVector, list[frozenset]] = {}
-    for pattern in _ALL_PATTERNS:
-        by_syndrome.setdefault(syndrome_of_pattern(pattern), []).append(pattern)
-    table: dict[SyndromeVector, frozenset] = {}
-    for syndrome, patterns in by_syndrome.items():
-        best = min(len(p) for p in patterns)
-        minimal = [p for p in patterns if len(p) == best]
-        if len(minimal) != 1:
-            raise AssertionError(f"minimum-weight tie for syndrome {syndrome}")
-        table[syndrome] = minimal[0]
-    if len(table) != 16:
-        raise AssertionError(f"decode table has {len(table)} entries, expected 16")
-    return table
+def build_decode_table() -> dict[tuple[int, ...], frozenset]:
+    """Map every g8 syndrome to its unique minimum-weight flip pattern."""
+    return {syndrome: _pattern(leader) for syndrome, leader in G8_CODE.leaders.items()}
 
 
 def decode_and_correct(outcomes: OutcomeRecord) -> tuple[int, frozenset]:
-    """Corrected protected product lambda5 lambda6 and the correction used.
-
-    The correction is applied classically: one sign flip per corrected
-    qubit that lies on the protected pair.
-    """
+    """Corrected protected product lambda5 lambda6 and the correction used, applied classically."""
     correction = build_decode_table()[extract_syndrome(outcomes)]
-    protected = outcomes.product(_face_label(q) for q in PROTECTED_QUBITS)
-    if len(correction & set(PROTECTED_QUBITS)) % 2:
-        protected = -protected
-    return protected, correction
+    return -1 if G8_CODE.flipped(G8_CODE.flips(outcomes) ^ _mask(correction)) else 1, correction
 
 
 # ----------------------------------------------------------------------
@@ -175,34 +192,21 @@ def analytic_protected(p: float) -> float:
     return 6.0 * p**2 * q**4 + 20.0 * p**3 * q**3 + 6.0 * p**4 * q**2
 
 
-@lru_cache(maxsize=1)
-def _failure_patterns() -> tuple[frozenset, ...]:
-    """The flip patterns whose corrected protected product is -1."""
-    return tuple(p for p in _ALL_PATTERNS if decode_and_correct(representative_record(p))[0] == -1)
-
-
-def exact_enumeration(p: float) -> float:
-    """Failure probability summed over all 64 patterns through the decoder.
+def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
+    """Failure probability summed over all 2^F flip patterns through the decoder.
 
     Independent oracle for :func:`analytic_protected`: every pattern runs
-    the real inject -> syndrome -> decode -> correct pipeline.
+    the syndrome -> decode -> correct map of the code.
     """
     _check_probability(p)
-    total = 0.0
-    for pattern in _failure_patterns():
-        w = len(pattern)
-        total += p**w * (1.0 - p) ** (6 - w)
-    return total
+    weights = np.bitwise_count(np.flatnonzero(code.tables[0])).tolist()
+    return sum(p**w * (1.0 - p) ** (len(code.faces) - w) for w in weights)
 
 
 def success_weight_profile() -> dict[int, int]:
-    """Pattern count per weight among the decoder's success set."""
-    profile: dict[int, int] = {}
-    failures = set(_failure_patterns())
-    for pattern in _ALL_PATTERNS:
-        if pattern not in failures:
-            profile[len(pattern)] = profile.get(len(pattern), 0) + 1
-    return profile
+    """Pattern count per weight among the g8 decoder's success set."""
+    weights = np.bitwise_count(np.flatnonzero(G8_CODE.tables[0] == 0)).tolist()
+    return dict(sorted(Counter(weights).items()))
 
 
 # ----------------------------------------------------------------------
@@ -229,10 +233,12 @@ def run_pattern(
     """
     if frame not in ("z", "x"):
         raise ValueError(f"frame must be 'z' or 'x', got {frame!r}")
+    if not set(pattern) <= set(NoiseModel.targets):
+        raise ValueError(f"unknown face numbers in {sorted(pattern)}")
     state = _base_state(engine, frame).copy()
     flip_gate = "Z" if frame == "z" else "X"
     for q in pattern:
-        state.backend.apply_gate(flip_gate, state.index(_face_label(q)))
+        state.backend.apply_gate(flip_gate, state.index(G8_CODE.faces[q - 1]))
     record = measure_all(state, rng, "x" if frame == "z" else "z")
     corrected, correction = decode_and_correct(record)
     return corrected, correction, record
@@ -248,41 +254,31 @@ def simulate_trial(
     """
     pattern = sample_errors(model, rng)
     corrected, _, record = run_pattern(pattern, rng, engine, model.frame)
-    unprotected = record.product(_face_label(q) for q in PROTECTED_QUBITS)
-    return corrected == -1, unprotected == -1, pattern
+    return corrected == -1, G8_CODE.flipped(G8_CODE.flips(record)), pattern
 
 
 # Trials drawn per chunk by the fast kernel, so its memory does not grow with trials.
 _FAST_CHUNK = 1 << 16
 
 
-@lru_cache(maxsize=1)
-def _fast_failure_tables() -> np.ndarray:
-    """Rows protected, unprotected: failure per 6-bit pattern index (bit q-1 <-> face q)."""
-    failures = set(_failure_patterns())
-    tables = np.zeros((2, 64), dtype=np.int64)
-    for pattern in _ALL_PATTERNS:
-        idx = sum(1 << (q - 1) for q in pattern)
-        tables[:, idx] = pattern in failures, len(pattern & set(PROTECTED_QUBITS)) % 2
-    tables.setflags(write=False)  # cached and shared by every caller
-    return tables
-
-
-def _count_failures_fast(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
-    """Vectorized classical-outcome path: count the 64 flip patterns, then look up.
+def _count_failures_fast(
+    p: float, trials: int, seed: int, point_index: int, code: TopologicalCode = G8_CODE
+) -> tuple[int, int]:
+    """Vectorized classical-outcome path: count the 2^F flip patterns, then look up.
 
     Z flips commute with X readout products, so a trial's verdicts depend on
     its flip pattern alone; tests pin both tables per pattern against the
     tableau pipeline. The point's one Philox stream is read in chunks, the
-    same doubles in the same order as one ``(trials, 6)`` draw.
+    same doubles in the same order as one ``(trials, F)`` draw.
     """
+    n = len(code.faces)
     rng = philox_generator(seed, point_index)
-    bits = 1 << np.arange(6, dtype=np.uint8)
-    counts = np.zeros(64, dtype=np.int64)
+    bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
+    counts = np.zeros(1 << n, dtype=np.int64)
     for start in range(0, trials, _FAST_CHUNK):
-        flips = rng.random((min(_FAST_CHUNK, trials - start), 6)) < p  # column q-1 <-> qubit q
-        counts += np.bincount(flips.view(np.uint8) @ bits, minlength=64)
-    return tuple((_fast_failure_tables() @ counts).tolist())
+        flips = rng.random((min(_FAST_CHUNK, trials - start), n)) < p  # column i <-> face bit i
+        counts += np.bincount(flips.view(np.uint8) @ bits, minlength=1 << n)
+    return tuple((code.tables @ counts).tolist())
 
 
 def _count_failures_engine(

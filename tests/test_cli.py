@@ -1,8 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
-from tecsim import __version__, tec
+from tecsim import __version__, cli, tec
 from tecsim.cli import main
 
 
@@ -264,6 +265,33 @@ def test_complex_unknown_name(capsys):
     code, _, err = run_cli(capsys, "complex", "dodecahedron")
     assert code == 1
     assert "unknown complex" in err
+
+
+def test_complex_empty_name_is_unknown_not_the_current_directory(capsys):
+    code, out, err = run_cli(capsys, "complex", "")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "tecsim: error: unknown complex '': expected elementary, g8, 'cuboid LxWxT',"
+        " or a JSON file\n"
+    )
+
+
+def test_sweep_steps_above_the_cap_is_one_error_line_and_allocates_no_grid(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(tec, "monte_carlo_sweep", lambda *args, **kwargs: calls.append(args))
+    tracemalloc.start()
+    try:
+        code = main(["sweep", "--steps", str(cli.MAX_STEPS + 1), "--trials", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"tecsim: error: steps must be <= {cli.MAX_STEPS}\n"
+    assert calls == []
+    assert peak < 160 * 2**10  # a grid of MAX_STEPS floats alone takes over 300 KiB
 
 
 def test_internal_invariant_failure_is_reported_apart_from_user_errors(monkeypatch, capsys):

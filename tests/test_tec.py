@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from tecsim import tec
+from tecsim.cluster import OutcomeRecord
 from tecsim.complexes import (
+    G8_PROTECTED_SURFACE,
     build_g8_complex,
     homologically_equivalent,
     homology_class_key,
@@ -14,11 +16,8 @@ from tecsim.complexes import (
 )
 from tecsim.rng import philox_generator
 from tecsim.tec import (
-    FACE_QUBITS,
-    PROTECTED_QUBITS,
-    SYNDROME_PAIRS,
+    G8_CODE,
     NoiseModel,
-    SyndromeVector,
     analytic_protected,
     analytic_unprotected,
     build_decode_table,
@@ -26,14 +25,15 @@ from tecsim.tec import (
     exact_enumeration,
     extract_syndrome,
     monte_carlo_sweep,
-    representative_record,
     run_pattern,
     sample_errors,
     simulate_trial,
     success_weight_profile,
-    syndrome_of_pattern,
     theta_to_p,
 )
+
+FACE_NUMBERS = (1, 2, 3, 4, 5, 6)
+G8_PAIRS = ((1, 2), (2, 5), (3, 6), (3, 4))  # the volume boundaries v, w, y, z by face number
 
 SINGLE_ERROR_SYNDROMES = {
     1: (-1, 1, 1, 1),
@@ -45,8 +45,19 @@ SINGLE_ERROR_SYNDROMES = {
 }
 
 ALL_PATTERNS = [
-    frozenset(combo) for w in range(7) for combo in combinations(FACE_QUBITS, w)
+    frozenset(combo) for w in range(7) for combo in combinations(FACE_NUMBERS, w)
 ]
+
+
+def syndrome_of_pattern(pattern):
+    """The four volume parities of a flip pattern, from the literal g8 pairs."""
+    return tuple(-1 if len(set(pattern) & {a, b}) % 2 else 1 for a, b in G8_PAIRS)
+
+
+def representative_record(pattern):
+    """All-(+1) X outcomes with the pattern's faces flipped: fixes every face product."""
+    outcomes = {f"f{q}": -1 if q in pattern else 1 for q in FACE_NUMBERS}
+    return OutcomeRecord(outcomes, {label: "x" for label in outcomes})
 
 
 def test_theta_to_p_examples():
@@ -61,7 +72,7 @@ def test_sample_errors_extremes():
     model_one = NoiseModel(1.0)
     for _ in range(50):
         assert sample_errors(model_zero, rng) == frozenset()
-        assert sample_errors(model_one, rng) == frozenset(FACE_QUBITS)
+        assert sample_errors(model_one, rng) == frozenset(FACE_NUMBERS)
 
 
 def test_sample_errors_binomial_mean():
@@ -102,8 +113,6 @@ def test_extract_syndrome_requires_all_faces():
     record = representative_record({1})
     trimmed = dict(record.outcomes)
     del trimmed["f4"]
-    from tecsim.cluster import OutcomeRecord
-
     partial = OutcomeRecord(trimmed, {k: "x" for k in trimmed})
     with pytest.raises(KeyError):
         extract_syndrome(partial)
@@ -112,9 +121,9 @@ def test_extract_syndrome_requires_all_faces():
 def test_decode_table_examples():
     table = build_decode_table()
     assert len(table) == 16
-    assert table[SyndromeVector(-1, 1, 1, 1)] == frozenset({1})
-    assert table[SyndromeVector(1, 1, 1, 1)] == frozenset()
-    assert table[SyndromeVector(1, -1, -1, 1)] == frozenset({5, 6})
+    assert table[(-1, 1, 1, 1)] == frozenset({1})
+    assert table[(1, 1, 1, 1)] == frozenset()
+    assert table[(1, -1, -1, 1)] == frozenset({5, 6})
     assert all(len(c) <= 2 for c in table.values())
 
 
@@ -137,7 +146,7 @@ def test_decode_and_correct_examples():
 
 
 def test_single_error_completeness():
-    for q in FACE_QUBITS:
+    for q in FACE_NUMBERS:
         corrected, _ = decode_and_correct(representative_record({q}))
         assert corrected == 1
 
@@ -185,7 +194,7 @@ def test_success_set_closed_under_complementation():
         corrected, _ = decode_and_correct(representative_record(pattern))
         return corrected == -1
 
-    full = frozenset(FACE_QUBITS)
+    full = frozenset(FACE_NUMBERS)
     for pattern in ALL_PATTERNS:
         assert fails(pattern) == fails(full - pattern)
 
@@ -246,6 +255,12 @@ def test_run_pattern_validation():
         run_pattern(frozenset(), philox_generator(0), engine="fast")
     with pytest.raises(ValueError):
         run_pattern(frozenset(), philox_generator(0), frame="y")
+
+
+@pytest.mark.parametrize("pattern", [{0}, {7}, {-1, 2}])
+def test_run_pattern_rejects_unknown_face_numbers(pattern):
+    with pytest.raises(ValueError, match="unknown face numbers"):
+        run_pattern(pattern, philox_generator(0))
 
 
 def test_sweep_zero_probability_is_exactly_zero():
@@ -345,31 +360,39 @@ def test_syndrome_pairs_are_the_g8_volume_boundaries():
     cx = build_g8_complex()
     assert cx.cells(3) == ("v", "w", "y", "z")
     pairs = tuple(tuple(sorted(int(f[1:]) for f in cx.volumes[v])) for v in cx.cells(3))
-    assert pairs == SYNDROME_PAIRS
+    assert pairs == G8_PAIRS
+    assert G8_CODE.checks == tuple((1 << (a - 1)) | (1 << (b - 1)) for a, b in G8_PAIRS)
+    assert G8_CODE.checks == (0b11, 0b10010, 0b100100, 0b1100)
+    assert G8_CODE.check_names == ("c12", "c25", "c36", "c34")
 
 
 def test_face_qubits_are_the_g8_faces():
-    assert tuple(f"f{q}" for q in FACE_QUBITS) == build_g8_complex().cells(2)
+    assert tuple(f"f{q}" for q in FACE_NUMBERS) == build_g8_complex().cells(2) == G8_CODE.faces
 
 
 def test_protected_pair_is_a_closed_surface_no_volumes_bound():
     cx = build_g8_complex()
-    assert set(PROTECTED_QUBITS) == {5, 6}
-    surface = cx.chain(2, {f"f{q}" for q in PROTECTED_QUBITS})
+    assert G8_PROTECTED_SURFACE == {"f5", "f6"}
+    assert G8_CODE.surface == 0b110000
+    surface = cx.chain(2, G8_PROTECTED_SURFACE)
     assert is_closed(surface, cx)
     assert homology_class_key(surface, cx)
     assert homologically_equivalent(surface, cx.chain(2, ()), cx) is None
 
 
 def _whole_array_fast_counts(p, trials, seed, point_index):
-    """The fast kernel before chunking: one (trials, 6) draw and column XORs."""
+    """The fast kernel before chunking: one (trials, 6) draw and column XORs.
+
+    The correction parity per syndrome is found here by brute force, not read
+    from the decoder the fast tables come from.
+    """
     parity = np.zeros(16, dtype=np.uint8)
-    for syndrome, correction in build_decode_table().items():
-        idx = sum(1 << i for i, c in enumerate(syndrome) if c == -1)
-        parity[idx] = len(correction & set(PROTECTED_QUBITS)) % 2
+    for pattern in sorted(ALL_PATTERNS, key=len, reverse=True):  # the lightest one writes last
+        idx = sum(1 << i for i, (a, b) in enumerate(G8_PAIRS) if len(pattern & {a, b}) % 2)
+        parity[idx] = len(pattern & {5, 6}) % 2
     flips = philox_generator(seed, point_index).random((trials, 6)) < p
     idx = np.zeros(trials, dtype=np.uint8)
-    for bit, (a, b) in enumerate(SYNDROME_PAIRS):
+    for bit, (a, b) in enumerate(G8_PAIRS):
         idx |= (flips[:, a - 1] ^ flips[:, b - 1]).astype(np.uint8) << bit
     unprotected_fail = flips[:, 4] ^ flips[:, 5]
     protected_fail = unprotected_fail ^ parity[idx].astype(bool)
@@ -389,7 +412,7 @@ def test_chunked_fast_kernel_matches_whole_array_draw(trials, p):
 
 
 def test_fast_tables_match_tableau_pipeline_per_pattern():
-    protected, unprotected = tec._fast_failure_tables()
+    protected, unprotected = G8_CODE.tables
     assert len(ALL_PATTERNS) == 64
     for n, pattern in enumerate(ALL_PATTERNS):
         idx = sum(1 << (q - 1) for q in pattern)
