@@ -12,7 +12,6 @@ from .cluster import (
     dual_syndrome_check,
     interaction_graph,
     measure_all,
-    measure_all_x,
     stabilizer_generators,
     surface_correlation,
 )
@@ -38,7 +37,7 @@ from .dense import (
 from .errors import CapacityError, SelfCheckError
 from .pauli import PauliOperator, commutes, multiply, pauli_from_text, pauli_to_text
 from .rng import philox_generator
-from .tableau import StabilizerTableau, tableau_init
+from .tableau import StabilizerTableau
 from .tec import (
     G8_CODE,
     NoiseModel,

@@ -3,6 +3,10 @@
 Every run is fully determined by its flags: same seed and options give
 byte-identical output files regardless of worker count. Commands re-check
 their own core invariants and exit nonzero if any fails.
+
+The parser is the only declaration of options and defaults: each subparser
+names its ``cmd_*`` function, which reads the parsed arguments and returns
+the output text and an optional one-line summary for stderr.
 """
 
 from __future__ import annotations
@@ -11,29 +15,10 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__, complexes, tec, witness
 from .errors import SelfCheckError
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determines a run's output."""
-
-    command: str
-    seed: int = 2026
-    trials: int = 100_000
-    p_min: float = 0.0
-    p_max: float = 1.0
-    steps: int = 21
-    out: str | None = None
-    engine: str = "fast"
-    complex_name: str = "g8"
-    fmt: str = "csv"
-    workers: int = 1
-    visibilities: tuple[float, ...] = ()
 
 
 def _fmt(value: float) -> str:
@@ -61,10 +46,8 @@ def _grid(p_min: float, p_max: float, steps: int) -> list[float]:
         raise ValueError(f"steps must be <= {MAX_STEPS}")
     if not 0.0 <= p_min <= p_max <= 1.0:
         raise ValueError("need 0 <= p-min <= p-max <= 1")
-    if steps == 1:
-        return [p_min]
-    span = p_max - p_min
-    return [p_min + span * i / (steps - 1) for i in range(steps)]
+    span = p_max - p_min  # the first term adds +0.0, so p-min -0 prints as 0
+    return [p_min + span * i / max(steps - 1, 1) for i in range(steps)]
 
 
 # ----------------------------------------------------------------------
@@ -80,16 +63,16 @@ def _syndrome_rows() -> list[tuple[tuple[int, ...], list[int]]]:
     return [(syndrome, sorted(table[syndrome])) for syndrome in single + rest]
 
 
-def cmd_syndrome_table(config: RunConfig) -> str:
+def cmd_syndrome_table(args: argparse.Namespace) -> tuple[str, None]:
     names = tec.G8_CODE.check_names
     rows = _syndrome_rows()
     if len(rows) != 2 ** len(names):
         raise SelfCheckError(f"syndrome table does not cover all {2 ** len(names)} syndromes")
-    if config.fmt == "json":
+    if args.format == "json":
         payload = [{**dict(zip(names, syndrome)), "correction": corr} for syndrome, corr in rows]
-        return json.dumps({"version": __version__, "rows": payload}, indent=2) + "\n"
+        return json.dumps({"version": __version__, "rows": payload}, indent=2) + "\n", None
     lines = [f"# tecsim {__version__} syndrome table"]
-    if config.fmt == "csv":
+    if args.format == "csv":
         lines.append(",".join(names) + ",correction")
         for syndrome, corr in rows:
             lines.append(",".join(f"{c:+d}" for c in syndrome) + "," + " ".join(map(str, corr)))
@@ -98,17 +81,24 @@ def cmd_syndrome_table(config: RunConfig) -> str:
         for syndrome, corr in rows:
             cells = " ".join(f"{c:+4d}" for c in syndrome)
             lines.append(cells + "   {" + ",".join(map(str, corr)) + "}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", None
 
 
 # ----------------------------------------------------------------------
 # sweep
 
 
-def cmd_sweep(config: RunConfig) -> str:
-    grid = _grid(config.p_min, config.p_max, config.steps)
+# SweepPoint attributes, in the order of the CSV columns and the JSON point keys
+SWEEP_COLUMNS = (
+    "p", "mc_protected", "se_protected", "mc_unprotected", "se_unprotected",
+    "analytic_protected", "analytic_unprotected",
+)
+
+
+def cmd_sweep(args: argparse.Namespace) -> tuple[str, str]:
+    grid = _grid(args.p_min, args.p_max, args.steps)
     points = tec.monte_carlo_sweep(
-        grid, config.trials, config.seed, engine=config.engine, workers=config.workers
+        grid, args.trials, args.seed, engine=args.engine, workers=args.workers
     )
     max_sigma = 0.0
     for pt in points:
@@ -127,67 +117,37 @@ def cmd_sweep(config: RunConfig) -> str:
                 )
         if abs(tec.exact_enumeration(pt.p) - pt.analytic_protected) > 1e-12:
             raise SelfCheckError(f"enumeration oracle mismatch at p={pt.p}")
-    header = (
-        f"# tecsim {__version__} sweep seed={config.seed} trials={config.trials}"
-        f" engine={config.engine}"
-    )
-    if config.fmt == "json":
+    if args.format == "json":
         payload = {
             "version": __version__,
-            "seed": config.seed,
-            "trials": config.trials,
-            "engine": config.engine,
-            "points": [
-                {
-                    "p": pt.p,
-                    "mc_protected": pt.mc_protected,
-                    "se_protected": pt.se_protected,
-                    "mc_unprotected": pt.mc_unprotected,
-                    "se_unprotected": pt.se_unprotected,
-                    "analytic_protected": pt.analytic_protected,
-                    "analytic_unprotected": pt.analytic_unprotected,
-                }
-                for pt in points
-            ],
+            "seed": args.seed,
+            "trials": args.trials,
+            "engine": args.engine,
+            "points": [{c: getattr(pt, c) for c in SWEEP_COLUMNS} for pt in points],
             "max_abs_deviation_sigma": max_sigma,
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = [header]
-        lines.append(
-            "p,mc_protected,se_protected,mc_unprotected,se_unprotected,"
-            "analytic_protected,analytic_unprotected"
-        )
-        for pt in points:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        pt.p,
-                        pt.mc_protected,
-                        pt.se_protected,
-                        pt.mc_unprotected,
-                        pt.se_unprotected,
-                        pt.analytic_protected,
-                        pt.analytic_unprotected,
-                    )
-                )
-            )
+        lines = [
+            f"# tecsim {__version__} sweep seed={args.seed} trials={args.trials}"
+            f" engine={args.engine}",
+            ",".join(SWEEP_COLUMNS),
+        ]
+        lines += [",".join(_fmt(getattr(pt, c)) for c in SWEEP_COLUMNS) for pt in points]
         text = "\n".join(lines) + "\n"
-    print(
-        f"max |MC - analytic| = {max_sigma:.3f} sigma over {len(points)} points",
-        file=sys.stderr,
-    )
-    return text
+    return text, f"max |MC - analytic| = {max_sigma:.3f} sigma over {len(points)} points"
 
 
 # ----------------------------------------------------------------------
 # witness
 
 
-def cmd_witness(config: RunConfig) -> str:
+DEFAULT_VISIBILITIES = (1.0, 0.605, 0.5, 0.0)
+
+
+def cmd_witness(args: argparse.Namespace) -> tuple[str, None]:
     results = []
-    for v in config.visibilities:
+    for v in args.visibility or DEFAULT_VISIBILITIES:
         model = witness.white_noise_model(v)
         w_proj = witness.witness_expectation(model, "projector")
         w_set = witness.witness_expectation(model, "settings")
@@ -203,7 +163,7 @@ def cmd_witness(config: RunConfig) -> str:
                 "fidelity_bound": witness.fidelity_bound(w_proj),
             }
         )
-    return json.dumps({"version": __version__, "results": results}, indent=2) + "\n"
+    return json.dumps({"version": __version__, "results": results}, indent=2) + "\n", None
 
 
 # ----------------------------------------------------------------------
@@ -234,8 +194,8 @@ def _load_complex(name: str) -> tuple[str, complexes.CellComplex]:
     )
 
 
-def cmd_complex(config: RunConfig) -> str:
-    name, cx = _load_complex(config.complex_name)
+def cmd_complex(args: argparse.Namespace) -> tuple[str, None]:
+    name, cx = _load_complex(" ".join(args.name))
     volumes, faces, edges, vertices = cx.counts()
     # construction re-validates boundary-of-boundary; surviving it means ok
     payload = {
@@ -251,7 +211,7 @@ def cmd_complex(config: RunConfig) -> str:
         "boundary_of_boundary_ok": True,
         **complexes.closed_surface_summary(cx),
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2) + "\n", None
 
 
 # ----------------------------------------------------------------------
@@ -267,10 +227,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("syndrome-table", help="print the 16-entry decode table")
+    table.set_defaults(run=cmd_syndrome_table)
     table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     table.add_argument("--out", default=None)
 
     sweep = sub.add_parser("sweep", help="Monte-Carlo error-rate sweep")
+    sweep.set_defaults(run=cmd_sweep)
     sweep.add_argument("--seed", type=int, default=2026)
     sweep.add_argument("--trials", type=int, default=100_000)
     sweep.add_argument("--p-min", type=float, default=0.0)
@@ -282,16 +244,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", default=None)
 
     wit = sub.add_parser("witness", help="witness expectations for white-noise models")
+    wit.set_defaults(run=cmd_witness)
     wit.add_argument(
         "--visibility",
         type=float,
         action="append",
         default=None,
-        help="repeatable; defaults to 1.0, 0.605, 0.5, 0.0",
+        help="repeatable; defaults to " + ", ".join(map(str, DEFAULT_VISIBILITIES)),
     )
     wit.add_argument("--out", default=None)
 
     cpx = sub.add_parser("complex", help="inspect a built-in or JSON cell complex")
+    cpx.set_defaults(run=cmd_complex)
     cpx.add_argument(
         "name",
         nargs="+",
@@ -301,48 +265,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "syndrome-table":
-        return RunConfig(command=args.command, fmt=args.format, out=args.out)
-    if args.command == "sweep":
-        return RunConfig(
-            command=args.command,
-            seed=args.seed,
-            trials=args.trials,
-            p_min=args.p_min,
-            p_max=args.p_max,
-            steps=args.steps,
-            engine=args.engine,
-            workers=args.workers,
-            fmt=args.format,
-            out=args.out,
-        )
-    if args.command == "witness":
-        vis = args.visibility if args.visibility is not None else [1.0, 0.605, 0.5, 0.0]
-        return RunConfig(command=args.command, visibilities=tuple(vis), out=args.out)
-    return RunConfig(command=args.command, complex_name=" ".join(args.name), out=args.out)
-
-
-_COMMANDS = {
-    "syndrome-table": cmd_syndrome_table,
-    "sweep": cmd_sweep,
-    "witness": cmd_witness,
-    "complex": cmd_complex,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        text = _COMMANDS[config.command](config)
-        _write_output(text, config.out)
+        text, summary = args.run(args)
+        _write_output(text, args.out)
     except (ValueError, KeyError, SelfCheckError) as exc:
         print(f"tecsim: error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:  # a broken invariant of tecsim, not of the input
         print(f"tecsim: internal error: {exc}", file=sys.stderr)
         return 3
+    if summary is not None:  # after the write, so a failed write is the only stderr line
+        print(summary, file=sys.stderr)
     return 0
 
 

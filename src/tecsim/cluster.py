@@ -67,15 +67,6 @@ class InteractionGraph:
         pos = self._pos
         return [(pos[a], pos[b]) for a, b in self.edges]
 
-    def neighbors(self, label: str) -> tuple[str, ...]:
-        out = []
-        for a, b in self.edges:
-            if a == label:
-                out.append(b)
-            elif b == label:
-                out.append(a)
-        return tuple(sorted(out))
-
     def to_json(self) -> str:
         """Adjacency lists keyed by qubit label, plus the face|edge tags."""
         adjacency = {v: [] for v in self.vertices}
@@ -239,11 +230,6 @@ def measure_all(
     measure = work.backend.measure_x if basis == "x" else work.backend.measure_z
     outcomes = {label: measure(i, rng) for i, label in enumerate(work.graph.vertices)}
     return OutcomeRecord(outcomes, {label: basis for label in outcomes})
-
-
-def measure_all_x(state: ClusterState, rng: np.random.Generator) -> OutcomeRecord:
-    """Destructive X-basis readout of every qubit, in vertex order."""
-    return measure_all(state, rng, "x")
 
 
 def carve_defect(

@@ -392,6 +392,8 @@ def complex_from_json(text: str) -> CellComplex:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed complex JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError("complex JSON is nested too deeply") from None
     if not isinstance(payload, dict):
         raise ValueError("complex JSON must be an object")
     maps = {}

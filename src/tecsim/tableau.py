@@ -253,8 +253,3 @@ class StabilizerTableau:
     def __repr__(self) -> str:
         rows = ", ".join(s.to_text() for s in self.stabilizers())
         return f"StabilizerTableau(n={self.n}, stabilizers=[{rows}])"
-
-
-def tableau_init(n: int) -> StabilizerTableau:
-    """Fresh all-zeros computational state stabilized by every Z_i."""
-    return StabilizerTableau(n)

@@ -110,11 +110,11 @@ def test_criterion_6_closed_surface_correlations():
         faces = [v for v, k in zip(cell_graph.vertices, cell_graph.kinds) if k == "face"]
         assert len(faces) == 6 and cell_graph.qubit_count == 18
         for trial in range(10_000):
-            record = ts.measure_all_x(cell_state, philox_generator(60, trial))
+            record = ts.measure_all(cell_state, philox_generator(60, trial), "x")
             assert record.product(faces) == 1
         g8_state = _g8_state("tableau")
         for trial in range(10_000):
-            record = ts.measure_all_x(g8_state, philox_generator(61, trial))
+            record = ts.measure_all(g8_state, philox_generator(61, trial), "x")
             assert record.product(("f5", "f6")) == 1
             assert record.product(("f1", "f2")) == 1
 
@@ -153,7 +153,7 @@ def test_criterion_7_homology_suite():
             (("f3", "f6"), ("f3", "f4")),
         )
         for trial in range(10_000):
-            record = ts.measure_all_x(state, philox_generator(62, trial))
+            record = ts.measure_all(state, philox_generator(62, trial), "x")
             for left, right in equivalent_pairs:
                 assert record.product(left) == record.product(right)
 

@@ -303,3 +303,26 @@ def test_internal_invariant_failure_is_reported_apart_from_user_errors(monkeypat
     assert code == 3
     assert out == ""
     assert err == "tecsim: internal error: tableau rows lost GF(2) independence\n"
+
+
+def test_complex_deeply_nested_json_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "complex", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "tecsim: error: complex JSON is nested too deeply\n"
+
+
+def test_sweep_negative_zero_p_prints_as_zero(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--steps", "1", "--p-min", "-0", "--p-max", "-0",
+                           "--trials", "1")
+    assert code == 0
+    assert out.splitlines()[2] == ",".join(["0"] * 7)
+
+
+def test_sweep_write_failure_is_the_only_stderr_line(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "sweep", "--steps", "1", "--trials", "1", "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("tecsim: error: cannot write output file") and err.count("\n") == 1

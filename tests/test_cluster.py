@@ -13,7 +13,6 @@ from tecsim.cluster import (
     dual_syndrome_check,
     interaction_graph,
     measure_all,
-    measure_all_x,
     stabilizer_generators,
     surface_correlation,
 )
@@ -35,6 +34,12 @@ from tecsim.witness import build_target_states
 G8_FACES = tuple(f"f{i}" for i in range(1, 7))
 
 
+def neighbors(graph, label):
+    """Sorted neighbours of one vertex by a scan of every edge: the reference for to_json."""
+    out = [b if a == label else a for a, b in graph.edges if label in (a, b)]
+    return tuple(sorted(out))
+
+
 @pytest.fixture(scope="module")
 def g8_graph():
     return interaction_graph(build_g8_complex())
@@ -50,8 +55,8 @@ def test_g8_graph_structure(g8_graph):
     assert g8_graph.kinds == ("face",) * 6 + ("edge",) * 2
     assert len(g8_graph.edges) == 12
     for f in G8_FACES:
-        assert g8_graph.neighbors(f) == ("e7", "e8")
-    assert g8_graph.neighbors("e7") == G8_FACES
+        assert neighbors(g8_graph, f) == ("e7", "e8")
+    assert neighbors(g8_graph, "e7") == G8_FACES
 
 
 def test_elementary_graph_structure():
@@ -59,7 +64,7 @@ def test_elementary_graph_structure():
     assert graph.qubit_count == 18
     for v, kind in zip(graph.vertices, graph.kinds):
         if kind == "face":
-            assert len(graph.neighbors(v)) == 4
+            assert len(neighbors(graph, v)) == 4
 
 
 @pytest.mark.parametrize(
@@ -91,9 +96,9 @@ def test_single_face_star_graph():
         },
     )
     graph = interaction_graph(cx)
-    assert graph.neighbors("f") == ("e1", "e2", "e3", "e4")
+    assert neighbors(graph, "f") == ("e1", "e2", "e3", "e4")
     for e in ("e1", "e2", "e3", "e4"):
-        assert graph.neighbors(e) == ("f",)
+        assert neighbors(graph, e) == ("f",)
 
 
 def test_graph_validation():
@@ -133,7 +138,7 @@ def test_g8_generators(g8_graph):
 def test_generator_support_is_center_plus_neighbors(g8_graph):
     for gen in stabilizer_generators(g8_graph):
         center = g8_graph.index(gen.center)
-        expected = {center} | {g8_graph.index(v) for v in g8_graph.neighbors(gen.center)}
+        expected = {center} | {g8_graph.index(v) for v in neighbors(g8_graph, gen.center)}
         assert set(gen.operator.support()) == expected
 
 
@@ -219,7 +224,7 @@ def test_closed_surfaces_on_larger_lattice():
 
 def test_measure_all_x_closed_surface_products(g8_tableau):
     for trial in range(300):
-        record = measure_all_x(g8_tableau, philox_generator(1, trial))
+        record = measure_all(g8_tableau, philox_generator(1, trial), "x")
         assert record.product(["f5", "f6"]) == 1
         assert record.product(["f1", "f2"]) == 1
         # R(boundary of V) = +1 for every volume
@@ -233,7 +238,7 @@ def test_measure_all_x_elementary_cell():
     state = build_cluster(graph, "tableau")
     faces = [v for v, k in zip(graph.vertices, graph.kinds) if k == "face"]
     for trial in range(100):
-        record = measure_all_x(state, philox_generator(2, trial))
+        record = measure_all(state, philox_generator(2, trial), "x")
         assert record.product(faces) == 1
 
 
@@ -244,7 +249,7 @@ def test_equivalent_surfaces_equal_per_sample(g8_tableau):
         (("f3", "f6"), ("f3", "f4")),
     ]
     for trial in range(300):
-        record = measure_all_x(g8_tableau, philox_generator(3, trial))
+        record = measure_all(g8_tableau, philox_generator(3, trial), "x")
         for left, right in pairs:
             assert record.product(left) == record.product(right)
 
@@ -252,7 +257,7 @@ def test_equivalent_surfaces_equal_per_sample(g8_tableau):
 def test_measure_all_x_dense_agrees_on_products(g8_graph):
     state = build_cluster(g8_graph, "dense")
     for trial in range(30):
-        record = measure_all_x(state, philox_generator(4, trial))
+        record = measure_all(state, philox_generator(4, trial), "x")
         assert record.product(["f5", "f6"]) == 1
         assert record.product(["f1", "f2"]) == 1
 
@@ -358,7 +363,7 @@ def test_cluster_state_holds_one_backend(g8_graph, engine, backend_type):
 def test_graph_json_and_index_match_per_vertex_scans():
     graph = interaction_graph(build_cuboid_complex(2, 2, 2))
     payload = json.loads(graph.to_json())
-    assert payload["adjacency"] == {v: list(graph.neighbors(v)) for v in graph.vertices}
+    assert payload["adjacency"] == {v: list(neighbors(graph, v)) for v in graph.vertices}
     assert [graph.index(v) for v in graph.vertices] == list(range(graph.qubit_count))
     assert graph.edge_indexes() == [(graph.vertices.index(a), graph.vertices.index(b)) for a, b in graph.edges]
     with pytest.raises(KeyError, match="unknown qubit"):

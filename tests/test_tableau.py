@@ -8,7 +8,7 @@ from tecsim.complexes import build_cuboid_complex, build_elementary_cell, build_
 from tecsim.dense import StateVector
 from tecsim.pauli import PauliOperator, pauli_from_text, pauli_to_text
 from tecsim.rng import philox_generator
-from tecsim.tableau import StabilizerTableau, tableau_init
+from tecsim.tableau import StabilizerTableau
 
 GATE_POOL = (("H", 1), ("S", 1), ("X", 1), ("Z", 1), ("CZ", 2), ("CNOT", 2))
 
@@ -33,17 +33,17 @@ def random_hermitian_pauli(rng, n):
 
 
 def test_init_single_qubit():
-    t = tableau_init(1)
+    t = StabilizerTableau(1)
     assert [pauli_to_text(s) for s in t.stabilizers()] == ["Z"]
 
 
 def test_init_three_qubits():
-    t = tableau_init(3)
+    t = StabilizerTableau(3)
     assert [pauli_to_text(s) for s in t.stabilizers()] == ["ZII", "IZI", "IIZ"]
 
 
 def test_fresh_state_has_no_x_expectation():
-    t = tableau_init(3)
+    t = StabilizerTableau(3)
     for q in range(3):
         assert t.expectation_pauli(PauliOperator.single(3, q, "X")) == 0
         assert t.expectation_pauli(PauliOperator.single(3, q, "Z")) == 1
@@ -51,22 +51,22 @@ def test_fresh_state_has_no_x_expectation():
 
 def test_expectation_dimension_mismatch():
     with pytest.raises(ValueError):
-        tableau_init(2).expectation_pauli(pauli_from_text("X"))
+        StabilizerTableau(2).expectation_pauli(pauli_from_text("X"))
 
 
 def test_init_rejects_zero_qubits():
     with pytest.raises(ValueError):
-        tableau_init(0)
+        StabilizerTableau(0)
 
 
 def test_h_on_zero_gives_x_stabilizer():
-    t = tableau_init(1)
+    t = StabilizerTableau(1)
     t.apply_gate("H", 0)
     assert t.expectation_pauli(pauli_from_text("X")) == 1
 
 
 def test_cz_on_plus_plus_gives_graph_state():
-    t = tableau_init(2)
+    t = StabilizerTableau(2)
     t.h(0)
     t.h(1)
     t.cz(0, 1)
@@ -75,7 +75,7 @@ def test_cz_on_plus_plus_gives_graph_state():
 
 
 def test_hzh_matches_dense_oracle():
-    t = tableau_init(1)
+    t = StabilizerTableau(1)
     for gate in ("H", "Z", "H"):
         t.apply_gate(gate, 0)
     s = StateVector.computational_zero(1)
@@ -88,7 +88,7 @@ def test_hzh_matches_dense_oracle():
 
 
 def test_measure_z_on_zero_is_deterministic():
-    t = tableau_init(1)
+    t = StabilizerTableau(1)
     rng = philox_generator(0)
     before = [pauli_to_text(s) for s in t.stabilizers()]
     assert t.measure_pauli(pauli_from_text("Z"), rng) == 1
@@ -98,7 +98,7 @@ def test_measure_z_on_zero_is_deterministic():
 def test_measure_x_reproducible_per_seed():
     outcomes = []
     for _ in range(2):
-        t = tableau_init(1)
+        t = StabilizerTableau(1)
         outcomes.append(t.measure_pauli(pauli_from_text("X"), philox_generator(42)))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0] in (-1, 1)
@@ -108,7 +108,7 @@ def test_measuring_current_stabilizer_returns_plus_one():
     rng = np.random.default_rng(5)
     for trial in range(30):
         n = int(rng.integers(2, 6))
-        t = tableau_init(n)
+        t = StabilizerTableau(n)
         for name, targets in random_circuit(rng, n, 10):
             t.apply_gate(name, *targets)
         stabs = t.stabilizers()
@@ -123,7 +123,7 @@ def test_measuring_current_stabilizer_returns_plus_one():
 
 
 def test_gate_validation():
-    t = tableau_init(2)
+    t = StabilizerTableau(2)
     with pytest.raises(IndexError):
         t.apply_gate("H", 2)
     with pytest.raises(ValueError):
@@ -135,7 +135,7 @@ def test_gate_validation():
 
 
 def test_measure_validation():
-    t = tableau_init(2)
+    t = StabilizerTableau(2)
     rng = philox_generator(0)
     with pytest.raises(ValueError):
         t.measure_pauli(PauliOperator.identity(2), rng)
@@ -148,7 +148,7 @@ def test_measure_validation():
 
 
 def test_copy_is_independent():
-    t = tableau_init(2)
+    t = StabilizerTableau(2)
     dup = t.copy()
     dup.h(0)
     assert t.expectation_pauli(pauli_from_text("ZI")) == 1
@@ -162,7 +162,7 @@ def test_random_circuits_agree_with_dense_oracle():
     for trial in range(1000):
         n = int(rng.integers(2, 9))
         circuit = random_circuit(rng, n, 12)
-        tab = tableau_init(n)
+        tab = StabilizerTableau(n)
         vec = StateVector.computational_zero(n)
         for name, targets in circuit:
             tab.apply_gate(name, *targets)
@@ -199,7 +199,7 @@ def test_graph_state_generators_all_plus_one():
             for b in range(a + 1, n)
             if rng.random() < 0.4
         }
-        t = tableau_init(n)
+        t = StabilizerTableau(n)
         for q in range(n):
             t.h(q)
         for a, b in edges:
@@ -221,7 +221,7 @@ def test_graph_state_generators_all_plus_one():
 
 def gate_sequence_graph_state(n, edges):
     """Reference build: H on every qubit, then CZ on every edge."""
-    t = tableau_init(n)
+    t = StabilizerTableau(n)
     for q in range(n):
         t.h(q)
     for a, b in edges:
