@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from itertools import combinations
@@ -70,6 +71,22 @@ def test_cuboid_counts_match_closed_form(dims):
     assert faces == 3 * length * width * depth + lw + wt + lt
     assert edges == 3 * length * width * depth + 2 * (lw + wt + lt) + length + width + depth
     assert vertices == (length + 1) * (width + 1) * (depth + 1)
+
+
+# sha256 of complex_to_json for cuboids whose axes differ, so a builder that
+# swaps an axis, a corner or a name format changes the digest
+CUBOID_JSON_SHA256 = {
+    (2, 1, 1): "6b6b111908442af5e074c3c8bb22d17e5286a0356e0946565b72ad6b7e9b7607",
+    (1, 3, 2): "7b8b2da12dcad017f069a3b71160eba3fd7492f0b19dbed6f23e8bd39053c09a",
+    (3, 3, 3): "9493d9b31e623a324d8e418173f44b42e29b0f6ce4983bdc674cc99597107cd1",
+    (4, 2, 3): "90aa63fa21e67dee9c7476159b9a778abdc62c7c61344b94acfc8e70d3dcadfa",
+}
+
+
+@pytest.mark.parametrize("dims", sorted(CUBOID_JSON_SHA256))
+def test_cuboid_cell_names_are_pinned(dims):
+    text = complex_to_json(build_cuboid_complex(*dims))
+    assert hashlib.sha256(text.encode()).hexdigest() == CUBOID_JSON_SHA256[dims]
 
 
 def test_cuboid_111_matches_elementary_cell():
