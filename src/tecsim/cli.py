@@ -157,7 +157,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[str, None]:
             )
         results.append(
             {
-                "visibility": v,
+                "visibility": v + 0.0,  # --visibility -0 prints as 0.0
                 "settings": witness.setting_expectations(model),
                 "witness_expectation": w_proj,
                 "fidelity_bound": witness.fidelity_bound(w_proj),

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
+from math import prod
 
 from .errors import CapacityError
 
 DEFAULT_QUBIT_CAP = 4096
+# CellComplex's boundary maps, volumes down to edges; vertices have none
+_BOUNDARY_MAPS = ("volumes", "faces", "edges")
 
 
 @dataclass(frozen=True)
@@ -49,67 +52,45 @@ class CellComplex:
     vertices: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "volumes", {k: frozenset(v) for k, v in self.volumes.items()}
-        )
-        object.__setattr__(
-            self, "faces", {k: frozenset(v) for k, v in self.faces.items()}
-        )
-        object.__setattr__(
-            self, "edges", {k: frozenset(v) for k, v in self.edges.items()}
-        )
-        derived = frozenset().union(*self.edges.values()) if self.edges else frozenset()
-        object.__setattr__(self, "vertices", frozenset(self.vertices) | derived)
+        for key in _BOUNDARY_MAPS:
+            object.__setattr__(self, key, {k: frozenset(v) for k, v in getattr(self, key).items()})
+        # every edge endpoint is a vertex, so edges cannot reference unknown vertices
+        object.__setattr__(self, "vertices", frozenset(self.vertices).union(*self.edges.values()))
         self._validate()
 
     def _validate(self) -> None:
-        for name, fs in self.volumes.items():
-            if not fs:
-                raise ValueError(f"volume {name!r} has empty boundary")
-            missing = fs - self.faces.keys()
-            if missing:
-                raise ValueError(f"volume {name!r} references unknown faces {sorted(missing)}")
-        for name, es in self.faces.items():
-            if not es:
-                raise ValueError(f"face {name!r} has empty boundary")
-            missing = es - self.edges.keys()
-            if missing:
-                raise ValueError(f"face {name!r} references unknown edges {sorted(missing)}")
-        for name, vs in self.edges.items():
-            missing = vs - self.vertices
-            if missing:  # cannot happen with derived vertices; guards explicit input
-                raise ValueError(f"edge {name!r} references unknown vertices {sorted(missing)}")
-        # boundary-of-boundary must cancel over GF(2)
-        for name, fs in self.volumes.items():
-            acc: frozenset[str] = frozenset()
-            for f in fs:
-                acc ^= self.faces[f]
-            if acc:
-                raise ValueError(f"volume {name!r} violates boundary-of-boundary = 0")
-        for name, es in self.faces.items():
-            acc = frozenset()
-            for e in es:
-                acc ^= self.edges[e]
-            if acc:
-                raise ValueError(f"face {name!r} violates boundary-of-boundary = 0")
+        # every boundary's cells must exist before boundary-of-boundary = 0 is checked
+        pairs = (("volume", "faces"), ("face", "edges"))
+        for kind, below in pairs:
+            lower = getattr(self, below)
+            for name, cells in getattr(self, kind + "s").items():
+                if not cells:
+                    raise ValueError(f"{kind} {name!r} has empty boundary")
+                missing = cells - lower.keys()
+                if missing:
+                    raise ValueError(f"{kind} {name!r} references unknown {below} {sorted(missing)}")
+        for kind, below in pairs:
+            lower = getattr(self, below)
+            for name, cells in getattr(self, kind + "s").items():
+                acc: frozenset[str] = frozenset()
+                for cell in cells:
+                    acc ^= lower[cell]
+                if acc:
+                    raise ValueError(f"{kind} {name!r} violates boundary-of-boundary = 0")
+
+    def _table(self, dimension: int):
+        if not 0 <= dimension <= 3:
+            raise ValueError(f"dimension must be 0..3, got {dimension}")
+        return (self.vertices, self.edges, self.faces, self.volumes)[dimension]
 
     def cells(self, dimension: int) -> tuple[str, ...]:
         """Cell names of one dimension in sorted (stable) order."""
-        if dimension == 3:
-            return tuple(sorted(self.volumes))
-        if dimension == 2:
-            return tuple(sorted(self.faces))
-        if dimension == 1:
-            return tuple(sorted(self.edges))
-        if dimension == 0:
-            return tuple(sorted(self.vertices))
-        raise ValueError(f"dimension must be 0..3, got {dimension}")
+        return tuple(sorted(self._table(dimension)))
 
     def cell_boundary(self, dimension: int, name: str) -> frozenset[str]:
-        table = {3: self.volumes, 2: self.faces, 1: self.edges}.get(dimension)
-        if table is None:
+        if not 1 <= dimension <= 3:
             raise ValueError(f"cells of dimension {dimension} have no boundary map")
-        return table[name]
+        return self._table(dimension)[name]
 
     def counts(self) -> tuple[int, int, int, int]:
         """(volumes, faces, edges, vertices)."""
@@ -118,8 +99,7 @@ class CellComplex:
     def chain(self, dimension: int, cells) -> Chain:
         """Build a chain, checking every cell exists in this complex."""
         cells = frozenset(cells)
-        known = set(self.cells(dimension))
-        unknown = cells - known
+        unknown = cells.difference(self._table(dimension))
         if unknown:
             raise KeyError(f"unknown {dimension}-cells: {sorted(unknown)}")
         return Chain(dimension, cells)
@@ -153,81 +133,46 @@ def build_g8_complex() -> CellComplex:
 G8_PROTECTED_SURFACE = frozenset({"f5", "f6"})
 
 
+# a cuboid cell is a lowest corner plus the axes it spans; spans listed by dimension
+_CUBOID_SPANS = ("", "x", "y", "z", "xy", "xz", "yz", "xyz")
+
+
+def _corner_ranges(dims: tuple[int, int, int], span: str) -> list[range]:
+    """Lowest corners of the cells spanning ``span``: one fewer along each spanned axis."""
+    return [range(n + (axis not in span)) for n, axis in zip(dims, "xyz")]
+
+
 def build_cuboid_complex(
     length: int, width: int, depth: int, qubit_cap: int = DEFAULT_QUBIT_CAP
 ) -> CellComplex:
     """Cubic lattice of length x width x depth unit cells.
 
-    Face and edge cells carry the qubits, so their total count is checked
-    against ``qubit_cap``.
+    Each cell is a lowest corner plus the axes it spans: vertices ``p``, edges
+    ``e``, faces ``f`` and volumes ``v``. Its boundary drops one spanned axis,
+    once at the corner and once a unit further along that axis. Face and edge
+    cells carry the qubits, so their count is checked against ``qubit_cap``
+    before any cell is built.
     """
-    if min(length, width, depth) < 1:
+    dims = (length, width, depth)
+    if min(dims) < 1:
         raise ValueError("cell counts per axis must be >= 1")
-    n_faces = 3 * length * width * depth + length * width + width * depth + length * depth
-    n_edges = (
-        3 * length * width * depth
-        + 2 * (length * width + width * depth + length * depth)
-        + length
-        + width
-        + depth
-    )
-    if n_faces + n_edges > qubit_cap:
-        raise CapacityError(
-            f"{n_faces + n_edges} face+edge qubits exceed the cap of {qubit_cap}"
-        )
-
-    def p(i, j, k):
-        return f"p({i},{j},{k})"
-
-    def e(i, j, k, axis):
-        return f"e({i},{j},{k}|{axis})"
-
-    def f(i, j, k, plane):
-        return f"f({i},{j},{k}|{plane})"
-
-    edges: dict[str, frozenset[str]] = {}
-    for i in range(length + 1):
-        for j in range(width + 1):
-            for k in range(depth + 1):
-                if i < length:
-                    edges[e(i, j, k, "x")] = frozenset({p(i, j, k), p(i + 1, j, k)})
-                if j < width:
-                    edges[e(i, j, k, "y")] = frozenset({p(i, j, k), p(i, j + 1, k)})
-                if k < depth:
-                    edges[e(i, j, k, "z")] = frozenset({p(i, j, k), p(i, j, k + 1)})
-
-    faces: dict[str, frozenset[str]] = {}
-    for i in range(length + 1):
-        for j in range(width + 1):
-            for k in range(depth + 1):
-                if i < length and j < width:
-                    faces[f(i, j, k, "xy")] = frozenset(
-                        {e(i, j, k, "x"), e(i, j + 1, k, "x"), e(i, j, k, "y"), e(i + 1, j, k, "y")}
-                    )
-                if i < length and k < depth:
-                    faces[f(i, j, k, "xz")] = frozenset(
-                        {e(i, j, k, "x"), e(i, j, k + 1, "x"), e(i, j, k, "z"), e(i + 1, j, k, "z")}
-                    )
-                if j < width and k < depth:
-                    faces[f(i, j, k, "yz")] = frozenset(
-                        {e(i, j, k, "y"), e(i, j, k + 1, "y"), e(i, j, k, "z"), e(i, j + 1, k, "z")}
-                    )
-
-    volumes: dict[str, frozenset[str]] = {}
-    for i in range(length):
-        for j in range(width):
-            for k in range(depth):
-                volumes[f"v({i},{j},{k})"] = frozenset(
-                    {
-                        f(i, j, k, "xy"),
-                        f(i, j, k + 1, "xy"),
-                        f(i, j, k, "xz"),
-                        f(i, j + 1, k, "xz"),
-                        f(i, j, k, "yz"),
-                        f(i + 1, j, k, "yz"),
-                    }
-                )
-    return CellComplex(volumes=volumes, faces=faces, edges=edges)
+    qubits = sum(prod(map(len, _corner_ranges(dims, s))) for s in _CUBOID_SPANS if 0 < len(s) < 3)
+    if qubits > qubit_cap:
+        raise CapacityError(f"{qubits} face+edge qubits exceed the cap of {qubit_cap}")
+    names: dict[str, dict[tuple[int, ...], str]] = {}  # span -> corner -> cell name
+    maps: list[dict[str, frozenset[str]]] = [{}, {}, {}, {}]  # by dimension
+    for span in _CUBOID_SPANS:
+        kind, tag = "pefv"[len(span)], f"|{span}" if 0 < len(span) < 3 else ""
+        # per spanned axis: the names of the cells without it, and a unit step along it
+        drops = [(names[span.replace(a, "")], [int(b == a) for b in "xyz"]) for a in span]
+        at = names[span] = {}
+        for i, j, k in product(*_corner_ranges(dims, span)):
+            name = at[i, j, k] = f"{kind}({i},{j},{k}{tag})"
+            maps[len(span)][name] = frozenset(
+                [c for lower, (di, dj, dk) in drops
+                 for c in (lower[i, j, k], lower[i + di, j + dj, k + dk])]
+            )
+    return CellComplex(volumes=maps[3], faces=maps[2], edges=maps[1])
 
 
 def build_elementary_cell() -> CellComplex:
@@ -306,7 +251,7 @@ def volume_boundary_masks(cx: CellComplex) -> tuple[int, ...]:
 def _volume_echelon(cx: CellComplex) -> tuple[dict[str, int], dict[int, tuple[int, int]]]:
     """Face positions and the echelon of the volume boundaries over them."""
     face_index = {name: i for i, name in enumerate(cx.cells(2))}
-    return face_index, _gf2_echelon(list(volume_boundary_masks(cx)))
+    return face_index, _gf2_echelon([_face_mask(cx.volumes[v], face_index) for v in cx.cells(3)])
 
 
 def homologically_equivalent(
@@ -379,11 +324,7 @@ def closed_surface_summary(cx: CellComplex) -> dict:
 
 def complex_to_json(cx: CellComplex) -> str:
     """Lossless JSON form: boundary maps keyed by cell name."""
-    payload = {
-        "volumes": {k: sorted(v) for k, v in sorted(cx.volumes.items())},
-        "faces": {k: sorted(v) for k, v in sorted(cx.faces.items())},
-        "edges": {k: sorted(v) for k, v in sorted(cx.edges.items())},
-    }
+    payload = {key: {k: sorted(v) for k, v in getattr(cx, key).items()} for key in _BOUNDARY_MAPS}
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
@@ -397,7 +338,7 @@ def complex_from_json(text: str) -> CellComplex:
     if not isinstance(payload, dict):
         raise ValueError("complex JSON must be an object")
     maps = {}
-    for key in ("volumes", "faces", "edges"):
+    for key in _BOUNDARY_MAPS:
         table = payload.get(key)
         if not isinstance(table, dict):
             raise ValueError(f"complex JSON must contain a {key!r} object")

@@ -59,8 +59,9 @@ class TopologicalCode:
 
     @property
     def check_names(self) -> tuple[str, ...]:
-        """Each check's "c" and face numbers: c12, c25, c36, c34 for g8."""
-        return tuple("c" + "".join(map(str, sorted(_pattern(c)))) for c in self.checks)
+        """Each check's "c" and face numbers: c12, c25, c36, c34 for g8, c9_10 past 9 faces."""
+        sep = "" if len(self.faces) < 10 else "_"
+        return tuple("c" + sep.join(map(str, sorted(_pattern(c)))) for c in self.checks)
 
     def syndrome(self, flips: int) -> tuple[int, ...]:
         return tuple(-1 if (flips & check).bit_count() & 1 else 1 for check in self.checks)

@@ -321,6 +321,13 @@ def test_sweep_negative_zero_p_prints_as_zero(capsys):
     assert out.splitlines()[2] == ",".join(["0"] * 7)
 
 
+def test_witness_negative_zero_visibility_prints_as_zero(capsys):
+    code, out, _ = run_cli(capsys, "witness", "--visibility", "-0")
+    assert code == 0
+    assert '"visibility": 0.0,' in out
+    assert out == run_cli(capsys, "witness", "--visibility", "0")[1]
+
+
 def test_sweep_write_failure_is_the_only_stderr_line(tmp_path, capsys):
     code, out, err = run_cli(capsys, "sweep", "--steps", "1", "--trials", "1", "--out", str(tmp_path))
     assert code == 1

@@ -93,12 +93,20 @@ def test_ring5_fixture_is_the_m5_ring():
 
 def test_ring5_has_256_syndromes_and_distance_5(ring5):
     assert len(ring5.faces) == 10
-    assert ring5.check_names == ("c12", "c23", "c34", "c45", "c67", "c78", "c89", "c910")
+    assert ring5.check_names == (
+        "c1_2", "c2_3", "c3_4", "c4_5", "c6_7", "c7_8", "c8_9", "c9_10"
+    )
     assert len(ring5.leaders) == 256
     assert max(leader.bit_count() for leader in ring5.leaders.values()) == 4
     failing = [m.bit_count() for m in range(1 << 10) if ring5.tables[0][m]]
     assert min(failing) == 3
     assert all(ring5.fails(m) == bool(ring5.tables[0][m]) for m in range(1 << 10))
+
+
+def test_ring5_check_names_parse_back_to_their_faces(ring5):
+    for name, check in zip(ring5.check_names, ring5.checks):
+        faces = frozenset(int(number) for number in name.removeprefix("c").split("_"))
+        assert faces == frozenset(i + 1 for i in range(len(ring5.faces)) if check >> i & 1)
 
 
 @pytest.mark.parametrize("p", [0.0, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0])
