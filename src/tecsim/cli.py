@@ -196,18 +196,13 @@ def _load_complex(name: str) -> tuple[str, complexes.CellComplex]:
 
 def cmd_complex(args: argparse.Namespace) -> tuple[str, None]:
     name, cx = _load_complex(" ".join(args.name))
-    volumes, faces, edges, vertices = cx.counts()
+    counts = dict(zip(("volumes", "faces", "edges", "vertices"), cx.counts()))
     # construction re-validates boundary-of-boundary; surviving it means ok
     payload = {
         "version": __version__,
         "name": name,
-        "counts": {
-            "volumes": volumes,
-            "faces": faces,
-            "edges": edges,
-            "vertices": vertices,
-        },
-        "qubits": faces + edges,
+        "counts": counts,
+        "qubits": counts["faces"] + counts["edges"],
         "boundary_of_boundary_ok": True,
         **complexes.closed_surface_summary(cx),
     }

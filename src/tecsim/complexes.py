@@ -10,9 +10,11 @@ so golden values stay readable.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import prod
+from types import MappingProxyType
 
 from .errors import CapacityError
 
@@ -44,19 +46,26 @@ class Chain:
 
 @dataclass(frozen=True)
 class CellComplex:
-    """Volumes, faces, edges and vertices with GF(2) boundary maps."""
+    """Volumes, faces, edges and vertices with GF(2) boundary maps.
 
-    volumes: dict[str, frozenset[str]]
-    faces: dict[str, frozenset[str]]
-    edges: dict[str, frozenset[str]]
-    vertices: frozenset[str] = field(default_factory=frozenset)
+    The maps are read-only once validated, and the vertices are exactly the
+    edge endpoints, so the three maps are the whole complex.
+    """
+
+    volumes: Mapping[str, frozenset[str]]
+    faces: Mapping[str, frozenset[str]]
+    edges: Mapping[str, frozenset[str]]
+    vertices: frozenset[str] = field(init=False)
 
     def __post_init__(self):
         for key in _BOUNDARY_MAPS:
-            object.__setattr__(self, key, {k: frozenset(v) for k, v in getattr(self, key).items()})
-        # every edge endpoint is a vertex, so edges cannot reference unknown vertices
-        object.__setattr__(self, "vertices", frozenset(self.vertices).union(*self.edges.values()))
+            table = {k: frozenset(v) for k, v in getattr(self, key).items()}
+            object.__setattr__(self, key, MappingProxyType(table))
+        object.__setattr__(self, "vertices", frozenset().union(*self.edges.values()))
         self._validate()
+
+    def __hash__(self) -> int:
+        return hash(tuple(frozenset(getattr(self, key).items()) for key in _BOUNDARY_MAPS))
 
     def _validate(self) -> None:
         # every boundary's cells must exist before boundary-of-boundary = 0 is checked

@@ -5,9 +5,16 @@ row) so gate and measurement updates cost O(n/word) per row. Rows 0..n-1
 hold destabilizers, rows n..2n-1 the stabilizers; keeping destabilizers
 makes deterministic-outcome detection a single O(n^2) pass instead of a
 Gaussian elimination per measurement.
+
+A sign is a GF(2) affine form held as an int: bit 0 is the constant, each
+higher bit a variable. Concrete states use 0 and 1 only; the symbolic
+readout :meth:`StabilizerTableau.readout_forms_x` adds variables.
 """
 
 from __future__ import annotations
+
+from itertools import count
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -150,16 +157,39 @@ class StabilizerTableau:
         if op.is_identity_string:
             raise ValueError("cannot measure the identity operator")
         xm, zm = op.x_bits, op.z_bits
-        return self._collapse(self._anticommuting(xm, zm), xm, zm, op.phase_exp >> 1, rng)
+        return 1 - 2 * self._collapse(self._anticommuting(xm, zm), xm, zm, op.phase_exp >> 1, rng)
 
     def measure_x(self, q: int, rng: np.random.Generator) -> int:
         """Projective single-qubit X measurement."""
         if not 0 <= q < self.n:
             raise IndexError(f"qubit {q} out of range for {self.n} qubits")
+        return 1 - 2 * self._collapse_x(q, rng)
+
+    def _collapse_x(self, q: int, rng) -> int:
         bit = 1 << q
         zs = self._zs
         anti = [j for j in range(2 * self.n) if zs[j] & bit]
         return self._collapse(anti, bit, 0, 0, rng)
+
+    def readout_forms_x(self, flip_qubits) -> list[int]:
+        """Sign forms of an X readout of every qubit, in qubit order, after Z flips.
+
+        Variable v (bit v + 1) is a Z on ``flip_qubits[v]``; each random
+        outcome takes the next free bit, in readout order. Qubit i reads -1
+        exactly when ``forms[i]`` has odd overlap with ``1 | flips << 1 |
+        bits << (1 + len(flip_qubits))``, the bits being the random outcomes.
+        The state is not disturbed.
+        """
+        work = self.copy()
+        xs, rs = work._xs, work._rs
+        for v, q in enumerate(flip_qubits):
+            bit = 1 << q
+            for j in range(2 * self.n):
+                if xs[j] & bit:
+                    rs[j] ^= 2 << v
+        fresh = count(1 + len(flip_qubits))  # each random outcome draws a new variable
+        variables = SimpleNamespace(integers=lambda low, high: 1 << next(fresh))
+        return [work._collapse_x(q, variables) for q in range(self.n)]
 
     def measure_z(self, q: int, rng: np.random.Generator) -> int:
         """Projective single-qubit Z measurement."""
@@ -168,7 +198,7 @@ class StabilizerTableau:
         bit = 1 << q
         xs = self._xs
         anti = [j for j in range(2 * self.n) if xs[j] & bit]
-        return self._collapse(anti, 0, bit, 0, rng)
+        return 1 - 2 * self._collapse(anti, 0, bit, 0, rng)
 
     def expectation_pauli(self, op: PauliOperator) -> int:
         """Exact expectation in {-1, 0, +1}; the state is not disturbed."""
@@ -178,7 +208,7 @@ class StabilizerTableau:
         anti = self._anticommuting(op.x_bits, op.z_bits)
         if anti and anti[-1] >= self.n:
             return 0
-        return self._deterministic_sign(anti, op.x_bits, op.z_bits, op.phase_exp >> 1)
+        return 1 - 2 * self._deterministic_sign(anti, op.x_bits, op.z_bits, op.phase_exp >> 1)
 
     def _check_operator(self, op: PauliOperator) -> None:
         if op.n != self.n:
@@ -196,6 +226,11 @@ class StabilizerTableau:
         ]
 
     def _collapse(self, anti: list[int], xm: int, zm: int, r_in: int, rng) -> int:
+        """Measure +-(xm, zm) and return the outcome's sign form (0 for +1, 1 for -1).
+
+        A random outcome is ``rng.integers(0, 2)``: a drawn bit, or a fresh
+        variable in :meth:`readout_forms_x`.
+        """
         n = self.n
         if not anti or anti[-1] < n:
             # only destabilizers anticommute: the outcome is fixed
@@ -208,18 +243,17 @@ class StabilizerTableau:
                 continue
             if j >= n:
                 # stabilizer rows commute with the pivot, so the product
-                # phase stays real
-                e = 2 * pr + 2 * rs[j] + _product_i_exponent(px, pz, xs[j], zs[j])
-                rs[j] = (e >> 1) & 1
+                # phase is even and only adds a constant
+                rs[j] ^= pr ^ (_product_i_exponent(px, pz, xs[j], zs[j]) >> 1)
             xs[j] ^= px
             zs[j] ^= pz
         xs[pivot - n], zs[pivot - n], rs[pivot - n] = px, pz, pr
         bit = int(rng.integers(0, 2))
         xs[pivot], zs[pivot], rs[pivot] = xm, zm, r_in ^ bit
-        return 1 - 2 * bit
+        return bit
 
     def _deterministic_sign(self, destab_anti: list[int], xm: int, zm: int, r_in: int) -> int:
-        """Sign of +-(xm, zm) inside the stabilizer group.
+        """Sign form of +-(xm, zm) inside the stabilizer group (0 for +1).
 
         Destabilizer row i anticommutes with the target exactly when
         stabilizer row i appears in its expansion, so ``destab_anti``
@@ -227,15 +261,16 @@ class StabilizerTableau:
         """
         xs, zs, rs = self._xs, self._zs, self._rs
         n = self.n
-        sx = sz = exp = 0
+        sx = sz = exp = sign = 0
         for i in destab_anti:
             j = i + n
-            exp = (exp + 2 * rs[j] + _product_i_exponent(sx, sz, xs[j], zs[j])) % 4
+            exp += _product_i_exponent(sx, sz, xs[j], zs[j])
+            sign ^= rs[j]
             sx ^= xs[j]
             sz ^= zs[j]
         if sx != xm or sz != zm or exp & 1:
             raise AssertionError("tableau rows lost GF(2) independence")
-        return 1 if exp == 2 * r_in else -1
+        return sign ^ (exp >> 1 & 1) ^ r_in
 
     # ------------------------------------------------------------------
     # inspection

@@ -27,7 +27,7 @@ from .complexes import (
     volume_boundary_masks,
 )
 from .errors import CapacityError
-from .rng import philox_generator, trial_generators
+from .rng import _KEY_BLOCK, philox_generator, trial_generators
 
 SWEEP_ENGINES = ("fast", "tableau", "dense")
 
@@ -282,25 +282,74 @@ def _count_failures_fast(
     return tuple((code.tables @ counts).tolist())
 
 
-def _count_failures_engine(
-    p: float, trials: int, seed: int, point_index: int, engine: str
-) -> tuple[int, int]:
+@lru_cache(maxsize=1)
+def _face_readout_map() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, B, c) of the g8 z-frame readout: face outcome bits = A·flips + B·bits + c (mod 2).
+
+    Row and flip column v are face ``G8_CODE.faces[v]``; column k of B is the
+    k-th random outcome in readout order; an outcome bit of 1 reads -1. One
+    symbolic readout of the tableau gives all three, and every trial's
+    readout follows it, because Z flips and draws only change sign bits.
+    """
+    state = _base_state("tableau", "z")
+    faces = [state.index(face) for face in G8_CODE.faces]
+    forms = state.backend.readout_forms_x(faces)
+    # each random outcome is its own form, so the longest form spans every variable
+    variables = max(1 + len(faces), *(form.bit_length() for form in forms))
+    terms = np.array([[forms[q] >> b & 1 for b in range(variables)] for q in faces], np.int64)
+    return terms[:, 1 : 1 + len(faces)], terms[:, 1 + len(faces) :], terms[:, 0]
+
+
+def _count_failures_tableau(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
+    """Sign-frame tableau path: the counts of a ``simulate_trial`` loop on the tableau.
+
+    Each trial still draws from its own stream what ``simulate_trial`` draws,
+    ``random(F)`` and then ``integers(0, 2)`` per random outcome. Blocks of
+    trials then go through :func:`_face_readout_map` at once, and the observed
+    face flips are counted and looked up in ``G8_CODE.tables`` as the fast
+    kernel does.
+    """
+    a, b, c = _face_readout_map()
+    faces, randoms = b.shape
+    block = min(_KEY_BLOCK, trials)
+    draws = np.empty((block, faces))
+    rows = list(draws)  # one view per trial, filled in place by its stream
+    face_bits = 1 << np.arange(faces)
+    counts = np.zeros(1 << faces, dtype=np.int64)
+    streams = trial_generators(seed, point_index, trials)
+    for start in range(0, trials, block):
+        size = min(block, trials - start)
+        bits = []
+        for row, rng in zip(rows[:size], streams):
+            rng.random(out=row)
+            for _ in range(randoms):
+                bits.append(rng.integers(0, 2))
+        flips = draws[:size] < p
+        outcomes = (flips @ a.T + np.reshape(bits, (size, randoms)) @ b.T + c) & 1
+        counts += np.bincount(outcomes @ face_bits, minlength=1 << faces)
+    return tuple((G8_CODE.tables @ counts).tolist())
+
+
+def _count_failures_dense(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
     model = NoiseModel(p)
     protected = unprotected = 0
     for rng in trial_generators(seed, point_index, trials):
-        pf, uf, _ = simulate_trial(model, rng, engine)
+        pf, uf, _ = simulate_trial(model, rng, "dense")
         protected += pf
         unprotected += uf
     return protected, unprotected
 
 
+_KERNELS = {
+    "fast": _count_failures_fast,
+    "tableau": _count_failures_tableau,
+    "dense": _count_failures_dense,
+}
+
+
 def _sweep_job(args) -> tuple[int, int, int]:
     point_index, p, trials, seed, engine = args
-    if engine == "fast":
-        prot, unprot = _count_failures_fast(p, trials, seed, point_index)
-    else:
-        prot, unprot = _count_failures_engine(p, trials, seed, point_index, engine)
-    return point_index, prot, unprot
+    return (point_index, *_KERNELS[engine](p, trials, seed, point_index))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from collections import Counter
@@ -283,6 +284,35 @@ def test_json_round_trip_is_lossless(builder):
     again = complex_from_json(text)
     assert again == cx
     assert complex_to_json(again) == text
+
+
+def test_vertices_are_the_edge_endpoints_and_not_a_constructor_argument():
+    maps = ({}, {"f": ["a", "b"]}, {"a": ["s", "t"], "b": ["s", "t"]})
+    with pytest.raises(TypeError, match="vertices"):
+        CellComplex(*maps, vertices=frozenset({"q"}))
+    cx = CellComplex(*maps)
+    assert cx.vertices == {"s", "t"}
+    assert complex_from_json(complex_to_json(cx)) == cx
+
+
+def test_boundary_maps_are_read_only_after_validation():
+    faces = {"f": {"a", "b"}}
+    cx = CellComplex({}, faces, {"a": {"s", "t"}, "b": {"s", "t"}})
+    faces["f"] = {"a"}  # the caller's dict is not the complex's
+    assert cx.faces["f"] == {"a", "b"}
+    for key in ("volumes", "faces", "edges"):
+        with pytest.raises(TypeError):
+            getattr(cx, key)["f"] = frozenset({"a"})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cx.faces = {}
+
+
+def test_complexes_hash_consistently_with_equality():
+    g8 = build_g8_complex()
+    again = complex_from_json(complex_to_json(g8))
+    assert again == g8 and hash(again) == hash(g8)
+    cuboid = build_cuboid_complex(2, 1, 1)
+    assert len({g8, again, cuboid, build_cuboid_complex(2, 1, 1), build_elementary_cell()}) == 3
 
 
 def test_json_parse_error_reports_location():

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tecsim.cluster import ClusterState, build_cluster, interaction_graph, measure_all
+from tecsim.cluster import (
+    ClusterState,
+    InteractionGraph,
+    build_cluster,
+    interaction_graph,
+    measure_all,
+)
 from tecsim.complexes import build_cuboid_complex, build_elementary_cell, build_g8_complex
 from tecsim.dense import StateVector
-from tecsim.pauli import PauliOperator, pauli_from_text, pauli_to_text
+from tecsim.pauli import PauliOperator, multiply, pauli_from_text, pauli_to_text
 from tecsim.rng import philox_generator
 from tecsim.tableau import StabilizerTableau
 
@@ -189,6 +195,52 @@ def test_random_circuits_agree_with_dense_oracle():
     assert abs(random_plus_dense - draws / 2) < bound
 
 
+class ForcedOutcome:
+    """A dense-engine rng whose one ``random()`` draw picks ``outcome`` on a random measurement."""
+
+    def __init__(self, outcome):
+        self.outcome = outcome
+
+    def random(self):
+        return 0.0 if self.outcome == 1 else 1.0 - 2**-53
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.data())
+def test_tableau_follows_dense_oracle_on_random_circuits(data):
+    """Gates and Hermitian Pauli measurements in any order: same expectations, same states.
+
+    The tableau draws each random outcome from a Philox path; the dense
+    state is sent down the same branch, so the two stay equal throughout.
+    """
+    n = data.draw(st.integers(1, 6), label="qubits")
+    seed = data.draw(st.integers(0, 2**64 + 5), label="seed")
+    pool = GATE_POOL if n > 1 else GATE_POOL[:4]
+    tab, vec = StabilizerTableau(n), StateVector.computational_zero(n)
+    for k, measure in enumerate(data.draw(st.lists(st.booleans(), max_size=24), label="steps")):
+        if not measure:
+            name, arity = data.draw(st.sampled_from(pool))
+            targets = data.draw(st.permutations(range(n)))[:arity]
+            tab.apply_gate(name, *targets)
+            vec.apply_gate(name, *targets)
+            continue
+        x, z = data.draw(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1))
+                         .filter(lambda xz: xz != (0, 0)))
+        op = PauliOperator(n, x, z, data.draw(st.sampled_from((0, 2))))
+        expected = tab.expectation_pauli(op)
+        assert abs(vec.expectation_pauli(op) - expected) < 1e-9, pauli_to_text(op)
+        outcome = tab.measure_pauli(op, philox_generator(seed, k))
+        assert expected in (0, outcome)
+        assert vec.measure_pauli(op, ForcedOutcome(outcome)) == outcome
+    # each stabilizer and each product of two is +1 on both; products carry the i-phases
+    stabilizers = tab.stabilizers()
+    for i, a in enumerate(stabilizers):
+        for b in stabilizers[i:]:
+            product = a if a is b else multiply(a, b)
+            assert tab.expectation_pauli(product) == 1, pauli_to_text(product)
+            assert abs(vec.expectation_pauli(product) - 1.0) < 1e-9, pauli_to_text(product)
+
+
 def test_graph_state_generators_all_plus_one():
     rng = np.random.default_rng(33)
     for _ in range(20):
@@ -242,8 +294,8 @@ def rows(t):
 
 
 @st.composite
-def random_graphs(draw):
-    n = draw(st.integers(1, 14))
+def random_graphs(draw, max_qubits=14):
+    n = draw(st.integers(1, max_qubits))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     # CZ gates commute, so any edge order must give the same rows
@@ -287,3 +339,48 @@ def test_seeded_x_readout_matches_gate_sequence(name):
             reference, philox_generator(seed, 0), "x"
         )
 
+
+class ScriptedBits:
+    """An rng whose ``integers(0, 2)`` hands out the given bits in order."""
+
+    def __init__(self, bits):
+        self.bits = bits
+        self.used = 0
+
+    def integers(self, low, high):
+        self.used += 1
+        return self.bits[self.used - 1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(random_graphs(max_qubits=10), st.data())
+def test_readout_forms_match_concrete_x_readout(graph, data):
+    """The symbolic X readout, evaluated at some flips and bits, is the concrete readout."""
+    n, edges = graph
+    labels = tuple(f"q{i}" for i in range(n))
+    state = build_cluster(
+        InteractionGraph(labels, ("face",) * n, tuple((labels[a], labels[b]) for a, b in edges))
+    )
+    # local H and S make Y rows and nontrivial product phases
+    for gate, q in data.draw(st.lists(st.tuples(st.sampled_from("HS"), st.integers(0, n - 1)))):
+        state.backend.apply_gate(gate, q)
+    flip_qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True), label="flip qubits")
+    flips = data.draw(st.lists(st.booleans(), min_size=len(flip_qubits), max_size=len(flip_qubits)))
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="bits")
+
+    before = [row.copy() for row in rows(state.backend)]
+    forms = state.backend.readout_forms_x(flip_qubits)
+    assert list(rows(state.backend)) == before  # the symbolic pass leaves the state alone
+    values = [1, *flips, *bits]
+    point = sum(v << i for i, v in enumerate(values))
+    symbolic = [1 - 2 * ((form & point).bit_count() & 1) for form in forms]
+
+    concrete = state.copy()
+    for q, flip in zip(flip_qubits, flips):
+        if flip:
+            concrete.backend.apply_gate("Z", q)
+    feed = ScriptedBits(bits)
+    record = measure_all(concrete, feed, "x")
+    assert symbolic == [record.value(label) for label in labels]
+    # one variable per random outcome, none beyond them
+    assert max(form.bit_length() for form in forms) <= 1 + len(flip_qubits) + feed.used

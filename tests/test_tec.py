@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tecsim import tec
 from tecsim.cluster import OutcomeRecord
@@ -327,6 +329,86 @@ def test_engine_sweep_counts_match_per_trial_reference(engine, trials):
         points = monte_carlo_sweep(grid, trials, seed=seed, engine=engine, workers=workers)
         got = [(pt.protected_failures, pt.unprotected_failures) for pt in points]
         assert got == expected, workers
+
+
+def running_reference(p, trials, seed, point):
+    """(protected, unprotected) failures of a ``simulate_trial`` loop after each trial."""
+    model = NoiseModel(p)
+    prot = unprot = 0
+    running = []
+    for t in range(trials):
+        pf, uf, _ = simulate_trial(model, philox_generator(seed, point, t), "tableau")
+        prot += pf
+        unprot += uf
+        running.append((prot, unprot))
+    return running
+
+
+@pytest.mark.parametrize("seed", [0, 13, 2**64 + 3])
+@pytest.mark.parametrize("p", [0.0, 1e-9, 0.05, 0.5, 1.0])
+def test_sign_frame_counts_match_per_trial_loop(monkeypatch, p, seed):
+    block = 64  # a small block puts every block edge in reach of a short reference loop
+    monkeypatch.setattr(tec, "_KEY_BLOCK", block)
+    for point in (0, 5):
+        running = running_reference(p, 2 * block + 7, seed, point)
+        for trials in (1, block - 1, block, block + 1, 2 * block + 7):
+            got = tec._count_failures_tableau(p, trials, seed, point)
+            assert got == running[trials - 1], (point, trials)
+
+
+def test_sign_frame_counts_match_per_trial_loop_at_the_key_block():
+    block, seed = tec._KEY_BLOCK, 2**64 + 3
+    running = running_reference(0.05, 2 * block + 7, seed, 1)
+    for trials in (1, block - 1, block, block + 1, 2 * block + 7):
+        assert tec._count_failures_tableau(0.05, trials, seed, 1) == running[trials - 1], trials
+
+
+def test_face_readout_map_is_the_g8_readout():
+    """Face 1 reads the first random outcome; other faces add their own flip and face 1's."""
+    a, b, c = tec._face_readout_map()
+    assert a.tolist() == [[0] * 6] + [[1] + [int(i == j) for i in range(1, 6)] for j in range(1, 6)]
+    assert b.tolist() == [[1, 0]] * 6
+    assert c.tolist() == [0] * 6
+
+
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
+def test_only_the_dense_sweep_simulates_each_trial(monkeypatch, engine):
+    """The tableau sweep reads the cached readout map; the dense oracle still runs every trial."""
+    monte_carlo_sweep([0.3], 5, seed=1, engine=engine)  # lazy state and map outside the count
+    calls = []
+    def counted(*args):
+        calls.append(args)
+        return False, False, frozenset()
+
+    monkeypatch.setattr(tec, "simulate_trial", counted)
+    monte_carlo_sweep([0.3], 50, seed=1, engine=engine)
+    assert len(calls) == (0 if engine == "tableau" else 50)
+
+
+def test_tableau_sweep_memory_does_not_grow_with_trials():
+    monte_carlo_sweep([0.3], 10, seed=1, engine="tableau")  # lazy state and map outside it
+    peaks = {}
+    for trials in (5_000, 25_000):
+        tracemalloc.start()
+        try:
+            monte_carlo_sweep([0.3], trials, seed=1, engine="tableau")
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 3 * 2**20, peaks
+    assert peaks[25_000] - peaks[5_000] < 2**18, peaks
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(
+    grid=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3),
+    trials=st.integers(1, 200),
+    seed=st.integers(0, 2**64 + 5),
+    engine=st.sampled_from(["fast", "tableau"]),
+)
+def test_sweep_is_invariant_to_the_worker_count(grid, trials, seed, engine):
+    serial = monte_carlo_sweep(grid, trials, seed, engine, workers=1)
+    assert monte_carlo_sweep(grid, trials, seed, engine, workers=2) == serial
 
 
 class RecordingPool:
