@@ -15,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__, complexes, tec, witness
@@ -213,6 +214,7 @@ def cmd_complex(args: argparse.Namespace) -> tuple[str, None]:
 # argument parsing
 
 
+@lru_cache(maxsize=1)  # built once per process: each parse_args fills a fresh namespace
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tecsim",

@@ -9,11 +9,12 @@ results. Within one stream the draw position plays the role of the
 measurement index.
 
 ``philox_generator`` builds one such stream and is the reference.
-The engine sweeps need one stream per trial, so ``trial_generators`` derives
-the keys of all ``(seed, point, trial)`` paths of a sweep point in one
-vectorised pass of the same ``SeedSequence`` hash, and rekeys a single
-reused generator before each trial. Its streams are bitwise identical to
-``philox_generator(seed, point, trial)``.
+``_trial_keys`` derives the keys of a block of ``(seed, point, trial)``
+paths in one vectorised pass of the same ``SeedSequence`` hash. The dense
+sweep's ``trial_generators`` rekeys a single reused generator with them
+before each trial. The tableau sweep's ``trial_words`` runs Philox4x64-10
+on them directly, computing the raw words of every trial of a block at once.
+Both are bitwise identical to ``philox_generator(seed, point, trial)``.
 """
 
 from __future__ import annotations
@@ -96,6 +97,22 @@ def _philox_keys(entropy: list) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
 
 
+def _trial_keys(seed: int, point: int, start: int, size: int) -> np.ndarray:
+    """Philox keys of ``(seed, point, t)`` for ``t = start .. start + size - 1``, shape (size, 2).
+
+    The trials must share every word of their index above the low one, which
+    holds for any block of at most ``_KEY_BLOCK`` trials that starts at a
+    multiple of ``_KEY_BLOCK``.
+    """
+    run_words = _uint32_words(seed)
+    run_words += [0] * (_POOL_SIZE - len(run_words))  # SeedSequence pads when spawning
+    low, *high = _uint32_words(start)
+    if low + size > _MASK32 + 1:
+        raise ValueError("trial block crosses a 32-bit boundary of the trial index")
+    trials = np.arange(low, low + size, dtype=np.uint32)
+    return _philox_keys(run_words + _uint32_words(point) + [trials, *high])
+
+
 def trial_generators(seed: int, point: int, trials: int) -> Iterator[np.random.Generator]:
     """Yield the streams of ``(seed, point, t)`` for ``t = 0 .. trials - 1``.
 
@@ -105,20 +122,53 @@ def trial_generators(seed: int, point: int, trials: int) -> Iterator[np.random.G
     Keys are derived ``_KEY_BLOCK`` trials at a time, so memory does not
     grow with ``trials``.
     """
-    run_words = _uint32_words(seed)
-    run_words += [0] * (_POOL_SIZE - len(run_words))  # SeedSequence pads when spawning
-    prefix = run_words + _uint32_words(point)
     if operator.index(trials) < 0:
         raise ValueError("expected non-negative integer")
     bitgen = np.random.Philox(0)
     generator = np.random.Generator(bitgen)
     state = bitgen.state  # a fresh stream: zero counter, empty buffer; only the key changes
     for start in range(0, trials, _KEY_BLOCK):
-        size = min(_KEY_BLOCK, trials - start)
-        # the block is aligned, so only the low word of the trial index varies
-        low, *high = _uint32_words(start)
-        trial_words = [np.arange(low, low + size, dtype=np.uint32), *high]
-        for key in _philox_keys(prefix + trial_words):
+        for key in _trial_keys(seed, point, start, min(_KEY_BLOCK, trials - start)):
             state["state"]["key"] = key
             bitgen.state = state
             yield generator
+
+
+# Philox4x64-10 constants (Random123, as in numpy/random/src/philox/philox.h)
+_PHILOX_M0, _PHILOX_M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+_PHILOX_W0, _PHILOX_W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32, _SHIFT32 = np.uint64(_MASK32), np.uint64(32)
+
+
+def _mulhilo(a: np.ndarray, m: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``a * m``, from 32-bit halves."""
+    a_lo, a_hi = a & _LOW32, a >> _SHIFT32
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    hi_lo = a_hi * m_lo
+    cross = (a_lo * m_lo >> _SHIFT32) + (hi_lo & _LOW32) + a_lo * m_hi  # < 2**64
+    return a_hi * m_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32), a * m
+
+
+def trial_words(seed: int, point: int, start: int, size: int, words: int) -> np.ndarray:
+    """The first ``words`` raw outputs of the streams of trials ``start .. start + size - 1``.
+
+    Row i equals ``philox_generator(seed, point, start + i).bit_generator
+    .random_raw(words)``: Philox4x64-10 run on ``uint64`` vectors for all
+    trials at once. A fresh numpy stream bumps its counter before each
+    block of four words, so block k of a trial is counter (k, 0, 0, 0) for
+    k = 1, 2, ... The trial range must be one ``_trial_keys`` block.
+    """
+    blocks = -(-words // 4)
+    # one lane per (block, trial), block-major, so every vector op runs over the trials
+    k0, k1 = np.tile(_trial_keys(seed, point, start, size).T, blocks)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64).repeat(size)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M0)
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M1)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    lanes = np.stack([c0, c1, c2, c3]).reshape(4, blocks, size)
+    return lanes.transpose(2, 1, 0).reshape(size, 4 * blocks)[:, :words]

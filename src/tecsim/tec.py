@@ -27,7 +27,7 @@ from .complexes import (
     volume_boundary_masks,
 )
 from .errors import CapacityError
-from .rng import _KEY_BLOCK, philox_generator, trial_generators
+from .rng import _KEY_BLOCK, philox_generator, trial_generators, trial_words
 
 SWEEP_ENGINES = ("fast", "tableau", "dense")
 
@@ -300,33 +300,36 @@ def _face_readout_map() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return terms[:, 1 : 1 + len(faces)], terms[:, 1 + len(faces) :], terms[:, 0]
 
 
-def _count_failures_tableau(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
-    """Sign-frame tableau path: the counts of a ``simulate_trial`` loop on the tableau.
+def _face_outcomes(p: float, seed: int, point_index: int, start: int, size: int) -> np.ndarray:
+    """Observed face-flip bitmask of each trial in one ``trial_words`` block.
 
-    Each trial still draws from its own stream what ``simulate_trial`` draws,
-    ``random(F)`` and then ``integers(0, 2)`` per random outcome. Blocks of
-    trials then go through :func:`_face_readout_map` at once, and the observed
-    face flips are counted and looked up in ``G8_CODE.tables`` as the fast
-    kernel does.
+    A trial's stream draws what ``simulate_trial`` draws: ``random(F)``, one
+    double per raw word, then ``integers(0, 2)`` per random outcome, which is
+    bit 31 of the low and then of the high 32-bit half of the next words.
     """
     a, b, c = _face_readout_map()
     faces, randoms = b.shape
-    block = min(_KEY_BLOCK, trials)
-    draws = np.empty((block, faces))
-    rows = list(draws)  # one view per trial, filled in place by its stream
-    face_bits = 1 << np.arange(faces)
-    counts = np.zeros(1 << faces, dtype=np.int64)
-    streams = trial_generators(seed, point_index, trials)
-    for start in range(0, trials, block):
-        size = min(block, trials - start)
-        bits = []
-        for row, rng in zip(rows[:size], streams):
-            rng.random(out=row)
-            for _ in range(randoms):
-                bits.append(rng.integers(0, 2))
-        flips = draws[:size] < p
-        outcomes = (flips @ a.T + np.reshape(bits, (size, randoms)) @ b.T + c) & 1
-        counts += np.bincount(outcomes @ face_bits, minlength=1 << faces)
+    words = trial_words(seed, point_index, start, size, faces + -(-randoms // 2))
+    flips = (words[:, :faces] >> np.uint64(11)) * 2.0**-53 < p
+    k = np.arange(randoms, dtype=np.uint64)
+    bits = ((words[:, faces + k // 2] >> (31 + 32 * (k % 2))) & 1).astype(np.int64)
+    return ((flips @ a.T + bits @ b.T + c) & 1) @ (1 << np.arange(faces))
+
+
+def _count_failures_tableau(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
+    """Sign-frame tableau path: the counts of a ``simulate_trial`` loop on the tableau.
+
+    Every trial draws from its own stream what ``simulate_trial`` draws,
+    computed ``_KEY_BLOCK`` trials at a time from raw Philox words; each
+    block goes through :func:`_face_readout_map` at once, and the observed
+    face flips are counted and looked up in ``G8_CODE.tables`` as the fast
+    kernel does.
+    """
+    patterns = len(G8_CODE.tables[0])
+    counts = np.zeros(patterns, dtype=np.int64)
+    for start in range(0, trials, _KEY_BLOCK):
+        outcomes = _face_outcomes(p, seed, point_index, start, min(_KEY_BLOCK, trials - start))
+        counts += np.bincount(outcomes, minlength=patterns)
     return tuple((G8_CODE.tables @ counts).tolist())
 
 

@@ -184,6 +184,21 @@ def test_witness_report(capsys):
     assert results[1.0]["settings"]["A0"] == pytest.approx(1.0)
 
 
+def test_consecutive_calls_do_not_leak_parsed_state(capsys):
+    """The parser is built once per process; every call still starts from the defaults."""
+    assert run_cli(capsys, "witness", "--visibility", "0.5")[0] == 0
+    code, out, _ = run_cli(capsys, "witness")
+    assert code == 0
+    assert [r["visibility"] for r in json.loads(out)["results"]] == list(cli.DEFAULT_VISIBILITIES)
+
+    sweep = ("sweep", "--steps", "1", "--trials", "20", "--p-min", "0.5", "--p-max", "0.5")
+    assert run_cli(capsys, *sweep, "--engine", "tableau")[1].startswith("#")
+    code, out, _ = run_cli(capsys, *sweep, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["engine"] == "fast"
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_witness_rejects_bad_visibility(capsys):
     code, _, err = run_cli(capsys, "witness", "--visibility", "1.5")
     assert code == 1

@@ -363,6 +363,21 @@ def test_sign_frame_counts_match_per_trial_loop_at_the_key_block():
         assert tec._count_failures_tableau(0.05, trials, seed, 1) == running[trials - 1], trials
 
 
+@pytest.mark.parametrize("p", [0.05, 0.5])
+def test_block_face_outcomes_are_each_trials_readout(p):
+    """Every trial's observed face flips, random outcomes included, are its per-trial readout.
+
+    The counts cannot show the random outcomes: on g8 they flip all six faces
+    together, which changes no verdict.
+    """
+    seed, point, start, size = 2**64 + 3, 2, 2 * tec._KEY_BLOCK, 40
+    got = tec._face_outcomes(p, seed, point, start, size)
+    for i in range(size):
+        rng = philox_generator(seed, point, start + i)
+        _, _, record = run_pattern(sample_errors(NoiseModel(p), rng), rng)
+        assert got[i] == G8_CODE.flips(record), i
+
+
 def test_face_readout_map_is_the_g8_readout():
     """Face 1 reads the first random outcome; other faces add their own flip and face 1's."""
     a, b, c = tec._face_readout_map()
