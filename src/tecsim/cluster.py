@@ -8,7 +8,6 @@ for cross-validation and non-Clifford observables.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,42 +59,9 @@ class InteractionGraph:
         except KeyError:
             raise KeyError(f"unknown qubit {label!r}") from None
 
-    def kind(self, label: str) -> str:
-        return self.kinds[self.index(label)]
-
     def edge_indexes(self) -> list[tuple[int, int]]:
         pos = self._pos
         return [(pos[a], pos[b]) for a, b in self.edges]
-
-    def to_json(self) -> str:
-        """Adjacency lists keyed by qubit label, plus the face|edge tags."""
-        adjacency = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-        for nbrs in adjacency.values():
-            nbrs.sort()
-        kinds = dict(zip(self.vertices, self.kinds))
-        return json.dumps(
-            {"qubits": list(self.vertices), "kinds": kinds, "adjacency": adjacency},
-            indent=2,
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "InteractionGraph":
-        payload = json.loads(text)
-        vertices = tuple(payload["qubits"])
-        kinds = tuple(payload["kinds"][v] for v in vertices)
-        edges = []
-        seen = set()
-        for a, nbrs in payload["adjacency"].items():
-            for b in nbrs:
-                key = frozenset((a, b))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append((a, b))
-        return cls(vertices, kinds, tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -166,7 +132,8 @@ class ClusterState:
     ``backend`` is a :class:`StabilizerTableau` or a :class:`dense.StateVector`.
     Both speak the same protocol, so nothing below asks which one it holds:
     ``copy()``, ``apply_gate(gate, *targets)``, ``measure_pauli(op, rng)``,
-    ``measure_x(q, rng)``, ``measure_z(q, rng)`` and ``expectation_pauli(op)``.
+    ``measure_x(q, rng)``, ``measure_z(q, rng)``, ``readout_x(rng)`` and
+    ``expectation_pauli(op)``.
     """
 
     graph: InteractionGraph
@@ -223,13 +190,16 @@ def surface_correlation(state: ClusterState, face_qubits) -> int:
 def measure_all(
     state: ClusterState, rng: np.random.Generator, basis: str = "x"
 ) -> OutcomeRecord:
-    """Destructive single-basis readout of every qubit, in vertex order."""
+    """Single-basis readout of every qubit, in vertex order; ``state`` is left as is."""
     if basis not in ("x", "z"):
         raise ValueError(f"basis must be 'x' or 'z', got {basis!r}")
-    work = state.copy()
-    measure = work.backend.measure_x if basis == "x" else work.backend.measure_z
-    outcomes = {label: measure(i, rng) for i, label in enumerate(work.graph.vertices)}
-    return OutcomeRecord(outcomes, {label: basis for label in outcomes})
+    if basis == "x":
+        values = state.backend.readout_x(rng)
+    else:
+        work = state.backend.copy()
+        values = [work.measure_z(i, rng) for i in range(state.graph.qubit_count)]
+    outcomes = dict(zip(state.graph.vertices, values))
+    return OutcomeRecord(outcomes, dict.fromkeys(outcomes, basis))
 
 
 def carve_defect(

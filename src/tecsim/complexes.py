@@ -208,9 +208,10 @@ def is_closed(chain: Chain, cx: CellComplex) -> bool:
     return not boundary(chain, cx).cells
 
 
-def _gf2_echelon(vectors: list[int]) -> dict[int, tuple[int, int]]:
-    """Echelon basis of ``vectors``: top bit -> (row, chooser of the vectors in it)."""
-    pivots: dict[int, tuple[int, int]] = {}
+def _gf2_echelon(vectors: list[int]) -> tuple[dict[int, tuple[int, int]], dict[int, int]]:
+    """Echelon of ``vectors``, reduced in order: pivots, top bit -> (row, chooser of the
+    vectors in it), and dependent, i -> chooser of the zero sum that vector i reduces to."""
+    pivots, dependent = {}, {}
     for i, vec in enumerate(vectors):
         combo = 1 << i
         while vec:
@@ -221,7 +222,9 @@ def _gf2_echelon(vectors: list[int]) -> dict[int, tuple[int, int]]:
             pv, pc = pivots[top]
             vec ^= pv
             combo ^= pc
-    return pivots
+        else:
+            dependent[i] = combo
+    return pivots, dependent
 
 
 def _gf2_reduce(pivots: dict[int, tuple[int, int]], target: int) -> tuple[int, int]:
@@ -260,7 +263,7 @@ def volume_boundary_masks(cx: CellComplex) -> tuple[int, ...]:
 def _volume_echelon(cx: CellComplex) -> tuple[dict[str, int], dict[int, tuple[int, int]]]:
     """Face positions and the echelon of the volume boundaries over them."""
     face_index = {name: i for i, name in enumerate(cx.cells(2))}
-    return face_index, _gf2_echelon([_face_mask(cx.volumes[v], face_index) for v in cx.cells(3)])
+    return face_index, _gf2_echelon([_face_mask(cx.volumes[v], face_index) for v in cx.cells(3)])[0]
 
 
 def homologically_equivalent(

@@ -167,6 +167,11 @@ class StateVector:
         """Projective single-qubit Z measurement."""
         return self.measure_pauli(PauliOperator.single(self.n, q, "Z"), rng)
 
+    def readout_x(self, rng: np.random.Generator) -> list[int]:
+        """X outcomes (+-1) of every qubit, measured in qubit order; the state is left as is."""
+        work = self.copy()
+        return [work.measure_x(q, rng) for q in range(self.n)]
+
 
 def build_graph_state_dense(graph) -> StateVector:
     """CZ over the interaction edges applied to the uniform superposition.

@@ -4,20 +4,19 @@ Rows are stored as integer bitsets (one x word-set and one z word-set per
 row) so gate and measurement updates cost O(n/word) per row. Rows 0..n-1
 hold destabilizers, rows n..2n-1 the stabilizers; keeping destabilizers
 makes deterministic-outcome detection a single O(n^2) pass instead of a
-Gaussian elimination per measurement.
+Gaussian elimination per measurement. A graph state's X readout skips both:
+:func:`_graph_readout_x` reads it from one echelon of the neighbour masks.
 
 A sign is a GF(2) affine form held as an int: bit 0 is the constant, each
-higher bit a variable. Concrete states use 0 and 1 only; the symbolic
-readout :meth:`StabilizerTableau.readout_forms_x` adds variables.
+higher bit a variable. Concrete states use 0 and 1 only; a symbolic readout
+passes forms with variables through the same code.
 """
 
 from __future__ import annotations
 
-from itertools import count
-from types import SimpleNamespace
-
 import numpy as np
 
+from .complexes import _gf2_echelon
 from .pauli import PauliOperator, _product_i_exponent
 
 _GATES_1 = frozenset({"H", "S", "X", "Z"})
@@ -171,25 +170,20 @@ class StabilizerTableau:
         anti = [j for j in range(2 * self.n) if zs[j] & bit]
         return self._collapse(anti, bit, 0, 0, rng)
 
-    def readout_forms_x(self, flip_qubits) -> list[int]:
-        """Sign forms of an X readout of every qubit, in qubit order, after Z flips.
+    def readout_x(self, rng: np.random.Generator) -> list[int]:
+        """X outcomes (+-1) of every qubit, measured in qubit order; the state is left as is.
 
-        Variable v (bit v + 1) is a Z on ``flip_qubits[v]``; each random
-        outcome takes the next free bit, in readout order. Qubit i reads -1
-        exactly when ``forms[i]`` has odd overlap with ``1 | flips << 1 |
-        bits << (1 + len(flip_qubits))``, the bits being the random outcomes.
-        The state is not disturbed.
+        Stabilizer rows +-X_v Z_N(v) are read out in closed form: outcomes depend
+        on the stabilizers alone, so the destabilizers need not be Z_v. Any other
+        rows collapse qubit by qubit on a copy. Both draw the same bits in order.
         """
-        work = self.copy()
-        xs, rs = work._xs, work._rs
-        for v, q in enumerate(flip_qubits):
-            bit = 1 << q
-            for j in range(2 * self.n):
-                if xs[j] & bit:
-                    rs[j] ^= 2 << v
-        fresh = count(1 + len(flip_qubits))  # each random outcome draws a new variable
-        variables = SimpleNamespace(integers=lambda low, high: 1 << next(fresh))
-        return [work._collapse_x(q, variables) for q in range(self.n)]
+        n, masks = self.n, self._zs[self.n :]
+        if all(x == 1 << v and not m >> v & 1 for v, (x, m) in enumerate(zip(self._xs[n:], masks))):
+            bits = _graph_readout_x(masks, self._rs[n:], lambda: int(rng.integers(0, 2)))
+        else:
+            work = self.copy()
+            bits = [work._collapse_x(q, rng) for q in range(n)]
+        return [1 - 2 * bit for bit in bits]
 
     def measure_z(self, q: int, rng: np.random.Generator) -> int:
         """Projective single-qubit Z measurement."""
@@ -229,7 +223,7 @@ class StabilizerTableau:
         """Measure +-(xm, zm) and return the outcome's sign form (0 for +1, 1 for -1).
 
         A random outcome is ``rng.integers(0, 2)``: a drawn bit, or a fresh
-        variable in :meth:`readout_forms_x`.
+        variable when ``rng`` hands out sign forms.
         """
         n = self.n
         if not anti or anti[-1] < n:
@@ -279,12 +273,36 @@ class StabilizerTableau:
         j = i + self.n
         return PauliOperator(self.n, self._xs[j], self._zs[j], 2 * self._rs[j])
 
-    def destabilizer(self, i: int) -> PauliOperator:
-        return PauliOperator(self.n, self._xs[i], self._zs[i], 2 * self._rs[i])
-
     def stabilizers(self) -> list[PauliOperator]:
         return [self.stabilizer(i) for i in range(self.n)]
 
     def __repr__(self) -> str:
         rows = ", ".join(s.to_text() for s in self.stabilizers())
         return f"StabilizerTableau(n={self.n}, stabilizers=[{rows}])"
+
+
+def _graph_readout_x(masks: list[int], signs: list[int], draw) -> list[int]:
+    """Sign forms of the X readout, qubit by qubit in order, of a graph state.
+
+    Stabilizer v is (-1)^signs[v] X_v Z_masks[v]. Outcome i is fixed iff
+    masks[i] reduces to zero against masks[0..i-1]. The chooser S of that zero
+    sum holds i, and K_S = (-1)^(e(S) + sum of signs over S) X_S, e(S) being
+    the graph edges inside S; so outcome i is that sign plus the outcomes of
+    S - {i}. Any other outcome is ``draw()``. Everything adds by XOR, so signs
+    and draws may be bits or sign forms.
+    """
+    _, dependent = _gf2_echelon(masks)
+    out: list[int] = []
+    for i, mask in enumerate(masks):
+        chooser = dependent.get(i)
+        if chooser is None:
+            out.append(draw())
+            continue
+        form, edges, rest = signs[i], (mask & chooser).bit_count(), chooser ^ (1 << i)
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest ^= 1 << v
+            form ^= signs[v] ^ out[v]
+            edges += (masks[v] & chooser).bit_count()
+        out.append(form ^ (edges >> 1 & 1))
+    return out

@@ -28,6 +28,7 @@ from .complexes import (
 )
 from .errors import CapacityError
 from .rng import _KEY_BLOCK, philox_generator, trial_generators, trial_words
+from .tableau import _graph_readout_x
 
 SWEEP_ENGINES = ("fast", "tableau", "dense")
 
@@ -288,12 +289,16 @@ def _face_readout_map() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Row and flip column v are face ``G8_CODE.faces[v]``; column k of B is the
     k-th random outcome in readout order; an outcome bit of 1 reads -1. One
-    symbolic readout of the tableau gives all three, and every trial's
-    readout follows it, because Z flips and draws only change sign bits.
+    closed-form readout of the graph state, with sign forms, gives all three;
+    every trial's readout follows it, because Z flips and draws only change sign bits.
     """
     state = _base_state("tableau", "z")
     faces = [state.index(face) for face in G8_CODE.faces]
-    forms = state.backend.readout_forms_x(faces)
+    masks = [row.z_bits for row in state.backend.stabilizers()]
+    # the graph state's signs are +1, and a Z on qubit q flips stabilizer q alone
+    signs = [2 << faces.index(q) if q in faces else 0 for q in range(len(masks))]
+    fresh = iter(range(1 + len(faces), 1 + len(faces) + len(masks)))  # one per random outcome
+    forms = _graph_readout_x(masks, signs, lambda: 1 << next(fresh))
     # each random outcome is its own form, so the longest form spans every variable
     variables = max(1 + len(faces), *(form.bit_length() for form in forms))
     terms = np.array([[forms[q] >> b & 1 for b in range(variables)] for q in faces], np.int64)

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -35,7 +34,7 @@ G8_FACES = tuple(f"f{i}" for i in range(1, 7))
 
 
 def neighbors(graph, label):
-    """Sorted neighbours of one vertex by a scan of every edge: the reference for to_json."""
+    """Sorted neighbours of one vertex by a scan of every edge."""
     out = [b if a == label else a for a, b in graph.edges if label in (a, b)]
     return tuple(sorted(out))
 
@@ -110,13 +109,6 @@ def test_graph_validation():
         InteractionGraph(("a",), ("face",), (("a", "b"),))
     with pytest.raises(ValueError, match="kind"):
         InteractionGraph(("a",), ("blob",), ())
-
-
-def test_graph_json_round_trip(g8_graph):
-    again = InteractionGraph.from_json(g8_graph.to_json())
-    assert again.vertices == g8_graph.vertices
-    assert again.kinds == g8_graph.kinds
-    assert {frozenset(e) for e in again.edges} == {frozenset(e) for e in g8_graph.edges}
 
 
 def test_generator_for_isolated_vertex():
@@ -360,11 +352,89 @@ def test_cluster_state_holds_one_backend(g8_graph, engine, backend_type):
     assert copied.graph is state.graph and copied.backend is not state.backend
 
 
-def test_graph_json_and_index_match_per_vertex_scans():
+def test_graph_index_matches_per_vertex_scans():
     graph = interaction_graph(build_cuboid_complex(2, 2, 2))
-    payload = json.loads(graph.to_json())
-    assert payload["adjacency"] == {v: list(neighbors(graph, v)) for v in graph.vertices}
     assert [graph.index(v) for v in graph.vertices] == list(range(graph.qubit_count))
     assert graph.edge_indexes() == [(graph.vertices.index(a), graph.vertices.index(b)) for a, b in graph.edges]
     with pytest.raises(KeyError, match="unknown qubit"):
         graph.index("nowhere")
+
+
+# ----------------------------------------------------------------------
+# X readout: closed form on graph states, per-qubit collapse elsewhere
+
+
+def per_qubit_readout(state, rng, basis="x"):
+    """Reference readout: one single-qubit collapse per qubit, in vertex order, on a copy."""
+    work = state.backend.copy()
+    measure = work.measure_x if basis == "x" else work.measure_z
+    return [measure(q, rng) for q in range(state.graph.qubit_count)]
+
+
+def record_values(record, state):
+    return [record.value(label) for label in state.graph.vertices]
+
+
+@pytest.mark.parametrize(
+    "dims, seed",
+    [
+        pytest.param(dims, seed, id=f"{'x'.join(map(str, dims))}-seed{seed}")
+        for dims, seeds in [((2, 2, 2), (1, 2, 3)), ((3, 3, 2), (1, 2, 3)), ((3, 3, 3), (1, 2, 3)),
+                            ((4, 4, 4), (1, 2, 3)), ((6, 6, 6), (1,))]
+        for seed in seeds
+    ],
+)
+def test_cuboid_x_readout_matches_per_qubit_collapse(dims, seed):
+    state = build_cluster(interaction_graph(build_cuboid_complex(*dims)), "tableau")
+    record = measure_all(state, philox_generator(seed), "x")
+    assert record_values(record, state) == per_qubit_readout(state, philox_generator(seed))
+
+
+def _h_and_s(state):
+    state.backend.apply_gate("H", 2)
+    state.backend.apply_gate("S", 6)
+    return state
+
+
+def _carved(state):
+    return carve_defect(state, ["f2", "e8"], philox_generator(12))[0]
+
+
+@pytest.mark.parametrize("prepare", [_h_and_s, _carved], ids=["H and S", "carve_defect"])
+def test_x_readout_off_graph_form_falls_back_to_collapse(g8_tableau, prepare, monkeypatch):
+    state = prepare(g8_tableau.copy())
+    expected = [per_qubit_readout(state, philox_generator(13, t)) for t in range(20)]
+
+    def closed_form(*args):
+        raise AssertionError("closed form taken off graph form")
+
+    monkeypatch.setattr("tecsim.tableau._graph_readout_x", closed_form)
+    for t in range(20):
+        assert record_values(measure_all(state, philox_generator(13, t), "x"), state) == expected[t]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_z_readout_matches_per_qubit_collapse(g8_graph, engine):
+    state = build_cluster(g8_graph, engine)
+    state.backend.apply_gate("Z", 3)
+    for t in range(10):
+        record = measure_all(state, philox_generator(14, t), "z")
+        expected = per_qubit_readout(state, philox_generator(14, t), "z")
+        assert record_values(record, state) == expected
+        assert set(record.basis.values()) == {"z"}
+
+
+def test_z_flipped_graph_state_is_read_out_in_closed_form(monkeypatch):
+    cx = build_cuboid_complex(3, 3, 2)
+    state = build_cluster(interaction_graph(cx), "tableau")
+    for q in range(0, state.graph.qubit_count, 3):
+        state.backend.apply_gate("Z", q)
+    expected = per_qubit_readout(state, philox_generator(15))
+
+    def collapse(*args):
+        raise AssertionError("per-qubit collapse taken on a graph state")
+
+    monkeypatch.setattr(StabilizerTableau, "_collapse_x", collapse)
+    record = measure_all(state, philox_generator(15), "x")
+    assert record_values(record, state) == expected
+    assert state.backend.readout_x(philox_generator(15)) == expected  # the state is left as is

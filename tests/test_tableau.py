@@ -1,3 +1,6 @@
+from itertools import count
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +17,7 @@ from tecsim.complexes import build_cuboid_complex, build_elementary_cell, build_
 from tecsim.dense import StateVector
 from tecsim.pauli import PauliOperator, multiply, pauli_from_text, pauli_to_text
 from tecsim.rng import philox_generator
-from tecsim.tableau import StabilizerTableau
+from tecsim.tableau import StabilizerTableau, _graph_readout_x
 
 GATE_POOL = (("H", 1), ("S", 1), ("X", 1), ("Z", 1), ("CZ", 2), ("CNOT", 2))
 
@@ -352,6 +355,28 @@ class ScriptedBits:
         return self.bits[self.used - 1]
 
 
+def readout_forms_x(tab, flip_qubits):
+    """Reference symbolic readout: sign forms of an X readout of every qubit, after Z flips.
+
+    Qubits are read in order. Variable v (bit v + 1) is a Z on
+    ``flip_qubits[v]``; each random outcome takes the next free bit, in
+    readout order. Qubit i reads -1 exactly when ``forms[i]`` has odd overlap
+    with ``1 | flips << 1 | bits << (1 + len(flip_qubits))``, the bits being
+    the random outcomes. Runs the per-qubit tableau collapse on a copy, with
+    an rng that hands out variables instead of bits.
+    """
+    work = tab.copy()
+    xs, rs = work._xs, work._rs
+    for v, q in enumerate(flip_qubits):
+        bit = 1 << q
+        for j in range(2 * tab.n):
+            if xs[j] & bit:
+                rs[j] ^= 2 << v
+    fresh = count(1 + len(flip_qubits))  # each random outcome draws a new variable
+    variables = SimpleNamespace(integers=lambda low, high: 1 << next(fresh))
+    return [work._collapse_x(q, variables) for q in range(tab.n)]
+
+
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(random_graphs(max_qubits=10), st.data())
 def test_readout_forms_match_concrete_x_readout(graph, data):
@@ -369,7 +394,7 @@ def test_readout_forms_match_concrete_x_readout(graph, data):
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="bits")
 
     before = [row.copy() for row in rows(state.backend)]
-    forms = state.backend.readout_forms_x(flip_qubits)
+    forms = readout_forms_x(state.backend, flip_qubits)
     assert list(rows(state.backend)) == before  # the symbolic pass leaves the state alone
     values = [1, *flips, *bits]
     point = sum(v << i for i, v in enumerate(values))
@@ -384,3 +409,66 @@ def test_readout_forms_match_concrete_x_readout(graph, data):
     assert symbolic == [record.value(label) for label in labels]
     # one variable per random outcome, none beyond them
     assert max(form.bit_length() for form in forms) <= 1 + len(flip_qubits) + feed.used
+
+
+# ----------------------------------------------------------------------
+# closed-form X readout of graph states against per-qubit collapse
+
+
+def labelled_cluster(n, edges):
+    labels = tuple(f"q{i}" for i in range(n))
+    graph = InteractionGraph(labels, ("face",) * n, tuple((labels[a], labels[b]) for a, b in edges))
+    return build_cluster(graph)
+
+
+def per_qubit_x_readout(state, rng):
+    """Reference X readout: one ``measure_x`` collapse per qubit, on a copy."""
+    work = state.backend.copy()
+    return [work.measure_x(q, rng) for q in range(work.n)]
+
+
+@st.composite
+def dense_graphs(draw, max_qubits=40):
+    """Graphs with each pair joined by a coin flip, so odd cycles, where e(S) is odd, are common."""
+    n = draw(st.integers(1, max_qubits))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    joined = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [pair for pair, join in zip(pairs, joined) if join]
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.one_of(random_graphs(max_qubits=40), dense_graphs()), st.data())
+def test_closed_form_x_readout_matches_per_qubit_collapse(graph, data):
+    n, edges = graph
+    state = labelled_cluster(n, edges)
+    for q in data.draw(st.sets(st.integers(0, n - 1)), label="Z flips"):
+        state.backend.apply_gate("Z", q)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    record = measure_all(state, philox_generator(seed, 0), "x")
+    assert [record.value(label) for label in state.graph.vertices] == per_qubit_x_readout(
+        state, philox_generator(seed, 0)
+    )
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="bits")
+    ours, reference = ScriptedBits(bits), ScriptedBits(bits)
+    record = measure_all(state, ours, "x")
+    assert [record.value(label) for label in state.graph.vertices] == per_qubit_x_readout(
+        state, reference
+    )
+    assert ours.used == reference.used
+
+
+@pytest.mark.parametrize("name", ["g8", "elementary", "cuboid 2x2x2", "cuboid 3x3x2"])
+def test_closed_form_sign_forms_equal_reference_forms(name):
+    state = build_cluster(interaction_graph(COMPLEXES[name]()))
+    tab = state.backend
+    rng = np.random.default_rng(len(name))
+    for _ in range(5):
+        flip_qubits = [int(q) for q in rng.choice(tab.n, size=min(12, tab.n), replace=False)]
+        signs = [0] * tab.n
+        for v, q in enumerate(flip_qubits):
+            signs[q] ^= 2 << v
+        fresh = count(1 + len(flip_qubits))
+        forms = _graph_readout_x(
+            [s.z_bits for s in tab.stabilizers()], signs, lambda: 1 << next(fresh)
+        )
+        assert forms == readout_forms_x(tab, flip_qubits)
