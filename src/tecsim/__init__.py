@@ -53,7 +53,6 @@ from .tec import (
     monte_carlo_sweep,
     sample_errors,
     simulate_trial,
-    theta_to_p,
 )
 from .witness import (
     MeasurementSetting,

@@ -10,17 +10,16 @@ measurement index.
 
 ``philox_generator`` builds one such stream and is the reference.
 ``_trial_keys`` derives the keys of a block of ``(seed, point, trial)``
-paths in one vectorised pass of the same ``SeedSequence`` hash. The dense
-sweep's ``trial_generators`` rekeys a single reused generator with them
-before each trial. The tableau sweep's ``trial_words`` runs Philox4x64-10
-on them directly, computing the raw words of every trial of a block at once.
-Both are bitwise identical to ``philox_generator(seed, point, trial)``.
+paths in one vectorised pass of the same ``SeedSequence`` hash, and
+``trial_words`` runs Philox4x64-10 on them, computing the raw words of every
+trial of a block at once, bitwise identical to the stream of
+``philox_generator(seed, point, trial)``. The tableau and dense sweeps read
+their draws from these words.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -111,27 +110,6 @@ def _trial_keys(seed: int, point: int, start: int, size: int) -> np.ndarray:
         raise ValueError("trial block crosses a 32-bit boundary of the trial index")
     trials = np.arange(low, low + size, dtype=np.uint32)
     return _philox_keys(run_words + _uint32_words(point) + [trials, *high])
-
-
-def trial_generators(seed: int, point: int, trials: int) -> Iterator[np.random.Generator]:
-    """Yield the streams of ``(seed, point, t)`` for ``t = 0 .. trials - 1``.
-
-    Each yielded stream draws exactly what ``philox_generator(seed, point,
-    t)`` draws. The same ``Generator`` object is yielded every time and is
-    rekeyed before the next trial, so use it before advancing the iterator.
-    Keys are derived ``_KEY_BLOCK`` trials at a time, so memory does not
-    grow with ``trials``.
-    """
-    if operator.index(trials) < 0:
-        raise ValueError("expected non-negative integer")
-    bitgen = np.random.Philox(0)
-    generator = np.random.Generator(bitgen)
-    state = bitgen.state  # a fresh stream: zero counter, empty buffer; only the key changes
-    for start in range(0, trials, _KEY_BLOCK):
-        for key in _trial_keys(seed, point, start, min(_KEY_BLOCK, trials - start)):
-            state["state"]["key"] = key
-            bitgen.state = state
-            yield generator
 
 
 # Philox4x64-10 constants (Random123, as in numpy/random/src/philox/philox.h)

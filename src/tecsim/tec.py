@@ -10,7 +10,6 @@ Monte-Carlo sweeps and the analytic error curves that enumeration reproduces.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -27,7 +26,7 @@ from .complexes import (
     volume_boundary_masks,
 )
 from .errors import CapacityError
-from .rng import _KEY_BLOCK, philox_generator, trial_generators, trial_words
+from .rng import _KEY_BLOCK, philox_generator, trial_words
 from .tableau import _graph_readout_x
 
 SWEEP_ENGINES = ("fast", "tableau", "dense")
@@ -141,11 +140,6 @@ class NoiseModel:
             raise ValueError(f"frame must be 'z' or 'x', got {self.frame!r}")
 
 
-def theta_to_p(theta: float) -> float:
-    """Half-wave-plate angle to bit-flip probability: sin^2(2 theta)."""
-    return math.sin(2.0 * theta) ** 2
-
-
 def sample_errors(model: NoiseModel, rng: np.random.Generator) -> frozenset:
     """Include each target independently with probability p."""
     draws = rng.random(len(model.targets))
@@ -203,12 +197,6 @@ def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
     _check_probability(p)
     weights = np.bitwise_count(np.flatnonzero(code.tables[0])).tolist()
     return sum(p**w * (1.0 - p) ** (len(code.faces) - w) for w in weights)
-
-
-def success_weight_profile() -> dict[int, int]:
-    """Pattern count per weight among the g8 decoder's success set."""
-    weights = np.bitwise_count(np.flatnonzero(G8_CODE.tables[0] == 0)).tolist()
-    return dict(sorted(Counter(weights).items()))
 
 
 # ----------------------------------------------------------------------
@@ -321,31 +309,72 @@ def _face_outcomes(p: float, seed: int, point_index: int, start: int, size: int)
     return ((flips @ a.T + bits @ b.T + c) & 1) @ (1 << np.arange(faces))
 
 
+def _count_face_flips(face_flips, block: int, p: float, trials: int, seed: int, point_index: int):
+    """Failure counts from ``face_flips(p, seed, point_index, start, size)``, the observed
+    face-flip bitmasks of one block, looked up in ``G8_CODE.tables`` as the fast kernel does."""
+    patterns = len(G8_CODE.tables[0])
+    counts = np.zeros(patterns, dtype=np.int64)
+    for start in range(0, trials, block):
+        flips = face_flips(p, seed, point_index, start, min(block, trials - start))
+        counts += np.bincount(flips, minlength=patterns)
+    return tuple((G8_CODE.tables @ counts).tolist())
+
+
 def _count_failures_tableau(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
     """Sign-frame tableau path: the counts of a ``simulate_trial`` loop on the tableau.
 
     Every trial draws from its own stream what ``simulate_trial`` draws,
     computed ``_KEY_BLOCK`` trials at a time from raw Philox words; each
-    block goes through :func:`_face_readout_map` at once, and the observed
-    face flips are counted and looked up in ``G8_CODE.tables`` as the fast
-    kernel does.
+    block goes through :func:`_face_readout_map` at once.
     """
-    patterns = len(G8_CODE.tables[0])
-    counts = np.zeros(patterns, dtype=np.int64)
-    for start in range(0, trials, _KEY_BLOCK):
-        outcomes = _face_outcomes(p, seed, point_index, start, min(_KEY_BLOCK, trials - start))
-        counts += np.bincount(outcomes, minlength=patterns)
-    return tuple((G8_CODE.tables @ counts).tolist())
+    return _count_face_flips(_face_outcomes, _KEY_BLOCK, p, trials, seed, point_index)
+
+
+# Trials per dense block: a divisor of _KEY_BLOCK; a (256, 2^8) complex block is 1 MiB.
+_DENSE_BLOCK = 256
+
+
+def _dense_readout(p: float, seed: int, point_index: int, start: int, size: int) -> np.ndarray:
+    """X outcomes (+-1, in qubit order) of trials ``start .. start + size - 1`` on the dense engine.
+
+    The block runs as one ``(size, 2^n)`` amplitude array. Each trial reads F + n raw
+    words of its own stream, as ``simulate_trial`` draws them: ``random(F)`` for its Z
+    flips, sign vectors on the cached graph state, then one ``random()`` per random
+    outcome. Each X measurement is ``StateVector.measure_pauli``'s, row by row: the
+    expectation and its thresholds, a draw only where the outcome is random, the projection.
+    """
+    state = _base_state("dense", "z")
+    n, faces = state.graph.qubit_count, len(G8_CODE.faces)
+    draws = (trial_words(seed, point_index, start, size, faces + n) >> np.uint64(11)) * 2.0**-53
+    flipped = (draws[:, :faces] < p) @ [1 << (n - 1 - state.index(f)) for f in G8_CODE.faces]
+    parity = np.bitwise_count(flipped[:, None] & np.arange(1 << n)) & 1  # qubit 0 is the top bit
+    amps = state.backend.amps * (1.0 - 2.0 * parity)
+    cursor = np.full(size, faces)  # each row's next unread word
+    outcomes = np.empty((size, n), dtype=np.int64)
+    for q in range(n):
+        pairs = amps.reshape(size, 1 << q, 2, -1)  # X_q swaps pairs[:, :, 0] and pairs[:, :, 1]
+        re = pairs.view(np.float64)
+        expect = 2.0 * np.einsum("iab,iab->i", re[:, :, 0], re[:, :, 1])  # Re <psi|X_q|psi>
+        outcome = np.where(expect > 1.0 - 1e-9, 1, np.where(expect < -1.0 + 1e-9, -1, 0))
+        rows = np.flatnonzero(outcome == 0)
+        draw = draws[rows, cursor[rows]]
+        cursor[rows] += 1
+        outcome[rows] = sign = np.where(draw < 0.5 * (1.0 + expect[rows]), 1, -1)
+        # 0.5 (psi + sign X_q psi), whose two halves differ by the factor sign
+        sign = sign[:, None, None]
+        half = 0.5 * (pairs[rows, :, 0] + sign * pairs[rows, :, 1])
+        half /= np.sqrt(0.5 * (1.0 + sign * expect[rows, None, None]))
+        pairs[rows, :, 0], pairs[rows, :, 1] = half, sign * half
+        outcomes[:, q] = outcome
+    return outcomes
 
 
 def _count_failures_dense(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
-    model = NoiseModel(p)
-    protected = unprotected = 0
-    for rng in trial_generators(seed, point_index, trials):
-        pf, uf, _ = simulate_trial(model, rng, "dense")
-        protected += pf
-        unprotected += uf
-    return protected, unprotected
+    """Dense oracle path: the counts of a ``simulate_trial(..., "dense")`` loop, in blocks."""
+    faces = [_base_state("dense", "z").index(face) for face in G8_CODE.faces]
+    def face_flips(*block):
+        return (_dense_readout(*block)[:, faces] < 0) @ (1 << np.arange(len(faces)))
+    return _count_face_flips(face_flips, _DENSE_BLOCK, p, trials, seed, point_index)
 
 
 _KERNELS = {
@@ -355,9 +384,9 @@ _KERNELS = {
 }
 
 
-def _sweep_job(args) -> tuple[int, int, int]:
+def _sweep_job(args) -> tuple[int, int]:
     point_index, p, trials, seed, engine = args
-    return (point_index, *_KERNELS[engine](p, trials, seed, point_index))
+    return _KERNELS[engine](p, trials, seed, point_index)
 
 
 @dataclass(frozen=True)
@@ -422,17 +451,10 @@ def monte_carlo_sweep(
     for p in p_values:
         _check_probability(p)
     jobs = [(i, p, trials, seed, engine) for i, p in enumerate(p_values)]
-    results: dict[int, tuple[int, int]] = {}
     if workers > 1 and len(jobs) > 1:
         # a fork pool starts all its workers at once, so never more than there are jobs
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            for idx, prot, unprot in pool.map(_sweep_job, jobs):
-                results[idx] = (prot, unprot)
+            counts = list(pool.map(_sweep_job, jobs))  # in job order, whatever the completion order
     else:
-        for job in jobs:
-            idx, prot, unprot = _sweep_job(job)
-            results[idx] = (prot, unprot)
-    return [
-        SweepPoint(p, trials, results[i][0], results[i][1])
-        for i, p in enumerate(p_values)
-    ]
+        counts = list(map(_sweep_job, jobs))
+    return [SweepPoint(p, trials, *pair) for p, pair in zip(p_values, counts)]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tecsim import rng as rng_module
-from tecsim.rng import philox_generator, trial_generators, trial_words
+from tecsim.rng import _trial_keys, philox_generator, trial_words
 
 
 def test_same_path_gives_identical_streams():
@@ -32,8 +32,7 @@ def test_path_order_matters():
     assert not np.array_equal(a, b)
 
 
-# trial_generators: one vectorised key pass per sweep point, streams bitwise
-# identical to the philox_generator reference
+# _trial_keys: one vectorised pass of the SeedSequence hash per block of trials
 
 SEEDS = (0, 13, 2**32 - 1, 2**32, 2**64 + 3)
 POINTS = (0, 7, 2**33)
@@ -44,19 +43,14 @@ CHECKED_TRIALS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK)
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("point", POINTS)
-def test_trial_generators_match_seed_sequence_and_philox_generator(seed, point):
-    trials = 2 * BLOCK + 1
-    checked = 0
-    for t, gen in enumerate(trial_generators(seed, point, trials)):
-        if t in CHECKED_TRIALS:
-            key = np.random.SeedSequence(seed, spawn_key=(point, t)).generate_state(2, np.uint64)
-            assert np.array_equal(gen.bit_generator.state["state"]["key"], key), t
-            ref = philox_generator(seed, point, t)
-            assert np.array_equal(gen.random(5), ref.random(5)), t
-            assert np.array_equal(gen.integers(0, 2, size=9), ref.integers(0, 2, size=9)), t
-            checked += 1
-    assert t == trials - 1
-    assert checked == len(CHECKED_TRIALS)
+def test_trial_keys_match_seed_sequence(seed, point):
+    for start in (0, BLOCK, 2 * BLOCK):
+        keys = _trial_keys(seed, point, start, BLOCK)
+        assert keys.shape == (BLOCK, 2) and keys.dtype == np.uint64
+        for t in CHECKED_TRIALS:
+            if start <= t < start + BLOCK:
+                ref = np.random.SeedSequence(seed, spawn_key=(point, t)).generate_state(2, np.uint64)
+                assert np.array_equal(keys[t - start], ref), t
 
 
 @pytest.mark.parametrize("trial", (2**32 - 1, 2**32, 2**32 + BLOCK + 5, 2**64 + 1))
@@ -69,24 +63,10 @@ def test_key_pass_matches_seed_sequence_for_multiword_trials(trial):
     assert np.array_equal(rng_module._philox_keys(entropy)[0], ref)
 
 
-def test_trial_generators_rekey_after_partial_buffer_use():
-    # a draw that leaves Philox's output buffer half used must not leak into
-    # the next trial's stream
-    gens = trial_generators(4, 2, 3)
-    next(gens).integers(0, 2)
-    for t, gen in enumerate(gens, start=1):
-        ref = philox_generator(4, 2, t)
-        assert np.array_equal(gen.integers(0, 1 << 62, size=7), ref.integers(0, 1 << 62, size=7))
-
-
-def test_trial_generators_zero_trials_yields_nothing():
-    assert list(trial_generators(1, 0, 0)) == []
-
-
-@pytest.mark.parametrize("args", [(-1, 0, 3), (1, -1, 3), (1, 0, -3)])
-def test_trial_generators_reject_negative_input(args):
+@pytest.mark.parametrize("args", [(-1, 0, 0, 3), (1, -1, 0, 3), (1, 0, -3, 3)])
+def test_trial_keys_reject_negative_input(args):
     with pytest.raises(ValueError, match="expected non-negative integer"):
-        next(trial_generators(*args))
+        _trial_keys(*args)
 
 
 # trial_words: Philox4x64-10 on uint64 vectors, raw words bitwise equal to

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -30,8 +31,6 @@ from tecsim.tec import (
     run_pattern,
     sample_errors,
     simulate_trial,
-    success_weight_profile,
-    theta_to_p,
 )
 
 FACE_NUMBERS = (1, 2, 3, 4, 5, 6)
@@ -60,12 +59,6 @@ def representative_record(pattern):
     """All-(+1) X outcomes with the pattern's faces flipped: fixes every face product."""
     outcomes = {f"f{q}": -1 if q in pattern else 1 for q in FACE_NUMBERS}
     return OutcomeRecord(outcomes, {label: "x" for label in outcomes})
-
-
-def test_theta_to_p_examples():
-    assert theta_to_p(0.0) == pytest.approx(0.0)
-    assert theta_to_p(math.pi / 4) == pytest.approx(1.0)
-    assert theta_to_p(math.pi / 8) == pytest.approx(0.5)
 
 
 def test_sample_errors_extremes():
@@ -188,7 +181,8 @@ def test_enumeration_matches_analytic_curve():
 
 
 def test_success_weight_profile():
-    assert success_weight_profile() == {0: 1, 1: 6, 2: 9, 4: 9, 5: 6, 6: 1}
+    weights = np.bitwise_count(np.flatnonzero(G8_CODE.tables[0] == 0)).tolist()
+    assert Counter(weights) == {0: 1, 1: 6, 2: 9, 4: 9, 5: 6, 6: 1}
 
 
 def test_success_set_closed_under_complementation():
@@ -331,13 +325,13 @@ def test_engine_sweep_counts_match_per_trial_reference(engine, trials):
         assert got == expected, workers
 
 
-def running_reference(p, trials, seed, point):
+def running_reference(p, trials, seed, point, engine="tableau"):
     """(protected, unprotected) failures of a ``simulate_trial`` loop after each trial."""
     model = NoiseModel(p)
     prot = unprot = 0
     running = []
     for t in range(trials):
-        pf, uf, _ = simulate_trial(model, philox_generator(seed, point, t), "tableau")
+        pf, uf, _ = simulate_trial(model, philox_generator(seed, point, t), engine)
         prot += pf
         unprot += uf
         running.append((prot, unprot))
@@ -363,6 +357,18 @@ def test_sign_frame_counts_match_per_trial_loop_at_the_key_block():
         assert tec._count_failures_tableau(0.05, trials, seed, 1) == running[trials - 1], trials
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 + 3])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+def test_dense_block_counts_match_per_trial_loop(monkeypatch, p, seed):
+    block = 16  # a small block puts every block edge in reach of a short reference loop
+    monkeypatch.setattr(tec, "_DENSE_BLOCK", block)
+    for point in (0, 5):
+        running = running_reference(p, 2 * block + 7, seed, point, "dense")
+        for trials in (1, block - 1, block, block + 1, 2 * block + 7):
+            got = tec._count_failures_dense(p, trials, seed, point)
+            assert got == running[trials - 1], (point, trials)
+
+
 @pytest.mark.parametrize("p", [0.05, 0.5])
 def test_block_face_outcomes_are_each_trials_readout(p):
     """Every trial's observed face flips, random outcomes included, are its per-trial readout.
@@ -378,6 +384,34 @@ def test_block_face_outcomes_are_each_trials_readout(p):
         assert got[i] == G8_CODE.flips(record), i
 
 
+@pytest.mark.parametrize("p", [0.05, 0.5])
+def test_dense_block_outcomes_are_each_trials_dense_readout(p):
+    """Every qubit's outcome, random ones included, is that of the trial's dense ``run_pattern``."""
+    seed, point, start, size = 2**64 + 3, 2, 2 * tec._KEY_BLOCK, 40
+    labels = tec._base_state("dense", "z").graph.vertices
+    got = tec._dense_readout(p, seed, point, start, size)
+    for i in range(size):
+        rng = philox_generator(seed, point, start + i)
+        _, _, record = run_pattern(sample_errors(NoiseModel(p), rng), rng, engine="dense")
+        assert got[i].tolist() == [record.outcomes[label] for label in labels], i
+
+
+@pytest.mark.parametrize(
+    "p,trials,seed,point,counts",
+    [
+        (0.5, 200, 1, 0, (104, 107)),
+        (0.25, 1000, 7, 0, (277, 378)),
+        (0.1, 3000, 13, 0, (173, 528)),
+        (0.5, 4100, 3, 1, (2112, 2122)),
+    ],
+)
+def test_tableau_and_dense_sweeps_agree_on_g8(p, trials, seed, point, counts):
+    """Both engines read each trial's flips from the same words; on g8 the
+    random outcomes flip all six faces together, so their draws change no verdict."""
+    assert tec._count_failures_tableau(p, trials, seed, point) == counts
+    assert tec._count_failures_dense(p, trials, seed, point) == counts
+
+
 def test_face_readout_map_is_the_g8_readout():
     """Face 1 reads the first random outcome; other faces add their own flip and face 1's."""
     a, b, c = tec._face_readout_map()
@@ -387,8 +421,8 @@ def test_face_readout_map_is_the_g8_readout():
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
-def test_only_the_dense_sweep_simulates_each_trial(monkeypatch, engine):
-    """The tableau sweep reads the cached readout map; the dense oracle still runs every trial."""
+def test_no_engine_sweep_simulates_each_trial(monkeypatch, engine):
+    """Both state engines run whole blocks of trials; ``simulate_trial`` is the tests' reference."""
     monte_carlo_sweep([0.3], 5, seed=1, engine=engine)  # lazy state and map outside the count
     calls = []
     def counted(*args):
@@ -397,21 +431,33 @@ def test_only_the_dense_sweep_simulates_each_trial(monkeypatch, engine):
 
     monkeypatch.setattr(tec, "simulate_trial", counted)
     monte_carlo_sweep([0.3], 50, seed=1, engine=engine)
-    assert len(calls) == (0 if engine == "tableau" else 50)
+    assert calls == []
 
 
-def test_tableau_sweep_memory_does_not_grow_with_trials():
-    monte_carlo_sweep([0.3], 10, seed=1, engine="tableau")  # lazy state and map outside it
+def sweep_peaks(engine, trial_counts):
+    """tracemalloc peak of a one-point sweep per trial count, lazy builds paid beforehand."""
+    monte_carlo_sweep([0.3], 10, seed=1, engine=engine)
     peaks = {}
-    for trials in (5_000, 25_000):
+    for trials in trial_counts:
         tracemalloc.start()
         try:
-            monte_carlo_sweep([0.3], trials, seed=1, engine="tableau")
+            monte_carlo_sweep([0.3], trials, seed=1, engine=engine)
             peaks[trials] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    return peaks
+
+
+def test_tableau_sweep_memory_does_not_grow_with_trials():
+    peaks = sweep_peaks("tableau", (5_000, 25_000))
     assert max(peaks.values()) < 3 * 2**20, peaks
     assert peaks[25_000] - peaks[5_000] < 2**18, peaks
+
+
+def test_dense_sweep_memory_does_not_grow_with_trials():
+    peaks = sweep_peaks("dense", (2_000, 10_000))
+    assert max(peaks.values()) < 8 * 2**20, peaks
+    assert peaks[10_000] - peaks[2_000] < 2**18, peaks
 
 
 @settings(derandomize=True, deadline=None, max_examples=10)
@@ -419,7 +465,7 @@ def test_tableau_sweep_memory_does_not_grow_with_trials():
     grid=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3),
     trials=st.integers(1, 200),
     seed=st.integers(0, 2**64 + 5),
-    engine=st.sampled_from(["fast", "tableau"]),
+    engine=st.sampled_from(["fast", "tableau", "dense"]),
 )
 def test_sweep_is_invariant_to_the_worker_count(grid, trials, seed, engine):
     serial = monte_carlo_sweep(grid, trials, seed, engine, workers=1)
