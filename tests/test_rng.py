@@ -43,14 +43,23 @@ CHECKED_TRIALS = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK)
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("point", POINTS)
-def test_trial_keys_match_seed_sequence(seed, point):
+def test_trial_generators_match_seed_sequence_and_philox_generator(seed, point):
+    # each trial's generator is its Philox key from _trial_keys and its
+    # stream from trial_words; both must equal the philox_generator reference
+    checked = 0
     for start in (0, BLOCK, 2 * BLOCK):
         keys = _trial_keys(seed, point, start, BLOCK)
         assert keys.shape == (BLOCK, 2) and keys.dtype == np.uint64
+        doubles = (trial_words(seed, point, start, BLOCK, 5) >> np.uint64(11)) * 2.0**-53
         for t in CHECKED_TRIALS:
             if start <= t < start + BLOCK:
-                ref = np.random.SeedSequence(seed, spawn_key=(point, t)).generate_state(2, np.uint64)
-                assert np.array_equal(keys[t - start], ref), t
+                key = np.random.SeedSequence(seed, spawn_key=(point, t)).generate_state(2, np.uint64)
+                assert np.array_equal(keys[t - start], key), t
+                ref = philox_generator(seed, point, t)
+                assert np.array_equal(ref.bit_generator.state["state"]["key"], key), t
+                assert np.array_equal(doubles[t - start], ref.random(5)), t
+                checked += 1
+    assert checked == len(CHECKED_TRIALS)
 
 
 @pytest.mark.parametrize("trial", (2**32 - 1, 2**32, 2**32 + BLOCK + 5, 2**64 + 1))
@@ -64,9 +73,12 @@ def test_key_pass_matches_seed_sequence_for_multiword_trials(trial):
 
 
 @pytest.mark.parametrize("args", [(-1, 0, 0, 3), (1, -1, 0, 3), (1, 0, -3, 3)])
-def test_trial_keys_reject_negative_input(args):
+def test_trial_generators_reject_negative_input(args):
+    # a negative seed, point or trial index, through the key pass and the stream
     with pytest.raises(ValueError, match="expected non-negative integer"):
         _trial_keys(*args)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        trial_words(*args, 4)
 
 
 # trial_words: Philox4x64-10 on uint64 vectors, raw words bitwise equal to
