@@ -6,10 +6,7 @@ from .cluster import (
     ClusterState,
     InteractionGraph,
     OutcomeRecord,
-    StabilizerGenerator,
     build_cluster,
-    carve_defect,
-    dual_syndrome_check,
     interaction_graph,
     measure_all,
     stabilizer_generators,
@@ -46,7 +43,6 @@ from .tec import (
     analytic_protected,
     analytic_unprotected,
     build_code,
-    build_decode_table,
     decode_and_correct,
     exact_enumeration,
     extract_syndrome,

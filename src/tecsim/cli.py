@@ -57,11 +57,10 @@ def _grid(p_min: float, p_max: float, steps: int) -> list[float]:
 
 def _syndrome_rows() -> list[tuple[tuple[int, ...], list[int]]]:
     """(syndrome, correction) rows: single-face syndromes in face order, then the rest."""
-    table = tec.build_decode_table()
     code = tec.G8_CODE
     single = [code.syndrome(1 << i) for i in range(len(code.faces))]
-    rest = sorted(table.keys() - set(single), key=lambda s: [c != 1 for c in s])
-    return [(syndrome, sorted(table[syndrome])) for syndrome in single + rest]
+    rest = sorted(code.leaders.keys() - set(single), key=lambda s: [c != 1 for c in s])
+    return [(syndrome, sorted(tec._pattern(code.leaders[syndrome]))) for syndrome in single + rest]
 
 
 def cmd_syndrome_table(args: argparse.Namespace) -> tuple[str, None]:

@@ -65,14 +65,6 @@ class InteractionGraph:
 
 
 @dataclass(frozen=True)
-class StabilizerGenerator:
-    """K = X on the center qubit, Z on each interaction neighbor."""
-
-    center: str
-    operator: PauliOperator
-
-
-@dataclass(frozen=True)
 class OutcomeRecord:
     """Per-qubit measurement outcomes (+-1) and the basis used for each."""
 
@@ -112,17 +104,15 @@ def interaction_graph(cx: CellComplex) -> InteractionGraph:
     return InteractionGraph(vertices, kinds, edges)
 
 
-def stabilizer_generators(graph: InteractionGraph) -> list[StabilizerGenerator]:
+def stabilizer_generators(graph: InteractionGraph) -> list[PauliOperator]:
+    """K_v = X_v Z_N(v): X on vertex v, Z on each interaction neighbour, in vertex order."""
     n = graph.qubit_count
     pos = graph._pos
     zmask_of = {v: 0 for v in graph.vertices}
     for a, b in graph.edges:
         zmask_of[a] |= 1 << pos[b]
         zmask_of[b] |= 1 << pos[a]
-    return [
-        StabilizerGenerator(v, PauliOperator(n, 1 << pos[v], zmask_of[v], 0))
-        for v in graph.vertices
-    ]
+    return [PauliOperator(n, 1 << pos[v], zmask_of[v], 0) for v in graph.vertices]
 
 
 @dataclass
@@ -163,15 +153,15 @@ def build_cluster(graph: InteractionGraph, engine: str = "tableau") -> ClusterSt
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "dense":
         return ClusterState(graph, dense.build_graph_state_dense(graph))
-    masks = [g.operator.z_bits for g in stabilizer_generators(graph)]
+    masks = [g.z_bits for g in stabilizer_generators(graph)]
     return ClusterState(graph, StabilizerTableau.graph_state(masks))
 
 
 def surface_correlation(state: ClusterState, face_qubits) -> int:
-    """X-product expectation over a set of qubits, rounded to {-1, 0, +1}.
+    """Expectation of the product of X over the listed qubits, rounded to {-1, 0, +1}.
 
     Equals +1 whenever the qubit set is a closed surface of the source
-    complex and no errors were applied.
+    complex and no errors were applied. A repeated label cancels, as X·X = I.
     """
     labels = list(face_qubits)
     if not labels:
@@ -179,7 +169,7 @@ def surface_correlation(state: ClusterState, face_qubits) -> int:
     n = state.graph.qubit_count
     xmask = 0
     for label in labels:
-        xmask |= 1 << state.index(label)
+        xmask ^= 1 << state.index(label)
     value = state.expectation(PauliOperator(n, xmask, 0, 0))
     rounded = round(value)
     if abs(value - rounded) > 1e-9 or rounded not in (-1, 0, 1):
@@ -200,32 +190,3 @@ def measure_all(
         values = [work.measure_z(i, rng) for i in range(state.graph.qubit_count)]
     outcomes = dict(zip(state.graph.vertices, values))
     return OutcomeRecord(outcomes, dict.fromkeys(outcomes, basis))
-
-
-def carve_defect(
-    state: ClusterState, qubits, rng: np.random.Generator
-) -> tuple[ClusterState, OutcomeRecord]:
-    """Measure the listed qubits in Z, removing them from the cluster.
-
-    Outcomes are recorded but no frame correction is applied; downstream
-    processing works on the classical outcomes.
-    """
-    labels = list(qubits)
-    if len(labels) != len(set(labels)):
-        raise ValueError("carve list contains duplicate qubits")
-    work = state.copy()
-    outcomes = {label: work.backend.measure_z(work.index(label), rng) for label in labels}
-    basis = {label: "z" for label in outcomes}
-    return work, OutcomeRecord(outcomes, basis)
-
-
-def dual_syndrome_check(state: ClusterState) -> int:
-    """X-product over the two edge qubits: the one bit of dual syndrome."""
-    edge_qubits = [
-        v for v, kind in zip(state.graph.vertices, state.graph.kinds) if kind == "edge"
-    ]
-    if len(edge_qubits) != 2:
-        raise ValueError(
-            f"dual syndrome needs exactly two edge qubits, found {len(edge_qubits)}"
-        )
-    return surface_correlation(state, edge_qubits)

@@ -55,29 +55,16 @@ class StateVector:
         n = int(amps.size - 1).bit_length()
         if amps.size != 1 << n:
             raise ValueError(f"amplitude count {amps.size} is not a power of two")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.3g}")
+        deviation = abs(np.linalg.norm(amps) - 1.0)
+        if deviation > 1e-12:
+            raise ValueError(f"state not normalized: |norm - 1| = {deviation:.3g}")
         return cls(n, amps)
 
     def copy(self) -> "StateVector":
         return StateVector(self.n, self.amps.copy())
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     # ------------------------------------------------------------------
     # unitaries
-
-    def apply_local_unitary(self, u, target: int) -> "StateVector":
-        """Apply a 2x2 unitary to one qubit in place."""
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got {u.shape}")
-        if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
-            raise ValueError("matrix is not unitary within 1e-10")
-        self._apply_2x2(u, target)
-        return self
 
     def _apply_2x2(self, u: np.ndarray, target: int) -> None:
         if not 0 <= target < self.n:

@@ -34,10 +34,6 @@ SWEEP_ENGINES = ("fast", "tableau", "dense")
 MAX_CODE_FACES = 20  # the decoder enumerates all 2^F flip patterns of F faces
 
 
-def _mask(pattern) -> int:
-    return sum(1 << (q - 1) for q in pattern)
-
-
 def _pattern(mask: int) -> frozenset:
     return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
@@ -117,16 +113,10 @@ G8_CODE = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Independent flip noise on a set of g8 face qubits, by face number.
-
-    ``frame`` selects the Pauli applied: "z" flips Z on the graph state,
-    "x" flips X on the Hadamard-rotated (experimental) state; the two give
-    identical readout statistics.
-    """
+    """Independent Z-flip noise on a set of distinct g8 face qubits, by face number."""
 
     p: float
     targets: tuple[int, ...] = tuple(range(1, len(G8_CODE.faces) + 1))
-    frame: str = "z"
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -136,8 +126,8 @@ class NoiseModel:
         unknown = [q for q in self.targets if not 1 <= q <= len(G8_CODE.faces)]
         if unknown:
             raise ValueError(f"unknown target qubits {sorted(unknown)}")
-        if self.frame not in ("z", "x"):
-            raise ValueError(f"frame must be 'z' or 'x', got {self.frame!r}")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError(f"duplicate target qubits in {self.targets}")
 
 
 def sample_errors(model: NoiseModel, rng: np.random.Generator) -> frozenset:
@@ -151,16 +141,10 @@ def extract_syndrome(outcomes: OutcomeRecord) -> tuple[int, ...]:
     return G8_CODE.syndrome(G8_CODE.flips(outcomes))
 
 
-@lru_cache(maxsize=1)
-def build_decode_table() -> dict[tuple[int, ...], frozenset]:
-    """Map every g8 syndrome to its unique minimum-weight flip pattern."""
-    return {syndrome: _pattern(leader) for syndrome, leader in G8_CODE.leaders.items()}
-
-
 def decode_and_correct(outcomes: OutcomeRecord) -> tuple[int, frozenset]:
     """Corrected protected product lambda5 lambda6 and the correction used, applied classically."""
-    correction = build_decode_table()[extract_syndrome(outcomes)]
-    return -1 if G8_CODE.flipped(G8_CODE.flips(outcomes) ^ _mask(correction)) else 1, correction
+    leader = G8_CODE.leaders[extract_syndrome(outcomes)]
+    return -1 if G8_CODE.flipped(G8_CODE.flips(outcomes) ^ leader) else 1, _pattern(leader)
 
 
 # ----------------------------------------------------------------------
@@ -203,33 +187,24 @@ def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
 # Monte Carlo
 
 @lru_cache(maxsize=None)
-def _base_state(engine: str, frame: str) -> ClusterState:
-    """The g8 cluster state, Hadamard-rotated in the x frame; callers copy it."""
-    state = build_cluster(interaction_graph(build_g8_complex()), engine)
-    if frame == "x":
-        for q in range(state.graph.qubit_count):
-            state.backend.apply_gate("H", q)
-    return state
+def _base_state(engine: str) -> ClusterState:
+    """The g8 cluster state on ``engine``; callers copy it."""
+    return build_cluster(interaction_graph(build_g8_complex()), engine)
 
 
 def run_pattern(
-    pattern, rng: np.random.Generator, engine: str = "tableau", frame: str = "z"
+    pattern, rng: np.random.Generator, engine: str = "tableau"
 ) -> tuple[int, frozenset, OutcomeRecord]:
-    """Inject a fixed flip pattern, read out, decode.
+    """Inject a fixed pattern of Z flips, read out in X, decode.
 
     Returns (corrected protected product, correction, outcome record).
-    The readout basis follows the frame: X readout for Z flips on the
-    graph state, Z readout for X flips on the rotated state.
     """
-    if frame not in ("z", "x"):
-        raise ValueError(f"frame must be 'z' or 'x', got {frame!r}")
     if not set(pattern) <= set(NoiseModel.targets):
         raise ValueError(f"unknown face numbers in {sorted(pattern)}")
-    state = _base_state(engine, frame).copy()
-    flip_gate = "Z" if frame == "z" else "X"
+    state = _base_state(engine).copy()
     for q in pattern:
-        state.backend.apply_gate(flip_gate, state.index(G8_CODE.faces[q - 1]))
-    record = measure_all(state, rng, "x" if frame == "z" else "z")
+        state.backend.apply_gate("Z", state.index(G8_CODE.faces[q - 1]))
+    record = measure_all(state, rng, "x")
     corrected, correction = decode_and_correct(record)
     return corrected, correction, record
 
@@ -243,7 +218,7 @@ def simulate_trial(
     sampled pattern).
     """
     pattern = sample_errors(model, rng)
-    corrected, _, record = run_pattern(pattern, rng, engine, model.frame)
+    corrected, _, record = run_pattern(pattern, rng, engine)
     return corrected == -1, G8_CODE.flipped(G8_CODE.flips(record)), pattern
 
 
@@ -264,23 +239,21 @@ def _count_failures_fast(
     n = len(code.faces)
     rng = philox_generator(seed, point_index)
     bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
-    counts = np.zeros(1 << n, dtype=np.int64)
-    for start in range(0, trials, _FAST_CHUNK):
-        flips = rng.random((min(_FAST_CHUNK, trials - start), n)) < p  # column i <-> face bit i
-        counts += np.bincount(flips.view(np.uint8) @ bits, minlength=1 << n)
-    return tuple((code.tables @ counts).tolist())
+    def face_flips(p, _seed, _point, _start, size):  # blocks come in trial order
+        return (rng.random((size, n)) < p).view(np.uint8) @ bits  # column i <-> face bit i
+    return _count_face_flips(face_flips, _FAST_CHUNK, p, trials, seed, point_index, code)
 
 
 @lru_cache(maxsize=1)
 def _face_readout_map() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, c) of the g8 z-frame readout: face outcome bits = A·flips + B·bits + c (mod 2).
+    """(A, B, c) of the g8 X readout: face outcome bits = A·flips + B·bits + c (mod 2).
 
     Row and flip column v are face ``G8_CODE.faces[v]``; column k of B is the
     k-th random outcome in readout order; an outcome bit of 1 reads -1. One
     closed-form readout of the graph state, with sign forms, gives all three;
     every trial's readout follows it, because Z flips and draws only change sign bits.
     """
-    state = _base_state("tableau", "z")
+    state = _base_state("tableau")
     faces = [state.index(face) for face in G8_CODE.faces]
     masks = [row.z_bits for row in state.backend.stabilizers()]
     # the graph state's signs are +1, and a Z on qubit q flips stabilizer q alone
@@ -309,15 +282,18 @@ def _face_outcomes(p: float, seed: int, point_index: int, start: int, size: int)
     return ((flips @ a.T + bits @ b.T + c) & 1) @ (1 << np.arange(faces))
 
 
-def _count_face_flips(face_flips, block: int, p: float, trials: int, seed: int, point_index: int):
+def _count_face_flips(
+    face_flips, block: int, p: float, trials: int, seed: int, point_index: int,
+    code: TopologicalCode = G8_CODE,
+) -> tuple[int, int]:
     """Failure counts from ``face_flips(p, seed, point_index, start, size)``, the observed
-    face-flip bitmasks of one block, looked up in ``G8_CODE.tables`` as the fast kernel does."""
-    patterns = len(G8_CODE.tables[0])
+    face-flip bitmasks of each block in trial order, counted and looked up in ``code.tables``."""
+    patterns = len(code.tables[0])
     counts = np.zeros(patterns, dtype=np.int64)
     for start in range(0, trials, block):
         flips = face_flips(p, seed, point_index, start, min(block, trials - start))
         counts += np.bincount(flips, minlength=patterns)
-    return tuple((G8_CODE.tables @ counts).tolist())
+    return tuple((code.tables @ counts).tolist())
 
 
 def _count_failures_tableau(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
@@ -343,7 +319,7 @@ def _dense_readout(p: float, seed: int, point_index: int, start: int, size: int)
     outcome. Each X measurement is ``StateVector.measure_pauli``'s, row by row: the
     expectation and its thresholds, a draw only where the outcome is random, the projection.
     """
-    state = _base_state("dense", "z")
+    state = _base_state("dense")
     n, faces = state.graph.qubit_count, len(G8_CODE.faces)
     draws = (trial_words(seed, point_index, start, size, faces + n) >> np.uint64(11)) * 2.0**-53
     flipped = (draws[:, :faces] < p) @ [1 << (n - 1 - state.index(f)) for f in G8_CODE.faces]
@@ -371,7 +347,7 @@ def _dense_readout(p: float, seed: int, point_index: int, start: int, size: int)
 
 def _count_failures_dense(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
     """Dense oracle path: the counts of a ``simulate_trial(..., "dense")`` loop, in blocks."""
-    faces = [_base_state("dense", "z").index(face) for face in G8_CODE.faces]
+    faces = [_base_state("dense").index(face) for face in G8_CODE.faces]
     def face_flips(*block):
         return (_dense_readout(*block)[:, faces] < 0) @ (1 << np.arange(len(faces)))
     return _count_face_flips(face_flips, _DENSE_BLOCK, p, trials, seed, point_index)

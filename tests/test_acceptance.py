@@ -53,10 +53,10 @@ def test_criterion_1_stabilizer_identity():
         assert len(generators) == 8
         tableau_state = ts.build_cluster(graph, "tableau")
         for gen in generators:
-            assert tableau_state.expectation(gen.operator) == 1
+            assert tableau_state.expectation(gen) == 1
         dense_state = ts.build_cluster(graph, "dense")
         for gen in generators:
-            assert abs(dense_state.expectation(gen.operator) - 1.0) <= 1e-12
+            assert abs(dense_state.expectation(gen) - 1.0) <= 1e-12
 
 
 def test_criterion_2_state_equivalence():

@@ -313,7 +313,7 @@ def test_internal_invariant_failure_is_reported_apart_from_user_errors(monkeypat
     def broken():
         raise AssertionError("tableau rows lost GF(2) independence")
 
-    monkeypatch.setattr(tec, "build_decode_table", broken)
+    monkeypatch.setattr(cli, "_syndrome_rows", broken)
     code, out, err = run_cli(capsys, "syndrome-table")
     assert code == 3
     assert out == ""

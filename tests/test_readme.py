@@ -9,5 +9,5 @@ def test_readme_python_blocks_run(capsys):
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
-    # the quick start prints the error-free syndrome first
-    assert capsys.readouterr().out.startswith("(1, 1, 1, 1)\n")
+    # the quick start prints the error-free syndrome, then the protected correlation
+    assert capsys.readouterr().out.startswith("(1, 1, 1, 1)\n1\n")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tecsim import tec
-from tecsim.cluster import OutcomeRecord
+from tecsim.cluster import OutcomeRecord, build_cluster, interaction_graph, measure_all
 from tecsim.complexes import (
     G8_PROTECTED_SURFACE,
     build_g8_complex,
@@ -23,7 +23,6 @@ from tecsim.tec import (
     NoiseModel,
     analytic_protected,
     analytic_unprotected,
-    build_decode_table,
     decode_and_correct,
     exact_enumeration,
     extract_syndrome,
@@ -48,6 +47,13 @@ SINGLE_ERROR_SYNDROMES = {
 ALL_PATTERNS = [
     frozenset(combo) for w in range(7) for combo in combinations(FACE_NUMBERS, w)
 ]
+
+
+# syndrome -> the decoder's correction, as a set of face numbers
+DECODE_TABLE = {
+    syndrome: frozenset(q for q in FACE_NUMBERS if leader >> (q - 1) & 1)
+    for syndrome, leader in G8_CODE.leaders.items()
+}
 
 
 def syndrome_of_pattern(pattern):
@@ -89,8 +95,8 @@ def test_noise_model_validation():
         NoiseModel(0.5, targets=())
     with pytest.raises(ValueError):
         NoiseModel(0.5, targets=(7,))
-    with pytest.raises(ValueError):
-        NoiseModel(0.5, frame="y")
+    with pytest.raises(ValueError, match="duplicate"):
+        NoiseModel(0.3, targets=(1, 1))
 
 
 @pytest.mark.parametrize("qubit,row", SINGLE_ERROR_SYNDROMES.items())
@@ -114,7 +120,7 @@ def test_extract_syndrome_requires_all_faces():
 
 
 def test_decode_table_examples():
-    table = build_decode_table()
+    table = DECODE_TABLE
     assert len(table) == 16
     assert table[(-1, 1, 1, 1)] == frozenset({1})
     assert table[(1, 1, 1, 1)] == frozenset()
@@ -123,7 +129,7 @@ def test_decode_table_examples():
 
 
 def test_decode_table_is_minimum_weight():
-    table = build_decode_table()
+    table = DECODE_TABLE
     for pattern in ALL_PATTERNS:
         correction = table[syndrome_of_pattern(pattern)]
         assert len(correction) <= len(pattern)
@@ -209,27 +215,27 @@ def test_tableau_pipeline_matches_classical_map():
             pattern, philox_generator(40, idx), engine="tableau"
         )
         assert extract_syndrome(record) == syndrome_of_pattern(pattern)
-        assert correction == build_decode_table()[syndrome_of_pattern(pattern)]
+        assert correction == DECODE_TABLE[syndrome_of_pattern(pattern)]
         reference, _ = decode_and_correct(representative_record(pattern))
         assert corrected == reference
 
 
 @pytest.mark.parametrize("engine", ["dense", "tableau"])
 def test_frame_equivalence(engine):
-    """X flips on the rotated state with Z readout match the Z-flip frame."""
+    """X flips on the Hadamard-rotated (experimental) state, read out in Z, match Z flips read out in X."""
+    rotated = build_cluster(interaction_graph(build_g8_complex()), engine)
+    for q in range(rotated.graph.qubit_count):
+        rotated.backend.apply_gate("H", q)
     for idx, pattern in enumerate(ALL_PATTERNS):
-        z_corr, z_fix, z_rec = run_pattern(
-            pattern, philox_generator(41, idx), engine=engine, frame="z"
-        )
-        x_corr, x_fix, x_rec = run_pattern(
-            pattern, philox_generator(42, idx), engine=engine, frame="x"
-        )
+        z_corr, z_fix, z_rec = run_pattern(pattern, philox_generator(41, idx), engine=engine)
+        state = rotated.copy()
+        for q in pattern:
+            state.backend.apply_gate("X", state.index(G8_CODE.faces[q - 1]))
+        x_rec = measure_all(state, philox_generator(42, idx), "z")
+        x_corr, x_fix = decode_and_correct(x_rec)
         assert extract_syndrome(z_rec) == extract_syndrome(x_rec)
         assert z_fix == x_fix
         assert z_corr == x_corr
-        assert {q: b for q, b in x_rec.basis.items()} == {
-            q: "z" for q in x_rec.basis
-        }
 
 
 def test_pipeline_determinism_across_seeds():
@@ -249,8 +255,6 @@ def test_simulate_trial_reproducible():
 def test_run_pattern_validation():
     with pytest.raises(ValueError):
         run_pattern(frozenset(), philox_generator(0), engine="fast")
-    with pytest.raises(ValueError):
-        run_pattern(frozenset(), philox_generator(0), frame="y")
 
 
 @pytest.mark.parametrize("pattern", [{0}, {7}, {-1, 2}])
@@ -388,7 +392,7 @@ def test_block_face_outcomes_are_each_trials_readout(p):
 def test_dense_block_outcomes_are_each_trials_dense_readout(p):
     """Every qubit's outcome, random ones included, is that of the trial's dense ``run_pattern``."""
     seed, point, start, size = 2**64 + 3, 2, 2 * tec._KEY_BLOCK, 40
-    labels = tec._base_state("dense", "z").graph.vertices
+    labels = tec._base_state("dense").graph.vertices
     got = tec._dense_readout(p, seed, point, start, size)
     for i in range(size):
         rng = philox_generator(seed, point, start + i)
