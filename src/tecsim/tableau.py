@@ -7,9 +7,10 @@ makes deterministic-outcome detection a single O(n^2) pass instead of a
 Gaussian elimination per measurement. A graph state's X readout skips both:
 :func:`_graph_readout_x` reads it from one echelon of the neighbour masks.
 
-A sign is a GF(2) affine form held as an int: bit 0 is the constant, each
-higher bit a variable. Concrete states use 0 and 1 only; a symbolic readout
-passes forms with variables through the same code.
+Signs are bits and only ever add by XOR. So :func:`_graph_readout_x` also
+runs on numpy bit columns, one entry per trial, in the tableau sweep; and
+signs may be GF(2) affine forms held as ints, bit 0 the constant and each
+higher bit a variable, which only the tests' symbolic reference uses.
 """
 
 from __future__ import annotations
@@ -282,14 +283,15 @@ class StabilizerTableau:
 
 
 def _graph_readout_x(masks: list[int], signs: list[int], draw) -> list[int]:
-    """Sign forms of the X readout, qubit by qubit in order, of a graph state.
+    """Outcome signs (1 for -1) of the X readout, qubit by qubit in order, of a graph state.
 
     Stabilizer v is (-1)^signs[v] X_v Z_masks[v]. Outcome i is fixed iff
     masks[i] reduces to zero against masks[0..i-1]. The chooser S of that zero
     sum holds i, and K_S = (-1)^(e(S) + sum of signs over S) X_S, e(S) being
     the graph edges inside S; so outcome i is that sign plus the outcomes of
-    S - {i}. Any other outcome is ``draw()``. Everything adds by XOR, so signs
-    and draws may be bits or sign forms.
+    S - {i}. Any other outcome is ``draw()``. Everything adds by XOR and no
+    operand is updated in place, so signs and draws may be bits, numpy bit
+    columns or sign forms.
     """
     _, dependent = _gf2_echelon(masks)
     out: list[int] = []
@@ -302,7 +304,7 @@ def _graph_readout_x(masks: list[int], signs: list[int], draw) -> list[int]:
         while rest:
             v = (rest & -rest).bit_length() - 1
             rest ^= 1 << v
-            form ^= signs[v] ^ out[v]
+            form = form ^ signs[v] ^ out[v]
             edges += (masks[v] & chooser).bit_count()
         out.append(form ^ (edges >> 1 & 1))
     return out

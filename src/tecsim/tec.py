@@ -10,6 +10,7 @@ Monte-Carlo sweeps and the analytic error curves that enumeration reproduces.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -20,6 +21,7 @@ from .cluster import ClusterState, OutcomeRecord, build_cluster, interaction_gra
 from .complexes import (
     G8_PROTECTED_SURFACE,
     CellComplex,
+    _gf2_echelon,
     build_g8_complex,
     homology_class_key,
     is_closed,
@@ -244,42 +246,27 @@ def _count_failures_fast(
     return _count_face_flips(face_flips, _FAST_CHUNK, p, trials, seed, point_index, code)
 
 
-@lru_cache(maxsize=1)
-def _face_readout_map() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A, B, c) of the g8 X readout: face outcome bits = A·flips + B·bits + c (mod 2).
+def _tableau_readout(p: float, seed: int, point_index: int, start: int, size: int) -> np.ndarray:
+    """X outcomes (+-1, in qubit order) of trials ``start .. start + size - 1`` on the tableau engine.
 
-    Row and flip column v are face ``G8_CODE.faces[v]``; column k of B is the
-    k-th random outcome in readout order; an outcome bit of 1 reads -1. One
-    closed-form readout of the graph state, with sign forms, gives all three;
-    every trial's readout follows it, because Z flips and draws only change sign bits.
+    The block runs :func:`_graph_readout_x`, the rule ``StabilizerTableau.readout_x``
+    runs for one trial, on bit columns with one entry per trial. Each trial reads from
+    its own stream what ``simulate_trial`` draws: ``random(F)``, one double per raw word,
+    for the Z flips, which set the face qubits' signs, then ``integers(0, 2)`` per random
+    outcome, which is bit 31 of the low and then of the high 32-bit half of the next words.
     """
     state = _base_state("tableau")
-    faces = [state.index(face) for face in G8_CODE.faces]
     masks = [row.z_bits for row in state.backend.stabilizers()]
-    # the graph state's signs are +1, and a Z on qubit q flips stabilizer q alone
-    signs = [2 << faces.index(q) if q in faces else 0 for q in range(len(masks))]
-    fresh = iter(range(1 + len(faces), 1 + len(faces) + len(masks)))  # one per random outcome
-    forms = _graph_readout_x(masks, signs, lambda: 1 << next(fresh))
-    # each random outcome is its own form, so the longest form spans every variable
-    variables = max(1 + len(faces), *(form.bit_length() for form in forms))
-    terms = np.array([[forms[q] >> b & 1 for b in range(variables)] for q in faces], np.int64)
-    return terms[:, 1 : 1 + len(faces)], terms[:, 1 + len(faces) :], terms[:, 0]
-
-
-def _face_outcomes(p: float, seed: int, point_index: int, start: int, size: int) -> np.ndarray:
-    """Observed face-flip bitmask of each trial in one ``trial_words`` block.
-
-    A trial's stream draws what ``simulate_trial`` draws: ``random(F)``, one
-    double per raw word, then ``integers(0, 2)`` per random outcome, which is
-    bit 31 of the low and then of the high 32-bit half of the next words.
-    """
-    a, b, c = _face_readout_map()
-    faces, randoms = b.shape
-    words = trial_words(seed, point_index, start, size, faces + -(-randoms // 2))
-    flips = (words[:, :faces] >> np.uint64(11)) * 2.0**-53 < p
-    k = np.arange(randoms, dtype=np.uint64)
-    bits = ((words[:, faces + k // 2] >> (31 + 32 * (k % 2))) & 1).astype(np.int64)
-    return ((flips @ a.T + bits @ b.T + c) & 1) @ (1 << np.arange(faces))
+    faces = [state.index(face) for face in G8_CODE.faces]
+    randoms = len(masks) - len(_gf2_echelon(masks)[1])
+    words = trial_words(seed, point_index, start, size, len(faces) + -(-randoms // 2))
+    flips = ((words[:, : len(faces)] >> np.uint64(11)) * 2.0**-53 < p).T.view(np.int8)
+    signs = [np.zeros(size, np.int8)] * len(masks)  # the graph state's signs are +1
+    for q, column in zip(faces, flips):
+        signs[q] = column  # a Z on qubit q flips stabilizer q alone
+    halves = (words[:, len(faces) :, None] >> np.array([31, 63], np.uint64)) & np.uint64(1)
+    draws = iter(halves.reshape(size, -1).T.astype(np.int8))
+    return (1 - 2 * np.array(_graph_readout_x(masks, signs, draws.__next__))).T
 
 
 def _count_face_flips(
@@ -294,16 +281,6 @@ def _count_face_flips(
         flips = face_flips(p, seed, point_index, start, min(block, trials - start))
         counts += np.bincount(flips, minlength=patterns)
     return tuple((code.tables @ counts).tolist())
-
-
-def _count_failures_tableau(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
-    """Sign-frame tableau path: the counts of a ``simulate_trial`` loop on the tableau.
-
-    Every trial draws from its own stream what ``simulate_trial`` draws,
-    computed ``_KEY_BLOCK`` trials at a time from raw Philox words; each
-    block goes through :func:`_face_readout_map` at once.
-    """
-    return _count_face_flips(_face_outcomes, _KEY_BLOCK, p, trials, seed, point_index)
 
 
 # Trials per dense block: a divisor of _KEY_BLOCK; a (256, 2^8) complex block is 1 MiB.
@@ -345,12 +322,25 @@ def _dense_readout(p: float, seed: int, point_index: int, start: int, size: int)
     return outcomes
 
 
+def _count_block_failures(
+    readout, block: int, p: float, trials: int, seed: int, point_index: int
+) -> tuple[int, int]:
+    """Failure counts of a state engine from ``readout(p, seed, point_index, start, size)``,
+    the X outcomes (+-1, in qubit order) of each block of trials; both engines share one graph."""
+    faces = [_base_state("tableau").index(face) for face in G8_CODE.faces]
+    def face_flips(*args):
+        return (readout(*args)[:, faces] < 0) @ (1 << np.arange(len(faces)))
+    return _count_face_flips(face_flips, block, p, trials, seed, point_index)
+
+
+def _count_failures_tableau(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
+    """Tableau path: the counts of a ``simulate_trial`` loop, ``_KEY_BLOCK`` trials at a time."""
+    return _count_block_failures(_tableau_readout, _KEY_BLOCK, p, trials, seed, point_index)
+
+
 def _count_failures_dense(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
     """Dense oracle path: the counts of a ``simulate_trial(..., "dense")`` loop, in blocks."""
-    faces = [_base_state("dense").index(face) for face in G8_CODE.faces]
-    def face_flips(*block):
-        return (_dense_readout(*block)[:, faces] < 0) @ (1 << np.arange(len(faces)))
-    return _count_face_flips(face_flips, _DENSE_BLOCK, p, trials, seed, point_index)
+    return _count_block_failures(_dense_readout, _DENSE_BLOCK, p, trials, seed, point_index)
 
 
 _KERNELS = {
@@ -427,9 +417,11 @@ def monte_carlo_sweep(
     for p in p_values:
         _check_probability(p)
     jobs = [(i, p, trials, seed, engine) for i, p in enumerate(p_values)]
-    if workers > 1 and len(jobs) > 1:
-        # a fork pool starts all its workers at once, so never more than there are jobs
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    # a fork pool starts all its workers at once, so never more than the jobs or usable CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool_size = min(workers, len(jobs), cpus or 1)
+    if pool_size > 1:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             counts = list(pool.map(_sweep_job, jobs))  # in job order, whatever the completion order
     else:
         counts = list(map(_sweep_job, jobs))

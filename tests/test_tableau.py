@@ -472,3 +472,21 @@ def test_closed_form_sign_forms_equal_reference_forms(name):
             [s.z_bits for s in tab.stabilizers()], signs, lambda: 1 << next(fresh)
         )
         assert forms == readout_forms_x(tab, flip_qubits)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.one_of(random_graphs(max_qubits=20), dense_graphs(max_qubits=20)), st.integers(0, 2**32 - 1))
+def test_closed_form_x_readout_runs_on_bit_columns(graph, seed):
+    """Each column of a readout on bit columns is that trial's readout on bits; signs stay as given."""
+    n, edges = graph
+    masks = neighbor_masks(n, edges)
+    rng = np.random.default_rng(seed)
+    signs, draws = rng.integers(0, 2, (2, n, 16)).astype(bool)
+    given_signs = signs.copy()
+    columns = iter(draws)
+    out = _graph_readout_x(masks, list(signs), lambda: next(columns))
+    assert np.array_equal(signs, given_signs)
+    for t in range(16):
+        bits = iter(draws[:, t].tolist())
+        scalar = _graph_readout_x(masks, signs[:, t].tolist(), lambda: next(bits))
+        assert [int(column[t]) for column in out] == [int(bit) for bit in scalar], t

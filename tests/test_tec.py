@@ -373,30 +373,21 @@ def test_dense_block_counts_match_per_trial_loop(monkeypatch, p, seed):
             assert got == running[trials - 1], (point, trials)
 
 
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
 @pytest.mark.parametrize("p", [0.05, 0.5])
-def test_block_face_outcomes_are_each_trials_readout(p):
-    """Every trial's observed face flips, random outcomes included, are its per-trial readout.
+def test_block_outcomes_are_each_trials_readout(p, engine):
+    """Every qubit's outcome, random ones included, is that of the trial's ``run_pattern`` record.
 
     The counts cannot show the random outcomes: on g8 they flip all six faces
     together, which changes no verdict.
     """
     seed, point, start, size = 2**64 + 3, 2, 2 * tec._KEY_BLOCK, 40
-    got = tec._face_outcomes(p, seed, point, start, size)
+    readout = {"tableau": tec._tableau_readout, "dense": tec._dense_readout}[engine]
+    labels = tec._base_state(engine).graph.vertices
+    got = readout(p, seed, point, start, size)
     for i in range(size):
         rng = philox_generator(seed, point, start + i)
-        _, _, record = run_pattern(sample_errors(NoiseModel(p), rng), rng)
-        assert got[i] == G8_CODE.flips(record), i
-
-
-@pytest.mark.parametrize("p", [0.05, 0.5])
-def test_dense_block_outcomes_are_each_trials_dense_readout(p):
-    """Every qubit's outcome, random ones included, is that of the trial's dense ``run_pattern``."""
-    seed, point, start, size = 2**64 + 3, 2, 2 * tec._KEY_BLOCK, 40
-    labels = tec._base_state("dense").graph.vertices
-    got = tec._dense_readout(p, seed, point, start, size)
-    for i in range(size):
-        rng = philox_generator(seed, point, start + i)
-        _, _, record = run_pattern(sample_errors(NoiseModel(p), rng), rng, engine="dense")
+        _, _, record = run_pattern(sample_errors(NoiseModel(p), rng), rng, engine)
         assert got[i].tolist() == [record.outcomes[label] for label in labels], i
 
 
@@ -416,18 +407,10 @@ def test_tableau_and_dense_sweeps_agree_on_g8(p, trials, seed, point, counts):
     assert tec._count_failures_dense(p, trials, seed, point) == counts
 
 
-def test_face_readout_map_is_the_g8_readout():
-    """Face 1 reads the first random outcome; other faces add their own flip and face 1's."""
-    a, b, c = tec._face_readout_map()
-    assert a.tolist() == [[0] * 6] + [[1] + [int(i == j) for i in range(1, 6)] for j in range(1, 6)]
-    assert b.tolist() == [[1, 0]] * 6
-    assert c.tolist() == [0] * 6
-
-
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
 def test_no_engine_sweep_simulates_each_trial(monkeypatch, engine):
     """Both state engines run whole blocks of trials; ``simulate_trial`` is the tests' reference."""
-    monte_carlo_sweep([0.3], 5, seed=1, engine=engine)  # lazy state and map outside the count
+    monte_carlo_sweep([0.3], 5, seed=1, engine=engine)  # lazy states outside the count
     calls = []
     def counted(*args):
         calls.append(args)
@@ -494,8 +477,14 @@ class RecordingPool:
         return map(fn, jobs)
 
 
-@pytest.mark.parametrize("grid, workers, expected", [([0.1, 0.2], 1000, 2), ([0.1, 0.2, 0.3], 2, 2)])
+@pytest.mark.parametrize(
+    "grid, workers, expected",
+    [([0.1, 0.2], 1000, 2), ([0.1, 0.2, 0.3], 2, 2), ([0.1, 0.2, 0.3, 0.4, 0.5], 1000, 3)],
+)
 def test_sweep_pool_is_capped_at_the_grid_size(monkeypatch, grid, workers, expected):
+    """The pool is no larger than the workers asked for, the grid or the usable CPUs (three here)."""
+    monkeypatch.setattr(tec.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(tec.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(tec, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     points = monte_carlo_sweep(grid, 2000, seed=3, workers=workers)
