@@ -37,7 +37,6 @@ from .rng import philox_generator
 from .tableau import StabilizerTableau
 from .tec import (
     G8_CODE,
-    NoiseModel,
     SweepPoint,
     TopologicalCode,
     analytic_protected,

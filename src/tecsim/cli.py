@@ -47,8 +47,11 @@ def _grid(p_min: float, p_max: float, steps: int) -> list[float]:
         raise ValueError(f"steps must be <= {MAX_STEPS}")
     if not 0.0 <= p_min <= p_max <= 1.0:
         raise ValueError("need 0 <= p-min <= p-max <= 1")
-    span = p_max - p_min  # the first term adds +0.0, so p-min -0 prints as 0
-    return [p_min + span * i / max(steps - 1, 1) for i in range(steps)]
+    # the ends are exact and the inner points clamped, so rounding never leaves
+    # [p-min, p-max]; adding +0.0 prints a -0 end as 0
+    span = p_max - p_min
+    inner = [min(p_min + span * i / (steps - 1), p_max) for i in range(1, steps - 1)]
+    return [p_min + 0.0, *inner, p_max + 0.0][:steps]
 
 
 # ----------------------------------------------------------------------

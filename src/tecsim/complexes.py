@@ -263,7 +263,7 @@ def volume_boundary_masks(cx: CellComplex) -> tuple[int, ...]:
 def _volume_echelon(cx: CellComplex) -> tuple[dict[str, int], dict[int, tuple[int, int]]]:
     """Face positions and the echelon of the volume boundaries over them."""
     face_index = {name: i for i, name in enumerate(cx.cells(2))}
-    return face_index, _gf2_echelon([_face_mask(cx.volumes[v], face_index) for v in cx.cells(3)])[0]
+    return face_index, _gf2_echelon(volume_boundary_masks(cx))[0]
 
 
 def homologically_equivalent(

@@ -3,8 +3,10 @@
 :func:`build_code` derives the code from the complex: the volume boundaries
 are the parity checks, a nontrivial closed surface carries the protected
 correlation, and the decoder maps each syndrome to its unique minimum-weight
-flip pattern. The eight-qubit demo (:data:`G8_CODE`) adds flip noise,
-Monte-Carlo sweeps and the analytic error curves that enumeration reproduces.
+flip pattern. The code also owns the complex's cluster state, built on first
+use per engine, whose first qubits are its faces in order. The eight-qubit
+demo (:data:`G8_CODE`) adds Z-flip noise on those face qubits, Monte-Carlo
+sweeps and the analytic error curves that enumeration reproduces.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,15 +47,30 @@ class TopologicalCode:
     """Parity checks, protected surface and lookup decoder of a cell complex.
 
     Flip patterns, checks and the surface are face bitmasks: bit i is
-    ``faces[i]``, face number i + 1 in the public frozenset form. A syndrome
-    holds one +-1 per check, the product of the face outcomes around that
-    volume; ``leaders`` maps each to its unique minimum-weight flip bitmask.
+    ``faces[i]``, face number i + 1 in the public frozenset form, and qubit i
+    of :meth:`state`. A syndrome holds one +-1 per check, the product of the
+    face outcomes around that volume; ``leaders`` maps each to its unique
+    minimum-weight flip bitmask.
     """
 
+    complex: CellComplex
     faces: tuple[str, ...]
     checks: tuple[int, ...]
     surface: int
     leaders: dict[tuple[int, ...], int]
+    _states: dict[str, ClusterState] = field(default_factory=dict, init=False, repr=False)
+
+    def state(self, engine: str = "tableau") -> ClusterState:
+        """The complex's cluster state on ``engine``, built on first use; callers copy it."""
+        if engine not in self._states:
+            self._states[engine] = build_cluster(interaction_graph(self.complex), engine)
+        return self._states[engine]
+
+    @cached_property
+    def _readout_plan(self) -> tuple[list[int], int]:
+        """The tableau state's neighbour masks and its count of random X outcomes."""
+        masks = [row.z_bits for row in self.state("tableau").backend.stabilizers()]
+        return masks, len(masks) - len(_gf2_echelon(masks)[1])
 
     @property
     def check_names(self) -> tuple[str, ...]:
@@ -100,9 +117,9 @@ def build_code(cx: CellComplex, surface) -> TopologicalCode:
         raise ValueError(f"surface {sorted(chain.cells)} is not closed")
     if not homology_class_key(chain, cx):
         raise ValueError(f"surface {sorted(chain.cells)} bounds volumes, so it protects nothing")
-    surface_mask = sum(1 << faces.index(f) for f in chain.cells)
+    surface_mask = sum(1 << i for i, f in enumerate(faces) if f in chain.cells)
     leaders: dict[tuple[int, ...], int] = {}
-    code = TopologicalCode(faces, volume_boundary_masks(cx), surface_mask, leaders)
+    code = TopologicalCode(cx, faces, volume_boundary_masks(cx), surface_mask, leaders)
     for flips in sorted(range(1 << len(faces)), key=int.bit_count):
         best = leaders.setdefault(code.syndrome(flips), flips)
         if best != flips and best.bit_count() == flips.bit_count():
@@ -113,29 +130,16 @@ def build_code(cx: CellComplex, surface) -> TopologicalCode:
 G8_CODE = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Independent Z-flip noise on a set of distinct g8 face qubits, by face number."""
-
-    p: float
-    targets: tuple[int, ...] = tuple(range(1, len(G8_CODE.faces) + 1))
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"flip probability must be in [0, 1], got {self.p}")
-        if not self.targets:
-            raise ValueError("noise model needs at least one target qubit")
-        unknown = [q for q in self.targets if not 1 <= q <= len(G8_CODE.faces)]
-        if unknown:
-            raise ValueError(f"unknown target qubits {sorted(unknown)}")
-        if len(set(self.targets)) != len(self.targets):
-            raise ValueError(f"duplicate target qubits in {self.targets}")
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must be in [0, 1], got {p}")
 
 
-def sample_errors(model: NoiseModel, rng: np.random.Generator) -> frozenset:
-    """Include each target independently with probability p."""
-    draws = rng.random(len(model.targets))
-    return frozenset(q for q, u in zip(model.targets, draws) if u < model.p)
+def sample_errors(p: float, rng: np.random.Generator) -> frozenset:
+    """Face numbers of the g8 faces, each flipped independently with probability p."""
+    _check_probability(p)
+    draws = rng.random(len(G8_CODE.faces))
+    return frozenset(q for q, u in enumerate(draws, 1) if u < p)
 
 
 def extract_syndrome(outcomes: OutcomeRecord) -> tuple[int, ...]:
@@ -151,11 +155,6 @@ def decode_and_correct(outcomes: OutcomeRecord) -> tuple[int, frozenset]:
 
 # ----------------------------------------------------------------------
 # analytic curves and the enumeration oracle
-
-
-def _check_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p}")
 
 
 def analytic_unprotected(p: float) -> float:
@@ -188,11 +187,6 @@ def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
 # ----------------------------------------------------------------------
 # Monte Carlo
 
-@lru_cache(maxsize=None)
-def _base_state(engine: str) -> ClusterState:
-    """The g8 cluster state on ``engine``; callers copy it."""
-    return build_cluster(interaction_graph(build_g8_complex()), engine)
-
 
 def run_pattern(
     pattern, rng: np.random.Generator, engine: str = "tableau"
@@ -201,25 +195,25 @@ def run_pattern(
 
     Returns (corrected protected product, correction, outcome record).
     """
-    if not set(pattern) <= set(NoiseModel.targets):
+    if not set(pattern) <= set(range(1, len(G8_CODE.faces) + 1)):
         raise ValueError(f"unknown face numbers in {sorted(pattern)}")
-    state = _base_state(engine).copy()
+    state = G8_CODE.state(engine).copy()
     for q in pattern:
-        state.backend.apply_gate("Z", state.index(G8_CODE.faces[q - 1]))
+        state.backend.apply_gate("Z", q - 1)  # face q is qubit q - 1
     record = measure_all(state, rng, "x")
     corrected, correction = decode_and_correct(record)
     return corrected, correction, record
 
 
 def simulate_trial(
-    model: NoiseModel, rng: np.random.Generator, engine: str = "tableau"
+    p: float, rng: np.random.Generator, engine: str = "tableau"
 ) -> tuple[bool, bool, frozenset]:
-    """One full trial: sample noise, inject, read out, decode.
+    """One full trial: sample flips with probability p, inject, read out, decode.
 
     Returns (protected correlation failed, unprotected correlation failed,
     sampled pattern).
     """
-    pattern = sample_errors(model, rng)
+    pattern = sample_errors(p, rng)
     corrected, _, record = run_pattern(pattern, rng, engine)
     return corrected == -1, G8_CODE.flipped(G8_CODE.flips(record)), pattern
 
@@ -255,16 +249,13 @@ def _tableau_readout(p: float, seed: int, point_index: int, start: int, size: in
     for the Z flips, which set the face qubits' signs, then ``integers(0, 2)`` per random
     outcome, which is bit 31 of the low and then of the high 32-bit half of the next words.
     """
-    state = _base_state("tableau")
-    masks = [row.z_bits for row in state.backend.stabilizers()]
-    faces = [state.index(face) for face in G8_CODE.faces]
-    randoms = len(masks) - len(_gf2_echelon(masks)[1])
-    words = trial_words(seed, point_index, start, size, len(faces) + -(-randoms // 2))
-    flips = ((words[:, : len(faces)] >> np.uint64(11)) * 2.0**-53 < p).T.view(np.int8)
-    signs = [np.zeros(size, np.int8)] * len(masks)  # the graph state's signs are +1
-    for q, column in zip(faces, flips):
-        signs[q] = column  # a Z on qubit q flips stabilizer q alone
-    halves = (words[:, len(faces) :, None] >> np.array([31, 63], np.uint64)) & np.uint64(1)
+    masks, randoms = G8_CODE._readout_plan
+    faces = len(G8_CODE.faces)
+    words = trial_words(seed, point_index, start, size, faces + -(-randoms // 2))
+    flips = ((words[:, :faces] >> np.uint64(11)) * 2.0**-53 < p).T.view(np.int8)
+    # a Z on face qubit q flips stabilizer q alone; the other signs stay +1
+    signs = [*flips, *[np.zeros(size, np.int8)] * (len(masks) - faces)]
+    halves = (words[:, faces:, None] >> np.array([31, 63], np.uint64)) & np.uint64(1)
     draws = iter(halves.reshape(size, -1).T.astype(np.int8))
     return (1 - 2 * np.array(_graph_readout_x(masks, signs, draws.__next__))).T
 
@@ -296,10 +287,10 @@ def _dense_readout(p: float, seed: int, point_index: int, start: int, size: int)
     outcome. Each X measurement is ``StateVector.measure_pauli``'s, row by row: the
     expectation and its thresholds, a draw only where the outcome is random, the projection.
     """
-    state = _base_state("dense")
+    state = G8_CODE.state("dense")
     n, faces = state.graph.qubit_count, len(G8_CODE.faces)
     draws = (trial_words(seed, point_index, start, size, faces + n) >> np.uint64(11)) * 2.0**-53
-    flipped = (draws[:, :faces] < p) @ [1 << (n - 1 - state.index(f)) for f in G8_CODE.faces]
+    flipped = (draws[:, :faces] < p) @ [1 << (n - 1 - q) for q in range(faces)]
     parity = np.bitwise_count(flipped[:, None] & np.arange(1 << n)) & 1  # qubit 0 is the top bit
     amps = state.backend.amps * (1.0 - 2.0 * parity)
     cursor = np.full(size, faces)  # each row's next unread word
@@ -326,10 +317,10 @@ def _count_block_failures(
     readout, block: int, p: float, trials: int, seed: int, point_index: int
 ) -> tuple[int, int]:
     """Failure counts of a state engine from ``readout(p, seed, point_index, start, size)``,
-    the X outcomes (+-1, in qubit order) of each block of trials; both engines share one graph."""
-    faces = [_base_state("tableau").index(face) for face in G8_CODE.faces]
+    the X outcomes (+-1, in qubit order) of each block of trials, whose first columns are the faces."""
+    faces = len(G8_CODE.faces)
     def face_flips(*args):
-        return (readout(*args)[:, faces] < 0) @ (1 << np.arange(len(faces)))
+        return (readout(*args)[:, :faces] < 0) @ (1 << np.arange(faces))
     return _count_face_flips(face_flips, block, p, trials, seed, point_index)
 
 

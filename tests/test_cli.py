@@ -2,6 +2,8 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tecsim import __version__, cli, tec
 from tecsim.cli import main
@@ -348,3 +350,35 @@ def test_sweep_write_failure_is_the_only_stderr_line(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("tecsim: error: cannot write output file") and err.count("\n") == 1
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    bounds=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    steps=st.integers(1, 60),
+)
+def test_grid_ends_are_exact_and_every_point_is_in_range(bounds, steps):
+    p_min, p_max = bounds
+    grid = cli._grid(p_min, p_max, steps)
+    assert len(grid) == steps
+    assert grid[0] == p_min
+    if steps > 1:
+        assert grid[-1] == p_max
+    assert all(p_min <= p <= p_max for p in grid)
+    assert grid == sorted(grid)
+    for i, p in enumerate(grid[1:-1], 1):  # inner points keep the linear formula's value
+        assert p == min(p_min + (p_max - p_min) * i / (steps - 1), p_max)
+
+
+def test_sweep_grid_reaching_one_is_not_rejected(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--p-min", "0.08", "--p-max", "1", "--steps", "11",
+                             "--trials", "100")
+    assert code == 0, err
+    assert out.splitlines()[-1].startswith("1,")
+
+
+def test_sweep_last_point_is_p_max_exactly(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--p-max", "0.1", "--steps", "7", "--trials", "100",
+                           "--format", "json")
+    assert code == 0
+    assert [pt["p"] for pt in json.loads(out)["points"]][::6] == [0.0, 0.1]

@@ -122,6 +122,15 @@ def test_ring5_monte_carlo_matches_its_enumeration(ring5):
         assert abs(count / trials - rate) < 4 * math.sqrt(rate * (1 - rate) / trials)
 
 
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
+def test_face_i_is_qubit_i_of_the_codes_state(ring5, engine):
+    for code in (G8_CODE, ring5):
+        state = code.state(engine)
+        assert state is code.state(engine)  # built once per engine
+        assert state.graph.vertices[: len(code.faces)] == code.faces
+        assert state.graph.vertices == interaction_graph(code.complex).vertices
+
+
 def test_ring5_syndromes_match_the_measured_face_products(ring5):
     cx = complex_from_json(RING5.read_text())
     base = build_cluster(interaction_graph(cx), "tableau")

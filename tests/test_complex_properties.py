@@ -64,3 +64,12 @@ def test_every_volume_x_product_is_plus_one(d, seed):
     record = measure_all(build_cluster(interaction_graph(cx), "tableau"), philox_generator(seed, 0))
     for volume, faces in cx.volumes.items():
         assert record.product(faces) == 1, volume
+
+
+@derandomized
+@given(dims)
+def test_face_qubits_come_first_in_face_order(d):
+    cx = build_cuboid_complex(*d)
+    graph = interaction_graph(cx)
+    assert graph.vertices[: len(cx.faces)] == cx.cells(2)
+    assert graph.kinds[: len(cx.faces)] == ("face",) * len(cx.faces)

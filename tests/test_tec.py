@@ -18,11 +18,12 @@ from tecsim.complexes import (
     is_closed,
 )
 from tecsim.rng import philox_generator
+from tecsim.tableau import StabilizerTableau
 from tecsim.tec import (
     G8_CODE,
-    NoiseModel,
     analytic_protected,
     analytic_unprotected,
+    build_code,
     decode_and_correct,
     exact_enumeration,
     extract_syndrome,
@@ -69,34 +70,27 @@ def representative_record(pattern):
 
 def test_sample_errors_extremes():
     rng = philox_generator(0)
-    model_zero = NoiseModel(0.0)
-    model_one = NoiseModel(1.0)
     for _ in range(50):
-        assert sample_errors(model_zero, rng) == frozenset()
-        assert sample_errors(model_one, rng) == frozenset(FACE_NUMBERS)
+        assert sample_errors(0.0, rng) == frozenset()
+        assert sample_errors(1.0, rng) == frozenset(FACE_NUMBERS)
 
 
 def test_sample_errors_binomial_mean():
     rng = philox_generator(1)
-    model = NoiseModel(0.5)
     trials = 100_000
-    total = sum(len(sample_errors(model, rng)) for _ in range(trials))
+    total = sum(len(sample_errors(0.5, rng)) for _ in range(trials))
     mean = total / trials
     sigma = math.sqrt(6 * 0.25 / trials)
     assert abs(mean - 3.0) < 3 * sigma
 
 
 def test_noise_model_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(-0.1)
-    with pytest.raises(ValueError):
-        NoiseModel(1.1)
-    with pytest.raises(ValueError):
-        NoiseModel(0.5, targets=())
-    with pytest.raises(ValueError):
-        NoiseModel(0.5, targets=(7,))
-    with pytest.raises(ValueError, match="duplicate"):
-        NoiseModel(0.3, targets=(1, 1))
+    rng = philox_generator(0)
+    for p in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError, match="probability must be in"):
+            sample_errors(p, rng)
+        with pytest.raises(ValueError, match="probability must be in"):
+            simulate_trial(p, rng)
 
 
 @pytest.mark.parametrize("qubit,row", SINGLE_ERROR_SYNDROMES.items())
@@ -246,9 +240,8 @@ def test_pipeline_determinism_across_seeds():
 
 
 def test_simulate_trial_reproducible():
-    model = NoiseModel(0.3)
-    a = simulate_trial(model, philox_generator(9, 0), "tableau")
-    b = simulate_trial(model, philox_generator(9, 0), "tableau")
+    a = simulate_trial(0.3, philox_generator(9, 0), "tableau")
+    b = simulate_trial(0.3, philox_generator(9, 0), "tableau")
     assert a == b
 
 
@@ -316,10 +309,9 @@ def test_engine_sweep_counts_match_per_trial_reference(engine, trials):
     grid, seed = [0.15, 0.4], 21
     expected = []
     for i, p in enumerate(grid):
-        model = NoiseModel(p)
         prot = unprot = 0
         for t in range(trials):
-            pf, uf, _ = simulate_trial(model, philox_generator(seed, i, t), engine)
+            pf, uf, _ = simulate_trial(p, philox_generator(seed, i, t), engine)
             prot += pf
             unprot += uf
         expected.append((prot, unprot))
@@ -331,11 +323,10 @@ def test_engine_sweep_counts_match_per_trial_reference(engine, trials):
 
 def running_reference(p, trials, seed, point, engine="tableau"):
     """(protected, unprotected) failures of a ``simulate_trial`` loop after each trial."""
-    model = NoiseModel(p)
     prot = unprot = 0
     running = []
     for t in range(trials):
-        pf, uf, _ = simulate_trial(model, philox_generator(seed, point, t), engine)
+        pf, uf, _ = simulate_trial(p, philox_generator(seed, point, t), engine)
         prot += pf
         unprot += uf
         running.append((prot, unprot))
@@ -383,12 +374,30 @@ def test_block_outcomes_are_each_trials_readout(p, engine):
     """
     seed, point, start, size = 2**64 + 3, 2, 2 * tec._KEY_BLOCK, 40
     readout = {"tableau": tec._tableau_readout, "dense": tec._dense_readout}[engine]
-    labels = tec._base_state(engine).graph.vertices
+    labels = G8_CODE.state(engine).graph.vertices
     got = readout(p, seed, point, start, size)
     for i in range(size):
         rng = philox_generator(seed, point, start + i)
-        _, _, record = run_pattern(sample_errors(NoiseModel(p), rng), rng, engine)
+        _, _, record = run_pattern(sample_errors(p, rng), rng, engine)
         assert got[i].tolist() == [record.outcomes[label] for label in labels], i
+
+
+def test_tableau_sweep_reads_the_stabilizers_once(monkeypatch):
+    """The neighbour masks and the random-outcome count are the code's, not each block's."""
+    block = 64
+    monkeypatch.setattr(tec, "_KEY_BLOCK", block)
+    expected = tec._count_failures_tableau(0.2, 3 * block + 5, 4, 0)
+    monkeypatch.setattr(tec, "G8_CODE", build_code(build_g8_complex(), G8_PROTECTED_SURFACE))
+    calls = []
+    stabilizers = StabilizerTableau.stabilizers
+    def counted(self):
+        calls.append(self)
+        return stabilizers(self)
+
+    monkeypatch.setattr(StabilizerTableau, "stabilizers", counted)
+    (point,) = monte_carlo_sweep([0.2], 3 * block + 5, seed=4, engine="tableau")
+    assert (point.protected_failures, point.unprotected_failures) == expected
+    assert len(calls) <= 1
 
 
 @pytest.mark.parametrize(
