@@ -153,7 +153,9 @@ def cmd_witness(args: argparse.Namespace) -> tuple[str, None]:
     for v in args.visibility or DEFAULT_VISIBILITIES:
         model = witness.white_noise_model(v)
         w_proj = witness.witness_expectation(model, "projector")
-        w_set = witness.witness_expectation(model, "settings")
+        settings = witness.setting_expectations(model)  # the eight settings, evaluated once
+        terms = witness.build_witness().settings
+        w_set = 0.5 + sum(s.coefficient * settings[s.name] for s in terms)
         if abs(w_proj - w_set) > 1e-10:
             raise SelfCheckError(
                 f"witness forms disagree at visibility {v}: {w_proj} vs {w_set}"
@@ -161,7 +163,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[str, None]:
         results.append(
             {
                 "visibility": v + 0.0,  # --visibility -0 prints as 0.0
-                "settings": witness.setting_expectations(model),
+                "settings": settings,
                 "witness_expectation": w_proj,
                 "fidelity_bound": witness.fidelity_bound(w_proj),
             }

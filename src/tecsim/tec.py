@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -30,7 +29,7 @@ from .complexes import (
     volume_boundary_masks,
 )
 from .errors import CapacityError
-from .rng import _KEY_BLOCK, philox_generator, trial_words
+from .rng import philox_generator
 from .tableau import _graph_readout_x
 
 SWEEP_ENGINES = ("fast", "tableau", "dense")
@@ -218,82 +217,49 @@ def simulate_trial(
     return corrected == -1, G8_CODE.flipped(G8_CODE.flips(record)), pattern
 
 
-# Trials drawn per chunk by the fast kernel, so its memory does not grow with trials.
-_FAST_CHUNK = 1 << 16
+# Trials per block of each engine, so memory does not grow with trials; a dense
+# g8 block is one (256, 2^8) complex array, 1 MiB.
+_BLOCKS = {"fast": 1 << 16, "tableau": 1 << 12, "dense": 1 << 8}
 
 
-def _count_failures_fast(
-    p: float, trials: int, seed: int, point_index: int, code: TopologicalCode = G8_CODE
-) -> tuple[int, int]:
-    """Vectorized classical-outcome path: count the 2^F flip patterns, then look up.
+def _tableau_readout(
+    flips: np.ndarray, outcome_rng: np.random.Generator, code: TopologicalCode
+) -> np.ndarray:
+    """X outcomes (+-1, in qubit order) of the trials whose Z flips are the rows of ``flips``.
 
-    Z flips commute with X readout products, so a trial's verdicts depend on
-    its flip pattern alone; tests pin both tables per pattern against the
-    tableau pipeline. The point's one Philox stream is read in chunks, the
-    same doubles in the same order as one ``(trials, F)`` draw.
+    The block runs :func:`_graph_readout_x`, which ``StabilizerTableau.readout_x`` runs for
+    one trial, on bit columns with one entry per trial. Each trial reads ceil(R / 64)
+    ``random_raw`` words of ``outcome_rng`` (R random outcomes); outcome k is bit k.
     """
-    n = len(code.faces)
-    rng = philox_generator(seed, point_index)
-    bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
-    def face_flips(p, _seed, _point, _start, size):  # blocks come in trial order
-        return (rng.random((size, n)) < p).view(np.uint8) @ bits  # column i <-> face bit i
-    return _count_face_flips(face_flips, _FAST_CHUNK, p, trials, seed, point_index, code)
-
-
-def _tableau_readout(p: float, seed: int, point_index: int, start: int, size: int) -> np.ndarray:
-    """X outcomes (+-1, in qubit order) of trials ``start .. start + size - 1`` on the tableau engine.
-
-    The block runs :func:`_graph_readout_x`, the rule ``StabilizerTableau.readout_x``
-    runs for one trial, on bit columns with one entry per trial. Each trial reads from
-    its own stream what ``simulate_trial`` draws: ``random(F)``, one double per raw word,
-    for the Z flips, which set the face qubits' signs, then ``integers(0, 2)`` per random
-    outcome, which is bit 31 of the low and then of the high 32-bit half of the next words.
-    """
-    masks, randoms = G8_CODE._readout_plan
-    faces = len(G8_CODE.faces)
-    words = trial_words(seed, point_index, start, size, faces + -(-randoms // 2))
-    flips = ((words[:, :faces] >> np.uint64(11)) * 2.0**-53 < p).T.view(np.int8)
+    masks, randoms = code._readout_plan
+    size, faces = flips.shape
+    words = outcome_rng.bit_generator.random_raw((size, -(-randoms // 64)))
+    k = np.arange(randoms)
+    bits = words[:, k >> 6] >> (k & 63).astype(np.uint64) & np.uint64(1)
+    draws = iter(bits.T.astype(np.int8))
     # a Z on face qubit q flips stabilizer q alone; the other signs stay +1
-    signs = [*flips, *[np.zeros(size, np.int8)] * (len(masks) - faces)]
-    halves = (words[:, faces:, None] >> np.array([31, 63], np.uint64)) & np.uint64(1)
-    draws = iter(halves.reshape(size, -1).T.astype(np.int8))
+    signs = [*flips.T.view(np.int8), *[np.zeros(size, np.int8)] * (len(masks) - faces)]
     return (1 - 2 * np.array(_graph_readout_x(masks, signs, draws.__next__))).T
 
 
-def _count_face_flips(
-    face_flips, block: int, p: float, trials: int, seed: int, point_index: int,
-    code: TopologicalCode = G8_CODE,
-) -> tuple[int, int]:
-    """Failure counts from ``face_flips(p, seed, point_index, start, size)``, the observed
-    face-flip bitmasks of each block in trial order, counted and looked up in ``code.tables``."""
-    patterns = len(code.tables[0])
-    counts = np.zeros(patterns, dtype=np.int64)
-    for start in range(0, trials, block):
-        flips = face_flips(p, seed, point_index, start, min(block, trials - start))
-        counts += np.bincount(flips, minlength=patterns)
-    return tuple((code.tables @ counts).tolist())
+def _dense_readout(
+    flips: np.ndarray, outcome_rng: np.random.Generator, code: TopologicalCode
+) -> np.ndarray:
+    """X outcomes (+-1, in qubit order) of the trials whose Z flips are the rows of ``flips``.
 
-
-# Trials per dense block: a divisor of _KEY_BLOCK; a (256, 2^8) complex block is 1 MiB.
-_DENSE_BLOCK = 256
-
-
-def _dense_readout(p: float, seed: int, point_index: int, start: int, size: int) -> np.ndarray:
-    """X outcomes (+-1, in qubit order) of trials ``start .. start + size - 1`` on the dense engine.
-
-    The block runs as one ``(size, 2^n)`` amplitude array. Each trial reads F + n raw
-    words of its own stream, as ``simulate_trial`` draws them: ``random(F)`` for its Z
-    flips, sign vectors on the cached graph state, then one ``random()`` per random
-    outcome. Each X measurement is ``StateVector.measure_pauli``'s, row by row: the
-    expectation and its thresholds, a draw only where the outcome is random, the projection.
+    One ``(size, 2^n)`` amplitude array holds the block: the flips are sign vectors on the
+    code's cached graph state. Each X measurement is ``StateVector.measure_pauli``'s, row by
+    row: expectation, thresholds, a draw only where the outcome is random, the projection.
+    Each trial reads n doubles of ``outcome_rng``; random outcome k reads double k.
     """
-    state = G8_CODE.state("dense")
-    n, faces = state.graph.qubit_count, len(G8_CODE.faces)
-    draws = (trial_words(seed, point_index, start, size, faces + n) >> np.uint64(11)) * 2.0**-53
-    flipped = (draws[:, :faces] < p) @ [1 << (n - 1 - q) for q in range(faces)]
+    state = code.state("dense")
+    n = state.graph.qubit_count
+    size, faces = flips.shape
+    draws = outcome_rng.random((size, n))
+    flipped = flips @ [1 << (n - 1 - q) for q in range(faces)]
     parity = np.bitwise_count(flipped[:, None] & np.arange(1 << n)) & 1  # qubit 0 is the top bit
     amps = state.backend.amps * (1.0 - 2.0 * parity)
-    cursor = np.full(size, faces)  # each row's next unread word
+    cursor = np.zeros(size, np.intp)  # each row's next unread draw
     outcomes = np.empty((size, n), dtype=np.int64)
     for q in range(n):
         pairs = amps.reshape(size, 1 << q, 2, -1)  # X_q swaps pairs[:, :, 0] and pairs[:, :, 1]
@@ -313,37 +279,40 @@ def _dense_readout(p: float, seed: int, point_index: int, start: int, size: int)
     return outcomes
 
 
-def _count_block_failures(
-    readout, block: int, p: float, trials: int, seed: int, point_index: int
+_READOUTS = {"tableau": _tableau_readout, "dense": _dense_readout}
+
+
+def _count_failures(
+    engine: str, p: float, trials: int, seed: int, point_index: int,
+    code: TopologicalCode = G8_CODE,
 ) -> tuple[int, int]:
-    """Failure counts of a state engine from ``readout(p, seed, point_index, start, size)``,
-    the X outcomes (+-1, in qubit order) of each block of trials, whose first columns are the faces."""
-    faces = len(G8_CODE.faces)
-    def face_flips(*args):
-        return (readout(*args)[:, :faces] < 0) @ (1 << np.arange(faces))
-    return _count_face_flips(face_flips, block, p, trials, seed, point_index)
+    """(protected, unprotected) failures of ``trials`` trials at one grid point on ``engine``.
 
-
-def _count_failures_tableau(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
-    """Tableau path: the counts of a ``simulate_trial`` loop, ``_KEY_BLOCK`` trials at a time."""
-    return _count_block_failures(_tableau_readout, _KEY_BLOCK, p, trials, seed, point_index)
-
-
-def _count_failures_dense(p: float, trials: int, seed: int, point_index: int) -> tuple[int, int]:
-    """Dense oracle path: the counts of a ``simulate_trial(..., "dense")`` loop, in blocks."""
-    return _count_block_failures(_dense_readout, _DENSE_BLOCK, p, trials, seed, point_index)
-
-
-_KERNELS = {
-    "fast": _count_failures_fast,
-    "tableau": _count_failures_tableau,
-    "dense": _count_failures_dense,
-}
+    Trial t's Z flips are row t of ``philox_generator(seed, point_index)``, F doubles per
+    trial. Z flips commute with the X readout products, so ``fast`` looks the flips up in
+    ``code.tables`` directly. A state engine reads each block out, drawing its random X
+    outcomes from ``(seed, point_index, 1)``; those flip no check and not the surface, so
+    the faces it reads as -1 give the same counts.
+    """
+    n = len(code.faces)
+    flip_rng = philox_generator(seed, point_index)
+    readout = _READOUTS.get(engine)
+    outcome_rng = philox_generator(seed, point_index, 1) if readout else None
+    bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
+    patterns = len(code.tables[0])
+    counts = np.zeros(patterns, dtype=np.int64)
+    block = _BLOCKS[engine]
+    for start in range(0, trials, block):
+        flips = flip_rng.random((min(block, trials - start), n)) < p
+        if readout:
+            flips = readout(flips, outcome_rng, code)[:, :n] < 0  # face i is qubit i
+        counts += np.bincount(flips.view(np.uint8) @ bits, minlength=patterns)  # column i is bit i
+    return tuple((code.tables @ counts).tolist())
 
 
 def _sweep_job(args) -> tuple[int, int]:
     point_index, p, trials, seed, engine = args
-    return _KERNELS[engine](p, trials, seed, point_index)
+    return _count_failures(engine, p, trials, seed, point_index)
 
 
 @dataclass(frozen=True)
@@ -394,9 +363,9 @@ def monte_carlo_sweep(
 ) -> list[SweepPoint]:
     """Estimate both error rates across a probability grid.
 
-    Each grid point draws from its own (seed, point) Philox stream, so the
+    Each grid point draws from its own (seed, point) Philox streams, so the
     output is bitwise identical for any worker count and any completion
-    order.
+    order, and every engine gives the same counts.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -412,6 +381,8 @@ def monte_carlo_sweep(
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pool_size = min(workers, len(jobs), cpus or 1)
     if pool_size > 1:
+        # imported here, as it loads multiprocessing, which a serial sweep never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             counts = list(pool.map(_sweep_job, jobs))  # in job order, whatever the completion order
     else:

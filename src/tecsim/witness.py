@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
@@ -62,10 +63,12 @@ class MeasurementSetting:
     coefficient: float
     terms: tuple[tuple[float, tuple], ...]
 
-    def observable_matrix(self) -> np.ndarray:
-        total = np.zeros((_DIM, _DIM), dtype=complex)
+    def observable_matrix(self, lead: tuple[int, ...] = ()) -> np.ndarray:
+        """The setting's matrix, or its columns of the leading qubits' basis state ``lead``."""
+        total = np.zeros((_DIM, _DIM >> len(lead)), dtype=complex)
         for coeff, factors in self.terms:
             mats = [np.eye(2, dtype=complex) if f is None else f for f in factors]
+            mats[: len(lead)] = [m[:, [bit]] for m, bit in zip(mats, lead)]
             total += coeff * reduce(np.kron, mats)
         return total
 
@@ -84,16 +87,23 @@ class WitnessOperator:
     psi_prime: StateVector
     settings: tuple[MeasurementSetting, ...]
 
-    def projector_matrix(self) -> np.ndarray:
-        proj_psi = np.outer(self.psi.amps, self.psi.amps.conj())
-        proj_prime = np.outer(self.psi_prime.amps, self.psi_prime.amps.conj())
-        return 0.5 * np.eye(_DIM) - proj_psi + proj_prime
+    def projector_matrix(self, lead: tuple[int, ...] = ()) -> np.ndarray:
+        cols = _columns(lead)
+        proj_psi = np.outer(self.psi.amps, self.psi.amps[cols].conj())
+        proj_prime = np.outer(self.psi_prime.amps, self.psi_prime.amps[cols].conj())
+        return 0.5 * np.eye(_DIM)[:, cols] - proj_psi + proj_prime
 
-    def settings_matrix(self) -> np.ndarray:
-        total = 0.5 * np.eye(_DIM, dtype=complex)
+    def settings_matrix(self, lead: tuple[int, ...] = ()) -> np.ndarray:
+        total = 0.5 * np.eye(_DIM, dtype=complex)[:, _columns(lead)]
         for setting in self.settings:
-            total += setting.coefficient * setting.observable_matrix()
+            total += setting.coefficient * setting.observable_matrix(lead)
         return total
+
+
+def _columns(lead: tuple[int, ...]) -> slice:
+    """The columns in which the leading qubits (qubit 1 the top bit) are in state ``lead``."""
+    start = sum(bit << (N_QUBITS - 1 - i) for i, bit in enumerate(lead))
+    return slice(start, start + (_DIM >> len(lead)))
 
 
 def _computational_settings() -> list[MeasurementSetting]:
@@ -123,11 +133,14 @@ def _rotated_settings() -> list[MeasurementSetting]:
 
 @lru_cache(maxsize=1)
 def build_witness() -> WitnessOperator:
-    """Construct both forms and verify they agree as 256x256 operators."""
+    """Construct both forms and verify they agree as 256x256 operators, 64 columns at a time."""
     psi, psi_prime = build_target_states()
     settings = tuple(_computational_settings() + _rotated_settings())
     witness = WitnessOperator(psi, psi_prime, settings)
-    deviation = np.max(np.abs(witness.projector_matrix() - witness.settings_matrix()))
+    deviation = max(
+        np.max(np.abs(witness.projector_matrix(lead) - witness.settings_matrix(lead)))
+        for lead in product((0, 1), repeat=2)
+    )
     if deviation > 1e-10:
         raise AssertionError(
             f"witness forms disagree: max entry deviation {deviation:.3g}"

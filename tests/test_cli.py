@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tecsim import __version__, cli, tec
+from tecsim import __version__, cli, tec, witness
 from tecsim.cli import main
 
 
@@ -101,6 +101,20 @@ def test_sweep_outputs_are_byte_identical(tmp_path, capsys):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+@pytest.mark.parametrize("seed", ["7", "13", "99"])
+def test_state_engine_sweeps_print_the_fast_rows(capsys, seed):
+    """Every engine reads the same flips, so only the header comment names the engine."""
+    def rows(*argv):
+        code, out, _ = run_cli(capsys, "sweep", "--seed", seed, "--trials", "300", "--steps", "4", *argv)
+        assert code == 0
+        return [line for line in out.splitlines() if not line.startswith("#")]
+
+    fast = rows("--engine", "fast")
+    for engine in ("tableau", "dense"):
+        for workers in ("1", "2"):
+            assert rows("--engine", engine, "--workers", workers) == fast, (engine, workers)
+
+
 def test_sweep_json_format(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--steps", "2", "--trials", "500", "--format", "json"
@@ -184,6 +198,18 @@ def test_witness_report(capsys):
     assert results[0.605]["fidelity_bound"] == pytest.approx(0.605)
     assert results[0.0]["witness_expectation"] == pytest.approx(0.5)
     assert results[1.0]["settings"]["A0"] == pytest.approx(1.0)
+
+
+def test_witness_evaluates_the_settings_once_per_visibility(monkeypatch, capsys):
+    calls = []
+    for name in ("setting_expectations", "witness_expectation"):
+        def counted(model, *args, _name=name, _original=getattr(witness, name)):
+            calls.append((_name, *args))
+            return _original(model, *args)
+
+        monkeypatch.setattr(witness, name, counted)
+    assert run_cli(capsys, "witness", "--visibility", "0.605")[0] == 0
+    assert calls == [("witness_expectation", "projector"), ("setting_expectations",)]
 
 
 def test_consecutive_calls_do_not_leak_parsed_state(capsys):

@@ -117,9 +117,17 @@ def test_ring5_enumeration_matches_its_closed_form(ring5, p):
 
 def test_ring5_monte_carlo_matches_its_enumeration(ring5):
     p, trials = 0.2, 200_000
-    protected, unprotected = tec._count_failures_fast(p, trials, 5, 0, ring5)
+    protected, unprotected = tec._count_failures("fast", p, trials, 5, 0, ring5)
     for count, rate in ((protected, exact_enumeration(p, ring5)), (unprotected, 2 * p * (1 - p))):
         assert abs(count / trials - rate) < 4 * math.sqrt(rate * (1 - rate) / trials)
+
+
+@pytest.mark.parametrize("engine,trials", [("tableau", 3000), ("dense", 600)])
+def test_ring5_state_engine_counts_equal_the_fast_counts(ring5, engine, trials):
+    """The readouts take the code: ring5's random X outcomes change no verdict either."""
+    for p, seed in ((0.2, 5), (0.5, 11)):
+        expected = tec._count_failures("fast", p, trials, seed, 1, ring5)
+        assert tec._count_failures(engine, p, trials, seed, 1, ring5) == expected, p
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])

@@ -9,6 +9,7 @@ only when an output is meant to change:
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -56,6 +57,26 @@ def test_output_matches_golden_file(capsys, name, argv):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes(), name
+
+
+def _without_engine(name: str, text: str):
+    """A sweep output without the engine it names: its data rows, or its JSON without "engine"."""
+    if name.endswith(".json"):
+        payload = json.loads(text)
+        del payload["engine"]
+        return payload
+    return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("name", [n for n in CASES if n.startswith(("sweep-tableau", "sweep-dense"))])
+def test_state_engine_golden_sweeps_hold_the_fast_engines_rows(capsys, name):
+    """Every engine reads the same flips, so a state engine's file differs from the fast
+    output at its own arguments only where it names its engine."""
+    argv = list(CASES[name])
+    argv[argv.index("--engine") + 1] = "fast"
+    assert main(argv) == 0
+    fast = capsys.readouterr().out
+    assert _without_engine(name, (GOLDEN / name).read_text("utf-8")) == _without_engine(name, fast)
 
 
 def _regenerate() -> None:

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 from collections import Counter
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from tecsim.rng import philox_generator
 from tecsim.tableau import StabilizerTableau
 from tecsim.tec import (
     G8_CODE,
+    SWEEP_ENGINES,
     analytic_protected,
     analytic_unprotected,
     build_code,
@@ -304,64 +306,108 @@ def test_sweep_validation():
         monte_carlo_sweep([0.1], 10, seed=0, engine="warp")
 
 
-@pytest.mark.parametrize("engine,trials", [("tableau", 120), ("dense", 40)])
-def test_engine_sweep_counts_match_per_trial_reference(engine, trials):
-    grid, seed = [0.15, 0.4], 21
-    expected = []
-    for i, p in enumerate(grid):
-        prot = unprot = 0
-        for t in range(trials):
-            pf, uf, _ = simulate_trial(p, philox_generator(seed, i, t), engine)
-            prot += pf
-            unprot += uf
-        expected.append((prot, unprot))
-    for workers in (1, 2):
-        points = monte_carlo_sweep(grid, trials, seed=seed, engine=engine, workers=workers)
-        got = [(pt.protected_failures, pt.unprotected_failures) for pt in points]
-        assert got == expected, workers
+class TrialDraws:
+    """Stands in for one trial's Generator, replaying its draws in the sweep's layout.
+
+    ``random(F)`` returns the trial's flip doubles; each later ``integers(0, 2)``
+    or ``random()`` returns its next random-outcome draw, in order.
+    """
+
+    def __init__(self, doubles, draws):
+        self.doubles, self.draws = doubles, iter(draws)
+
+    def random(self, size=None):
+        return self.doubles if size is not None else float(next(self.draws))
+
+    def integers(self, low, high):
+        assert (low, high) == (0, 2)
+        return int(next(self.draws))
+
+
+def trial_draws(engine, seed, point, trials, code=G8_CODE):
+    """Each trial's draws: row t of the (seed, point) stream's F doubles for its flips, and
+    from the (seed, point, 1) stream, for its k-th random outcome, bit k of its ceil(R / 64)
+    raw words (tableau, R random outcomes) or double k of its n doubles (dense, n qubits)."""
+    doubles = philox_generator(seed, point).random((trials, len(code.faces)))
+    outcomes = philox_generator(seed, point, 1)
+    if engine == "tableau":
+        randoms = code._readout_plan[1]
+        words = outcomes.bit_generator.random_raw((trials, -(-randoms // 64))).tolist()
+        draws = [[w[k // 64] >> k % 64 & 1 for k in range(randoms)] for w in words]
+    else:
+        draws = outcomes.random((trials, code.state("dense").graph.qubit_count))
+    return [TrialDraws(d, r) for d, r in zip(doubles, draws)]
 
 
 def running_reference(p, trials, seed, point, engine="tableau"):
     """(protected, unprotected) failures of a ``simulate_trial`` loop after each trial."""
     prot = unprot = 0
     running = []
-    for t in range(trials):
-        pf, uf, _ = simulate_trial(p, philox_generator(seed, point, t), engine)
+    for rng in trial_draws(engine, seed, point, trials):
+        pf, uf, _ = simulate_trial(p, rng, engine)
         prot += pf
         unprot += uf
         running.append((prot, unprot))
     return running
 
 
+@pytest.mark.parametrize("engine,trials", [("tableau", 120), ("dense", 40)])
+def test_engine_sweep_counts_match_per_trial_reference(engine, trials):
+    grid, seed = [0.15, 0.4], 21
+    expected = [running_reference(p, trials, seed, i, engine)[-1] for i, p in enumerate(grid)]
+    for eng, workers in ((engine, 1), (engine, 2), ("fast", 1)):
+        points = monte_carlo_sweep(grid, trials, seed=seed, engine=eng, workers=workers)
+        got = [(pt.protected_failures, pt.unprotected_failures) for pt in points]
+        assert got == expected, (eng, workers)
+
+
 @pytest.mark.parametrize("seed", [0, 13, 2**64 + 3])
 @pytest.mark.parametrize("p", [0.0, 1e-9, 0.05, 0.5, 1.0])
 def test_sign_frame_counts_match_per_trial_loop(monkeypatch, p, seed):
     block = 64  # a small block puts every block edge in reach of a short reference loop
-    monkeypatch.setattr(tec, "_KEY_BLOCK", block)
+    monkeypatch.setitem(tec._BLOCKS, "tableau", block)
     for point in (0, 5):
         running = running_reference(p, 2 * block + 7, seed, point)
         for trials in (1, block - 1, block, block + 1, 2 * block + 7):
-            got = tec._count_failures_tableau(p, trials, seed, point)
+            got = tec._count_failures("tableau", p, trials, seed, point)
             assert got == running[trials - 1], (point, trials)
+            assert got == tec._count_failures("fast", p, trials, seed, point), (point, trials)
 
 
-def test_sign_frame_counts_match_per_trial_loop_at_the_key_block():
-    block, seed = tec._KEY_BLOCK, 2**64 + 3
+def test_sign_frame_counts_match_per_trial_loop_at_the_tableau_block():
+    block, seed = tec._BLOCKS["tableau"], 2**64 + 3
     running = running_reference(0.05, 2 * block + 7, seed, 1)
     for trials in (1, block - 1, block, block + 1, 2 * block + 7):
-        assert tec._count_failures_tableau(0.05, trials, seed, 1) == running[trials - 1], trials
+        assert tec._count_failures("tableau", 0.05, trials, seed, 1) == running[trials - 1], trials
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 3])
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
 def test_dense_block_counts_match_per_trial_loop(monkeypatch, p, seed):
     block = 16  # a small block puts every block edge in reach of a short reference loop
-    monkeypatch.setattr(tec, "_DENSE_BLOCK", block)
+    monkeypatch.setitem(tec._BLOCKS, "dense", block)
     for point in (0, 5):
         running = running_reference(p, 2 * block + 7, seed, point, "dense")
         for trials in (1, block - 1, block, block + 1, 2 * block + 7):
-            got = tec._count_failures_dense(p, trials, seed, point)
+            got = tec._count_failures("dense", p, trials, seed, point)
             assert got == running[trials - 1], (point, trials)
+            assert got == tec._count_failures("fast", p, trials, seed, point), (point, trials)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    engine=st.sampled_from(["tableau", "dense"]),
+    seed=st.integers(0, 2**64 + 5),
+    point=st.integers(0, 2**40),
+    p=st.floats(0.0, 1.0),
+    trials=st.integers(1, 300),
+    block=st.integers(1, 128),
+)
+def test_state_engine_counts_equal_the_fast_counts(engine, seed, point, p, trials, block):
+    """The random X outcomes change no verdict, so any block size gives the fast counts."""
+    with patch.dict(tec._BLOCKS, {engine: block}):
+        got = tec._count_failures(engine, p, trials, seed, point)
+    assert got == tec._count_failures("fast", p, trials, seed, point)
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
@@ -370,24 +416,45 @@ def test_block_outcomes_are_each_trials_readout(p, engine):
     """Every qubit's outcome, random ones included, is that of the trial's ``run_pattern`` record.
 
     The counts cannot show the random outcomes: on g8 they flip all six faces
-    together, which changes no verdict.
+    together, which changes no verdict. The second block reads the outcome stream
+    from where the first left it.
     """
-    seed, point, start, size = 2**64 + 3, 2, 2 * tec._KEY_BLOCK, 40
-    readout = {"tableau": tec._tableau_readout, "dense": tec._dense_readout}[engine]
+    seed, point, size, first = 2**64 + 3, 2, 40, 17
+    readout = tec._READOUTS[engine]
     labels = G8_CODE.state(engine).graph.vertices
-    got = readout(p, seed, point, start, size)
-    for i in range(size):
-        rng = philox_generator(seed, point, start + i)
+    rngs = trial_draws(engine, seed, point, size)
+    flips = np.array([rng.doubles for rng in rngs]) < p
+    outcome_rng = philox_generator(seed, point, 1)
+    got = np.concatenate(
+        [readout(flips[:first], outcome_rng, G8_CODE), readout(flips[first:], outcome_rng, G8_CODE)]
+    )
+    for i, rng in enumerate(rngs):
         _, _, record = run_pattern(sample_errors(p, rng), rng, engine)
         assert got[i].tolist() == [record.outcomes[label] for label in labels], i
+
+
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
+def test_sweep_blocks_read_the_points_outcome_stream_in_order(monkeypatch, engine):
+    """The counts cannot show which stream the random outcomes come from; the outcomes can."""
+    seed, point, trials, p = 11, 3, 50, 0.5
+    readout, outcomes = tec._READOUTS[engine], []
+    def spy(flips, outcome_rng, code):
+        outcomes.append(readout(flips, outcome_rng, code))
+        return outcomes[-1]
+
+    monkeypatch.setitem(tec._READOUTS, engine, spy)
+    monkeypatch.setitem(tec._BLOCKS, engine, 16)
+    tec._count_failures(engine, p, trials, seed, point)
+    flips = philox_generator(seed, point).random((trials, len(G8_CODE.faces))) < p
+    expected = readout(flips, philox_generator(seed, point, 1), G8_CODE)
+    assert len(outcomes) == 4 and np.array_equal(np.concatenate(outcomes), expected)
 
 
 def test_tableau_sweep_reads_the_stabilizers_once(monkeypatch):
     """The neighbour masks and the random-outcome count are the code's, not each block's."""
     block = 64
-    monkeypatch.setattr(tec, "_KEY_BLOCK", block)
-    expected = tec._count_failures_tableau(0.2, 3 * block + 5, 4, 0)
-    monkeypatch.setattr(tec, "G8_CODE", build_code(build_g8_complex(), G8_PROTECTED_SURFACE))
+    monkeypatch.setitem(tec._BLOCKS, "tableau", block)
+    code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
     calls = []
     stabilizers = StabilizerTableau.stabilizers
     def counted(self):
@@ -395,25 +462,25 @@ def test_tableau_sweep_reads_the_stabilizers_once(monkeypatch):
         return stabilizers(self)
 
     monkeypatch.setattr(StabilizerTableau, "stabilizers", counted)
-    (point,) = monte_carlo_sweep([0.2], 3 * block + 5, seed=4, engine="tableau")
-    assert (point.protected_failures, point.unprotected_failures) == expected
-    assert len(calls) <= 1
+    got = tec._count_failures("tableau", 0.2, 3 * block + 5, 4, 0, code)
+    assert got == tec._count_failures("fast", 0.2, 3 * block + 5, 4, 0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
     "p,trials,seed,point,counts",
     [
-        (0.5, 200, 1, 0, (104, 107)),
-        (0.25, 1000, 7, 0, (277, 378)),
-        (0.1, 3000, 13, 0, (173, 528)),
-        (0.5, 4100, 3, 1, (2112, 2122)),
+        (0.5, 200, 1, 0, (102, 99)),
+        (0.25, 1000, 7, 0, (287, 377)),
+        (0.1, 3000, 13, 0, (160, 518)),
+        (0.5, 4100, 3, 1, (2101, 2085)),
     ],
 )
 def test_tableau_and_dense_sweeps_agree_on_g8(p, trials, seed, point, counts):
-    """Both engines read each trial's flips from the same words; on g8 the
+    """Every engine reads each trial's flips from the same stream; on g8 the
     random outcomes flip all six faces together, so their draws change no verdict."""
-    assert tec._count_failures_tableau(p, trials, seed, point) == counts
-    assert tec._count_failures_dense(p, trials, seed, point) == counts
+    for engine in SWEEP_ENGINES:
+        assert tec._count_failures(engine, p, trials, seed, point) == counts, engine
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
@@ -494,7 +561,7 @@ def test_sweep_pool_is_capped_at_the_grid_size(monkeypatch, grid, workers, expec
     """The pool is no larger than the workers asked for, the grid or the usable CPUs (three here)."""
     monkeypatch.setattr(tec.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setattr(tec.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(tec, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     points = monte_carlo_sweep(grid, 2000, seed=3, workers=workers)
     assert RecordingPool.sizes == [expected]
@@ -544,7 +611,7 @@ def _whole_array_fast_counts(p, trials, seed, point_index):
     return int(protected_fail.sum()), int(unprotected_fail.sum())
 
 
-_CHUNK = tec._FAST_CHUNK
+_CHUNK = tec._BLOCKS["fast"]
 
 
 @pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
@@ -553,7 +620,7 @@ def test_chunked_fast_kernel_matches_whole_array_draw(trials, p):
     for seed in (0, 13, 2**64 + 3):
         for point in (0, 5):
             expected = _whole_array_fast_counts(p, trials, seed, point)
-            assert tec._count_failures_fast(p, trials, seed, point) == expected, (seed, point)
+            assert tec._count_failures("fast", p, trials, seed, point) == expected, (seed, point)
 
 
 def test_fast_tables_match_tableau_pipeline_per_pattern():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,27 @@ def test_witness_forms_agree_as_operators(witness_op):
         np.abs(witness_op.projector_matrix() - witness_op.settings_matrix())
     )
     assert deviation <= 1e-10
+
+
+@pytest.mark.parametrize("lead", [(0,), (1,), (0, 1), (1, 1, 0), (1, 0, 1, 1)])
+def test_witness_column_blocks_are_the_full_matrices_columns(witness_op, lead):
+    start = int("".join(map(str, lead)), 2) << (8 - len(lead))
+    cols = slice(start, start + (256 >> len(lead)))
+    for form in ("projector_matrix", "settings_matrix"):
+        full = getattr(witness_op, form)()
+        assert np.array_equal(getattr(witness_op, form)(lead), full[:, cols]), form
+
+
+def test_witness_check_stays_within_two_mib():
+    """build_witness compares the forms by column blocks, never holding both 256x256 forms."""
+    build_witness.cache_clear()
+    tracemalloc.start()
+    try:
+        build_witness()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_witness_is_hermitian(witness_op):
