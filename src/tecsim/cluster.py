@@ -120,10 +120,11 @@ class ClusterState:
     """A cluster state bound to its interaction graph and one state backend.
 
     ``backend`` is a :class:`StabilizerTableau` or a :class:`dense.StateVector`.
-    Both speak the same protocol, so nothing below asks which one it holds:
-    ``copy()``, ``apply_gate(gate, *targets)``, ``measure_pauli(op, rng)``,
-    ``measure_x(q, rng)``, ``measure_z(q, rng)``, ``readout_x(rng)`` and
-    ``expectation_pauli(op)``.
+    Both speak the same protocol, so nothing here or in the sweep asks which one
+    it holds: ``copy()``, ``apply_gate(gate, *targets)``, ``measure_pauli(op, rng)``,
+    ``measure_x(q, rng)``, ``measure_z(q, rng)``, ``expectation_pauli(op)`` and
+    ``readout_x(rng, flips=None)``, the X outcomes of the state or, given a (trials, k)
+    bool array, of one copy per row with Z on qubit q wherever ``flips[t, q]`` is set.
     """
 
     graph: InteractionGraph

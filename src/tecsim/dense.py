@@ -154,10 +154,43 @@ class StateVector:
         """Projective single-qubit Z measurement."""
         return self.measure_pauli(PauliOperator.single(self.n, q, "Z"), rng)
 
-    def readout_x(self, rng: np.random.Generator) -> list[int]:
-        """X outcomes (+-1) of every qubit, measured in qubit order; the state is left as is."""
-        work = self.copy()
-        return [work.measure_x(q, rng) for q in range(self.n)]
+    def readout_x(self, rng: np.random.Generator, flips: np.ndarray | None = None) -> list[int] | np.ndarray:
+        """X outcomes (+-1) of every qubit, measured in qubit order; the state is left as is.
+
+        With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t
+        is this call's readout, given the same draws, of the copy with Z on each qubit q < k
+        where ``flips[t, q]`` is set. The copies are sign vectors on the amplitudes, at most
+        2^16 amplitudes (1 MiB) at a time; the state alone is a block of one. Each X
+        measurement is :meth:`measure_pauli`'s, row by row: expectation, thresholds, a draw
+        only where the outcome is random, the projection. Each copy reads n doubles of
+        ``rng``, and its k-th random outcome reads double k.
+        """
+        n, block = self.n, np.zeros((1, 0), bool) if flips is None else flips
+        step = max(1, (1 << 16) >> n)
+        if len(block) > step:  # each part draws its rows' doubles, in row order
+            return np.concatenate([self.readout_x(rng, block[i : i + step]) for i in range(0, len(block), step)])
+        size, k = block.shape
+        draws = rng.random((size, n))
+        flipped = block @ (1 << np.arange(n - 1, n - 1 - k, -1))  # qubit 0 is the top bit
+        amps = self.amps * (1.0 - 2.0 * (np.bitwise_count(flipped[:, None] & np.arange(1 << n)) & 1))
+        cursor = np.zeros(size, np.intp)  # each row's next unread draw
+        outcomes = np.empty((size, n), dtype=np.int64)
+        for q in range(n):
+            pairs = amps.reshape(size, 1 << q, 2, 1 << (n - 1 - q))  # X_q swaps pairs[:, :, 0] and [:, :, 1]
+            re = pairs.view(np.float64)
+            expect = 2.0 * np.einsum("iab,iab->i", re[:, :, 0], re[:, :, 1])  # Re <psi|X_q|psi>
+            outcome = np.where(expect > 1.0 - 1e-9, 1, np.where(expect < -1.0 + 1e-9, -1, 0))
+            rows = np.flatnonzero(outcome == 0)
+            draw = draws[rows, cursor[rows]]
+            cursor[rows] += 1
+            outcome[rows] = sign = np.where(draw < 0.5 * (1.0 + expect[rows]), 1, -1)
+            # 0.5 (psi + sign X_q psi), whose two halves differ by the factor sign
+            sign = sign[:, None, None]
+            half = 0.5 * (pairs[rows, :, 0] + sign * pairs[rows, :, 1])
+            half /= np.sqrt(0.5 * (1.0 + sign * expect[rows, None, None]))
+            pairs[rows, :, 0], pairs[rows, :, 1] = half, sign * half
+            outcomes[:, q] = outcome
+        return outcomes[0].tolist() if flips is None else outcomes
 
 
 def build_graph_state_dense(graph) -> StateVector:

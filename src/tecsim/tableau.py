@@ -8,9 +8,9 @@ Gaussian elimination per measurement. A graph state's X readout skips both:
 :func:`_graph_readout_x` reads it from one echelon of the neighbour masks.
 
 Signs are bits and only ever add by XOR. So :func:`_graph_readout_x` also
-runs on numpy bit columns, one entry per trial, in the tableau sweep; and
-signs may be GF(2) affine forms held as ints, bit 0 the constant and each
-higher bit a variable, which only the tests' symbolic reference uses.
+runs on numpy bit columns, one entry per copy of a block readout; and signs
+may be GF(2) affine forms held as ints, bit 0 the constant and each higher
+bit a variable, which only the tests' symbolic reference uses.
 """
 
 from __future__ import annotations
@@ -161,39 +161,41 @@ class StabilizerTableau:
 
     def measure_x(self, q: int, rng: np.random.Generator) -> int:
         """Projective single-qubit X measurement."""
-        if not 0 <= q < self.n:
-            raise IndexError(f"qubit {q} out of range for {self.n} qubits")
-        return 1 - 2 * self._collapse_x(q, rng)
-
-    def _collapse_x(self, q: int, rng) -> int:
-        bit = 1 << q
-        zs = self._zs
-        anti = [j for j in range(2 * self.n) if zs[j] & bit]
-        return self._collapse(anti, bit, 0, 0, rng)
-
-    def readout_x(self, rng: np.random.Generator) -> list[int]:
-        """X outcomes (+-1) of every qubit, measured in qubit order; the state is left as is.
-
-        Stabilizer rows +-X_v Z_N(v) are read out in closed form: outcomes depend
-        on the stabilizers alone, so the destabilizers need not be Z_v. Any other
-        rows collapse qubit by qubit on a copy. Both draw the same bits in order.
-        """
-        n, masks = self.n, self._zs[self.n :]
-        if all(x == 1 << v and not m >> v & 1 for v, (x, m) in enumerate(zip(self._xs[n:], masks))):
-            bits = _graph_readout_x(masks, self._rs[n:], lambda: int(rng.integers(0, 2)))
-        else:
-            work = self.copy()
-            bits = [work._collapse_x(q, rng) for q in range(n)]
-        return [1 - 2 * bit for bit in bits]
+        return self.measure_pauli(PauliOperator.single(self.n, q, "X"), rng)
 
     def measure_z(self, q: int, rng: np.random.Generator) -> int:
         """Projective single-qubit Z measurement."""
-        if not 0 <= q < self.n:
-            raise IndexError(f"qubit {q} out of range for {self.n} qubits")
-        bit = 1 << q
-        xs = self._xs
-        anti = [j for j in range(2 * self.n) if xs[j] & bit]
-        return 1 - 2 * self._collapse(anti, 0, bit, 0, rng)
+        return self.measure_pauli(PauliOperator.single(self.n, q, "Z"), rng)
+
+    def readout_x(self, rng: np.random.Generator, flips: np.ndarray | None = None) -> list[int] | np.ndarray:
+        """X outcomes (+-1) of every qubit, measured in qubit order; the state is left as is.
+
+        With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t
+        is this call's readout, given the same draws, of the copy with Z on each qubit q < k
+        where ``flips[t, q]`` is set. Stabilizers +-X_v Z_N(v), whatever the destabilizers,
+        are read out in closed form, and a Z on qubit q flips stabilizer q's sign alone. A
+        random outcome is one ``rng.integers(0, 2)``; a block draws each copy's R of them as
+        ``rng.integers(0, 2, (trials, R))``, the same numbers in the same order. Other rows
+        collapse qubit by qubit on a copy.
+        """
+        n, masks, signs = self.n, self._zs[self.n :], self._rs[self.n :]
+        if not all(x == 1 << v and not m >> v & 1 for v, (x, m) in enumerate(zip(self._xs[n:], masks))):
+            rows = []
+            for row in np.zeros((1, 0), bool) if flips is None else flips:
+                work = self.copy()
+                for q in np.flatnonzero(row).tolist():
+                    work.z(q)
+                rows.append([work.measure_x(q, rng) for q in range(n)])
+            return rows[0] if flips is None else np.array(rows, np.int8).reshape(-1, n)
+        dependent = _gf2_echelon(masks)[1]
+        if flips is None:
+            bits = _graph_readout_x(masks, dependent, signs, lambda: int(rng.integers(0, 2)))
+            return [1 - 2 * bit for bit in bits]
+        columns = np.repeat(np.array(signs, np.int8)[:, None], len(flips), 1)
+        columns[: flips.shape[1]] ^= flips.T
+        # drawn as int64 and cast: numpy buffers narrower draws, which reorders the stream
+        draws = iter(rng.integers(0, 2, (len(flips), n - len(dependent))).T.astype(np.int8))
+        return 1 - 2 * np.array(_graph_readout_x(masks, dependent, columns, draws.__next__)).T
 
     def expectation_pauli(self, op: PauliOperator) -> int:
         """Exact expectation in {-1, 0, +1}; the state is not disturbed."""
@@ -282,18 +284,16 @@ class StabilizerTableau:
         return f"StabilizerTableau(n={self.n}, stabilizers=[{rows}])"
 
 
-def _graph_readout_x(masks: list[int], signs: list[int], draw) -> list[int]:
+def _graph_readout_x(masks: list[int], dependent: dict[int, int], signs: list[int], draw) -> list[int]:
     """Outcome signs (1 for -1) of the X readout, qubit by qubit in order, of a graph state.
 
-    Stabilizer v is (-1)^signs[v] X_v Z_masks[v]. Outcome i is fixed iff
-    masks[i] reduces to zero against masks[0..i-1]. The chooser S of that zero
-    sum holds i, and K_S = (-1)^(e(S) + sum of signs over S) X_S, e(S) being
-    the graph edges inside S; so outcome i is that sign plus the outcomes of
-    S - {i}. Any other outcome is ``draw()``. Everything adds by XOR and no
-    operand is updated in place, so signs and draws may be bits, numpy bit
-    columns or sign forms.
+    Stabilizer v is (-1)^signs[v] X_v Z_masks[v]. Outcome i is fixed iff masks[i] reduces to
+    zero against masks[0..i-1], so iff ``dependent``, from ``_gf2_echelon(masks)``, holds i.
+    The chooser S of that zero sum holds i, and K_S = (-1)^(e(S) + sum of signs over S) X_S,
+    e(S) being the graph edges inside S; so outcome i is that sign plus the outcomes of
+    S - {i}. Any other outcome is ``draw()``. Everything adds by XOR and no operand is
+    updated in place, so signs and draws may be bits, numpy bit columns or sign forms.
     """
-    _, dependent = _gf2_echelon(masks)
     out: list[int] = []
     for i, mask in enumerate(masks):
         chooser = dependent.get(i)

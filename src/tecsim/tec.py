@@ -18,11 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .cluster import ClusterState, OutcomeRecord, build_cluster, interaction_graph, measure_all
+from .cluster import ClusterState, OutcomeRecord, build_cluster, interaction_graph
+from .cluster import measure_all  # noqa: F401  perfbench/tracing.py patches tec.measure_all
 from .complexes import (
     G8_PROTECTED_SURFACE,
     CellComplex,
-    _gf2_echelon,
     build_g8_complex,
     homology_class_key,
     is_closed,
@@ -30,7 +30,6 @@ from .complexes import (
 )
 from .errors import CapacityError
 from .rng import philox_generator
-from .tableau import _graph_readout_x
 
 SWEEP_ENGINES = ("fast", "tableau", "dense")
 
@@ -64,12 +63,6 @@ class TopologicalCode:
         if engine not in self._states:
             self._states[engine] = build_cluster(interaction_graph(self.complex), engine)
         return self._states[engine]
-
-    @cached_property
-    def _readout_plan(self) -> tuple[list[int], int]:
-        """The tableau state's neighbour masks and its count of random X outcomes."""
-        masks = [row.z_bits for row in self.state("tableau").backend.stabilizers()]
-        return masks, len(masks) - len(_gf2_echelon(masks)[1])
 
     @property
     def check_names(self) -> tuple[str, ...]:
@@ -190,16 +183,16 @@ def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
 def run_pattern(
     pattern, rng: np.random.Generator, engine: str = "tableau"
 ) -> tuple[int, frozenset, OutcomeRecord]:
-    """Inject a fixed pattern of Z flips, read out in X, decode.
+    """Inject a fixed pattern of Z flips, read out in X, decode: the sweep's readout on one row.
 
     Returns (corrected protected product, correction, outcome record).
     """
     if not set(pattern) <= set(range(1, len(G8_CODE.faces) + 1)):
         raise ValueError(f"unknown face numbers in {sorted(pattern)}")
-    state = G8_CODE.state(engine).copy()
-    for q in pattern:
-        state.backend.apply_gate("Z", q - 1)  # face q is qubit q - 1
-    record = measure_all(state, rng, "x")
+    flips = np.array([[q in pattern for q in range(1, len(G8_CODE.faces) + 1)]])  # face q is qubit q - 1
+    state = G8_CODE.state(engine)
+    outcomes = dict(zip(state.graph.vertices, state.backend.readout_x(rng, flips)[0].tolist()))
+    record = OutcomeRecord(outcomes, dict.fromkeys(outcomes, "x"))
     corrected, correction = decode_and_correct(record)
     return corrected, correction, record
 
@@ -217,69 +210,8 @@ def simulate_trial(
     return corrected == -1, G8_CODE.flipped(G8_CODE.flips(record)), pattern
 
 
-# Trials per block of each engine, so memory does not grow with trials; a dense
-# g8 block is one (256, 2^8) complex array, 1 MiB.
+# Trials per block of each engine, so memory does not grow with trials
 _BLOCKS = {"fast": 1 << 16, "tableau": 1 << 12, "dense": 1 << 8}
-
-
-def _tableau_readout(
-    flips: np.ndarray, outcome_rng: np.random.Generator, code: TopologicalCode
-) -> np.ndarray:
-    """X outcomes (+-1, in qubit order) of the trials whose Z flips are the rows of ``flips``.
-
-    The block runs :func:`_graph_readout_x`, which ``StabilizerTableau.readout_x`` runs for
-    one trial, on bit columns with one entry per trial. Each trial reads ceil(R / 64)
-    ``random_raw`` words of ``outcome_rng`` (R random outcomes); outcome k is bit k.
-    """
-    masks, randoms = code._readout_plan
-    size, faces = flips.shape
-    words = outcome_rng.bit_generator.random_raw((size, -(-randoms // 64)))
-    k = np.arange(randoms)
-    bits = words[:, k >> 6] >> (k & 63).astype(np.uint64) & np.uint64(1)
-    draws = iter(bits.T.astype(np.int8))
-    # a Z on face qubit q flips stabilizer q alone; the other signs stay +1
-    signs = [*flips.T.view(np.int8), *[np.zeros(size, np.int8)] * (len(masks) - faces)]
-    return (1 - 2 * np.array(_graph_readout_x(masks, signs, draws.__next__))).T
-
-
-def _dense_readout(
-    flips: np.ndarray, outcome_rng: np.random.Generator, code: TopologicalCode
-) -> np.ndarray:
-    """X outcomes (+-1, in qubit order) of the trials whose Z flips are the rows of ``flips``.
-
-    One ``(size, 2^n)`` amplitude array holds the block: the flips are sign vectors on the
-    code's cached graph state. Each X measurement is ``StateVector.measure_pauli``'s, row by
-    row: expectation, thresholds, a draw only where the outcome is random, the projection.
-    Each trial reads n doubles of ``outcome_rng``; random outcome k reads double k.
-    """
-    state = code.state("dense")
-    n = state.graph.qubit_count
-    size, faces = flips.shape
-    draws = outcome_rng.random((size, n))
-    flipped = flips @ [1 << (n - 1 - q) for q in range(faces)]
-    parity = np.bitwise_count(flipped[:, None] & np.arange(1 << n)) & 1  # qubit 0 is the top bit
-    amps = state.backend.amps * (1.0 - 2.0 * parity)
-    cursor = np.zeros(size, np.intp)  # each row's next unread draw
-    outcomes = np.empty((size, n), dtype=np.int64)
-    for q in range(n):
-        pairs = amps.reshape(size, 1 << q, 2, -1)  # X_q swaps pairs[:, :, 0] and pairs[:, :, 1]
-        re = pairs.view(np.float64)
-        expect = 2.0 * np.einsum("iab,iab->i", re[:, :, 0], re[:, :, 1])  # Re <psi|X_q|psi>
-        outcome = np.where(expect > 1.0 - 1e-9, 1, np.where(expect < -1.0 + 1e-9, -1, 0))
-        rows = np.flatnonzero(outcome == 0)
-        draw = draws[rows, cursor[rows]]
-        cursor[rows] += 1
-        outcome[rows] = sign = np.where(draw < 0.5 * (1.0 + expect[rows]), 1, -1)
-        # 0.5 (psi + sign X_q psi), whose two halves differ by the factor sign
-        sign = sign[:, None, None]
-        half = 0.5 * (pairs[rows, :, 0] + sign * pairs[rows, :, 1])
-        half /= np.sqrt(0.5 * (1.0 + sign * expect[rows, None, None]))
-        pairs[rows, :, 0], pairs[rows, :, 1] = half, sign * half
-        outcomes[:, q] = outcome
-    return outcomes
-
-
-_READOUTS = {"tableau": _tableau_readout, "dense": _dense_readout}
 
 
 def _count_failures(
@@ -290,22 +222,22 @@ def _count_failures(
 
     Trial t's Z flips are row t of ``philox_generator(seed, point_index)``, F doubles per
     trial. Z flips commute with the X readout products, so ``fast`` looks the flips up in
-    ``code.tables`` directly. A state engine reads each block out, drawing its random X
-    outcomes from ``(seed, point_index, 1)``; those flip no check and not the surface, so
-    the faces it reads as -1 give the same counts.
+    ``code.tables`` directly. A state engine reads each block out through its backend's
+    ``readout_x``, drawing the random X outcomes from ``(seed, point_index, 1)``; those
+    flip no check and not the surface, so the faces it reads as -1 give the same counts.
     """
     n = len(code.faces)
     flip_rng = philox_generator(seed, point_index)
-    readout = _READOUTS.get(engine)
-    outcome_rng = philox_generator(seed, point_index, 1) if readout else None
+    backend = None if engine == "fast" else code.state(engine).backend
+    outcome_rng = None if backend is None else philox_generator(seed, point_index, 1)
     bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
     patterns = len(code.tables[0])
     counts = np.zeros(patterns, dtype=np.int64)
     block = _BLOCKS[engine]
     for start in range(0, trials, block):
         flips = flip_rng.random((min(block, trials - start), n)) < p
-        if readout:
-            flips = readout(flips, outcome_rng, code)[:, :n] < 0  # face i is qubit i
+        if backend is not None:
+            flips = backend.readout_x(outcome_rng, flips)[:, :n] < 0  # face i is qubit i
         counts += np.bincount(flips.view(np.uint8) @ bits, minlength=patterns)  # column i is bit i
     return tuple((code.tables @ counts).tolist())
 

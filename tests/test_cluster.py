@@ -1,6 +1,10 @@
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tecsim.cluster import (
     ENGINES,
@@ -20,6 +24,7 @@ from tecsim.complexes import (
     build_cuboid_complex,
     build_elementary_cell,
     build_g8_complex,
+    complex_from_json,
 )
 from tecsim.dense import StateVector, fidelity
 from tecsim.errors import CapacityError
@@ -431,7 +436,101 @@ def test_z_flipped_graph_state_is_read_out_in_closed_form(monkeypatch):
     def collapse(*args):
         raise AssertionError("per-qubit collapse taken on a graph state")
 
-    monkeypatch.setattr(StabilizerTableau, "_collapse_x", collapse)
+    monkeypatch.setattr(StabilizerTableau, "_collapse", collapse)
     record = measure_all(state, philox_generator(15), "x")
     assert record_values(record, state) == expected
     assert state.backend.readout_x(philox_generator(15)) == expected  # the state is left as is
+
+
+# ----------------------------------------------------------------------
+# block X readout of Z-flipped copies
+
+
+class Replay:
+    """Stands in for a Generator: ``random`` hands out ``doubles`` and ``integers(0, 2)``
+    hands out ``bits``, in order, one per scalar draw or a block of the asked shape at once."""
+
+    def __init__(self, doubles=(), bits=()):
+        self.queues = {"random": list(doubles), "integers": list(bits)}
+        self.used = 0
+
+    def _take(self, name, size):
+        queue, count = self.queues[name], int(np.prod(size or 1))
+        taken, queue[:count] = queue[:count], []
+        assert len(taken) == count, f"{name} drew past the replayed values"
+        self.used += count
+        return taken[0] if size is None else np.array(taken).reshape(size)
+
+    def random(self, size=None):
+        return self._take("random", size)
+
+    def integers(self, low, high, size=None):
+        assert (low, high) == (0, 2)
+        return self._take("integers", size)
+
+
+def check_block_rows(state, flips, seed, first):
+    """Row t of a block readout, split after ``first`` rows, is the single-state readout of
+    Z-flipped copy t and its per-qubit ``measure_x`` reference, all given the same draws:
+    row t of n doubles (dense) or of R ``integers(0, 2)`` (tableau, R random outcomes).
+    Single-state readouts of the copies in turn on one stream read the block's draws.
+    Returns the draws of one readout: n (dense) or R (tableau)."""
+    n, backend = state.graph.qubit_count, state.backend
+    rng = philox_generator(seed, 1)
+    block = np.concatenate([backend.readout_x(rng, flips[:first]), backend.readout_x(rng, flips[first:])])
+    assert block.shape == (len(flips), n)
+    counter = Replay([0.0] * n, [0] * n)
+    backend.readout_x(counter)
+    stream, kind = philox_generator(seed, 1), "doubles" if isinstance(backend, StateVector) else "bits"
+    rows = stream.random((len(flips), n)) if kind == "doubles" else stream.integers(0, 2, (len(flips), counter.used))
+    shared = philox_generator(seed, 1)  # single-state readouts, one copy after another
+    for t, row in enumerate(flips):
+        copy = state.copy()
+        for q in np.flatnonzero(row).tolist():
+            copy.backend.apply_gate("Z", q)
+        expected = block[t].tolist()
+        assert copy.backend.readout_x(shared) == expected, t
+        single = copy.backend.readout_x(Replay(**{kind: rows[t]}))
+        assert single == expected == per_qubit_readout(copy, Replay(**{kind: rows[t]})), t
+    return counter.used
+
+
+RING5 = Path(__file__).resolve().parent / "fixtures" / "ring5.json"
+
+
+def readout_state(name, engine):
+    cx = complex_from_json(RING5.read_text()) if name == "ring5" else build_g8_complex()
+    state = build_cluster(interaction_graph(cx), engine)
+    if name == "g8 after H on qubit 2":
+        state.backend.apply_gate("H", 2)  # off graph form, with an odd count of random outcomes
+    return state
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name, randoms", [("g8", 2), ("ring5", 2), ("g8 after H on qubit 2", 3)])
+def test_block_rows_are_each_copys_single_and_per_qubit_readout(engine, name, randoms):
+    state = readout_state(name, engine)
+    n = state.graph.qubit_count
+    flips = np.random.default_rng(n).random((40, n)) < 0.3
+    used = check_block_rows(state, flips, 2**64 + 3, 17)
+    assert used == (n if engine == "dense" else randoms)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(engine=st.sampled_from(ENGINES), data=st.data())
+def test_block_rows_are_each_copys_readout_on_random_graphs(engine, data):
+    """Random graphs, some with H on a few qubits so the tableau leaves graph form."""
+    n = data.draw(st.integers(1, 9), label="qubits")
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    labels = tuple(f"q{i}" for i in range(n))
+    graph = InteractionGraph(labels, ("face",) * n, tuple((labels[a], labels[b]) for a, b in edges))
+    state = build_cluster(graph, engine)
+    for q in data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="H qubits"):
+        state.backend.apply_gate("H", q)
+    trials = data.draw(st.integers(0, 12), label="trials")
+    k = data.draw(st.integers(0, n), label="flipped qubits")
+    bits = data.draw(st.lists(st.booleans(), min_size=trials * k, max_size=trials * k))
+    flips = np.array(bits, bool).reshape(trials, k)
+    check_block_rows(state, flips, data.draw(st.integers(0, 2**64), label="seed"),
+                     data.draw(st.integers(0, trials), label="split"))

@@ -1,6 +1,7 @@
 """The code derived from a cell complex: checks, surface, decoder and fast tables."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,19 @@ def test_face_i_is_qubit_i_of_the_codes_state(ring5, engine):
         assert state is code.state(engine)  # built once per engine
         assert state.graph.vertices[: len(code.faces)] == code.faces
         assert state.graph.vertices == interaction_graph(code.complex).vertices
+
+
+def test_ring5_dense_sweep_holds_its_blocks_to_2_16_amplitudes(ring5):
+    """A dense block readout holds 16 copies of ring5's 12 qubits, not a whole sweep block."""
+    ring5.state("dense")  # the lazy build outside the measurement
+    tracemalloc.start()
+    try:
+        got = tec._count_failures("dense", 0.3, 300, 5, 0, ring5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert got == tec._count_failures("fast", 0.3, 300, 5, 0, ring5)
 
 
 def test_ring5_syndromes_match_the_measured_face_products(ring5):

@@ -34,3 +34,14 @@ def test_trial_generators_reject_negative_input(args):
     # a negative seed, point or trial index
     with pytest.raises(ValueError, match="expected non-negative integer"):
         philox_generator(*args)
+
+
+@pytest.mark.parametrize("randoms", [1, 2, 3, 5])
+def test_a_block_of_coins_is_the_scalar_coins_in_order(randoms):
+    """A tableau block draws each copy's R coins as one int64 ``integers(0, 2, (trials, R))``;
+    row t must be the R scalar ``integers(0, 2)`` calls of copy t, however the copies split."""
+    scalar = philox_generator(8, 2, 1)
+    expected = [[int(scalar.integers(0, 2)) for _ in range(randoms)] for _ in range(50)]
+    block = philox_generator(8, 2, 1)
+    got = [*block.integers(0, 2, (17, randoms)), *block.integers(0, 2, (33, randoms))]
+    assert np.array(got).tolist() == expected

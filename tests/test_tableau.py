@@ -13,7 +13,7 @@ from tecsim.cluster import (
     interaction_graph,
     measure_all,
 )
-from tecsim.complexes import build_cuboid_complex, build_elementary_cell, build_g8_complex
+from tecsim.complexes import _gf2_echelon, build_cuboid_complex, build_elementary_cell, build_g8_complex
 from tecsim.dense import StateVector
 from tecsim.pauli import PauliOperator, multiply, pauli_from_text, pauli_to_text
 from tecsim.rng import philox_generator
@@ -374,7 +374,7 @@ def readout_forms_x(tab, flip_qubits):
                 rs[j] ^= 2 << v
     fresh = count(1 + len(flip_qubits))  # each random outcome draws a new variable
     variables = SimpleNamespace(integers=lambda low, high: 1 << next(fresh))
-    return [work._collapse_x(q, variables) for q in range(tab.n)]
+    return [work._collapse(work._anticommuting(1 << q, 0), 1 << q, 0, 0, variables) for q in range(tab.n)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
@@ -468,9 +468,8 @@ def test_closed_form_sign_forms_equal_reference_forms(name):
         for v, q in enumerate(flip_qubits):
             signs[q] ^= 2 << v
         fresh = count(1 + len(flip_qubits))
-        forms = _graph_readout_x(
-            [s.z_bits for s in tab.stabilizers()], signs, lambda: 1 << next(fresh)
-        )
+        masks = [s.z_bits for s in tab.stabilizers()]
+        forms = _graph_readout_x(masks, _gf2_echelon(masks)[1], signs, lambda: 1 << next(fresh))
         assert forms == readout_forms_x(tab, flip_qubits)
 
 
@@ -480,13 +479,14 @@ def test_closed_form_x_readout_runs_on_bit_columns(graph, seed):
     """Each column of a readout on bit columns is that trial's readout on bits; signs stay as given."""
     n, edges = graph
     masks = neighbor_masks(n, edges)
+    dependent = _gf2_echelon(masks)[1]
     rng = np.random.default_rng(seed)
     signs, draws = rng.integers(0, 2, (2, n, 16)).astype(bool)
     given_signs = signs.copy()
     columns = iter(draws)
-    out = _graph_readout_x(masks, list(signs), lambda: next(columns))
+    out = _graph_readout_x(masks, dependent, list(signs), lambda: next(columns))
     assert np.array_equal(signs, given_signs)
     for t in range(16):
         bits = iter(draws[:, t].tolist())
-        scalar = _graph_readout_x(masks, signs[:, t].tolist(), lambda: next(bits))
+        scalar = _graph_readout_x(masks, dependent, signs[:, t].tolist(), lambda: next(bits))
         assert [int(column[t]) for column in out] == [int(bit) for bit in scalar], t

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tecsim import tec
+from tecsim import tableau, tec
 from tecsim.cluster import OutcomeRecord, build_cluster, interaction_graph, measure_all
 from tecsim.complexes import (
     G8_PROTECTED_SURFACE,
@@ -19,7 +19,6 @@ from tecsim.complexes import (
     is_closed,
 )
 from tecsim.rng import philox_generator
-from tecsim.tableau import StabilizerTableau
 from tecsim.tec import (
     G8_CODE,
     SWEEP_ENGINES,
@@ -309,31 +308,30 @@ def test_sweep_validation():
 class TrialDraws:
     """Stands in for one trial's Generator, replaying its draws in the sweep's layout.
 
-    ``random(F)`` returns the trial's flip doubles; each later ``integers(0, 2)``
-    or ``random()`` returns its next random-outcome draw, in order.
+    ``random(F)`` returns the trial's flip doubles; the readout's one block draw,
+    ``random((1, n))`` (dense) or ``integers(0, 2, (1, R))`` (tableau), returns its row
+    of the outcome stream.
     """
 
     def __init__(self, doubles, draws):
-        self.doubles, self.draws = doubles, iter(draws)
+        self.doubles, self.draws = doubles, draws
 
-    def random(self, size=None):
-        return self.doubles if size is not None else float(next(self.draws))
+    def random(self, size):
+        return self.doubles if np.ndim(size) == 0 else self.draws.reshape(size)
 
-    def integers(self, low, high):
+    def integers(self, low, high, size):
         assert (low, high) == (0, 2)
-        return int(next(self.draws))
+        return self.draws.reshape(size)
 
 
 def trial_draws(engine, seed, point, trials, code=G8_CODE):
     """Each trial's draws: row t of the (seed, point) stream's F doubles for its flips, and
-    from the (seed, point, 1) stream, for its k-th random outcome, bit k of its ceil(R / 64)
-    raw words (tableau, R random outcomes) or double k of its n doubles (dense, n qubits)."""
+    row t of the (seed, point, 1) stream's outcome draws, R ``integers(0, 2)`` (tableau, R
+    random outcomes, two on g8) or n doubles (dense, n qubits)."""
     doubles = philox_generator(seed, point).random((trials, len(code.faces)))
     outcomes = philox_generator(seed, point, 1)
     if engine == "tableau":
-        randoms = code._readout_plan[1]
-        words = outcomes.bit_generator.random_raw((trials, -(-randoms // 64))).tolist()
-        draws = [[w[k // 64] >> k % 64 & 1 for k in range(randoms)] for w in words]
+        draws = outcomes.integers(0, 2, (trials, 2))
     else:
         draws = outcomes.random((trials, code.state("dense").graph.qubit_count))
     return [TrialDraws(d, r) for d, r in zip(doubles, draws)]
@@ -420,51 +418,65 @@ def test_block_outcomes_are_each_trials_readout(p, engine):
     from where the first left it.
     """
     seed, point, size, first = 2**64 + 3, 2, 40, 17
-    readout = tec._READOUTS[engine]
-    labels = G8_CODE.state(engine).graph.vertices
+    state = G8_CODE.state(engine)
     rngs = trial_draws(engine, seed, point, size)
     flips = np.array([rng.doubles for rng in rngs]) < p
     outcome_rng = philox_generator(seed, point, 1)
     got = np.concatenate(
-        [readout(flips[:first], outcome_rng, G8_CODE), readout(flips[first:], outcome_rng, G8_CODE)]
+        [state.backend.readout_x(outcome_rng, flips[:first]), state.backend.readout_x(outcome_rng, flips[first:])]
     )
     for i, rng in enumerate(rngs):
         _, _, record = run_pattern(sample_errors(p, rng), rng, engine)
-        assert got[i].tolist() == [record.outcomes[label] for label in labels], i
+        assert got[i].tolist() == [record.outcomes[label] for label in state.graph.vertices], i
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
 def test_sweep_blocks_read_the_points_outcome_stream_in_order(monkeypatch, engine):
     """The counts cannot show which stream the random outcomes come from; the outcomes can."""
     seed, point, trials, p = 11, 3, 50, 0.5
-    readout, outcomes = tec._READOUTS[engine], []
-    def spy(flips, outcome_rng, code):
-        outcomes.append(readout(flips, outcome_rng, code))
+    backend = G8_CODE.state(engine).backend
+    readout, outcomes = type(backend).readout_x, []
+    def spy(self, rng, flips=None):
+        outcomes.append(readout(self, rng, flips))
         return outcomes[-1]
 
-    monkeypatch.setitem(tec._READOUTS, engine, spy)
+    monkeypatch.setattr(type(backend), "readout_x", spy)
     monkeypatch.setitem(tec._BLOCKS, engine, 16)
     tec._count_failures(engine, p, trials, seed, point)
     flips = philox_generator(seed, point).random((trials, len(G8_CODE.faces))) < p
-    expected = readout(flips, philox_generator(seed, point, 1), G8_CODE)
+    expected = readout(backend, philox_generator(seed, point, 1), flips)
     assert len(outcomes) == 4 and np.array_equal(np.concatenate(outcomes), expected)
 
 
-def test_tableau_sweep_reads_the_stabilizers_once(monkeypatch):
-    """The neighbour masks and the random-outcome count are the code's, not each block's."""
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
+def test_run_pattern_is_a_block_of_one(monkeypatch, engine):
+    """``run_pattern`` copies no state, applies no gate and measures nothing itself."""
+    backend = type(G8_CODE.state(engine).backend)
+    for name in ("copy", "apply_gate", "measure_x", "measure_pauli"):
+        monkeypatch.setattr(backend, name, lambda *args, name=name: pytest.fail(f"run_pattern called {name}"))
+    monkeypatch.setattr(tec, "measure_all", lambda *args: pytest.fail("run_pattern called measure_all"))
+    corrected, correction, record = run_pattern({5}, philox_generator(3), engine)
+    assert (corrected, correction) == (1, frozenset({5}))
+    assert extract_syndrome(record) == SINGLE_ERROR_SYNDROMES[5]
+
+
+def test_tableau_readout_runs_one_echelon_per_call(monkeypatch):
+    """One echelon of the neighbour masks per ``readout_x`` call: per sweep block, per record."""
     block = 64
     monkeypatch.setitem(tec._BLOCKS, "tableau", block)
     code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
     calls = []
-    stabilizers = StabilizerTableau.stabilizers
-    def counted(self):
-        calls.append(self)
-        return stabilizers(self)
+    echelon = tableau._gf2_echelon
+    def counted(masks):
+        calls.append(masks)
+        return echelon(masks)
 
-    monkeypatch.setattr(StabilizerTableau, "stabilizers", counted)
+    monkeypatch.setattr(tableau, "_gf2_echelon", counted)
     got = tec._count_failures("tableau", 0.2, 3 * block + 5, 4, 0, code)
     assert got == tec._count_failures("fast", 0.2, 3 * block + 5, 4, 0)
-    assert len(calls) == 1
+    assert len(calls) == 4
+    measure_all(code.state("tableau"), philox_generator(4), "x")
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize(
