@@ -98,21 +98,21 @@ def interaction_graph(cx: CellComplex) -> InteractionGraph:
         raise ValueError("complex has no faces")
     vertices = face_names + edge_names
     kinds = ("face",) * len(face_names) + ("edge",) * len(edge_names)
-    edges = tuple(
-        (f, e) for f in face_names for e in sorted(cx.faces[f])
-    )
+    edges = tuple((f, e) for f in face_names for e in sorted(cx.faces[f]))
     return InteractionGraph(vertices, kinds, edges)
 
 
 def stabilizer_generators(graph: InteractionGraph) -> list[PauliOperator]:
     """K_v = X_v Z_N(v): X on vertex v, Z on each interaction neighbour, in vertex order."""
-    n = graph.qubit_count
-    pos = graph._pos
-    zmask_of = {v: 0 for v in graph.vertices}
-    for a, b in graph.edges:
-        zmask_of[a] |= 1 << pos[b]
-        zmask_of[b] |= 1 << pos[a]
-    return [PauliOperator(n, 1 << pos[v], zmask_of[v], 0) for v in graph.vertices]
+    return [PauliOperator(graph.qubit_count, 1 << v, m, 0) for v, m in enumerate(_neighbor_masks(graph))]
+
+
+def _neighbor_masks(graph: InteractionGraph) -> list[int]:
+    """Bit u of entry v is set iff qubits u and v share an interaction edge, in vertex order."""
+    masks = [0] * graph.qubit_count
+    for a, b in graph.edge_indexes():
+        masks[a], masks[b] = masks[a] | 1 << b, masks[b] | 1 << a
+    return masks
 
 
 @dataclass
@@ -154,8 +154,7 @@ def build_cluster(graph: InteractionGraph, engine: str = "tableau") -> ClusterSt
         raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "dense":
         return ClusterState(graph, dense.build_graph_state_dense(graph))
-    masks = [g.z_bits for g in stabilizer_generators(graph)]
-    return ClusterState(graph, StabilizerTableau.graph_state(masks))
+    return ClusterState(graph, StabilizerTableau.graph_state(_neighbor_masks(graph)))
 
 
 def surface_correlation(state: ClusterState, face_qubits) -> int:

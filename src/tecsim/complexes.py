@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
 from types import MappingProxyType
 
@@ -71,17 +71,16 @@ class CellComplex:
         # every boundary's cells must exist before boundary-of-boundary = 0 is checked
         pairs = (("volume", "faces"), ("face", "edges"))
         for kind, below in pairs:
-            lower = getattr(self, below)
+            known = getattr(self, below).keys()
             for name, cells in getattr(self, kind + "s").items():
                 if not cells:
                     raise ValueError(f"{kind} {name!r} has empty boundary")
-                missing = cells - lower.keys()
-                if missing:
-                    raise ValueError(f"{kind} {name!r} references unknown {below} {sorted(missing)}")
+                if not cells <= known:
+                    raise ValueError(f"{kind} {name!r} references unknown {below} {sorted(cells - known)}")
         for kind, below in pairs:
             lower = getattr(self, below)
             for name, cells in getattr(self, kind + "s").items():
-                acc: frozenset[str] = frozenset()
+                acc: set[str] = set()
                 for cell in cells:
                     acc ^= lower[cell]
                 if acc:
@@ -151,6 +150,12 @@ def _corner_ranges(dims: tuple[int, int, int], span: str) -> list[range]:
     return [range(n + (axis not in span)) for n, axis in zip(dims, "xyz")]
 
 
+def _column(cells: list, ranges: list[range], step) -> list[str]:
+    """Names ``cells[i + di][j + dj][k + dk]`` over the corners in ``ranges``, in corner order."""
+    (nx, ny, nz), (di, dj, dk) = map(len, ranges), step
+    return [c for plane in cells[di : di + nx] for row in plane[dj : dj + ny] for c in row[dk : dk + nz]]
+
+
 def build_cuboid_complex(
     length: int, width: int, depth: int, qubit_cap: int = DEFAULT_QUBIT_CAP
 ) -> CellComplex:
@@ -168,19 +173,16 @@ def build_cuboid_complex(
     qubits = sum(prod(map(len, _corner_ranges(dims, s))) for s in _CUBOID_SPANS if 0 < len(s) < 3)
     if qubits > qubit_cap:
         raise CapacityError(f"{qubits} face+edge qubits exceed the cap of {qubit_cap}")
-    names: dict[str, dict[tuple[int, ...], str]] = {}  # span -> corner -> cell name
+    names: dict[str, list] = {}  # span -> [i][j][k] -> cell name
     maps: list[dict[str, frozenset[str]]] = [{}, {}, {}, {}]  # by dimension
     for span in _CUBOID_SPANS:
         kind, tag = "pefv"[len(span)], f"|{span}" if 0 < len(span) < 3 else ""
-        # per spanned axis: the names of the cells without it, and a unit step along it
-        drops = [(names[span.replace(a, "")], [int(b == a) for b in "xyz"]) for a in span]
-        at = names[span] = {}
-        for i, j, k in product(*_corner_ranges(dims, span)):
-            name = at[i, j, k] = f"{kind}({i},{j},{k}{tag})"
-            maps[len(span)][name] = frozenset(
-                [c for lower, (di, dj, dk) in drops
-                 for c in (lower[i, j, k], lower[i + di, j + dj, k + dk])]
-            )
+        rx, ry, rz = ranges = _corner_ranges(dims, span)
+        names[span] = [[[f"{kind}({i},{j},{k}{tag})" for k in rz] for j in ry] for i in rx]
+        # per spanned axis, the cells without it: at the corner, then a unit further along it
+        columns = [_column(names[span.replace(a, "")], ranges, [s * (b == a) for b in "xyz"])
+                   for a in span for s in (0, 1)]
+        maps[len(span)].update(zip(_column(names[span], ranges, (0, 0, 0)), map(frozenset, zip(*columns))))
     return CellComplex(volumes=maps[3], faces=maps[2], edges=maps[1])
 
 

@@ -12,5 +12,4 @@ import numpy as np
 
 def philox_generator(seed: int, *path: int) -> np.random.Generator:
     """Return the Philox stream for ``(seed, *path)``."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(path))
-    return np.random.Generator(np.random.Philox(key=ss.generate_state(2, np.uint64)))
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))

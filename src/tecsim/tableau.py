@@ -173,10 +173,10 @@ class StabilizerTableau:
         With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t
         is this call's readout, given the same draws, of the copy with Z on each qubit q < k
         where ``flips[t, q]`` is set. Stabilizers +-X_v Z_N(v), whatever the destabilizers,
-        are read out in closed form, and a Z on qubit q flips stabilizer q's sign alone. A
-        random outcome is one ``rng.integers(0, 2)``; a block draws each copy's R of them as
-        ``rng.integers(0, 2, (trials, R))``, the same numbers in the same order. Other rows
-        collapse qubit by qubit on a copy.
+        are read out in closed form, and a Z on qubit q flips stabilizer q's sign alone. The
+        R random outcomes are one ``rng.integers(0, 2, R)``, a block's ``rng.integers(0, 2,
+        (trials, R))``: per copy, the numbers of R scalar ``rng.integers(0, 2)`` in order. Other
+        rows collapse qubit by qubit on a copy, one scalar draw per random outcome.
         """
         n, masks, signs = self.n, self._zs[self.n :], self._rs[self.n :]
         if not all(x == 1 << v and not m >> v & 1 for v, (x, m) in enumerate(zip(self._xs[n:], masks))):
@@ -189,8 +189,8 @@ class StabilizerTableau:
             return rows[0] if flips is None else np.array(rows, np.int8).reshape(-1, n)
         dependent = _gf2_echelon(masks)[1]
         if flips is None:
-            bits = _graph_readout_x(masks, dependent, signs, lambda: int(rng.integers(0, 2)))
-            return [1 - 2 * bit for bit in bits]
+            coins = iter(rng.integers(0, 2, n - len(dependent)).tolist())
+            return [1 - 2 * bit for bit in _graph_readout_x(masks, dependent, signs, coins.__next__)]
         columns = np.repeat(np.array(signs, np.int8)[:, None], len(flips), 1)
         columns[: flips.shape[1]] ^= flips.T
         # drawn as int64 and cast: numpy buffers narrower draws, which reorders the stream

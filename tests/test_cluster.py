@@ -392,6 +392,30 @@ def test_cuboid_x_readout_matches_per_qubit_collapse(dims, seed):
     assert record_values(record, state) == per_qubit_readout(state, philox_generator(seed))
 
 
+class ScalarCoins:
+    """Wraps a Generator and counts its ``integers`` calls; with ``scalar``, a call for
+    ``size`` coins makes ``size`` scalar ``integers(0, 2)`` draws instead."""
+
+    def __init__(self, rng, scalar):
+        self.rng, self.scalar, self.calls = rng, scalar, 0
+
+    def integers(self, low, high, size=None):
+        self.calls += 1
+        if self.scalar and size is not None:
+            return np.array([self.rng.integers(low, high) for _ in range(size)])
+        return self.rng.integers(low, high, size)
+
+
+def test_cuboid_x_readout_draws_its_coins_in_one_call_as_scalar_draws_would():
+    state = build_cluster(interaction_graph(build_cuboid_complex(3, 3, 3)), "tableau")
+    for seed in range(5):
+        block, scalar = ScalarCoins(philox_generator(seed), False), ScalarCoins(philox_generator(seed), True)
+        assert measure_all(state, block, "x") == measure_all(state, scalar, "x")
+        assert block.calls == 1
+        assert repr(block.rng.bit_generator.state) == repr(scalar.rng.bit_generator.state)
+        assert block.rng.random() == scalar.rng.random()  # the buffered words agree too
+
+
 def _h_and_s(state):
     state.backend.apply_gate("H", 2)
     state.backend.apply_gate("S", 6)
@@ -455,7 +479,7 @@ class Replay:
         self.used = 0
 
     def _take(self, name, size):
-        queue, count = self.queues[name], int(np.prod(size or 1))
+        queue, count = self.queues[name], 1 if size is None else int(np.prod(size))
         taken, queue[:count] = queue[:count], []
         assert len(taken) == count, f"{name} drew past the replayed values"
         self.used += count

@@ -1,12 +1,13 @@
 import dataclasses
 import hashlib
 import json
+import re
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tecsim.complexes import (
@@ -272,6 +273,40 @@ def test_construction_rejects_broken_boundaries():
         CellComplex(volumes={}, faces={"f": frozenset()}, edges={})
     with pytest.raises(ValueError, match="unknown faces"):
         CellComplex(volumes={"v": frozenset({"f"})}, faces={}, edges={})
+    # both faults at once: the existence pass runs first and names the unknown edges, sorted
+    with pytest.raises(ValueError, match=re.escape("face 'g' references unknown edges ['x3', 'x9']")):
+        CellComplex(
+            volumes={"v": frozenset({"f"})},  # the boundary of f is not closed
+            faces={"f": frozenset({"e1", "e2"}), "g": frozenset({"e1", "x9", "x3"})},
+            edges={"e1": frozenset({"a", "b"}), "e2": frozenset({"a", "b"})},
+        )
+
+
+def reference_cuboid_maps(length, width, depth):
+    """The cuboid builder cell by cell: each boundary drops one spanned axis, at the corner
+    and a unit further along it. Returns the volume, face and edge maps in build order."""
+    dims = (length, width, depth)
+    names, maps = {}, [{}, {}, {}, {}]
+    for span in ("", "x", "y", "z", "xy", "xz", "yz", "xyz"):
+        kind, tag = "pefv"[len(span)], f"|{span}" if 0 < len(span) < 3 else ""
+        drops = [(names[span.replace(a, "")], [int(b == a) for b in "xyz"]) for a in span]
+        at = names[span] = {}
+        for i, j, k in product(*[range(n + (axis not in span)) for n, axis in zip(dims, "xyz")]):
+            name = at[i, j, k] = f"{kind}({i},{j},{k}{tag})"
+            maps[len(span)][name] = frozenset(
+                [c for lower, (di, dj, dk) in drops for c in (lower[i, j, k], lower[i + di, j + dj, k + dk])]
+            )
+    return maps[3], maps[2], maps[1]
+
+
+@settings(derandomize=True, deadline=None, max_examples=64)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)))
+def test_cuboid_builder_matches_the_cell_by_cell_reference(dims):
+    cx = build_cuboid_complex(*dims)
+    maps = reference_cuboid_maps(*dims)
+    for got, want in zip((cx.volumes, cx.faces, cx.edges), maps):
+        assert list(got.items()) == list(want.items())  # the same cells and boundaries, in order
+    assert complex_to_json(cx) == complex_to_json(CellComplex(*maps))
 
 
 @pytest.mark.parametrize(

@@ -45,3 +45,16 @@ def test_a_block_of_coins_is_the_scalar_coins_in_order(randoms):
     block = philox_generator(8, 2, 1)
     got = [*block.integers(0, 2, (17, randoms)), *block.integers(0, 2, (33, randoms))]
     assert np.array(got).tolist() == expected
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 3, 2**128 - 1])
+@pytest.mark.parametrize("path", [(), (5,), (5, 1)])
+def test_stream_is_philox_keyed_by_the_seed_sequence_state(seed, path):
+    """A Philox built from the SeedSequence has the key, counter and draws of one keyed
+    by that sequence's first two uint64 state words."""
+    ours = philox_generator(seed, *path)
+    key = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+    keyed = np.random.Generator(np.random.Philox(key=key))
+    assert repr(ours.bit_generator.state) == repr(keyed.bit_generator.state)
+    assert ours.integers(0, 2, 100).tolist() == keyed.integers(0, 2, 100).tolist()
+    assert ours.random(10).tolist() == keyed.random(10).tolist()

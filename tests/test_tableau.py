@@ -12,6 +12,7 @@ from tecsim.cluster import (
     build_cluster,
     interaction_graph,
     measure_all,
+    stabilizer_generators,
 )
 from tecsim.complexes import _gf2_echelon, build_cuboid_complex, build_elementary_cell, build_g8_complex
 from tecsim.dense import StateVector
@@ -344,15 +345,17 @@ def test_seeded_x_readout_matches_gate_sequence(name):
 
 
 class ScriptedBits:
-    """An rng whose ``integers(0, 2)`` hands out the given bits in order."""
+    """An rng whose ``integers(0, 2, size)`` hands out the given bits in order: one bit,
+    or an array of ``size`` of them."""
 
     def __init__(self, bits):
         self.bits = bits
         self.used = 0
 
-    def integers(self, low, high):
-        self.used += 1
-        return self.bits[self.used - 1]
+    def integers(self, low, high, size=None):
+        start = self.used
+        self.used += 1 if size is None else size
+        return self.bits[start] if size is None else np.array(self.bits[start : self.used], np.int64)
 
 
 def readout_forms_x(tab, flip_qubits):
@@ -419,6 +422,15 @@ def labelled_cluster(n, edges):
     labels = tuple(f"q{i}" for i in range(n))
     graph = InteractionGraph(labels, ("face",) * n, tuple((labels[a], labels[b]) for a, b in edges))
     return build_cluster(graph)
+
+
+@settings(derandomize=True, deadline=None)
+@given(random_graphs(max_qubits=20))
+def test_build_cluster_masks_are_the_generators_z_bits(graph):
+    n, edges = graph
+    state = labelled_cluster(n, edges)
+    z_bits = [g.z_bits for g in stabilizer_generators(state.graph)]
+    assert state.backend._zs[n:] == z_bits == neighbor_masks(n, edges)
 
 
 def per_qubit_x_readout(state, rng):
