@@ -22,32 +22,23 @@ ENGINES = ("tableau", "dense")
 
 @dataclass(frozen=True)
 class InteractionGraph:
-    """Qubit vertices tagged face|edge plus unordered interaction edges."""
+    """Qubit labels in qubit order, and each interaction edge as a pair a < b of qubit indexes."""
 
     vertices: tuple[str, ...]
-    kinds: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
+    edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         pos = {v: i for i, v in enumerate(self.vertices)}
         if len(pos) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
         object.__setattr__(self, "_pos", pos)  # label -> qubit index, shared by every lookup
-        if len(self.kinds) != len(self.vertices):
-            raise ValueError("one kind tag required per vertex")
-        for kind in self.kinds:
-            if kind not in ("face", "edge"):
-                raise ValueError(f"unknown vertex kind {kind!r}")
-        seen = set()
-        for a, b in self.edges:
-            if a == b:
-                raise ValueError(f"self-loop at {a!r}")
-            if a not in pos or b not in pos:
-                raise ValueError(f"edge ({a!r}, {b!r}) references unknown vertices")
-            key = frozenset((a, b))
-            if key in seen:
-                raise ValueError(f"duplicate edge ({a!r}, {b!r})")
-            seen.add(key)
+        n, edges = len(pos), self.edges
+        if not all(0 <= a < b < n for a, b in edges) or len(set(edges)) != len(edges):
+            for i, (a, b) in enumerate(edges):  # the error path alone names the first bad edge
+                if not 0 <= a < b < n:
+                    raise ValueError(f"edge {(a, b)} is not a pair a < b of qubit indexes below {n}")
+                if (a, b) in edges[:i]:
+                    raise ValueError(f"duplicate edge {(a, b)}")
 
     @property
     def qubit_count(self) -> int:
@@ -59,21 +50,17 @@ class InteractionGraph:
         except KeyError:
             raise KeyError(f"unknown qubit {label!r}") from None
 
-    def edge_indexes(self) -> list[tuple[int, int]]:
-        pos = self._pos
-        return [(pos[a], pos[b]) for a, b in self.edges]
-
 
 @dataclass(frozen=True)
 class OutcomeRecord:
-    """Per-qubit measurement outcomes (+-1) and the basis used for each."""
+    """Per-qubit measurement outcomes (+-1), all in one basis, "x" or "z"."""
 
     outcomes: dict[str, int]
-    basis: dict[str, str]
+    basis: str
 
     def __post_init__(self):
-        if set(self.outcomes) != set(self.basis):
-            raise ValueError("outcomes and basis must cover the same qubits")
+        if self.basis not in ("x", "z"):
+            raise ValueError(f"basis must be 'x' or 'z', got {self.basis!r}")
         for q, v in self.outcomes.items():
             if v not in (-1, 1):
                 raise ValueError(f"outcome for {q!r} must be +-1, got {v}")
@@ -91,15 +78,15 @@ class OutcomeRecord:
 
 
 def interaction_graph(cx: CellComplex) -> InteractionGraph:
-    """One qubit per face and per edge cell; graph edge (f, e) iff e in df."""
+    """One qubit per face and then per edge cell; graph edge (face i, F + j) iff edge j is in
+    the boundary of face i, F being the face count."""
     face_names = cx.cells(2)
     edge_names = cx.cells(1)
     if not face_names:
         raise ValueError("complex has no faces")
-    vertices = face_names + edge_names
-    kinds = ("face",) * len(face_names) + ("edge",) * len(edge_names)
-    edges = tuple((f, e) for f in face_names for e in sorted(cx.faces[f]))
-    return InteractionGraph(vertices, kinds, edges)
+    qubit = {e: q for q, e in enumerate(edge_names, len(face_names))}
+    edges = tuple((i, qubit[e]) for i, f in enumerate(face_names) for e in sorted(cx.faces[f]))
+    return InteractionGraph(face_names + edge_names, edges)
 
 
 def stabilizer_generators(graph: InteractionGraph) -> list[PauliOperator]:
@@ -110,7 +97,7 @@ def stabilizer_generators(graph: InteractionGraph) -> list[PauliOperator]:
 def _neighbor_masks(graph: InteractionGraph) -> list[int]:
     """Bit u of entry v is set iff qubits u and v share an interaction edge, in vertex order."""
     masks = [0] * graph.qubit_count
-    for a, b in graph.edge_indexes():
+    for a, b in graph.edges:
         masks[a], masks[b] = masks[a] | 1 << b, masks[b] | 1 << a
     return masks
 
@@ -189,4 +176,4 @@ def measure_all(
         work = state.backend.copy()
         values = [work.measure_z(i, rng) for i in range(state.graph.qubit_count)]
     outcomes = dict(zip(state.graph.vertices, values))
-    return OutcomeRecord(outcomes, dict.fromkeys(outcomes, basis))
+    return OutcomeRecord(outcomes, basis)

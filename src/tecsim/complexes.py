@@ -359,5 +359,8 @@ def complex_from_json(text: str) -> CellComplex:
         for name, cells in table.items():
             if not isinstance(cells, list) or not all(isinstance(c, str) for c in cells):
                 raise ValueError(f"boundary of {key[:-1]} {name!r} must be a list of cell names")
+            if len(set(cells)) != len(cells):  # under GF(2) a repeated cell would cancel
+                twice = next(c for i, c in enumerate(cells) if c in cells[:i])
+                raise ValueError(f"boundary of {key[:-1]} {name!r} lists {twice!r} twice")
         maps[key] = {k: frozenset(v) for k, v in table.items()}
     return CellComplex(**maps)

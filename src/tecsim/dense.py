@@ -196,14 +196,14 @@ class StateVector:
 def build_graph_state_dense(graph) -> StateVector:
     """CZ over the interaction edges applied to the uniform superposition.
 
-    ``graph`` needs ``qubit_count`` and ``edge_indexes()`` as provided by
+    ``graph`` needs ``qubit_count`` and ``edges``, qubit-index pairs, as in
     :class:`tecsim.cluster.InteractionGraph`.
     """
     n = graph.qubit_count
     _check_capacity(n)
     amps = np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=complex)
     state = StateVector(n, amps)
-    for a, b in graph.edge_indexes():
+    for a, b in graph.edges:
         state._phase_flip_both_set(a, b)
     return state
 

@@ -59,7 +59,11 @@ class TopologicalCode:
     _states: dict[str, ClusterState] = field(default_factory=dict, init=False, repr=False)
 
     def state(self, engine: str = "tableau") -> ClusterState:
-        """The complex's cluster state on ``engine``, built on first use; callers copy it."""
+        """A copy of the complex's cluster state on ``engine``, so no caller can change another's."""
+        return self._state(engine).copy()
+
+    def _state(self, engine: str) -> ClusterState:
+        """The shared state, built on first use, once per engine; only for readers that leave it as is."""
         if engine not in self._states:
             self._states[engine] = build_cluster(interaction_graph(self.complex), engine)
         return self._states[engine]
@@ -190,9 +194,9 @@ def run_pattern(
     if not set(pattern) <= set(range(1, len(G8_CODE.faces) + 1)):
         raise ValueError(f"unknown face numbers in {sorted(pattern)}")
     flips = np.array([[q in pattern for q in range(1, len(G8_CODE.faces) + 1)]])  # face q is qubit q - 1
-    state = G8_CODE.state(engine)
+    state = G8_CODE._state(engine)
     outcomes = dict(zip(state.graph.vertices, state.backend.readout_x(rng, flips)[0].tolist()))
-    record = OutcomeRecord(outcomes, dict.fromkeys(outcomes, "x"))
+    record = OutcomeRecord(outcomes, "x")
     corrected, correction = decode_and_correct(record)
     return corrected, correction, record
 
@@ -228,7 +232,7 @@ def _count_failures(
     """
     n = len(code.faces)
     flip_rng = philox_generator(seed, point_index)
-    backend = None if engine == "fast" else code.state(engine).backend
+    backend = None if engine == "fast" else code._state(engine).backend
     outcome_rng = None if backend is None else philox_generator(seed, point_index, 1)
     bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
     patterns = len(code.tables[0])

@@ -107,9 +107,10 @@ def test_criterion_5_error_rate_sweep():
 
 def test_criterion_6_closed_surface_correlations():
     with criterion(6, "closed-surface products are +1 on every sample", 10.0):
-        cell_graph = ts.interaction_graph(ts.build_elementary_cell())
+        cell = ts.build_elementary_cell()
+        cell_graph = ts.interaction_graph(cell)
         cell_state = ts.build_cluster(cell_graph, "tableau")
-        faces = [v for v, k in zip(cell_graph.vertices, cell_graph.kinds) if k == "face"]
+        faces = cell.cells(2)
         assert len(faces) == 6 and cell_graph.qubit_count == 18
         for trial in range(10_000):
             record = ts.measure_all(cell_state, philox_generator(60, trial), "x")

@@ -275,6 +275,9 @@ def test_complex_malformed_file(tmp_path, capsys):
         '{"volumes": {}, "faces": {"f": 5}, "edges": {}}',
         "5",
         '{"volumes": {}, "faces": {"f": [[1]]}, "edges": {}}',
+        # under GF(2) the repeated f1 cancels: the boundary of v would be f2, whose own boundary is not zero
+        ('{"volumes": {"v": ["f1", "f2", "f1"]}, "faces": {"f1": ["e7", "e8"], "f2": ["e7", "e8"]},'
+         ' "edges": {"e7": ["s", "t"], "e8": ["s", "t"]}}'),
     ],
 )
 def test_complex_wrongly_typed_json_is_one_error_line(tmp_path, capsys, text):

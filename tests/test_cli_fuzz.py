@@ -31,10 +31,15 @@ def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     (root / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     (root / "bad.json").write_text("{not json")
+    (root / "repeated.json").write_text(  # a volume that lists face f1 twice
+        '{"volumes": {"v": ["f1", "f2", "f1"]}, "faces": {"f1": ["e7", "e8"], "f2": ["e7", "e8"]},'
+        ' "edges": {"e7": ["s", "t"], "e8": ["s", "t"]}}'
+    )
     return {
         "dir": str(root),
         "deep": str(root / "deep.json"),
         "bad": str(root / "bad.json"),
+        "repeated": str(root / "repeated.json"),
         "file": str(root / "out.txt"),
         "missing": str(root / "no-such-dir" / "out.txt"),
     }
@@ -64,7 +69,7 @@ def argvs(draw, paths):
     else:
         names = ["g8", "elementary", "cuboid 1x1x1", "cuboid 0x1x1", "cuboid 99999x99999x99999",
                  "cuboid", "", "dodecahedron"]
-        name = draw(st.sampled_from(names + [paths[k] for k in ("dir", "deep", "bad", "missing")]))
+        name = draw(st.sampled_from(names + [paths[k] for k in ("dir", "deep", "bad", "repeated", "missing")]))
         argv += name.split(" ") if name.startswith("cuboid") else [name]
     out = st.sampled_from(["", paths["dir"], paths["file"], paths["missing"]])
     return argv + draw(_opt("--out", out))

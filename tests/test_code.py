@@ -135,9 +135,19 @@ def test_ring5_state_engine_counts_equal_the_fast_counts(ring5, engine, trials):
 def test_face_i_is_qubit_i_of_the_codes_state(ring5, engine):
     for code in (G8_CODE, ring5):
         state = code.state(engine)
-        assert state is code.state(engine)  # built once per engine
+        assert code._state(engine) is code._state(engine)  # built once per engine
+        assert state.backend is not code.state(engine).backend  # each caller gets a copy
         assert state.graph.vertices[: len(code.faces)] == code.faces
         assert state.graph.vertices == interaction_graph(code.complex).vertices
+
+
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
+def test_changing_a_handed_out_state_changes_no_later_sweep(engine):
+    """A Z on qubit 0 of the shared state would flip face 1 in every later trial."""
+    code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
+    expected = tec._count_failures("fast", 0.1, 2000, 7, 0, code)
+    code.state(engine).backend.apply_gate("Z", 0)
+    assert tec._count_failures(engine, 0.1, 2000, 7, 0, code) == expected
 
 
 def test_ring5_dense_sweep_holds_its_blocks_to_2_16_amplitudes(ring5):

@@ -72,4 +72,4 @@ def test_face_qubits_come_first_in_face_order(d):
     cx = build_cuboid_complex(*d)
     graph = interaction_graph(cx)
     assert graph.vertices[: len(cx.faces)] == cx.cells(2)
-    assert graph.kinds[: len(cx.faces)] == ("face",) * len(cx.faces)
+    assert all(a < len(cx.faces) <= b for a, b in graph.edges)  # each edge joins a face to an edge qubit

@@ -459,6 +459,9 @@ def test_grouped_surfaces_and_class_keys_on_random_complexes(cx):
         ('{"volumes": {}, "faces": {"f": "ab"}, "edges": {"a": [], "b": []}}', "face 'f'"),
         ('{"volumes": {"v": [null]}, "faces": {}, "edges": {}}', "volume 'v'"),
         ('{"volumes": {}, "faces": {}, "edges": {"e": [1, 2]}}', "edge 'e'"),
+        # under GF(2) the repeated f1 cancels: the boundary of v would be f2, whose own boundary is not zero
+        ('{"volumes": {"v": ["f1", "f2", "f1"]}, "faces": {"f1": ["e7", "e8"], "f2": ["e7", "e8"]},'
+         ' "edges": {"e7": ["s", "t"], "e8": ["s", "t"]}}', "volume 'v' lists 'f1' twice"),
     ],
 )
 def test_json_rejects_malformed_boundaries(text, message):

@@ -31,11 +31,11 @@ def eq3_amplitudes() -> np.ndarray:
 
 
 def single_vertex_graph() -> InteractionGraph:
-    return InteractionGraph(("q0",), ("face",), ())
+    return InteractionGraph(("q0",), ())
 
 
 def two_vertex_graph() -> InteractionGraph:
-    return InteractionGraph(("q0", "q1"), ("face", "edge"), (("q0", "q1"),))
+    return InteractionGraph(("q0", "q1"), ((0, 1),))
 
 
 def test_graph_state_single_vertex():
@@ -59,9 +59,7 @@ def test_g8_graph_state_matches_experimental_state():
 
 def test_graph_state_capacity():
     n = 21
-    graph = InteractionGraph(
-        tuple(f"q{i}" for i in range(n)), ("face",) * n, ()
-    )
+    graph = InteractionGraph(tuple(f"q{i}" for i in range(n)), ())
     with pytest.raises(CapacityError):
         build_graph_state_dense(graph)
 

@@ -327,7 +327,7 @@ COMPLEXES = {
 def test_build_cluster_rows_match_gate_sequence(name):
     graph = interaction_graph(COMPLEXES[name]())
     built = build_cluster(graph, "tableau").backend
-    reference = gate_sequence_graph_state(graph.qubit_count, graph.edge_indexes())
+    reference = gate_sequence_graph_state(graph.qubit_count, graph.edges)
     assert rows(built) == rows(reference)
 
 
@@ -335,7 +335,7 @@ def test_build_cluster_rows_match_gate_sequence(name):
 def test_seeded_x_readout_matches_gate_sequence(name):
     graph = interaction_graph(COMPLEXES[name]())
     reference = ClusterState(
-        graph, gate_sequence_graph_state(graph.qubit_count, graph.edge_indexes())
+        graph, gate_sequence_graph_state(graph.qubit_count, graph.edges)
     )
     built = build_cluster(graph, "tableau")
     for seed in (0, 7, 2026):
@@ -387,7 +387,7 @@ def test_readout_forms_match_concrete_x_readout(graph, data):
     n, edges = graph
     labels = tuple(f"q{i}" for i in range(n))
     state = build_cluster(
-        InteractionGraph(labels, ("face",) * n, tuple((labels[a], labels[b]) for a, b in edges))
+        InteractionGraph(labels, tuple((min(e), max(e)) for e in edges))
     )
     # local H and S make Y rows and nontrivial product phases
     for gate, q in data.draw(st.lists(st.tuples(st.sampled_from("HS"), st.integers(0, n - 1)))):
@@ -420,7 +420,7 @@ def test_readout_forms_match_concrete_x_readout(graph, data):
 
 def labelled_cluster(n, edges):
     labels = tuple(f"q{i}" for i in range(n))
-    graph = InteractionGraph(labels, ("face",) * n, tuple((labels[a], labels[b]) for a, b in edges))
+    graph = InteractionGraph(labels, tuple((min(e), max(e)) for e in edges))
     return build_cluster(graph)
 
 

@@ -66,7 +66,7 @@ def syndrome_of_pattern(pattern):
 def representative_record(pattern):
     """All-(+1) X outcomes with the pattern's faces flipped: fixes every face product."""
     outcomes = {f"f{q}": -1 if q in pattern else 1 for q in FACE_NUMBERS}
-    return OutcomeRecord(outcomes, {label: "x" for label in outcomes})
+    return OutcomeRecord(outcomes, "x")
 
 
 def test_sample_errors_extremes():
@@ -109,7 +109,7 @@ def test_extract_syndrome_requires_all_faces():
     record = representative_record({1})
     trimmed = dict(record.outcomes)
     del trimmed["f4"]
-    partial = OutcomeRecord(trimmed, {k: "x" for k in trimmed})
+    partial = OutcomeRecord(trimmed, "x")
     with pytest.raises(KeyError):
         extract_syndrome(partial)
 
