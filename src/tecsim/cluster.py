@@ -28,6 +28,9 @@ class InteractionGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # stored as tuples first, so the checks see what is kept and no caller's list is kept
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         pos = {v: i for i, v in enumerate(self.vertices)}
         if len(pos) != len(self.vertices):
             raise ValueError("duplicate vertex labels")
@@ -112,6 +115,8 @@ class ClusterState:
     ``measure_x(q, rng)``, ``measure_z(q, rng)``, ``expectation_pauli(op)`` and
     ``readout_x(rng, flips=None)``, the X outcomes of the state or, given a (trials, k)
     bool array, of one copy per row with Z on qubit q wherever ``flips[t, q]`` is set.
+    Callers find qubits by ``graph.index`` and measure through ``backend``; the state
+    adds only ``copy()`` and ``expectation(op)``, either engine's value as a float.
     """
 
     graph: InteractionGraph
@@ -120,14 +125,8 @@ class ClusterState:
     def copy(self) -> "ClusterState":
         return ClusterState(self.graph, self.backend.copy())
 
-    def index(self, label: str) -> int:
-        return self.graph.index(label)
-
     def expectation(self, op: PauliOperator) -> float:
         return float(self.backend.expectation_pauli(op))
-
-    def measure(self, op: PauliOperator, rng: np.random.Generator) -> int:
-        return self.backend.measure_pauli(op, rng)
 
 
 def build_cluster(graph: InteractionGraph, engine: str = "tableau") -> ClusterState:
@@ -156,7 +155,7 @@ def surface_correlation(state: ClusterState, face_qubits) -> int:
     n = state.graph.qubit_count
     xmask = 0
     for label in labels:
-        xmask ^= 1 << state.index(label)
+        xmask ^= 1 << state.graph.index(label)
     value = state.expectation(PauliOperator(n, xmask, 0, 0))
     rounded = round(value)
     if abs(value - rounded) > 1e-9 or rounded not in (-1, 0, 1):

@@ -85,6 +85,12 @@ class CellComplex:
                     acc ^= lower[cell]
                 if acc:
                     raise ValueError(f"{kind} {name!r} violates boundary-of-boundary = 0")
+        # last, so a boundary fault is still the one reported; a shared name labels two cells
+        cells = {"volume": self.volumes, "face": self.faces, "edge": self.edges, "vertex": self.vertices}
+        if len(set().union(*cells.values())) != sum(map(len, cells.values())):
+            for (kind, names), (other, others) in combinations(cells.items(), 2):
+                if shared := sorted(set(names).intersection(others)):
+                    raise ValueError(f"cell name {shared[0]!r} is used in two dimensions: {kind} and {other}")
 
     def _table(self, dimension: int):
         if not 0 <= dimension <= 3:

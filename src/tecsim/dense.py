@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .pauli import PauliOperator
+from .pauli import PauliOperator, check_gate
 
 QUBIT_CAP = 20
 
@@ -67,37 +67,24 @@ class StateVector:
     # unitaries
 
     def _apply_2x2(self, u: np.ndarray, target: int) -> None:
-        if not 0 <= target < self.n:
-            raise IndexError(f"target {target} out of range for {self.n} qubits")
         a = self.amps.reshape(1 << target, 2, -1)
         self.amps = np.einsum("ij,ajb->aib", u, a).reshape(-1)
 
     def apply_gate(self, gate: str, *targets: int) -> "StateVector":
-        """Same gate alphabet as the tableau engine (H, S, X, Z, CZ, CNOT)."""
-        gate = gate.upper()
-        if gate in GATE_MATRICES:
-            (t,) = targets
-            self._apply_2x2(GATE_MATRICES[gate], t)
-        elif gate == "CZ":
-            a, b = targets
-            if a == b:
-                raise ValueError("CZ targets must be distinct")
-            self._phase_flip_both_set(a, b)
+        """The tableau engine's gates, :data:`pauli.GATE_TARGETS`; a bad call raises before any change."""
+        gate = check_gate(gate, targets, self.n)
+        if gate == "CZ":
+            self._phase_flip_both_set(*targets)
         elif gate == "CNOT":
             c, t = targets
-            if c == t:
-                raise ValueError("CNOT targets must be distinct")
             self._apply_2x2(_H, t)
             self._phase_flip_both_set(c, t)
             self._apply_2x2(_H, t)
         else:
-            raise ValueError(f"unknown gate {gate!r}")
+            self._apply_2x2(GATE_MATRICES[gate], *targets)
         return self
 
     def _phase_flip_both_set(self, a: int, b: int) -> None:
-        for t in (a, b):
-            if not 0 <= t < self.n:
-                raise IndexError(f"target {t} out of range for {self.n} qubits")
         idx = np.arange(1 << self.n, dtype=np.uint32)
         mask = ((idx >> (self.n - 1 - a)) & (idx >> (self.n - 1 - b)) & 1).astype(bool)
         self.amps[mask] *= -1.0

@@ -59,10 +59,6 @@ class PauliOperator:
         code = _LETTERS.index(letter)
         return cls(n, (code & 1) << qubit, (code >> 1) << qubit, 0)
 
-    @classmethod
-    def from_text(cls, text: str) -> "PauliOperator":
-        return pauli_from_text(text)
-
     @property
     def phase(self) -> complex:
         return _PHASE_VALUE[self.phase_exp]
@@ -87,17 +83,8 @@ class PauliOperator:
     def letter(self, qubit: int) -> str:
         return _LETTERS[((self.x_bits >> qubit) & 1) + 2 * ((self.z_bits >> qubit) & 1)]
 
-    def __mul__(self, other: "PauliOperator") -> "PauliOperator":
-        return multiply(self, other)
-
-    def commutes_with(self, other: "PauliOperator") -> bool:
-        return commutes(self, other)
-
-    def to_text(self) -> str:
-        return pauli_to_text(self)
-
     def __str__(self) -> str:
-        return self.to_text()
+        return pauli_to_text(self)
 
 
 def pauli_from_text(text: str) -> PauliOperator:
@@ -146,3 +133,22 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     if a.n != b.n:
         raise ValueError(f"operator sizes differ: {a.n} vs {b.n}")
     return (((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) & 1) == 0
+
+
+# Both state engines' gate alphabet, the CHP gates plus Y, and each gate's target count
+GATE_TARGETS = {"H": 1, "S": 1, "X": 1, "Y": 1, "Z": 1, "CZ": 2, "CNOT": 2}
+
+
+def check_gate(gate: str, targets, n: int) -> str:
+    """``gate`` upper-cased, once it is known and ``targets`` are its count of distinct qubits below ``n``."""
+    name = gate.upper()
+    if name not in GATE_TARGETS:
+        raise ValueError(f"unknown gate {gate!r}")
+    if len(targets) != GATE_TARGETS[name]:
+        raise ValueError(f"{name} takes {GATE_TARGETS[name]} target(s), got {len(targets)}")
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"{name} targets must be distinct")
+    for t in targets:
+        if not 0 <= t < n:
+            raise IndexError(f"target {t} out of range for {n} qubits")
+    return name

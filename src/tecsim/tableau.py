@@ -18,10 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import _gf2_echelon
-from .pauli import PauliOperator, _product_i_exponent
-
-_GATES_1 = frozenset({"H", "S", "X", "Z"})
-_GATES_2 = frozenset({"CZ", "CNOT"})
+from .pauli import PauliOperator, _product_i_exponent, check_gate
 
 
 class StabilizerTableau:
@@ -69,22 +66,8 @@ class StabilizerTableau:
     # gates
 
     def apply_gate(self, gate: str, *targets: int) -> "StabilizerTableau":
-        """Conjugate the stabilizer group by a named Clifford gate."""
-        gate = gate.upper()
-        if gate in _GATES_1:
-            if len(targets) != 1:
-                raise ValueError(f"{gate} takes one target, got {len(targets)}")
-        elif gate in _GATES_2:
-            if len(targets) != 2:
-                raise ValueError(f"{gate} takes two targets, got {len(targets)}")
-            if targets[0] == targets[1]:
-                raise ValueError(f"{gate} targets must be distinct")
-        else:
-            raise ValueError(f"unknown gate {gate!r}")
-        for t in targets:
-            if not 0 <= t < self.n:
-                raise IndexError(f"target {t} out of range for {self.n} qubits")
-        getattr(self, gate.lower())(*targets)
+        """Conjugate the stabilizer group by a named gate of :data:`pauli.GATE_TARGETS`."""
+        getattr(self, check_gate(gate, targets, self.n).lower())(*targets)
         return self
 
     def h(self, q: int) -> None:
@@ -120,6 +103,10 @@ class StabilizerTableau:
         for j in range(2 * self.n):
             if xs[j] & bit:
                 rs[j] ^= 1
+
+    def y(self, q: int) -> None:
+        self.x(q)
+        self.z(q)
 
     def cz(self, a: int, b: int) -> None:
         ba, bb = 1 << a, 1 << b
@@ -280,7 +267,7 @@ class StabilizerTableau:
         return [self.stabilizer(i) for i in range(self.n)]
 
     def __repr__(self) -> str:
-        rows = ", ".join(s.to_text() for s in self.stabilizers())
+        rows = ", ".join(map(str, self.stabilizers()))
         return f"StabilizerTableau(n={self.n}, stabilizers=[{rows}])"
 
 

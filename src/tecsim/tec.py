@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -48,7 +47,8 @@ class TopologicalCode:
     ``faces[i]``, face number i + 1 in the public frozenset form, and qubit i
     of :meth:`state`. A syndrome holds one +-1 per check, the product of the
     face outcomes around that volume; ``leaders`` maps each to its unique
-    minimum-weight flip bitmask.
+    minimum-weight flip bitmask. ``tables``, read-only, has rows protected and
+    unprotected: failure per flip bitmask, 2^F entries each.
     """
 
     complex: CellComplex
@@ -56,6 +56,7 @@ class TopologicalCode:
     checks: tuple[int, ...]
     surface: int
     leaders: dict[tuple[int, ...], int]
+    tables: np.ndarray = field(repr=False)
     _states: dict[str, ClusterState] = field(default_factory=dict, init=False, repr=False)
 
     def state(self, engine: str = "tableau") -> ClusterState:
@@ -90,20 +91,12 @@ class TopologicalCode:
         """Whether the protected product is still flipped after decoding."""
         return self.flipped(flips ^ self.leaders[self.syndrome(flips)])
 
-    @cached_property
-    def tables(self) -> np.ndarray:
-        """Rows protected, unprotected: failure per flip bitmask, 2^F entries each."""
-        masks = range(1 << len(self.faces))
-        tables = np.array([list(map(self.fails, masks)), list(map(self.flipped, masks))], np.int64)
-        tables.setflags(write=False)  # cached and shared by every caller
-        return tables
-
 
 def build_code(cx: CellComplex, surface) -> TopologicalCode:
     """The code of ``cx`` that protects ``surface``, a closed and nontrivial set of face names.
 
-    Each syndrome's decoder entry is its first flip pattern in weight order; a
-    tie at that weight is a decoding ambiguity and raises instead of being broken.
+    Each syndrome's decoder entry is its first flip pattern in weight order, and that pass
+    fills both tables; a tie at that weight is a decoding ambiguity and raises, never broken.
     """
     faces = cx.cells(2)
     if len(faces) > MAX_CODE_FACES:
@@ -115,11 +108,14 @@ def build_code(cx: CellComplex, surface) -> TopologicalCode:
         raise ValueError(f"surface {sorted(chain.cells)} bounds volumes, so it protects nothing")
     surface_mask = sum(1 << i for i, f in enumerate(faces) if f in chain.cells)
     leaders: dict[tuple[int, ...], int] = {}
-    code = TopologicalCode(cx, faces, volume_boundary_masks(cx), surface_mask, leaders)
+    tables = np.zeros((2, 1 << len(faces)), np.int64)
+    code = TopologicalCode(cx, faces, volume_boundary_masks(cx), surface_mask, leaders, tables)
     for flips in sorted(range(1 << len(faces)), key=int.bit_count):
         best = leaders.setdefault(code.syndrome(flips), flips)
         if best != flips and best.bit_count() == flips.bit_count():
             raise AssertionError(f"minimum-weight tie for syndrome {code.syndrome(flips)}")
+        tables[:, flips] = code.flipped(flips ^ best), code.flipped(flips)
+    tables.setflags(write=False)  # shared by every caller
     return code
 
 

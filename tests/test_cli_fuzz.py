@@ -35,11 +35,16 @@ def paths(tmp_path_factory):
         '{"volumes": {"v": ["f1", "f2", "f1"]}, "faces": {"f1": ["e7", "e8"], "f2": ["e7", "e8"]},'
         ' "edges": {"e7": ["s", "t"], "e8": ["s", "t"]}}'
     )
+    (root / "crossdim.json").write_text(  # f2 names both a face and an edge
+        '{"volumes": {"v": ["f1", "f2"]}, "faces": {"f1": ["e7", "f2"], "f2": ["e7", "f2"]},'
+        ' "edges": {"e7": ["s", "t"], "f2": ["s", "t"]}}'
+    )
     return {
         "dir": str(root),
         "deep": str(root / "deep.json"),
         "bad": str(root / "bad.json"),
         "repeated": str(root / "repeated.json"),
+        "crossdim": str(root / "crossdim.json"),
         "file": str(root / "out.txt"),
         "missing": str(root / "no-such-dir" / "out.txt"),
     }
@@ -69,7 +74,8 @@ def argvs(draw, paths):
     else:
         names = ["g8", "elementary", "cuboid 1x1x1", "cuboid 0x1x1", "cuboid 99999x99999x99999",
                  "cuboid", "", "dodecahedron"]
-        name = draw(st.sampled_from(names + [paths[k] for k in ("dir", "deep", "bad", "repeated", "missing")]))
+        files = ("dir", "deep", "bad", "repeated", "crossdim", "missing")
+        name = draw(st.sampled_from(names + [paths[k] for k in files]))
         argv += name.split(" ") if name.startswith("cuboid") else [name]
     out = st.sampled_from(["", paths["dir"], paths["file"], paths["missing"]])
     return argv + draw(_opt("--out", out))

@@ -170,7 +170,7 @@ def test_ring5_syndromes_match_the_measured_face_products(ring5):
         state = base.copy()
         for i, face in enumerate(ring5.faces):
             if flips >> i & 1:
-                state.backend.apply_gate("Z", state.index(face))
+                state.backend.apply_gate("Z", state.graph.index(face))
         record = measure_all(state, philox_generator(44, flips), "x")
         measured = tuple(record.product(cx.volumes[v]) for v in cx.cells(3))
         assert measured == ring5.syndrome(flips) == ring5.syndrome(ring5.flips(record)), flips

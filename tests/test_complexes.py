@@ -282,6 +282,28 @@ def test_construction_rejects_broken_boundaries():
         )
 
 
+@pytest.mark.parametrize(
+    "volumes, faces, edges, kinds",
+    [
+        # f2 is a face and an edge, so it would name two qubits of the interaction graph
+        ({"v": ["f1", "f2"]}, {"f1": ["e7", "f2"], "f2": ["e7", "f2"]}, {"e7": ["s", "t"], "f2": ["s", "t"]},
+         "'f2' is used in two dimensions: face and edge"),
+        ({"f": ["f", "g"]}, {"f": ["e1", "e2"], "g": ["e1", "e2"]}, {"e1": ["a", "b"], "e2": ["a", "b"]},
+         "'f' is used in two dimensions: volume and face"),
+        ({}, {"f": ["e1", "e2"]}, {"e1": ["a", "e2"], "e2": ["a", "e2"]},
+         "'e2' is used in two dimensions: edge and vertex"),
+    ],
+)
+def test_construction_rejects_a_name_in_two_dimensions(volumes, faces, edges, kinds):
+    with pytest.raises(ValueError, match=re.escape(f"cell name {kinds}")):
+        CellComplex(volumes=volumes, faces=faces, edges=edges)
+
+
+def test_boundary_faults_are_reported_before_a_name_in_two_dimensions():
+    with pytest.raises(ValueError, match="face 'f' violates boundary-of-boundary"):  # f is a vertex too
+        CellComplex(volumes={}, faces={"f": ["e1", "e2"]}, edges={"e1": ["a", "b"], "e2": ["b", "f"]})
+
+
 def reference_cuboid_maps(length, width, depth):
     """The cuboid builder cell by cell: each boundary drops one spanned axis, at the corner
     and a unit further along it. Returns the volume, face and edge maps in build order."""

@@ -15,12 +15,12 @@ from tecsim.cluster import (
     stabilizer_generators,
 )
 from tecsim.complexes import _gf2_echelon, build_cuboid_complex, build_elementary_cell, build_g8_complex
-from tecsim.dense import StateVector
-from tecsim.pauli import PauliOperator, multiply, pauli_from_text, pauli_to_text
+from tecsim.dense import GATE_MATRICES, StateVector
+from tecsim.pauli import GATE_TARGETS, PauliOperator, multiply, pauli_from_text, pauli_to_text
 from tecsim.rng import philox_generator
 from tecsim.tableau import StabilizerTableau, _graph_readout_x
 
-GATE_POOL = (("H", 1), ("S", 1), ("X", 1), ("Z", 1), ("CZ", 2), ("CNOT", 2))
+GATE_POOL = tuple(GATE_TARGETS.items())
 
 
 def random_circuit(rng, n, depth):
@@ -144,6 +144,39 @@ def test_gate_validation():
         t.apply_gate("SWAP", 0, 1)
 
 
+def test_engines_share_one_gate_alphabet():
+    assert {*GATE_MATRICES, "CZ", "CNOT"} == GATE_TARGETS.keys()
+    assert all(callable(getattr(StabilizerTableau, gate.lower(), None)) for gate in GATE_TARGETS)
+
+
+def _contents(state):
+    if isinstance(state, StabilizerTableau):
+        return state._xs.copy(), state._zs.copy(), state._rs.copy()
+    return state.amps.tobytes()
+
+
+@pytest.mark.parametrize("engine", [StabilizerTableau, StateVector.computational_zero])
+@pytest.mark.parametrize(
+    "gate, targets, error",
+    [
+        ("SWAP", (0, 1), ValueError),
+        ("H", (), ValueError),
+        ("CZ", (0, 1, 2), ValueError),
+        ("CZ", (1, 1), ValueError),
+        ("H", (3,), IndexError),
+        ("X", (-1,), IndexError),
+        ("CNOT", (5, 0), IndexError),  # a bad control, after a target the gate would touch first
+        ("cnot", (-1, 2), IndexError),
+    ],
+)
+def test_bad_gate_calls_raise_alike_and_change_nothing(engine, gate, targets, error):
+    state = engine(3).apply_gate("H", 0).apply_gate("CNOT", 0, 1).apply_gate("S", 2)
+    before = _contents(state)
+    with pytest.raises(error):
+        state.apply_gate(gate, *targets)
+    assert _contents(state) == before
+
+
 def test_measure_validation():
     t = StabilizerTableau(2)
     rng = philox_generator(0)
@@ -219,7 +252,7 @@ def test_tableau_follows_dense_oracle_on_random_circuits(data):
     """
     n = data.draw(st.integers(1, 6), label="qubits")
     seed = data.draw(st.integers(0, 2**64 + 5), label="seed")
-    pool = GATE_POOL if n > 1 else GATE_POOL[:4]
+    pool = tuple(gate for gate in GATE_POOL if gate[1] <= n)
     tab, vec = StabilizerTableau(n), StateVector.computational_zero(n)
     for k, measure in enumerate(data.draw(st.lists(st.booleans(), max_size=24), label="steps")):
         if not measure:

@@ -225,7 +225,7 @@ def test_frame_equivalence(engine):
         z_corr, z_fix, z_rec = run_pattern(pattern, philox_generator(41, idx), engine=engine)
         state = rotated.copy()
         for q in pattern:
-            state.backend.apply_gate("X", state.index(G8_CODE.faces[q - 1]))
+            state.backend.apply_gate("X", state.graph.index(G8_CODE.faces[q - 1]))
         x_rec = measure_all(state, philox_generator(42, idx), "z")
         x_corr, x_fix = decode_and_correct(x_rec)
         assert extract_syndrome(z_rec) == extract_syndrome(x_rec)
