@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .pauli import PauliOperator, check_gate
+from .pauli import PauliOperator, check_gate, check_operator
 
 QUBIT_CAP = 20
 
@@ -38,10 +38,11 @@ class StateVector:
 
     def __init__(self, n: int, amps: np.ndarray):
         _check_capacity(n)
+        amps = np.asarray(amps, dtype=complex)
         if amps.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes, got {amps.shape}")
         self.n = n
-        self.amps = np.asarray(amps, dtype=complex)
+        self.amps = amps
 
     @classmethod
     def computational_zero(cls, n: int) -> "StateVector":
@@ -112,14 +113,13 @@ class StateVector:
         return (1j**k) * signs * self.amps[src]
 
     def expectation_pauli(self, op: PauliOperator) -> float:
-        """<psi|op|psi>, guaranteed real for Hermitian op."""
-        val = np.vdot(self.amps, self.apply_pauli(op))
-        return float(val.real)
+        """<psi|op|psi>, real as op is Hermitian."""
+        check_operator(op, self.n)
+        return float(np.vdot(self.amps, self.apply_pauli(op)).real)
 
     def measure_pauli(self, op: PauliOperator, rng: np.random.Generator) -> int:
         """Projectively measure a Hermitian Pauli; returns +-1, updates state."""
-        if not op.is_hermitian:
-            raise ValueError("operator phase must be +-1 for measurement")
+        check_operator(op, self.n)
         if op.is_identity_string:
             raise ValueError("cannot measure the identity operator")
         transformed = self.apply_pauli(op)

@@ -152,3 +152,11 @@ def check_gate(gate: str, targets, n: int) -> str:
         if not 0 <= t < n:
             raise IndexError(f"target {t} out of range for {n} qubits")
     return name
+
+
+def check_operator(op: PauliOperator, n: int) -> None:
+    """Raise ``ValueError`` unless ``op`` is an observable of an ``n``-qubit state: ``n`` qubits, phase +-1."""
+    if op.n != n:
+        raise ValueError(f"operator acts on {op.n} qubits, state has {n}")
+    if not op.is_hermitian:
+        raise ValueError(f"operator {op} is not Hermitian: its phase must be +-1")

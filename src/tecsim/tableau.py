@@ -1,7 +1,9 @@
 """Stabilizer tableau engine with destabilizer rows.
 
 Rows are stored as integer bitsets (one x word-set and one z word-set per
-row) so gate and measurement updates cost O(n/word) per row. Rows 0..n-1
+row) so gate and measurement updates cost O(n/word) per row. H, S and CZ
+update each row in place; CNOT is H, CZ, H on its target, and X, Y and Z
+flip the sign of every row that anticommutes with them. Rows 0..n-1
 hold destabilizers, rows n..2n-1 the stabilizers; keeping destabilizers
 makes deterministic-outcome detection a single O(n^2) pass instead of a
 Gaussian elimination per measurement. A graph state's X readout skips both:
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import _gf2_echelon
-from .pauli import PauliOperator, _product_i_exponent, check_gate
+from .pauli import PauliOperator, _product_i_exponent, check_gate, check_operator
 
 
 class StabilizerTableau:
@@ -90,24 +92,6 @@ class StabilizerTableau:
                     rs[j] ^= 1
                 zs[j] ^= bit
 
-    def x(self, q: int) -> None:
-        bit = 1 << q
-        zs, rs = self._zs, self._rs
-        for j in range(2 * self.n):
-            if zs[j] & bit:
-                rs[j] ^= 1
-
-    def z(self, q: int) -> None:
-        bit = 1 << q
-        xs, rs = self._xs, self._rs
-        for j in range(2 * self.n):
-            if xs[j] & bit:
-                rs[j] ^= 1
-
-    def y(self, q: int) -> None:
-        self.x(q)
-        self.z(q)
-
     def cz(self, a: int, b: int) -> None:
         ba, bb = 1 << a, 1 << b
         xs, zs, rs = self._xs, self._zs, self._rs
@@ -121,15 +105,23 @@ class StabilizerTableau:
                 zs[j] ^= ba
 
     def cnot(self, control: int, target: int) -> None:
-        bc, bt = 1 << control, 1 << target
-        xs, zs, rs = self._xs, self._zs, self._rs
-        for j in range(2 * self.n):
-            if xs[j] & bc and zs[j] & bt and (bool(xs[j] & bt) == bool(zs[j] & bc)):
-                rs[j] ^= 1
-            if xs[j] & bc:
-                xs[j] ^= bt
-            if zs[j] & bt:
-                zs[j] ^= bc
+        self.h(target)
+        self.cz(control, target)
+        self.h(target)
+
+    def x(self, q: int) -> None:
+        self._pauli(1 << q, 0)
+
+    def y(self, q: int) -> None:
+        self._pauli(1 << q, 1 << q)
+
+    def z(self, q: int) -> None:
+        self._pauli(0, 1 << q)
+
+    def _pauli(self, xm: int, zm: int) -> None:
+        """Conjugate by the Pauli (xm, zm): every row that anticommutes with it changes sign."""
+        for j in self._anticommuting(xm, zm):
+            self._rs[j] ^= 1
 
     # ------------------------------------------------------------------
     # measurement
@@ -140,7 +132,7 @@ class StabilizerTableau:
         Deterministic outcomes (op in the +-stabilizer group) leave the
         state untouched; random outcomes draw one bit from ``rng``.
         """
-        self._check_operator(op)
+        check_operator(op, self.n)
         if op.is_identity_string:
             raise ValueError("cannot measure the identity operator")
         xm, zm = op.x_bits, op.z_bits
@@ -186,19 +178,13 @@ class StabilizerTableau:
 
     def expectation_pauli(self, op: PauliOperator) -> int:
         """Exact expectation in {-1, 0, +1}; the state is not disturbed."""
-        self._check_operator(op)
+        check_operator(op, self.n)
         if op.is_identity_string:
             return 1 if op.phase_exp == 0 else -1
         anti = self._anticommuting(op.x_bits, op.z_bits)
         if anti and anti[-1] >= self.n:
             return 0
         return 1 - 2 * self._deterministic_sign(anti, op.x_bits, op.z_bits, op.phase_exp >> 1)
-
-    def _check_operator(self, op: PauliOperator) -> None:
-        if op.n != self.n:
-            raise ValueError(f"operator acts on {op.n} qubits, state has {self.n}")
-        if not op.is_hermitian:
-            raise ValueError("operator phase must be +-1 for measurement")
 
     def _anticommuting(self, xm: int, zm: int) -> list[int]:
         """Row indices whose symplectic product with (xm, zm) is odd."""

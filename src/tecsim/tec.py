@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -242,11 +243,6 @@ def _count_failures(
     return tuple((code.tables @ counts).tolist())
 
 
-def _sweep_job(args) -> tuple[int, int]:
-    point_index, p, trials, seed, engine = args
-    return _count_failures(engine, p, trials, seed, point_index)
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     """Monte-Carlo estimates and analytic values at one error probability."""
@@ -308,15 +304,15 @@ def monte_carlo_sweep(
     p_values = [float(p) for p in p_values]
     for p in p_values:
         _check_probability(p)
-    jobs = [(i, p, trials, seed, engine) for i, p in enumerate(p_values)]
-    # a fork pool starts all its workers at once, so never more than the jobs or usable CPUs
+    jobs = (repeat(engine), p_values, repeat(trials), repeat(seed), range(len(p_values)))
+    # a fork pool starts all its workers at once, so never more than the points or usable CPUs
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool_size = min(workers, len(jobs), cpus or 1)
+    pool_size = min(workers, len(p_values), cpus or 1)
     if pool_size > 1:
         # imported here, as it loads multiprocessing, which a serial sweep never needs
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            counts = list(pool.map(_sweep_job, jobs))  # in job order, whatever the completion order
+            counts = list(pool.map(_count_failures, *jobs))  # in grid order, whatever the completion order
     else:
-        counts = list(map(_sweep_job, jobs))
+        counts = list(map(_count_failures, *jobs))
     return [SweepPoint(p, trials, *pair) for p, pair in zip(p_values, counts)]

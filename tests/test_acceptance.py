@@ -17,14 +17,7 @@ from tecsim.complexes import Chain, boundary
 from tecsim.rng import philox_generator
 from tecsim.witness import setting_expectations
 
-SINGLE_ERROR_SYNDROMES = {
-    1: (-1, 1, 1, 1),
-    2: (-1, -1, 1, 1),
-    3: (1, 1, -1, -1),
-    4: (1, 1, 1, -1),
-    5: (1, -1, 1, 1),
-    6: (1, 1, -1, 1),
-}
+from reference import SINGLE_ERROR_SYNDROMES
 
 
 @contextmanager

@@ -1,5 +1,4 @@
 import hashlib
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +31,8 @@ from tecsim.pauli import PauliOperator, commutes, pauli_to_text
 from tecsim.rng import philox_generator
 from tecsim.tableau import StabilizerTableau
 from tecsim.witness import build_target_states
+
+from reference import RING5, Replay, per_qubit_readout
 
 G8_FACES = tuple(f"f{i}" for i in range(1, 7))
 
@@ -382,13 +383,6 @@ def test_graph_index_matches_per_vertex_scans():
 # X readout: closed form on graph states, per-qubit collapse elsewhere
 
 
-def per_qubit_readout(state, rng, basis="x"):
-    """Reference readout: one single-qubit collapse per qubit, in vertex order, on a copy."""
-    work = state.backend.copy()
-    measure = work.measure_x if basis == "x" else work.measure_z
-    return [measure(q, rng) for q in range(state.graph.qubit_count)]
-
-
 def record_values(record, state):
     return [record.value(label) for label in state.graph.vertices]
 
@@ -486,29 +480,6 @@ def test_z_flipped_graph_state_is_read_out_in_closed_form(monkeypatch):
 # block X readout of Z-flipped copies
 
 
-class Replay:
-    """Stands in for a Generator: ``random`` hands out ``doubles`` and ``integers(0, 2)``
-    hands out ``bits``, in order, one per scalar draw or a block of the asked shape at once."""
-
-    def __init__(self, doubles=(), bits=()):
-        self.queues = {"random": list(doubles), "integers": list(bits)}
-        self.used = 0
-
-    def _take(self, name, size):
-        queue, count = self.queues[name], 1 if size is None else int(np.prod(size))
-        taken, queue[:count] = queue[:count], []
-        assert len(taken) == count, f"{name} drew past the replayed values"
-        self.used += count
-        return taken[0] if size is None else np.array(taken).reshape(size)
-
-    def random(self, size=None):
-        return self._take("random", size)
-
-    def integers(self, low, high, size=None):
-        assert (low, high) == (0, 2)
-        return self._take("integers", size)
-
-
 def check_block_rows(state, flips, seed, first):
     """Row t of a block readout, split after ``first`` rows, is the single-state readout of
     Z-flipped copy t and its per-qubit ``measure_x`` reference, all given the same draws:
@@ -533,9 +504,6 @@ def check_block_rows(state, flips, seed, first):
         single = copy.backend.readout_x(Replay(**{kind: rows[t]}))
         assert single == expected == per_qubit_readout(copy, Replay(**{kind: rows[t]})), t
     return counter.used
-
-
-RING5 = Path(__file__).resolve().parent / "fixtures" / "ring5.json"
 
 
 def readout_state(name, engine):

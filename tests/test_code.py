@@ -2,7 +2,6 @@
 
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from tecsim.errors import CapacityError
 from tecsim.rng import philox_generator
 from tecsim.tec import G8_CODE, build_code, exact_enumeration
 
-RING5 = Path(__file__).resolve().parent / "fixtures" / "ring5.json"
+from reference import RING5
 
 
 def _ring(m: int) -> CellComplex:

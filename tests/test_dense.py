@@ -175,6 +175,14 @@ def test_measure_pauli_projects_to_eigenstate():
     assert abs(np.linalg.norm(s.amps) - 1.0) < 1e-12
 
 
+def test_state_vector_takes_a_list_of_amplitudes():
+    state = StateVector(1, [1, 0])
+    assert state.amps.dtype == complex
+    assert state.amps.tolist() == [1, 0]
+    with pytest.raises(ValueError, match="expected 4 amplitudes"):
+        StateVector(2, [1, 0])
+
+
 def test_state_vector_validation():
     with pytest.raises(ValueError):
         StateVector.from_amplitudes([1.0, 1.0])

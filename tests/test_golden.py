@@ -17,8 +17,9 @@ import pytest
 
 from tecsim.cli import main
 
+from reference import RING5
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
-RING5 = Path(__file__).resolve().parent / "fixtures" / "ring5.json"
 
 # engine -> (trials, steps), small enough that every sweep case runs in well under a second
 _SWEEP_SIZES = {"fast": (20_000, 5), "tableau": (150, 3), "dense": (40, 3)}

@@ -3,20 +3,7 @@ import pytest
 
 from tecsim.pauli import PauliOperator, commutes, multiply, pauli_from_text, pauli_to_text
 
-MATS = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def to_matrix(op: PauliOperator) -> np.ndarray:
-    """Independent oracle: the literal matrix of a Pauli string."""
-    out = np.array([[1.0 + 0j]])
-    for q in range(op.n):
-        out = np.kron(out, MATS[op.letter(q)])
-    return op.phase * out
+from reference import MATS, to_matrix
 
 
 def random_pauli(rng: np.random.Generator, n: int) -> PauliOperator:

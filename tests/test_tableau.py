@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tecsim.cluster import (
+    ENGINES,
     ClusterState,
     InteractionGraph,
     build_cluster,
@@ -19,6 +20,8 @@ from tecsim.dense import GATE_MATRICES, StateVector
 from tecsim.pauli import GATE_TARGETS, PauliOperator, multiply, pauli_from_text, pauli_to_text
 from tecsim.rng import philox_generator
 from tecsim.tableau import StabilizerTableau, _graph_readout_x
+
+from reference import Replay, per_qubit_readout, to_matrix
 
 GATE_POOL = tuple(GATE_TARGETS.items())
 
@@ -149,6 +152,52 @@ def test_engines_share_one_gate_alphabet():
     assert all(callable(getattr(StabilizerTableau, gate.lower(), None)) for gate in GATE_TARGETS)
 
 
+# each gate as a sum of Pauli strings on its targets, in order: (coefficient, letters)
+GATE_EXPANSIONS = {
+    "H": ((2**-0.5, "X"), (2**-0.5, "Z")),
+    "S": ((0.5 + 0.5j, "I"), (0.5 - 0.5j, "Z")),
+    "X": ((1, "X"),),
+    "Y": ((1, "Y"),),
+    "Z": ((1, "Z"),),
+    "CZ": ((0.5, "II"), (0.5, "ZI"), (0.5, "IZ"), (-0.5, "ZZ")),
+    "CNOT": ((0.5, "II"), (0.5, "ZI"), (0.5, "IX"), (-0.5, "ZX")),
+}
+
+
+def gate_unitary(gate, targets, n):
+    """The gate's 2^n x 2^n matrix, summed from its Pauli expansion by ``to_matrix``."""
+    total = 0
+    for coefficient, letters in GATE_EXPANSIONS[gate]:
+        text = ["I"] * n
+        for t, letter in zip(targets, letters):
+            text[t] = letter
+        total = total + coefficient * to_matrix(pauli_from_text("".join(text)))
+    return total
+
+
+def row_matrices(tab):
+    """Every row, destabilizers first, as the matrix of its signed Pauli."""
+    return [to_matrix(PauliOperator(tab.n, x, z, 2 * r)) for x, z, r in zip(tab._xs, tab._zs, tab._rs)]
+
+
+@pytest.mark.parametrize("gate", GATE_TARGETS)
+def test_each_gate_maps_every_row_to_its_conjugate(gate):
+    """Row j after the gate is U P_j U^dagger, P_j being row j before it, signs included."""
+    rng = np.random.default_rng(len(gate) + 100 * GATE_TARGETS[gate])
+    for _ in range(40):
+        n = int(rng.integers(GATE_TARGETS[gate], 4))
+        tab = StabilizerTableau(n)
+        for name, targets in random_circuit(rng, n, int(rng.integers(0, 10))):
+            tab.apply_gate(name, *targets)
+        targets = [int(t) for t in rng.choice(n, size=GATE_TARGETS[gate], replace=False)]
+        u = gate_unitary(gate, targets, n)
+        assert np.allclose(u @ u.conj().T, np.eye(1 << n))
+        before = row_matrices(tab)
+        tab.apply_gate(gate, *targets)
+        for j, (old, new) in enumerate(zip(before, row_matrices(tab))):
+            assert np.allclose(new, u @ old @ u.conj().T), (gate, targets, j)
+
+
 def _contents(state):
     if isinstance(state, StabilizerTableau):
         return state._xs.copy(), state._zs.copy(), state._rs.copy()
@@ -175,6 +224,20 @@ def test_bad_gate_calls_raise_alike_and_change_nothing(engine, gate, targets, er
     with pytest.raises(error):
         state.apply_gate(gate, *targets)
     assert _contents(state) == before
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("text", ["iXZ", "-iXZ", "XZZ"])
+def test_non_observables_raise_alike_on_both_engines(engine, text):
+    """A Pauli with phase +-i, or on the wrong qubit count, has no expectation and no outcome."""
+    state = build_cluster(InteractionGraph(("a", "b"), ((0, 1),)), engine)
+    before = _contents(state.backend)
+    with pytest.raises(ValueError, match="not Hermitian|acts on 3 qubits") as expectation:
+        state.backend.expectation_pauli(pauli_from_text(text))
+    assert "measurement" not in str(expectation.value)
+    with pytest.raises(ValueError, match="not Hermitian|acts on 3 qubits"):
+        state.backend.measure_pauli(pauli_from_text(text), philox_generator(0))
+    assert _contents(state.backend) == before
 
 
 def test_measure_validation():
@@ -232,16 +295,6 @@ def test_random_circuits_agree_with_dense_oracle():
     assert abs(random_plus_dense - draws / 2) < bound
 
 
-class ForcedOutcome:
-    """A dense-engine rng whose one ``random()`` draw picks ``outcome`` on a random measurement."""
-
-    def __init__(self, outcome):
-        self.outcome = outcome
-
-    def random(self):
-        return 0.0 if self.outcome == 1 else 1.0 - 2**-53
-
-
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.data())
 def test_tableau_follows_dense_oracle_on_random_circuits(data):
@@ -268,7 +321,8 @@ def test_tableau_follows_dense_oracle_on_random_circuits(data):
         assert abs(vec.expectation_pauli(op) - expected) < 1e-9, pauli_to_text(op)
         outcome = tab.measure_pauli(op, philox_generator(seed, k))
         assert expected in (0, outcome)
-        assert vec.measure_pauli(op, ForcedOutcome(outcome)) == outcome
+        # a dense random outcome is +1 iff its one double is below its probability
+        assert vec.measure_pauli(op, Replay([0.0] if outcome == 1 else [1 - 2**-53])) == outcome
     # each stabilizer and each product of two is +1 on both; products carry the i-phases
     stabilizers = tab.stabilizers()
     for i, a in enumerate(stabilizers):
@@ -377,20 +431,6 @@ def test_seeded_x_readout_matches_gate_sequence(name):
         )
 
 
-class ScriptedBits:
-    """An rng whose ``integers(0, 2, size)`` hands out the given bits in order: one bit,
-    or an array of ``size`` of them."""
-
-    def __init__(self, bits):
-        self.bits = bits
-        self.used = 0
-
-    def integers(self, low, high, size=None):
-        start = self.used
-        self.used += 1 if size is None else size
-        return self.bits[start] if size is None else np.array(self.bits[start : self.used], np.int64)
-
-
 def readout_forms_x(tab, flip_qubits):
     """Reference symbolic readout: sign forms of an X readout of every qubit, after Z flips.
 
@@ -440,7 +480,7 @@ def test_readout_forms_match_concrete_x_readout(graph, data):
     for q, flip in zip(flip_qubits, flips):
         if flip:
             concrete.backend.apply_gate("Z", q)
-    feed = ScriptedBits(bits)
+    feed = Replay(bits=bits)
     record = measure_all(concrete, feed, "x")
     assert symbolic == [record.value(label) for label in labels]
     # one variable per random outcome, none beyond them
@@ -466,12 +506,6 @@ def test_build_cluster_masks_are_the_generators_z_bits(graph):
     assert state.backend._zs[n:] == z_bits == neighbor_masks(n, edges)
 
 
-def per_qubit_x_readout(state, rng):
-    """Reference X readout: one ``measure_x`` collapse per qubit, on a copy."""
-    work = state.backend.copy()
-    return [work.measure_x(q, rng) for q in range(work.n)]
-
-
 @st.composite
 def dense_graphs(draw, max_qubits=40):
     """Graphs with each pair joined by a coin flip, so odd cycles, where e(S) is odd, are common."""
@@ -490,13 +524,13 @@ def test_closed_form_x_readout_matches_per_qubit_collapse(graph, data):
         state.backend.apply_gate("Z", q)
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     record = measure_all(state, philox_generator(seed, 0), "x")
-    assert [record.value(label) for label in state.graph.vertices] == per_qubit_x_readout(
+    assert [record.value(label) for label in state.graph.vertices] == per_qubit_readout(
         state, philox_generator(seed, 0)
     )
     bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="bits")
-    ours, reference = ScriptedBits(bits), ScriptedBits(bits)
+    ours, reference = Replay(bits=bits), Replay(bits=bits)
     record = measure_all(state, ours, "x")
-    assert [record.value(label) for label in state.graph.vertices] == per_qubit_x_readout(
+    assert [record.value(label) for label in state.graph.vertices] == per_qubit_readout(
         state, reference
     )
     assert ours.used == reference.used

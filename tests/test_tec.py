@@ -34,17 +34,10 @@ from tecsim.tec import (
     simulate_trial,
 )
 
+from reference import SINGLE_ERROR_SYNDROMES, Replay
+
 FACE_NUMBERS = (1, 2, 3, 4, 5, 6)
 G8_PAIRS = ((1, 2), (2, 5), (3, 6), (3, 4))  # the volume boundaries v, w, y, z by face number
-
-SINGLE_ERROR_SYNDROMES = {
-    1: (-1, 1, 1, 1),
-    2: (-1, -1, 1, 1),
-    3: (1, 1, -1, -1),
-    4: (1, 1, 1, -1),
-    5: (1, -1, 1, 1),
-    6: (1, 1, -1, 1),
-}
 
 ALL_PATTERNS = [
     frozenset(combo) for w in range(7) for combo in combinations(FACE_NUMBERS, w)
@@ -305,36 +298,17 @@ def test_sweep_validation():
         monte_carlo_sweep([0.1], 10, seed=0, engine="warp")
 
 
-class TrialDraws:
-    """Stands in for one trial's Generator, replaying its draws in the sweep's layout.
-
-    ``random(F)`` returns the trial's flip doubles; the readout's one block draw,
-    ``random((1, n))`` (dense) or ``integers(0, 2, (1, R))`` (tableau), returns its row
-    of the outcome stream.
-    """
-
-    def __init__(self, doubles, draws):
-        self.doubles, self.draws = doubles, draws
-
-    def random(self, size):
-        return self.doubles if np.ndim(size) == 0 else self.draws.reshape(size)
-
-    def integers(self, low, high, size):
-        assert (low, high) == (0, 2)
-        return self.draws.reshape(size)
-
-
 def trial_draws(engine, seed, point, trials, code=G8_CODE):
-    """Each trial's draws: row t of the (seed, point) stream's F doubles for its flips, and
-    row t of the (seed, point, 1) stream's outcome draws, R ``integers(0, 2)`` (tableau, R
-    random outcomes, two on g8) or n doubles (dense, n qubits)."""
+    """Each trial's draws, replayed in the sweep's layout: row t of the (seed, point) stream's
+    F doubles for its flips, then row t of the (seed, point, 1) stream's outcome draws, R
+    ``integers(0, 2)`` (tableau, R random outcomes, two on g8) or n doubles (dense, n qubits)."""
     doubles = philox_generator(seed, point).random((trials, len(code.faces)))
     outcomes = philox_generator(seed, point, 1)
     if engine == "tableau":
         draws = outcomes.integers(0, 2, (trials, 2))
     else:
         draws = outcomes.random((trials, code.state("dense").graph.qubit_count))
-    return [TrialDraws(d, r) for d, r in zip(doubles, draws)]
+    return [Replay(d, r) if engine == "tableau" else Replay([*d, *r]) for d, r in zip(doubles, draws)]
 
 
 def running_reference(p, trials, seed, point, engine="tableau"):
@@ -420,7 +394,7 @@ def test_block_outcomes_are_each_trials_readout(p, engine):
     seed, point, size, first = 2**64 + 3, 2, 40, 17
     state = G8_CODE.state(engine)
     rngs = trial_draws(engine, seed, point, size)
-    flips = np.array([rng.doubles for rng in rngs]) < p
+    flips = philox_generator(seed, point).random((size, len(G8_CODE.faces))) < p  # the flips rngs replay
     outcome_rng = philox_generator(seed, point, 1)
     got = np.concatenate(
         [state.backend.readout_x(outcome_rng, flips[:first]), state.backend.readout_x(outcome_rng, flips[first:])]
@@ -561,8 +535,8 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return map(fn, jobs)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize(
