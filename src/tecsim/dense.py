@@ -41,6 +41,9 @@ class StateVector:
         amps = np.asarray(amps, dtype=complex)
         if amps.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes, got {amps.shape}")
+        deviation = abs(np.linalg.norm(amps) - 1.0)
+        if deviation > 1e-12:
+            raise ValueError(f"state not normalized: |norm - 1| = {deviation:.3g}")
         self.n = n
         self.amps = amps
 
@@ -56,9 +59,6 @@ class StateVector:
         n = int(amps.size - 1).bit_length()
         if amps.size != 1 << n:
             raise ValueError(f"amplitude count {amps.size} is not a power of two")
-        deviation = abs(np.linalg.norm(amps) - 1.0)
-        if deviation > 1e-12:
-            raise ValueError(f"state not normalized: |norm - 1| = {deviation:.3g}")
         return cls(n, amps)
 
     def copy(self) -> "StateVector":
@@ -146,36 +146,35 @@ class StateVector:
 
         With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t
         is this call's readout, given the same draws, of the copy with Z on each qubit q < k
-        where ``flips[t, q]`` is set. The copies are sign vectors on the amplitudes, at most
-        2^16 amplitudes (1 MiB) at a time; the state alone is a block of one. Each X
-        measurement is :meth:`measure_pauli`'s, row by row: expectation, thresholds, a draw
-        only where the outcome is random, the projection. Each copy reads n doubles of
-        ``rng``, and its k-th random outcome reads double k.
+        where ``flips[t, q]`` is set. Each row measures qubit q, the top bit of what is left,
+        and drops it: with a0 and a1 the halves where q is 0 and 1, outcome s leaves
+        (a0 + s a1) / sqrt(1 + s <X_q>) on the qubits after q. Z on q, which commutes with the
+        earlier readouts, is the sign of a1 at that step. The expectation, the thresholds and a
+        draw only where the outcome is random are :meth:`measure_pauli`'s. Each step is a real
+        linear map, so the rows hold float64: the real parts of a real state, which stays
+        real, else the interleaved real and imaginary parts. A block holds at most 2^16
+        amplitudes (1 MiB) at a time; the state alone is a block of one. Each copy reads n
+        doubles of ``rng``, and its k-th random outcome reads double k.
         """
         n, block = self.n, np.zeros((1, 0), bool) if flips is None else flips
         step = max(1, (1 << 16) >> n)
         if len(block) > step:  # each part draws its rows' doubles, in row order
             return np.concatenate([self.readout_x(rng, block[i : i + step]) for i in range(0, len(block), step)])
         size, k = block.shape
-        draws = rng.random((size, n))
-        flipped = block @ (1 << np.arange(n - 1, n - 1 - k, -1))  # qubit 0 is the top bit
-        amps = self.amps * (1.0 - 2.0 * (np.bitwise_count(flipped[:, None] & np.arange(1 << n)) & 1))
-        cursor = np.zeros(size, np.intp)  # each row's next unread draw
+        draws, every, cursor = rng.random((size, n)), np.arange(size), np.zeros(size, np.intp)
+        signs = 1.0 - 2.0 * np.concatenate([block, np.zeros((size, n - k), bool)], 1)  # Z_q: the sign of a1
+        floats = self.amps.real if not self.amps.imag.any() else self.amps.view(np.float64)
+        rest = floats[None]  # one row until the first drop
         outcomes = np.empty((size, n), dtype=np.int64)
         for q in range(n):
-            pairs = amps.reshape(size, 1 << q, 2, 1 << (n - 1 - q))  # X_q swaps pairs[:, :, 0] and [:, :, 1]
-            re = pairs.view(np.float64)
-            expect = 2.0 * np.einsum("iab,iab->i", re[:, :, 0], re[:, :, 1])  # Re <psi|X_q|psi>
-            outcome = np.where(expect > 1.0 - 1e-9, 1, np.where(expect < -1.0 + 1e-9, -1, 0))
-            rows = np.flatnonzero(outcome == 0)
-            draw = draws[rows, cursor[rows]]
-            cursor[rows] += 1
-            outcome[rows] = sign = np.where(draw < 0.5 * (1.0 + expect[rows]), 1, -1)
-            # 0.5 (psi + sign X_q psi), whose two halves differ by the factor sign
-            sign = sign[:, None, None]
-            half = 0.5 * (pairs[rows, :, 0] + sign * pairs[rows, :, 1])
-            half /= np.sqrt(0.5 * (1.0 + sign * expect[rows, None, None]))
-            pairs[rows, :, 0], pairs[rows, :, 1] = half, sign * half
+            halves = rest.reshape(len(rest), 2, rest.shape[1] >> 1)  # a0, a1
+            expect = 2.0 * signs[:, q] * np.einsum("ij,ij->i", halves[:, 0], halves[:, 1])  # Re <psi|X_q|psi>
+            random = np.abs(expect) <= 1.0 - 1e-9
+            outcome = np.where(random, np.where(draws[every, cursor] < 0.5 * (1.0 + expect), 1, -1), np.sign(expect))
+            cursor += random  # each row's next unread draw
+            scale = 1.0 / np.sqrt(1.0 + outcome * expect)
+            coefs = np.stack([scale, outcome * signs[:, q] * scale], 1)  # of a0 and a1
+            rest = (coefs[:, None] @ halves)[:, 0]
             outcomes[:, q] = outcome
         return outcomes[0].tolist() if flips is None else outcomes
 

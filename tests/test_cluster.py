@@ -557,7 +557,8 @@ def test_block_rows_are_each_copys_single_and_per_qubit_readout(engine, name, ra
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(engine=st.sampled_from(ENGINES), data=st.data())
 def test_block_rows_are_each_copys_readout_on_random_graphs(engine, data):
-    """Random graphs, some with H on a few qubits so the tableau leaves graph form."""
+    """Random graphs, some with H and S on a few qubits: the tableau leaves graph form, and
+    S makes the dense amplitudes complex."""
     n = data.draw(st.integers(1, 9), label="qubits")
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
@@ -566,6 +567,8 @@ def test_block_rows_are_each_copys_readout_on_random_graphs(engine, data):
     state = build_cluster(graph, engine)
     for q in data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="H qubits"):
         state.backend.apply_gate("H", q)
+    for q in data.draw(st.sets(st.integers(0, n - 1), max_size=2), label="S qubits"):
+        state.backend.apply_gate("S", q)
     trials = data.draw(st.integers(0, 12), label="trials")
     k = data.draw(st.integers(0, n), label="flipped qubits")
     bits = data.draw(st.lists(st.booleans(), min_size=trials * k, max_size=trials * k))

@@ -186,6 +186,8 @@ def test_state_vector_takes_a_list_of_amplitudes():
 def test_state_vector_validation():
     with pytest.raises(ValueError):
         StateVector.from_amplitudes([1.0, 1.0])
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(1, [1, 1])  # every constructor checks the norm
     with pytest.raises(ValueError):
         StateVector.from_amplitudes([1.0, 0.0, 0.0])
     with pytest.raises(CapacityError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tecsim import tableau, tec
+from tecsim import cli, tableau, tec
 from tecsim.cluster import OutcomeRecord, build_cluster, interaction_graph, measure_all
 from tecsim.complexes import (
     G8_PROTECTED_SURFACE,
@@ -159,6 +159,15 @@ def test_analytic_protected_is_relatively_accurate_near_the_ends(p):
     # the enumeration sums the failing patterns' probabilities, all positive
     assert analytic_protected(p) > 0.0
     assert analytic_protected(p) == pytest.approx(exact_enumeration(p), rel=1e-9)
+
+
+@pytest.mark.parametrize("steps", [3, 5, 11, 21, 101])
+def test_analytic_protected_is_the_two_chain_form(steps):
+    """g8's faces form two chains of three; decoding fails when exactly one chain's majority
+    flips, with chance f = 3p^2 q + p^3 each. The literal stays the printed form."""
+    for p in cli._grid(0.0, 1.0, steps):
+        f = 3.0 * p**2 * (1.0 - p) + p**3
+        assert abs(analytic_protected(p) - 2.0 * f * (1.0 - f)) <= 1e-15, p
 
 
 def test_probability_domain_checks():
