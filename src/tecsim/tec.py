@@ -3,10 +3,11 @@
 :func:`build_code` derives the code from the complex: the volume boundaries
 are the parity checks, a nontrivial closed surface carries the protected
 correlation, and the decoder maps each syndrome to its unique minimum-weight
-flip pattern. The code also owns the complex's cluster state, built on first
-use per engine, whose first qubits are its faces in order. The eight-qubit
-demo (:data:`G8_CODE`) adds Z-flip noise on those face qubits, Monte-Carlo
-sweeps and the analytic error curves that enumeration reproduces.
+flip pattern. The code owns the complex's cluster state, faces first, built on
+first use per engine, and runs one trial at a time on it: Z flips on the faces,
+X readout, syndrome, decode. ``run_pattern`` and the other per-trial names here
+are the eight-qubit demo :data:`G8_CODE`'s methods. Monte-Carlo sweeps of any
+code and g8's analytic error curves, which enumeration reproduces, follow.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ from .rng import philox_generator
 SWEEP_ENGINES = ("fast", "tableau", "dense")
 
 MAX_CODE_FACES = 20  # the decoder enumerates all 2^F flip patterns of F faces
+
+
+def _check_probability(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability must be in [0, 1], got {p}")
 
 
 def _pattern(mask: int) -> frozenset:
@@ -88,9 +94,42 @@ class TopologicalCode:
         """Whether ``flips`` flips the protected surface's outcome product."""
         return bool((flips & self.surface).bit_count() & 1)
 
-    def fails(self, flips: int) -> bool:
-        """Whether the protected product is still flipped after decoding."""
-        return self.flipped(flips ^ self.leaders[self.syndrome(flips)])
+    def sample_errors(self, p: float, rng: np.random.Generator) -> frozenset:
+        """Face numbers of the code's faces, each flipped independently with probability p."""
+        _check_probability(p)
+        return frozenset(q for q, u in enumerate(rng.random(len(self.faces)), 1) if u < p)
+
+    def extract_syndrome(self, outcomes: OutcomeRecord) -> tuple[int, ...]:
+        """One product of face outcomes per check, in :attr:`check_names` order."""
+        return self.syndrome(self.flips(outcomes))
+
+    def decode_and_correct(self, outcomes: OutcomeRecord) -> tuple[int, frozenset]:
+        """Corrected protected product and the correction used, applied classically."""
+        leader = self.leaders[self.extract_syndrome(outcomes)]
+        return -1 if self.flipped(self.flips(outcomes) ^ leader) else 1, _pattern(leader)
+
+    def run_pattern(
+        self, pattern, rng: np.random.Generator, engine: str = "tableau"
+    ) -> tuple[int, frozenset, OutcomeRecord]:
+        """Z flips on the faces numbered in ``pattern``, X readout, decode: the sweep's readout
+        on one row. Returns (corrected protected product, correction, outcome record)."""
+        numbers = range(1, len(self.faces) + 1)
+        if not set(pattern) <= set(numbers):
+            raise ValueError(f"unknown face numbers in {sorted(pattern)}")
+        flips = np.array([[q in pattern for q in numbers]])  # face q is qubit q - 1
+        state = self._state(engine)
+        outcomes = dict(zip(state.graph.vertices, state.backend.readout_x(rng, flips)[0].tolist()))
+        record = OutcomeRecord(outcomes, "x")
+        return *self.decode_and_correct(record), record
+
+    def simulate_trial(
+        self, p: float, rng: np.random.Generator, engine: str = "tableau"
+    ) -> tuple[bool, bool, frozenset]:
+        """One trial, :meth:`sample_errors` then :meth:`run_pattern`: (protected correlation
+        failed, unprotected correlation failed, sampled pattern)."""
+        pattern = self.sample_errors(p, rng)
+        corrected, _, record = self.run_pattern(pattern, rng, engine)
+        return corrected == -1, self.flipped(self.flips(record)), pattern
 
 
 def build_code(cx: CellComplex, surface) -> TopologicalCode:
@@ -121,30 +160,11 @@ def build_code(cx: CellComplex, surface) -> TopologicalCode:
 
 
 G8_CODE = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
-
-
-def _check_probability(p: float) -> None:
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {p}")
-
-
-def sample_errors(p: float, rng: np.random.Generator) -> frozenset:
-    """Face numbers of the g8 faces, each flipped independently with probability p."""
-    _check_probability(p)
-    draws = rng.random(len(G8_CODE.faces))
-    return frozenset(q for q, u in enumerate(draws, 1) if u < p)
-
-
-def extract_syndrome(outcomes: OutcomeRecord) -> tuple[int, ...]:
-    """The g8 syndrome (lambda1 lambda2, lambda2 lambda5, lambda3 lambda6, lambda3 lambda4)."""
-    return G8_CODE.syndrome(G8_CODE.flips(outcomes))
-
-
-def decode_and_correct(outcomes: OutcomeRecord) -> tuple[int, frozenset]:
-    """Corrected protected product lambda5 lambda6 and the correction used, applied classically."""
-    leader = G8_CODE.leaders[extract_syndrome(outcomes)]
-    return -1 if G8_CODE.flipped(G8_CODE.flips(outcomes) ^ leader) else 1, _pattern(leader)
-
+# the g8 demo's per-trial API under its module names: the code's own methods
+sample_errors, extract_syndrome, decode_and_correct, run_pattern, simulate_trial = (
+    G8_CODE.sample_errors, G8_CODE.extract_syndrome, G8_CODE.decode_and_correct,
+    G8_CODE.run_pattern, G8_CODE.simulate_trial,
+)
 
 # ----------------------------------------------------------------------
 # analytic curves and the enumeration oracle
@@ -179,36 +199,6 @@ def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
 
 # ----------------------------------------------------------------------
 # Monte Carlo
-
-
-def run_pattern(
-    pattern, rng: np.random.Generator, engine: str = "tableau"
-) -> tuple[int, frozenset, OutcomeRecord]:
-    """Inject a fixed pattern of Z flips, read out in X, decode: the sweep's readout on one row.
-
-    Returns (corrected protected product, correction, outcome record).
-    """
-    if not set(pattern) <= set(range(1, len(G8_CODE.faces) + 1)):
-        raise ValueError(f"unknown face numbers in {sorted(pattern)}")
-    flips = np.array([[q in pattern for q in range(1, len(G8_CODE.faces) + 1)]])  # face q is qubit q - 1
-    state = G8_CODE._state(engine)
-    outcomes = dict(zip(state.graph.vertices, state.backend.readout_x(rng, flips)[0].tolist()))
-    record = OutcomeRecord(outcomes, "x")
-    corrected, correction = decode_and_correct(record)
-    return corrected, correction, record
-
-
-def simulate_trial(
-    p: float, rng: np.random.Generator, engine: str = "tableau"
-) -> tuple[bool, bool, frozenset]:
-    """One full trial: sample flips with probability p, inject, read out, decode.
-
-    Returns (protected correlation failed, unprotected correlation failed,
-    sampled pattern).
-    """
-    pattern = sample_errors(p, rng)
-    corrected, _, record = run_pattern(pattern, rng, engine)
-    return corrected == -1, G8_CODE.flipped(G8_CODE.flips(record)), pattern
 
 
 # Trials per block of each engine, so memory does not grow with trials

@@ -22,19 +22,19 @@ from tecsim.tec import G8_CODE, build_code, exact_enumeration
 from reference import RING5
 
 
-def _ring(m: int) -> CellComplex:
-    """Two chains of m faces around the defect, all sharing the edges {e1, e2}."""
-    chains = ("a", "b")
+def _ring(a: int, b: int) -> CellComplex:
+    """Two chains, of a and b faces, around the defect, all sharing the edges {e1, e2}."""
+    chains = {"a": a, "b": b}
     return CellComplex(
-        volumes={f"v{c}{i}": {f"{c}{i}", f"{c}{i + 1}"} for c in chains for i in range(1, m)},
-        faces={f"{c}{i}": {"e1", "e2"} for c in chains for i in range(1, m + 1)},
+        volumes={f"v{c}{i}": {f"{c}{i}", f"{c}{i + 1}"} for c, m in chains.items() for i in range(1, m)},
+        faces={f"{c}{i}": {"e1", "e2"} for c, m in chains.items() for i in range(1, m + 1)},
         edges={"e1": {"s", "t"}, "e2": {"s", "t"}},
     )
 
 
-@pytest.fixture(scope="module")
-def ring5():
-    return build_code(complex_from_json(RING5.read_text()), {"a5", "b5"})
+def _chain_fails(k: int, p: float) -> float:
+    """f_k: the chance that more than k/2 of a chain's k faces flip, so decoding flips it."""
+    return sum(math.comb(k, j) * p**j * (1 - p) ** (k - j) for j in range(k // 2 + 1, k + 1))
 
 
 def test_g8_code_is_rebuilt_identically_from_its_complex():
@@ -81,13 +81,31 @@ def test_face_cap_is_checked_before_enumerating():
 def test_minimum_weight_tie_raises():
     # chains of 4 faces: a weight-2 pattern and its complement on one chain share a syndrome
     with pytest.raises(AssertionError, match="minimum-weight tie"):
-        build_code(_ring(4), {"a4", "b4"})
+        build_code(_ring(4, 4), {"a4", "b4"})
 
 
 def test_ring5_fixture_is_the_m5_ring():
     cx = complex_from_json(RING5.read_text())
-    assert cx.volumes == _ring(5).volumes
-    assert cx.faces == _ring(5).faces
+    assert cx.volumes == _ring(5, 5).volumes
+    assert cx.faces == _ring(5, 5).faces
+
+
+ODD_PAIRS = [(a, b) for a in range(1, 14, 2) for b in range(a, 15 - a, 2)]  # a <= b, a + b <= 14
+
+
+@pytest.mark.parametrize("a,b", ODD_PAIRS)
+def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
+    """Decoding fails when one chain's majority flips: f_a (1 - f_b) + f_b (1 - f_a)."""
+    code = build_code(_ring(a, b), {f"a{a}", f"b{b}"})
+    for p in (0.05, 0.3, 0.5, 0.8):
+        fa, fb = _chain_fails(a, p), _chain_fails(b, p)
+        assert exact_enumeration(p, code) == pytest.approx(fa * (1 - fb) + fb * (1 - fa), abs=1e-13), p
+    # a ring has a + b + 2 qubits, and at 16 qubits a dense block holds one row
+    engines = ("tableau", "dense") if a + b <= 10 else ("tableau",)
+    for p, seed in ((0.2, 3), (0.5, 8)):
+        expected = tec._count_failures("fast", p, 400, seed, 0, code)
+        for engine in engines:
+            assert tec._count_failures(engine, p, 400, seed, 0, code) == expected, (engine, p)
 
 
 def test_ring5_has_256_syndromes_and_distance_5(ring5):
@@ -99,7 +117,17 @@ def test_ring5_has_256_syndromes_and_distance_5(ring5):
     assert max(leader.bit_count() for leader in ring5.leaders.values()) == 4
     failing = [m.bit_count() for m in range(1 << 10) if ring5.tables[0][m]]
     assert min(failing) == 3
-    assert all(ring5.fails(m) == bool(ring5.tables[0][m]) for m in range(1 << 10))
+
+
+def test_ring5_pipeline_gives_its_tables_verdicts_per_pattern(ring5):
+    """Each of the 1,024 flip patterns, run through ring5's own per-trial pipeline on the
+    tableau, gets the protected and unprotected verdicts of its fast tables."""
+    protected, unprotected = ring5.tables
+    for mask in range(1 << len(ring5.faces)):
+        pattern = {i + 1 for i in range(len(ring5.faces)) if mask >> i & 1}
+        corrected, _, record = ring5.run_pattern(pattern, philox_generator(45, mask), "tableau")
+        assert (corrected == -1) == protected[mask], mask
+        assert ring5.flipped(ring5.flips(record)) == unprotected[mask], mask
 
 
 def test_ring5_check_names_parse_back_to_their_faces(ring5):

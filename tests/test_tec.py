@@ -307,6 +307,14 @@ def test_sweep_validation():
         monte_carlo_sweep([0.1], 10, seed=0, engine="warp")
 
 
+def random_outcome_count(code):
+    """R: the coins the code's tableau draws for one X readout, counted by a replayed rng."""
+    state = code.state("tableau")
+    probe = Replay(bits=[0] * state.graph.qubit_count)
+    state.backend.readout_x(probe)
+    return probe.used
+
+
 def trial_draws(engine, seed, point, trials, code=G8_CODE):
     """Each trial's draws, replayed in the sweep's layout: row t of the (seed, point) stream's
     F doubles for its flips, then row t of the (seed, point, 1) stream's outcome draws, R
@@ -314,18 +322,18 @@ def trial_draws(engine, seed, point, trials, code=G8_CODE):
     doubles = philox_generator(seed, point).random((trials, len(code.faces)))
     outcomes = philox_generator(seed, point, 1)
     if engine == "tableau":
-        draws = outcomes.integers(0, 2, (trials, 2))
+        draws = outcomes.integers(0, 2, (trials, random_outcome_count(code)))
     else:
         draws = outcomes.random((trials, code.state("dense").graph.qubit_count))
     return [Replay(d, r) if engine == "tableau" else Replay([*d, *r]) for d, r in zip(doubles, draws)]
 
 
-def running_reference(p, trials, seed, point, engine="tableau"):
-    """(protected, unprotected) failures of a ``simulate_trial`` loop after each trial."""
+def running_reference(code, p, trials, seed, point, engine="tableau"):
+    """(protected, unprotected) failures of a ``code.simulate_trial`` loop after each trial."""
     prot = unprot = 0
     running = []
-    for rng in trial_draws(engine, seed, point, trials):
-        pf, uf, _ = simulate_trial(p, rng, engine)
+    for rng in trial_draws(engine, seed, point, trials, code):
+        pf, uf, _ = code.simulate_trial(p, rng, engine)
         prot += pf
         unprot += uf
         running.append((prot, unprot))
@@ -333,13 +341,16 @@ def running_reference(p, trials, seed, point, engine="tableau"):
 
 
 @pytest.mark.parametrize("engine,trials", [("tableau", 120), ("dense", 40)])
-def test_engine_sweep_counts_match_per_trial_reference(engine, trials):
+def test_engine_sweep_counts_match_per_trial_reference(ring5, engine, trials):
     grid, seed = [0.15, 0.4], 21
-    expected = [running_reference(p, trials, seed, i, engine)[-1] for i, p in enumerate(grid)]
+    expected = [running_reference(G8_CODE, p, trials, seed, i, engine)[-1] for i, p in enumerate(grid)]
     for eng, workers in ((engine, 1), (engine, 2), ("fast", 1)):
         points = monte_carlo_sweep(grid, trials, seed=seed, engine=eng, workers=workers)
         got = [(pt.protected_failures, pt.unprotected_failures) for pt in points]
         assert got == expected, (eng, workers)
+    for i, p in enumerate(grid):  # ring5's loop replays its own draws: 10 flips, R or 12 outcomes
+        got = tec._count_failures(engine, p, trials, seed, i, ring5)
+        assert got == running_reference(ring5, p, trials, seed, i, engine)[-1], p
 
 
 @pytest.mark.parametrize("seed", [0, 13, 2**64 + 3])
@@ -348,7 +359,7 @@ def test_sign_frame_counts_match_per_trial_loop(monkeypatch, p, seed):
     block = 64  # a small block puts every block edge in reach of a short reference loop
     monkeypatch.setitem(tec._BLOCKS, "tableau", block)
     for point in (0, 5):
-        running = running_reference(p, 2 * block + 7, seed, point)
+        running = running_reference(G8_CODE, p, 2 * block + 7, seed, point)
         for trials in (1, block - 1, block, block + 1, 2 * block + 7):
             got = tec._count_failures("tableau", p, trials, seed, point)
             assert got == running[trials - 1], (point, trials)
@@ -357,7 +368,7 @@ def test_sign_frame_counts_match_per_trial_loop(monkeypatch, p, seed):
 
 def test_sign_frame_counts_match_per_trial_loop_at_the_tableau_block():
     block, seed = tec._BLOCKS["tableau"], 2**64 + 3
-    running = running_reference(0.05, 2 * block + 7, seed, 1)
+    running = running_reference(G8_CODE, 0.05, 2 * block + 7, seed, 1)
     for trials in (1, block - 1, block, block + 1, 2 * block + 7):
         assert tec._count_failures("tableau", 0.05, trials, seed, 1) == running[trials - 1], trials
 
@@ -368,7 +379,7 @@ def test_dense_block_counts_match_per_trial_loop(monkeypatch, p, seed):
     block = 16  # a small block puts every block edge in reach of a short reference loop
     monkeypatch.setitem(tec._BLOCKS, "dense", block)
     for point in (0, 5):
-        running = running_reference(p, 2 * block + 7, seed, point, "dense")
+        running = running_reference(G8_CODE, p, 2 * block + 7, seed, point, "dense")
         for trials in (1, block - 1, block, block + 1, 2 * block + 7):
             got = tec._count_failures("dense", p, trials, seed, point)
             assert got == running[trials - 1], (point, trials)
@@ -480,14 +491,17 @@ def test_tableau_and_dense_sweeps_agree_on_g8(p, trials, seed, point, counts):
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
 def test_no_engine_sweep_simulates_each_trial(monkeypatch, engine):
-    """Both state engines run whole blocks of trials; ``simulate_trial`` is the tests' reference."""
+    """Both state engines run whole blocks of trials; any code's ``simulate_trial`` and
+    ``run_pattern``, and the module names bound to G8_CODE's, are the tests' reference."""
     monte_carlo_sweep([0.3], 5, seed=1, engine=engine)  # lazy states outside the count
     calls = []
     def counted(*args):
         calls.append(args)
         return False, False, frozenset()
 
-    monkeypatch.setattr(tec, "simulate_trial", counted)
+    for owner in (tec, tec.TopologicalCode):
+        for name in ("simulate_trial", "run_pattern"):
+            monkeypatch.setattr(owner, name, counted)
     monte_carlo_sweep([0.3], 50, seed=1, engine=engine)
     assert calls == []
 
