@@ -19,6 +19,8 @@ from types import MappingProxyType
 from .errors import CapacityError
 
 DEFAULT_QUBIT_CAP = 4096
+# faces sharing one boundary pair up quadratically: k of them make k(k - 1)/2 surfaces
+TWO_FACE_SURFACE_CAP = 1 << 16
 # CellComplex's boundary maps, volumes down to edges; vertices have none
 _BOUNDARY_MAPS = ("volumes", "faces", "edges")
 
@@ -312,10 +314,14 @@ def closed_two_face_surfaces(cx: CellComplex) -> list[Chain]:
     """All closed surfaces made of exactly two faces, in sorted pair order.
 
     {a, b} is closed iff a and b have equal boundaries, so faces are grouped by it.
+    More than :data:`TWO_FACE_SURFACE_CAP` surfaces raise ``CapacityError`` before any is built.
     """
     groups: dict[frozenset[str], list[str]] = {}
     for name in cx.cells(2):
         groups.setdefault(cx.faces[name], []).append(name)
+    pairs = sum(len(group) * (len(group) - 1) // 2 for group in groups.values())
+    if pairs > TWO_FACE_SURFACE_CAP:
+        raise CapacityError(f"{pairs} two-face closed surfaces exceed the cap of {TWO_FACE_SURFACE_CAP}")
     out = []
     for group in groups.values():
         out.extend(Chain(2, frozenset(pair)) for pair in combinations(group, 2))

@@ -31,6 +31,13 @@ def _check_capacity(n: int) -> None:
         raise CapacityError(f"dense engine capped at {QUBIT_CAP} qubits, got {n}")
 
 
+def _apply_factors(amps: np.ndarray, factors) -> np.ndarray:
+    """Amplitudes after each (qubit, 2x2 matrix) of ``factors``; ``amps`` is left as is."""
+    for q, u in factors:
+        amps = np.einsum("ij,ajb->aib", u, amps.reshape(1 << q, 2, -1)).reshape(-1)
+    return amps
+
+
 class StateVector:
     """Normalized pure state on ``n`` qubits as 2**n complex amplitudes."""
 
@@ -67,10 +74,6 @@ class StateVector:
     # ------------------------------------------------------------------
     # unitaries
 
-    def _apply_2x2(self, u: np.ndarray, target: int) -> None:
-        a = self.amps.reshape(1 << target, 2, -1)
-        self.amps = np.einsum("ij,ajb->aib", u, a).reshape(-1)
-
     def apply_gate(self, gate: str, *targets: int) -> "StateVector":
         """The tableau engine's gates, :data:`pauli.GATE_TARGETS`; a bad call raises before any change."""
         gate = check_gate(gate, targets, self.n)
@@ -78,11 +81,11 @@ class StateVector:
             self._phase_flip_both_set(*targets)
         elif gate == "CNOT":
             c, t = targets
-            self._apply_2x2(_H, t)
+            self.amps = _apply_factors(self.amps, [(t, _H)])
             self._phase_flip_both_set(c, t)
-            self._apply_2x2(_H, t)
+            self.amps = _apply_factors(self.amps, [(t, _H)])
         else:
-            self._apply_2x2(GATE_MATRICES[gate], *targets)
+            self.amps = _apply_factors(self.amps, [(targets[0], GATE_MATRICES[gate])])
         return self
 
     def _phase_flip_both_set(self, a: int, b: int) -> None:
@@ -93,24 +96,11 @@ class StateVector:
     # ------------------------------------------------------------------
     # Pauli action
 
-    def _flat_mask(self, qubit_bits: int) -> int:
-        m = 0
-        for q in range(self.n):
-            if (qubit_bits >> q) & 1:
-                m |= 1 << (self.n - 1 - q)
-        return m
-
     def apply_pauli(self, op: PauliOperator) -> np.ndarray:
         """Return the amplitudes of ``op|psi>`` (the state is untouched)."""
         if op.n != self.n:
             raise ValueError(f"operator acts on {op.n} qubits, state has {self.n}")
-        xf = self._flat_mask(op.x_bits)
-        zf = self._flat_mask(op.z_bits)
-        idx = np.arange(1 << self.n, dtype=np.uint32)
-        src = idx ^ xf
-        signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint32(zf)) & 1)
-        k = (op.phase_exp + (op.x_bits & op.z_bits).bit_count()) % 4
-        return (1j**k) * signs * self.amps[src]
+        return op.phase * _apply_factors(self.amps, [(q, GATE_MATRICES[op.letter(q)]) for q in op.support()])
 
     def expectation_pauli(self, op: PauliOperator) -> float:
         """<psi|op|psi>, real as op is Hermitian."""
@@ -231,11 +221,13 @@ class DensityModel:
         return cls(state.n, ((1.0, state),))
 
 
-def _check_factor(f: np.ndarray) -> None:
+def _checked_factor(f) -> np.ndarray:
+    f = np.asarray(f, dtype=complex)
     if f.shape != (2, 2):
         raise ValueError(f"expected a 2x2 factor, got {f.shape}")
     if np.max(np.abs(f - f.conj().T)) > 1e-10:
         raise ValueError("observable factor is not Hermitian within 1e-10")
+    return f
 
 
 def expectation_observable(model: DensityModel, factors) -> float:
@@ -248,29 +240,14 @@ def expectation_observable(model: DensityModel, factors) -> float:
     factors = list(factors)
     if len(factors) != model.n:
         raise ValueError(f"expected {model.n} factors, got {len(factors)}")
-    mats = []
-    for f in factors:
-        if f is None:
-            mats.append(None)
-        else:
-            f = np.asarray(f, dtype=complex)
-            _check_factor(f)
-            mats.append(f)
+    local = [(q, _checked_factor(f)) for q, f in enumerate(factors) if f is not None]
     total = 0.0 + 0.0j
     for weight, state in model.components:
-        work = state.amps.copy()
-        for q, f in enumerate(mats):
-            if f is None:
-                continue
-            work = np.einsum(
-                "ij,ajb->aib", f, work.reshape(1 << q, 2, -1)
-            ).reshape(-1)
-        total += weight * np.vdot(state.amps, work)
+        total += weight * np.vdot(state.amps, _apply_factors(state.amps, local))
     if model.mixed_weight:
         trace_ratio = 1.0 + 0.0j
-        for f in mats:
-            if f is not None:
-                trace_ratio *= np.trace(f) / 2.0
+        for _, f in local:
+            trace_ratio *= np.trace(f) / 2.0
         total += model.mixed_weight * trace_ratio
     if abs(total.imag) > 1e-10:
         raise AssertionError(f"expectation has imaginary part {total.imag:.3g}")

@@ -1,13 +1,13 @@
-"""Stabilizer tableau engine with destabilizer rows.
+"""Stabilizer tableau engine: the n stabilizer generators of a pure state.
 
 Rows are stored as integer bitsets (one x word-set and one z word-set per
 row) so gate and measurement updates cost O(n/word) per row. H, S and CZ
 update each row in place; CNOT is H, CZ, H on its target, and X, Y and Z
-flip the sign of every row that anticommutes with them. Rows 0..n-1
-hold destabilizers, rows n..2n-1 the stabilizers; keeping destabilizers
-makes deterministic-outcome detection a single O(n^2) pass instead of a
-Gaussian elimination per measurement. A graph state's X readout skips both:
-:func:`_graph_readout_x` reads it from one echelon of the neighbour masks.
+flip the sign of every row that anticommutes with them. A Pauli that
+commutes with every row is +-a product of rows, found by one GF(2) echelon
+of the rows; a graph state's rows are their own pivots there. Its X readout
+needs no collapse: :func:`_graph_readout_x` reads it from one echelon of
+the neighbour masks.
 
 Signs are bits and only ever add by XOR. So :func:`_graph_readout_x` also
 runs on numpy bit columns, one entry per copy of a block readout; and signs
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import _gf2_echelon
+from .complexes import _gf2_echelon, _gf2_reduce
 from .pauli import PauliOperator, _product_i_exponent, check_gate, check_operator
 
 
@@ -36,24 +36,22 @@ class StabilizerTableau:
         if n < 1:
             raise ValueError(f"qubit count must be >= 1, got {n}")
         self.n = n
-        # destabilizer i = X_i, stabilizer i = Z_i: the all-zeros state
-        self._xs = [1 << i for i in range(n)] + [0] * n
-        self._zs = [0] * n + [1 << i for i in range(n)]
-        self._rs = [0] * (2 * n)
+        # stabilizer i = Z_i: the all-zeros state
+        self._xs = [0] * n
+        self._zs = [1 << i for i in range(n)]
+        self._rs = [0] * n
 
     @classmethod
     def graph_state(cls, neighbor_masks: list[int]) -> "StabilizerTableau":
         """Graph state of a simple undirected graph, written without gates.
 
         ``neighbor_masks[v]`` has bit u set iff u and v are adjacent.
-        Destabilizer v is Z_v and stabilizer v is X_v Z_N(v), all signs +1:
-        exactly the rows that H on every qubit and CZ on every edge leave.
+        Stabilizer v is X_v Z_N(v), sign +1: exactly the rows that H on
+        every qubit and CZ on every edge leave.
         """
-        n = len(neighbor_masks)
-        tab = cls(n)
-        # H on every qubit swaps the x and z halves of the all-zeros tableau
-        tab._xs, tab._zs = tab._zs, tab._xs
-        tab._zs[n:] = neighbor_masks
+        tab = cls(len(neighbor_masks))
+        # H on every qubit turns each Z_v into X_v
+        tab._xs, tab._zs = tab._zs, list(neighbor_masks)
         return tab
 
     def copy(self) -> "StabilizerTableau":
@@ -75,7 +73,7 @@ class StabilizerTableau:
     def h(self, q: int) -> None:
         bit = 1 << q
         xs, zs, rs = self._xs, self._zs, self._rs
-        for j in range(2 * self.n):
+        for j in range(self.n):
             xb, zb = xs[j] & bit, zs[j] & bit
             if xb and zb:
                 rs[j] ^= 1
@@ -86,7 +84,7 @@ class StabilizerTableau:
     def s(self, q: int) -> None:
         bit = 1 << q
         xs, zs, rs = self._xs, self._zs, self._rs
-        for j in range(2 * self.n):
+        for j in range(self.n):
             if xs[j] & bit:
                 if zs[j] & bit:
                     rs[j] ^= 1
@@ -95,7 +93,7 @@ class StabilizerTableau:
     def cz(self, a: int, b: int) -> None:
         ba, bb = 1 << a, 1 << b
         xs, zs, rs = self._xs, self._zs, self._rs
-        for j in range(2 * self.n):
+        for j in range(self.n):
             xa, xb = xs[j] & ba, xs[j] & bb
             if xa and xb and bool(zs[j] & ba) != bool(zs[j] & bb):
                 rs[j] ^= 1
@@ -151,14 +149,14 @@ class StabilizerTableau:
 
         With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t
         is this call's readout, given the same draws, of the copy with Z on each qubit q < k
-        where ``flips[t, q]`` is set. Stabilizers +-X_v Z_N(v), whatever the destabilizers,
-        are read out in closed form, and a Z on qubit q flips stabilizer q's sign alone. The
-        R random outcomes are one ``rng.integers(0, 2, R)``, a block's ``rng.integers(0, 2,
-        (trials, R))``: per copy, the numbers of R scalar ``rng.integers(0, 2)`` in order. Other
-        rows collapse qubit by qubit on a copy, one scalar draw per random outcome.
+        where ``flips[t, q]`` is set. Stabilizers +-X_v Z_N(v) are read out in closed form, and
+        a Z on qubit q flips stabilizer q's sign alone. The R random outcomes are one
+        ``rng.integers(0, 2, R)``, a block's ``rng.integers(0, 2, (trials, R))``: per copy, the
+        numbers of R scalar ``rng.integers(0, 2)`` in order. Other rows collapse qubit by qubit
+        on a copy, one scalar draw per random outcome.
         """
-        n, masks, signs = self.n, self._zs[self.n :], self._rs[self.n :]
-        if not all(x == 1 << v and not m >> v & 1 for v, (x, m) in enumerate(zip(self._xs[n:], masks))):
+        n, masks, signs = self.n, self._zs, self._rs
+        if not all(x == 1 << v and not m >> v & 1 for v, (x, m) in enumerate(zip(self._xs, masks))):
             rows = []
             for row in np.zeros((1, 0), bool) if flips is None else flips:
                 work = self.copy()
@@ -181,19 +179,14 @@ class StabilizerTableau:
         check_operator(op, self.n)
         if op.is_identity_string:
             return 1 if op.phase_exp == 0 else -1
-        anti = self._anticommuting(op.x_bits, op.z_bits)
-        if anti and anti[-1] >= self.n:
+        if self._anticommuting(op.x_bits, op.z_bits):
             return 0
-        return 1 - 2 * self._deterministic_sign(anti, op.x_bits, op.z_bits, op.phase_exp >> 1)
+        return 1 - 2 * self._deterministic_sign(op.x_bits, op.z_bits, op.phase_exp >> 1)
 
     def _anticommuting(self, xm: int, zm: int) -> list[int]:
         """Row indices whose symplectic product with (xm, zm) is odd."""
-        xs, zs = self._xs, self._zs
-        return [
-            j
-            for j in range(2 * self.n)
-            if ((xs[j] & zm).bit_count() + (zs[j] & xm).bit_count()) & 1
-        ]
+        rows = enumerate(zip(self._xs, self._zs))
+        return [j for j, (x, z) in rows if ((x & zm).bit_count() + (z & xm).bit_count()) & 1]
 
     def _collapse(self, anti: list[int], xm: int, zm: int, r_in: int, rng) -> int:
         """Measure +-(xm, zm) and return the outcome's sign form (0 for +1, 1 for -1).
@@ -201,39 +194,32 @@ class StabilizerTableau:
         A random outcome is ``rng.integers(0, 2)``: a drawn bit, or a fresh
         variable when ``rng`` hands out sign forms.
         """
-        n = self.n
-        if not anti or anti[-1] < n:
-            # only destabilizers anticommute: the outcome is fixed
-            return self._deterministic_sign(anti, xm, zm, r_in)
+        if not anti:  # the outcome is fixed
+            return self._deterministic_sign(xm, zm, r_in)
         xs, zs, rs = self._xs, self._zs, self._rs
-        pivot = next(j for j in anti if j >= n)
+        pivot, *others = anti
         px, pz, pr = xs[pivot], zs[pivot], rs[pivot]
-        for j in anti:
-            if j == pivot:
-                continue
-            if j >= n:
-                # stabilizer rows commute with the pivot, so the product
-                # phase is even and only adds a constant
-                rs[j] ^= pr ^ (_product_i_exponent(px, pz, xs[j], zs[j]) >> 1)
+        for j in others:
+            # rows commute with the pivot, so the product phase is even and only adds a constant
+            rs[j] ^= pr ^ (_product_i_exponent(px, pz, xs[j], zs[j]) >> 1)
             xs[j] ^= px
             zs[j] ^= pz
-        xs[pivot - n], zs[pivot - n], rs[pivot - n] = px, pz, pr
         bit = int(rng.integers(0, 2))
         xs[pivot], zs[pivot], rs[pivot] = xm, zm, r_in ^ bit
         return bit
 
-    def _deterministic_sign(self, destab_anti: list[int], xm: int, zm: int, r_in: int) -> int:
+    def _deterministic_sign(self, xm: int, zm: int, r_in: int) -> int:
         """Sign form of +-(xm, zm) inside the stabilizer group (0 for +1).
 
-        Destabilizer row i anticommutes with the target exactly when
-        stabilizer row i appears in its expansion, so ``destab_anti``
-        already lists the factors to accumulate.
+        The rows, written z | x << n so that a graph state's rows are their
+        own pivots, are put in echelon form once; reducing the target against
+        it chooses the rows whose product is +-(xm, zm).
         """
-        xs, zs, rs = self._xs, self._zs, self._rs
-        n = self.n
+        xs, zs, rs, n = self._xs, self._zs, self._rs, self.n
+        pivots = _gf2_echelon([z | x << n for x, z in zip(xs, zs)])[0]
+        chooser = _gf2_reduce(pivots, zm | xm << n)[1]
         sx = sz = exp = sign = 0
-        for i in destab_anti:
-            j = i + n
+        for j in (j for j in range(n) if chooser >> j & 1):
             exp += _product_i_exponent(sx, sz, xs[j], zs[j])
             sign ^= rs[j]
             sx ^= xs[j]
@@ -246,8 +232,7 @@ class StabilizerTableau:
     # inspection
 
     def stabilizer(self, i: int) -> PauliOperator:
-        j = i + self.n
-        return PauliOperator(self.n, self._xs[j], self._zs[j], 2 * self._rs[j])
+        return PauliOperator(self.n, self._xs[i], self._zs[i], 2 * self._rs[i])
 
     def stabilizers(self) -> list[PauliOperator]:
         return [self.stabilizer(i) for i in range(self.n)]

@@ -58,11 +58,11 @@ class TopologicalCode:
     unprotected: failure per flip bitmask, 2^F entries each.
     """
 
-    complex: CellComplex
+    complex: CellComplex = field(repr=False)
     faces: tuple[str, ...]
     checks: tuple[int, ...]
     surface: int
-    leaders: dict[tuple[int, ...], int]
+    leaders: dict[tuple[int, ...], int] = field(repr=False)
     tables: np.ndarray = field(repr=False)
     _states: dict[str, ClusterState] = field(default_factory=dict, init=False, repr=False)
 

@@ -1,10 +1,11 @@
-"""Oracles the tests share: replayed draws, per-qubit readouts, Pauli matrices and paper data.
+"""Oracles the tests share: replayed draws, per-qubit readouts, Pauli matrices, paper data, fixtures.
 
 Test modules import it as ``from reference import ...``; ``tests/`` has no
 ``__init__.py``, so pytest, and ``python tests/<module>.py``, put this
 directory on ``sys.path``.
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,13 @@ import numpy as np
 from tecsim.pauli import PauliOperator
 
 RING5 = Path(__file__).resolve().parent / "fixtures" / "ring5.json"
+
+
+def shared_boundary_json(k: int) -> str:
+    """A JSON complex of k faces on one boundary {e1, e2}: k(k - 1)/2 two-face closed surfaces."""
+    faces = {f"f{i}": ["e1", "e2"] for i in range(k)}
+    return json.dumps({"volumes": {}, "faces": faces, "edges": {"e1": ["s", "t"], "e2": ["s", "t"]}})
+
 
 # The paper's Table 1: the g8 syndrome of a Z flip on each face qubit alone
 SINGLE_ERROR_SYNDROMES = {

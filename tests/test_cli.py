@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from tecsim import __version__, cli, tec, witness
 from tecsim.cli import main
 
+from reference import shared_boundary_json
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -305,6 +307,14 @@ def test_sweep_tiny_p_is_not_a_false_alarm(capsys):
     assert code == 0, err
     row = out.splitlines()[2].split(",")
     assert float(row[5]) == pytest.approx(6e-18, rel=1e-6)
+
+
+def test_complex_with_too_many_two_face_surfaces_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "crowded.json"
+    path.write_text(shared_boundary_json(1000))
+    code, out, err = run_cli(capsys, "complex", str(path))
+    assert (code, out) == (1, "")
+    assert err == "tecsim: error: 499500 two-face closed surfaces exceed the cap of 65536\n"
 
 
 def test_complex_unknown_name(capsys):

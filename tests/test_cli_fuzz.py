@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from tecsim.cli import main
 
+from reference import shared_boundary_json
+
 FLOATS = st.sampled_from(
     ["nan", "-nan", "inf", "-inf", "-0", "-0.0", "1e308", "-1e308", "0", "0.1", "1", "1.5", "x"]
 ) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
@@ -39,12 +41,14 @@ def paths(tmp_path_factory):
         '{"volumes": {"v": ["f1", "f2"]}, "faces": {"f1": ["e7", "f2"], "f2": ["e7", "f2"]},'
         ' "edges": {"e7": ["s", "t"], "f2": ["s", "t"]}}'
     )
+    (root / "crowded.json").write_text(shared_boundary_json(400))  # 79,800 two-face surfaces
     return {
         "dir": str(root),
         "deep": str(root / "deep.json"),
         "bad": str(root / "bad.json"),
         "repeated": str(root / "repeated.json"),
         "crossdim": str(root / "crossdim.json"),
+        "crowded": str(root / "crowded.json"),
         "file": str(root / "out.txt"),
         "missing": str(root / "no-such-dir" / "out.txt"),
     }
@@ -74,7 +78,7 @@ def argvs(draw, paths):
     else:
         names = ["g8", "elementary", "cuboid 1x1x1", "cuboid 0x1x1", "cuboid 99999x99999x99999",
                  "cuboid", "", "dodecahedron"]
-        files = ("dir", "deep", "bad", "repeated", "crossdim", "missing")
+        files = ("dir", "deep", "bad", "repeated", "crossdim", "crowded", "missing")
         name = draw(st.sampled_from(names + [paths[k] for k in files]))
         argv += name.split(" ") if name.startswith("cuboid") else [name]
     out = st.sampled_from(["", paths["dir"], paths["file"], paths["missing"]])

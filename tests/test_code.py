@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tecsim
 from tecsim import tec
 from tecsim.cluster import build_cluster, interaction_graph, measure_all
 from tecsim.complexes import (
@@ -128,6 +129,12 @@ def test_ring5_pipeline_gives_its_tables_verdicts_per_pattern(ring5):
         corrected, _, record = ring5.run_pattern(pattern, philox_generator(45, mask), "tableau")
         assert (corrected == -1) == protected[mask], mask
         assert ring5.flipped(ring5.flips(record)) == unprotected[mask], mask
+
+
+def test_code_reprs_leave_out_the_complex_and_the_decoder(ring5):
+    """A repr, or a bound method's, names the faces, checks and surface, not 2^checks leaders."""
+    for text in (repr(ring5), repr(tecsim.simulate_trial)):
+        assert len(text) < 300 and "leaders" not in text and "complex=" not in text, text
 
 
 def test_ring5_check_names_parse_back_to_their_faces(ring5):

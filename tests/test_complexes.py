@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tecsim import complexes
 from tecsim.complexes import (
     CellComplex,
     Chain,
@@ -26,6 +27,8 @@ from tecsim.complexes import (
     is_closed,
 )
 from tecsim.errors import CapacityError
+
+from reference import shared_boundary_json
 
 
 def test_elementary_cell_counts():
@@ -240,6 +243,13 @@ def test_g8_two_face_surfaces_partition_into_two_classes():
     summary = closed_surface_summary(cx)
     assert summary["homology_classes"] == 2
     assert summary["class_sizes"] == [9, 6]
+
+
+def test_two_face_surfaces_are_capped_before_any_is_built(monkeypatch):
+    monkeypatch.setattr(complexes, "TWO_FACE_SURFACE_CAP", 10)
+    assert len(closed_two_face_surfaces(complex_from_json(shared_boundary_json(5)))) == 10
+    with pytest.raises(CapacityError, match="15 two-face closed surfaces exceed the cap of 10"):
+        closed_two_face_surfaces(complex_from_json(shared_boundary_json(6)))
 
 
 def test_homology_class_key_constant_on_classes():

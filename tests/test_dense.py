@@ -6,6 +6,7 @@ from tecsim.complexes import build_g8_complex
 from tecsim.dense import (
     DensityModel,
     StateVector,
+    _apply_factors,
     build_graph_state_dense,
     expectation_observable,
     fidelity,
@@ -73,8 +74,8 @@ def test_apply_hadamard():
 def test_apply_identity_is_noop():
     s = build_graph_state_dense(two_vertex_graph())
     before = s.amps.copy()
-    s._apply_2x2(np.eye(2, dtype=complex), 1)
-    assert np.allclose(s.amps, before)
+    assert np.allclose(_apply_factors(s.amps, [(1, np.eye(2, dtype=complex))]), before)
+    assert np.array_equal(s.amps, before)  # the input is left as is
 
 
 def test_random_unitaries_preserve_norm():

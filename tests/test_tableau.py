@@ -135,6 +135,14 @@ def test_measuring_current_stabilizer_returns_plus_one():
             assert t.expectation_pauli(s) == 1
 
 
+def test_dependent_rows_fail_the_independence_check():
+    """Row 1 a copy of row 0: Z_1 commutes with both rows but is no product of them."""
+    tab = StabilizerTableau(2)
+    tab._xs[1], tab._zs[1], tab._rs[1] = tab._xs[0], tab._zs[0], tab._rs[0]
+    with pytest.raises(AssertionError, match=r"lost GF\(2\) independence"):
+        tab.expectation_pauli(PauliOperator.single(2, 1, "Z"))
+
+
 def test_gate_validation():
     t = StabilizerTableau(2)
     with pytest.raises(IndexError):
@@ -176,7 +184,7 @@ def gate_unitary(gate, targets, n):
 
 
 def row_matrices(tab):
-    """Every row, destabilizers first, as the matrix of its signed Pauli."""
+    """Every stabilizer row as the matrix of its signed Pauli."""
     return [to_matrix(PauliOperator(tab.n, x, z, 2 * r)) for x, z, r in zip(tab._xs, tab._zs, tab._rs)]
 
 
@@ -445,7 +453,7 @@ def readout_forms_x(tab, flip_qubits):
     xs, rs = work._xs, work._rs
     for v, q in enumerate(flip_qubits):
         bit = 1 << q
-        for j in range(2 * tab.n):
+        for j in range(tab.n):
             if xs[j] & bit:
                 rs[j] ^= 2 << v
     fresh = count(1 + len(flip_qubits))  # each random outcome draws a new variable
@@ -503,7 +511,7 @@ def test_build_cluster_masks_are_the_generators_z_bits(graph):
     n, edges = graph
     state = labelled_cluster(n, edges)
     z_bits = [g.z_bits for g in stabilizer_generators(state.graph)]
-    assert state.backend._zs[n:] == z_bits == neighbor_masks(n, edges)
+    assert state.backend._zs == z_bits == neighbor_masks(n, edges)
 
 
 @st.composite
