@@ -9,7 +9,6 @@ from .cluster import (
     build_cluster,
     interaction_graph,
     measure_all,
-    stabilizer_generators,
     surface_correlation,
 )
 from .complexes import (
@@ -20,8 +19,6 @@ from .complexes import (
     build_elementary_cell,
     build_g8_complex,
     complex_from_json,
-    complex_to_json,
-    homologically_equivalent,
     is_closed,
 )
 from .dense import (
@@ -29,10 +26,9 @@ from .dense import (
     StateVector,
     build_graph_state_dense,
     expectation_observable,
-    fidelity,
 )
 from .errors import CapacityError, SelfCheckError
-from .pauli import PauliOperator, commutes, multiply, pauli_from_text, pauli_to_text
+from .pauli import PauliOperator, pauli_to_text
 from .rng import philox_generator
 from .tableau import StabilizerTableau
 from .tec import (
@@ -66,11 +62,10 @@ __all__ = [
     "WitnessOperator", "analytic_protected", "analytic_unprotected", "boundary",
     "build_cluster", "build_code", "build_cuboid_complex", "build_elementary_cell",
     "build_g8_complex", "build_graph_state_dense", "build_target_states", "build_witness",
-    "cluster", "commutes", "complex_from_json", "complex_to_json", "complexes",
-    "decode_and_correct", "dense", "errors", "exact_enumeration", "expectation_observable",
-    "extract_syndrome", "fidelity", "fidelity_bound", "homologically_equivalent",
-    "interaction_graph", "is_closed", "measure_all", "monte_carlo_sweep", "multiply", "pauli",
-    "pauli_from_text", "pauli_to_text", "philox_generator", "rng", "sample_errors",
-    "simulate_trial", "stabilizer_generators", "surface_correlation", "tableau", "tec",
-    "white_noise_model", "witness", "witness_expectation",
+    "cluster", "complex_from_json", "complexes", "decode_and_correct", "dense", "errors",
+    "exact_enumeration", "expectation_observable", "extract_syndrome", "fidelity_bound",
+    "interaction_graph", "is_closed", "measure_all", "monte_carlo_sweep", "pauli",
+    "pauli_to_text", "philox_generator", "rng", "sample_errors", "simulate_trial",
+    "surface_correlation", "tableau", "tec", "white_noise_model", "witness",
+    "witness_expectation",
 ]

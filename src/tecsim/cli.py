@@ -152,10 +152,9 @@ def cmd_witness(args: argparse.Namespace) -> tuple[str, None]:
     results = []
     for v in args.visibility or DEFAULT_VISIBILITIES:
         model = witness.white_noise_model(v)
-        w_proj = witness.witness_expectation(model, "projector")
+        w_proj = witness.witness_expectation(model)
         settings = witness.setting_expectations(model)  # the eight settings, evaluated once
-        terms = witness.build_witness().settings
-        w_set = 0.5 + sum(s.coefficient * settings[s.name] for s in terms)
+        w_set = witness.witness_from_settings(settings)
         if abs(w_proj - w_set) > 1e-10:
             raise SelfCheckError(
                 f"witness forms disagree at visibility {v}: {w_proj} vs {w_set}"

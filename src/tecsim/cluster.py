@@ -92,11 +92,6 @@ def interaction_graph(cx: CellComplex) -> InteractionGraph:
     return InteractionGraph(face_names + edge_names, edges)
 
 
-def stabilizer_generators(graph: InteractionGraph) -> list[PauliOperator]:
-    """K_v = X_v Z_N(v): X on vertex v, Z on each interaction neighbour, in vertex order."""
-    return [PauliOperator(graph.qubit_count, 1 << v, m, 0) for v, m in enumerate(_neighbor_masks(graph))]
-
-
 def _neighbor_masks(graph: InteractionGraph) -> list[int]:
     """Bit u of entry v is set iff qubits u and v share an interaction edge, in vertex order."""
     masks = [0] * graph.qubit_count

@@ -18,7 +18,8 @@ from types import MappingProxyType
 
 from .errors import CapacityError
 
-DEFAULT_QUBIT_CAP = 4096
+# face+edge qubits of the largest cuboid build_cuboid_complex makes
+CUBOID_QUBIT_CAP = 4096
 # faces sharing one boundary pair up quadratically: k of them make k(k - 1)/2 surfaces
 TWO_FACE_SURFACE_CAP = 1 << 16
 # CellComplex's boundary maps, volumes down to edges; vertices have none
@@ -164,23 +165,21 @@ def _column(cells: list, ranges: list[range], step) -> list[str]:
     return [c for plane in cells[di : di + nx] for row in plane[dj : dj + ny] for c in row[dk : dk + nz]]
 
 
-def build_cuboid_complex(
-    length: int, width: int, depth: int, qubit_cap: int = DEFAULT_QUBIT_CAP
-) -> CellComplex:
+def build_cuboid_complex(length: int, width: int, depth: int) -> CellComplex:
     """Cubic lattice of length x width x depth unit cells.
 
     Each cell is a lowest corner plus the axes it spans: vertices ``p``, edges
     ``e``, faces ``f`` and volumes ``v``. Its boundary drops one spanned axis,
     once at the corner and once a unit further along that axis. Face and edge
-    cells carry the qubits, so their count is checked against ``qubit_cap``
-    before any cell is built.
+    cells carry the qubits, so their count is checked against
+    :data:`CUBOID_QUBIT_CAP` before any cell is built.
     """
     dims = (length, width, depth)
     if min(dims) < 1:
         raise ValueError("cell counts per axis must be >= 1")
     qubits = sum(prod(map(len, _corner_ranges(dims, s))) for s in _CUBOID_SPANS if 0 < len(s) < 3)
-    if qubits > qubit_cap:
-        raise CapacityError(f"{qubits} face+edge qubits exceed the cap of {qubit_cap}")
+    if qubits > CUBOID_QUBIT_CAP:
+        raise CapacityError(f"{qubits} face+edge qubits exceed the cap of {CUBOID_QUBIT_CAP}")
     names: dict[str, list] = {}  # span -> [i][j][k] -> cell name
     maps: list[dict[str, frozenset[str]]] = [{}, {}, {}, {}]  # by dimension
     for span in _CUBOID_SPANS:
@@ -276,27 +275,6 @@ def _volume_echelon(cx: CellComplex) -> tuple[dict[str, int], dict[int, tuple[in
     return face_index, _gf2_echelon(volume_boundary_masks(cx))[0]
 
 
-def homologically_equivalent(
-    surface: Chain, other: Chain, cx: CellComplex
-) -> frozenset[str] | None:
-    """Volume set V with surface + other = boundary(V), or None if inequivalent.
-
-    Both chains must be closed 2-chains. Solved by Gaussian elimination
-    over the faces x volumes boundary matrix; the empty witness means the
-    surfaces are equal.
-    """
-    for c in (surface, other):
-        if c.dimension != 2:
-            raise ValueError("homological equivalence is defined for 2-chains")
-        if not is_closed(c, cx):
-            raise ValueError(f"chain {sorted(c.cells)} is not closed")
-    face_index, pivots = _volume_echelon(cx)
-    residue, combo = _gf2_reduce(pivots, _face_mask(surface.cells ^ other.cells, face_index))
-    if residue:
-        return None
-    return frozenset(v for i, v in enumerate(cx.cells(3)) if (combo >> i) & 1)
-
-
 def homology_class_key(surface: Chain, cx: CellComplex) -> frozenset[str]:
     """Canonical representative of a closed surface's homology class.
 
@@ -346,12 +324,6 @@ def closed_surface_summary(cx: CellComplex) -> dict:
 
 # ----------------------------------------------------------------------
 # serialization
-
-
-def complex_to_json(cx: CellComplex) -> str:
-    """Lossless JSON form: boundary maps keyed by cell name."""
-    payload = {key: {k: sorted(v) for k, v in getattr(cx, key).items()} for key in _BOUNDARY_MAPS}
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def complex_from_json(text: str) -> CellComplex:

@@ -55,12 +55,6 @@ class StateVector:
         self.amps = amps
 
     @classmethod
-    def computational_zero(cls, n: int) -> "StateVector":
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[0] = 1.0
-        return cls(n, amps)
-
-    @classmethod
     def from_amplitudes(cls, amps) -> "StateVector":
         amps = np.asarray(amps, dtype=complex)
         n = int(amps.size - 1).bit_length()
@@ -184,13 +178,6 @@ def build_graph_state_dense(graph) -> StateVector:
     return state
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
-    """|<a|b>|^2 - global-phase insensitive."""
-    if a.n != b.n:
-        raise ValueError(f"states act on different qubit counts: {a.n} vs {b.n}")
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
-
-
 @dataclass(frozen=True)
 class DensityModel:
     """Mixed state as a pure-state ensemble plus a uniform-mixture weight.
@@ -215,10 +202,6 @@ class DensityModel:
             raise ValueError(f"negative mixed weight {self.mixed_weight}")
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1")
-
-    @classmethod
-    def pure(cls, state: StateVector) -> "DensityModel":
-        return cls(state.n, ((1.0, state),))
 
 
 def _checked_factor(f) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Exact n-qubit Pauli algebra in binary symplectic form.
+"""Exact n-qubit Pauli strings in binary symplectic form.
 
 An operator is stored as two integer bitsets plus a power of i:
 bit q of ``x_bits``/``z_bits`` selects the X/Z component on qubit q, with
@@ -48,10 +48,6 @@ class PauliOperator:
             raise ValueError(f"phase exponent must be in 0..3, got {self.phase_exp}")
 
     @classmethod
-    def identity(cls, n: int) -> "PauliOperator":
-        return cls(n, 0, 0, 0)
-
-    @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliOperator":
         """One non-identity letter on ``qubit``, identity elsewhere."""
         if not 0 <= qubit < n:
@@ -72,10 +68,6 @@ class PauliOperator:
     def is_hermitian(self) -> bool:
         return self.phase_exp in (0, 2)
 
-    @property
-    def weight(self) -> int:
-        return (self.x_bits | self.z_bits).bit_count()
-
     def support(self) -> tuple[int, ...]:
         bits = self.x_bits | self.z_bits
         return tuple(q for q in range(self.n) if (bits >> q) & 1)
@@ -87,52 +79,10 @@ class PauliOperator:
         return pauli_to_text(self)
 
 
-def pauli_from_text(text: str) -> PauliOperator:
-    """Parse a string like ``"XZ"``, ``"-Y"`` or ``"iXY"`` into an operator."""
-    if not text:
-        raise ValueError("empty Pauli string")
-    phase_exp = 0
-    pos = 0
-    if text[pos] in "+-":
-        phase_exp = 2 if text[pos] == "-" else 0
-        pos += 1
-    if pos < len(text) and text[pos] == "i":
-        phase_exp = (phase_exp + 1) % 4
-        pos += 1
-    body = text[pos:]
-    if not body:
-        raise ValueError(f"no Pauli letters after prefix in {text!r}")
-    x_bits = z_bits = 0
-    for q, ch in enumerate(body):
-        if ch not in _LETTERS:
-            raise ValueError(
-                f"invalid character {ch!r} at position {pos + q} in {text!r}"
-            )
-        code = _LETTERS.index(ch)
-        x_bits |= (code & 1) << q
-        z_bits |= (code >> 1) << q
-    return PauliOperator(len(body), x_bits, z_bits, phase_exp)
-
-
 def pauli_to_text(op: PauliOperator) -> str:
-    """Canonical text form; inverse of :func:`pauli_from_text`."""
+    """Canonical text form: a phase prefix (none, ``i``, ``-`` or ``-i``), then one letter per qubit."""
     letters = "".join(op.letter(q) for q in range(op.n))
     return _PHASE_PREFIX[op.phase_exp] + letters
-
-
-def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
-    """Matrix product a @ b with the exact group phase."""
-    if a.n != b.n:
-        raise ValueError(f"operator sizes differ: {a.n} vs {b.n}")
-    exp = (a.phase_exp + b.phase_exp + _product_i_exponent(a.x_bits, a.z_bits, b.x_bits, b.z_bits)) % 4
-    return PauliOperator(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits, exp)
-
-
-def commutes(a: PauliOperator, b: PauliOperator) -> bool:
-    """True iff the symplectic product of the two strings is 0."""
-    if a.n != b.n:
-        raise ValueError(f"operator sizes differ: {a.n} vs {b.n}")
-    return (((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) & 1) == 0
 
 
 # Both state engines' gate alphabet, the CHP gates plus Y, and each gate's target count

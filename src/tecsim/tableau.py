@@ -228,19 +228,6 @@ class StabilizerTableau:
             raise AssertionError("tableau rows lost GF(2) independence")
         return sign ^ (exp >> 1 & 1) ^ r_in
 
-    # ------------------------------------------------------------------
-    # inspection
-
-    def stabilizer(self, i: int) -> PauliOperator:
-        return PauliOperator(self.n, self._xs[i], self._zs[i], 2 * self._rs[i])
-
-    def stabilizers(self) -> list[PauliOperator]:
-        return [self.stabilizer(i) for i in range(self.n)]
-
-    def __repr__(self) -> str:
-        rows = ", ".join(map(str, self.stabilizers()))
-        return f"StabilizerTableau(n={self.n}, stabilizers=[{rows}])"
-
 
 def _graph_readout_x(masks: list[int], dependent: dict[int, int], signs: list[int], draw) -> list[int]:
     """Outcome signs (1 for -1) of the X readout, qubit by qubit in order, of a graph state.

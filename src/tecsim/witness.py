@@ -154,25 +154,23 @@ def setting_expectations(model: DensityModel) -> dict[str, float]:
     return {s.name: s.expectation(model) for s in witness.settings}
 
 
-def witness_expectation(model: DensityModel, method: str = "projector") -> float:
-    """<W> over a density model via either form; both stay >= -1/2."""
+def witness_from_settings(values: dict[str, float]) -> float:
+    """<W> in the settings form: 1/2 plus each coefficient times its setting's value, in setting order."""
+    return 0.5 + sum(s.coefficient * values[s.name] for s in build_witness().settings)
+
+
+def witness_expectation(model: DensityModel) -> float:
+    """<W> over a density model in the projector form; it stays >= -1/2."""
     if model.n != N_QUBITS:
         raise ValueError(f"witness needs {N_QUBITS}-qubit models, got {model.n}")
     witness = build_witness()
-    if method == "settings":
-        value = 0.5 + sum(
-            s.coefficient * s.expectation(model) for s in witness.settings
+    value = 0.5
+    for weight, state in model.components:
+        value += weight * (
+            abs(np.vdot(witness.psi_prime.amps, state.amps)) ** 2
+            - abs(np.vdot(witness.psi.amps, state.amps)) ** 2
         )
-    elif method == "projector":
-        value = 0.5
-        for weight, state in model.components:
-            value += weight * (
-                abs(np.vdot(witness.psi_prime.amps, state.amps)) ** 2
-                - abs(np.vdot(witness.psi.amps, state.amps)) ** 2
-            )
-        # both projectors contribute 1/256 to the mixed part and cancel
-    else:
-        raise ValueError(f"method must be 'projector' or 'settings', got {method!r}")
+    # both projectors contribute 1/256 to the mixed part and cancel
     if value < -0.5 - 1e-9:
         raise AssertionError(f"witness expectation {value} below its floor of -1/2")
     return value

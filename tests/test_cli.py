@@ -211,7 +211,7 @@ def test_witness_evaluates_the_settings_once_per_visibility(monkeypatch, capsys)
 
         monkeypatch.setattr(witness, name, counted)
     assert run_cli(capsys, "witness", "--visibility", "0.605")[0] == 0
-    assert calls == [("witness_expectation", "projector"), ("setting_expectations",)]
+    assert calls == [("witness_expectation",), ("setting_expectations",)]
 
 
 def test_consecutive_calls_do_not_leak_parsed_state(capsys):
@@ -254,7 +254,9 @@ def test_complex_builtins(capsys):
 
 
 def test_complex_from_file_round_trip(tmp_path, capsys):
-    from tecsim.complexes import build_g8_complex, complex_to_json
+    from tecsim.complexes import build_g8_complex
+
+    from reference import complex_to_json
 
     path = tmp_path / "g8.json"
     path.write_text(complex_to_json(build_g8_complex()))

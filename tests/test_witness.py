@@ -5,7 +5,7 @@ import pytest
 
 from tecsim.cluster import build_cluster, interaction_graph
 from tecsim.complexes import build_g8_complex
-from tecsim.dense import DensityModel, StateVector, fidelity
+from tecsim.dense import DensityModel, StateVector
 from tecsim.witness import (
     build_target_states,
     build_witness,
@@ -14,7 +14,10 @@ from tecsim.witness import (
     setting_expectations,
     white_noise_model,
     witness_expectation,
+    witness_from_settings,
 )
+
+from reference import computational_zero, fidelity, pure
 
 
 @pytest.fixture(scope="module")
@@ -111,27 +114,27 @@ def test_witness_is_hermitian(witness_op):
 
 def test_expectation_on_ideal_state(targets):
     psi, _ = targets
-    model = DensityModel.pure(psi)
-    assert witness_expectation(model, "projector") == pytest.approx(-0.5)
-    assert witness_expectation(model, "settings") == pytest.approx(-0.5)
+    model = pure(psi)
+    assert witness_expectation(model) == pytest.approx(-0.5)
+    assert witness_from_settings(setting_expectations(model)) == pytest.approx(-0.5)
 
 
 def test_expectation_on_orthogonal_partner(targets):
     _, psi_prime = targets
-    model = DensityModel.pure(psi_prime)
-    assert witness_expectation(model, "projector") == pytest.approx(1.5)
-    assert witness_expectation(model, "settings") == pytest.approx(1.5)
+    model = pure(psi_prime)
+    assert witness_expectation(model) == pytest.approx(1.5)
+    assert witness_from_settings(setting_expectations(model)) == pytest.approx(1.5)
 
 
 def test_expectation_on_maximally_mixed():
     model = DensityModel(8, (), mixed_weight=1.0)
-    assert witness_expectation(model, "projector") == pytest.approx(0.5)
-    assert witness_expectation(model, "settings") == pytest.approx(0.5)
+    assert witness_expectation(model) == pytest.approx(0.5)
+    assert witness_from_settings(setting_expectations(model)) == pytest.approx(0.5)
 
 
 def test_per_setting_values_on_ideal_state(targets):
     psi, _ = targets
-    values = setting_expectations(DensityModel.pure(psi))
+    values = setting_expectations(pure(psi))
     assert values["A0"] == pytest.approx(1.0)
     assert values["A1"] == pytest.approx(-1.0)
     for k in range(6):
@@ -145,7 +148,7 @@ def test_white_noise_family():
     for v in np.linspace(0.0, 1.0, 11):
         model = white_noise_model(float(v))
         assert witness_expectation(model) == pytest.approx(0.5 - v)
-        assert witness_expectation(model, "settings") == pytest.approx(0.5 - v)
+        assert witness_from_settings(setting_expectations(model)) == pytest.approx(0.5 - v)
 
 
 def test_reported_anchor_values():
@@ -170,9 +173,9 @@ def test_fidelity_bound_examples():
 def test_methods_agree_on_random_product_states():
     rng = np.random.default_rng(404)
     for _ in range(100):
-        model = DensityModel.pure(random_product_state(rng))
-        proj = witness_expectation(model, "projector")
-        sett = witness_expectation(model, "settings")
+        model = pure(random_product_state(rng))
+        proj = witness_expectation(model)
+        sett = witness_from_settings(setting_expectations(model))
         assert abs(proj - sett) < 1e-9
 
 
@@ -196,9 +199,9 @@ def test_witness_floor(targets):
     psi, _ = targets
     rng = np.random.default_rng(406)
     for _ in range(20):
-        model = DensityModel.pure(random_product_state(rng))
+        model = pure(random_product_state(rng))
         assert witness_expectation(model) >= -0.5 - 1e-12
-    assert witness_expectation(DensityModel.pure(psi)) >= -0.5 - 1e-12
+    assert witness_expectation(pure(psi)) >= -0.5 - 1e-12
 
 
 def test_validation():
@@ -206,8 +209,6 @@ def test_validation():
         white_noise_model(-0.1)
     with pytest.raises(ValueError):
         white_noise_model(1.2)
-    small = DensityModel.pure(StateVector.computational_zero(2))
+    small = pure(computational_zero(2))
     with pytest.raises(ValueError):
         witness_expectation(small)
-    with pytest.raises(ValueError):
-        witness_expectation(white_noise_model(0.5), method="tomography")
