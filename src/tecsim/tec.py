@@ -1,13 +1,12 @@
 """Topological error correction on the cluster state of a cell complex.
 
-:func:`build_code` derives the code from the complex: the volume boundaries
-are the parity checks, a nontrivial closed surface carries the protected
-correlation, and the decoder maps each syndrome to its unique minimum-weight
-flip pattern. The code owns the complex's cluster state, faces first, built on
-first use per engine, and runs one trial at a time on it: Z flips on the faces,
-X readout, syndrome, decode. ``run_pattern`` and the other per-trial names here
-are the eight-qubit demo :data:`G8_CODE`'s methods. Monte-Carlo sweeps of any
-code and g8's analytic error curves, which enumeration reproduces, follow.
+:func:`build_code` derives the code from the complex in one numpy pass over the flip
+patterns: the volume boundaries are the parity checks, a nontrivial closed surface carries
+the protected correlation, the decoder maps each syndrome to its unique minimum-weight flip
+pattern, and the failure tables' weight enumerators give the error rates. The code owns the
+complex's cluster state, faces first, built on first use per engine, and runs one trial at a
+time on it. The per-trial names and analytic curves here are the eight-qubit demo
+:data:`G8_CODE`'s methods and rates. Monte-Carlo sweeps of any code follow.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from .cluster import measure_all  # noqa: F401  perfbench/tracing.py patches tec
 from .complexes import (
     G8_PROTECTED_SURFACE,
     CellComplex,
+    _gf2_echelon,
     build_g8_complex,
     homology_class_key,
     is_closed,
@@ -53,9 +53,9 @@ class TopologicalCode:
     Flip patterns, checks and the surface are face bitmasks: bit i is
     ``faces[i]``, face number i + 1 in the public frozenset form, and qubit i
     of :meth:`state`. A syndrome holds one +-1 per check, the product of the
-    face outcomes around that volume; ``leaders`` maps each to its unique
-    minimum-weight flip bitmask. ``tables``, read-only, has rows protected and
-    unprotected: failure per flip bitmask, 2^F entries each.
+    face outcomes around that volume; ``leaders`` maps each to its unique minimum-weight
+    flip bitmask. ``tables``, read-only, has rows protected and unprotected: failure per flip
+    bitmask, 2^F entries each; ``enumerators`` has each row's A_0..A_m over its support.
     """
 
     complex: CellComplex = field(repr=False)
@@ -64,7 +64,14 @@ class TopologicalCode:
     surface: int
     leaders: dict[tuple[int, ...], int] = field(repr=False)
     tables: np.ndarray = field(repr=False)
+    enumerators: tuple[tuple[int, ...], ...]
     _states: dict[str, ClusterState] = field(default_factory=dict, init=False, repr=False)
+
+    def rates(self, p: float) -> tuple[float, float]:
+        """Protected and unprotected rates at p: A_w p^w (1 - p)^(m - w) summed from int 0 over A_w != 0."""
+        _check_probability(p)
+        q = 1.0 - p
+        return tuple(sum(a * p**w * q ** (len(A) - 1 - w) for w, a in enumerate(A) if a) for A in self.enumerators)
 
     def state(self, engine: str = "tableau") -> ClusterState:
         """A copy of the complex's cluster state on ``engine``, so no caller can change another's."""
@@ -135,8 +142,8 @@ class TopologicalCode:
 def build_code(cx: CellComplex, surface) -> TopologicalCode:
     """The code of ``cx`` that protects ``surface``, a closed and nontrivial set of face names.
 
-    Each syndrome's decoder entry is its first flip pattern in weight order, and that pass
-    fills both tables; a tie at that weight is a decoding ambiguity and raises, never broken.
+    One numpy pass over the 2^F flip patterns in weight order makes each syndrome's first pattern
+    its decoder entry; a tie at that weight is a decoding ambiguity and raises, never broken.
     """
     faces = cx.cells(2)
     if len(faces) > MAX_CODE_FACES:
@@ -147,16 +154,36 @@ def build_code(cx: CellComplex, surface) -> TopologicalCode:
     if not homology_class_key(chain, cx):
         raise ValueError(f"surface {sorted(chain.cells)} bounds volumes, so it protects nothing")
     surface_mask = sum(1 << i for i, f in enumerate(faces) if f in chain.cells)
-    leaders: dict[tuple[int, ...], int] = {}
-    tables = np.zeros((2, 1 << len(faces)), np.int64)
-    code = TopologicalCode(cx, faces, volume_boundary_masks(cx), surface_mask, leaders, tables)
-    for flips in sorted(range(1 << len(faces)), key=int.bit_count):
-        best = leaders.setdefault(code.syndrome(flips), flips)
-        if best != flips and best.bit_count() == flips.bit_count():
-            raise AssertionError(f"minimum-weight tie for syndrome {code.syndrome(flips)}")
-        tables[:, flips] = code.flipped(flips ^ best), code.flipped(flips)
+    checks = volume_boundary_masks(cx)
+    # the independent checks fix the others, so a key over them names a syndrome in at most F bits
+    basis = [c for i, c in enumerate(checks) if i not in _gf2_echelon(checks)[1]]
+    order = np.argsort(np.bitwise_count(np.arange(1 << len(faces))), kind="stable")  # by weight, then mask
+    keys = sum((_parities(order, c).astype(np.int64) << j for j, c in enumerate(basis)), np.zeros_like(order))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    best = order[first[inverse]]  # each pattern's leader, its syndrome's first pattern in weight order
+    tied = order[(best != order) & (np.bitwise_count(best) == np.bitwise_count(order))]
+    tables = np.zeros((2, order.size), np.int64)
+    tables[:, order] = _parities(order ^ best, surface_mask), _parities(order, surface_mask)
     tables.setflags(write=False)  # shared by every caller
+    leaders = order[np.sort(first)]  # in weight order, as the syndrome table lists them
+    signs = zip(*(np.where(_parities(leaders, c), -1, 1).tolist() for c in checks)) if checks else [()]
+    leaders = dict(zip(signs, leaders.tolist()))
+    code = TopologicalCode(cx, faces, checks, surface_mask, leaders, tables, tuple(map(_enumerator, tables)))
+    if tied.size:
+        raise AssertionError(f"minimum-weight tie for syndrome {code.syndrome(int(tied[0]))}")
     return code
+
+
+def _parities(masks: np.ndarray, check) -> np.ndarray:
+    return np.bitwise_count(masks & check) & 1
+
+
+def _enumerator(row: np.ndarray) -> tuple[int, ...]:
+    """A_0..A_m: ``row``'s failing patterns by weight in its support, the m faces it depends on."""
+    failing = np.flatnonzero(row)  # face i is in the support iff flipping it mends some failing pattern
+    support = sum(1 << i for i in range(row.size.bit_length() - 1) if not row[failing ^ (1 << i)].all())
+    inside = np.bitwise_count(failing[(failing & ~support) == 0])
+    return tuple(np.bincount(inside, minlength=support.bit_count() + 1).tolist())
 
 
 G8_CODE = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
@@ -167,34 +194,22 @@ sample_errors, extract_syndrome, decode_and_correct, run_pattern, simulate_trial
 )
 
 # ----------------------------------------------------------------------
-# analytic curves and the enumeration oracle
+# g8's analytic curves, the rates of its weight enumerators, and the enumeration oracle
 
 
 def analytic_unprotected(p: float) -> float:
-    """Error rate of the bare two-qubit correlation: 2p(1-p)."""
-    _check_probability(p)
-    return 2.0 * p * (1.0 - p)
+    return G8_CODE.rates(p)[1]
 
 
 def analytic_protected(p: float) -> float:
-    """Residual error rate after decoding, summed over the failing patterns.
-
-    6 of weight 2, all 20 of weight 3, 6 of weight 4: no cancellation at tiny p.
-    """
-    _check_probability(p)
-    q = 1.0 - p
-    return 6.0 * p**2 * q**4 + 20.0 * p**3 * q**3 + 6.0 * p**4 * q**2
+    return G8_CODE.rates(p)[0]
 
 
 def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
-    """Failure probability summed over all 2^F flip patterns through the decoder.
-
-    Independent oracle for :func:`analytic_protected`: every pattern runs
-    the syndrome -> decode -> correct map of the code.
-    """
+    """The protected rate, summed exactly over the failing patterns of all F faces: the per-pattern oracle."""
     _check_probability(p)
-    weights = np.bitwise_count(np.flatnonzero(code.tables[0])).tolist()
-    return sum(p**w * (1.0 - p) ** (len(code.faces) - w) for w in weights)
+    terms = [p**w * (1.0 - p) ** (len(code.faces) - w) for w in range(len(code.faces) + 1)]  # by weight
+    return math.fsum(np.array(terms)[np.bitwise_count(np.flatnonzero(code.tables[0]))].tolist())
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Oracles the tests share: replayed draws, per-qubit readouts, Pauli matrices, paper data, fixtures,
-and the Pauli, state, stabilizer and homology helpers that only tests call.
+"""Oracles the tests share: replayed draws, per-qubit readouts, Pauli matrices, paper data,
+a Python decoder walk and g8's hand-written error polynomials, fixtures, and the Pauli, state,
+stabilizer and homology helpers that only tests call.
 
 Test modules import it as ``from reference import ...``; ``tests/`` has no
 ``__init__.py``, so pytest, and ``python tests/<module>.py``, put this
@@ -43,6 +44,34 @@ SINGLE_ERROR_SYNDROMES = {
     5: (1, -1, 1, 1),
     6: (1, 1, -1, 1),
 }
+
+
+def walk_decoder(checks, surface: int, n: int) -> tuple[dict, np.ndarray]:
+    """Leaders and tables from a Python walk over the 2^n flip patterns in weight order: each
+    syndrome's first pattern leads it, and another pattern at its weight raises the tie."""
+    def syndrome(flips):
+        return tuple(-1 if (flips & check).bit_count() & 1 else 1 for check in checks)
+
+    leaders, tables = {}, np.zeros((2, 1 << n), np.int64)
+    for flips in sorted(range(1 << n), key=int.bit_count):
+        best = leaders.setdefault(syndrome(flips), flips)
+        if best != flips and best.bit_count() == flips.bit_count():
+            raise AssertionError(f"minimum-weight tie for syndrome {syndrome(flips)}")
+        tables[:, flips] = ((flips ^ best) & surface).bit_count() & 1, (flips & surface).bit_count() & 1
+    return leaders, tables
+
+
+def g8_unprotected_polynomial(p: float) -> float:
+    """The paper's bare two-qubit correlation error rate, 2p(1 - p), written out by hand."""
+    return 2.0 * p * (1.0 - p)
+
+
+def g8_protected_polynomial(p: float) -> float:
+    """The paper's residual error rate after decoding, written out by hand: g8 fails on
+    6 patterns of weight 2, all 20 of weight 3 and 6 of weight 4, so no cancellation at tiny p."""
+    q = 1.0 - p
+    return 6.0 * p**2 * q**4 + 20.0 * p**3 * q**3 + 6.0 * p**4 * q**2
+
 
 MATS = {
     "I": np.eye(2, dtype=complex),

@@ -2,9 +2,13 @@
 
 import math
 import tracemalloc
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import tecsim
 from tecsim import tec
@@ -15,12 +19,13 @@ from tecsim.complexes import (
     build_cuboid_complex,
     build_g8_complex,
     complex_from_json,
+    volume_boundary_masks,
 )
 from tecsim.errors import CapacityError
 from tecsim.rng import philox_generator
-from tecsim.tec import G8_CODE, build_code, exact_enumeration
+from tecsim.tec import G8_CODE, MAX_CODE_FACES, build_code, exact_enumeration
 
-from reference import RING5
+from reference import RING5, walk_decoder
 
 
 def _ring(a: int, b: int) -> CellComplex:
@@ -80,9 +85,48 @@ def test_face_cap_is_checked_before_enumerating():
 
 
 def test_minimum_weight_tie_raises():
-    # chains of 4 faces: a weight-2 pattern and its complement on one chain share a syndrome
-    with pytest.raises(AssertionError, match="minimum-weight tie"):
-        build_code(_ring(4, 4), {"a4", "b4"})
+    """An even chain's half and its complement share a syndrome and a weight; the message names
+    the syndrome of the first tied pattern in weight order."""
+    for (a, b), syndrome in (((4, 4), "(-1, 1, -1, 1, 1, 1)"), ((2, 3), "(-1, 1, 1)"), ((1, 2), "(-1,)")):
+        with pytest.raises(AssertionError) as caught:
+            build_code(_ring(a, b), {f"a{a}", f"b{b}"})
+        assert str(caught.value) == f"minimum-weight tie for syndrome {syndrome}", (a, b)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_numpy_pass_matches_the_weight_order_walk(data):
+    """Two chains of faces in shuffled bit order, plus checks that are sums of the chain checks:
+    leaders in their order, tables, and each tie's message (even chains tie) are the walk's."""
+    a, b = (data.draw(st.sampled_from((1, 3, 5, 2, 4)), name) for name in "ab")
+    names = data.draw(st.permutations([f"f{i}" for i in range(a + b)]), "bit order")
+    chains = names[:a], names[a:]
+    ring = [{chain[i], chain[i + 1]} for chain in chains for i in range(len(chain) - 1)]
+    sums = st.lists(st.sets(st.sampled_from(range(len(ring))), min_size=1), max_size=3) if ring else st.just([])
+    volumes = ring + [reduce(xor, (ring[k] for k in ks)) for ks in data.draw(sums, "dependent checks")]
+    cx = CellComplex(
+        volumes={f"v{k}": faces for k, faces in enumerate(volumes)},
+        faces={name: {"e1", "e2"} for name in names},
+        edges={"e1": {"s", "t"}, "e2": {"s", "t"}},
+    )
+    surface = {data.draw(st.sampled_from(chain), "surface face") for chain in chains}
+    mask = sum(1 << i for i, name in enumerate(cx.cells(2)) if name in surface)
+    try:
+        leaders, tables = walk_decoder(volume_boundary_masks(cx), mask, a + b)
+    except AssertionError as tie:
+        with pytest.raises(AssertionError) as caught:
+            build_code(cx, surface)
+        assert str(caught.value) == str(tie)
+        event("tie")
+        return
+    code = build_code(cx, surface)
+    event(f"{len(code.checks) - len(ring)} dependent checks")
+    assert list(code.leaders.items()) == list(leaders.items())
+    assert np.array_equal(code.tables, tables) and code.tables.dtype == tables.dtype
+    assert code.enumerators[1] == (0, 2, 0)  # one of the surface's two faces flipped
+    for p in (0.1, 0.5, 0.7):
+        fa, fb = _chain_fails(a, p), _chain_fails(b, p)
+        assert code.rates(p)[0] == pytest.approx(fa * (1 - fb) + fb * (1 - fa), abs=1e-15), p
 
 
 def test_ring5_fixture_is_the_m5_ring():
@@ -91,7 +135,8 @@ def test_ring5_fixture_is_the_m5_ring():
     assert cx.faces == _ring(5, 5).faces
 
 
-ODD_PAIRS = [(a, b) for a in range(1, 14, 2) for b in range(a, 15 - a, 2)]  # a <= b, a + b <= 14
+# every odd pair a <= b up to the decoder cap of 20 faces
+ODD_PAIRS = [(a, b) for a in range(1, MAX_CODE_FACES, 2) for b in range(a, MAX_CODE_FACES + 1 - a, 2)]
 
 
 @pytest.mark.parametrize("a,b", ODD_PAIRS)
@@ -99,16 +144,18 @@ def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
     """Decoding fails when one chain's majority flips: f_a (1 - f_b) + f_b (1 - f_a).
 
     Undecoded, the surface's X product flips when one of its two faces does: (1 - (1 - 2p)^2) / 2.
+    The state engines run up to 14 faces.
     """
     surface = {f"a{a}", f"b{b}"}
     code = build_code(_ring(a, b), surface)
-    # the unprotected row's failing patterns, weighed as exact_enumeration weighs the protected row's
-    unprotected = np.bitwise_count(np.flatnonzero(code.tables[1])).tolist()
     for p in (0.05, 0.3, 0.5, 0.8):
         fa, fb = _chain_fails(a, p), _chain_fails(b, p)
-        assert exact_enumeration(p, code) == pytest.approx(fa * (1 - fb) + fb * (1 - fa), abs=1e-13), p
-        rate = sum(p**w * (1.0 - p) ** (a + b - w) for w in unprotected)
-        assert rate == pytest.approx((1 - (1 - 2 * p) ** 2) / 2, abs=1e-13), p
+        protected, unprotected = code.rates(p)
+        for rate in (exact_enumeration(p, code), protected):
+            assert rate == pytest.approx(fa * (1 - fb) + fb * (1 - fa), abs=1e-13), p
+        assert unprotected == pytest.approx((1 - (1 - 2 * p) ** 2) / 2, abs=1e-13), p
+    if a + b > 14:
+        return
     # each volume boundary and the protected pair is a stabilizer; a dense ring state has 2^(a+b+2) amplitudes
     for engine in ("tableau", "dense"):
         state = code.state(engine)

@@ -33,7 +33,13 @@ from tecsim.tec import (
     simulate_trial,
 )
 
-from reference import SINGLE_ERROR_SYNDROMES, Replay, homologically_equivalent
+from reference import (
+    SINGLE_ERROR_SYNDROMES,
+    Replay,
+    g8_protected_polynomial,
+    g8_unprotected_polynomial,
+    homologically_equivalent,
+)
 
 FACE_NUMBERS = (1, 2, 3, 4, 5, 6)
 G8_PAIRS = ((1, 2), (2, 5), (3, 6), (3, 4))  # the volume boundaries v, w, y, z by face number
@@ -163,14 +169,29 @@ def test_analytic_protected_is_relatively_accurate_near_the_ends(p):
 @pytest.mark.parametrize("steps", [3, 5, 11, 21, 101])
 def test_analytic_protected_is_the_two_chain_form(steps):
     """g8's faces form two chains of three; decoding fails when exactly one chain's majority
-    flips, with chance f = 3p^2 q + p^3 each. The literal stays the printed form."""
+    flips, with chance f = 3p^2 q + p^3 each."""
     for p in cli._grid(0.0, 1.0, steps):
         f = 3.0 * p**2 * (1.0 - p) + p**3
         assert abs(analytic_protected(p) - 2.0 * f * (1.0 - f)) <= 1e-15, p
 
 
+def test_g8_enumerators_are_the_papers_weight_counts():
+    """Protected: 6 failing patterns of weight 2, 20 of 3, 6 of 4 over all six faces;
+    unprotected: the two one-face flips of the surface {f5, f6}, over those two faces."""
+    assert G8_CODE.enumerators == ((0, 0, 6, 20, 6, 0, 0), (0, 2, 0))
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 5, 11, 21, 101, 256, 1000, 1001])
+def test_g8_rates_are_the_hand_written_polynomials_bit_for_bit(steps):
+    """The enumerator sum runs the hand-written polynomials' operations in their order, so the
+    derived curves equal them exactly, on the sweep grid and at 1,000 uniform p per case."""
+    for p in cli._grid(0.0, 1.0, steps) + np.random.default_rng(steps).random(1000).tolist():
+        expected = g8_protected_polynomial(p), g8_unprotected_polynomial(p)
+        assert G8_CODE.rates(p) == (analytic_protected(p), analytic_unprotected(p)) == expected, p
+
+
 def test_probability_domain_checks():
-    for func in (analytic_protected, analytic_unprotected, exact_enumeration):
+    for func in (analytic_protected, analytic_unprotected, exact_enumeration, G8_CODE.rates):
         with pytest.raises(ValueError):
             func(-0.01)
         with pytest.raises(ValueError):
