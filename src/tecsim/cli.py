@@ -62,8 +62,8 @@ def _syndrome_rows() -> list[tuple[tuple[int, ...], list[int]]]:
     """(syndrome, correction) rows: single-face syndromes in face order, then the rest."""
     code = tec.G8_CODE
     single = [code.syndrome(1 << i) for i in range(len(code.faces))]
-    rest = sorted(code.leaders.keys() - set(single), key=lambda s: [c != 1 for c in s])
-    return [(syndrome, sorted(tec._pattern(code.leaders[syndrome]))) for syndrome in single + rest]
+    rows = {code.syndrome(leader): sorted(tec._pattern(leader)) for leader in code.leaders.tolist()}
+    return [(s, rows[s]) for s in single + sorted(rows.keys() - single, key=lambda s: [c != 1 for c in s])]
 
 
 def cmd_syndrome_table(args: argparse.Namespace) -> tuple[str, None]:

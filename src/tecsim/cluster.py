@@ -147,11 +147,10 @@ def surface_correlation(state: ClusterState, face_qubits) -> int:
     labels = list(face_qubits)
     if not labels:
         raise ValueError("surface must contain at least one qubit")
-    n = state.graph.qubit_count
     xmask = 0
     for label in labels:
         xmask ^= 1 << state.graph.index(label)
-    value = state.expectation(PauliOperator(n, xmask, 0, 0))
+    value = state.expectation(PauliOperator(state.graph.qubit_count, xmask, 0, 0))
     rounded = round(value)
     if abs(value - rounded) > 1e-9 or rounded not in (-1, 0, 1):
         raise AssertionError(f"non-stabilizer correlation value {value}")

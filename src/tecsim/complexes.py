@@ -257,10 +257,7 @@ def _gf2_reduce(pivots: dict[int, tuple[int, int]], target: int) -> tuple[int, i
 
 
 def _face_mask(cells: frozenset[str], face_index: dict[str, int]) -> int:
-    mask = 0
-    for cell in cells:
-        mask |= 1 << face_index[cell]
-    return mask
+    return sum(1 << face_index[cell] for cell in cells)  # a set names each face once
 
 
 def volume_boundary_masks(cx: CellComplex) -> tuple[int, ...]:
@@ -300,9 +297,7 @@ def closed_two_face_surfaces(cx: CellComplex) -> list[Chain]:
     pairs = sum(len(group) * (len(group) - 1) // 2 for group in groups.values())
     if pairs > TWO_FACE_SURFACE_CAP:
         raise CapacityError(f"{pairs} two-face closed surfaces exceed the cap of {TWO_FACE_SURFACE_CAP}")
-    out = []
-    for group in groups.values():
-        out.extend(Chain(2, frozenset(pair)) for pair in combinations(group, 2))
+    out = [Chain(2, frozenset(pair)) for group in groups.values() for pair in combinations(group, 2)]
     return sorted(out, key=lambda chain: sorted(chain.cells))
 
 

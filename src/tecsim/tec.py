@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import repeat
 
 import numpy as np
@@ -50,19 +51,19 @@ def _pattern(mask: int) -> frozenset:
 class TopologicalCode:
     """Parity checks, protected surface and lookup decoder of a cell complex.
 
-    Flip patterns, checks and the surface are face bitmasks: bit i is
-    ``faces[i]``, face number i + 1 in the public frozenset form, and qubit i
-    of :meth:`state`. A syndrome holds one +-1 per check, the product of the
-    face outcomes around that volume; ``leaders`` maps each to its unique minimum-weight
-    flip bitmask. ``tables``, read-only, has rows protected and unprotected: failure per flip
-    bitmask, 2^F entries each; ``enumerators`` has each row's A_0..A_m over its support.
+    Flip patterns, checks and the surface are face bitmasks: bit i is ``faces[i]``, face number
+    i + 1 in the public frozenset form, and qubit i of :meth:`state`. A syndrome holds one +-1 per
+    check, the product of the face outcomes around that volume; its key sets bit j where the j-th
+    of the r independent checks reads -1. Read-only, ``leaders[k]`` is key k's unique
+    minimum-weight flip bitmask, and ``tables`` has rows protected and unprotected, failure per
+    flip bitmask; ``enumerators`` has each row's A_0..A_m over its support.
     """
 
     complex: CellComplex = field(repr=False)
     faces: tuple[str, ...]
     checks: tuple[int, ...]
     surface: int
-    leaders: dict[tuple[int, ...], int] = field(repr=False)
+    leaders: np.ndarray = field(repr=False)
     tables: np.ndarray = field(repr=False)
     enumerators: tuple[tuple[int, ...], ...]
     _states: dict[str, ClusterState] = field(default_factory=dict, init=False, repr=False)
@@ -94,8 +95,7 @@ class TopologicalCode:
 
     def flips(self, outcomes: OutcomeRecord) -> int:
         """Bitmask of the faces whose outcome is -1; a face without an outcome raises KeyError."""
-        values = outcomes.outcomes
-        return sum(1 << i for i, face in enumerate(self.faces) if values[face] == -1)
+        return sum(1 << i for i, face in enumerate(self.faces) if outcomes.outcomes[face] == -1)
 
     def flipped(self, flips: int) -> bool:
         """Whether ``flips`` flips the protected surface's outcome product."""
@@ -112,7 +112,9 @@ class TopologicalCode:
 
     def decode_and_correct(self, outcomes: OutcomeRecord) -> tuple[int, frozenset]:
         """Corrected protected product and the correction used, applied classically."""
-        leader = self.leaders[self.extract_syndrome(outcomes)]
+        syndrome = self.extract_syndrome(outcomes)
+        key = sum(1 << j for j, i in enumerate(_independent(self.checks)) if syndrome[i] == -1)
+        leader = int(self.leaders[key])
         return -1 if self.flipped(self.flips(outcomes) ^ leader) else 1, _pattern(leader)
 
     def run_pattern(
@@ -142,8 +144,8 @@ class TopologicalCode:
 def build_code(cx: CellComplex, surface) -> TopologicalCode:
     """The code of ``cx`` that protects ``surface``, a closed and nontrivial set of face names.
 
-    One numpy pass over the 2^F flip patterns in weight order makes each syndrome's first pattern
-    its decoder entry; a tie at that weight is a decoding ambiguity and raises, never broken.
+    One numpy pass ranks the 2^F flip patterns by weight, then mask, and makes each key's first its
+    leader; another pattern of the leader's weight is a decoding ambiguity and raises, never broken.
     """
     faces = cx.cells(2)
     if len(faces) > MAX_CODE_FACES:
@@ -155,23 +157,28 @@ def build_code(cx: CellComplex, surface) -> TopologicalCode:
         raise ValueError(f"surface {sorted(chain.cells)} bounds volumes, so it protects nothing")
     surface_mask = sum(1 << i for i, f in enumerate(faces) if f in chain.cells)
     checks = volume_boundary_masks(cx)
-    # the independent checks fix the others, so a key over them names a syndrome in at most F bits
-    basis = [c for i, c in enumerate(checks) if i not in _gf2_echelon(checks)[1]]
-    order = np.argsort(np.bitwise_count(np.arange(1 << len(faces))), kind="stable")  # by weight, then mask
-    keys = sum((_parities(order, c).astype(np.int64) << j for j, c in enumerate(basis)), np.zeros_like(order))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    best = order[first[inverse]]  # each pattern's leader, its syndrome's first pattern in weight order
-    tied = order[(best != order) & (np.bitwise_count(best) == np.bitwise_count(order))]
-    tables = np.zeros((2, order.size), np.int64)
-    tables[:, order] = _parities(order ^ best, surface_mask), _parities(order, surface_mask)
-    tables.setflags(write=False)  # shared by every caller
-    leaders = order[np.sort(first)]  # in weight order, as the syndrome table lists them
-    signs = zip(*(np.where(_parities(leaders, c), -1, 1).tolist() for c in checks)) if checks else [()]
-    leaders = dict(zip(signs, leaders.tolist()))
+    basis = [checks[i] for i in _independent(checks)]
+    patterns, all_faces = np.arange(1 << len(faces)), (1 << len(faces)) - 1
+    keys = sum((_parities(patterns, c).astype(np.int64) << j for j, c in enumerate(basis)), np.zeros_like(patterns))
+    rank = np.bitwise_count(patterns).astype(np.int64) << len(faces) | patterns  # by weight, then mask
+    leaders = np.full(1 << len(basis), rank.max())  # the checks are independent, so every key is filled
+    np.minimum.at(leaders, keys, rank)
+    leaders &= all_faces
+    best = leaders[keys]  # each pattern's leader
+    tied = rank[(best != patterns) & (np.bitwise_count(best) == np.bitwise_count(patterns))]
+    tables = np.array([_parities(patterns ^ best, surface_mask), _parities(patterns, surface_mask)], np.int64)
+    leaders.setflags(write=False)  # shared by every caller
+    tables.setflags(write=False)
     code = TopologicalCode(cx, faces, checks, surface_mask, leaders, tables, tuple(map(_enumerator, tables)))
     if tied.size:
-        raise AssertionError(f"minimum-weight tie for syndrome {code.syndrome(int(tied[0]))}")
+        raise AssertionError(f"minimum-weight tie for syndrome {code.syndrome(int(tied.min()) & all_faces)}")
     return code
+
+
+@cache  # each decode reads it
+def _independent(checks: tuple[int, ...]) -> tuple[int, ...]:
+    """Positions of the checks not in the span of those before them: bit j of a key is the j-th."""
+    return tuple(sorted(set(range(len(checks))) - _gf2_echelon(checks)[1].keys()))
 
 
 def _parities(masks: np.ndarray, check) -> np.ndarray:
@@ -237,14 +244,13 @@ def _count_failures(
     backend = None if engine == "fast" else code._state(engine).backend
     outcome_rng = None if backend is None else philox_generator(seed, point_index, 1)
     bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
-    patterns = len(code.tables[0])
-    counts = np.zeros(patterns, dtype=np.int64)
+    counts = np.zeros(code.tables.shape[1], dtype=np.int64)
     block = _BLOCKS[engine]
     for start in range(0, trials, block):
         flips = flip_rng.random((min(block, trials - start), n)) < p
         if backend is not None:
             flips = backend.readout_x(outcome_rng, flips)[:, :n] < 0  # face i is qubit i
-        counts += np.bincount(flips.view(np.uint8) @ bits, minlength=patterns)  # column i is bit i
+        counts += np.bincount(flips.view(np.uint8) @ bits, minlength=counts.size)  # column i is bit i
     return tuple((code.tables @ counts).tolist())
 
 

@@ -49,10 +49,10 @@ ALL_PATTERNS = [
 ]
 
 
-# syndrome -> the decoder's correction, as a set of face numbers
+# syndrome -> the decoder's correction, as a set of face numbers, from each entry of the leader array
 DECODE_TABLE = {
-    syndrome: frozenset(q for q in FACE_NUMBERS if leader >> (q - 1) & 1)
-    for syndrome, leader in G8_CODE.leaders.items()
+    G8_CODE.syndrome(leader): frozenset(q for q in FACE_NUMBERS if leader >> (q - 1) & 1)
+    for leader in G8_CODE.leaders.tolist()
 }
 
 
