@@ -1,8 +1,8 @@
 """Splittable, counter-based randomness: Philox generators keyed by ``(seed, *path)``.
 
 Two distinct integer paths give independent, bitwise-reproducible streams, so sweep
-points can run in any order on any number of workers. A sweep point reads its Z flips
-from ``(seed, point)`` and its random X outcomes from ``(seed, point, 1)``.
+points can run in any order on any number of workers. A sweep point draws its flip-pattern
+counts, one multinomial, from ``(seed, point)`` and its random X outcomes from ``(seed, point, 1)``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 from itertools import repeat
 
 import numpy as np
@@ -101,6 +101,13 @@ class TopologicalCode:
         """Whether ``flips`` flips the protected surface's outcome product."""
         return bool((flips & self.surface).bit_count() & 1)
 
+    @cached_property
+    def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each flip pattern as a bool row, face i in column i, and whether it moves a check or the surface."""
+        masks, n = np.arange(self.tables.shape[1]), len(self.faces)
+        moved = np.any([_parities(masks, m) for m in (*self.checks, self.surface)], 0)
+        return (masks[:, None] >> np.arange(n) & 1).astype(bool), moved
+
     def sample_errors(self, p: float, rng: np.random.Generator) -> frozenset:
         """Face numbers of the code's faces, each flipped independently with probability p."""
         _check_probability(p)
@@ -112,10 +119,10 @@ class TopologicalCode:
 
     def decode_and_correct(self, outcomes: OutcomeRecord) -> tuple[int, frozenset]:
         """Corrected protected product and the correction used, applied classically."""
-        syndrome = self.extract_syndrome(outcomes)
-        key = sum(1 << j for j, i in enumerate(_independent(self.checks)) if syndrome[i] == -1)
+        flips, independent = self.flips(outcomes), _independent(self.checks)  # flips read once, for key and verdict
+        key = sum(1 << j for j, i in enumerate(independent) if (flips & self.checks[i]).bit_count() & 1)
         leader = int(self.leaders[key])
-        return -1 if self.flipped(self.flips(outcomes) ^ leader) else 1, _pattern(leader)
+        return -1 if self.flipped(flips ^ leader) else 1, _pattern(leader)
 
     def run_pattern(
         self, pattern, rng: np.random.Generator, engine: str = "tableau"
@@ -223,8 +230,7 @@ def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
 # Monte Carlo
 
 
-# Trials per block of each engine, so memory does not grow with trials
-_BLOCKS = {"fast": 1 << 16, "tableau": 1 << 12, "dense": 1 << 8}
+_BLOCKS = {"tableau": 1 << 12, "dense": 1 << 8}  # rows per block, so memory does not grow with trials
 
 
 def _count_failures(
@@ -233,24 +239,28 @@ def _count_failures(
 ) -> tuple[int, int]:
     """(protected, unprotected) failures of ``trials`` trials at one grid point on ``engine``.
 
-    Trial t's Z flips are row t of ``philox_generator(seed, point_index)``, F doubles per
-    trial. Z flips commute with the X readout products, so ``fast`` looks the flips up in
-    ``code.tables`` directly. A state engine reads each block out through its backend's
-    ``readout_x``, drawing the random X outcomes from ``(seed, point_index, 1)``; those
-    flip no check and not the surface, so the faces it reads as -1 give the same counts.
+    A trial's verdicts depend on its flip pattern k alone, so the point draws how many trials flip each,
+    multinomial(trials, pi_k = p^|k| (1 - p)^(F - |k|)), from ``philox_generator(seed, point_index)``,
+    and ``fast`` looks them up in ``code.tables``. Trial t flips row t of their expansion in pattern order.
+    A state engine reads those rows out per block via ``readout_x``, random X outcomes from ``(seed,
+    point_index, 1)``, and counts the patterns read; one that moves a check or the surface raises.
     """
     n = len(code.faces)
-    flip_rng = philox_generator(seed, point_index)
-    backend = None if engine == "fast" else code._state(engine).backend
-    outcome_rng = None if backend is None else philox_generator(seed, point_index, 1)
-    bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
-    counts = np.zeros(code.tables.shape[1], dtype=np.int64)
-    block = _BLOCKS[engine]
-    for start in range(0, trials, block):
-        flips = flip_rng.random((min(block, trials - start), n)) < p
-        if backend is not None:
-            flips = backend.readout_x(outcome_rng, flips)[:, :n] < 0  # face i is qubit i
-        counts += np.bincount(flips.view(np.uint8) @ bits, minlength=counts.size)  # column i is bit i
+    pi = np.array([p**w * (1.0 - p) ** (n - w) for w in range(n + 1)])[np.bitwise_count(np.arange(1 << n))]
+    order = pi.argsort(kind="stable")  # rarest first, so numpy's running remainder of pi stays accurate
+    counts = np.zeros(1 << n, np.int64)
+    counts[order] = philox_generator(seed, point_index).multinomial(trials, pi[order])
+    if engine != "fast":
+        backend, outcome_rng = code._state(engine).backend, philox_generator(seed, point_index, 1)
+        bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
+        (rows, moved), ends, counts = code._patterns, counts.cumsum(), np.zeros(1 << n, np.int64)
+        for start in range(0, trials, _BLOCKS[engine]):
+            injected = ends.searchsorted(np.arange(start, min(start + _BLOCKS[engine], trials)), "right")
+            faces = backend.readout_x(outcome_rng, rows.take(injected, 0))[:, :n] < 0  # face i is qubit i
+            read = faces.view(np.uint8) @ bits
+            if moved[read ^ injected].any():
+                raise AssertionError(f"the {engine} readout moved a check or the surface")
+            counts += np.bincount(read, minlength=counts.size)
     return tuple((code.tables @ counts).tolist())
 
 
@@ -306,8 +316,8 @@ def monte_carlo_sweep(
     output is bitwise identical for any worker count and any completion
     order, and every engine gives the same counts.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= 2**63 - 1:  # numpy draws the pattern counts as int64
+        raise ValueError("trials must be in [1, 2**63 - 1]")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if engine not in SWEEP_ENGINES:

@@ -1,6 +1,6 @@
 """Oracles the tests share: replayed draws, per-qubit readouts, Pauli matrices, paper data,
-a Python decoder walk and g8's hand-written error polynomials, fixtures, and the Pauli, state,
-stabilizer and homology helpers that only tests call.
+a Python decoder walk, flip-pattern chances and g8's hand-written error polynomials, fixtures,
+and the Pauli, state, stabilizer and homology helpers that only tests call.
 
 Test modules import it as ``from reference import ...``; ``tests/`` has no
 ``__init__.py``, so pytest, and ``python tests/<module>.py``, put this
@@ -71,6 +71,11 @@ def g8_protected_polynomial(p: float) -> float:
     6 patterns of weight 2, all 20 of weight 3 and 6 of weight 4, so no cancellation at tiny p."""
     q = 1.0 - p
     return 6.0 * p**2 * q**4 + 20.0 * p**3 * q**3 + 6.0 * p**4 * q**2
+
+
+def pattern_chances(p: float, n: int) -> list[float]:
+    """pi_k = p^|k| (1 - p)^(n - |k|): the chance that one trial flips exactly the faces of bitmask k."""
+    return [p ** k.bit_count() * (1.0 - p) ** (n - k.bit_count()) for k in range(1 << n)]
 
 
 MATS = {

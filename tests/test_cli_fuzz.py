@@ -21,10 +21,13 @@ FLOATS = st.sampled_from(
 HUGE_INTS = st.integers(0, 2**70) | st.sampled_from([-1, -(10**30), 2**64, 10**30])
 # --steps <= 3 caps a sweep's pool at 3 workers however large --workers is
 STEPS = st.integers(1, 3) | st.sampled_from([-(10**30), -1, 0])
-# the per-trial engines get fewer trials so the whole test stays within seconds
+# the state engines get few trials so the whole test stays within seconds; a fast point costs the
+# same at any trial count, so it also gets counts at and past the int64 limit of its multinomial draw
 TRIALS = {
-    engine: st.integers(1, most) | st.sampled_from([-2, 0])
-    for engine, most in (("fast", 1000), ("tableau", 40), ("dense", 10))
+    engine: st.integers(1, most) | st.sampled_from([-2, 0, *huge])
+    for engine, most, huge in (
+        ("fast", 1000, (10**12, 2**63 - 1, 2**63, 10**30)), ("tableau", 40, ()), ("dense", 10, ())
+    )
 }
 
 

@@ -25,7 +25,7 @@ from tecsim.errors import CapacityError
 from tecsim.rng import philox_generator
 from tecsim.tec import G8_CODE, MAX_CODE_FACES, build_code, exact_enumeration
 
-from reference import RING5, walk_decoder
+from reference import RING5, pattern_chances, walk_decoder
 
 
 def _ring(a: int, b: int) -> CellComplex:
@@ -184,6 +184,23 @@ def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
         expected = tec._count_failures("fast", p, 400, seed, 0, code)
         for engine in engines:
             assert tec._count_failures(engine, p, 400, seed, 0, code) == expected, (engine, p)
+
+
+def test_tables_times_the_pattern_chances_are_the_codes_rates(ring5):
+    """pi sums to 1, equals each pattern's product of per-face chances, and weighs each code's
+    failure tables to its enumerator rates: g8, ring5 and every odd two-chain ring up to 14 faces.
+    ``tests/test_tec.py`` holds the sweep's multinomial draws to this pi bit for bit."""
+    rings = [build_code(_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
+    for p in (0.0, 1e-9, 0.05, 0.3, 0.5, 0.8, 1.0 - 1e-9, 1.0):
+        sizes = {len(code.faces) for code in (G8_CODE, ring5, *rings)}
+        chances = {n: np.array(pattern_chances(p, n)) for n in sizes}
+        for n, pi in chances.items():
+            flips = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+            assert np.allclose(pi, np.where(flips == 1, p, 1.0 - p).prod(axis=1), rtol=1e-12, atol=0.0), (n, p)
+            assert math.fsum(pi.tolist()) == pytest.approx(1.0, abs=1e-12), (n, p)
+        for code in (G8_CODE, ring5, *rings):
+            got = code.tables @ chances[len(code.faces)]
+            assert got.tolist() == pytest.approx(code.rates(p), abs=1e-12), (len(code.faces), p)
 
 
 def test_ring5_has_256_syndromes_and_distance_5(ring5):

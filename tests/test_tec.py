@@ -39,6 +39,7 @@ from reference import (
     g8_protected_polynomial,
     g8_unprotected_polynomial,
     homologically_equivalent,
+    pattern_chances,
 )
 
 FACE_NUMBERS = (1, 2, 3, 4, 5, 6)
@@ -325,6 +326,11 @@ def test_sweep_validation():
         monte_carlo_sweep([1.5], 10, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_sweep([0.1], 10, seed=0, engine="warp")
+    for trials in (2**63, 10**30):  # numpy draws the pattern counts as int64
+        with pytest.raises(ValueError, match=r"trials must be in \[1, 2\*\*63 - 1\]"):
+            monte_carlo_sweep([0.1], trials, seed=0)
+    (point,) = monte_carlo_sweep([0.1], 2**63 - 1, seed=0)
+    assert point.trials == 2**63 - 1 and 0.0 < point.mc_protected < point.mc_unprotected < 1.0
 
 
 def random_outcome_count(code):
@@ -335,42 +341,57 @@ def random_outcome_count(code):
     return probe.used
 
 
-def trial_draws(engine, seed, point, trials, code=G8_CODE):
-    """Each trial's draws, replayed in the sweep's layout: row t of the (seed, point) stream's
-    F doubles for its flips, then row t of the (seed, point, 1) stream's outcome draws, R
+def pattern_counts(p, trials, seed, point, n=len(FACE_NUMBERS)):
+    """How many of a point's trials flip each bitmask: one multinomial(trials, pi) draw from the
+    (seed, point) stream, its categories rarest first and equal chances in mask order."""
+    pi = pattern_chances(p, n)
+    order = sorted(range(1 << n), key=pi.__getitem__)  # a stable sort
+    drawn = philox_generator(seed, point).multinomial(trials, [pi[k] for k in order]).tolist()
+    return [count for _, count in sorted(zip(order, drawn))]
+
+
+def trial_patterns(p, trials, seed, point, n=len(FACE_NUMBERS)):
+    """Each trial's flip bitmask: trial t flips row t of the counts' expansion in mask order."""
+    return [k for k, count in enumerate(pattern_counts(p, trials, seed, point, n)) for _ in range(count)]
+
+
+def trial_draws(engine, p, seed, point, trials, code=G8_CODE):
+    """Each trial's flipped face numbers and outcome draws, replayed in the sweep's layout: trial t's
+    pattern from :func:`trial_patterns`, then row t of the (seed, point, 1) stream, R
     ``integers(0, 2)`` (tableau, R random outcomes, two on g8) or n doubles (dense, n qubits)."""
-    doubles = philox_generator(seed, point).random((trials, len(code.faces)))
+    n = len(code.faces)
+    patterns = [frozenset(i + 1 for i in range(n) if k >> i & 1) for k in trial_patterns(p, trials, seed, point, n)]
     outcomes = philox_generator(seed, point, 1)
     if engine == "tableau":
         draws = outcomes.integers(0, 2, (trials, random_outcome_count(code)))
-    else:
-        draws = outcomes.random((trials, code.state("dense").graph.qubit_count))
-    return [Replay(d, r) if engine == "tableau" else Replay([*d, *r]) for d, r in zip(doubles, draws)]
+        return [(q, Replay(bits=d)) for q, d in zip(patterns, draws)]
+    draws = outcomes.random((trials, code.state("dense").graph.qubit_count))
+    return [(q, Replay(d)) for q, d in zip(patterns, draws)]
 
 
-def running_reference(code, p, trials, seed, point, engine="tableau"):
-    """(protected, unprotected) failures of a ``code.simulate_trial`` loop after each trial."""
+def reference_counts(code, p, trials, seed, point, engine="tableau"):
+    """(protected, unprotected) failures of a ``code.run_pattern`` loop over the replayed trials.
+
+    A k-trial multinomial is no prefix of a (k + 1)-trial one, so each trial count has its own."""
     prot = unprot = 0
-    running = []
-    for rng in trial_draws(engine, seed, point, trials, code):
-        pf, uf, _ = code.simulate_trial(p, rng, engine)
-        prot += pf
-        unprot += uf
-        running.append((prot, unprot))
-    return running
+    for pattern, rng in trial_draws(engine, p, seed, point, trials, code):
+        corrected, _, record = code.run_pattern(pattern, rng, engine)
+        prot += corrected == -1
+        unprot += code.flipped(code.flips(record))
+    return prot, unprot
 
 
 @pytest.mark.parametrize("engine,trials", [("tableau", 120), ("dense", 40)])
 def test_engine_sweep_counts_match_per_trial_reference(ring5, engine, trials):
     grid, seed = [0.15, 0.4], 21
-    expected = [running_reference(G8_CODE, p, trials, seed, i, engine)[-1] for i, p in enumerate(grid)]
+    expected = [reference_counts(G8_CODE, p, trials, seed, i, engine) for i, p in enumerate(grid)]
     for eng, workers in ((engine, 1), (engine, 2), ("fast", 1)):
         points = monte_carlo_sweep(grid, trials, seed=seed, engine=eng, workers=workers)
         got = [(pt.protected_failures, pt.unprotected_failures) for pt in points]
         assert got == expected, (eng, workers)
-    for i, p in enumerate(grid):  # ring5's loop replays its own draws: 10 flips, R or 12 outcomes
+    for i, p in enumerate(grid):  # ring5's loop replays its own draws: 1,024 patterns, R or 12 outcomes
         got = tec._count_failures(engine, p, trials, seed, i, ring5)
-        assert got == running_reference(ring5, p, trials, seed, i, engine)[-1], p
+        assert got == reference_counts(ring5, p, trials, seed, i, engine), p
 
 
 @pytest.mark.parametrize("seed", [0, 13, 2**64 + 3])
@@ -379,18 +400,17 @@ def test_sign_frame_counts_match_per_trial_loop(monkeypatch, p, seed):
     block = 64  # a small block puts every block edge in reach of a short reference loop
     monkeypatch.setitem(tec._BLOCKS, "tableau", block)
     for point in (0, 5):
-        running = running_reference(G8_CODE, p, 2 * block + 7, seed, point)
         for trials in (1, block - 1, block, block + 1, 2 * block + 7):
             got = tec._count_failures("tableau", p, trials, seed, point)
-            assert got == running[trials - 1], (point, trials)
+            assert got == reference_counts(G8_CODE, p, trials, seed, point), (point, trials)
             assert got == tec._count_failures("fast", p, trials, seed, point), (point, trials)
 
 
 def test_sign_frame_counts_match_per_trial_loop_at_the_tableau_block():
     block, seed = tec._BLOCKS["tableau"], 2**64 + 3
-    running = running_reference(G8_CODE, 0.05, 2 * block + 7, seed, 1)
     for trials in (1, block - 1, block, block + 1, 2 * block + 7):
-        assert tec._count_failures("tableau", 0.05, trials, seed, 1) == running[trials - 1], trials
+        expected = reference_counts(G8_CODE, 0.05, trials, seed, 1)
+        assert tec._count_failures("tableau", 0.05, trials, seed, 1) == expected, trials
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 3])
@@ -399,10 +419,9 @@ def test_dense_block_counts_match_per_trial_loop(monkeypatch, p, seed):
     block = 16  # a small block puts every block edge in reach of a short reference loop
     monkeypatch.setitem(tec._BLOCKS, "dense", block)
     for point in (0, 5):
-        running = running_reference(G8_CODE, p, 2 * block + 7, seed, point, "dense")
         for trials in (1, block - 1, block, block + 1, 2 * block + 7):
             got = tec._count_failures("dense", p, trials, seed, point)
-            assert got == running[trials - 1], (point, trials)
+            assert got == reference_counts(G8_CODE, p, trials, seed, point, "dense"), (point, trials)
             assert got == tec._count_failures("fast", p, trials, seed, point), (point, trials)
 
 
@@ -433,14 +452,14 @@ def test_block_outcomes_are_each_trials_readout(p, engine):
     """
     seed, point, size, first = 2**64 + 3, 2, 40, 17
     state = G8_CODE.state(engine)
-    rngs = trial_draws(engine, seed, point, size)
-    flips = philox_generator(seed, point).random((size, len(G8_CODE.faces))) < p  # the flips rngs replay
+    draws = trial_draws(engine, p, seed, point, size)
+    flips = np.array([[q in pattern for q in FACE_NUMBERS] for pattern, _ in draws])
     outcome_rng = philox_generator(seed, point, 1)
     got = np.concatenate(
         [state.backend.readout_x(outcome_rng, flips[:first]), state.backend.readout_x(outcome_rng, flips[first:])]
     )
-    for i, rng in enumerate(rngs):
-        _, _, record = run_pattern(sample_errors(p, rng), rng, engine)
+    for i, (pattern, rng) in enumerate(draws):
+        _, _, record = run_pattern(pattern, rng, engine)
         assert got[i].tolist() == [record.outcomes[label] for label in state.graph.vertices], i
 
 
@@ -457,7 +476,7 @@ def test_sweep_blocks_read_the_points_outcome_stream_in_order(monkeypatch, engin
     monkeypatch.setattr(type(backend), "readout_x", spy)
     monkeypatch.setitem(tec._BLOCKS, engine, 16)
     tec._count_failures(engine, p, trials, seed, point)
-    flips = philox_generator(seed, point).random((trials, len(G8_CODE.faces))) < p
+    flips = np.array([[k >> i & 1 for i in range(6)] for k in trial_patterns(p, trials, seed, point)], bool)
     expected = readout(backend, philox_generator(seed, point, 1), flips)
     assert len(outcomes) == 4 and np.array_equal(np.concatenate(outcomes), expected)
 
@@ -496,10 +515,10 @@ def test_tableau_readout_runs_one_echelon_per_call(monkeypatch):
 @pytest.mark.parametrize(
     "p,trials,seed,point,counts",
     [
-        (0.5, 200, 1, 0, (102, 99)),
-        (0.25, 1000, 7, 0, (287, 377)),
-        (0.1, 3000, 13, 0, (160, 518)),
-        (0.5, 4100, 3, 1, (2101, 2085)),
+        (0.5, 200, 1, 0, (102, 97)),
+        (0.25, 1000, 7, 0, (256, 373)),
+        (0.1, 3000, 13, 0, (133, 511)),
+        (0.5, 4100, 3, 1, (2107, 2053)),
     ],
 )
 def test_tableau_and_dense_sweeps_agree_on_g8(p, trials, seed, point, counts):
@@ -621,35 +640,67 @@ def test_protected_pair_is_a_closed_surface_no_volumes_bound():
     assert homologically_equivalent(surface, cx.chain(2, ()), cx) is None
 
 
-def _whole_array_fast_counts(p, trials, seed, point_index):
-    """The fast kernel before chunking: one (trials, 6) draw and column XORs.
-
-    The correction parity per syndrome is found here by brute force, not read
-    from the decoder the fast tables come from.
-    """
-    parity = np.zeros(16, dtype=np.uint8)
+def _brute_force_verdicts():
+    """(protected, unprotected) failure of each of the 64 bitmasks, the correction parity per
+    syndrome found by brute force, not read from the decoder the fast tables come from."""
+    parity, verdicts = {}, np.zeros((2, 64), dtype=np.int64)
     for pattern in sorted(ALL_PATTERNS, key=len, reverse=True):  # the lightest one writes last
-        idx = sum(1 << i for i, (a, b) in enumerate(G8_PAIRS) if len(pattern & {a, b}) % 2)
-        parity[idx] = len(pattern & {5, 6}) % 2
-    flips = philox_generator(seed, point_index).random((trials, 6)) < p
-    idx = np.zeros(trials, dtype=np.uint8)
-    for bit, (a, b) in enumerate(G8_PAIRS):
-        idx |= (flips[:, a - 1] ^ flips[:, b - 1]).astype(np.uint8) << bit
-    unprotected_fail = flips[:, 4] ^ flips[:, 5]
-    protected_fail = unprotected_fail ^ parity[idx].astype(bool)
-    return int(protected_fail.sum()), int(unprotected_fail.sum())
+        parity[syndrome_of_pattern(pattern)] = len(pattern & {5, 6}) % 2
+    for pattern in ALL_PATTERNS:
+        unprotected, mask = len(pattern & {5, 6}) % 2, sum(1 << (q - 1) for q in pattern)
+        verdicts[:, mask] = unprotected ^ parity[syndrome_of_pattern(pattern)], unprotected
+    return verdicts
 
 
-_CHUNK = tec._BLOCKS["fast"]
-
-
-@pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+# 65,536 +- 1 were the edges of the fast kernel's chunked draw before it drew pattern counts
+@pytest.mark.parametrize("trials", [1, 65_535, 65_536, 65_537, 196_615, 10**12])
 @pytest.mark.parametrize("p", [0.0, 1e-9, 0.05, 0.5, 0.97, 1.0])
 def test_chunked_fast_kernel_matches_whole_array_draw(trials, p):
+    """The fast counts are the brute-force verdicts times the point's whole multinomial draw."""
+    verdicts = _brute_force_verdicts()
     for seed in (0, 13, 2**64 + 3):
         for point in (0, 5):
-            expected = _whole_array_fast_counts(p, trials, seed, point)
+            expected = tuple((verdicts @ pattern_counts(p, trials, seed, point)).tolist())
             assert tec._count_failures("fast", p, trials, seed, point) == expected, (seed, point)
+
+
+@pytest.mark.parametrize("p", [1e-6, 1e-4, 0.3, 1.0 - 1e-6])
+def test_huge_points_draw_no_trials_onto_patterns_they_cannot_reach(p):
+    """numpy draws a multinomial a category at a time against the running remainder
+    1 - sum(pi so far). Rarest first, that remainder never falls below the commonest pi, so even
+    2^63 - 1 trials leave every pattern with under 10^-6 expected trials empty. Drawn in mask order
+    at p = 1e-6 from this stream, the remainder's rounding put 1,419 trials on the all-six-faces
+    pattern, whose chance is 10^-36 (numpy 2.4.6)."""
+    trials, pi = 2**63 - 1, pattern_chances(p, 6)
+    counts = pattern_counts(p, trials, 3, 0)
+    assert sum(counts) == trials and min(counts) >= 0
+    assert all(count == 0 for count, chance in zip(counts, pi) if chance * trials < 1e-6), counts
+    assert tec._count_failures("fast", p, trials, 3, 0) == tuple((_brute_force_verdicts() @ counts).tolist())
+
+
+def test_a_fast_point_of_10_10_trials_lies_within_5_sigma_of_the_rates():
+    points = monte_carlo_sweep(cli._grid(0.0, 1.0, 21), 10**10, seed=29)
+    for pt in points:
+        for mc, rate in ((pt.mc_protected, pt.analytic_protected), (pt.mc_unprotected, pt.analytic_unprotected)):
+            assert abs(mc - rate) <= 5 * tec.binomial_se(rate, pt.trials), (pt.p, mc, rate)
+
+
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
+def test_a_readout_that_drops_a_z_flip_makes_the_sweep_exit_3(monkeypatch, capsys, engine):
+    """Each row's read-out pattern may differ from its injected one only where no check and not
+    the surface sees it, so a readout that ignores face 1's Z flips is an internal error."""
+    backend = type(G8_CODE.state(engine).backend)
+    readout = backend.readout_x
+    def drop_face_1(self, rng, flips=None):
+        flips = flips.copy()
+        flips[:, 0] = False
+        return readout(self, rng, flips)
+
+    argv = ["sweep", "--engine", engine, "--trials", "40", "--steps", "1", "--p-min", "0.5", "--p-max", "0.5"]
+    monkeypatch.setattr(backend, "readout_x", drop_face_1)
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"tecsim: internal error: the {engine} readout moved a check or the surface\n"
 
 
 def test_fast_tables_match_tableau_pipeline_per_pattern():
