@@ -22,6 +22,7 @@ _S = np.array([[1, 0], [0, 1j]], dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_EYE = np.eye(2, dtype=complex)
 
 GATE_MATRICES = {"H": _H, "S": _S, "X": _X, "Y": _Y, "Z": _Z}
 
@@ -31,11 +32,25 @@ def _check_capacity(n: int) -> None:
         raise CapacityError(f"dense engine capped at {QUBIT_CAP} qubits, got {n}")
 
 
-def _apply_factors(amps: np.ndarray, factors) -> np.ndarray:
-    """Amplitudes after each (qubit, 2x2 matrix) of ``factors``; ``amps`` is left as is."""
-    for q, u in factors:
-        amps = np.einsum("ij,ajb->aib", u, amps.reshape(1 << q, 2, -1)).reshape(-1)
-    return amps
+def _apply_products(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """(T, 2^n): ``amps`` after each term's tensor product of its factors ``mats[t]``, (T, n, 2, 2).
+
+    Each group of at most four qubits applies the terms' Kronecker products over it, built by broadcasting;
+    the last group acts from the right, so on eight qubits, with X the 16x16 amplitude matrix, a term is
+    A X B^T. A group that is the identity in every term is skipped; if all are, the rows are views of ``amps``.
+    """
+    n, out = mats.shape[1], np.broadcast_to(amps, (len(mats), amps.size))
+    for s in range(0, n, 4):
+        if (mats[:, s : s + 4] == _EYE).all():
+            continue
+        g = mats[:, s]
+        for f in mats[:, s + 1 : s + 4].swapaxes(0, 1):
+            g = (g[:, :, None, :, None] * f[:, None, :, None, :]).reshape(len(g), 2 * g.shape[1], -1)
+        if s + 4 >= n:
+            out = out.reshape(len(mats), -1, len(g[0])) @ g.swapaxes(1, 2)
+        else:
+            out = g[:, None] @ out.reshape(len(mats), 1 << s, len(g[0]), -1)
+    return out.reshape(len(mats), -1)
 
 
 class StateVector:
@@ -73,13 +88,13 @@ class StateVector:
         gate = check_gate(gate, targets, self.n)
         if gate == "CZ":
             self._phase_flip_both_set(*targets)
-        elif gate == "CNOT":
-            c, t = targets
-            self.amps = _apply_factors(self.amps, [(t, _H)])
-            self._phase_flip_both_set(c, t)
-            self.amps = _apply_factors(self.amps, [(t, _H)])
-        else:
-            self.amps = _apply_factors(self.amps, [(targets[0], GATE_MATRICES[gate])])
+            return self
+        local = np.tile(_EYE, (1, self.n, 1, 1))
+        local[0, targets[-1]] = GATE_MATRICES.get(gate, _H)  # CNOT is H CZ H on its target
+        self.amps = _apply_products(self.amps, local)[0]
+        if gate == "CNOT":
+            self._phase_flip_both_set(*targets)
+            self.amps = _apply_products(self.amps, local)[0]
         return self
 
     def _phase_flip_both_set(self, a: int, b: int) -> None:
@@ -94,7 +109,8 @@ class StateVector:
         """Return the amplitudes of ``op|psi>`` (the state is untouched)."""
         if op.n != self.n:
             raise ValueError(f"operator acts on {op.n} qubits, state has {self.n}")
-        return op.phase * _apply_factors(self.amps, [(q, GATE_MATRICES[op.letter(q)]) for q in op.support()])
+        mats = np.array([GATE_MATRICES.get(op.letter(q), _EYE) for q in range(self.n)])
+        return op.phase * _apply_products(self.amps, mats[None])[0]
 
     def expectation_pauli(self, op: PauliOperator) -> float:
         """<psi|op|psi>, real as op is Hermitian."""
@@ -204,34 +220,24 @@ class DensityModel:
             raise ValueError(f"weights sum to {total}, expected 1")
 
 
-def _checked_factor(f) -> np.ndarray:
-    f = np.asarray(f, dtype=complex)
-    if f.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 factor, got {f.shape}")
-    if np.max(np.abs(f - f.conj().T)) > 1e-10:
-        raise ValueError("observable factor is not Hermitian within 1e-10")
-    return f
+def expectation_observable(model: DensityModel, terms) -> np.ndarray:
+    """Expectations of T tensor-product observables over a density model, as T floats.
 
-
-def expectation_observable(model: DensityModel, factors) -> float:
-    """Expectation of a tensor-product observable over a density model.
-
-    ``factors`` lists one 2x2 Hermitian matrix per qubit (``None`` for
-    identity). Linear in the ensemble weights; the uniform-mixture part is
-    the product of factor traces over 2**n.
+    ``terms`` is a (T, n, 2, 2) array, or T lists of one 2x2 Hermitian matrix per qubit (``None`` for
+    the identity); one observable is a stack of one. Linear in the ensemble weights; the
+    uniform-mixture part is each term's product of factor traces over 2**n.
     """
-    factors = list(factors)
-    if len(factors) != model.n:
-        raise ValueError(f"expected {model.n} factors, got {len(factors)}")
-    local = [(q, _checked_factor(f)) for q, f in enumerate(factors) if f is not None]
-    total = 0.0 + 0.0j
-    for weight, state in model.components:
-        total += weight * np.vdot(state.amps, _apply_factors(state.amps, local))
-    if model.mixed_weight:
-        trace_ratio = 1.0 + 0.0j
-        for _, f in local:
-            trace_ratio *= np.trace(f) / 2.0
-        total += model.mixed_weight * trace_ratio
-    if abs(total.imag) > 1e-10:
-        raise AssertionError(f"expectation has imaginary part {total.imag:.3g}")
-    return float(total.real)
+    if not isinstance(terms, np.ndarray):
+        terms = [[_EYE if f is None else f for f in term] for term in terms]
+    mats = np.asarray(terms, dtype=complex)
+    if mats.shape[1:] != (model.n, 2, 2):
+        raise ValueError(f"expected terms of {model.n} 2x2 factors, got a stack of shape {mats.shape}")
+    if (np.abs(mats - mats.conj().swapaxes(2, 3)) > 1e-10).any():
+        raise ValueError("observable factor is not Hermitian within 1e-10")
+    total = np.zeros(len(mats), dtype=complex)
+    for weight, state in model.components:  # einsum, not a BLAS gemv, which OpenBLAS may thread
+        total += weight * np.einsum("ti,i->t", _apply_products(state.amps, mats), state.amps.conj())
+    total += model.mixed_weight * np.prod(np.trace(mats, axis1=2, axis2=3) / 2.0, axis=1)
+    if (np.abs(total.imag) > 1e-10).any():
+        raise AssertionError(f"expectation has imaginary part {np.abs(total.imag).max():.3g}")
+    return total.real

@@ -6,12 +6,15 @@ settings: two computational-basis settings with X7 X8 / Y7 Y8 on the last
 pair, and six settings rotating all first six qubits through
 M_k = cos(k pi/6) X + sin(k pi/6) Y. Everything here is dense (256-dim):
 the rotated settings are not Pauli strings, so no tableau shortcut exists.
+Each setting is the difference of two tensor-product terms, and the settings
+form evaluates all 16 terms in one batched call of
+:func:`tecsim.dense.expectation_observable`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 
 import numpy as np
@@ -38,16 +41,9 @@ def build_target_states() -> tuple[StateVector, StateVector]:
     amplitudes (qubit 1 is the leftmost bit), independent of any circuit
     construction.
     """
-    psi = np.zeros(_DIM, dtype=complex)
-    psi[0b00000000] = 0.5
-    psi[0b00000011] = 0.5
-    psi[0b11111100] = 0.5
-    psi[0b11111111] = -0.5
-    psi_prime = np.zeros(_DIM, dtype=complex)
-    psi_prime[0b00000011] = 0.5
-    psi_prime[0b00000000] = -0.5
-    psi_prime[0b11111100] = 0.5
-    psi_prime[0b11111111] = 0.5
+    psi, psi_prime = np.zeros((2, _DIM), dtype=complex)
+    psi[[0b00000000, 0b00000011, 0b11111100, 0b11111111]] = 0.5, 0.5, 0.5, -0.5
+    psi_prime[[0b00000000, 0b00000011, 0b11111100, 0b11111111]] = -0.5, 0.5, 0.5, 0.5
     return StateVector.from_amplitudes(psi), StateVector.from_amplitudes(psi_prime)
 
 
@@ -72,12 +68,6 @@ class MeasurementSetting:
             total += coeff * reduce(np.kron, mats)
         return total
 
-    def expectation(self, model: DensityModel) -> float:
-        return sum(
-            coeff * expectation_observable(model, factors)
-            for coeff, factors in self.terms
-        )
-
 
 @dataclass(frozen=True)
 class WitnessOperator:
@@ -93,6 +83,11 @@ class WitnessOperator:
         proj_prime = np.outer(self.psi_prime.amps, self.psi_prime.amps[cols].conj())
         return 0.5 * np.eye(_DIM)[:, cols] - proj_psi + proj_prime
 
+    @cached_property
+    def term_factors(self) -> np.ndarray:
+        """Every setting's terms, in setting order, as one (terms, 8, 2, 2) stack of factors."""
+        return np.array([factors for s in self.settings for _, factors in s.terms], dtype=complex)
+
     def settings_matrix(self, lead: tuple[int, ...] = ()) -> np.ndarray:
         total = 0.5 * np.eye(_DIM, dtype=complex)[:, _columns(lead)]
         for setting in self.settings:
@@ -107,28 +102,19 @@ def _columns(lead: tuple[int, ...]) -> slice:
 
 
 def _computational_settings() -> list[MeasurementSetting]:
-    all_h = (_P0,) * 6
-    all_v = (_P1,) * 6
-    out = []
-    for name, pair, weight in (("A0", _X, -0.25), ("A1", _Y, +0.25)):
-        terms = (
-            (1.0, all_h + (pair, pair)),
-            (-1.0, all_v + (pair, pair)),
-        )
-        out.append(MeasurementSetting(name, weight, terms))
-    return out
+    return [
+        MeasurementSetting(name, weight, ((1.0, (_P0,) * 6 + (pair, pair)), (-1.0, (_P1,) * 6 + (pair, pair))))
+        for name, pair, weight in (("A0", _X, -0.25), ("A1", _Y, +0.25))
+    ]
 
 
 def _rotated_settings() -> list[MeasurementSetting]:
-    out = []
-    for k in range(6):
-        mk = rotated_setting_matrix(k)
-        terms = (
-            (1.0, (mk,) * 6 + (_P0, _P0)),
-            (-1.0, (mk,) * 6 + (_P1, _P1)),
+    return [
+        MeasurementSetting(
+            f"B{k}", -((-1.0) ** k) / 12.0, ((1.0, (mk,) * 6 + (_P0, _P0)), (-1.0, (mk,) * 6 + (_P1, _P1)))
         )
-        out.append(MeasurementSetting(f"B{k}", -((-1.0) ** k) / 12.0, terms))
-    return out
+        for k, mk in enumerate(map(rotated_setting_matrix, range(6)))
+    ]
 
 
 @lru_cache(maxsize=1)
@@ -149,9 +135,10 @@ def build_witness() -> WitnessOperator:
 
 
 def setting_expectations(model: DensityModel) -> dict[str, float]:
-    """Per-setting expectation values for a density model."""
+    """Per-setting expectation values for a density model, from one evaluation of all 16 terms."""
     witness = build_witness()
-    return {s.name: s.expectation(model) for s in witness.settings}
+    values = iter(expectation_observable(model, witness.term_factors).tolist())
+    return {s.name: sum(coeff * next(values) for coeff, _ in s.terms) for s in witness.settings}
 
 
 def witness_from_settings(values: dict[str, float]) -> float:

@@ -1,6 +1,7 @@
 """Oracles the tests share: replayed draws, per-qubit readouts, Pauli matrices, paper data,
 a Python decoder walk, flip-pattern chances and g8's hand-written error polynomials, fixtures,
-and the Pauli, state, stabilizer and homology helpers that only tests call.
+a per-term dense expectation, and the Pauli, state, stabilizer and homology helpers that only
+tests call.
 
 Test modules import it as ``from reference import ...``; ``tests/`` has no
 ``__init__.py``, so pytest, and ``python tests/<module>.py``, put this
@@ -203,6 +204,23 @@ def computational_zero(n: int) -> StateVector:
 
 def pure(state: StateVector) -> DensityModel:
     return DensityModel(state.n, ((1.0, state),))
+
+
+def apply_factors(amps: np.ndarray, factors) -> np.ndarray:
+    """Amplitudes after each (qubit, 2x2 matrix) of ``factors``, one full-size einsum per qubit."""
+    for q, u in factors:
+        amps = np.einsum("ij,ajb->aib", u, amps.reshape(1 << q, 2, -1)).reshape(-1)
+    return amps
+
+
+def term_expectation(model: DensityModel, factors) -> float:
+    """Per-term oracle: one tensor-product observable's expectation, ``factors`` one 2x2 matrix per
+    qubit (None for the identity), applied to each ensemble member qubit by qubit, then ``vdot``;
+    the uniform mixture adds the product of factor traces over 2**n."""
+    local = [(q, np.asarray(f, dtype=complex)) for q, f in enumerate(factors) if f is not None]
+    total = sum(weight * np.vdot(state.amps, apply_factors(state.amps, local)) for weight, state in model.components)
+    trace_ratio = np.prod([np.trace(f) / 2.0 for _, f in local])
+    return float((total + model.mixed_weight * trace_ratio).real)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -45,6 +45,7 @@ TEST_ONLY = (
     (dense.StateVector, "computational_zero", "computational_zero"),
     (dense.DensityModel, "pure", "pure"),
     (dense, "fidelity", "fidelity"),
+    (dense, "_apply_factors", "apply_factors"),
     (complexes, "homologically_equivalent", "homologically_equivalent"),
     (complexes, "complex_to_json", "complex_to_json"),
     (cluster, "stabilizer_generators", "stabilizer_generators"),

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tecsim.cluster import InteractionGraph, interaction_graph
 from tecsim.complexes import build_g8_complex
 from tecsim.dense import (
     DensityModel,
     StateVector,
-    _apply_factors,
+    _apply_products,
     build_graph_state_dense,
     expectation_observable,
 )
@@ -14,7 +16,7 @@ from tecsim.errors import CapacityError
 from tecsim.pauli import PauliOperator
 from tecsim.rng import philox_generator
 
-from reference import computational_zero, fidelity, pauli_from_text, pure
+from reference import computational_zero, fidelity, pauli_from_text, pure, term_expectation
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -75,7 +77,10 @@ def test_apply_hadamard():
 def test_apply_identity_is_noop():
     s = build_graph_state_dense(two_vertex_graph())
     before = s.amps.copy()
-    assert np.allclose(_apply_factors(s.amps, [(1, np.eye(2, dtype=complex))]), before)
+    stack = np.tile(np.eye(2, dtype=complex), (3, 2, 1, 1))
+    assert np.allclose(_apply_products(s.amps, stack), before)
+    stack[1, 0] = X
+    assert np.allclose(_apply_products(s.amps, stack)[[0, 2]], before)
     assert np.array_equal(s.amps, before)  # the input is left as is
 
 
@@ -91,31 +96,24 @@ def test_random_unitaries_preserve_norm():
 
 def test_setting_expectations_on_ideal_state():
     model = pure(StateVector.from_amplitudes(eq3_amplitudes()))
-    a0 = expectation_observable(model, [P0] * 6 + [X, X]) - expectation_observable(
-        model, [P1] * 6 + [X, X]
-    )
-    a1 = expectation_observable(model, [P0] * 6 + [Y, Y]) - expectation_observable(
-        model, [P1] * 6 + [Y, Y]
-    )
+    a0, a1 = (np.subtract(*expectation_observable(model, [[P0] * 6 + [m, m], [P1] * 6 + [m, m]])) for m in (X, Y))
     assert abs(a0 - 1.0) < 1e-12
     assert abs(a1 + 1.0) < 1e-12
     for k in range(6):
         mk = np.cos(k * np.pi / 6) * X + np.sin(k * np.pi / 6) * Y
-        bk = expectation_observable(model, [mk] * 6 + [P0, P0]) - expectation_observable(
-            model, [mk] * 6 + [P1, P1]
-        )
+        bk = np.subtract(*expectation_observable(model, [[mk] * 6 + [P0, P0], [mk] * 6 + [P1, P1]]))
         assert abs(bk - (-1.0) ** k) < 1e-12, k
 
 
 def test_expectation_observable_rejects_non_hermitian():
     model = pure(computational_zero(1))
     with pytest.raises(ValueError):
-        expectation_observable(model, [np.array([[0, 1], [0, 0]])])
+        expectation_observable(model, [[np.array([[0, 1], [0, 0]])]])
 
 
 def test_expectation_observable_identity_factors():
     model = pure(computational_zero(2))
-    assert expectation_observable(model, [None, None]) == pytest.approx(1.0)
+    assert expectation_observable(model, [[None, None]]).tolist() == pytest.approx([1.0])
 
 
 def test_expectation_linear_in_ensemble():
@@ -124,13 +122,64 @@ def test_expectation_linear_in_ensemble():
     amps_b = rng.normal(size=4) + 1j * rng.normal(size=4)
     a = StateVector.from_amplitudes(amps_a / np.linalg.norm(amps_a))
     b = StateVector.from_amplitudes(amps_b / np.linalg.norm(amps_b))
-    factors = [np.diag([1.0, -1.0]), X]
+    terms = [[np.diag([1.0, -1.0]), X], [None, Y], [X, None]]
     for w in (0.0, 0.25, 0.7, 1.0):
         mixed = DensityModel(2, ((w, a), (1.0 - w, b)))
-        expected = w * expectation_observable(pure(a), factors) + (
-            1.0 - w
-        ) * expectation_observable(pure(b), factors)
-        assert expectation_observable(mixed, factors) == pytest.approx(expected)
+        expected = w * expectation_observable(pure(a), terms) + (1.0 - w) * expectation_observable(pure(b), terms)
+        assert expectation_observable(mixed, terms) == pytest.approx(expected)
+
+
+def random_state(rng, n: int) -> StateVector:
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+def random_factor(rng):
+    """None, the identity, a Pauli or a random Hermitian matrix scaled to spectral norm 1."""
+    kind = rng.integers(4)
+    if kind < 2:
+        return None if kind == 0 else np.eye(2)
+    if kind == 2:
+        return [X, Y, np.diag([1.0, -1.0])][rng.integers(3)]
+    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    h = (m + m.conj().T) / 2.0
+    return h / np.abs(np.linalg.eigvalsh(h)).max()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.data())
+def test_batched_expectations_match_the_per_term_oracle(data):
+    """T products on n qubits in one call, as lists with Nones or as one (T, n, 2, 2) array, equal
+    the per-term oracle; one bad factor anywhere in the stack raises."""
+    n = data.draw(st.integers(1, 10), label="qubits")
+    count = data.draw(st.integers(1, 20), label="terms")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    mixed = data.draw(st.floats(0.05, 0.9), label="mixed weight")
+    members = [random_state(rng, n) for _ in range(data.draw(st.integers(1, 3), label="members"))]
+    weights = (rng.dirichlet(np.ones(len(members))) * (1.0 - mixed)).tolist()
+    model = DensityModel(n, tuple(zip(weights, members)), mixed_weight=mixed)
+    terms = [[random_factor(rng) for _ in range(n)] for _ in range(count)]
+    stack = [[np.eye(2) if f is None else f for f in term] for term in terms]
+    got = expectation_observable(model, np.array(stack) if data.draw(st.booleans(), label="array") else terms)
+    expected = [term_expectation(model, term) for term in terms]
+    assert got.shape == (count,)
+    assert np.abs(got - expected).max() <= 1e-12, (got, expected)
+
+    t, q = int(rng.integers(count)), int(rng.integers(n))
+    for bad in (np.array([[0, 1], [0, 0]]), np.eye(3), np.ones(2)):
+        wrong = [list(term) for term in terms]
+        wrong[t][q] = bad
+        with pytest.raises(ValueError):
+            expectation_observable(model, wrong)
+    with pytest.raises(ValueError, match="Hermitian"):
+        expectation_observable(model, np.array(stack) + np.array([[0, 1e-9], [0, 0]]))
+    with pytest.raises(ValueError, match="2x2 factors"):
+        expectation_observable(model, np.tile(np.eye(3), (count, n, 1, 1)))
+    for size in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="2x2 factors"):
+            expectation_observable(model, [[None] * size] * count)
+    with pytest.raises(ValueError):  # one term of the wrong length among right ones
+        expectation_observable(model, [[None] * n] * count + [[None] * (n + 1)])
 
 
 def test_density_model_validation():

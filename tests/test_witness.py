@@ -1,8 +1,10 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from tecsim import cli, witness
 from tecsim.cluster import build_cluster, interaction_graph
 from tecsim.complexes import build_g8_complex
 from tecsim.dense import DensityModel, StateVector
@@ -17,7 +19,7 @@ from tecsim.witness import (
     witness_from_settings,
 )
 
-from reference import computational_zero, fidelity, pure
+from reference import computational_zero, fidelity, pure, term_expectation
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +141,38 @@ def test_per_setting_values_on_ideal_state(targets):
     assert values["A1"] == pytest.approx(-1.0)
     for k in range(6):
         assert values[f"B{k}"] == pytest.approx((-1.0) ** k)
+
+
+def test_setting_expectations_evaluate_all_sixteen_terms_in_one_call(monkeypatch, targets):
+    calls = []
+    def counted(model, terms, _original=witness.expectation_observable):
+        calls.append(len(terms))
+        return _original(model, terms)
+
+    monkeypatch.setattr(witness, "expectation_observable", counted)
+    models = [white_noise_model(0.605), pure(targets[1]), DensityModel(8, (), mixed_weight=1.0)]
+    for model in models:
+        setting_expectations(model)
+    assert calls == [16] * len(models)
+
+
+def test_witness_output_is_the_per_term_reference(capsys):
+    """Every number ``tecsim witness`` prints at its default visibilities, against term-by-term
+    evaluation. Not a golden file: OpenBLAS kernels may round the last bit differently on other CPUs."""
+    assert cli.main(["witness"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [r["visibility"] for r in results] == list(cli.DEFAULT_VISIBILITIES)
+    settings = build_witness().settings
+    for result in results:
+        v, model = result["visibility"], white_noise_model(result["visibility"])
+        values = {s.name: sum(c * term_expectation(model, factors) for c, factors in s.terms) for s in settings}
+        assert result["settings"].keys() == values.keys()
+        assert max(abs(result["settings"][name] - x) for name, x in values.items()) <= 1e-12, (v, result)
+        w = 0.5 + sum(s.coefficient * values[s.name] for s in settings)
+        assert abs(result["witness_expectation"] - w) <= 1e-12, (v, result)
+        assert abs(result["fidelity_bound"] - (0.5 - w)) <= 1e-12, (v, result)
+        assert abs(w - (0.5 - v)) <= 1e-12, v  # white noise: W = 1/2 - v
+    assert abs(results[0]["settings"]["A0"] - 1.0) <= 1e-12  # v = 1
 
 
 def test_white_noise_family():
