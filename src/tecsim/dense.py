@@ -35,22 +35,26 @@ def _check_capacity(n: int) -> None:
 def _apply_products(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """(T, 2^n): ``amps`` after each term's tensor product of its factors ``mats[t]``, (T, n, 2, 2).
 
-    Each group of at most four qubits applies the terms' Kronecker products over it, built by broadcasting;
-    the last group acts from the right, so on eight qubits, with X the 16x16 amplitude matrix, a term is
-    A X B^T. A group that is the identity in every term is skipped; if all are, the rows are views of ``amps``.
+    Qubits that are the identity in every term are skipped. Each other qubit a outside an earlier run starts
+    a run that ends at the last such qubit below a + 4, and applies the terms' Kronecker products over it,
+    built by broadcasting. A run that ends at the last qubit acts from the right, so on eight qubits, with X
+    the 16x16 amplitude matrix, a term is A X B^T. If every qubit is skipped, the rows are views of ``amps``.
     """
-    n, out = mats.shape[1], np.broadcast_to(amps, (len(mats), amps.size))
-    for s in range(0, n, 4):
-        if (mats[:, s : s + 4] == _EYE).all():
-            continue
-        g = mats[:, s]
-        for f in mats[:, s + 1 : s + 4].swapaxes(0, 1):
-            g = (g[:, :, None, :, None] * f[:, None, :, None, :]).reshape(len(g), 2 * g.shape[1], -1)
-        if s + 4 >= n:
-            out = out.reshape(len(mats), -1, len(g[0])) @ g.swapaxes(1, 2)
+    n, out, end = mats.shape[1], amps[None], 0
+    busy = np.flatnonzero((mats != _EYE).any(axis=(0, 2, 3))).tolist()
+    for a in busy:
+        if a < end:
+            continue  # inside the previous run
+        end = 1 + max(q for q in busy if q < a + 4)
+        g = mats[:, a]
+        for f in mats[:, a + 1 : end].swapaxes(0, 1):
+            g = (g[:, :, None, :, None] * f[:, None, :, None, :]).reshape(len(g), 2 * len(g[0]), -1)
+        if end == n:
+            out = out.reshape(len(out), -1, len(g[0])) @ g.swapaxes(1, 2)
         else:
-            out = g[:, None] @ out.reshape(len(mats), 1 << s, len(g[0]), -1)
-    return out.reshape(len(mats), -1)
+            out = g[:, None] @ out.reshape(len(out), 1 << a, len(g[0]), -1)
+    out = out.reshape(len(out), -1)
+    return out if len(out) == len(mats) else np.broadcast_to(out, (len(mats), amps.size))
 
 
 class StateVector:
@@ -89,7 +93,7 @@ class StateVector:
         if gate == "CZ":
             self._phase_flip_both_set(*targets)
             return self
-        local = np.tile(_EYE, (1, self.n, 1, 1))
+        local = _EYE[None, None].repeat(self.n, 1)
         local[0, targets[-1]] = GATE_MATRICES.get(gate, _H)  # CNOT is H CZ H on its target
         self.amps = _apply_products(self.amps, local)[0]
         if gate == "CNOT":
@@ -109,8 +113,10 @@ class StateVector:
         """Return the amplitudes of ``op|psi>`` (the state is untouched)."""
         if op.n != self.n:
             raise ValueError(f"operator acts on {op.n} qubits, state has {self.n}")
-        mats = np.array([GATE_MATRICES.get(op.letter(q), _EYE) for q in range(self.n)])
-        return op.phase * _apply_products(self.amps, mats[None])[0]
+        mats = _EYE[None, None].repeat(self.n, 1)
+        for q in op.support():
+            mats[0, q] = GATE_MATRICES[op.letter(q)]
+        return op.phase * _apply_products(self.amps, mats)[0]
 
     def expectation_pauli(self, op: PauliOperator) -> float:
         """<psi|op|psi>, real as op is Hermitian."""
@@ -227,9 +233,12 @@ def expectation_observable(model: DensityModel, terms) -> np.ndarray:
     the identity); one observable is a stack of one. Linear in the ensemble weights; the
     uniform-mixture part is each term's product of factor traces over 2**n.
     """
-    if not isinstance(terms, np.ndarray):
-        terms = [[_EYE if f is None else f for f in term] for term in terms]
-    mats = np.asarray(terms, dtype=complex)
+    try:
+        if not isinstance(terms, np.ndarray):
+            terms = [[_EYE if f is None else f for f in term] for term in terms]
+        mats = np.asarray(terms, dtype=complex)
+    except (TypeError, ValueError) as err:  # a term that is not a list of factors, or a ragged stack
+        raise ValueError(f"expected terms of {model.n} 2x2 factors: {err}") from None
     if mats.shape[1:] != (model.n, 2, 2):
         raise ValueError(f"expected terms of {model.n} 2x2 factors, got a stack of shape {mats.shape}")
     if (np.abs(mats - mats.conj().swapaxes(2, 3)) > 1e-10).any():

@@ -233,14 +233,6 @@ def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
 _BLOCKS = {"tableau": 1 << 12, "dense": 1 << 8}  # rows per block, so memory does not grow with trials
 
 
-def _rarest_first(p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """pi_k = p^|k| (1 - p)^(n - |k|) for the 2^n patterns k, and pi.argsort(kind="stable") as a stable sort of
-    each pattern's small-int rank among the n + 1 distinct chances: equal chances stay in mask order."""
-    chances, weights = [p**w * (1.0 - p) ** (n - w) for w in range(n + 1)], np.bitwise_count(np.arange(1 << n))
-    rank = np.array(list(map(sorted(set(chances)).index, chances)), np.uint8)
-    return np.array(chances).take(weights), rank.take(weights).argsort(kind="stable")
-
-
 def _count_failures(
     engine: str, p: float, trials: int, seed: int, point_index: int,
     code: TopologicalCode = G8_CODE,
@@ -254,7 +246,8 @@ def _count_failures(
     point_index, 1)``, and counts the patterns read; one that moves a check or the surface raises.
     """
     n = len(code.faces)
-    pi, order = _rarest_first(p, n)  # rarest first, so numpy's running remainder of pi stays accurate
+    pi = np.array([p**w * (1.0 - p) ** (n - w) for w in range(n + 1)])[np.bitwise_count(np.arange(1 << n))]
+    order = pi.argsort(kind="stable")  # rarest first, so numpy's running remainder of pi stays accurate
     counts = np.zeros(1 << n, np.int64)
     counts[order] = philox_generator(seed, point_index).multinomial(trials, pi[order])
     if engine != "fast":

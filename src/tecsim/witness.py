@@ -41,9 +41,16 @@ def build_target_states() -> tuple[StateVector, StateVector]:
     amplitudes (qubit 1 is the leftmost bit), independent of any circuit
     construction.
     """
-    psi, psi_prime = np.zeros((2, _DIM), dtype=complex)
-    psi[[0b00000000, 0b00000011, 0b11111100, 0b11111111]] = 0.5, 0.5, 0.5, -0.5
-    psi_prime[[0b00000000, 0b00000011, 0b11111100, 0b11111111]] = -0.5, 0.5, 0.5, 0.5
+    psi = np.zeros(_DIM, dtype=complex)
+    psi[0b00000000] = 0.5
+    psi[0b00000011] = 0.5
+    psi[0b11111100] = 0.5
+    psi[0b11111111] = -0.5
+    psi_prime = np.zeros(_DIM, dtype=complex)
+    psi_prime[0b00000011] = 0.5
+    psi_prime[0b00000000] = -0.5
+    psi_prime[0b11111100] = 0.5
+    psi_prime[0b11111111] = 0.5
     return StateVector.from_amplitudes(psi), StateVector.from_amplitudes(psi_prime)
 
 
@@ -102,19 +109,28 @@ def _columns(lead: tuple[int, ...]) -> slice:
 
 
 def _computational_settings() -> list[MeasurementSetting]:
-    return [
-        MeasurementSetting(name, weight, ((1.0, (_P0,) * 6 + (pair, pair)), (-1.0, (_P1,) * 6 + (pair, pair))))
-        for name, pair, weight in (("A0", _X, -0.25), ("A1", _Y, +0.25))
-    ]
+    all_h = (_P0,) * 6
+    all_v = (_P1,) * 6
+    out = []
+    for name, pair, weight in (("A0", _X, -0.25), ("A1", _Y, +0.25)):
+        terms = (
+            (1.0, all_h + (pair, pair)),
+            (-1.0, all_v + (pair, pair)),
+        )
+        out.append(MeasurementSetting(name, weight, terms))
+    return out
 
 
 def _rotated_settings() -> list[MeasurementSetting]:
-    return [
-        MeasurementSetting(
-            f"B{k}", -((-1.0) ** k) / 12.0, ((1.0, (mk,) * 6 + (_P0, _P0)), (-1.0, (mk,) * 6 + (_P1, _P1)))
+    out = []
+    for k in range(6):
+        mk = rotated_setting_matrix(k)
+        terms = (
+            (1.0, (mk,) * 6 + (_P0, _P0)),
+            (-1.0, (mk,) * 6 + (_P1, _P1)),
         )
-        for k, mk in enumerate(map(rotated_setting_matrix, range(6)))
-    ]
+        out.append(MeasurementSetting(f"B{k}", -((-1.0) ** k) / 12.0, terms))
+    return out
 
 
 @lru_cache(maxsize=1)

@@ -78,6 +78,7 @@ def test_apply_identity_is_noop():
     s = build_graph_state_dense(two_vertex_graph())
     before = s.amps.copy()
     stack = np.tile(np.eye(2, dtype=complex), (3, 2, 1, 1))
+    assert _apply_products(s.amps, stack).shape == (3, 4)  # one row per term, even when none acts
     assert np.allclose(_apply_products(s.amps, stack), before)
     stack[1, 0] = X
     assert np.allclose(_apply_products(s.amps, stack)[[0, 2]], before)
@@ -96,12 +97,16 @@ def test_random_unitaries_preserve_norm():
 
 def test_setting_expectations_on_ideal_state():
     model = pure(StateVector.from_amplitudes(eq3_amplitudes()))
-    a0, a1 = (np.subtract(*expectation_observable(model, [[P0] * 6 + [m, m], [P1] * 6 + [m, m]])) for m in (X, Y))
+    plus, minus = expectation_observable(model, [[P0] * 6 + [X, X], [P1] * 6 + [X, X]])
+    a0 = plus - minus
+    plus, minus = expectation_observable(model, [[P0] * 6 + [Y, Y], [P1] * 6 + [Y, Y]])
+    a1 = plus - minus
     assert abs(a0 - 1.0) < 1e-12
     assert abs(a1 + 1.0) < 1e-12
     for k in range(6):
         mk = np.cos(k * np.pi / 6) * X + np.sin(k * np.pi / 6) * Y
-        bk = np.subtract(*expectation_observable(model, [[mk] * 6 + [P0, P0], [mk] * 6 + [P1, P1]]))
+        plus, minus = expectation_observable(model, [[mk] * 6 + [P0, P0], [mk] * 6 + [P1, P1]])
+        bk = plus - minus
         assert abs(bk - (-1.0) ** k) < 1e-12, k
 
 
@@ -178,8 +183,10 @@ def test_batched_expectations_match_the_per_term_oracle(data):
     for size in (n - 1, n + 1):
         with pytest.raises(ValueError, match="2x2 factors"):
             expectation_observable(model, [[None] * size] * count)
-    with pytest.raises(ValueError):  # one term of the wrong length among right ones
+    with pytest.raises(ValueError, match="2x2 factors"):  # one term of the wrong length among right ones
         expectation_observable(model, [[None] * n] * count + [[None] * (n + 1)])
+    with pytest.raises(ValueError, match="2x2 factors"):  # one observable's factors, not a stack of one
+        expectation_observable(model, [X] + [None] * (n - 1))
 
 
 def test_density_model_validation():

@@ -678,17 +678,6 @@ def test_huge_points_draw_no_trials_onto_patterns_they_cannot_reach(p):
     assert tec._count_failures("fast", p, trials, 3, 0) == tuple((_brute_force_verdicts() @ counts).tolist())
 
 
-@pytest.mark.parametrize("faces", [6, 10, 20])
-def test_rarest_first_is_the_stable_argsort_of_the_pattern_chances(faces):
-    """The order sorts small-int ranks of the faces + 1 distinct chances, yet it must be pi's own
-    stable argsort, ties in mask order included: p = 0.5, and chances that underflow to 0."""
-    for p in (0.0, 1e-310, 1e-6, 0.25, 0.5, 0.75, 1.0):
-        pi, order = tec._rarest_first(p, faces)
-        if faces <= 10:
-            assert pi.tolist() == pattern_chances(p, faces), p
-        assert np.array_equal(order, pi.argsort(kind="stable")), p
-
-
 def test_a_fast_point_of_10_10_trials_lies_within_5_sigma_of_the_rates():
     points = monte_carlo_sweep(cli._grid(0.0, 1.0, 21), 10**10, seed=29)
     for pt in points:
