@@ -177,7 +177,7 @@ def build_cuboid_complex(length: int, width: int, depth: int) -> CellComplex:
     dims = (length, width, depth)
     if min(dims) < 1:
         raise ValueError("cell counts per axis must be >= 1")
-    qubits = sum(prod(map(len, _corner_ranges(dims, s))) for s in _CUBOID_SPANS if 0 < len(s) < 3)
+    qubits = sum(prod(n + (a not in s) for n, a in zip(dims, "xyz")) for s in _CUBOID_SPANS if 0 < len(s) < 3)
     if qubits > CUBOID_QUBIT_CAP:
         raise CapacityError(f"{qubits} face+edge qubits exceed the cap of {CUBOID_QUBIT_CAP}")
     names: dict[str, list] = {}  # span -> [i][j][k] -> cell name

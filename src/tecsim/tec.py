@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
 
-from .cluster import ClusterState, OutcomeRecord, build_cluster, interaction_graph
+from .cluster import ENGINES, ClusterState, OutcomeRecord, build_cluster, interaction_graph
 from .cluster import measure_all  # noqa: F401  perfbench/tracing.py patches tec.measure_all
 from .complexes import (
     G8_PROTECTED_SURFACE,
@@ -33,7 +33,7 @@ from .complexes import (
 from .errors import CapacityError
 from .rng import philox_generator
 
-SWEEP_ENGINES = ("fast", "tableau", "dense")
+SWEEP_ENGINES = ("fast", *ENGINES)
 
 MAX_CODE_FACES = 20  # the decoder enumerates all 2^F flip patterns of F faces
 
@@ -62,6 +62,7 @@ class TopologicalCode:
     complex: CellComplex = field(repr=False)
     faces: tuple[str, ...]
     checks: tuple[int, ...]
+    independent: tuple[int, ...] = field(repr=False)  # the r checks' positions, in key bit order
     surface: int
     leaders: np.ndarray = field(repr=False)
     tables: np.ndarray = field(repr=False)
@@ -104,9 +105,10 @@ class TopologicalCode:
     @cached_property
     def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
         """Each flip pattern as a bool row, face i in column i, and whether it moves a check or the surface."""
-        masks, n = np.arange(self.tables.shape[1]), len(self.faces)
-        moved = np.any([_parities(masks, m) for m in (*self.checks, self.surface)], 0)
-        return (masks[:, None] >> np.arange(n) & 1).astype(bool), moved
+        masks, moved = np.arange(self.tables.shape[1], dtype="<u4"), np.zeros(self.tables.shape[1], bool)
+        for m in (*self.checks, self.surface):
+            moved |= _parities(masks, m).view(bool)
+        return np.unpackbits(masks.view(np.uint8).reshape(-1, 4), 1, len(self.faces), "little").view(bool), moved
 
     def sample_errors(self, p: float, rng: np.random.Generator) -> frozenset:
         """Face numbers of the code's faces, each flipped independently with probability p."""
@@ -119,8 +121,8 @@ class TopologicalCode:
 
     def decode_and_correct(self, outcomes: OutcomeRecord) -> tuple[int, frozenset]:
         """Corrected protected product and the correction used, applied classically."""
-        flips, independent = self.flips(outcomes), _independent(self.checks)  # flips read once, for key and verdict
-        key = sum(1 << j for j, i in enumerate(independent) if (flips & self.checks[i]).bit_count() & 1)
+        flips = self.flips(outcomes)  # read once, for key and verdict
+        key = sum(1 << j for j, i in enumerate(self.independent) if (flips & self.checks[i]).bit_count() & 1)
         leader = int(self.leaders[key])
         return -1 if self.flipped(flips ^ leader) else 1, _pattern(leader)
 
@@ -164,7 +166,8 @@ def build_code(cx: CellComplex, surface) -> TopologicalCode:
         raise ValueError(f"surface {sorted(chain.cells)} bounds volumes, so it protects nothing")
     surface_mask = sum(1 << i for i, f in enumerate(faces) if f in chain.cells)
     checks = volume_boundary_masks(cx)
-    basis = [checks[i] for i in _independent(checks)]
+    independent = tuple(sorted(set(range(len(checks))) - _gf2_echelon(checks)[1].keys()))  # outside earlier spans
+    basis = [checks[i] for i in independent]
     patterns, all_faces = np.arange(1 << len(faces)), (1 << len(faces)) - 1
     keys = sum((_parities(patterns, c).astype(np.int64) << j for j, c in enumerate(basis)), np.zeros_like(patterns))
     rank = np.bitwise_count(patterns).astype(np.int64) << len(faces) | patterns  # by weight, then mask
@@ -176,16 +179,12 @@ def build_code(cx: CellComplex, surface) -> TopologicalCode:
     tables = np.array([_parities(patterns ^ best, surface_mask), _parities(patterns, surface_mask)], np.int64)
     leaders.setflags(write=False)  # shared by every caller
     tables.setflags(write=False)
-    code = TopologicalCode(cx, faces, checks, surface_mask, leaders, tables, tuple(map(_enumerator, tables)))
+    code = TopologicalCode(
+        cx, faces, checks, independent, surface_mask, leaders, tables, tuple(map(_enumerator, tables))
+    )
     if tied.size:
         raise AssertionError(f"minimum-weight tie for syndrome {code.syndrome(int(tied.min()) & all_faces)}")
     return code
-
-
-@cache  # each decode reads it
-def _independent(checks: tuple[int, ...]) -> tuple[int, ...]:
-    """Positions of the checks not in the span of those before them: bit j of a key is the j-th."""
-    return tuple(sorted(set(range(len(checks))) - _gf2_echelon(checks)[1].keys()))
 
 
 def _parities(masks: np.ndarray, check) -> np.ndarray:
@@ -230,7 +229,7 @@ def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
 # Monte Carlo
 
 
-_BLOCKS = {"tableau": 1 << 12, "dense": 1 << 8}  # rows per block, so memory does not grow with trials
+_BLOCK = 1 << 12  # rows per state-engine readout, so memory does not grow with trials
 
 
 def _count_failures(
@@ -243,7 +242,8 @@ def _count_failures(
     multinomial(trials, pi_k = p^|k| (1 - p)^(F - |k|)), from ``philox_generator(seed, point_index)``,
     and ``fast`` looks them up in ``code.tables``. Trial t flips row t of their expansion in pattern order.
     A state engine reads those rows out per block via ``readout_x``, random X outcomes from ``(seed,
-    point_index, 1)``, and counts the patterns read; one that moves a check or the surface raises.
+    point_index, 1)``, and checks each row: a read-out pattern that moves a check or the surface against
+    the injected one raises. Any other keeps the key and surface parity, so the drawn counts are the counts.
     """
     n = len(code.faces)
     pi = np.array([p**w * (1.0 - p) ** (n - w) for w in range(n + 1)])[np.bitwise_count(np.arange(1 << n))]
@@ -253,14 +253,12 @@ def _count_failures(
     if engine != "fast":
         backend, outcome_rng = code._state(engine).backend, philox_generator(seed, point_index, 1)
         bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
-        (rows, moved), ends, counts = code._patterns, counts.cumsum(), np.zeros(1 << n, np.int64)
-        for start in range(0, trials, _BLOCKS[engine]):
-            injected = ends.searchsorted(np.arange(start, min(start + _BLOCKS[engine], trials)), "right")
+        (rows, moved), ends = code._patterns, counts.cumsum()
+        for start in range(0, trials, _BLOCK):
+            injected = ends.searchsorted(np.arange(start, min(start + _BLOCK, trials)), "right")
             faces = backend.readout_x(outcome_rng, rows.take(injected, 0))[:, :n] < 0  # face i is qubit i
-            read = faces.view(np.uint8) @ bits
-            if moved[read ^ injected].any():
+            if moved[faces.view(np.uint8) @ bits ^ injected].any():
                 raise AssertionError(f"the {engine} readout moved a check or the surface")
-            counts += np.bincount(read, minlength=counts.size)
     return tuple((code.tables @ counts).tolist())
 
 

@@ -97,6 +97,19 @@ def test_a_20_face_build_traces_under_80_mib():
     assert code.leaders.shape == (2**18,)
 
 
+def test_a_20_face_codes_pattern_rows_trace_under_twice_their_size():
+    """The state engines' 2^20 bool rows of 20 faces and the moved flags take no int64 temporaries."""
+    code = build_code(_ring(9, 11), {"a9", "b11"})
+    tracemalloc.start()
+    try:
+        rows, moved = code._patterns
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (2**20, 20) and rows.dtype == bool and moved.shape == (2**20,)
+    assert peak < 2 * rows.nbytes, peak
+
+
 def test_minimum_weight_tie_raises():
     """An even chain's half and its complement share a syndrome and a weight; the message names
     the syndrome of the first tied pattern in weight order."""
@@ -137,10 +150,9 @@ def test_numpy_pass_matches_the_weight_order_walk(data):
     event(f"{len(code.checks) - len(ring)} dependent checks")
     # a key's bit j is independent check j's -1; each walk syndrome has its own leader, so
     # equal entries mean distinct keys
-    independent = tec._independent(code.checks)
     assert len(code.leaders) == len(leaders) == 2 ** len(ring)
     for syndrome, leader in leaders.items():
-        assert code.leaders[sum(1 << j for j, i in enumerate(independent) if syndrome[i] == -1)] == leader
+        assert code.leaders[sum(1 << j for j, i in enumerate(code.independent) if syndrome[i] == -1)] == leader
     assert np.array_equal(code.tables, tables) and code.tables.dtype == tables.dtype
     assert code.enumerators[1] == (0, 2, 0)  # one of the surface's two faces flipped
     for p in (0.1, 0.5, 0.7):
@@ -201,6 +213,21 @@ def test_tables_times_the_pattern_chances_are_the_codes_rates(ring5):
         for code in (G8_CODE, ring5, *rings):
             got = code.tables @ chances[len(code.faces)]
             assert got.tolist() == pytest.approx(code.rates(p), abs=1e-12), (len(code.faces), p)
+
+
+def test_a_difference_that_moves_no_check_and_not_the_surface_keeps_both_verdicts(ring5):
+    """The state engines check each row's read pattern against the injected one and count neither:
+    for every pattern k and every d that moves no check and not the surface, k ^ d fails as k does.
+    g8, ring5 and every odd two-chain ring up to 14 faces, each with a d besides 0."""
+    rings = [build_code(_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
+    for code in (G8_CODE, ring5, *rings):
+        (rows, moved), n = code._patterns, len(code.faces)
+        patterns, seen = np.arange(1 << n), (*code.checks, code.surface)
+        assert np.array_equal(rows, (patterns[:, None] >> np.arange(n) & 1).astype(bool)), n
+        unmoved = [d for d in range(1 << n) if not any((d & m).bit_count() & 1 for m in seen)]
+        assert np.flatnonzero(~moved).tolist() == unmoved and len(unmoved) > 1, n
+        for d in unmoved:
+            assert np.array_equal(code.tables[:, patterns ^ d], code.tables), (n, d)
 
 
 def test_ring5_has_256_syndromes_and_distance_5(ring5):

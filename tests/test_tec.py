@@ -398,7 +398,7 @@ def test_engine_sweep_counts_match_per_trial_reference(ring5, engine, trials):
 @pytest.mark.parametrize("p", [0.0, 1e-9, 0.05, 0.5, 1.0])
 def test_sign_frame_counts_match_per_trial_loop(monkeypatch, p, seed):
     block = 64  # a small block puts every block edge in reach of a short reference loop
-    monkeypatch.setitem(tec._BLOCKS, "tableau", block)
+    monkeypatch.setattr(tec, "_BLOCK", block)
     for point in (0, 5):
         for trials in (1, block - 1, block, block + 1, 2 * block + 7):
             got = tec._count_failures("tableau", p, trials, seed, point)
@@ -407,7 +407,7 @@ def test_sign_frame_counts_match_per_trial_loop(monkeypatch, p, seed):
 
 
 def test_sign_frame_counts_match_per_trial_loop_at_the_tableau_block():
-    block, seed = tec._BLOCKS["tableau"], 2**64 + 3
+    block, seed = tec._BLOCK, 2**64 + 3
     for trials in (1, block - 1, block, block + 1, 2 * block + 7):
         expected = reference_counts(G8_CODE, 0.05, trials, seed, 1)
         assert tec._count_failures("tableau", 0.05, trials, seed, 1) == expected, trials
@@ -417,7 +417,7 @@ def test_sign_frame_counts_match_per_trial_loop_at_the_tableau_block():
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
 def test_dense_block_counts_match_per_trial_loop(monkeypatch, p, seed):
     block = 16  # a small block puts every block edge in reach of a short reference loop
-    monkeypatch.setitem(tec._BLOCKS, "dense", block)
+    monkeypatch.setattr(tec, "_BLOCK", block)
     for point in (0, 5):
         for trials in (1, block - 1, block, block + 1, 2 * block + 7):
             got = tec._count_failures("dense", p, trials, seed, point)
@@ -436,7 +436,7 @@ def test_dense_block_counts_match_per_trial_loop(monkeypatch, p, seed):
 )
 def test_state_engine_counts_equal_the_fast_counts(engine, seed, point, p, trials, block):
     """The random X outcomes change no verdict, so any block size gives the fast counts."""
-    with patch.dict(tec._BLOCKS, {engine: block}):
+    with patch.object(tec, "_BLOCK", block):
         got = tec._count_failures(engine, p, trials, seed, point)
     assert got == tec._count_failures("fast", p, trials, seed, point)
 
@@ -474,7 +474,7 @@ def test_sweep_blocks_read_the_points_outcome_stream_in_order(monkeypatch, engin
         return outcomes[-1]
 
     monkeypatch.setattr(type(backend), "readout_x", spy)
-    monkeypatch.setitem(tec._BLOCKS, engine, 16)
+    monkeypatch.setattr(tec, "_BLOCK", 16)
     tec._count_failures(engine, p, trials, seed, point)
     flips = np.array([[k >> i & 1 for i in range(6)] for k in trial_patterns(p, trials, seed, point)], bool)
     expected = readout(backend, philox_generator(seed, point, 1), flips)
@@ -496,7 +496,7 @@ def test_run_pattern_is_a_block_of_one(monkeypatch, engine):
 def test_tableau_readout_runs_one_echelon_per_call(monkeypatch):
     """One echelon of the neighbour masks per ``readout_x`` call: per sweep block, per record."""
     block = 64
-    monkeypatch.setitem(tec._BLOCKS, "tableau", block)
+    monkeypatch.setattr(tec, "_BLOCK", block)
     code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
     calls = []
     echelon = tableau._gf2_echelon
