@@ -158,9 +158,9 @@ class StateVector:
         earlier readouts, is the sign of a1 at that step. The expectation, the thresholds and a
         draw only where the outcome is random are :meth:`measure_pauli`'s. Each step is a real
         linear map, so the rows hold float64: the real parts of a real state, which stays
-        real, else the interleaved real and imaginary parts. A block holds at most 2^16
-        amplitudes (1 MiB) at a time; the state alone is a block of one. Each copy reads n
-        doubles of ``rng``, and its k-th random outcome reads double k.
+        real, else the interleaved real and imaginary parts. A block is read in parts of max(1,
+        2^16 >> n) rows, so a part holds max(2^16, 2^n) amplitudes: at most 1 MiB up to 16 qubits,
+        2^(n - 16) MiB past them. Each copy reads n doubles of ``rng``; its k-th random outcome, double k.
         """
         n, block = self.n, np.zeros((1, 0), bool) if flips is None else flips
         step = max(1, (1 << 16) >> n)

@@ -3,7 +3,7 @@
 :func:`build_code` derives the code from the complex in one numpy pass over the flip
 patterns: the volume boundaries are the parity checks, a nontrivial closed surface carries
 the protected correlation, the decoder maps each syndrome to its unique minimum-weight flip
-pattern, and the failure tables' weight enumerators give the error rates. The code owns the
+pattern, and the verdicts' weight enumerators give the error rates. The code owns the
 complex's cluster state, faces first, built on first use per engine, and runs one trial at a
 time on it. The per-trial names and analytic curves here are the eight-qubit demo
 :data:`G8_CODE`'s methods and rates. Monte-Carlo sweeps of any code follow.
@@ -51,12 +51,12 @@ def _pattern(mask: int) -> frozenset:
 class TopologicalCode:
     """Parity checks, protected surface and lookup decoder of a cell complex.
 
-    Flip patterns, checks and the surface are face bitmasks: bit i is ``faces[i]``, face number
-    i + 1 in the public frozenset form, and qubit i of :meth:`state`. A syndrome holds one +-1 per
-    check, the product of the face outcomes around that volume; its key sets bit j where the j-th
-    of the r independent checks reads -1. Read-only, ``leaders[k]`` is key k's unique
-    minimum-weight flip bitmask, and ``tables`` has rows protected and unprotected, failure per
-    flip bitmask; ``enumerators`` has each row's A_0..A_m over its support.
+    Flip patterns, checks and the surface are face bitmasks: bit i is ``faces[i]``, face number i + 1 in the
+    public frozenset form, and qubit i of :meth:`state`. A syndrome holds one +-1 per check, the product of the
+    face outcomes around that volume; its key sets bit j where the j-th of the r independent checks reads -1.
+    Read-only, ``leaders[k]`` is key k's unique minimum-weight flip bitmask; ``cells[c, w]`` counts the weight-w
+    patterns of class c = 2 * (protected fails) + (unprotected fails), and ``members`` lists them cell by cell,
+    in ``cells.ravel()`` order, mask order inside each. ``enumerators`` has each verdict's A_0..A_m over its support.
     """
 
     complex: CellComplex = field(repr=False)
@@ -65,7 +65,8 @@ class TopologicalCode:
     independent: tuple[int, ...] = field(repr=False)  # the r checks' positions, in key bit order
     surface: int
     leaders: np.ndarray = field(repr=False)
-    tables: np.ndarray = field(repr=False)
+    cells: np.ndarray = field(repr=False)
+    members: np.ndarray = field(repr=False)
     enumerators: tuple[tuple[int, ...], ...]
     _states: dict[str, ClusterState] = field(default_factory=dict, init=False, repr=False)
 
@@ -105,7 +106,7 @@ class TopologicalCode:
     @cached_property
     def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
         """Each flip pattern as a bool row, face i in column i, and whether it moves a check or the surface."""
-        masks, moved = np.arange(self.tables.shape[1], dtype="<u4"), np.zeros(self.tables.shape[1], bool)
+        masks, moved = np.arange(self.members.size, dtype="<u4"), np.zeros(self.members.size, bool)
         for m in (*self.checks, self.surface):
             moved |= _parities(masks, m).view(bool)
         return np.unpackbits(masks.view(np.uint8).reshape(-1, 4), 1, len(self.faces), "little").view(bool), moved
@@ -176,11 +177,14 @@ def build_code(cx: CellComplex, surface) -> TopologicalCode:
     leaders &= all_faces
     best = leaders[keys]  # each pattern's leader
     tied = rank[(best != patterns) & (np.bitwise_count(best) == np.bitwise_count(patterns))]
-    tables = np.array([_parities(patterns ^ best, surface_mask), _parities(patterns, surface_mask)], np.int64)
-    leaders.setflags(write=False)  # shared by every caller
-    tables.setflags(write=False)
+    verdicts = _parities(patterns ^ best, surface_mask), _parities(patterns, surface_mask)
+    cell = (2 * verdicts[0] + verdicts[1]) * (len(faces) + 1) + np.bitwise_count(patterns)  # (class, weight)
+    cells = np.bincount(cell, minlength=4 * (len(faces) + 1)).reshape(4, -1)
+    members = cell.argsort(kind="stable").astype(np.uint32)  # grouped by cell, in mask order inside each
+    for array in (leaders, cells, members):
+        array.setflags(write=False)  # shared by every caller
     code = TopologicalCode(
-        cx, faces, checks, independent, surface_mask, leaders, tables, tuple(map(_enumerator, tables))
+        cx, faces, checks, independent, surface_mask, leaders, cells, members, tuple(map(_enumerator, verdicts))
     )
     if tied.size:
         raise AssertionError(f"minimum-weight tie for syndrome {code.syndrome(int(tied.min()) & all_faces)}")
@@ -222,7 +226,7 @@ def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
     """The protected rate, summed exactly over the failing patterns of all F faces: the per-pattern oracle."""
     _check_probability(p)
     terms = [p**w * (1.0 - p) ** (len(code.faces) - w) for w in range(len(code.faces) + 1)]  # by weight
-    return math.fsum(np.array(terms)[np.bitwise_count(np.flatnonzero(code.tables[0]))].tolist())
+    return math.fsum(np.repeat(terms * 2, code.cells[2:].ravel()).tolist())  # classes 2, 3: a term per pattern
 
 
 # ----------------------------------------------------------------------
@@ -238,28 +242,28 @@ def _count_failures(
 ) -> tuple[int, int]:
     """(protected, unprotected) failures of ``trials`` trials at one grid point on ``engine``.
 
-    A trial's verdicts depend on its flip pattern k alone, so the point draws how many trials flip each,
-    multinomial(trials, pi_k = p^|k| (1 - p)^(F - |k|)), from ``philox_generator(seed, point_index)``,
-    and ``fast`` looks them up in ``code.tables``. Trial t flips row t of their expansion in pattern order.
-    A state engine reads those rows out per block via ``readout_x``, random X outcomes from ``(seed,
-    point_index, 1)``, and checks each row: a read-out pattern that moves a check or the surface against
-    the injected one raises. Any other keeps the key and surface parity, so the drawn counts are the counts.
+    A pattern's class fixes its verdicts and its weight w its chance, p^w (1 - p)^(F - w), so the point draws
+    how many trials land in each cell: one multinomial over the cells' chances, rarest first, from ``rng =
+    philox_generator(seed, point_index)``. Trial t lands in the first cell (``cells.ravel()`` order) whose running
+    count passes t. A state engine picks its pattern, member ``int(rng.random() * size)`` of the cell, one double
+    per trial in order, reads the rows out per ``_BLOCK`` (X outcomes from ``(seed, point_index, 1)``) and raises
+    on a pattern read out that moves a check or the surface against the injected one. All sum cells by class.
     """
     n = len(code.faces)
-    pi = np.array([p**w * (1.0 - p) ** (n - w) for w in range(n + 1)])[np.bitwise_count(np.arange(1 << n))]
-    order = pi.argsort(kind="stable")  # rarest first, so numpy's running remainder of pi stays accurate
-    counts = np.zeros(1 << n, np.int64)
-    counts[order] = philox_generator(seed, point_index).multinomial(trials, pi[order])
+    chances = (code.cells * [p**w * (1.0 - p) ** (n - w) for w in range(n + 1)]).ravel()  # per cell
+    order, rng = chances.argsort(kind="stable"), philox_generator(seed, point_index)  # rarest first, so numpy's
+    counts = rng.multinomial(trials, chances[order])[order.argsort()]  # running remainder stays accurate
     if engine != "fast":
         backend, outcome_rng = code._state(engine).backend, philox_generator(seed, point_index, 1)
-        bits = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1))
-        (rows, moved), ends = code._patterns, counts.cumsum()
+        (rows, moved), ends, sizes = code._patterns, counts.cumsum(), code.cells.ravel()
+        bits, firsts = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1)), sizes.cumsum() - sizes
         for start in range(0, trials, _BLOCK):
-            injected = ends.searchsorted(np.arange(start, min(start + _BLOCK, trials)), "right")
+            cell = ends.searchsorted(np.arange(start, min(start + _BLOCK, trials)), "right")
+            injected = code.members[firsts[cell] + (rng.random(cell.size) * sizes[cell]).astype(int)]
             faces = backend.readout_x(outcome_rng, rows.take(injected, 0))[:, :n] < 0  # face i is qubit i
             if moved[faces.view(np.uint8) @ bits ^ injected].any():
                 raise AssertionError(f"the {engine} readout moved a check or the surface")
-    return tuple((code.tables @ counts).tolist())
+    return sum(counts[2 * n + 2 :].tolist()), sum(counts.reshape(4, -1)[1::2].ravel().tolist())  # classes 2, 3; 1, 3
 
 
 @dataclass(frozen=True)
@@ -314,7 +318,7 @@ def monte_carlo_sweep(
     output is bitwise identical for any worker count and any completion
     order, and every engine gives the same counts.
     """
-    if not 1 <= trials <= 2**63 - 1:  # numpy draws the pattern counts as int64
+    if not 1 <= trials <= 2**63 - 1:  # numpy draws the cell counts as int64
         raise ValueError("trials must be in [1, 2**63 - 1]")
     if workers < 1:
         raise ValueError("workers must be >= 1")

@@ -1,5 +1,5 @@
 """Oracles the tests share: replayed draws, per-qubit readouts, Pauli matrices, paper data,
-a Python decoder walk, flip-pattern chances and g8's hand-written error polynomials, fixtures,
+a Python decoder walk and its cells, flip-pattern chances and g8's hand-written error polynomials, fixtures,
 a per-term dense expectation, and the Pauli, state, stabilizer and homology helpers that only
 tests call.
 
@@ -60,6 +60,25 @@ def walk_decoder(checks, surface: int, n: int) -> tuple[dict, np.ndarray]:
             raise AssertionError(f"minimum-weight tie for syndrome {syndrome(flips)}")
         tables[:, flips] = ((flips ^ best) & surface).bit_count() & 1, (flips & surface).bit_count() & 1
     return leaders, tables
+
+
+def walk_cells(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A walk's tables as a code's cells and members: the bincount of each pattern's (class, weight), class
+    2 * protected + unprotected failure, and the patterns sorted by (class, weight), mask order inside each."""
+    n = tables.shape[1].bit_length() - 1
+    classes = (2 * tables[0] + tables[1]).tolist()
+    cell = [classes[k] * (n + 1) + k.bit_count() for k in range(1 << n)]
+    members = sorted(range(1 << n), key=cell.__getitem__)  # a stable sort
+    return np.bincount(cell, minlength=4 * (n + 1)).reshape(4, n + 1), np.array(members, np.uint32)
+
+
+def code_verdicts(code) -> np.ndarray:
+    """(protected, unprotected) failure of each flip bitmask, read back from ``code.cells`` and
+    ``code.members``: the members run class by class, so class c holds the next cells[c].sum() of them."""
+    classes = np.repeat(np.arange(4), code.cells.sum(1))
+    verdicts = np.zeros((2, code.members.size), np.int64)
+    verdicts[:, code.members] = classes >> 1, classes & 1
+    return verdicts
 
 
 def g8_unprotected_polynomial(p: float) -> float:

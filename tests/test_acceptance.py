@@ -17,7 +17,14 @@ from tecsim.complexes import Chain, boundary
 from tecsim.rng import philox_generator
 from tecsim.witness import setting_expectations, witness_from_settings
 
-from reference import SINGLE_ERROR_SYNDROMES, fidelity, homologically_equivalent, pure, stabilizer_generators
+from reference import (
+    SINGLE_ERROR_SYNDROMES,
+    code_verdicts,
+    fidelity,
+    homologically_equivalent,
+    pure,
+    stabilizer_generators,
+)
 
 
 @contextmanager
@@ -79,8 +86,9 @@ def test_criterion_4_enumeration_oracle_identity():
     with criterion(4, "64-pattern enumeration equals the closed form", 1.0):
         for p in np.linspace(0.0, 1.0, 101):
             assert abs(tec.exact_enumeration(float(p)) - tec.analytic_protected(float(p))) <= 1e-12
-        weights = np.bitwise_count(np.flatnonzero(tec.G8_CODE.tables[0] == 0)).tolist()
+        weights = np.bitwise_count(np.flatnonzero(code_verdicts(tec.G8_CODE)[0] == 0)).tolist()
         assert Counter(weights) == {0: 1, 1: 6, 2: 9, 4: 9, 5: 6, 6: 1}
+        assert tec.G8_CODE.cells[:2].sum(0).tolist() == [1, 6, 9, 0, 9, 6, 1]  # the same, per cell
 
 
 def test_criterion_5_error_rate_sweep():

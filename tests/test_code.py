@@ -1,4 +1,4 @@
-"""The code derived from a cell complex: checks, surface, decoder and fast tables."""
+"""The code derived from a cell complex: checks, surface, decoder, and its class x weight cells."""
 
 import math
 import tracemalloc
@@ -25,7 +25,7 @@ from tecsim.errors import CapacityError
 from tecsim.rng import philox_generator
 from tecsim.tec import G8_CODE, MAX_CODE_FACES, build_code, exact_enumeration
 
-from reference import RING5, pattern_chances, walk_decoder
+from reference import RING5, code_verdicts, pattern_chances, walk_cells, walk_decoder
 
 
 def _ring(a: int, b: int) -> CellComplex:
@@ -47,7 +47,10 @@ def test_g8_code_is_rebuilt_identically_from_its_complex():
     code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
     assert (code.faces, code.checks, code.surface) == (G8_CODE.faces, G8_CODE.checks, G8_CODE.surface)
     assert np.array_equal(code.leaders, G8_CODE.leaders) and not code.leaders.flags.writeable
-    assert np.array_equal(code.tables, G8_CODE.tables)
+    assert np.array_equal(code.cells, G8_CODE.cells) and np.array_equal(code.members, G8_CODE.members)
+    assert not code.cells.flags.writeable and not code.members.flags.writeable
+    cells, members = walk_cells(walk_decoder(volume_boundary_masks(code.complex), code.surface, 6)[1])
+    assert np.array_equal(code.cells, cells) and np.array_equal(code.members, members)
     assert code.leaders.shape == (16,)
 
 
@@ -56,7 +59,7 @@ def test_g8_code_is_rebuilt_identically_from_its_complex():
 def test_every_surface_of_the_nontrivial_class_gives_the_same_verdicts(a, b):
     code = build_code(build_g8_complex(), {a, b})
     assert np.array_equal(code.leaders, G8_CODE.leaders)
-    assert np.array_equal(code.tables[0], G8_CODE.tables[0])
+    assert np.array_equal(code_verdicts(code)[0], code_verdicts(G8_CODE)[0])
 
 
 @pytest.mark.parametrize(
@@ -110,6 +113,22 @@ def test_a_20_face_codes_pattern_rows_trace_under_twice_their_size():
     assert peak < 2 * rows.nbytes, peak
 
 
+def test_a_20_face_fast_point_of_10_9_trials_traces_under_64_kib():
+    """A fast point draws the counts of the code's 84 class x weight cells: no array of the 2^20
+    patterns, and none that grows with the trials."""
+    code, trials = build_code(_ring(9, 11), {"a9", "b11"}), 10**9
+    tec._count_failures("fast", 0.3, 10, 7, 0, code)  # numpy's lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        counts = tec._count_failures("fast", 0.3, trials, 7, 0, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code.cells.size == 84 and peak < 64 * 2**10, peak
+    for count, rate in zip(counts, code.rates(0.3)):
+        assert abs(count / trials - rate) <= 5 * tec.binomial_se(rate, trials), (count, rate)
+
+
 def test_minimum_weight_tie_raises():
     """An even chain's half and its complement share a syndrome and a weight; the message names
     the syndrome of the first tied pattern in weight order."""
@@ -123,8 +142,8 @@ def test_minimum_weight_tie_raises():
 @given(st.data())
 def test_numpy_pass_matches_the_weight_order_walk(data):
     """Two chains of faces in shuffled bit order, plus checks that are sums of the chain checks:
-    each walk syndrome's leader at its key, tables, and each tie's message (even chains tie)
-    are the walk's."""
+    each walk syndrome's leader at its key, the cells and members of its verdicts, and each tie's
+    message (even chains tie) are the walk's; ``exact_enumeration`` is the fsum over its failing patterns."""
     a, b = (data.draw(st.sampled_from((1, 3, 5, 2, 4)), name) for name in "ab")
     names = data.draw(st.permutations([f"f{i}" for i in range(a + b)]), "bit order")
     chains = names[:a], names[a:]
@@ -153,11 +172,16 @@ def test_numpy_pass_matches_the_weight_order_walk(data):
     assert len(code.leaders) == len(leaders) == 2 ** len(ring)
     for syndrome, leader in leaders.items():
         assert code.leaders[sum(1 << j for j, i in enumerate(code.independent) if syndrome[i] == -1)] == leader
-    assert np.array_equal(code.tables, tables) and code.tables.dtype == tables.dtype
+    cells, members = walk_cells(tables)
+    assert np.array_equal(code.cells, cells) and code.cells.dtype == np.int64
+    assert np.array_equal(code.members, members) and code.members.dtype == np.uint32
+    assert np.array_equal(code_verdicts(code), tables)
     assert code.enumerators[1] == (0, 2, 0)  # one of the surface's two faces flipped
+    failing = [k.bit_count() for k in np.flatnonzero(tables[0]).tolist()]  # the weights, one per pattern
     for p in (0.1, 0.5, 0.7):
         fa, fb = _chain_fails(a, p), _chain_fails(b, p)
         assert code.rates(p)[0] == pytest.approx(fa * (1 - fb) + fb * (1 - fa), abs=1e-15), p
+        assert exact_enumeration(p, code) == math.fsum(p**w * (1.0 - p) ** (a + b - w) for w in failing), p
 
 
 def test_ring5_fixture_is_the_m5_ring():
@@ -199,20 +223,31 @@ def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
 
 
 def test_tables_times_the_pattern_chances_are_the_codes_rates(ring5):
-    """pi sums to 1, equals each pattern's product of per-face chances, and weighs each code's
-    failure tables to its enumerator rates: g8, ring5 and every odd two-chain ring up to 14 faces.
-    ``tests/test_tec.py`` holds the sweep's multinomial draws to this pi bit for bit."""
-    rings = [build_code(_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
-    for p in (0.0, 1e-9, 0.05, 0.3, 0.5, 0.8, 1.0 - 1e-9, 1.0):
-        sizes = {len(code.faces) for code in (G8_CODE, ring5, *rings)}
-        chances = {n: np.array(pattern_chances(p, n)) for n in sizes}
-        for n, pi in chances.items():
+    """pi sums to 1 and equals each pattern's product of per-face chances, up to 14 faces; ``tests/test_tec.py``
+    holds the state engines' rows to it. Each code's cells, weighed by p^w (1 - p)^(F - w), give its class rates:
+    g8 and ring5 their enumerator rates, and every odd two-chain ring up to 20 faces C(F, w) patterns of each
+    weight w, the chain formula when protected and (1 - (1 - 2p)^2) / 2 unprotected."""
+    grid = (0.0, 1e-9, 0.05, 0.3, 0.5, 0.8, 1.0 - 1e-9, 1.0)
+    for p in grid:
+        for n in sorted({len(G8_CODE.faces), len(ring5.faces)} | {a + b for a, b in ODD_PAIRS if a + b <= 14}):
+            pi = np.array(pattern_chances(p, n))
             flips = np.arange(1 << n)[:, None] >> np.arange(n) & 1
             assert np.allclose(pi, np.where(flips == 1, p, 1.0 - p).prod(axis=1), rtol=1e-12, atol=0.0), (n, p)
             assert math.fsum(pi.tolist()) == pytest.approx(1.0, abs=1e-12), (n, p)
-        for code in (G8_CODE, ring5, *rings):
-            got = code.tables @ chances[len(code.faces)]
-            assert got.tolist() == pytest.approx(code.rates(p), abs=1e-12), (len(code.faces), p)
+        for code in (G8_CODE, ring5):
+            n = len(code.faces)
+            classes = code.cells @ np.array([p**w * (1.0 - p) ** (n - w) for w in range(n + 1)])
+            got = classes[2:].sum(), classes[1::2].sum()
+            assert got == pytest.approx(code.rates(p), abs=1e-12), (n, p)
+    assert len(ODD_PAIRS) == 30
+    for a, b in ODD_PAIRS:  # built one at a time: a 20-face code holds 6 MiB
+        code, n = build_code(_ring(a, b), {f"a{a}", f"b{b}"}), a + b
+        assert code.cells.sum(0).tolist() == [math.comb(n, w) for w in range(n + 1)], (a, b)
+        for p in grid:
+            classes = code.cells @ np.array([p**w * (1.0 - p) ** (n - w) for w in range(n + 1)])
+            fa, fb = _chain_fails(a, p), _chain_fails(b, p)
+            assert classes[2:].sum() == pytest.approx(fa * (1 - fb) + fb * (1 - fa), abs=1e-12), (a, b, p)
+            assert classes[1::2].sum() == pytest.approx((1 - (1 - 2 * p) ** 2) / 2, abs=1e-12), (a, b, p)
 
 
 def test_a_difference_that_moves_no_check_and_not_the_surface_keeps_both_verdicts(ring5):
@@ -221,13 +256,13 @@ def test_a_difference_that_moves_no_check_and_not_the_surface_keeps_both_verdict
     g8, ring5 and every odd two-chain ring up to 14 faces, each with a d besides 0."""
     rings = [build_code(_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
     for code in (G8_CODE, ring5, *rings):
-        (rows, moved), n = code._patterns, len(code.faces)
+        (rows, moved), n, verdicts = code._patterns, len(code.faces), code_verdicts(code)
         patterns, seen = np.arange(1 << n), (*code.checks, code.surface)
         assert np.array_equal(rows, (patterns[:, None] >> np.arange(n) & 1).astype(bool)), n
         unmoved = [d for d in range(1 << n) if not any((d & m).bit_count() & 1 for m in seen)]
         assert np.flatnonzero(~moved).tolist() == unmoved and len(unmoved) > 1, n
         for d in unmoved:
-            assert np.array_equal(code.tables[:, patterns ^ d], code.tables), (n, d)
+            assert np.array_equal(verdicts[:, patterns ^ d], verdicts), (n, d)
 
 
 def test_ring5_has_256_syndromes_and_distance_5(ring5):
@@ -237,14 +272,16 @@ def test_ring5_has_256_syndromes_and_distance_5(ring5):
     )
     assert ring5.leaders.shape == (256,)
     assert np.bitwise_count(ring5.leaders).max() == 4
-    failing = [m.bit_count() for m in range(1 << 10) if ring5.tables[0][m]]
-    assert min(failing) == 3
+    failing = [m.bit_count() for m in range(1 << 10) if code_verdicts(ring5)[0][m]]
+    assert min(failing) == 3 == np.flatnonzero(ring5.cells[2:].sum(0))[0]
+    cells, members = walk_cells(walk_decoder(volume_boundary_masks(ring5.complex), ring5.surface, 10)[1])
+    assert np.array_equal(ring5.cells, cells) and np.array_equal(ring5.members, members)
 
 
 def test_ring5_pipeline_gives_its_tables_verdicts_per_pattern(ring5):
     """Each of the 1,024 flip patterns, run through ring5's own per-trial pipeline on the
-    tableau, gets the protected and unprotected verdicts of its fast tables."""
-    protected, unprotected = ring5.tables
+    tableau, gets the protected and unprotected verdicts of its class in the code's cells."""
+    protected, unprotected = code_verdicts(ring5)
     for mask in range(1 << len(ring5.faces)):
         pattern = {i + 1 for i in range(len(ring5.faces)) if mask >> i & 1}
         corrected, _, record = ring5.run_pattern(pattern, philox_generator(45, mask), "tableau")

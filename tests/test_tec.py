@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 from unittest.mock import patch
 
 import numpy as np
@@ -16,6 +16,7 @@ from tecsim.complexes import (
     build_g8_complex,
     homology_class_key,
     is_closed,
+    volume_boundary_masks,
 )
 from tecsim.rng import philox_generator
 from tecsim.tec import (
@@ -36,10 +37,12 @@ from tecsim.tec import (
 from reference import (
     SINGLE_ERROR_SYNDROMES,
     Replay,
+    code_verdicts,
     g8_protected_polynomial,
     g8_unprotected_polynomial,
     homologically_equivalent,
     pattern_chances,
+    walk_decoder,
 )
 
 FACE_NUMBERS = (1, 2, 3, 4, 5, 6)
@@ -205,8 +208,9 @@ def test_enumeration_matches_analytic_curve():
 
 
 def test_success_weight_profile():
-    weights = np.bitwise_count(np.flatnonzero(G8_CODE.tables[0] == 0)).tolist()
+    weights = np.bitwise_count(np.flatnonzero(code_verdicts(G8_CODE)[0] == 0)).tolist()
     assert Counter(weights) == {0: 1, 1: 6, 2: 9, 4: 9, 5: 6, 6: 1}
+    assert G8_CODE.cells[:2].sum(0).tolist() == [1, 6, 9, 0, 9, 6, 1]  # classes 0 and 1: protected holds
 
 
 def test_success_set_closed_under_complementation():
@@ -341,26 +345,54 @@ def random_outcome_count(code):
     return probe.used
 
 
-def pattern_counts(p, trials, seed, point, n=len(FACE_NUMBERS)):
-    """How many of a point's trials flip each bitmask: one multinomial(trials, pi) draw from the
-    (seed, point) stream, its categories rarest first and equal chances in mask order."""
-    pi = pattern_chances(p, n)
-    order = sorted(range(1 << n), key=pi.__getitem__)  # a stable sort
-    drawn = philox_generator(seed, point).multinomial(trials, [pi[k] for k in order]).tolist()
-    return [count for _, count in sorted(zip(order, drawn))]
+def verdict_classes(code=G8_CODE):
+    """Each flip bitmask's class, 2 * (protected fails) + (unprotected fails): g8's from the brute-force
+    verdicts, any other code's from the reference walk, neither read from the code's cells."""
+    if code is G8_CODE:
+        verdicts = _brute_force_verdicts()
+    else:
+        verdicts = walk_decoder(volume_boundary_masks(code.complex), code.surface, len(code.faces))[1]
+    return (2 * verdicts[0] + verdicts[1]).tolist()
 
 
-def trial_patterns(p, trials, seed, point, n=len(FACE_NUMBERS)):
-    """Each trial's flip bitmask: trial t flips row t of the counts' expansion in mask order."""
-    return [k for k, count in enumerate(pattern_counts(p, trials, seed, point, n)) for _ in range(count)]
+def cell_chances(p, classes):
+    """Each (class, weight) cell's bitmasks in mask order, and its chance: its size times p^w (1 - p)^(n - w)."""
+    n = len(classes).bit_length() - 1
+    cells = {(c, w): [] for c, w in product(range(4), range(n + 1))}
+    for k, c in enumerate(classes):
+        cells[c, k.bit_count()].append(k)
+    return list(cells.values()), [len(masks) * (p**w * (1.0 - p) ** (n - w)) for (_, w), masks in cells.items()]
+
+
+def cell_counts(p, trials, seed, point, classes):
+    """How many of a point's trials land in each cell: one multinomial from the (seed, point) stream, its
+    categories rarest first and equal chances in cell order. Returns the cells, the counts and the stream."""
+    cells, chances = cell_chances(p, classes)
+    order = sorted(range(len(cells)), key=chances.__getitem__)  # a stable sort
+    rng = philox_generator(seed, point)
+    drawn = rng.multinomial(trials, [chances[i] for i in order]).tolist()
+    return cells, [count for _, count in sorted(zip(order, drawn))], rng
+
+
+def class_sums(counts):
+    """(protected, unprotected) failures of per-cell counts: the cells run class by class, a quarter each."""
+    per_class = [sum(counts[c * len(counts) // 4 : (c + 1) * len(counts) // 4]) for c in range(4)]
+    return per_class[2] + per_class[3], per_class[1] + per_class[3]
+
+
+def trial_patterns(p, trials, seed, point, code=G8_CODE):
+    """Each trial's flip bitmask: trial t lands in cell i while the counts of the cells before i sum to at
+    most t, and then, in trial order from the same stream, flips the cell's mask ``int(random() * size)``."""
+    cells, counts, rng = cell_counts(p, trials, seed, point, verdict_classes(code))
+    return [cell[int(rng.random() * len(cell))] for cell, count in zip(cells, counts) for _ in range(count)]
 
 
 def trial_draws(engine, p, seed, point, trials, code=G8_CODE):
     """Each trial's flipped face numbers and outcome draws, replayed in the sweep's layout: trial t's
     pattern from :func:`trial_patterns`, then row t of the (seed, point, 1) stream, R
     ``integers(0, 2)`` (tableau, R random outcomes, two on g8) or n doubles (dense, n qubits)."""
-    n = len(code.faces)
-    patterns = [frozenset(i + 1 for i in range(n) if k >> i & 1) for k in trial_patterns(p, trials, seed, point, n)]
+    n, masks = len(code.faces), trial_patterns(p, trials, seed, point, code)
+    patterns = [frozenset(i + 1 for i in range(n) if k >> i & 1) for k in masks]
     outcomes = philox_generator(seed, point, 1)
     if engine == "tableau":
         draws = outcomes.integers(0, 2, (trials, random_outcome_count(code)))
@@ -515,10 +547,10 @@ def test_tableau_readout_runs_one_echelon_per_call(monkeypatch):
 @pytest.mark.parametrize(
     "p,trials,seed,point,counts",
     [
-        (0.5, 200, 1, 0, (102, 97)),
-        (0.25, 1000, 7, 0, (256, 373)),
-        (0.1, 3000, 13, 0, (133, 511)),
-        (0.5, 4100, 3, 1, (2107, 2053)),
+        (0.5, 200, 1, 0, (93, 102)),
+        (0.25, 1000, 7, 0, (278, 390)),
+        (0.1, 3000, 13, 0, (149, 515)),
+        (0.5, 4100, 3, 1, (2065, 2126)),
     ],
 )
 def test_tableau_and_dense_sweeps_agree_on_g8(p, trials, seed, point, counts):
@@ -656,26 +688,56 @@ def _brute_force_verdicts():
 @pytest.mark.parametrize("trials", [1, 65_535, 65_536, 65_537, 196_615, 10**12])
 @pytest.mark.parametrize("p", [0.0, 1e-9, 0.05, 0.5, 0.97, 1.0])
 def test_chunked_fast_kernel_matches_whole_array_draw(trials, p):
-    """The fast counts are the brute-force verdicts times the point's whole multinomial draw."""
-    verdicts = _brute_force_verdicts()
+    """The fast counts are the brute-force classes' sums of the point's whole multinomial cell draw."""
+    classes = verdict_classes()
     for seed in (0, 13, 2**64 + 3):
         for point in (0, 5):
-            expected = tuple((verdicts @ pattern_counts(p, trials, seed, point)).tolist())
+            expected = class_sums(cell_counts(p, trials, seed, point, classes)[1])
             assert tec._count_failures("fast", p, trials, seed, point) == expected, (seed, point)
 
 
 @pytest.mark.parametrize("p", [1e-6, 1e-4, 0.3, 1.0 - 1e-6])
 def test_huge_points_draw_no_trials_onto_patterns_they_cannot_reach(p):
     """numpy draws a multinomial a category at a time against the running remainder
-    1 - sum(pi so far). Rarest first, that remainder never falls below the commonest pi, so even
-    2^63 - 1 trials leave every pattern with under 10^-6 expected trials empty. Drawn in mask order
-    at p = 1e-6 from this stream, the remainder's rounding put 1,419 trials on the all-six-faces
-    pattern, whose chance is 10^-36 (numpy 2.4.6)."""
-    trials, pi = 2**63 - 1, pattern_chances(p, 6)
-    counts = pattern_counts(p, trials, 3, 0)
+    1 - sum(chances so far). Rarest first, that remainder never falls below the commonest cell's
+    chance, so even 2^63 - 1 trials leave every cell with under 10^-6 expected trials empty. Drawn in
+    cell order at p = 1e-6 from this stream, the remainder's rounding put 1,383 trials on the last
+    cell, (class 3, weight 6), which holds no pattern (numpy 2.4.6)."""
+    trials, classes = 2**63 - 1, verdict_classes()
+    _, counts, _ = cell_counts(p, trials, 3, 0, classes)
+    _, chances = cell_chances(p, classes)
     assert sum(counts) == trials and min(counts) >= 0
-    assert all(count == 0 for count, chance in zip(counts, pi) if chance * trials < 1e-6), counts
-    assert tec._count_failures("fast", p, trials, 3, 0) == tuple((_brute_force_verdicts() @ counts).tolist())
+    assert all(count == 0 for count, chance in zip(counts, chances) if chance * trials < 1e-6), counts
+    assert tec._count_failures("fast", p, trials, 3, 0) == class_sums(counts)
+
+
+def test_state_engine_rows_flip_each_pattern_at_its_chance(monkeypatch):
+    """Given the cell counts, each trial's pattern is uniform over its cell (up to the rounding of a
+    double times the cell's size), so the rows' pattern counts are multinomial(trials, pi). Pooled over 4,000 g8 points of 50 tableau trials at p = 0.2, the
+    chi^2 of the 64 pattern counts against 200,000 pi_k (63 degrees of freedom, the rarest pattern
+    expects 12.8) must stay under the chi^2 upper 10^-6 quantile, from the Wilson-Hilferty form."""
+    backend = type(G8_CODE.state("tableau").backend)
+    readout, rows = backend.readout_x, []
+    def spy(self, rng, flips=None):
+        rows.append(flips)
+        return readout(self, rng, flips)
+
+    monkeypatch.setattr(backend, "readout_x", spy)
+    p, trials, seeds = 0.2, 50, 4000
+    for seed in range(seeds):
+        tec._count_failures("tableau", p, trials, seed, 0)
+    observed = np.bincount(np.concatenate(rows) @ (1 << np.arange(6)), minlength=64)
+    expected = seeds * trials * np.array(pattern_chances(p, 6))
+    chi2, dof, z = ((observed - expected) ** 2 / expected).sum(), 63, 4.753  # z: the normal's 10^-6 tail
+    bound = dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3  # 131.7
+    assert observed.sum() == seeds * trials and chi2 < bound, (chi2, bound)
+
+
+def test_the_largest_double_below_1_picks_inside_every_cell():
+    """A trial picks member int(u * size) of its cell; u < 1 keeps it below the size for every cell
+    size up to 2^20, so for every code up to the decoder cap."""
+    sizes = np.arange(1, 2**20 + 1)
+    assert np.all((np.nextafter(1.0, 0.0) * sizes).astype(int) == sizes - 1)
 
 
 def test_a_fast_point_of_10_10_trials_lies_within_5_sigma_of_the_rates():
@@ -704,7 +766,7 @@ def test_a_readout_that_drops_a_z_flip_makes_the_sweep_exit_3(monkeypatch, capsy
 
 
 def test_fast_tables_match_tableau_pipeline_per_pattern():
-    protected, unprotected = G8_CODE.tables
+    protected, unprotected = code_verdicts(G8_CODE)
     assert len(ALL_PATTERNS) == 64
     for n, pattern in enumerate(ALL_PATTERNS):
         idx = sum(1 << (q - 1) for q in pattern)
