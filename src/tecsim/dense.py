@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .pauli import PauliOperator, check_gate, check_operator
+from .pauli import PauliOperator, check_flips, check_gate, check_operator
 
 QUBIT_CAP = 20
 
@@ -152,36 +152,42 @@ class StateVector:
 
         With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t
         is this call's readout, given the same draws, of the copy with Z on each qubit q < k
-        where ``flips[t, q]`` is set. Each row measures qubit q, the top bit of what is left,
-        and drops it: with a0 and a1 the halves where q is 0 and 1, outcome s leaves
-        (a0 + s a1) / sqrt(1 + s <X_q>) on the qubits after q. Z on q, which commutes with the
-        earlier readouts, is the sign of a1 at that step. The expectation, the thresholds and a
-        draw only where the outcome is random are :meth:`measure_pauli`'s. Each step is a real
-        linear map, so the rows hold float64: the real parts of a real state, which stays
-        real, else the interleaved real and imaginary parts. A block is read in parts of max(1,
-        2^16 >> n) rows, so a part holds max(2^16, 2^n) amplitudes: at most 1 MiB up to 16 qubits,
-        2^(n - 16) MiB past them. Each copy reads n doubles of ``rng``; its k-th random outcome, double k.
+        where ``flips[t, q]`` is set. Qubit q is measured and dropped in turn: with a0 and a1 the
+        halves where it is 0 and 1, outcome s leaves (a0 + s a1) / sqrt(1 + s <X_q>). Z on q is the
+        sign z of a1 there, so rows whose products c = s z agree so far share what is left. A part of
+        512 rows holds one state per such history that some row reached, a node: a level holds at
+        most min(rows, 2^q) nodes, so 2^n amplitudes, or 2^R on a state with R random outcomes, and
+        reads <X_q> once per node. Thresholds and draws are :meth:`measure_pauli`'s. Each step is a
+        real linear map, so nodes hold float64: a real state's real parts, else the interleaved real
+        and imaginary parts. Each copy reads n doubles of ``rng``; its k-th random outcome, double k.
         """
-        n, block = self.n, np.zeros((1, 0), bool) if flips is None else flips
-        step = max(1, (1 << 16) >> n)
-        if len(block) > step:  # each part draws its rows' doubles, in row order
-            return np.concatenate([self.readout_x(rng, block[i : i + step]) for i in range(0, len(block), step)])
-        size, k = block.shape
-        draws, every, cursor = rng.random((size, n)), np.arange(size), np.zeros(size, np.intp)
-        signs = 1.0 - 2.0 * np.concatenate([block, np.zeros((size, n - k), bool)], 1)  # Z_q: the sign of a1
+        n, block = self.n, np.zeros((1, 0), bool) if flips is None else check_flips(flips, self.n)
         floats = self.amps.real if not self.amps.imag.any() else self.amps.view(np.float64)
-        rest = floats[None]  # one row until the first drop
-        outcomes = np.empty((size, n), dtype=np.int64)
-        for q in range(n):
-            halves = rest.reshape(len(rest), 2, rest.shape[1] >> 1)  # a0, a1
-            expect = 2.0 * signs[:, q] * np.einsum("ij,ij->i", halves[:, 0], halves[:, 1])  # Re <psi|X_q|psi>
-            random = np.abs(expect) <= 1.0 - 1e-9
-            outcome = np.where(random, np.where(draws[every, cursor] < 0.5 * (1.0 + expect), 1, -1), np.sign(expect))
-            cursor += random  # each row's next unread draw
-            scale = 1.0 / np.sqrt(1.0 + outcome * expect)
-            coefs = np.stack([scale, outcome * signs[:, q] * scale], 1)  # of a0 and a1
-            rest = (coefs[:, None] @ halves)[:, 0]
-            outcomes[:, q] = outcome
+        outcomes = np.empty((len(block), n), dtype=np.int64)
+        for first in range(0, len(block), 512):  # each part draws its rows' doubles, in row order
+            part = block[first : first + 512]
+            draws, every, cursor = rng.random((len(part), n)), np.arange(len(part)), np.zeros(len(part), np.intp)
+            signs = 1.0 - 2.0 * np.concatenate([part, np.zeros((len(part), n - part.shape[1]), bool)], 1)  # each z
+            rest, node, paths = floats[None], np.zeros(len(part), np.intp), np.empty((1, n))  # one node: the state
+            for q in range(n):
+                halves = rest.reshape(len(rest), 2, -1)  # each node's a0, a1
+                dots = 2.0 * np.einsum("ij,ij->i", halves[:, 0], halves[:, 1])  # each node's Re <X_q>
+                random, parent, paths[:, q] = np.abs(dots) <= 1.0 - 1e-9, np.arange(len(rest)), np.sign(dots)
+                if random.any():  # c = s z, s drawn where the row's node is random, else c is the sign
+                    hit, expect = random[node], signs[:, q] * dots[node]
+                    drawn = np.where(draws[every, cursor] < 0.5 * (1.0 + expect), 1.0, -1.0)
+                    cursor += hit  # each row's next unread draw
+                    key = 2 * node + np.where(hit, drawn != signs[:, q], paths[node, q] < 0)  # child (node, c < 0)
+                    reached = np.bincount(key, minlength=2 * len(rest)) > 0
+                    children, node = np.flatnonzero(reached), reached.cumsum()[key] - 1
+                    parent, paths = children >> 1, paths[children >> 1]
+                    paths[:, q] = 1.0 - 2.0 * (children & 1)  # paths[i]: the products c that lead to node i
+                scale = 1.0 / np.sqrt(1.0 + paths[:, q] * dots[parent])
+                coefs = np.stack([scale, paths[:, q] * scale], 1)[:, None]  # of a0 and a1
+                rest, step = np.empty((len(parent), halves.shape[2])), max(1, (1 << 16) // halves.shape[2])
+                for lo in range(0, len(parent), step):  # gathers at most max(2^17, 2 width) floats at once
+                    np.matmul(coefs[lo : lo + step], halves[parent[lo : lo + step]], out=rest[lo : lo + step, None])
+            outcomes[first : first + len(part)] = paths[node] * signs  # s = c z
         return outcomes[0].tolist() if flips is None else outcomes
 
 

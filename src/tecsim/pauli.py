@@ -104,6 +104,13 @@ def check_gate(gate: str, targets, n: int) -> str:
     return name
 
 
+def check_flips(flips, n: int):
+    """``flips`` once it is a 2-D bool array of at most ``n`` columns: a block readout's Z flips, a row per copy."""
+    if getattr(flips, "dtype", None) != bool or flips.ndim != 2 or flips.shape[1] > n:
+        raise ValueError(f"flips must be a 2-D bool array of at most {n} columns, got {flips!r:.80}")
+    return flips
+
+
 def check_operator(op: PauliOperator, n: int) -> None:
     """Raise ``ValueError`` unless ``op`` is an observable of an ``n``-qubit state: ``n`` qubits, phase +-1."""
     if op.n != n:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import _gf2_echelon, _gf2_reduce
-from .pauli import PauliOperator, _product_i_exponent, check_gate, check_operator
+from .pauli import PauliOperator, _product_i_exponent, check_flips, check_gate, check_operator
 
 
 class StabilizerTableau:
@@ -156,6 +156,7 @@ class StabilizerTableau:
         on a copy, one scalar draw per random outcome.
         """
         n, masks, signs = self.n, self._zs, self._rs
+        flips = flips if flips is None else check_flips(flips, n)
         if not all(x == 1 << v and not m >> v & 1 for v, (x, m) in enumerate(zip(self._xs, masks))):
             rows = []
             for row in np.zeros((1, 0), bool) if flips is None else flips:

@@ -137,6 +137,34 @@ class Replay:
         return self._take("integers", size)
 
 
+def per_row_readout_x(state: StateVector, rng, flips: np.ndarray) -> np.ndarray:
+    """Reference block readout: each row of ``flips`` projects its own copy of the 2^n amplitudes.
+
+    Row t measures qubit q, the top bit of what is left, and drops it: with a0 and a1 the halves
+    where q is 0 and 1, outcome s leaves (a0 + s a1) / sqrt(1 + s <X_q>), and Z on q is the sign of
+    a1. Parts of max(1, 2^16 >> n) rows each draw their rows' n doubles, in row order.
+    """
+    n, step = state.n, max(1, (1 << 16) >> state.n)
+    if len(flips) > step:
+        return np.concatenate([per_row_readout_x(state, rng, flips[i : i + step]) for i in range(0, len(flips), step)])
+    size, k = flips.shape
+    draws, every, cursor = rng.random((size, n)), np.arange(size), np.zeros(size, np.intp)
+    signs = 1.0 - 2.0 * np.concatenate([flips, np.zeros((size, n - k), bool)], 1)
+    floats = state.amps.real if not state.amps.imag.any() else state.amps.view(np.float64)
+    rest, outcomes = floats[None], np.empty((size, n), dtype=np.int64)
+    for q in range(n):
+        halves = rest.reshape(len(rest), 2, rest.shape[1] >> 1)  # a0, a1
+        expect = 2.0 * signs[:, q] * np.einsum("ij,ij->i", halves[:, 0], halves[:, 1])  # Re <psi|X_q|psi>
+        random = np.abs(expect) <= 1.0 - 1e-9
+        outcome = np.where(random, np.where(draws[every, cursor] < 0.5 * (1.0 + expect), 1, -1), np.sign(expect))
+        cursor += random
+        scale = 1.0 / np.sqrt(1.0 + outcome * expect)
+        coefs = np.stack([scale, outcome * signs[:, q] * scale], 1)  # of a0 and a1
+        rest = (coefs[:, None] @ halves)[:, 0]
+        outcomes[:, q] = outcome
+    return outcomes
+
+
 def per_qubit_readout(state, rng, basis="x"):
     """Reference readout: one single-qubit collapse per qubit, in vertex order, on a copy."""
     work = state.backend.copy()

@@ -559,6 +559,26 @@ def test_block_rows_are_each_copys_single_and_per_qubit_readout(engine, name, ra
     assert used == (n if engine == "dense" else randoms)
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", ["g8", "g8 after H on qubit 2"])
+@pytest.mark.parametrize(
+    "flips",
+    [
+        np.array([[2, 0, 1]]),  # int64: the tableau read a 2 as outcome -3, the dense engine as sign -3
+        np.zeros((1, 9), bool),  # more columns than g8's 8 qubits
+        np.zeros(8, bool),  # one row, not a block of one
+        np.zeros((1, 1, 8), bool),
+        np.array([[0.0, 1.0]]),
+        [[True, False]],  # a list, not an array
+    ],
+    ids=["int64", "nine columns", "1-D", "3-D", "float", "list"],
+)
+def test_block_readouts_take_only_a_2d_bool_array_of_at_most_n_columns(engine, name, flips):
+    backend = readout_state(name, engine).backend
+    with pytest.raises(ValueError, match="flips must be a 2-D bool array of at most 8 columns"):
+        backend.readout_x(philox_generator(3), flips)
+
+
 @settings(derandomize=True, deadline=None, max_examples=80)
 @given(engine=st.sampled_from(ENGINES), data=st.data())
 def test_block_rows_are_each_copys_readout_on_random_graphs(engine, data):

@@ -25,7 +25,7 @@ from tecsim.errors import CapacityError
 from tecsim.rng import philox_generator
 from tecsim.tec import G8_CODE, MAX_CODE_FACES, build_code, exact_enumeration
 
-from reference import RING5, code_verdicts, pattern_chances, walk_cells, walk_decoder
+from reference import RING5, code_verdicts, pattern_chances, per_row_readout_x, walk_cells, walk_decoder
 
 
 def _ring(a: int, b: int) -> CellComplex:
@@ -199,7 +199,7 @@ def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
     """Decoding fails when one chain's majority flips: f_a (1 - f_b) + f_b (1 - f_a).
 
     Undecoded, the surface's X product flips when one of its two faces does: (1 - (1 - 2p)^2) / 2.
-    The tableau runs every pair; dense checks correlations up to 14 faces and counts up to 10.
+    The tableau runs every pair; dense checks correlations up to 14 faces and audited sweeps up to 18.
     """
     surface = {f"a{a}", f"b{b}"}
     code = build_code(_ring(a, b), surface)
@@ -214,12 +214,30 @@ def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
         state = code.state(engine)
         for faces in (*code.complex.volumes.values(), surface):
             assert surface_correlation(state, faces) == 1, (engine, sorted(faces))
-    # a ring has a + b + 2 qubits, and at 16 qubits a dense block holds one row
-    engines = ("tableau", "dense") if a + b <= 10 else ("tableau",)
+    # a ring has a + b + 2 qubits, so dense sweeps, each row audited, run up to the 20-qubit cap
+    engines = ("tableau", "dense") if a + b <= 18 else ("tableau",)
     for p, seed in ((0.2, 3), (0.5, 8)):
         expected = tec._count_failures("fast", p, 400, seed, 0, code)
         for engine in engines:
             assert tec._count_failures(engine, p, 400, seed, 0, code) == expected, (engine, p)
+
+
+def test_a_dense_block_on_the_20_qubit_ring_peaks_under_its_state_and_a_quarter():
+    """300 rows of ring (9, 9), whose state is 2^20 complex amplitudes (16 MiB): a level holds one real state
+    per outcome history, 2^20 floats (8 MiB) in all, and its children gather a parent at a time. Gathering
+    every parent of a level at once peaks at 24 MiB."""
+    code = build_code(_ring(9, 9), {"a9", "b9"})
+    backend, (_, moved) = code._state("dense").backend, code._patterns  # built outside the measurement
+    flips = np.random.default_rng(9).random((300, 18)) < 0.5
+    tracemalloc.start()
+    try:
+        rows = backend.readout_x(philox_generator(9, 0, 1), flips)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
+    assert not moved[((rows[:, :18] < 0) ^ flips) @ (1 << np.arange(18))].any()
+    assert np.array_equal(rows[:8], per_row_readout_x(backend, philox_generator(9, 0, 1), flips[:8]))
 
 
 def test_tables_times_the_pattern_chances_are_the_codes_rates(ring5):
@@ -343,7 +361,7 @@ def test_changing_a_handed_out_state_changes_no_later_sweep(engine):
 
 
 def test_ring5_dense_sweep_holds_its_blocks_to_2_16_amplitudes(ring5):
-    """A dense block readout holds 16 copies of ring5's 12 qubits, not a whole sweep block."""
+    """A dense block readout holds at most 2^12 amplitudes of ring5's 12 qubits a level, not a whole sweep block."""
     ring5.state("dense")  # the lazy build outside the measurement
     tracemalloc.start()
     try:

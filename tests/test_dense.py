@@ -16,7 +16,7 @@ from tecsim.errors import CapacityError
 from tecsim.pauli import PauliOperator
 from tecsim.rng import philox_generator
 
-from reference import computational_zero, fidelity, pauli_from_text, pure, term_expectation
+from reference import computational_zero, fidelity, pauli_from_text, per_row_readout_x, pure, term_expectation
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -187,6 +187,48 @@ def test_batched_expectations_match_the_per_term_oracle(data):
         expectation_observable(model, [[None] * n] * count + [[None] * (n + 1)])
     with pytest.raises(ValueError, match="2x2 factors"):  # one observable's factors, not a stack of one
         expectation_observable(model, [X] + [None] * (n - 1))
+
+
+def next_words(rng) -> list[int]:
+    """The stream's next raw words: equal for two generators of one seed only at the same position."""
+    return rng.bit_generator.random_raw(8).tolist()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "graph"])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
+    """Real, complex and graph states of 1 to 12 qubits, blocks of 1 to 1,100 rows (so across the 512-row
+    parts), Z flips on the first 0 to n qubits: the outcomes equal the per-row reference's bit for bit, and
+    both leave the stream rows x n doubles on. Graph states have fixed outcomes and rows that share a node."""
+    n = data.draw(st.integers(1, 12), label="qubits")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="amplitude seed"))
+    if kind == "graph":
+        pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        edges = tuple(pair for pair in pairs if rng.random() < 0.4)
+        state = build_graph_state_dense(InteractionGraph(tuple(f"q{i}" for i in range(n)), edges))
+    else:
+        amps = rng.normal(size=1 << n) + (1j * rng.normal(size=1 << n) if kind == "complex" else 0.0)
+        state = StateVector(n, amps / np.linalg.norm(amps))
+    rows = data.draw(st.sampled_from([1, 512, 513, 1100]) | st.integers(1, 1100), label="rows")
+    k = data.draw(st.integers(0, n), label="flipped qubits")
+    flips = rng.random((rows, k)) < data.draw(st.floats(0.0, 1.0), label="flip rate")
+    seed = data.draw(st.integers(0, 2**64), label="seed")
+    block, reference, skipped = philox_generator(seed), philox_generator(seed), philox_generator(seed)
+    got = state.readout_x(block, flips)
+    assert got.dtype == np.int64 and got.shape == (rows, n)
+    assert np.array_equal(got, per_row_readout_x(state, reference, flips))
+    skipped.random((rows, n))
+    assert next_words(block) == next_words(reference) == next_words(skipped)
+
+
+@pytest.mark.parametrize("k", [0, 3, 8])
+def test_an_empty_dense_block_reads_out_no_row_and_draws_nothing(k):
+    state = build_graph_state_dense(interaction_graph(build_g8_complex()))
+    rng = philox_generator(5)
+    got = state.readout_x(rng, np.zeros((0, k), bool))
+    assert got.dtype == np.int64 and got.shape == (0, 8)
+    assert next_words(rng) == next_words(philox_generator(5))
 
 
 def test_density_model_validation():
