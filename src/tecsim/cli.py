@@ -34,7 +34,7 @@ def _write_output(text: str, out: str | None) -> None:
         try:
             Path(out).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise SelfCheckError(f"cannot write output file {out!r}: {exc}") from exc
+            raise ValueError(f"cannot write output file {out!r}: {exc}") from exc
 
 
 MAX_STEPS = 10_000  # the finest p grid a sweep takes; the grid is a list, so this bounds its memory
@@ -270,10 +270,10 @@ def main(argv=None) -> int:
     try:
         text, summary = args.run(args)
         _write_output(text, args.out)
-    except (ValueError, KeyError, SelfCheckError) as exc:
+    except (ValueError, KeyError) as exc:
         print(f"tecsim: error: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:  # a broken invariant of tecsim, not of the input
+    except (AssertionError, SelfCheckError) as exc:  # a broken invariant of tecsim, not of the input
         print(f"tecsim: internal error: {exc}", file=sys.stderr)
         return 3
     if summary is not None:  # after the write, so a failed write is the only stderr line

@@ -91,20 +91,15 @@ class StateVector:
         """The tableau engine's gates, :data:`pauli.GATE_TARGETS`; a bad call raises before any change."""
         gate = check_gate(gate, targets, self.n)
         if gate == "CZ":
-            self._phase_flip_both_set(*targets)
+            self.amps[_odd_edges(self.n, [targets])] *= -1.0
             return self
         local = _EYE[None, None].repeat(self.n, 1)
         local[0, targets[-1]] = GATE_MATRICES.get(gate, _H)  # CNOT is H CZ H on its target
         self.amps = _apply_products(self.amps, local)[0]
         if gate == "CNOT":
-            self._phase_flip_both_set(*targets)
+            self.amps[_odd_edges(self.n, [targets])] *= -1.0
             self.amps = _apply_products(self.amps, local)[0]
         return self
-
-    def _phase_flip_both_set(self, a: int, b: int) -> None:
-        idx = np.arange(1 << self.n, dtype=np.uint32)
-        mask = ((idx >> (self.n - 1 - a)) & (idx >> (self.n - 1 - b)) & 1).astype(bool)
-        self.amps[mask] *= -1.0
 
     # ------------------------------------------------------------------
     # Pauli action
@@ -199,11 +194,20 @@ def build_graph_state_dense(graph) -> StateVector:
     """
     n = graph.qubit_count
     _check_capacity(n)
-    amps = np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=complex)
-    state = StateVector(n, amps)
-    for a, b in graph.edges:
-        state._phase_flip_both_set(a, b)
-    return state
+    return StateVector(n, np.where(_odd_edges(n, graph.edges), -1.0, 1.0) / np.sqrt(1 << n))
+
+
+def _odd_edges(n: int, edges) -> np.ndarray:
+    """Whether each basis label x holds both ends of an odd number of ``edges``: the sum over vertices a of bit_a(x)
+    times the popcount of x and a's later neighbours. Vertices with the same later neighbours are summed as one
+    popcount, and an edge listed twice cancels, as CZ twice does."""
+    labels, later, groups = np.arange(1 << n, dtype=np.uint32), [0] * n, {}
+    for a, b in edges:
+        later[min(a, b)] ^= 1 << (n - 1 - max(a, b))  # qubit q is bit n - 1 - q
+    for a, neighbours in enumerate(later):
+        groups[neighbours] = groups.get(neighbours, 0) | 1 << (n - 1 - a)
+    terms = (np.bitwise_count(labels & vertices) & np.bitwise_count(labels & m) for m, vertices in groups.items() if m)
+    return (sum(terms, np.zeros(1 << n, np.uint8)) & 1).view(bool)  # bit 0 of a sum is its parity
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -103,14 +102,6 @@ class TopologicalCode:
         """Whether ``flips`` flips the protected surface's outcome product."""
         return bool((flips & self.surface).bit_count() & 1)
 
-    @cached_property
-    def _patterns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each flip pattern as a bool row, face i in column i, and whether it moves a check or the surface."""
-        masks, moved = np.arange(self.members.size, dtype="<u4"), np.zeros(self.members.size, bool)
-        for m in (*self.checks, self.surface):
-            moved |= _parities(masks, m).view(bool)
-        return np.unpackbits(masks.view(np.uint8).reshape(-1, 4), 1, len(self.faces), "little").view(bool), moved
-
     def sample_errors(self, p: float, rng: np.random.Generator) -> frozenset:
         """Face numbers of the code's faces, each flipped independently with probability p."""
         _check_probability(p)
@@ -180,7 +171,7 @@ def build_code(cx: CellComplex, surface) -> TopologicalCode:
     verdicts = _parities(patterns ^ best, surface_mask), _parities(patterns, surface_mask)
     cell = (2 * verdicts[0] + verdicts[1]) * (len(faces) + 1) + np.bitwise_count(patterns)  # (class, weight)
     cells = np.bincount(cell, minlength=4 * (len(faces) + 1)).reshape(4, -1)
-    members = cell.argsort(kind="stable").astype(np.uint32)  # grouped by cell, in mask order inside each
+    members = cell.argsort(kind="stable").astype("<u4")  # by cell, mask order inside each; little-endian bytes
     for array in (leaders, cells, members):
         array.setflags(write=False)  # shared by every caller
     code = TopologicalCode(
@@ -247,7 +238,7 @@ def _count_failures(
     philox_generator(seed, point_index)``. Trial t lands in the first cell (``cells.ravel()`` order) whose running
     count passes t. A state engine picks its pattern, member ``int(rng.random() * size)`` of the cell, one double
     per trial in order, reads the rows out per ``_BLOCK`` (X outcomes from ``(seed, point_index, 1)``) and raises
-    on a pattern read out that moves a check or the surface against the injected one. All sum cells by class.
+    if a row's faces read as -1, XOR its mask, have odd parity with a check or the surface. All sum cells by class.
     """
     n = len(code.faces)
     chances = (code.cells * [p**w * (1.0 - p) ** (n - w) for w in range(n + 1)]).ravel()  # per cell
@@ -255,13 +246,14 @@ def _count_failures(
     counts = rng.multinomial(trials, chances[order])[order.argsort()]  # running remainder stays accurate
     if engine != "fast":
         backend, outcome_rng = code._state(engine).backend, philox_generator(seed, point_index, 1)
-        (rows, moved), ends, sizes = code._patterns, counts.cumsum(), code.cells.ravel()
-        bits, firsts = (1 << np.arange(n)).astype(np.min_scalar_type((1 << n) - 1)), sizes.cumsum() - sizes
+        ends, sizes, seen = counts.cumsum(), code.cells.ravel(), np.array([*code.checks, code.surface])[:, None]
+        bits, firsts = (1 << np.arange(n)).astype(np.uint32), sizes.cumsum() - sizes
         for start in range(0, trials, _BLOCK):
             cell = ends.searchsorted(np.arange(start, min(start + _BLOCK, trials)), "right")
             injected = code.members[firsts[cell] + (rng.random(cell.size) * sizes[cell]).astype(int)]
-            faces = backend.readout_x(outcome_rng, rows.take(injected, 0))[:, :n] < 0  # face i is qubit i
-            if moved[faces.view(np.uint8) @ bits ^ injected].any():
+            flips = np.unpackbits(injected.view(np.uint8).reshape(-1, 4), 1, n, "little").view(bool)  # face i, column i
+            faces = backend.readout_x(outcome_rng, flips)[:, :n] < 0  # face i is qubit i
+            if _parities(faces.view(np.uint8) @ bits ^ injected, seen).any():  # the read-out pattern's difference
                 raise AssertionError(f"the {engine} readout moved a check or the surface")
     return sum(counts[2 * n + 2 :].tolist()), sum(counts.reshape(4, -1)[1::2].ravel().tolist())  # classes 2, 3; 1, 3
 
@@ -320,6 +312,8 @@ def monte_carlo_sweep(
     """
     if not 1 <= trials <= 2**63 - 1:  # numpy draws the cell counts as int64
         raise ValueError("trials must be in [1, 2**63 - 1]")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if engine not in SWEEP_ENGINES:

@@ -1,4 +1,4 @@
-"""Oracles the tests share: replayed draws, per-qubit readouts, Pauli matrices, paper data,
+"""Oracles the tests share: replayed draws, per-qubit readouts, per-edge CZ masks, Pauli matrices, paper data,
 a Python decoder walk and its cells, flip-pattern chances and g8's hand-written error polynomials, fixtures,
 a per-term dense expectation, and the Pauli, state, stabilizer and homology helpers that only
 tests call.
@@ -163,6 +163,21 @@ def per_row_readout_x(state: StateVector, rng, flips: np.ndarray) -> np.ndarray:
         rest = (coefs[:, None] @ halves)[:, 0]
         outcomes[:, q] = outcome
     return outcomes
+
+
+def phase_flip_both_set(amps: np.ndarray, a: int, b: int) -> None:
+    """Reference CZ on qubits a and b: negate, in place, the amplitudes whose labels set both, found by a 2^n mask."""
+    n = amps.size.bit_length() - 1
+    idx = np.arange(1 << n, dtype=np.uint32)
+    amps[((idx >> (n - 1 - a)) & (idx >> (n - 1 - b)) & 1).astype(bool)] *= -1.0
+
+
+def per_edge_graph_state(n: int, edges) -> np.ndarray:
+    """Reference dense graph state: the uniform superposition's amplitudes after one CZ mask per edge, in order."""
+    amps = np.full(1 << n, 1.0 / np.sqrt(1 << n), dtype=complex)
+    for a, b in edges:
+        phase_flip_both_set(amps, a, b)
+    return amps
 
 
 def per_qubit_readout(state, rng, basis="x"):

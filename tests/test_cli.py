@@ -148,9 +148,18 @@ def test_sweep_exact_point_fails_on_any_deviation(monkeypatch, capsys, p):
         capsys, "sweep", "--trials", "1000000", "--steps", "1", "--p-min", str(p),
         "--p-max", str(p),
     )
-    assert code == 1
+    assert code == 3
     assert out == ""
-    assert err == f"tecsim: error: zero-variance point p={p} deviates from the analytic value\n"
+    assert err == f"tecsim: internal error: zero-variance point p={p} deviates from the analytic value\n"
+
+
+def test_a_failed_enumeration_self_check_is_an_internal_error(monkeypatch, capsys):
+    exact = tec.exact_enumeration
+    monkeypatch.setattr(tec, "exact_enumeration", lambda p, *code: exact(p, *code) + 1e-6)
+    code, out, err = run_cli(capsys, "sweep", "--trials", "100", "--steps", "1", "--p-min", "0.25", "--p-max", "0.25")
+    assert code == 3
+    assert out == ""
+    assert err == "tecsim: internal error: enumeration oracle mismatch at p=0.25\n"
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -162,13 +171,13 @@ def test_sweep_rejects_nonpositive_workers(capsys, workers):
     assert err == "tecsim: error: workers must be >= 1\n"
 
 
-@pytest.mark.parametrize("engine", ["fast", "tableau"])
+@pytest.mark.parametrize("engine", ["fast", "tableau", "dense"])
 def test_sweep_negative_seed_is_one_error_line(capsys, engine):
     code, out, err = run_cli(capsys, "sweep", "--engine", engine, "--seed", "-1",
                              "--steps", "2", "--trials", "10")
     assert code == 1
     assert out == ""
-    assert err == "tecsim: error: expected non-negative integer\n"
+    assert err == "tecsim: error: seed must be >= 0, got -1\n"
 
 
 def test_sweep_unwritable_path_fails(capsys):
@@ -391,6 +400,8 @@ def test_sweep_write_failure_is_the_only_stderr_line(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("tecsim: error: cannot write output file") and err.count("\n") == 1
+    with pytest.raises(ValueError, match="cannot write output file"):  # bad input, not a failed self-check
+        cli._write_output("", str(tmp_path))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

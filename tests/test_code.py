@@ -21,11 +21,20 @@ from tecsim.complexes import (
     complex_from_json,
     volume_boundary_masks,
 )
+from tecsim.dense import build_graph_state_dense
 from tecsim.errors import CapacityError
 from tecsim.rng import philox_generator
 from tecsim.tec import G8_CODE, MAX_CODE_FACES, build_code, exact_enumeration
 
-from reference import RING5, code_verdicts, pattern_chances, per_row_readout_x, walk_cells, walk_decoder
+from reference import (
+    RING5,
+    code_verdicts,
+    pattern_chances,
+    per_edge_graph_state,
+    per_row_readout_x,
+    walk_cells,
+    walk_decoder,
+)
 
 
 def _ring(a: int, b: int) -> CellComplex:
@@ -100,17 +109,19 @@ def test_a_20_face_build_traces_under_80_mib():
     assert code.leaders.shape == (2**18,)
 
 
-def test_a_20_face_codes_pattern_rows_trace_under_twice_their_size():
-    """The state engines' 2^20 bool rows of 20 faces and the moved flags take no int64 temporaries."""
+def test_a_20_000_trial_tableau_point_of_a_20_face_code_traces_under_2_mib():
+    """Each 4,096-row block expands its own injected masks into flip rows and audits its readout against them, so a
+    state-engine point builds no table of the 2^20 patterns."""
     code = build_code(_ring(9, 11), {"a9", "b11"})
+    code._state("tableau")  # the lazy build outside the measurement
     tracemalloc.start()
     try:
-        rows, moved = code._patterns
+        counts = tec._count_failures("tableau", 0.3, 20_000, 7, 0, code)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows.shape == (2**20, 20) and rows.dtype == bool and moved.shape == (2**20,)
-    assert peak < 2 * rows.nbytes, peak
+    assert peak < 2 * 2**20, peak
+    assert counts == tec._count_failures("fast", 0.3, 20_000, 7, 0, code)
 
 
 def test_a_20_face_fast_point_of_10_9_trials_traces_under_64_kib():
@@ -227,7 +238,7 @@ def test_a_dense_block_on_the_20_qubit_ring_peaks_under_its_state_and_a_quarter(
     per outcome history, 2^20 floats (8 MiB) in all, and its children gather a parent at a time. Gathering
     every parent of a level at once peaks at 24 MiB."""
     code = build_code(_ring(9, 9), {"a9", "b9"})
-    backend, (_, moved) = code._state("dense").backend, code._patterns  # built outside the measurement
+    backend = code._state("dense").backend  # built outside the measurement
     flips = np.random.default_rng(9).random((300, 18)) < 0.5
     tracemalloc.start()
     try:
@@ -236,8 +247,17 @@ def test_a_dense_block_on_the_20_qubit_ring_peaks_under_its_state_and_a_quarter(
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20, peak
-    assert not moved[((rows[:, :18] < 0) ^ flips) @ (1 << np.arange(18))].any()
+    read = ((rows[:, :18] < 0) ^ flips) @ (1 << np.arange(18))  # each row's faces read as -1, XOR its flips
+    assert not any(tec._parities(read, m).any() for m in (*code.checks, code.surface))
     assert np.array_equal(rows[:8], per_row_readout_x(backend, philox_generator(9, 0, 1), flips[:8]))
+
+
+def test_the_20_qubit_rings_dense_graph_state_is_the_per_edge_reference():
+    """Ring (9, 9), 20 qubits and 36 edges: the real parts bit for bit, the zero imaginary parts by value."""
+    graph = interaction_graph(_ring(9, 9))
+    got, want = build_graph_state_dense(graph).amps, per_edge_graph_state(graph.qubit_count, graph.edges)
+    assert graph.qubit_count == 20 and len(graph.edges) == 36
+    assert got.real.tobytes() == want.real.tobytes() and np.array_equal(got.imag, want.imag)
 
 
 def test_tables_times_the_pattern_chances_are_the_codes_rates(ring5):
@@ -274,13 +294,47 @@ def test_a_difference_that_moves_no_check_and_not_the_surface_keeps_both_verdict
     g8, ring5 and every odd two-chain ring up to 14 faces, each with a d besides 0."""
     rings = [build_code(_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
     for code in (G8_CODE, ring5, *rings):
-        (rows, moved), n, verdicts = code._patterns, len(code.faces), code_verdicts(code)
+        n, verdicts = len(code.faces), code_verdicts(code)
         patterns, seen = np.arange(1 << n), (*code.checks, code.surface)
-        assert np.array_equal(rows, (patterns[:, None] >> np.arange(n) & 1).astype(bool)), n
         unmoved = [d for d in range(1 << n) if not any((d & m).bit_count() & 1 for m in seen)]
-        assert np.flatnonzero(~moved).tolist() == unmoved and len(unmoved) > 1, n
+        assert len(unmoved) > 1, n
         for d in unmoved:
             assert np.array_equal(verdicts[:, patterns ^ d], verdicts), (n, d)
+
+
+def _audit_raises(code: tec.TopologicalCode, seed: int) -> bool:
+    try:
+        tec._count_failures("tableau", 0.3, 8, seed, 0, code)
+    except AssertionError as caught:
+        assert str(caught) == "the tableau readout moved a check or the surface"
+        return True
+    return False
+
+
+def test_the_audit_raises_iff_the_readouts_difference_moves_a_check_or_the_surface(ring5, monkeypatch):
+    """A readout that XORs d into every row's face outcomes: a state-engine point raises exactly when d has odd
+    parity with a check or the surface. Every d on g8 and ring5; on each odd two-chain ring up to 14 faces, a
+    seeded sample of 256 d (all of them up to 8 faces) and every d that moves nothing."""
+    backend = type(G8_CODE.state("tableau").backend)
+    readout, signs = backend.readout_x, [np.ones(0, np.int64)]
+    def xor_d(self, rng, flips=None):
+        rows = readout(self, rng, flips)
+        rows[:, : signs[0].size] *= signs[0]
+        return rows
+
+    monkeypatch.setattr(backend, "readout_x", xor_d)
+    rings = [build_code(_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
+    for i, code in enumerate((G8_CODE, ring5, *rings)):
+        n, seen = len(code.faces), (*code.checks, code.surface)
+        moves = {d: any((d & m).bit_count() & 1 for m in seen) for d in range(1 << n)}
+        if i < 2 or n <= 8:
+            sample = range(1 << n)
+        else:  # a ring's d that move nothing are 2 of 2^n, so the sample takes them too
+            unmoved = (d for d, moved in moves.items() if not moved)
+            sample = sorted({*np.random.default_rng(i).choice(1 << n, 256, replace=False).tolist(), *unmoved})
+        for d in sample:
+            signs[0] = 1 - 2 * (d >> np.arange(n) & 1)
+            assert _audit_raises(code, d) == moves[d], (n, d)
 
 
 def test_ring5_has_256_syndromes_and_distance_5(ring5):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,16 @@ from tecsim.errors import CapacityError
 from tecsim.pauli import PauliOperator
 from tecsim.rng import philox_generator
 
-from reference import computational_zero, fidelity, pauli_from_text, per_row_readout_x, pure, term_expectation
+from reference import (
+    computational_zero,
+    fidelity,
+    pauli_from_text,
+    per_edge_graph_state,
+    per_row_readout_x,
+    phase_flip_both_set,
+    pure,
+    term_expectation,
+)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -59,6 +70,36 @@ def test_g8_graph_state_matches_experimental_state():
         state.apply_gate("H", q)
     target = StateVector.from_amplitudes(eq3_amplitudes())
     assert abs(fidelity(state, target) - 1.0) < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(data=st.data())
+def test_graph_state_is_the_per_edge_reference(data):
+    """Random graphs of 1 to 12 qubits, edges in any order and orientation, some listed twice. The real parts are
+    the reference's bit for bit; its zero imaginary parts carry the sign of each label's flip count (-0.0 after two
+    flips), so they compare by value."""
+    n = data.draw(st.integers(1, 12), label="qubits")
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=3 * n), label="edges") if pairs else []
+    got, want = build_graph_state_dense(SimpleNamespace(qubit_count=n, edges=edges)).amps, per_edge_graph_state(n, edges)
+    assert got.real.tobytes() == want.real.tobytes() and np.array_equal(got.imag, want.imag)
+
+
+@pytest.mark.parametrize("gate", ["CZ", "CNOT"])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_cz_and_cnot_are_the_per_edge_reference_bit_for_bit(gate, data):
+    """On random complex states of 2 to 10 qubits; CNOT is H CZ H on its target."""
+    n = data.draw(st.integers(2, 10), label="qubits")
+    a, b = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True), label="qubits acted on")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="amplitude seed"))
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    want = state.copy().apply_gate("H", b) if gate == "CNOT" else state.copy()
+    phase_flip_both_set(want.amps, a, b)
+    if gate == "CNOT":
+        want.apply_gate("H", b)
+    assert state.apply_gate(gate, a, b).amps.tobytes() == want.amps.tobytes()
 
 
 def test_graph_state_capacity():
