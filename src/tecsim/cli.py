@@ -174,7 +174,7 @@ def cmd_witness(args: argparse.Namespace) -> tuple[str, None]:
 # complex
 
 
-_CUBOID_RE = re.compile(r"^cuboid[ :](\d+)x(\d+)x(\d+)$")
+_CUBOID_RE = re.compile(r"^cuboid (\d+)x(\d+)x(\d+)$")
 
 
 def _load_complex(name: str) -> tuple[str, complexes.CellComplex]:

@@ -272,19 +272,6 @@ def _volume_echelon(cx: CellComplex) -> tuple[dict[str, int], dict[int, tuple[in
     return face_index, _gf2_echelon(volume_boundary_masks(cx))[0]
 
 
-def homology_class_key(surface: Chain, cx: CellComplex) -> frozenset[str]:
-    """Canonical representative of a closed surface's homology class.
-
-    Reduces the face set against a fixed echelon basis of the volume
-    boundary space; equal keys mean homologically equivalent surfaces.
-    """
-    if surface.dimension != 2 or not is_closed(surface, cx):
-        raise ValueError("expected a closed 2-chain")
-    face_index, pivots = _volume_echelon(cx)
-    result, _ = _gf2_reduce(pivots, _face_mask(surface.cells, face_index))
-    return frozenset(name for name, i in face_index.items() if (result >> i) & 1)
-
-
 def closed_two_face_surfaces(cx: CellComplex) -> list[Chain]:
     """All closed surfaces made of exactly two faces, in sorted pair order.
 
@@ -305,7 +292,7 @@ def closed_surface_summary(cx: CellComplex) -> dict:
     """Counts and homology-class sizes of the two-face closed surfaces."""
     classes: dict[int, int] = {}
     surfaces = closed_two_face_surfaces(cx)
-    # one echelon for every surface; each residue is its homology_class_key as a face mask
+    # one echelon for every surface; each residue is its class's canonical face mask, equal iff homologous
     face_index, pivots = _volume_echelon(cx)
     for chain in surfaces:
         key, _ = _gf2_reduce(pivots, _face_mask(chain.cells, face_index))

@@ -24,8 +24,8 @@ from .complexes import (
     G8_PROTECTED_SURFACE,
     CellComplex,
     _gf2_echelon,
+    _gf2_reduce,
     build_g8_complex,
-    homology_class_key,
     is_closed,
     volume_boundary_masks,
 )
@@ -154,11 +154,12 @@ def build_code(cx: CellComplex, surface) -> TopologicalCode:
     chain = cx.chain(2, surface)
     if not is_closed(chain, cx):
         raise ValueError(f"surface {sorted(chain.cells)} is not closed")
-    if not homology_class_key(chain, cx):
-        raise ValueError(f"surface {sorted(chain.cells)} bounds volumes, so it protects nothing")
     surface_mask = sum(1 << i for i, f in enumerate(faces) if f in chain.cells)
     checks = volume_boundary_masks(cx)
-    independent = tuple(sorted(set(range(len(checks))) - _gf2_echelon(checks)[1].keys()))  # outside earlier spans
+    pivots, dependent = _gf2_echelon(checks)
+    if not _gf2_reduce(pivots, surface_mask)[0]:  # no residue: a sum of volume boundaries
+        raise ValueError(f"surface {sorted(chain.cells)} bounds volumes, so it protects nothing")
+    independent = tuple(sorted(set(range(len(checks))) - dependent.keys()))  # outside earlier spans
     basis = [checks[i] for i in independent]
     patterns, all_faces = np.arange(1 << len(faces)), (1 << len(faces)) - 1
     keys = sum((_parities(patterns, c).astype(np.int64) << j for j, c in enumerate(basis)), np.zeros_like(patterns))
@@ -214,10 +215,16 @@ def analytic_protected(p: float) -> float:
 
 
 def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
-    """The protected rate, summed exactly over the failing patterns of all F faces: the per-pattern oracle."""
+    """The protected rate over the failing patterns of all F faces, count x term per weight summed exactly and
+    rounded once: the correctly rounded sum of one term per failing pattern."""
     _check_probability(p)
-    terms = [p**w * (1.0 - p) ** (len(code.faces) - w) for w in range(len(code.faces) + 1)]  # by weight
-    return math.fsum(np.repeat(terms * 2, code.cells[2:].ravel()).tolist())  # classes 2, 3: a term per pattern
+    n, q = len(code.faces), 1.0 - p
+    total = 0  # in units of 2^-1074, the least subnormal: every double is a whole number of them
+    for w, (x, y) in enumerate(zip(*code.cells[2:].tolist())):  # classes 2, 3: failing patterns of weight w
+        if x + y:
+            a, d = (p**w * q ** (n - w)).as_integer_ratio()  # d is a power of 2, at most 2^1074
+            total += (x + y) * a << 1075 - d.bit_length()  # a / d is a << (1074 - log2 d) units
+    return total / (1 << 1074)  # int / int rounds once
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +273,8 @@ class SweepPoint:
     trials: int
     protected_failures: int
     unprotected_failures: int
+    analytic_protected: float
+    analytic_unprotected: float
 
     @property
     def mc_protected(self) -> float:
@@ -282,14 +291,6 @@ class SweepPoint:
     @property
     def se_unprotected(self) -> float:
         return binomial_se(self.mc_unprotected, self.trials)
-
-    @property
-    def analytic_protected(self) -> float:
-        return analytic_protected(self.p)
-
-    @property
-    def analytic_unprotected(self) -> float:
-        return analytic_unprotected(self.p)
 
 
 def binomial_se(rate: float, trials: int) -> float:
@@ -332,4 +333,4 @@ def monte_carlo_sweep(
             counts = list(pool.map(_count_failures, *jobs))  # in grid order, whatever the completion order
     else:
         counts = list(map(_count_failures, *jobs))
-    return [SweepPoint(p, trials, *pair) for p, pair in zip(p_values, counts)]
+    return [SweepPoint(p, trials, *pair, *G8_CODE.rates(p)) for p, pair in zip(p_values, counts)]

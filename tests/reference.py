@@ -1,7 +1,7 @@
 """Oracles the tests share: replayed draws, per-qubit readouts, per-edge CZ masks, Pauli matrices, paper data,
-a Python decoder walk and its cells, flip-pattern chances and g8's hand-written error polynomials, fixtures,
-a per-term dense expectation, and the Pauli, state, stabilizer and homology helpers that only
-tests call.
+a Python decoder walk and its cells, the per-pattern enumeration, flip-pattern chances and g8's hand-written
+error polynomials, fixtures and the two-chain ring, a per-term dense expectation, and the Pauli, state, stabilizer
+and homology helpers that only tests call.
 
 Test modules import it as ``from reference import ...``; ``tests/`` has no
 ``__init__.py``, so pytest, and ``python tests/<module>.py``, put this
@@ -9,6 +9,7 @@ directory on ``sys.path``.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,16 @@ from tecsim.pauli import _LETTERS, PauliOperator, _product_i_exponent
 from tecsim.tableau import StabilizerTableau
 
 RING5 = Path(__file__).resolve().parent / "fixtures" / "ring5.json"
+
+
+def two_chain_ring(a: int, b: int) -> CellComplex:
+    """Two chains, of a and b faces, around the defect, all sharing the edges {e1, e2}."""
+    chains = {"a": a, "b": b}
+    return CellComplex(
+        volumes={f"v{c}{i}": {f"{c}{i}", f"{c}{i + 1}"} for c, m in chains.items() for i in range(1, m)},
+        faces={f"{c}{i}": {"e1", "e2"} for c, m in chains.items() for i in range(1, m + 1)},
+        edges={"e1": {"s", "t"}, "e2": {"s", "t"}},
+    )
 
 
 def shared_boundary_json(k: int) -> str:
@@ -91,6 +102,13 @@ def g8_protected_polynomial(p: float) -> float:
     6 patterns of weight 2, all 20 of weight 3 and 6 of weight 4, so no cancellation at tiny p."""
     q = 1.0 - p
     return 6.0 * p**2 * q**4 + 20.0 * p**3 * q**3 + 6.0 * p**4 * q**2
+
+
+def per_pattern_enumeration(p: float, code) -> float:
+    """The protected rate as ``math.fsum`` over one term p^w (1 - p)^(F - w) per failing pattern, listed from
+    ``code.cells``' classes 2 and 3: 2^(F - 1) floats on a two-chain ring."""
+    terms = [p**w * (1.0 - p) ** (len(code.faces) - w) for w in range(len(code.faces) + 1)]  # by weight
+    return math.fsum(np.repeat(terms * 2, code.cells[2:].ravel()).tolist())
 
 
 def pattern_chances(p: float, n: int) -> list[float]:
@@ -294,6 +312,19 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 # ----------------------------------------------------------------------
 # complexes
+
+
+def homology_class_key(surface: Chain, cx: CellComplex) -> frozenset[str]:
+    """Canonical representative of a closed surface's homology class.
+
+    Reduces the face set against a fixed echelon basis of the volume
+    boundary space; equal keys mean homologically equivalent surfaces.
+    """
+    if surface.dimension != 2 or not is_closed(surface, cx):
+        raise ValueError("expected a closed 2-chain")
+    face_index, pivots = _volume_echelon(cx)
+    result, _ = _gf2_reduce(pivots, _face_mask(surface.cells, face_index))
+    return frozenset(name for name, i in face_index.items() if (result >> i) & 1)
 
 
 def homologically_equivalent(

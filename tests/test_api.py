@@ -47,6 +47,7 @@ TEST_ONLY = (
     (dense, "fidelity", "fidelity"),
     (dense, "_apply_factors", "apply_factors"),
     (complexes, "homologically_equivalent", "homologically_equivalent"),
+    (complexes, "homology_class_key", "homology_class_key"),
     (complexes, "complex_to_json", "complex_to_json"),
     (cluster, "stabilizer_generators", "stabilizer_generators"),
 )

@@ -141,7 +141,7 @@ def test_sweep_zero_failure_point_is_not_a_false_alarm(capsys):
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_sweep_exact_point_fails_on_any_deviation(monkeypatch, capsys, p):
     def one_stray_failure(grid, trials, seed, engine, workers):
-        return [tec.SweepPoint(grid[0], trials, 0, 1)]
+        return [tec.SweepPoint(grid[0], trials, 0, 1, *tec.G8_CODE.rates(grid[0]))]
 
     monkeypatch.setattr(tec, "monte_carlo_sweep", one_stray_failure)
     code, out, err = run_cli(
@@ -151,6 +151,19 @@ def test_sweep_exact_point_fails_on_any_deviation(monkeypatch, capsys, p):
     assert code == 3
     assert out == ""
     assert err == f"tecsim: internal error: zero-variance point p={p} deviates from the analytic value\n"
+
+
+def test_a_one_point_sweep_evaluates_the_rates_once(monkeypatch, capsys):
+    """The point carries its analytic values, so the CSV and the self-check read them, not the rates again."""
+    rates, calls = tec.TopologicalCode.rates, []
+    def counted(self, p):
+        calls.append(p)
+        return rates(self, p)
+
+    monkeypatch.setattr(tec.TopologicalCode, "rates", counted)
+    code, out, err = run_cli(capsys, "sweep", "--trials", "100", "--steps", "1", "--p-min", "0.25", "--p-max", "0.25")
+    assert code == 0, err
+    assert calls == [0.25]
 
 
 def test_a_failed_enumeration_self_check_is_an_internal_error(monkeypatch, capsys):
@@ -332,6 +345,18 @@ def test_complex_unknown_name(capsys):
     code, _, err = run_cli(capsys, "complex", "dodecahedron")
     assert code == 1
     assert "unknown complex" in err
+
+
+def test_complex_cuboid_name_takes_a_space_not_a_colon(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no file of that name to fall back on
+    code, out, err = run_cli(capsys, "complex", "cuboid:2x2x2")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "tecsim: error: unknown complex 'cuboid:2x2x2': expected elementary, g8, 'cuboid LxWxT',"
+        " or a JSON file\n"
+    )
+    assert run_cli(capsys, "complex", "cuboid", "2x2x2")[0] == 0
 
 
 def test_complex_empty_name_is_unknown_not_the_current_directory(capsys):

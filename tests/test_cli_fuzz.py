@@ -80,7 +80,8 @@ def argvs(draw, paths):
         argv += [f"--visibility={v}" for v in draw(st.lists(FLOATS, max_size=3))]
     else:
         names = ["g8", "elementary", "cuboid 1x1x1", "cuboid 0x1x1", "cuboid 99999x99999x99999",
-                 "cuboid 9223372036854775808x1x1", "cuboid 99999999999999999999x1x1", "cuboid", "", "dodecahedron"]
+                 "cuboid 9223372036854775808x1x1", "cuboid 99999999999999999999x1x1", "cuboid:1x1x1", "cuboid", "",
+                 "dodecahedron"]
         files = ("dir", "deep", "bad", "repeated", "crossdim", "crowded", "missing")
         name = draw(st.sampled_from(names + [paths[k] for k in files]))
         argv += name.split(" ") if name.startswith("cuboid") else [name]

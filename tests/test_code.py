@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from functools import reduce
+from functools import cache, reduce
 from operator import xor
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import tecsim
-from tecsim import tec
+from tecsim import complexes, tec
 from tecsim.cluster import build_cluster, interaction_graph, measure_all, surface_correlation
 from tecsim.complexes import (
     CellComplex,
@@ -31,20 +31,12 @@ from reference import (
     code_verdicts,
     pattern_chances,
     per_edge_graph_state,
+    per_pattern_enumeration,
     per_row_readout_x,
+    two_chain_ring,
     walk_cells,
     walk_decoder,
 )
-
-
-def _ring(a: int, b: int) -> CellComplex:
-    """Two chains, of a and b faces, around the defect, all sharing the edges {e1, e2}."""
-    chains = {"a": a, "b": b}
-    return CellComplex(
-        volumes={f"v{c}{i}": {f"{c}{i}", f"{c}{i + 1}"} for c, m in chains.items() for i in range(1, m)},
-        faces={f"{c}{i}": {"e1", "e2"} for c, m in chains.items() for i in range(1, m + 1)},
-        edges={"e1": {"s", "t"}, "e2": {"s", "t"}},
-    )
 
 
 def _chain_fails(k: int, p: float) -> float:
@@ -85,6 +77,24 @@ def test_surface_must_be_closed_and_nontrivial(surface, message):
         build_code(build_g8_complex(), surface)
 
 
+def test_build_code_runs_one_echelon(monkeypatch):
+    """The checks' echelon gives both the independent checks and the surface's residue, whose 0 rejects it."""
+    echelon, calls = complexes._gf2_echelon, []
+    def counted(vectors):
+        calls.append(tuple(vectors))
+        return echelon(vectors)
+
+    monkeypatch.setattr(tec, "_gf2_echelon", counted)
+    monkeypatch.setattr(complexes, "_gf2_echelon", counted)
+    code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
+    assert calls == [code.checks]
+    calls.clear()
+    with pytest.raises(ValueError) as caught:
+        build_code(build_g8_complex(), {"f1", "f2", "f3", "f4"})
+    assert str(caught.value) == "surface ['f1', 'f2', 'f3', 'f4'] bounds volumes, so it protects nothing"
+    assert len(calls) == 1
+
+
 def test_unknown_surface_face_is_rejected():
     with pytest.raises(KeyError):
         build_code(build_g8_complex(), {"f5", "f9"})
@@ -98,7 +108,7 @@ def test_face_cap_is_checked_before_enumerating():
 
 def test_a_20_face_build_traces_under_80_mib():
     """The 2^20-pattern pass holds a few numpy arrays of 2^20 entries, and its decoder is one array."""
-    cx = _ring(9, 11)
+    cx = two_chain_ring(9, 11)
     tracemalloc.start()
     try:
         code = build_code(cx, {"a9", "b11"})
@@ -112,7 +122,7 @@ def test_a_20_face_build_traces_under_80_mib():
 def test_a_20_000_trial_tableau_point_of_a_20_face_code_traces_under_2_mib():
     """Each 4,096-row block expands its own injected masks into flip rows and audits its readout against them, so a
     state-engine point builds no table of the 2^20 patterns."""
-    code = build_code(_ring(9, 11), {"a9", "b11"})
+    code = build_code(two_chain_ring(9, 11), {"a9", "b11"})
     code._state("tableau")  # the lazy build outside the measurement
     tracemalloc.start()
     try:
@@ -127,7 +137,7 @@ def test_a_20_000_trial_tableau_point_of_a_20_face_code_traces_under_2_mib():
 def test_a_20_face_fast_point_of_10_9_trials_traces_under_64_kib():
     """A fast point draws the counts of the code's 84 class x weight cells: no array of the 2^20
     patterns, and none that grows with the trials."""
-    code, trials = build_code(_ring(9, 11), {"a9", "b11"}), 10**9
+    code, trials = build_code(two_chain_ring(9, 11), {"a9", "b11"}), 10**9
     tec._count_failures("fast", 0.3, 10, 7, 0, code)  # numpy's lazy imports outside the measurement
     tracemalloc.start()
     try:
@@ -145,7 +155,7 @@ def test_minimum_weight_tie_raises():
     the syndrome of the first tied pattern in weight order."""
     for (a, b), syndrome in (((4, 4), "(-1, 1, -1, 1, 1, 1)"), ((2, 3), "(-1, 1, 1)"), ((1, 2), "(-1,)")):
         with pytest.raises(AssertionError) as caught:
-            build_code(_ring(a, b), {f"a{a}", f"b{b}"})
+            build_code(two_chain_ring(a, b), {f"a{a}", f"b{b}"})
         assert str(caught.value) == f"minimum-weight tie for syndrome {syndrome}", (a, b)
 
 
@@ -197,12 +207,48 @@ def test_numpy_pass_matches_the_weight_order_walk(data):
 
 def test_ring5_fixture_is_the_m5_ring():
     cx = complex_from_json(RING5.read_text())
-    assert cx.volumes == _ring(5, 5).volumes
-    assert cx.faces == _ring(5, 5).faces
+    assert cx.volumes == two_chain_ring(5, 5).volumes
+    assert cx.faces == two_chain_ring(5, 5).faces
 
 
 # every odd pair a <= b up to the decoder cap of 20 faces
 ODD_PAIRS = [(a, b) for a in range(1, MAX_CODE_FACES, 2) for b in range(a, MAX_CODE_FACES + 1 - a, 2)]
+# both ends, the least subnormal and a tiny normal p, and the largest double below 1
+ENUMERATION_GRID = (0.0, 5e-324, 1e-300, 0.3, 0.5, 1.0 - 2**-53, 1.0)
+
+
+@cache
+def _ring_code(a: int, b: int) -> tec.TopologicalCode:
+    return build_code(two_chain_ring(a, b), {f"a{a}", f"b{b}"})
+
+
+def test_exact_enumeration_is_the_per_pattern_fsum_bit_for_bit(ring5):
+    """Summed exactly per weight and rounded once, it is the correctly rounded per-pattern sum, as ``math.fsum``
+    is; ``test_two_chain_codes_match_the_chain_formula_on_every_engine`` checks every odd ring on this grid."""
+    for code in (G8_CODE, ring5):
+        for p in ENUMERATION_GRID:
+            assert exact_enumeration(p, code).hex() == per_pattern_enumeration(p, code).hex(), (len(code.faces), p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(p=st.floats(0.0, 1.0), pair=st.sampled_from([pair for pair in ODD_PAIRS if sum(pair) <= 14]))
+def test_exact_enumeration_is_the_per_pattern_fsum_at_any_p(ring5, p, pair):
+    for code in (G8_CODE, ring5, _ring_code(*pair)):
+        assert exact_enumeration(p, code).hex() == per_pattern_enumeration(p, code).hex(), (len(code.faces), p)
+
+
+def test_one_enumeration_of_the_20_face_ring_traces_under_1_mib():
+    """A count x term per weight: no list of the 2^19 failing patterns' terms, 20 MiB of Python floats."""
+    code = _ring_code(9, 11)
+    exact_enumeration(0.3, code)  # lazy imports outside the measurement
+    tracemalloc.start()
+    try:
+        rate = exact_enumeration(0.3, code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert rate.hex() == per_pattern_enumeration(0.3, code).hex()
 
 
 @pytest.mark.parametrize("a,b", ODD_PAIRS)
@@ -213,13 +259,15 @@ def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
     The tableau runs every pair; dense checks correlations up to 14 faces and audited sweeps up to 18.
     """
     surface = {f"a{a}", f"b{b}"}
-    code = build_code(_ring(a, b), surface)
+    code = build_code(two_chain_ring(a, b), surface)
     for p in (0.05, 0.3, 0.5, 0.8):
         fa, fb = _chain_fails(a, p), _chain_fails(b, p)
         protected, unprotected = code.rates(p)
         for rate in (exact_enumeration(p, code), protected):
             assert rate == pytest.approx(fa * (1 - fb) + fb * (1 - fa), abs=1e-13), p
         assert unprotected == pytest.approx((1 - (1 - 2 * p) ** 2) / 2, abs=1e-13), p
+    for p in ENUMERATION_GRID:
+        assert exact_enumeration(p, code).hex() == per_pattern_enumeration(p, code).hex(), p
     # each volume boundary and the protected pair is a stabilizer; a dense ring state has 2^(a+b+2) amplitudes
     for engine in ("tableau", "dense") if a + b <= 14 else ("tableau",):
         state = code.state(engine)
@@ -237,7 +285,7 @@ def test_a_dense_block_on_the_20_qubit_ring_peaks_under_its_state_and_a_quarter(
     """300 rows of ring (9, 9), whose state is 2^20 complex amplitudes (16 MiB): a level holds one real state
     per outcome history, 2^20 floats (8 MiB) in all, and its children gather a parent at a time. Gathering
     every parent of a level at once peaks at 24 MiB."""
-    code = build_code(_ring(9, 9), {"a9", "b9"})
+    code = build_code(two_chain_ring(9, 9), {"a9", "b9"})
     backend = code._state("dense").backend  # built outside the measurement
     flips = np.random.default_rng(9).random((300, 18)) < 0.5
     tracemalloc.start()
@@ -254,7 +302,7 @@ def test_a_dense_block_on_the_20_qubit_ring_peaks_under_its_state_and_a_quarter(
 
 def test_the_20_qubit_rings_dense_graph_state_is_the_per_edge_reference():
     """Ring (9, 9), 20 qubits and 36 edges: the real parts bit for bit, the zero imaginary parts by value."""
-    graph = interaction_graph(_ring(9, 9))
+    graph = interaction_graph(two_chain_ring(9, 9))
     got, want = build_graph_state_dense(graph).amps, per_edge_graph_state(graph.qubit_count, graph.edges)
     assert graph.qubit_count == 20 and len(graph.edges) == 36
     assert got.real.tobytes() == want.real.tobytes() and np.array_equal(got.imag, want.imag)
@@ -279,7 +327,7 @@ def test_tables_times_the_pattern_chances_are_the_codes_rates(ring5):
             assert got == pytest.approx(code.rates(p), abs=1e-12), (n, p)
     assert len(ODD_PAIRS) == 30
     for a, b in ODD_PAIRS:  # built one at a time: a 20-face code holds 6 MiB
-        code, n = build_code(_ring(a, b), {f"a{a}", f"b{b}"}), a + b
+        code, n = build_code(two_chain_ring(a, b), {f"a{a}", f"b{b}"}), a + b
         assert code.cells.sum(0).tolist() == [math.comb(n, w) for w in range(n + 1)], (a, b)
         for p in grid:
             classes = code.cells @ np.array([p**w * (1.0 - p) ** (n - w) for w in range(n + 1)])
@@ -292,7 +340,7 @@ def test_a_difference_that_moves_no_check_and_not_the_surface_keeps_both_verdict
     """The state engines check each row's read pattern against the injected one and count neither:
     for every pattern k and every d that moves no check and not the surface, k ^ d fails as k does.
     g8, ring5 and every odd two-chain ring up to 14 faces, each with a d besides 0."""
-    rings = [build_code(_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
+    rings = [build_code(two_chain_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
     for code in (G8_CODE, ring5, *rings):
         n, verdicts = len(code.faces), code_verdicts(code)
         patterns, seen = np.arange(1 << n), (*code.checks, code.surface)
@@ -323,7 +371,7 @@ def test_the_audit_raises_iff_the_readouts_difference_moves_a_check_or_the_surfa
         return rows
 
     monkeypatch.setattr(backend, "readout_x", xor_d)
-    rings = [build_code(_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
+    rings = [build_code(two_chain_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
     for i, code in enumerate((G8_CODE, ring5, *rings)):
         n, seen = len(code.faces), (*code.checks, code.surface)
         moves = {d: any((d & m).bit_count() & 1 for m in seen) for d in range(1 << n)}

@@ -21,12 +21,11 @@ from tecsim.complexes import (
     closed_surface_summary,
     closed_two_face_surfaces,
     complex_from_json,
-    homology_class_key,
     is_closed,
 )
 from tecsim.errors import CapacityError
 
-from reference import complex_to_json, homologically_equivalent, shared_boundary_json
+from reference import complex_to_json, homologically_equivalent, homology_class_key, shared_boundary_json
 
 
 def test_elementary_cell_counts():

@@ -14,7 +14,6 @@ from tecsim.cluster import OutcomeRecord, build_cluster, interaction_graph, meas
 from tecsim.complexes import (
     G8_PROTECTED_SURFACE,
     build_g8_complex,
-    homology_class_key,
     is_closed,
     volume_boundary_masks,
 )
@@ -41,6 +40,7 @@ from reference import (
     g8_protected_polynomial,
     g8_unprotected_polynomial,
     homologically_equivalent,
+    homology_class_key,
     pattern_chances,
     walk_decoder,
 )
@@ -289,6 +289,13 @@ def test_sweep_zero_probability_is_exactly_zero():
     assert point.mc_protected == 0.0
     assert point.mc_unprotected == 0.0
     assert point.se_protected == 0.0
+
+
+def test_sweep_points_carry_g8s_rates_bit_for_bit():
+    grid = [0.0, 5e-324, 1e-300, 0.1, 0.3, 0.5, 1.0 - 2**-53, 1.0]
+    for pt in monte_carlo_sweep(grid, 1000, seed=3):
+        got = pt.analytic_protected, pt.analytic_unprotected
+        assert tuple(map(float.hex, got)) == tuple(map(float.hex, G8_CODE.rates(pt.p))), pt.p
 
 
 def test_sweep_is_bitwise_reproducible():
