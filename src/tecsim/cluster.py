@@ -3,7 +3,8 @@
 Qubits live on the faces and edges of a complex; the interaction graph
 joins each face qubit to the qubits on its boundary edges. Two engines sit
 behind one interface: the stabilizer tableau for scale, the dense oracle
-for cross-validation and non-Clifford observables.
+for cross-validation and non-Clifford observables. The tableau reads every
+qubit out in X in closed form, whatever gates or measurements it has seen.
 """
 
 from __future__ import annotations

@@ -17,18 +17,6 @@ _PHASE_PREFIX = {0: "", 1: "i", 2: "-", 3: "-i"}
 _PHASE_VALUE = {0: 1, 1: 1j, 2: -1, 3: -1j}
 
 
-def _product_i_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
-    """i-exponent (mod 4) picked up by the qubit-wise product of two strings.
-
-    Per qubit the product of the literal Paulis selected by (x1, z1) and
-    (x2, z2) is i**g times the literal Pauli selected by the XOR of the
-    bits; ``pos``/``neg`` mark the qubits with g = +1 / g = -1.
-    """
-    pos = (x1 & z1 & z2 & ~x2) | (x1 & ~z1 & x2 & z2) | (z1 & ~x1 & x2 & ~z2)
-    neg = (x1 & z1 & x2 & ~z2) | (x1 & ~z1 & ~x2 & z2) | (z1 & ~x1 & x2 & z2)
-    return (pos.bit_count() - neg.bit_count()) % 4
-
-
 @dataclass(frozen=True)
 class PauliOperator:
     """An n-qubit Pauli string with an exact phase in {+1, +i, -1, -i}."""

@@ -5,14 +5,14 @@ row) so gate and measurement updates cost O(n/word) per row. H, S and CZ
 update each row in place; CNOT is H, CZ, H on its target, and X, Y and Z
 flip the sign of every row that anticommutes with them. A Pauli that
 commutes with every row is +-a product of rows, found by one GF(2) echelon
-of the rows; a graph state's rows are their own pivots there. Its X readout
-needs no collapse: :func:`_graph_readout_x` reads it from one echelon of
-the neighbour masks.
+of the rows, and :func:`_product_sign` alone signs any product of rows. The
+X readout of any tableau needs no collapse: :meth:`_readout_plan` finds the
+group's X strings, which fix outcomes, from two echelons.
 
-Signs are bits and only ever add by XOR. So :func:`_graph_readout_x` also
-runs on numpy bit columns, one entry per copy of a block readout; and signs
-may be GF(2) affine forms held as ints, bit 0 the constant and each higher
-bit a variable, which only the tests' symbolic reference uses.
+Signs only ever add by XOR. So :func:`_x_outcomes` also runs on numpy bit
+columns, one entry per copy of a block readout; and signs may be GF(2)
+affine forms held as ints, bit 0 the constant and each higher bit a
+variable, which only the tests' symbolic reference uses.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import _gf2_echelon, _gf2_reduce
-from .pauli import PauliOperator, _product_i_exponent, check_flips, check_gate, check_operator
+from .pauli import PauliOperator, check_flips, check_gate, check_operator
 
 
 class StabilizerTableau:
@@ -145,35 +145,25 @@ class StabilizerTableau:
         return self.measure_pauli(PauliOperator.single(self.n, q, "Z"), rng)
 
     def readout_x(self, rng: np.random.Generator, flips: np.ndarray | None = None) -> list[int] | np.ndarray:
-        """X outcomes (+-1) of every qubit, measured in qubit order; the state is left as is.
+        """X outcomes (+-1) of every qubit, read in order from :meth:`_readout_plan`; the state is left as is.
 
-        With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t
-        is this call's readout, given the same draws, of the copy with Z on each qubit q < k
-        where ``flips[t, q]`` is set. Stabilizers +-X_v Z_N(v) are read out in closed form, and
-        a Z on qubit q flips stabilizer q's sign alone. The R random outcomes are one
-        ``rng.integers(0, 2, R)``, a block's ``rng.integers(0, 2, (trials, R))``: per copy, the
-        numbers of R scalar ``rng.integers(0, 2)`` in order. Other rows collapse qubit by qubit
-        on a copy, one scalar draw per random outcome.
+        With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t is this
+        call's readout, given the same draws, of the copy with Z on each qubit q < k where ``flips[t, q]``
+        is set. The R random outcomes are one ``rng.integers(0, 2, R)``, a block's ``rng.integers(0, 2,
+        (trials, R))``: per copy, the numbers of R scalar ``rng.integers(0, 2)``, as a collapse draws them.
         """
-        n, masks, signs = self.n, self._zs, self._rs
-        flips = flips if flips is None else check_flips(flips, n)
-        if not all(x == 1 << v and not m >> v & 1 for v, (x, m) in enumerate(zip(self._xs, masks))):
-            rows = []
-            for row in np.zeros((1, 0), bool) if flips is None else flips:
-                work = self.copy()
-                for q in np.flatnonzero(row).tolist():
-                    work.z(q)
-                rows.append([work.measure_x(q, rng) for q in range(n)])
-            return rows[0] if flips is None else np.array(rows, np.int8).reshape(-1, n)
-        dependent = _gf2_echelon(masks)[1]
-        if flips is None:
-            coins = iter(rng.integers(0, 2, n - len(dependent)).tolist())
-            return [1 - 2 * bit for bit in _graph_readout_x(masks, dependent, signs, coins.__next__)]
-        columns = np.repeat(np.array(signs, np.int8)[:, None], len(flips), 1)
-        columns[: flips.shape[1]] ^= flips.T
+        flips = flips if flips is None else check_flips(flips, self.n)
+        plan = self._readout_plan()
+        if flips is None:  # the outcomes so far as one int, so each fixed one is a parity
+            coins, out = iter(rng.integers(0, 2, plan.count(None)).tolist()), 0
+            for i, step in enumerate(plan):
+                out |= (next(coins) if step is None else step[1] ^ (out & step[0]).bit_count() & 1) << i
+            return [-1 if bit == "1" else 1 for bit in f"{out:0{self.n}b}"[::-1]]
+        columns = np.zeros((self.n, len(flips)), np.int8)
+        columns[: flips.shape[1]] = flips.T
         # drawn as int64 and cast: numpy buffers narrower draws, which reorders the stream
-        draws = iter(rng.integers(0, 2, (len(flips), n - len(dependent))).T.astype(np.int8))
-        return 1 - 2 * np.array(_graph_readout_x(masks, dependent, columns, draws.__next__)).T
+        draws = iter(rng.integers(0, 2, (len(flips), plan.count(None))).T.astype(np.int8))
+        return 1 - 2 * np.array(_x_outcomes(plan, columns, draws.__next__)).T
 
     def expectation_pauli(self, op: PauliOperator) -> int:
         """Exact expectation in {-1, 0, +1}; the state is not disturbed."""
@@ -199,12 +189,8 @@ class StabilizerTableau:
             return self._deterministic_sign(xm, zm, r_in)
         xs, zs, rs = self._xs, self._zs, self._rs
         pivot, *others = anti
-        px, pz, pr = xs[pivot], zs[pivot], rs[pivot]
         for j in others:
-            # rows commute with the pivot, so the product phase is even and only adds a constant
-            rs[j] ^= pr ^ (_product_i_exponent(px, pz, xs[j], zs[j]) >> 1)
-            xs[j] ^= px
-            zs[j] ^= pz
+            xs[j], zs[j], rs[j] = _product_sign(xs, zs, rs, 1 << pivot | 1 << j)
         bit = int(rng.integers(0, 2))
         xs[pivot], zs[pivot], rs[pivot] = xm, zm, r_in ^ bit
         return bit
@@ -216,41 +202,65 @@ class StabilizerTableau:
         own pivots, are put in echelon form once; reducing the target against
         it chooses the rows whose product is +-(xm, zm).
         """
-        xs, zs, rs, n = self._xs, self._zs, self._rs, self.n
+        xs, zs, n = self._xs, self._zs, self.n
         pivots = _gf2_echelon([z | x << n for x, z in zip(xs, zs)])[0]
         chooser = _gf2_reduce(pivots, zm | xm << n)[1]
-        sx = sz = exp = sign = 0
-        for j in (j for j in range(n) if chooser >> j & 1):
-            exp += _product_i_exponent(sx, sz, xs[j], zs[j])
-            sign ^= rs[j]
-            sx ^= xs[j]
-            sz ^= zs[j]
-        if sx != xm or sz != zm or exp & 1:
+        x, z, sign = _product_sign(xs, zs, self._rs, chooser)
+        if x != xm or z != zm:
             raise AssertionError("tableau rows lost GF(2) independence")
-        return sign ^ (exp >> 1 & 1) ^ r_in
+        return sign ^ r_in
+
+    def _readout_plan(self) -> list[tuple[int, int] | None]:
+        """Per qubit, read in order: (T, sign bit) of the group's +-X_T whose last qubit it is, or None.
+
+        With X_0 ... X_(i-1) measured, the group holds +-X_i, so fixes outcome i, iff the stabilizer
+        group holds some +-X_T whose last qubit is i. One echelon of the rows' Z parts chooses row
+        products whose Z parts cancel: a basis of the group's X strings. A second, of their X parts
+        with the sign bit below, puts one string at each last qubit: X strings multiply without phase.
+        """
+        xs, zs, rs = self._xs, self._zs, self._rs
+        products = (_product_sign(xs, zs, rs, chooser) for chooser in _gf2_echelon(zs)[1].values())
+        plan: list[tuple[int, int] | None] = [None] * self.n
+        for top, (string, _) in _gf2_echelon([x << 1 | sign for x, _, sign in products])[0].items():
+            plan[top - 1] = string >> 1, string & 1
+        return plan
 
 
-def _graph_readout_x(masks: list[int], dependent: dict[int, int], signs: list[int], draw) -> list[int]:
-    """Outcome signs (1 for -1) of the X readout, qubit by qubit in order, of a graph state.
+def _product_sign(xs: list[int], zs: list[int], rs: list[int], chooser: int) -> tuple[int, int, int]:
+    """(x, z, sign form) of the product of the rows that ``chooser`` holds.
 
-    Stabilizer v is (-1)^signs[v] X_v Z_masks[v]. Outcome i is fixed iff masks[i] reduces to
-    zero against masks[0..i-1], so iff ``dependent``, from ``_gf2_echelon(masks)``, holds i.
-    The chooser S of that zero sum holds i, and K_S = (-1)^(e(S) + sum of signs over S) X_S,
-    e(S) being the graph edges inside S; so outcome i is that sign plus the outcomes of
-    S - {i}. Any other outcome is ``draw()``. Everything adds by XOR and no operand is
-    updated in place, so signs and draws may be bits, numpy bit columns or sign forms.
+    Row j is (-1)^rs[j] i^(#Y) X^xs[j] Z^zs[j], as Y = iXZ. Multiplied from the last row down, each X
+    that passes a Z of a row already in the product costs a -1, and the product's own Y letters take
+    back their i's. Rows that commute may come in any order and leave an even power of i; odd raises.
     """
-    out: list[int] = []
-    for i, mask in enumerate(masks):
-        chooser = dependent.get(i)
-        if chooser is None:
-            out.append(draw())
-            continue
-        form, edges, rest = signs[i], (mask & chooser).bit_count(), chooser ^ (1 << i)
+    x = z = sign = exp = 0
+    while chooser:
+        j = chooser.bit_length() - 1
+        chooser ^= 1 << j
+        xj, zj = xs[j], zs[j]
+        exp += (xj & zj).bit_count() + 2 * (z & xj).bit_count()
+        sign ^= rs[j]
+        x ^= xj
+        z ^= zj
+    exp -= (x & z).bit_count()
+    if exp & 1:
+        raise AssertionError("tableau rows do not commute")
+    return x, z, sign ^ exp >> 1 & 1
+
+
+def _x_outcomes(plan: list[tuple[int, int] | None], flips, draw) -> list:
+    """Outcome signs (1 for -1), in qubit order, of the X readout that ``plan`` describes, after
+    Z on each qubit q where ``flips[q]`` is set: Z on q flips every X_T with q in T.
+
+    Fixed outcome i adds T's sign, its flips and the outcomes of T - {i}; any other is ``draw()``.
+    No operand is updated in place, so flips, signs and draws may be bits, bit columns or sign forms.
+    """
+    out: list = []
+    for i, step in enumerate(plan):
+        form, rest = (draw(), 0) if step is None else (step[1] ^ flips[i], step[0] ^ 1 << i)
         while rest:
-            v = (rest & -rest).bit_length() - 1
+            v = rest.bit_length() - 1
             rest ^= 1 << v
-            form = form ^ signs[v] ^ out[v]
-            edges += (masks[v] & chooser).bit_count()
-        out.append(form ^ (edges >> 1 & 1))
+            form = form ^ flips[v] ^ out[v]
+        out.append(form)
     return out

@@ -25,7 +25,7 @@ from tecsim.complexes import (
     is_closed,
 )
 from tecsim.dense import DensityModel, StateVector
-from tecsim.pauli import _LETTERS, PauliOperator, _product_i_exponent
+from tecsim.pauli import _LETTERS, PauliOperator
 from tecsim.tableau import StabilizerTableau
 
 RING5 = Path(__file__).resolve().parent / "fixtures" / "ring5.json"
@@ -242,6 +242,18 @@ def pauli_from_text(text: str) -> PauliOperator:
         x_bits |= (code & 1) << q
         z_bits |= (code >> 1) << q
     return PauliOperator(len(body), x_bits, z_bits, phase_exp)
+
+
+def _product_i_exponent(x1: int, z1: int, x2: int, z2: int) -> int:
+    """i-exponent (mod 4) picked up by the qubit-wise product of two strings.
+
+    Per qubit the product of the literal Paulis selected by (x1, z1) and
+    (x2, z2) is i**g times the literal Pauli selected by the XOR of the
+    bits; ``pos``/``neg`` mark the qubits with g = +1 / g = -1.
+    """
+    pos = (x1 & z1 & z2 & ~x2) | (x1 & ~z1 & x2 & z2) | (z1 & ~x1 & x2 & ~z2)
+    neg = (x1 & z1 & x2 & ~z2) | (x1 & ~z1 & ~x2 & z2) | (z1 & ~x1 & x2 & z2)
+    return (pos.bit_count() - neg.bit_count()) % 4
 
 
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:

@@ -37,6 +37,7 @@ TEST_ONLY = (
     (pauli, "pauli_from_text", "pauli_from_text"),
     (pauli, "multiply", "multiply"),
     (pauli, "commutes", "commutes"),
+    (pauli, "_product_i_exponent", "_product_i_exponent"),
     (pauli.PauliOperator, "identity", "identity"),
     (pauli.PauliOperator, "weight", "weight"),
     (tableau.StabilizerTableau, "stabilizer", "stabilizer"),

@@ -385,7 +385,7 @@ def test_graph_index_matches_per_vertex_scans():
 
 
 # ----------------------------------------------------------------------
-# X readout: closed form on graph states, per-qubit collapse elsewhere
+# X readout: closed form on every tableau, against per-qubit collapse
 
 
 def record_values(record, state):
@@ -442,14 +442,14 @@ def _carved(state):
 
 
 @pytest.mark.parametrize("prepare", [_h_and_s, _carved], ids=["H and S", "carve_defect"])
-def test_x_readout_off_graph_form_falls_back_to_collapse(g8_tableau, prepare, monkeypatch):
+def test_x_readout_off_graph_form_takes_no_collapse(g8_tableau, prepare, monkeypatch):
     state = prepare(g8_tableau.copy())
     expected = [per_qubit_readout(state, philox_generator(13, t)) for t in range(20)]
 
-    def closed_form(*args):
-        raise AssertionError("closed form taken off graph form")
+    def collapse(*args):
+        raise AssertionError("per-qubit collapse taken by the X readout")
 
-    monkeypatch.setattr("tecsim.tableau._graph_readout_x", closed_form)
+    monkeypatch.setattr(StabilizerTableau, "_collapse", collapse)
     for t in range(20):
         assert record_values(measure_all(state, philox_generator(13, t), "x"), state) == expected[t]
 
@@ -600,3 +600,17 @@ def test_block_rows_are_each_copys_readout_on_random_graphs(engine, data):
     flips = np.array(bits, bool).reshape(trials, k)
     check_block_rows(state, flips, data.draw(st.integers(0, 2**64), label="seed"),
                      data.draw(st.integers(0, trials), label="split"))
+
+
+def test_off_graph_cuboid_readout_is_pinned_and_takes_no_collapse(monkeypatch):
+    """Cuboid 8x8x8 with H on every 50th qubit and S on qubit 7, seeds 0 and 1: the digest the
+    per-qubit collapse gave, read in closed form."""
+    state = build_cluster(interaction_graph(build_cuboid_complex(8, 8, 8)), "tableau")
+    for q in range(0, state.graph.qubit_count, 50):
+        state.backend.apply_gate("H", q)
+    state.backend.apply_gate("S", 7)
+    monkeypatch.setattr(StabilizerTableau, "_collapse", lambda *args: pytest.fail("per-qubit collapse taken"))
+    digest = hashlib.sha256()
+    for seed in range(2):
+        digest.update(repr(sorted(measure_all(state, philox_generator(seed), "x").outcomes.items())).encode())
+    assert digest.hexdigest() == "29bbb77272b2ec04cebe1b3382f68c76c4884dbe93d7e0efd5bdc6c5024579de"

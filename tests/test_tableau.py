@@ -14,11 +14,11 @@ from tecsim.cluster import (
     interaction_graph,
     measure_all,
 )
-from tecsim.complexes import _gf2_echelon, build_cuboid_complex, build_elementary_cell, build_g8_complex
+from tecsim.complexes import build_cuboid_complex, build_elementary_cell, build_g8_complex
 from tecsim.dense import GATE_MATRICES
 from tecsim.pauli import GATE_TARGETS, PauliOperator, pauli_to_text
 from tecsim.rng import philox_generator
-from tecsim.tableau import StabilizerTableau, _graph_readout_x
+from tecsim.tableau import StabilizerTableau, _product_sign, _x_outcomes
 
 from reference import (
     Replay,
@@ -27,6 +27,7 @@ from reference import (
     multiply,
     pauli_from_text,
     per_qubit_readout,
+    stabilizer,
     stabilizer_generators,
     stabilizers,
     to_matrix,
@@ -505,7 +506,7 @@ def test_readout_forms_match_concrete_x_readout(graph, data):
 
 
 # ----------------------------------------------------------------------
-# closed-form X readout of graph states against per-qubit collapse
+# closed-form X readout of every tableau against per-qubit collapse
 
 
 def labelled_cluster(n, edges):
@@ -553,36 +554,125 @@ def test_closed_form_x_readout_matches_per_qubit_collapse(graph, data):
     assert ours.used == reference.used
 
 
+def off_graph_form(tab, rng):
+    """A copy of ``tab`` after H and S on a few qubits, a CNOT and a Z measurement: Y rows and mixed products."""
+    work = tab.copy()
+    for q in rng.choice(work.n, size=min(3, work.n), replace=False):
+        work.apply_gate(str(rng.choice(["H", "S"])), int(q))
+    if work.n > 1:
+        work.apply_gate("CNOT", *(int(q) for q in rng.choice(work.n, size=2, replace=False)))
+    work.measure_z(int(rng.integers(work.n)), philox_generator(int(rng.integers(2**32))))
+    return work
+
+
 @pytest.mark.parametrize("name", ["g8", "elementary", "cuboid 2x2x2", "cuboid 3x3x2"])
 def test_closed_form_sign_forms_equal_reference_forms(name):
-    state = build_cluster(interaction_graph(COMPLEXES[name]()))
-    tab = state.backend
+    """The readout plan evaluated on sign forms, a variable per flip and per random outcome, gives the
+    symbolic per-qubit collapse's forms: on the graph state and on a copy taken off graph form."""
+    graph_state = build_cluster(interaction_graph(COMPLEXES[name]())).backend
     rng = np.random.default_rng(len(name))
-    for _ in range(5):
-        flip_qubits = [int(q) for q in rng.choice(tab.n, size=min(12, tab.n), replace=False)]
-        signs = [0] * tab.n
-        for v, q in enumerate(flip_qubits):
-            signs[q] ^= 2 << v
-        fresh = count(1 + len(flip_qubits))
-        masks = [s.z_bits for s in stabilizers(tab)]
-        forms = _graph_readout_x(masks, _gf2_echelon(masks)[1], signs, lambda: 1 << next(fresh))
-        assert forms == readout_forms_x(tab, flip_qubits)
+    for tab in (graph_state, off_graph_form(graph_state, rng)):
+        plan = tab._readout_plan()
+        for _ in range(5):
+            flip_qubits = [int(q) for q in rng.choice(tab.n, size=min(12, tab.n), replace=False)]
+            flips = [0] * tab.n
+            for v, q in enumerate(flip_qubits):
+                flips[q] = 2 << v
+            fresh = count(1 + len(flip_qubits))
+            assert _x_outcomes(plan, flips, lambda: 1 << next(fresh)) == readout_forms_x(tab, flip_qubits)
+
+
+@st.composite
+def clifford_tableaus(draw, max_qubits=12):
+    """A tableau after up to 40 steps: gates of the CHP set plus Y, Z measurements and Pauli measurements.
+    Half start from |+>^n, whose group holds every X string, so the strings' last qubits often collide."""
+    n = draw(st.integers(1, max_qubits), label="qubits")
+    tab, pool = StabilizerTableau(n), tuple(gate for gate in GATE_POOL if gate[1] <= n)
+    if draw(st.booleans(), label="from |+>^n"):
+        for q in range(n):
+            tab.h(q)
+    for k, step in enumerate(draw(st.lists(st.sampled_from(["gate"] * 8 + ["z", "pauli"]), max_size=40))):
+        if step == "gate":
+            name, arity = draw(st.sampled_from(pool))
+            tab.apply_gate(name, *draw(st.permutations(range(n)))[:arity])
+        elif step == "z":
+            tab.measure_z(draw(st.integers(0, n - 1)), philox_generator(n, k))
+        else:
+            x, z = draw(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)).filter(any))
+            tab.measure_pauli(PauliOperator(n, x, z, draw(st.sampled_from((0, 2)))), philox_generator(n, k))
+    return tab
+
+
+def unlabelled(tab):
+    """``tab`` as the backend of a cluster state with no interaction edges, as ``per_qubit_readout`` takes."""
+    return ClusterState(InteractionGraph(tuple(f"q{i}" for i in range(tab.n)), ()), tab)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(clifford_tableaus(), st.data())
+def test_x_readout_of_any_tableau_is_the_per_qubit_collapse(tab, data):
+    """One state and a block of Z-flipped copies read out, in closed form, as each copy's per-qubit
+    ``measure_x`` collapse given the same draws, and take as many draws; no readout collapses a row."""
+    n = tab.n
+    bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
+    flips = np.array(data.draw(st.lists(st.booleans(), min_size=len(bits) * n, max_size=len(bits) * n)))
+    flips = flips.reshape(len(bits), n)[:, : data.draw(st.integers(0, n), label="flipped columns")]
+    expected, feeds = [], [Replay(bits=row) for row in bits]
+    for row, feed in zip(flips, feeds):
+        copy = tab.copy()
+        for q in np.flatnonzero(row).tolist():
+            copy.apply_gate("Z", q)
+        expected.append(per_qubit_readout(unlabelled(copy), feed))
+    coins = feeds[0].used  # every copy has the same random outcomes
+    alone = per_qubit_readout(unlabelled(tab), Replay(bits=bits[0]))
+    before, collapse, calls = [row.copy() for row in rows(tab)], StabilizerTableau._collapse, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StabilizerTableau, "_collapse", lambda *args: calls.append(args) or collapse(*args))
+        single, block = Replay(bits=bits[0]), Replay(bits=[b for row in bits for b in row[:coins]])
+        assert tab.readout_x(single) == alone
+        assert tab.readout_x(block, flips).tolist() == expected
+    assert calls == [] and single.used == coins and block.used == coins * len(bits)
+    assert list(rows(tab)) == before
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(clifford_tableaus(), st.data())
+def test_row_product_sign_is_a_fold_of_multiply(tab, data):
+    """The rows of a tableau commute; the helper's product of any of them is the left-to-right
+    ``multiply`` fold of their operators."""
+    chooser = data.draw(st.integers(0, (1 << tab.n) - 1), label="rows")
+    x, z, sign = _product_sign(tab._xs, tab._zs, tab._rs, chooser)
+    product = identity(tab.n)
+    for j in range(tab.n):
+        if chooser >> j & 1:
+            product = multiply(product, stabilizer(tab, j))
+    assert PauliOperator(tab.n, x, z, 2 * sign) == product
+
+
+def test_row_product_of_anticommuting_rows_raises():
+    with pytest.raises(AssertionError, match="do not commute"):
+        _product_sign([1, 0], [0, 1], [0, 0], 0b11)  # X and Z on one qubit
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.one_of(random_graphs(max_qubits=20), dense_graphs(max_qubits=20)), st.integers(0, 2**32 - 1))
-def test_closed_form_x_readout_runs_on_bit_columns(graph, seed):
-    """Each column of a readout on bit columns is that trial's readout on bits; signs stay as given."""
-    n, edges = graph
-    masks = neighbor_masks(n, edges)
-    dependent = _gf2_echelon(masks)[1]
-    rng = np.random.default_rng(seed)
-    signs, draws = rng.integers(0, 2, (2, n, 16)).astype(bool)
-    given_signs = signs.copy()
+@given(
+    st.one_of(
+        st.one_of(random_graphs(max_qubits=20), dense_graphs(max_qubits=20)).map(
+            lambda graph: StabilizerTableau.graph_state(neighbor_masks(*graph))
+        ),
+        clifford_tableaus(),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_closed_form_x_readout_runs_on_bit_columns(tab, seed):
+    """Each column of a readout on bit columns is that trial's readout on bits; the flips stay as given."""
+    plan, rng = tab._readout_plan(), np.random.default_rng(seed)
+    flips, draws = rng.integers(0, 2, (2, tab.n, 16)).astype(bool)
+    given_flips = flips.copy()
     columns = iter(draws)
-    out = _graph_readout_x(masks, dependent, list(signs), lambda: next(columns))
-    assert np.array_equal(signs, given_signs)
+    out = _x_outcomes(plan, list(flips), lambda: next(columns))
+    assert np.array_equal(flips, given_flips)
     for t in range(16):
         bits = iter(draws[:, t].tolist())
-        scalar = _graph_readout_x(masks, dependent, signs[:, t].tolist(), lambda: next(bits))
+        scalar = _x_outcomes(plan, flips[:, t].tolist(), lambda: next(bits))
         assert [int(column[t]) for column in out] == [int(bit) for bit in scalar], t

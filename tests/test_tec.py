@@ -532,18 +532,18 @@ def test_run_pattern_is_a_block_of_one(monkeypatch, engine):
     assert extract_syndrome(record) == SINGLE_ERROR_SYNDROMES[5]
 
 
-def test_tableau_readout_runs_one_echelon_per_call(monkeypatch):
-    """One echelon of the neighbour masks per ``readout_x`` call: per sweep block, per record."""
+def test_tableau_readout_runs_one_plan_per_call(monkeypatch):
+    """One readout plan per ``readout_x`` call: per sweep block, per record."""
     block = 64
     monkeypatch.setattr(tec, "_BLOCK", block)
     code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
     calls = []
-    echelon = tableau._gf2_echelon
-    def counted(masks):
-        calls.append(masks)
-        return echelon(masks)
+    plan = tableau.StabilizerTableau._readout_plan
+    def counted(self):
+        calls.append(self)
+        return plan(self)
 
-    monkeypatch.setattr(tableau, "_gf2_echelon", counted)
+    monkeypatch.setattr(tableau.StabilizerTableau, "_readout_plan", counted)
     got = tec._count_failures("tableau", 0.2, 3 * block + 5, 4, 0, code)
     assert got == tec._count_failures("fast", 0.2, 3 * block + 5, 4, 0)
     assert len(calls) == 4
