@@ -3,8 +3,8 @@
 Qubits live on the faces and edges of a complex; the interaction graph
 joins each face qubit to the qubits on its boundary edges. Two engines sit
 behind one interface: the stabilizer tableau for scale, the dense oracle
-for cross-validation and non-Clifford observables. The tableau reads every
-qubit out in X in closed form, whatever gates or measurements it has seen.
+for cross-validation and non-Clifford observables. Either reads all qubits
+out in X or Z in one call, the tableau in closed form from any of its states.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import dense
 from .complexes import CellComplex
-from .pauli import PauliOperator
+from .pauli import PauliOperator, check_basis
 from .tableau import StabilizerTableau
 
 ENGINES = ("tableau", "dense")
@@ -63,8 +63,7 @@ class OutcomeRecord:
     basis: str
 
     def __post_init__(self):
-        if self.basis not in ("x", "z"):
-            raise ValueError(f"basis must be 'x' or 'z', got {self.basis!r}")
+        check_basis(self.basis)
         for q, v in self.outcomes.items():
             if v not in (-1, 1):
                 raise ValueError(f"outcome for {q!r} must be +-1, got {v}")
@@ -108,9 +107,10 @@ class ClusterState:
     ``backend`` is a :class:`StabilizerTableau` or a :class:`dense.StateVector`.
     Both speak the same protocol, so nothing here or in the sweep asks which one
     it holds: ``copy()``, ``apply_gate(gate, *targets)``, ``measure_pauli(op, rng)``,
-    ``measure_x(q, rng)``, ``measure_z(q, rng)``, ``expectation_pauli(op)`` and
-    ``readout_x(rng, flips=None)``, the X outcomes of the state or, given a (trials, k)
-    bool array, of one copy per row with Z on qubit q wherever ``flips[t, q]`` is set.
+    ``measure_x(q, rng)``, ``expectation_pauli(op)`` and ``readout(rng, flips=None,
+    basis="x")``, the outcomes of every qubit in one basis, "x" or "z", of the state or,
+    given a (trials, k) bool array, of one copy per row with the Pauli that anticommutes
+    with that basis (Z in X, X in Z) on qubit q wherever ``flips[t, q]`` is set.
     Callers find qubits by ``graph.index`` and measure through ``backend``; the state
     adds only ``copy()`` and ``expectation(op)``, either engine's value as a float.
     """
@@ -158,16 +158,6 @@ def surface_correlation(state: ClusterState, face_qubits) -> int:
     return int(rounded)
 
 
-def measure_all(
-    state: ClusterState, rng: np.random.Generator, basis: str = "x"
-) -> OutcomeRecord:
-    """Single-basis readout of every qubit, in vertex order; ``state`` is left as is."""
-    if basis not in ("x", "z"):
-        raise ValueError(f"basis must be 'x' or 'z', got {basis!r}")
-    if basis == "x":
-        values = state.backend.readout_x(rng)
-    else:
-        work = state.backend.copy()
-        values = [work.measure_z(i, rng) for i in range(state.graph.qubit_count)]
-    outcomes = dict(zip(state.graph.vertices, values))
-    return OutcomeRecord(outcomes, basis)
+def measure_all(state: ClusterState, rng: np.random.Generator, basis: str = "x") -> OutcomeRecord:
+    """Single-basis readout of every qubit, in vertex order: the backend's ``readout``; ``state`` is left as is."""
+    return OutcomeRecord(dict(zip(state.graph.vertices, state.backend.readout(rng, basis=basis))), basis)

@@ -3,7 +3,8 @@
 Serves two roles: an independent check on the tableau engine, and the only
 engine able to evaluate non-Pauli observables such as rotated measurement
 settings. Qubit 0 maps to the most significant bit of the flat amplitude
-index, so reading a basis label left to right matches qubit order.
+index, so reading a basis label left to right matches qubit order, as
+:meth:`StateVector.readout` reads every qubit out in X or Z.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .pauli import PauliOperator, check_flips, check_gate, check_operator
+from .pauli import PauliOperator, check_basis, check_flips, check_gate, check_operator
 
 QUBIT_CAP = 20
 
@@ -138,25 +139,23 @@ class StateVector:
         """Projective single-qubit X measurement."""
         return self.measure_pauli(PauliOperator.single(self.n, q, "X"), rng)
 
-    def measure_z(self, q: int, rng: np.random.Generator) -> int:
-        """Projective single-qubit Z measurement."""
-        return self.measure_pauli(PauliOperator.single(self.n, q, "Z"), rng)
+    def readout(self, rng: np.random.Generator, flips: np.ndarray | None = None, basis="x") -> list[int] | np.ndarray:
+        """Outcomes (+-1) of every qubit in ``basis``, "x" or "z", measured in qubit order; the state is left as is.
 
-    def readout_x(self, rng: np.random.Generator, flips: np.ndarray | None = None) -> list[int] | np.ndarray:
-        """X outcomes (+-1) of every qubit, measured in qubit order; the state is left as is.
-
-        With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t
-        is this call's readout, given the same draws, of the copy with Z on each qubit q < k
-        where ``flips[t, q]`` is set. Qubit q is measured and dropped in turn: with a0 and a1 the
-        halves where it is 0 and 1, outcome s leaves (a0 + s a1) / sqrt(1 + s <X_q>). Z on q is the
-        sign z of a1 there, so rows whose products c = s z agree so far share what is left. A part of
-        512 rows holds one state per such history that some row reached, a node: a level holds at
-        most min(rows, 2^q) nodes, so 2^n amplitudes, or 2^R on a state with R random outcomes, and
-        reads <X_q> once per node. Thresholds and draws are :meth:`measure_pauli`'s. Each step is a
-        real linear map, so nodes hold float64: a real state's real parts, else the interleaved real
-        and imaginary parts. Each copy reads n doubles of ``rng``; its k-th random outcome, double k.
+        With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t is this call's
+        readout, given the same draws, of the copy with Z (X in the Z basis) on each qubit q < k where
+        ``flips[t, q]`` is set. Qubit q is measured and dropped in turn: with a0 and a1 the halves where it
+        is 0 and 1, outcome s of P_q leaves (a0 + s a1) / sqrt(1 + s <X_q>) in X, ((1 + s) a0 + (1 - s) a1)
+        / sqrt(2 + 2 s <Z_q>) in Z. A flip on q is a sign z that turns s into the unflipped outcome c = s z,
+        so rows whose products c agree so far share what is left. A part of 512 rows holds one state per such
+        history that some row reached, a node: a level holds at most min(rows, 2^q) nodes, so 2^n amplitudes,
+        or 2^R on a state with R random outcomes, and reads <P_q> once per node. Thresholds and draws are
+        :meth:`measure_pauli`'s. Each step is a real linear map, so nodes hold float64: a real state's real
+        parts, else the interleaved real and imaginary parts. Each copy reads n doubles of ``rng``; its k-th
+        random outcome, double k.
         """
         n, block = self.n, np.zeros((1, 0), bool) if flips is None else check_flips(flips, self.n)
+        x = check_basis(basis) == "x"
         floats = self.amps.real if not self.amps.imag.any() else self.amps.view(np.float64)
         outcomes = np.empty((len(block), n), dtype=np.int64)
         for first in range(0, len(block), 512):  # each part draws its rows' doubles, in row order
@@ -165,8 +164,9 @@ class StateVector:
             signs = 1.0 - 2.0 * np.concatenate([part, np.zeros((len(part), n - part.shape[1]), bool)], 1)  # each z
             rest, node, paths = floats[None], np.zeros(len(part), np.intp), np.empty((1, n))  # one node: the state
             for q in range(n):
-                halves = rest.reshape(len(rest), 2, -1)  # each node's a0, a1
-                dots = 2.0 * np.einsum("ij,ij->i", halves[:, 0], halves[:, 1])  # each node's Re <X_q>
+                halves = rest.reshape(len(rest), 2, -1)
+                a0, a1 = halves[:, 0], halves[:, 1]  # each node's <P_q>: Re <X_q> = 2 a0.a1, <Z_q> = a0.a0 - a1.a1
+                dots = 2.0 * np.einsum("ij,ij->i", a0, a1) if x else np.einsum("ij,ij->i", a0 - a1, a0 + a1)
                 random, parent, paths[:, q] = np.abs(dots) <= 1.0 - 1e-9, np.arange(len(rest)), np.sign(dots)
                 if random.any():  # c = s z, s drawn where the row's node is random, else c is the sign
                     hit, expect = random[node], signs[:, q] * dots[node]
@@ -177,8 +177,10 @@ class StateVector:
                     children, node = np.flatnonzero(reached), reached.cumsum()[key] - 1
                     parent, paths = children >> 1, paths[children >> 1]
                     paths[:, q] = 1.0 - 2.0 * (children & 1)  # paths[i]: the products c that lead to node i
-                scale = 1.0 / np.sqrt(1.0 + paths[:, q] * dots[parent])
-                coefs = np.stack([scale, paths[:, q] * scale], 1)[:, None]  # of a0 and a1
+                c = paths[:, q]
+                scale = 1.0 / np.sqrt((1.0 if x else 2.0) * (1.0 + c * dots[parent]))
+                pair = [scale, c * scale] if x else [(1.0 + c) * scale, (1.0 - c) * scale]  # of a0 and a1
+                coefs = np.stack(pair, 1)[:, None]
                 rest, step = np.empty((len(parent), halves.shape[2])), max(1, (1 << 16) // halves.shape[2])
                 for lo in range(0, len(parent), step):  # gathers at most max(2^17, 2 width) floats at once
                     np.matmul(coefs[lo : lo + step], halves[parent[lo : lo + step]], out=rest[lo : lo + step, None])

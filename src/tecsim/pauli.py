@@ -92,8 +92,15 @@ def check_gate(gate: str, targets, n: int) -> str:
     return name
 
 
+def check_basis(basis: str) -> str:
+    """``basis`` once it is "x" or "z": the one basis of a readout of every qubit."""
+    if basis not in ("x", "z"):
+        raise ValueError(f"basis must be 'x' or 'z', got {basis!r}")
+    return basis
+
+
 def check_flips(flips, n: int):
-    """``flips`` once it is a 2-D bool array of at most ``n`` columns: a block readout's Z flips, a row per copy."""
+    """``flips`` once it is a 2-D bool array of at most ``n`` columns: a block readout's flips, a row per copy."""
     if getattr(flips, "dtype", None) != bool or flips.ndim != 2 or flips.shape[1] > n:
         raise ValueError(f"flips must be a 2-D bool array of at most {n} columns, got {flips!r:.80}")
     return flips

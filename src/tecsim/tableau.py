@@ -6,8 +6,8 @@ update each row in place; CNOT is H, CZ, H on its target, and X, Y and Z
 flip the sign of every row that anticommutes with them. A Pauli that
 commutes with every row is +-a product of rows, found by one GF(2) echelon
 of the rows, and :func:`_product_sign` alone signs any product of rows. The
-X readout of any tableau needs no collapse: :meth:`_readout_plan` finds the
-group's X strings, which fix outcomes, from two echelons.
+X or Z readout of any tableau needs no collapse: :meth:`_readout_plan` finds
+the group's X strings, or Z strings, which fix outcomes, from two echelons.
 
 Signs only ever add by XOR. So :func:`_x_outcomes` also runs on numpy bit
 columns, one entry per copy of a block readout; and signs may be GF(2)
@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import _gf2_echelon, _gf2_reduce
-from .pauli import PauliOperator, check_flips, check_gate, check_operator
+from .pauli import PauliOperator, check_basis, check_flips, check_gate, check_operator
 
 
 class StabilizerTableau:
@@ -140,20 +140,17 @@ class StabilizerTableau:
         """Projective single-qubit X measurement."""
         return self.measure_pauli(PauliOperator.single(self.n, q, "X"), rng)
 
-    def measure_z(self, q: int, rng: np.random.Generator) -> int:
-        """Projective single-qubit Z measurement."""
-        return self.measure_pauli(PauliOperator.single(self.n, q, "Z"), rng)
+    def readout(self, rng: np.random.Generator, flips: np.ndarray | None = None, basis="x") -> list[int] | np.ndarray:
+        """Outcomes (+-1) of every qubit in ``basis``, "x" or "z", read in order from :meth:`_readout_plan`.
 
-    def readout_x(self, rng: np.random.Generator, flips: np.ndarray | None = None) -> list[int] | np.ndarray:
-        """X outcomes (+-1) of every qubit, read in order from :meth:`_readout_plan`; the state is left as is.
-
-        With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t is this
-        call's readout, given the same draws, of the copy with Z on each qubit q < k where ``flips[t, q]``
-        is set. The R random outcomes are one ``rng.integers(0, 2, R)``, a block's ``rng.integers(0, 2,
-        (trials, R))``: per copy, the numbers of R scalar ``rng.integers(0, 2)``, as a collapse draws them.
+        With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t is this call's
+        readout, given the same draws, of the copy with Z (X in the Z basis) on each qubit q < k where
+        ``flips[t, q]`` is set. The R random outcomes are one ``rng.integers(0, 2, R)``, a block's
+        ``rng.integers(0, 2, (trials, R))``: per copy, the numbers of R scalar ``rng.integers(0, 2)``, as a
+        collapse draws them. The state is left as is.
         """
         flips = flips if flips is None else check_flips(flips, self.n)
-        plan = self._readout_plan()
+        plan = self._readout_plan(check_basis(basis))
         if flips is None:  # the outcomes so far as one int, so each fixed one is a parity
             coins, out = iter(rng.integers(0, 2, plan.count(None)).tolist()), 0
             for i, step in enumerate(plan):
@@ -210,15 +207,18 @@ class StabilizerTableau:
             raise AssertionError("tableau rows lost GF(2) independence")
         return sign ^ r_in
 
-    def _readout_plan(self) -> list[tuple[int, int] | None]:
+    def _readout_plan(self, basis: str) -> list[tuple[int, int] | None]:
         """Per qubit, read in order: (T, sign bit) of the group's +-X_T whose last qubit it is, or None.
 
         With X_0 ... X_(i-1) measured, the group holds +-X_i, so fixes outcome i, iff the stabilizer
         group holds some +-X_T whose last qubit is i. One echelon of the rows' Z parts chooses row
         products whose Z parts cancel: a basis of the group's X strings. A second, of their X parts
         with the sign bit below, puts one string at each last qubit: X strings multiply without phase.
+        In Z it reads the rows of H on every qubit, X and Z parts swapped. H also sends Y to -Y, but the rows
+        of a product whose X parts cancel hold an even count of Y: commuting rows have sum x_j.z_j = 0 mod 2
+        there, as it equals (sum x_j).(sum z_j).
         """
-        xs, zs, rs = self._xs, self._zs, self._rs
+        xs, zs, rs = (self._zs, self._xs, self._rs) if basis == "z" else (self._xs, self._zs, self._rs)
         products = (_product_sign(xs, zs, rs, chooser) for chooser in _gf2_echelon(zs)[1].values())
         plan: list[tuple[int, int] | None] = [None] * self.n
         for top, (string, _) in _gf2_echelon([x << 1 | sign for x, _, sign in products])[0].items():

@@ -128,7 +128,7 @@ class TopologicalCode:
             raise ValueError(f"unknown face numbers in {sorted(pattern)}")
         flips = np.array([[q in pattern for q in numbers]])  # face q is qubit q - 1
         state = self._state(engine)
-        outcomes = dict(zip(state.graph.vertices, state.backend.readout_x(rng, flips)[0].tolist()))
+        outcomes = dict(zip(state.graph.vertices, state.backend.readout(rng, flips)[0].tolist()))
         record = OutcomeRecord(outcomes, "x")
         return *self.decode_and_correct(record), record
 
@@ -259,7 +259,7 @@ def _count_failures(
             cell = ends.searchsorted(np.arange(start, min(start + _BLOCK, trials)), "right")
             injected = code.members[firsts[cell] + (rng.random(cell.size) * sizes[cell]).astype(int)]
             flips = np.unpackbits(injected.view(np.uint8).reshape(-1, 4), 1, n, "little").view(bool)  # face i, column i
-            faces = backend.readout_x(outcome_rng, flips)[:, :n] < 0  # face i is qubit i
+            faces = backend.readout(outcome_rng, flips)[:, :n] < 0  # face i is qubit i
             if _parities(faces.view(np.uint8) @ bits ^ injected, seen).any():  # the read-out pattern's difference
                 raise AssertionError(f"the {engine} readout moved a check or the surface")
     return sum(counts[2 * n + 2 :].tolist()), sum(counts.reshape(4, -1)[1::2].ravel().tolist())  # classes 2, 3; 1, 3

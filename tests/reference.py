@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from tecsim.cluster import InteractionGraph, _neighbor_masks
+from tecsim.cluster import ClusterState, InteractionGraph, _neighbor_masks
 from tecsim.complexes import (
     _BOUNDARY_MAPS,
     CellComplex,
@@ -155,16 +155,18 @@ class Replay:
         return self._take("integers", size)
 
 
-def per_row_readout_x(state: StateVector, rng, flips: np.ndarray) -> np.ndarray:
-    """Reference block readout: each row of ``flips`` projects its own copy of the 2^n amplitudes.
+def per_row_readout(state: StateVector, rng, flips: np.ndarray, basis: str = "x") -> np.ndarray:
+    """Reference block readout in ``basis``: each row of ``flips`` projects its own copy of the 2^n amplitudes.
 
-    Row t measures qubit q, the top bit of what is left, and drops it: with a0 and a1 the halves
-    where q is 0 and 1, outcome s leaves (a0 + s a1) / sqrt(1 + s <X_q>), and Z on q is the sign of
-    a1. Parts of max(1, 2^16 >> n) rows each draw their rows' n doubles, in row order.
+    Row t measures qubit q, the top bit of what is left, and drops it, with a0 and a1 the halves where q
+    is 0 and 1. In X, outcome s leaves (a0 + s a1) / sqrt(1 + s <X_q>), and Z on q is the sign of a1. In
+    Z, X on q swaps a0 and a1, and outcome s keeps a0 (s = 1) or a1 (s = -1), over sqrt((1 + s <Z_q>) / 2).
+    Parts of max(1, 2^16 >> n) rows each draw their rows' n doubles, in row order.
     """
     n, step = state.n, max(1, (1 << 16) >> state.n)
     if len(flips) > step:
-        return np.concatenate([per_row_readout_x(state, rng, flips[i : i + step]) for i in range(0, len(flips), step)])
+        parts = [per_row_readout(state, rng, flips[i : i + step], basis) for i in range(0, len(flips), step)]
+        return np.concatenate(parts)
     size, k = flips.shape
     draws, every, cursor = rng.random((size, n)), np.arange(size), np.zeros(size, np.intp)
     signs = 1.0 - 2.0 * np.concatenate([flips, np.zeros((size, n - k), bool)], 1)
@@ -172,12 +174,20 @@ def per_row_readout_x(state: StateVector, rng, flips: np.ndarray) -> np.ndarray:
     rest, outcomes = floats[None], np.empty((size, n), dtype=np.int64)
     for q in range(n):
         halves = rest.reshape(len(rest), 2, rest.shape[1] >> 1)  # a0, a1
-        expect = 2.0 * signs[:, q] * np.einsum("ij,ij->i", halves[:, 0], halves[:, 1])  # Re <psi|X_q|psi>
+        if basis == "x":
+            expect = 2.0 * signs[:, q] * np.einsum("ij,ij->i", halves[:, 0], halves[:, 1])  # Re <psi|X_q|psi>
+        else:
+            halves = np.where(signs[:, q, None, None] < 0, halves[:, ::-1], halves)  # X on q swaps a0 and a1
+            expect = (halves[:, 0] ** 2).sum(1) - (halves[:, 1] ** 2).sum(1)  # <psi|Z_q|psi>
         random = np.abs(expect) <= 1.0 - 1e-9
         outcome = np.where(random, np.where(draws[every, cursor] < 0.5 * (1.0 + expect), 1, -1), np.sign(expect))
         cursor += random
-        scale = 1.0 / np.sqrt(1.0 + outcome * expect)
-        coefs = np.stack([scale, outcome * signs[:, q] * scale], 1)  # of a0 and a1
+        if basis == "x":
+            scale = 1.0 / np.sqrt(1.0 + outcome * expect)
+            coefs = np.stack([scale, outcome * signs[:, q] * scale], 1)  # of a0 and a1
+        else:
+            scale = 1.0 / np.sqrt(0.5 * (1.0 + outcome * expect))
+            coefs = np.stack([(outcome > 0) * scale, (outcome < 0) * scale], 1)
         rest = (coefs[:, None] @ halves)[:, 0]
         outcomes[:, q] = outcome
     return outcomes
@@ -198,11 +208,15 @@ def per_edge_graph_state(n: int, edges) -> np.ndarray:
     return amps
 
 
+def unlabelled(backend) -> ClusterState:
+    """``backend`` as the state of a cluster state with no interaction edges, as ``per_qubit_readout`` takes."""
+    return ClusterState(InteractionGraph(tuple(f"q{i}" for i in range(backend.n)), ()), backend)
+
+
 def per_qubit_readout(state, rng, basis="x"):
-    """Reference readout: one single-qubit collapse per qubit, in vertex order, on a copy."""
-    work = state.backend.copy()
-    measure = work.measure_x if basis == "x" else work.measure_z
-    return [measure(q, rng) for q in range(state.graph.qubit_count)]
+    """Reference readout: one single-qubit collapse per qubit in ``basis``, in vertex order, on a copy."""
+    work, n = state.backend.copy(), state.graph.qubit_count
+    return [work.measure_pauli(PauliOperator.single(n, q, basis.upper()), rng) for q in range(n)]
 
 
 # ----------------------------------------------------------------------

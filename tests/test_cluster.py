@@ -285,8 +285,9 @@ def test_measure_all_x_dense_agrees_on_products(g8_graph):
 
 def carve(state, labels, rng):
     """A copy of ``state`` with a defect carved out: each listed qubit measured in Z."""
-    work = state.copy()
-    return work, {label: work.backend.measure_z(work.graph.index(label), rng) for label in labels}
+    work, n = state.copy(), state.graph.qubit_count
+    z = {label: PauliOperator.single(n, work.graph.index(label), "Z") for label in labels}
+    return work, {label: work.backend.measure_pauli(z[label], rng) for label in labels}
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
@@ -324,9 +325,20 @@ def test_dual_syndrome_check(g8_graph, g8_tableau):
     assert surface_correlation(face_error, ["e7", "e8"]) == 1
 
 
-def test_measure_all_basis_validation(g8_tableau):
-    with pytest.raises(ValueError):
-        measure_all(g8_tableau, philox_generator(9), basis="y")
+def test_measure_all_basis_validation(g8_graph):
+    """A basis other than "x" or "z" raises from ``measure_all`` and from either backend's single and
+    block readout, before any draw."""
+    for engine in ENGINES:
+        state, rng = build_cluster(g8_graph, engine), philox_generator(9)
+        for basis, call in [
+            ("y", lambda basis: measure_all(state, rng, basis)),
+            ("X", lambda basis: state.backend.readout(rng, basis=basis)),
+            ("xz", lambda basis: state.backend.readout(rng, np.zeros((3, 8), bool), basis)),
+        ]:
+            with pytest.raises(ValueError, match=f"basis must be 'x' or 'z', got '{basis}'"):
+                call(basis)
+        words = rng.bit_generator.random_raw(4).tolist()
+        assert words == philox_generator(9).bit_generator.random_raw(4).tolist(), engine  # no draw taken
 
 
 def test_outcome_record_validation():
@@ -350,9 +362,11 @@ def test_single_qubit_measurements_match_measure_pauli(g8_graph, engine):
     ours, reference = state.copy(), state.copy()
     rng_ours, rng_reference = philox_generator(4, 1), philox_generator(4, 1)
     for q, letter in [(3, "X"), (0, "Z"), (7, "X"), (5, "Z"), (1, "X"), (6, "X"), (2, "Z"), (4, "X")]:
-        measure = ours.measure_x if letter == "X" else ours.measure_z
         expected = reference.measure_pauli(PauliOperator.single(8, q, letter), rng_reference)
-        assert measure(q, rng_ours) == expected, (q, letter)
+        if letter == "X":
+            assert ours.measure_x(q, rng_ours) == expected, q
+        else:  # a Z between the X measurements, as a defect is carved
+            assert ours.measure_pauli(PauliOperator.single(8, q, "Z"), rng_ours) == expected, q
     # same number of draws, and the same post-measurement state
     assert rng_ours.random() == rng_reference.random()
     for q in range(8):
@@ -455,6 +469,24 @@ def test_x_readout_off_graph_form_takes_no_collapse(g8_tableau, prepare, monkeyp
 
 
 @pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("basis", ["x", "z"])
+def test_measure_all_is_one_readout_with_no_copy_or_collapse(g8_graph, engine, basis, monkeypatch):
+    """Off graph form, in either basis, on either engine: one backend ``readout`` call, and no copy,
+    no Pauli measurement and no collapse. Neither backend keeps ``measure_z`` or ``readout_x``."""
+    state = build_cluster(g8_graph, engine)
+    state.backend.apply_gate("H", 2)
+    state.backend.apply_gate("S", 5)
+    expected = per_qubit_readout(state, philox_generator(16), basis)
+    backend, readout, calls = type(state.backend), type(state.backend).readout, []
+    for name in ("copy", "measure_pauli", "_collapse"):
+        monkeypatch.setattr(backend, name, lambda *args, name=name: pytest.fail(f"measure_all called {name}"), False)
+    monkeypatch.setattr(backend, "readout", lambda *args, **kwargs: calls.append(kwargs) or readout(*args, **kwargs))
+    assert record_values(measure_all(state, philox_generator(16), basis), state) == expected
+    assert calls == [{"basis": basis}]
+    assert not hasattr(backend, "measure_z") and not hasattr(backend, "readout_x")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_z_readout_matches_per_qubit_collapse(g8_graph, engine):
     state = build_cluster(g8_graph, engine)
     state.backend.apply_gate("Z", 3)
@@ -478,7 +510,7 @@ def test_z_flipped_graph_state_is_read_out_in_closed_form(monkeypatch):
     monkeypatch.setattr(StabilizerTableau, "_collapse", collapse)
     record = measure_all(state, philox_generator(15), "x")
     assert record_values(record, state) == expected
-    assert state.backend.readout_x(philox_generator(15)) == expected  # the state is left as is
+    assert state.backend.readout(philox_generator(15)) == expected  # the state is left as is
 
 
 # ----------------------------------------------------------------------
@@ -493,10 +525,10 @@ def check_block_rows(state, flips, seed, first):
     Returns the draws of one readout: n (dense) or R (tableau)."""
     n, backend = state.graph.qubit_count, state.backend
     rng = philox_generator(seed, 1)
-    block = np.concatenate([backend.readout_x(rng, flips[:first]), backend.readout_x(rng, flips[first:])])
+    block = np.concatenate([backend.readout(rng, flips[:first]), backend.readout(rng, flips[first:])])
     assert block.shape == (len(flips), n)
     counter = Replay([0.0] * n, [0] * n)
-    backend.readout_x(counter)
+    backend.readout(counter)
     stream, kind = philox_generator(seed, 1), "doubles" if isinstance(backend, StateVector) else "bits"
     rows = stream.random((len(flips), n)) if kind == "doubles" else stream.integers(0, 2, (len(flips), counter.used))
     shared = philox_generator(seed, 1)  # single-state readouts, one copy after another
@@ -505,8 +537,8 @@ def check_block_rows(state, flips, seed, first):
         for q in np.flatnonzero(row).tolist():
             copy.backend.apply_gate("Z", q)
         expected = block[t].tolist()
-        assert copy.backend.readout_x(shared) == expected, t
-        single = copy.backend.readout_x(Replay(**{kind: rows[t]}))
+        assert copy.backend.readout(shared) == expected, t
+        single = copy.backend.readout(Replay(**{kind: rows[t]}))
         assert single == expected == per_qubit_readout(copy, Replay(**{kind: rows[t]})), t
     return counter.used
 
@@ -519,13 +551,12 @@ def readout_state(name, engine):
     return state
 
 
-def x_readout_digest(complexes, engine):
-    """sha256 over each complex's X readouts for seeds 0 to 4, each as its sorted (label, outcome) pairs."""
+def readout_digest(states, basis):
+    """sha256 over each state's readouts in ``basis`` for seeds 0 to 4, each as its sorted (label, outcome) pairs."""
     digest = hashlib.sha256()
-    for cx in complexes:
-        state = build_cluster(interaction_graph(cx), engine)
+    for state in states:
         for seed in range(5):
-            digest.update(repr(sorted(measure_all(state, philox_generator(seed), "x").outcomes.items())).encode())
+            digest.update(repr(sorted(measure_all(state, philox_generator(seed), basis).outcomes.items())).encode())
     return digest.hexdigest()
 
 
@@ -546,7 +577,42 @@ def test_seeded_x_readouts_are_pinned(name, engine, expected):
         "g8": [build_g8_complex()],
         "ring5": [complex_from_json(RING5.read_text())],
     }[name]
-    assert x_readout_digest(complexes, engine) == expected
+    assert readout_digest([build_cluster(interaction_graph(cx), engine) for cx in complexes], "x") == expected
+
+
+@pytest.mark.parametrize(
+    "name, engine, expected",
+    [
+        ("cuboid 4x4x4", "tableau", "778e46c196dc5477a86a9a4d95674e33208bcd7201777827cecc30bcf2cd87dd"),
+        ("g8", "dense", "56c6541a55798203c4f452a050f174baae53bf418142ba664986ea2fee76ac1b"),
+    ],
+)
+def test_seeded_z_readouts_are_pinned(name, engine, expected):
+    """Z readouts for seeds 0 to 4 after H on every fifth qubit and S on qubit 3, so that some outcomes
+    are fixed and some rows hold Y: the digests the per-qubit Z collapse gave, before one readout read
+    both bases."""
+    cx = build_cuboid_complex(4, 4, 4) if name == "cuboid 4x4x4" else build_g8_complex()
+    state = build_cluster(interaction_graph(cx), engine)
+    for q in range(0, state.graph.qubit_count, 5):
+        state.backend.apply_gate("H", q)
+    state.backend.apply_gate("S", 3)
+    assert readout_digest([state], "z") == expected
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("name", ["g8", "ring5", "cuboid 1x1x1"])
+def test_graph_state_z_readout_is_a_coin_per_qubit(engine, name):
+    """No Z string but the identity stabilizes a graph state, so every Z outcome is a fair coin: the
+    tableau's are ``1 - 2 integers(0, 2, n)``, the dense engine's are +1 where double q is below 1/2."""
+    cx = {"g8": build_g8_complex, "ring5": lambda: complex_from_json(RING5.read_text())}.get(
+        name, lambda: build_cuboid_complex(1, 1, 1)
+    )()
+    state = build_cluster(interaction_graph(cx), engine)
+    n = state.graph.qubit_count
+    for seed in range(5):
+        rng = philox_generator(seed)
+        coins = 1 - 2 * rng.integers(0, 2, n) if engine == "tableau" else np.where(rng.random(n) < 0.5, 1, -1)
+        assert record_values(measure_all(state, philox_generator(seed), "z"), state) == coins.tolist()
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -576,7 +642,7 @@ def test_block_rows_are_each_copys_single_and_per_qubit_readout(engine, name, ra
 def test_block_readouts_take_only_a_2d_bool_array_of_at_most_n_columns(engine, name, flips):
     backend = readout_state(name, engine).backend
     with pytest.raises(ValueError, match="flips must be a 2-D bool array of at most 8 columns"):
-        backend.readout_x(philox_generator(3), flips)
+        backend.readout(philox_generator(3), flips)
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

@@ -32,7 +32,7 @@ from reference import (
     pattern_chances,
     per_edge_graph_state,
     per_pattern_enumeration,
-    per_row_readout_x,
+    per_row_readout,
     two_chain_ring,
     walk_cells,
     walk_decoder,
@@ -290,14 +290,14 @@ def test_a_dense_block_on_the_20_qubit_ring_peaks_under_its_state_and_a_quarter(
     flips = np.random.default_rng(9).random((300, 18)) < 0.5
     tracemalloc.start()
     try:
-        rows = backend.readout_x(philox_generator(9, 0, 1), flips)
+        rows = backend.readout(philox_generator(9, 0, 1), flips)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 20 * 2**20, peak
     read = ((rows[:, :18] < 0) ^ flips) @ (1 << np.arange(18))  # each row's faces read as -1, XOR its flips
     assert not any(tec._parities(read, m).any() for m in (*code.checks, code.surface))
-    assert np.array_equal(rows[:8], per_row_readout_x(backend, philox_generator(9, 0, 1), flips[:8]))
+    assert np.array_equal(rows[:8], per_row_readout(backend, philox_generator(9, 0, 1), flips[:8]))
 
 
 def test_the_20_qubit_rings_dense_graph_state_is_the_per_edge_reference():
@@ -364,13 +364,13 @@ def test_the_audit_raises_iff_the_readouts_difference_moves_a_check_or_the_surfa
     parity with a check or the surface. Every d on g8 and ring5; on each odd two-chain ring up to 14 faces, a
     seeded sample of 256 d (all of them up to 8 faces) and every d that moves nothing."""
     backend = type(G8_CODE.state("tableau").backend)
-    readout, signs = backend.readout_x, [np.ones(0, np.int64)]
+    readout, signs = backend.readout, [np.ones(0, np.int64)]
     def xor_d(self, rng, flips=None):
         rows = readout(self, rng, flips)
         rows[:, : signs[0].size] *= signs[0]
         return rows
 
-    monkeypatch.setattr(backend, "readout_x", xor_d)
+    monkeypatch.setattr(backend, "readout", xor_d)
     rings = [build_code(two_chain_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
     for i, code in enumerate((G8_CODE, ring5, *rings)):
         n, seen = len(code.faces), (*code.checks, code.surface)

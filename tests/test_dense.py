@@ -19,14 +19,17 @@ from tecsim.pauli import PauliOperator
 from tecsim.rng import philox_generator
 
 from reference import (
+    Replay,
     computational_zero,
     fidelity,
     pauli_from_text,
     per_edge_graph_state,
-    per_row_readout_x,
+    per_qubit_readout,
+    per_row_readout,
     phase_flip_both_set,
     pure,
     term_expectation,
+    unlabelled,
 )
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -240,8 +243,11 @@ def next_words(rng) -> list[int]:
 @given(data=st.data())
 def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
     """Real, complex and graph states of 1 to 12 qubits, blocks of 1 to 1,100 rows (so across the 512-row
-    parts), Z flips on the first 0 to n qubits: the outcomes equal the per-row reference's bit for bit, and
-    both leave the stream rows x n doubles on. Graph states have fixed outcomes and rows that share a node."""
+    parts), flips on the first 0 to n qubits (Z in X, X in Z): in either basis the outcomes equal the per-row
+    reference's bit for bit, and both leave the stream rows x n doubles on. The first rows are also each
+    flipped copy's per-qubit collapse, given that row's doubles. Graph states have fixed outcomes and rows
+    that share a node."""
+    basis = data.draw(st.sampled_from("xz"), label="basis")
     n = data.draw(st.integers(1, 12), label="qubits")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="amplitude seed"))
     if kind == "graph":
@@ -256,18 +262,24 @@ def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
     flips = rng.random((rows, k)) < data.draw(st.floats(0.0, 1.0), label="flip rate")
     seed = data.draw(st.integers(0, 2**64), label="seed")
     block, reference, skipped = philox_generator(seed), philox_generator(seed), philox_generator(seed)
-    got = state.readout_x(block, flips)
+    got = state.readout(block, flips, basis)
     assert got.dtype == np.int64 and got.shape == (rows, n)
-    assert np.array_equal(got, per_row_readout_x(state, reference, flips))
-    skipped.random((rows, n))
+    assert np.array_equal(got, per_row_readout(state, reference, flips, basis))
+    doubles = skipped.random((rows, n))
     assert next_words(block) == next_words(reference) == next_words(skipped)
+    for t in range(min(rows, 4)):
+        copy = state.copy()
+        for q in np.flatnonzero(flips[t]).tolist():
+            copy.apply_gate("Z" if basis == "x" else "X", q)
+        feed = Replay(doubles=doubles[t])
+        assert got[t].tolist() == per_qubit_readout(unlabelled(copy), feed, basis), t
 
 
 @pytest.mark.parametrize("k", [0, 3, 8])
 def test_an_empty_dense_block_reads_out_no_row_and_draws_nothing(k):
     state = build_graph_state_dense(interaction_graph(build_g8_complex()))
     rng = philox_generator(5)
-    got = state.readout_x(rng, np.zeros((0, k), bool))
+    got = state.readout(rng, np.zeros((0, k), bool))
     assert got.dtype == np.int64 and got.shape == (0, 8)
     assert next_words(rng) == next_words(philox_generator(5))
 

@@ -31,7 +31,6 @@ UNCALLED = {
     "dense.StateVector.expectation_pauli",
     "dense.StateVector.measure_pauli",
     "dense.StateVector.measure_x",
-    "dense.StateVector.measure_z",
     "pauli.PauliOperator.__str__",
     "pauli.PauliOperator.letter",
     "pauli.PauliOperator.phase",
@@ -48,7 +47,6 @@ UNCALLED = {
     "tableau.StabilizerTableau.h",
     "tableau.StabilizerTableau.measure_pauli",
     "tableau.StabilizerTableau.measure_x",
-    "tableau.StabilizerTableau.measure_z",
     "tableau.StabilizerTableau.s",
     "tableau.StabilizerTableau.x",
     "tableau.StabilizerTableau.y",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tecsim.rng import philox_generator
+from tecsim.tec import G8_CODE
 
 
 def test_same_path_gives_identical_streams():
@@ -58,3 +59,43 @@ def test_stream_is_philox_keyed_by_the_seed_sequence_state(seed, path):
     assert repr(ours.bit_generator.state) == repr(keyed.bit_generator.state)
     assert ours.integers(0, 2, 100).tolist() == keyed.integers(0, 2, 100).tolist()
     assert ours.random(10).tolist() == keyed.random(10).tolist()
+
+
+def g8_cell_counts(rng):
+    """A sweep point's one draw: 10^9 trials over g8's 28 class x weight cell chances at p = 0.1, rarest first."""
+    n, p = len(G8_CODE.faces), 0.1
+    chances = (G8_CODE.cells * [p**w * (1.0 - p) ** (n - w) for w in range(n + 1)]).ravel()
+    return rng.multinomial(10**9, chances[chances.argsort(kind="stable")])
+
+
+# sampler -> (the call shape the product makes, on a fixed philox_generator path; its values on numpy 2.4)
+SAMPLER_PINS = {
+    "multinomial": (
+        lambda: g8_cell_counts(philox_generator(7, 0)),
+        [0] * 12 + [951, 18006, 36199, 162245, 323405, 324012, 405981, 5829984, 8747235, 13129152, 26243241,
+                    26250919, 32802917, 118104844, 236178239, 531442670],
+    ),
+    "random": (
+        lambda: philox_generator(7, 0).random(4),  # a state engine's picks, the dense readout's doubles
+        [0.048373749046626946, 0.8224166666374553, 0.09368511632803123, 0.10349355193634491],
+    ),
+    "integers block": (
+        lambda: philox_generator(7, 0, 1).integers(0, 2, (3, 4)),  # a tableau block's coins, (trials, R)
+        [[1, 0, 0, 1], [0, 1, 0, 0], [1, 0, 1, 0]],
+    ),
+    "integers": (
+        lambda: philox_generator(1).integers(0, 2, 24),  # one tableau readout's R coins, in X or Z
+        [0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("sampler", SAMPLER_PINS)
+def test_numpy_samplers_draw_the_pinned_values(sampler):
+    """numpy promises only the raw Philox words across versions (NEP 19), not what its samplers make of
+    them. Every seeded count, pick and readout rests on these four call shapes, so they are pinned here:
+    a golden file or readout sha256 that moves with numpy shows its cause in this test first."""
+    draw, expected = SAMPLER_PINS[sampler]
+    got = draw()
+    assert got.dtype == (np.float64 if sampler == "random" else np.int64)
+    assert got.tolist() == expected, f"Generator.{sampler.split()[0]} draws other values on numpy {np.__version__}"

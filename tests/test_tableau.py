@@ -31,6 +31,7 @@ from reference import (
     stabilizer_generators,
     stabilizers,
     to_matrix,
+    unlabelled,
 )
 
 GATE_POOL = tuple(GATE_TARGETS.items())
@@ -561,7 +562,8 @@ def off_graph_form(tab, rng):
         work.apply_gate(str(rng.choice(["H", "S"])), int(q))
     if work.n > 1:
         work.apply_gate("CNOT", *(int(q) for q in rng.choice(work.n, size=2, replace=False)))
-    work.measure_z(int(rng.integers(work.n)), philox_generator(int(rng.integers(2**32))))
+    z = PauliOperator.single(work.n, int(rng.integers(work.n)), "Z")
+    work.measure_pauli(z, philox_generator(int(rng.integers(2**32))))
     return work
 
 
@@ -572,7 +574,7 @@ def test_closed_form_sign_forms_equal_reference_forms(name):
     graph_state = build_cluster(interaction_graph(COMPLEXES[name]())).backend
     rng = np.random.default_rng(len(name))
     for tab in (graph_state, off_graph_form(graph_state, rng)):
-        plan = tab._readout_plan()
+        plan = tab._readout_plan("x")
         for _ in range(5):
             flip_qubits = [int(q) for q in rng.choice(tab.n, size=min(12, tab.n), replace=False)]
             flips = [0] * tab.n
@@ -596,24 +598,20 @@ def clifford_tableaus(draw, max_qubits=12):
             name, arity = draw(st.sampled_from(pool))
             tab.apply_gate(name, *draw(st.permutations(range(n)))[:arity])
         elif step == "z":
-            tab.measure_z(draw(st.integers(0, n - 1)), philox_generator(n, k))
+            tab.measure_pauli(PauliOperator.single(n, draw(st.integers(0, n - 1)), "Z"), philox_generator(n, k))
         else:
             x, z = draw(st.tuples(st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1)).filter(any))
             tab.measure_pauli(PauliOperator(n, x, z, draw(st.sampled_from((0, 2)))), philox_generator(n, k))
     return tab
 
 
-def unlabelled(tab):
-    """``tab`` as the backend of a cluster state with no interaction edges, as ``per_qubit_readout`` takes."""
-    return ClusterState(InteractionGraph(tuple(f"q{i}" for i in range(tab.n)), ()), tab)
-
-
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(clifford_tableaus(), st.data())
 def test_x_readout_of_any_tableau_is_the_per_qubit_collapse(tab, data):
-    """One state and a block of Z-flipped copies read out, in closed form, as each copy's per-qubit
-    ``measure_x`` collapse given the same draws, and take as many draws; no readout collapses a row."""
-    n = tab.n
+    """In X or Z, one state and a block of flipped copies (Z in X, X in Z) read out, in closed form, as each
+    copy's per-qubit collapse in that basis given the same draws, and take as many draws; no readout collapses
+    a row."""
+    n, basis = tab.n, data.draw(st.sampled_from("xz"), label="basis")
     bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
     flips = np.array(data.draw(st.lists(st.booleans(), min_size=len(bits) * n, max_size=len(bits) * n)))
     flips = flips.reshape(len(bits), n)[:, : data.draw(st.integers(0, n), label="flipped columns")]
@@ -621,16 +619,16 @@ def test_x_readout_of_any_tableau_is_the_per_qubit_collapse(tab, data):
     for row, feed in zip(flips, feeds):
         copy = tab.copy()
         for q in np.flatnonzero(row).tolist():
-            copy.apply_gate("Z", q)
-        expected.append(per_qubit_readout(unlabelled(copy), feed))
+            copy.apply_gate("Z" if basis == "x" else "X", q)
+        expected.append(per_qubit_readout(unlabelled(copy), feed, basis))
     coins = feeds[0].used  # every copy has the same random outcomes
-    alone = per_qubit_readout(unlabelled(tab), Replay(bits=bits[0]))
+    alone = per_qubit_readout(unlabelled(tab), Replay(bits=bits[0]), basis)
     before, collapse, calls = [row.copy() for row in rows(tab)], StabilizerTableau._collapse, []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StabilizerTableau, "_collapse", lambda *args: calls.append(args) or collapse(*args))
         single, block = Replay(bits=bits[0]), Replay(bits=[b for row in bits for b in row[:coins]])
-        assert tab.readout_x(single) == alone
-        assert tab.readout_x(block, flips).tolist() == expected
+        assert tab.readout(single, basis=basis) == alone
+        assert tab.readout(block, flips, basis).tolist() == expected
     assert calls == [] and single.used == coins and block.used == coins * len(bits)
     assert list(rows(tab)) == before
 
@@ -666,7 +664,7 @@ def test_row_product_of_anticommuting_rows_raises():
 )
 def test_closed_form_x_readout_runs_on_bit_columns(tab, seed):
     """Each column of a readout on bit columns is that trial's readout on bits; the flips stay as given."""
-    plan, rng = tab._readout_plan(), np.random.default_rng(seed)
+    plan, rng = tab._readout_plan("x"), np.random.default_rng(seed)
     flips, draws = rng.integers(0, 2, (2, tab.n, 16)).astype(bool)
     given_flips = flips.copy()
     columns = iter(draws)

@@ -348,7 +348,7 @@ def random_outcome_count(code):
     """R: the coins the code's tableau draws for one X readout, counted by a replayed rng."""
     state = code.state("tableau")
     probe = Replay(bits=[0] * state.graph.qubit_count)
-    state.backend.readout_x(probe)
+    state.backend.readout(probe)
     return probe.used
 
 
@@ -495,7 +495,7 @@ def test_block_outcomes_are_each_trials_readout(p, engine):
     flips = np.array([[q in pattern for q in FACE_NUMBERS] for pattern, _ in draws])
     outcome_rng = philox_generator(seed, point, 1)
     got = np.concatenate(
-        [state.backend.readout_x(outcome_rng, flips[:first]), state.backend.readout_x(outcome_rng, flips[first:])]
+        [state.backend.readout(outcome_rng, flips[:first]), state.backend.readout(outcome_rng, flips[first:])]
     )
     for i, (pattern, rng) in enumerate(draws):
         _, _, record = run_pattern(pattern, rng, engine)
@@ -507,12 +507,12 @@ def test_sweep_blocks_read_the_points_outcome_stream_in_order(monkeypatch, engin
     """The counts cannot show which stream the random outcomes come from; the outcomes can."""
     seed, point, trials, p = 11, 3, 50, 0.5
     backend = G8_CODE.state(engine).backend
-    readout, outcomes = type(backend).readout_x, []
+    readout, outcomes = type(backend).readout, []
     def spy(self, rng, flips=None):
         outcomes.append(readout(self, rng, flips))
         return outcomes[-1]
 
-    monkeypatch.setattr(type(backend), "readout_x", spy)
+    monkeypatch.setattr(type(backend), "readout", spy)
     monkeypatch.setattr(tec, "_BLOCK", 16)
     tec._count_failures(engine, p, trials, seed, point)
     flips = np.array([[k >> i & 1 for i in range(6)] for k in trial_patterns(p, trials, seed, point)], bool)
@@ -533,22 +533,23 @@ def test_run_pattern_is_a_block_of_one(monkeypatch, engine):
 
 
 def test_tableau_readout_runs_one_plan_per_call(monkeypatch):
-    """One readout plan per ``readout_x`` call: per sweep block, per record."""
+    """One readout plan per ``readout`` call, in the call's basis: per sweep block, per record."""
     block = 64
     monkeypatch.setattr(tec, "_BLOCK", block)
     code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
     calls = []
     plan = tableau.StabilizerTableau._readout_plan
-    def counted(self):
-        calls.append(self)
-        return plan(self)
+    def counted(self, basis):
+        calls.append(basis)
+        return plan(self, basis)
 
     monkeypatch.setattr(tableau.StabilizerTableau, "_readout_plan", counted)
     got = tec._count_failures("tableau", 0.2, 3 * block + 5, 4, 0, code)
     assert got == tec._count_failures("fast", 0.2, 3 * block + 5, 4, 0)
-    assert len(calls) == 4
+    assert calls == ["x"] * 4
     measure_all(code.state("tableau"), philox_generator(4), "x")
-    assert len(calls) == 5
+    measure_all(code.state("tableau"), philox_generator(4), "z")
+    assert calls == ["x"] * 5 + ["z"]
 
 
 @pytest.mark.parametrize(
@@ -724,12 +725,12 @@ def test_state_engine_rows_flip_each_pattern_at_its_chance(monkeypatch):
     chi^2 of the 64 pattern counts against 200,000 pi_k (63 degrees of freedom, the rarest pattern
     expects 12.8) must stay under the chi^2 upper 10^-6 quantile, from the Wilson-Hilferty form."""
     backend = type(G8_CODE.state("tableau").backend)
-    readout, rows = backend.readout_x, []
+    readout, rows = backend.readout, []
     def spy(self, rng, flips=None):
         rows.append(flips)
         return readout(self, rng, flips)
 
-    monkeypatch.setattr(backend, "readout_x", spy)
+    monkeypatch.setattr(backend, "readout", spy)
     p, trials, seeds = 0.2, 50, 4000
     for seed in range(seeds):
         tec._count_failures("tableau", p, trials, seed, 0)
@@ -759,14 +760,14 @@ def test_a_readout_that_drops_a_z_flip_makes_the_sweep_exit_3(monkeypatch, capsy
     """Each row's read-out pattern may differ from its injected one only where no check and not
     the surface sees it, so a readout that ignores face 1's Z flips is an internal error."""
     backend = type(G8_CODE.state(engine).backend)
-    readout = backend.readout_x
+    readout = backend.readout
     def drop_face_1(self, rng, flips=None):
         flips = flips.copy()
         flips[:, 0] = False
         return readout(self, rng, flips)
 
     argv = ["sweep", "--engine", engine, "--trials", "40", "--steps", "1", "--p-min", "0.5", "--p-max", "0.5"]
-    monkeypatch.setattr(backend, "readout_x", drop_face_1)
+    monkeypatch.setattr(backend, "readout", drop_face_1)
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"tecsim: internal error: the {engine} readout moved a check or the surface\n"
