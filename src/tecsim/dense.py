@@ -3,8 +3,9 @@
 Serves two roles: an independent check on the tableau engine, and the only
 engine able to evaluate non-Pauli observables such as rotated measurement
 settings. Qubit 0 maps to the most significant bit of the flat amplitude
-index, so reading a basis label left to right matches qubit order, as
-:meth:`StateVector.readout` reads every qubit out in X or Z.
+index, so reading a basis label left to right matches qubit order, and the
+labels that share their first outcomes are adjacent: :meth:`StateVector.readout`
+reads X or Z from pairwise sums of one table of Born weights.
 """
 
 from __future__ import annotations
@@ -144,48 +145,46 @@ class StateVector:
 
         With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t is this call's
         readout, given the same draws, of the copy with Z (X in the Z basis) on each qubit q < k where
-        ``flips[t, q]`` is set. Qubit q is measured and dropped in turn: with a0 and a1 the halves where it
-        is 0 and 1, outcome s of P_q leaves (a0 + s a1) / sqrt(1 + s <X_q>) in X, ((1 + s) a0 + (1 - s) a1)
-        / sqrt(2 + 2 s <Z_q>) in Z. A flip on q is a sign z that turns s into the unflipped outcome c = s z,
-        so rows whose products c agree so far share what is left. A part of 512 rows holds one state per such
-        history that some row reached, a node: a level holds at most min(rows, 2^q) nodes, so 2^n amplitudes,
-        or 2^R on a state with R random outcomes, and reads <P_q> once per node. Thresholds and draws are
-        :meth:`measure_pauli`'s. Each step is a real linear map, so nodes hold float64: a real state's real
-        parts, else the interleaved real and imaginary parts. Each copy reads n doubles of ``rng``; its k-th
-        random outcome, double k.
+        ``flips[t, q]`` is set. It sums one table of Born weights (in X, 2^n times them, after n butterflies)
+        pairwise into <P_q> = (w0 - w1) / (w0 + w1) after each history of q outcomes, w0 and w1 its weight
+        with qubit q at 0 and at 1. A flip on q is a sign z that turns outcome s into the unflipped outcome
+        c = s z and <P_q> into z <P_q>, so each row walks the table along its products c. Thresholds and draws
+        are :meth:`measure_pauli`'s; parts of 512 rows each draw their rows' n doubles, in row order.
         """
         n, block = self.n, np.zeros((1, 0), bool) if flips is None else check_flips(flips, self.n)
-        x = check_basis(basis) == "x"
-        floats = self.amps.real if not self.amps.imag.any() else self.amps.view(np.float64)
-        outcomes = np.empty((len(block), n), dtype=np.int64)
+        weights = self.amps.real if not self.amps.imag.any() else self.amps
+        for _ in range(n if check_basis(basis) == "x" else 0):
+            weights = _butterfly(weights)
+        weights = np.abs(weights)
+        weights *= weights  # in place: a real state's X readout holds at most two tables at once
+        expects = []  # expects[q][h]: <P_q> after history h, 0 where h has no weight
+        while len(weights) > 1:
+            w0, w1 = weights[0::2], weights[1::2]
+            weights, diffs = w0 + w1, w0 - w1
+            expects.insert(0, np.divide(diffs, weights, out=diffs, where=weights > 0))
+        outcomes, shifts = np.empty((len(block), n), dtype=np.int64), np.arange(n - 1, -1, -1)
         for first in range(0, len(block), 512):  # each part draws its rows' doubles, in row order
             part = block[first : first + 512]
             draws, every, cursor = rng.random((len(part), n)), np.arange(len(part)), np.zeros(len(part), np.intp)
-            signs = 1.0 - 2.0 * np.concatenate([part, np.zeros((len(part), n - part.shape[1]), bool)], 1)  # each z
-            rest, node, paths = floats[None], np.zeros(len(part), np.intp), np.empty((1, n))  # one node: the state
-            for q in range(n):
-                halves = rest.reshape(len(rest), 2, -1)
-                a0, a1 = halves[:, 0], halves[:, 1]  # each node's <P_q>: Re <X_q> = 2 a0.a1, <Z_q> = a0.a0 - a1.a1
-                dots = 2.0 * np.einsum("ij,ij->i", a0, a1) if x else np.einsum("ij,ij->i", a0 - a1, a0 + a1)
-                random, parent, paths[:, q] = np.abs(dots) <= 1.0 - 1e-9, np.arange(len(rest)), np.sign(dots)
-                if random.any():  # c = s z, s drawn where the row's node is random, else c is the sign
-                    hit, expect = random[node], signs[:, q] * dots[node]
-                    drawn = np.where(draws[every, cursor] < 0.5 * (1.0 + expect), 1.0, -1.0)
-                    cursor += hit  # each row's next unread draw
-                    key = 2 * node + np.where(hit, drawn != signs[:, q], paths[node, q] < 0)  # child (node, c < 0)
-                    reached = np.bincount(key, minlength=2 * len(rest)) > 0
-                    children, node = np.flatnonzero(reached), reached.cumsum()[key] - 1
-                    parent, paths = children >> 1, paths[children >> 1]
-                    paths[:, q] = 1.0 - 2.0 * (children & 1)  # paths[i]: the products c that lead to node i
-                c = paths[:, q]
-                scale = 1.0 / np.sqrt((1.0 if x else 2.0) * (1.0 + c * dots[parent]))
-                pair = [scale, c * scale] if x else [(1.0 + c) * scale, (1.0 - c) * scale]  # of a0 and a1
-                coefs = np.stack(pair, 1)[:, None]
-                rest, step = np.empty((len(parent), halves.shape[2])), max(1, (1 << 16) // halves.shape[2])
-                for lo in range(0, len(parent), step):  # gathers at most max(2^17, 2 width) floats at once
-                    np.matmul(coefs[lo : lo + step], halves[parent[lo : lo + step]], out=rest[lo : lo + step, None])
-            outcomes[first : first + len(part)] = paths[node] * signs  # s = c z
+            z = np.concatenate([part, np.zeros((len(part), n - part.shape[1]), bool)], 1)  # z = -1 where set
+            history = np.zeros(len(part), np.intp)  # each row's products c so far, a 1 bit where c < 0
+            for q, table in enumerate(expects):
+                d = table[history]
+                bit, random = d < 0, np.abs(d) <= 1.0 - 1e-9
+                if random.any():  # s = 1 where the draw is under (1 + z d) / 2, so c < 0 where that matches z < 0
+                    up = draws[every, cursor] < 0.5 * (1.0 + np.where(z[:, q], -d, d))
+                    bit, cursor = np.where(random, up == z[:, q], bit), cursor + random
+                history = 2 * history + bit
+            outcomes[first : first + len(part)] = 1 - 2 * (history[:, None] >> shifts & 1 ^ z)  # s = c z
         return outcomes[0].tolist() if flips is None else outcomes
+
+
+def _butterfly(amps: np.ndarray) -> np.ndarray:
+    """The top qubit's sum a0 + a1 and difference a0 - a1, written as the bottom bit of the other n - 1."""
+    out, (a0, a1) = np.empty_like(amps), amps.reshape(2, -1)
+    np.add(a0, a1, out=out.reshape(-1, 2)[:, 0])
+    np.subtract(a0, a1, out=out.reshape(-1, 2)[:, 1])
+    return out
 
 
 def build_graph_state_dense(graph) -> StateVector:

@@ -70,7 +70,7 @@ class MeasurementSetting:
         """The setting's matrix, or its columns of the leading qubits' basis state ``lead``."""
         total = np.zeros((_DIM, _DIM >> len(lead)), dtype=complex)
         for coeff, factors in self.terms:
-            mats = [np.eye(2, dtype=complex) if f is None else f for f in factors]
+            mats = list(factors)
             mats[: len(lead)] = [m[:, [bit]] for m, bit in zip(mats, lead)]
             total += coeff * reduce(np.kron, mats)
         return total

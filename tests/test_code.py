@@ -282,22 +282,25 @@ def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
 
 
 def test_a_dense_block_on_the_20_qubit_ring_peaks_under_its_state_and_a_quarter():
-    """300 rows of ring (9, 9), whose state is 2^20 complex amplitudes (16 MiB): a level holds one real state
-    per outcome history, 2^20 floats (8 MiB) in all, and its children gather a parent at a time. Gathering
-    every parent of a level at once peaks at 24 MiB."""
+    """300 rows of ring (9, 9), whose state is 2^20 complex amplitudes (16 MiB), in X and in Z: the readout
+    holds one table of 2^20 Born weights (8 MiB), real as the state is, and then its 2^20 - 1 expectations,
+    one per outcome history. The X transform holds two real copies of the state at a time. In X every row
+    passes the parity audit; in either basis the first rows are the per-row reference's."""
     code = build_code(two_chain_ring(9, 9), {"a9", "b9"})
     backend = code._state("dense").backend  # built outside the measurement
     flips = np.random.default_rng(9).random((300, 18)) < 0.5
-    tracemalloc.start()
-    try:
-        rows = backend.readout(philox_generator(9, 0, 1), flips)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20 * 2**20, peak
-    read = ((rows[:, :18] < 0) ^ flips) @ (1 << np.arange(18))  # each row's faces read as -1, XOR its flips
-    assert not any(tec._parities(read, m).any() for m in (*code.checks, code.surface))
-    assert np.array_equal(rows[:8], per_row_readout(backend, philox_generator(9, 0, 1), flips[:8]))
+    for basis in "xz":
+        tracemalloc.start()
+        try:
+            rows = backend.readout(philox_generator(9, 0, 1), flips, basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20, (basis, peak)
+        if basis == "x":
+            read = ((rows[:, :18] < 0) ^ flips) @ (1 << np.arange(18))  # each row's faces read as -1, XOR its flips
+            assert not any(tec._parities(read, m).any() for m in (*code.checks, code.surface))
+        assert np.array_equal(rows[:8], per_row_readout(backend, philox_generator(9, 0, 1), flips[:8], basis)), basis
 
 
 def test_the_20_qubit_rings_dense_graph_state_is_the_per_edge_reference():

@@ -1,3 +1,4 @@
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -238,15 +239,16 @@ def next_words(rng) -> list[int]:
     return rng.bit_generator.random_raw(8).tolist()
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "graph"])
+@pytest.mark.parametrize("kind", ["real", "complex", "graph", "product"])
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(data=st.data())
 def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
-    """Real, complex and graph states of 1 to 12 qubits, blocks of 1 to 1,100 rows (so across the 512-row
-    parts), flips on the first 0 to n qubits (Z in X, X in Z): in either basis the outcomes equal the per-row
-    reference's bit for bit, and both leave the stream rows x n doubles on. The first rows are also each
-    flipped copy's per-qubit collapse, given that row's doubles. Graph states have fixed outcomes and rows
-    that share a node."""
+    """Real, complex, graph and product states of 1 to 12 qubits, blocks of 1 to 1,100 rows, flips on the
+    first 0 to n qubits (Z in X, X in Z): in either basis the outcomes equal the per-row reference's bit for
+    bit, and both leave the stream rows x n doubles on. The first rows are also each flipped copy's per-qubit
+    collapse, given that row's doubles. Graph states have fixed outcomes and rows that share a history in the
+    weight table. A product of |0>, |1>, |+> and |-> makes each outcome fixed or a fair coin, and in either
+    basis the table holds histories of zero weight, whose expectations it sets to 0."""
     basis = data.draw(st.sampled_from("xz"), label="basis")
     n = data.draw(st.integers(1, 12), label="qubits")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="amplitude seed"))
@@ -254,6 +256,9 @@ def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
         pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
         edges = tuple(pair for pair in pairs if rng.random() < 0.4)
         state = build_graph_state_dense(InteractionGraph(tuple(f"q{i}" for i in range(n)), edges))
+    elif kind == "product":  # |0>, |1>, |+> or |-> on each qubit
+        amps = reduce(np.kron, np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])[rng.integers(0, 4, n)])
+        state = StateVector(n, amps / np.linalg.norm(amps))
     else:
         amps = rng.normal(size=1 << n) + (1j * rng.normal(size=1 << n) if kind == "complex" else 0.0)
         state = StateVector(n, amps / np.linalg.norm(amps))

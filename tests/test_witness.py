@@ -73,6 +73,8 @@ def test_witness_has_eight_settings(witness_op):
         "B4",
         "B5",
     ]
+    factors = [f for s in witness_op.settings for _, term in s.terms for f in term]  # no None: both forms read these
+    assert len(factors) == 16 * 8 and all(np.shape(f) == (2, 2) for f in factors)
 
 
 def test_rotated_settings_have_unit_eigenvalues():
