@@ -107,12 +107,13 @@ class ClusterState:
     ``backend`` is a :class:`StabilizerTableau` or a :class:`dense.StateVector`.
     Both speak the same protocol, so nothing here or in the sweep asks which one
     it holds: ``copy()``, ``apply_gate(gate, *targets)``, ``measure_pauli(op, rng)``,
-    ``measure_x(q, rng)``, ``expectation_pauli(op)`` and ``readout(rng, flips=None,
-    basis="x")``, the outcomes of every qubit in one basis, "x" or "z", of the state or,
-    given a (trials, k) bool array, of one copy per row with the Pauli that anticommutes
-    with that basis (Z in X, X in Z) on qubit q wherever ``flips[t, q]`` is set.
-    Callers find qubits by ``graph.index`` and measure through ``backend``; the state
-    adds only ``copy()`` and ``expectation(op)``, either engine's value as a float.
+    ``measure_x(q, rng)``, ``expectation_pauli(op)``, ``reader(basis="x")``, a snapshot
+    of the state, and ``readout(rng, flips=None, basis="x")``, ``reader(basis)(rng, flips)``:
+    the outcomes of every qubit in one basis, "x" or "z", of the state or, given a (trials,
+    k) bool array, of one copy per row with the Pauli that anticommutes with that basis (Z
+    in X, X in Z) on qubit q wherever ``flips[t, q]`` is set. Callers find qubits by
+    ``graph.index`` and measure through ``backend``; the state adds only ``copy()`` and
+    ``expectation(op)``, either engine's value as a float.
     """
 
     graph: InteractionGraph

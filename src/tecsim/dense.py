@@ -4,8 +4,8 @@ Serves two roles: an independent check on the tableau engine, and the only
 engine able to evaluate non-Pauli observables such as rotated measurement
 settings. Qubit 0 maps to the most significant bit of the flat amplitude
 index, so reading a basis label left to right matches qubit order, and the
-labels that share their first outcomes are adjacent: :meth:`StateVector.readout`
-reads X or Z from pairwise sums of one table of Born weights.
+labels that share their first outcomes are adjacent: :meth:`StateVector.reader`
+reads X or Z from pairwise sums of one table of Born weights, built once per reader.
 """
 
 from __future__ import annotations
@@ -141,42 +141,49 @@ class StateVector:
         return self.measure_pauli(PauliOperator.single(self.n, q, "X"), rng)
 
     def readout(self, rng: np.random.Generator, flips: np.ndarray | None = None, basis="x") -> list[int] | np.ndarray:
-        """Outcomes (+-1) of every qubit in ``basis``, "x" or "z", measured in qubit order; the state is left as is.
+        return self.reader(basis)(rng, flips)
 
-        With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t is this call's
-        readout, given the same draws, of the copy with Z (X in the Z basis) on each qubit q < k where
-        ``flips[t, q]`` is set. It sums one table of Born weights (in X, 2^n times them, after n butterflies)
-        pairwise into <P_q> = (w0 - w1) / (w0 + w1) after each history of q outcomes, w0 and w1 its weight
-        with qubit q at 0 and at 1. A flip on q is a sign z that turns outcome s into the unflipped outcome
-        c = s z and <P_q> into z <P_q>, so each row walks the table along its products c. Thresholds and draws
-        are :meth:`measure_pauli`'s; parts of 512 rows each draw their rows' n doubles, in row order.
-        """
-        n, block = self.n, np.zeros((1, 0), bool) if flips is None else check_flips(flips, self.n)
-        weights = self.amps.real if not self.amps.imag.any() else self.amps
+    def reader(self, basis="x"):
+        """The ``readout`` in ``basis`` of the state as it is now, as a callable ``(rng, flips=None)``; see
+        :class:`tecsim.cluster.ClusterState`. One table of Born weights (in X, 2^n times them, after n butterflies)
+        sums pairwise into <P_q> = (w0 - w1) / (w0 + w1) after each history of q outcomes, w0 and w1 its weight with
+        qubit q at 0 and at 1. A flip on q is a sign z that turns outcome s into the unflipped outcome c = s z and
+        <P_q> into z <P_q>, so each row walks the table along its products c. Rows reach only histories of weight,
+        so a level where none is random keeps no table, and a run of them is one map, h -> 2h + (<P_q> < 0) composed.
+        Thresholds and draws are :meth:`measure_pauli`'s; 512-row parts draw n doubles a row, in order."""
+        n, weights = self.n, self.amps.real if not self.amps.imag.any() else self.amps
         for _ in range(n if check_basis(basis) == "x" else 0):
             weights = _butterfly(weights)
         weights = np.abs(weights)
         weights *= weights  # in place: a real state's X readout holds at most two tables at once
-        expects = []  # expects[q][h]: <P_q> after history h, 0 where h has no weight
-        while len(weights) > 1:
-            w0, w1 = weights[0::2], weights[1::2]
-            weights, diffs = w0 + w1, w0 - w1
-            expects.insert(0, np.divide(diffs, weights, out=diffs, where=weights > 0))
-        outcomes, shifts = np.empty((len(block), n), dtype=np.int64), np.arange(n - 1, -1, -1)
-        for first in range(0, len(block), 512):  # each part draws its rows' doubles, in row order
-            part = block[first : first + 512]
-            draws, every, cursor = rng.random((len(part), n)), np.arange(len(part)), np.zeros(len(part), np.intp)
-            z = np.concatenate([part, np.zeros((len(part), n - part.shape[1]), bool)], 1)  # z = -1 where set
-            history = np.zeros(len(part), np.intp)  # each row's products c so far, a 1 bit where c < 0
-            for q, table in enumerate(expects):
-                d = table[history]
-                bit, random = d < 0, np.abs(d) <= 1.0 - 1e-9
-                if random.any():  # s = 1 where the draw is under (1 + z d) / 2, so c < 0 where that matches z < 0
+        steps, run = [], None  # in qubit order, per level where a row may draw: <P_q> per history, the next run's map
+        for q in range(n - 1, -1, -1):  # the deeper table goes as soon as it is summed
+            weights, d = weights[0::2] + weights[1::2], weights[0::2] - weights[1::2]
+            np.divide(d, weights, out=d, where=weights > 0)  # 0 where the history has no weight
+            if ((np.abs(d) <= 1.0 - 1e-9) & (weights > 0)).any():
+                steps, run = [(d, run), *steps], None
+            else:  # composed from the run's deepest level up; every history is below 2^n
+                step = np.arange(1 << q, dtype=np.min_scalar_type((1 << n) - 1)) * 2 | (d < 0)
+                run = step if run is None else run[step]
+        start, shifts = 0 if run is None else int(run[0]), np.arange(n - 1, -1, -1)  # before the first level that draws
+        def read(rng: np.random.Generator, flips: np.ndarray | None = None) -> list[int] | np.ndarray:
+            block = np.zeros((1, 0), bool) if flips is None else check_flips(flips, n)
+            block = np.concatenate([block, np.zeros((len(block), n - block.shape[1]), bool)], 1)  # z = -1 where set
+            outcomes = np.empty((len(block), n), np.int64)
+            for first in range(0, len(block), 512):  # each part draws its rows' doubles, in row order
+                z = block[first : first + 512]
+                draws, every, cursor = rng.random((len(z), n)), np.arange(len(z)), np.zeros(len(z), np.intp)
+                history = np.full(len(z), start)  # each row's products c so far, a 1 bit where c < 0
+                for table, after in steps:
+                    d, q = table[history], len(table).bit_length() - 1
                     up = draws[every, cursor] < 0.5 * (1.0 + np.where(z[:, q], -d, d))
-                    bit, cursor = np.where(random, up == z[:, q], bit), cursor + random
-                history = 2 * history + bit
-            outcomes[first : first + len(part)] = 1 - 2 * (history[:, None] >> shifts & 1 ^ z)  # s = c z
-        return outcomes[0].tolist() if flips is None else outcomes
+                    random = np.abs(d) <= 1.0 - 1e-9  # s = 1 where up, so c < 0 where up matches z < 0
+                    history, cursor = 2 * history + np.where(random, up == z[:, q], d < 0), cursor + random
+                    history = history if after is None else after[history]
+                outcomes[first : first + len(z)] = 1 - 2 * (history[:, None] >> shifts & 1 ^ z)  # s = c z
+            return outcomes[0].tolist() if flips is None else outcomes
+
+        return read
 
 
 def _butterfly(amps: np.ndarray) -> np.ndarray:

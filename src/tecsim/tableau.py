@@ -6,8 +6,8 @@ update each row in place; CNOT is H, CZ, H on its target, and X, Y and Z
 flip the sign of every row that anticommutes with them. A Pauli that
 commutes with every row is +-a product of rows, found by one GF(2) echelon
 of the rows, and :func:`_product_sign` alone signs any product of rows. The
-X or Z readout of any tableau needs no collapse: :meth:`_readout_plan` finds
-the group's X strings, or Z strings, which fix outcomes, from two echelons.
+X or Z readout of any tableau needs no collapse: :meth:`_readout_plan` finds the
+group's X or Z strings, which fix outcomes, in two echelons, once per reader.
 
 Signs only ever add by XOR. So :func:`_x_outcomes` also runs on numpy bit
 columns, one entry per copy of a block readout; and signs may be GF(2)
@@ -141,26 +141,26 @@ class StabilizerTableau:
         return self.measure_pauli(PauliOperator.single(self.n, q, "X"), rng)
 
     def readout(self, rng: np.random.Generator, flips: np.ndarray | None = None, basis="x") -> list[int] | np.ndarray:
-        """Outcomes (+-1) of every qubit in ``basis``, "x" or "z", read in order from :meth:`_readout_plan`.
+        return self.reader(basis)(rng, flips)
 
-        With ``flips``, a (trials, k) bool array, it returns a (trials, n) array whose row t is this call's
-        readout, given the same draws, of the copy with Z (X in the Z basis) on each qubit q < k where
-        ``flips[t, q]`` is set. The R random outcomes are one ``rng.integers(0, 2, R)``, a block's
-        ``rng.integers(0, 2, (trials, R))``: per copy, the numbers of R scalar ``rng.integers(0, 2)``, as a
-        collapse draws them. The state is left as is.
-        """
-        flips = flips if flips is None else check_flips(flips, self.n)
-        plan = self._readout_plan(check_basis(basis))
-        if flips is None:  # the outcomes so far as one int, so each fixed one is a parity
-            coins, out = iter(rng.integers(0, 2, plan.count(None)).tolist()), 0
-            for i, step in enumerate(plan):
-                out |= (next(coins) if step is None else step[1] ^ (out & step[0]).bit_count() & 1) << i
-            return [-1 if bit == "1" else 1 for bit in f"{out:0{self.n}b}"[::-1]]
-        columns = np.zeros((self.n, len(flips)), np.int8)
-        columns[: flips.shape[1]] = flips.T
-        # drawn as int64 and cast: numpy buffers narrower draws, which reorders the stream
-        draws = iter(rng.integers(0, 2, (len(flips), plan.count(None))).T.astype(np.int8))
-        return 1 - 2 * np.array(_x_outcomes(plan, columns, draws.__next__)).T
+    def reader(self, basis="x"):
+        """The ``readout`` in ``basis`` of the state as it is now, as a callable ``(rng, flips=None)``, from one
+        :meth:`_readout_plan`; see :class:`tecsim.cluster.ClusterState`. Its R random outcomes, as a collapse draws
+        them, are ``rng.integers(0, 2, R)``, a block's ``rng.integers(0, 2, (trials, R))``: R scalar draws per copy."""
+        plan, n = self._readout_plan(check_basis(basis)), self.n
+        def read(rng: np.random.Generator, flips: np.ndarray | None = None) -> list[int] | np.ndarray:
+            if flips is None:  # the outcomes so far as one int, so each fixed one is a parity
+                coins, out = iter(rng.integers(0, 2, plan.count(None)).tolist()), 0
+                for i, step in enumerate(plan):
+                    out |= (next(coins) if step is None else step[1] ^ (out & step[0]).bit_count() & 1) << i
+                return [-1 if bit == "1" else 1 for bit in f"{out:0{n}b}"[::-1]]
+            columns = np.zeros((n, len(check_flips(flips, n))), np.int8)
+            columns[: flips.shape[1]] = flips.T
+            # drawn as int64 and cast: numpy buffers narrower draws, which reorders the stream
+            draws = iter(rng.integers(0, 2, (len(flips), plan.count(None))).T.astype(np.int8))
+            return 1 - 2 * np.array(_x_outcomes(plan, columns, draws.__next__)).T
+
+        return read
 
     def expectation_pauli(self, op: PauliOperator) -> int:
         """Exact expectation in {-1, 0, +1}; the state is not disturbed."""

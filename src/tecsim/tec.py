@@ -4,9 +4,9 @@
 patterns: the volume boundaries are the parity checks, a nontrivial closed surface carries
 the protected correlation, the decoder maps each syndrome to its unique minimum-weight flip
 pattern, and the verdicts' weight enumerators give the error rates. The code owns the
-complex's cluster state, faces first, built on first use per engine, and runs one trial at a
-time on it. The per-trial names and analytic curves here are the eight-qubit demo
-:data:`G8_CODE`'s methods and rates. Monte-Carlo sweeps of any code follow.
+complex's cluster state, faces first, and its X reader, each built on first use per engine,
+and reads every trial through it. The per-trial names and analytic curves here are the
+eight-qubit demo :data:`G8_CODE`'s methods and rates. Monte-Carlo sweeps of any code follow.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ class TopologicalCode:
     members: np.ndarray = field(repr=False)
     enumerators: tuple[tuple[int, ...], ...]
     _states: dict[str, ClusterState] = field(default_factory=dict, init=False, repr=False)
+    _readers: dict = field(default_factory=dict, init=False, repr=False)  # engine -> the shared state's X reader
 
     def rates(self, p: float) -> tuple[float, float]:
         """Protected and unprotected rates at p: A_w p^w (1 - p)^(m - w) summed from int 0 over A_w != 0."""
@@ -84,6 +85,10 @@ class TopologicalCode:
         if engine not in self._states:
             self._states[engine] = build_cluster(interaction_graph(self.complex), engine)
         return self._states[engine]
+
+    def _reader(self, engine: str):
+        """The shared state's X reader, its backend's ``reader()``, built on first use, once per engine."""
+        return self._readers.get(engine) or self._readers.setdefault(engine, self._state(engine).backend.reader())
 
     @property
     def check_names(self) -> tuple[str, ...]:
@@ -127,8 +132,7 @@ class TopologicalCode:
         if not set(pattern) <= set(numbers):
             raise ValueError(f"unknown face numbers in {sorted(pattern)}")
         flips = np.array([[q in pattern for q in numbers]])  # face q is qubit q - 1
-        state = self._state(engine)
-        outcomes = dict(zip(state.graph.vertices, state.backend.readout(rng, flips)[0].tolist()))
+        outcomes = dict(zip(self._state(engine).graph.vertices, self._reader(engine)(rng, flips)[0].tolist()))
         record = OutcomeRecord(outcomes, "x")
         return *self.decode_and_correct(record), record
 
@@ -252,14 +256,14 @@ def _count_failures(
     order, rng = chances.argsort(kind="stable"), philox_generator(seed, point_index)  # rarest first, so numpy's
     counts = rng.multinomial(trials, chances[order])[order.argsort()]  # running remainder stays accurate
     if engine != "fast":
-        backend, outcome_rng = code._state(engine).backend, philox_generator(seed, point_index, 1)
+        read, outcome_rng = code._reader(engine), philox_generator(seed, point_index, 1)
         ends, sizes, seen = counts.cumsum(), code.cells.ravel(), np.array([*code.checks, code.surface])[:, None]
         bits, firsts = (1 << np.arange(n)).astype(np.uint32), sizes.cumsum() - sizes
         for start in range(0, trials, _BLOCK):
             cell = ends.searchsorted(np.arange(start, min(start + _BLOCK, trials)), "right")
             injected = code.members[firsts[cell] + (rng.random(cell.size) * sizes[cell]).astype(int)]
             flips = np.unpackbits(injected.view(np.uint8).reshape(-1, 4), 1, n, "little").view(bool)  # face i, column i
-            faces = backend.readout(outcome_rng, flips)[:, :n] < 0  # face i is qubit i
+            faces = read(outcome_rng, flips)[:, :n] < 0  # face i is qubit i
             if _parities(faces.view(np.uint8) @ bits ^ injected, seen).any():  # the read-out pattern's difference
                 raise AssertionError(f"the {engine} readout moved a check or the surface")
     return sum(counts[2 * n + 2 :].tolist()), sum(counts.reshape(4, -1)[1::2].ravel().tolist())  # classes 2, 3; 1, 3

@@ -497,6 +497,31 @@ def test_z_readout_matches_per_qubit_collapse(g8_graph, engine):
         assert record.basis == "z"
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("change", ["H on qubit 0", "Z measured on qubit 0"])
+def test_a_reader_reads_the_state_as_it_was_when_built(g8_graph, engine, change):
+    """A reader is a snapshot. After the state changes, a reader built before reads, in either basis, the state as it
+    was, one state or a block, and a fresh reader the state as it is: each the per-qubit collapse of its state."""
+    state, flips = build_cluster(g8_graph, engine), np.random.default_rng(17).random((5, 8)) < 0.5
+    old, before = {basis: state.backend.reader(basis) for basis in "xz"}, state.copy()
+    if change == "H on qubit 0":
+        state.backend.apply_gate("H", 0)
+    else:
+        state.backend.measure_pauli(PauliOperator.single(8, 0, "Z"), philox_generator(17))
+    for basis in "xz":
+        new, moved = state.backend.reader(basis), False
+        for t in range(10):
+            stream = philox_generator(17, t)
+            draws = {"doubles": stream.random(8)} if engine == "dense" else {"bits": stream.integers(0, 2, 8)}
+            was = per_qubit_readout(before, Replay(**draws), basis)
+            now = per_qubit_readout(state, Replay(**draws), basis)
+            assert old[basis](Replay(**draws)) == was and new(Replay(**draws)) == now, (basis, t)
+            moved |= was != now
+        assert moved, basis  # the change shows in this basis
+        block = before.backend.readout(philox_generator(18), flips, basis)
+        assert np.array_equal(old[basis](philox_generator(18), flips), block), basis
+
+
 def test_z_flipped_graph_state_is_read_out_in_closed_form(monkeypatch):
     cx = build_cuboid_complex(3, 3, 2)
     state = build_cluster(interaction_graph(cx), "tableau")

@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from functools import cache, reduce
+from functools import cache, partial, reduce
 from operator import xor
 
 import numpy as np
@@ -282,17 +282,18 @@ def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
 
 
 def test_a_dense_block_on_the_20_qubit_ring_peaks_under_its_state_and_a_quarter():
-    """300 rows of ring (9, 9), whose state is 2^20 complex amplitudes (16 MiB), in X and in Z: the readout
-    holds one table of 2^20 Born weights (8 MiB), real as the state is, and then its 2^20 - 1 expectations,
-    one per outcome history. The X transform holds two real copies of the state at a time. In X every row
-    passes the parity audit; in either basis the first rows are the per-row reference's."""
+    """300 rows of ring (9, 9), whose state is 2^20 complex amplitudes (16 MiB), in X and in Z, through a reader
+    built inside the measurement: it sums one table of 2^20 Born weights (8 MiB), real as the state is, into the
+    expectations of the levels where a row may draw, at most 2^20 - 1, and maps of the others, at most 4 bytes a
+    history. The X transform holds two real copies of the state at a time. In X every row passes the parity audit;
+    in either basis the first rows are the per-row reference's."""
     code = build_code(two_chain_ring(9, 9), {"a9", "b9"})
     backend = code._state("dense").backend  # built outside the measurement
     flips = np.random.default_rng(9).random((300, 18)) < 0.5
     for basis in "xz":
         tracemalloc.start()
         try:
-            rows = backend.readout(philox_generator(9, 0, 1), flips, basis)
+            rows = backend.reader(basis)(philox_generator(9, 0, 1), flips)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -366,16 +367,15 @@ def test_the_audit_raises_iff_the_readouts_difference_moves_a_check_or_the_surfa
     """A readout that XORs d into every row's face outcomes: a state-engine point raises exactly when d has odd
     parity with a check or the surface. Every d on g8 and ring5; on each odd two-chain ring up to 14 faces, a
     seeded sample of 256 d (all of them up to 8 faces) and every d that moves nothing."""
-    backend = type(G8_CODE.state("tableau").backend)
-    readout, signs = backend.readout, [np.ones(0, np.int64)]
-    def xor_d(self, rng, flips=None):
-        rows = readout(self, rng, flips)
+    signs = [np.ones(0, np.int64)]
+    def xor_d(read, rng, flips=None):
+        rows = read(rng, flips)
         rows[:, : signs[0].size] *= signs[0]
         return rows
 
-    monkeypatch.setattr(backend, "readout", xor_d)
     rings = [build_code(two_chain_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
     for i, code in enumerate((G8_CODE, ring5, *rings)):
+        monkeypatch.setitem(code._readers, "tableau", partial(xor_d, code._reader("tableau")))  # the code's reader
         n, seen = len(code.faces), (*code.checks, code.surface)
         moves = {d: any((d & m).bit_count() & 1 for m in seen) for d in range(1 << n)}
         if i < 2 or n <= 8:

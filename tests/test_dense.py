@@ -248,7 +248,8 @@ def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
     bit, and both leave the stream rows x n doubles on. The first rows are also each flipped copy's per-qubit
     collapse, given that row's doubles. Graph states have fixed outcomes and rows that share a history in the
     weight table. A product of |0>, |1>, |+> and |-> makes each outcome fixed or a fair coin, and in either
-    basis the table holds histories of zero weight, whose expectations it sets to 0."""
+    basis the table holds histories of zero weight, whose expectations it sets to 0. One reader of the state, called
+    on the rows cut into 2 or 3 consecutive blocks on one stream, reads the same rows and leaves the stream as far on."""
     basis = data.draw(st.sampled_from("xz"), label="basis")
     n = data.draw(st.integers(1, 12), label="qubits")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="amplitude seed"))
@@ -266,12 +267,16 @@ def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
     k = data.draw(st.integers(0, n), label="flipped qubits")
     flips = rng.random((rows, k)) < data.draw(st.floats(0.0, 1.0), label="flip rate")
     seed = data.draw(st.integers(0, 2**64), label="seed")
-    block, reference, skipped = philox_generator(seed), philox_generator(seed), philox_generator(seed)
+    block, reference, skipped, stream = (philox_generator(seed) for _ in range(4))
     got = state.readout(block, flips, basis)
     assert got.dtype == np.int64 and got.shape == (rows, n)
-    assert np.array_equal(got, per_row_readout(state, reference, flips, basis))
+    expected = per_row_readout(state, reference, flips, basis)
+    assert np.array_equal(got, expected)
+    read = state.reader(basis)
+    ends = sorted(data.draw(st.lists(st.integers(0, rows), min_size=1, max_size=2), label="block ends"))
+    assert np.array_equal(np.concatenate([read(stream, part) for part in np.split(flips, ends)]), expected)
     doubles = skipped.random((rows, n))
-    assert next_words(block) == next_words(reference) == next_words(skipped)
+    assert next_words(block) == next_words(reference) == next_words(skipped) == next_words(stream)
     for t in range(min(rows, 4)):
         copy = state.copy()
         for q in np.flatnonzero(flips[t]).tolist():

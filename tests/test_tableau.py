@@ -610,7 +610,8 @@ def clifford_tableaus(draw, max_qubits=12):
 def test_x_readout_of_any_tableau_is_the_per_qubit_collapse(tab, data):
     """In X or Z, one state and a block of flipped copies (Z in X, X in Z) read out, in closed form, as each
     copy's per-qubit collapse in that basis given the same draws, and take as many draws; no readout collapses
-    a row."""
+    a row. One reader of the state, called on the rows cut into 2 or 3 consecutive blocks on one stream, reads
+    the same rows from the same draws."""
     n, basis = tab.n, data.draw(st.sampled_from("xz"), label="basis")
     bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
     flips = np.array(data.draw(st.lists(st.booleans(), min_size=len(bits) * n, max_size=len(bits) * n)))
@@ -629,7 +630,10 @@ def test_x_readout_of_any_tableau_is_the_per_qubit_collapse(tab, data):
         single, block = Replay(bits=bits[0]), Replay(bits=[b for row in bits for b in row[:coins]])
         assert tab.readout(single, basis=basis) == alone
         assert tab.readout(block, flips, basis).tolist() == expected
-    assert calls == [] and single.used == coins and block.used == coins * len(bits)
+        read, stream = tab.reader(basis), Replay(bits=[b for row in bits for b in row[:coins]])
+        ends = sorted(data.draw(st.lists(st.integers(0, len(bits)), min_size=1, max_size=2), label="block ends"))
+        assert np.concatenate([read(stream, part) for part in np.split(flips, ends)]).tolist() == expected
+    assert calls == [] and single.used == coins and block.used == stream.used == coins * len(bits)
     assert list(rows(tab)) == before
 
 

@@ -506,17 +506,16 @@ def test_block_outcomes_are_each_trials_readout(p, engine):
 def test_sweep_blocks_read_the_points_outcome_stream_in_order(monkeypatch, engine):
     """The counts cannot show which stream the random outcomes come from; the outcomes can."""
     seed, point, trials, p = 11, 3, 50, 0.5
-    backend = G8_CODE.state(engine).backend
-    readout, outcomes = type(backend).readout, []
-    def spy(self, rng, flips=None):
-        outcomes.append(readout(self, rng, flips))
+    read, outcomes = G8_CODE._reader(engine), []
+    def spy(rng, flips=None):
+        outcomes.append(read(rng, flips))
         return outcomes[-1]
 
-    monkeypatch.setattr(type(backend), "readout", spy)
+    monkeypatch.setitem(G8_CODE._readers, engine, spy)
     monkeypatch.setattr(tec, "_BLOCK", 16)
     tec._count_failures(engine, p, trials, seed, point)
     flips = np.array([[k >> i & 1 for i in range(6)] for k in trial_patterns(p, trials, seed, point)], bool)
-    expected = readout(backend, philox_generator(seed, point, 1), flips)
+    expected = G8_CODE.state(engine).backend.readout(philox_generator(seed, point, 1), flips)
     assert len(outcomes) == 4 and np.array_equal(np.concatenate(outcomes), expected)
 
 
@@ -532,8 +531,9 @@ def test_run_pattern_is_a_block_of_one(monkeypatch, engine):
     assert extract_syndrome(record) == SINGLE_ERROR_SYNDROMES[5]
 
 
-def test_tableau_readout_runs_one_plan_per_call(monkeypatch):
-    """One readout plan per ``readout`` call, in the call's basis: per sweep block, per record."""
+def test_tableau_readout_runs_one_plan_per_code_state(monkeypatch):
+    """One readout plan per code state: the code's X reader keeps its plan for every block of every sweep point.
+    A ``readout`` call, one per record, builds a plan in the call's basis."""
     block = 64
     monkeypatch.setattr(tec, "_BLOCK", block)
     code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
@@ -544,12 +544,13 @@ def test_tableau_readout_runs_one_plan_per_call(monkeypatch):
         return plan(self, basis)
 
     monkeypatch.setattr(tableau.StabilizerTableau, "_readout_plan", counted)
-    got = tec._count_failures("tableau", 0.2, 3 * block + 5, 4, 0, code)
-    assert got == tec._count_failures("fast", 0.2, 3 * block + 5, 4, 0)
-    assert calls == ["x"] * 4
+    for point in range(3):  # 3 blocks each, the last one partial
+        got = tec._count_failures("tableau", 0.2, 2 * block + 5, 4, point, code)
+        assert got == tec._count_failures("fast", 0.2, 2 * block + 5, 4, point)
+    assert calls == ["x"]
     measure_all(code.state("tableau"), philox_generator(4), "x")
     measure_all(code.state("tableau"), philox_generator(4), "z")
-    assert calls == ["x"] * 5 + ["z"]
+    assert calls == ["x"] * 2 + ["z"]
 
 
 @pytest.mark.parametrize(
@@ -724,13 +725,12 @@ def test_state_engine_rows_flip_each_pattern_at_its_chance(monkeypatch):
     double times the cell's size), so the rows' pattern counts are multinomial(trials, pi). Pooled over 4,000 g8 points of 50 tableau trials at p = 0.2, the
     chi^2 of the 64 pattern counts against 200,000 pi_k (63 degrees of freedom, the rarest pattern
     expects 12.8) must stay under the chi^2 upper 10^-6 quantile, from the Wilson-Hilferty form."""
-    backend = type(G8_CODE.state("tableau").backend)
-    readout, rows = backend.readout, []
-    def spy(self, rng, flips=None):
+    read, rows = G8_CODE._reader("tableau"), []
+    def spy(rng, flips=None):
         rows.append(flips)
-        return readout(self, rng, flips)
+        return read(rng, flips)
 
-    monkeypatch.setattr(backend, "readout", spy)
+    monkeypatch.setitem(G8_CODE._readers, "tableau", spy)
     p, trials, seeds = 0.2, 50, 4000
     for seed in range(seeds):
         tec._count_failures("tableau", p, trials, seed, 0)
@@ -759,15 +759,14 @@ def test_a_fast_point_of_10_10_trials_lies_within_5_sigma_of_the_rates():
 def test_a_readout_that_drops_a_z_flip_makes_the_sweep_exit_3(monkeypatch, capsys, engine):
     """Each row's read-out pattern may differ from its injected one only where no check and not
     the surface sees it, so a readout that ignores face 1's Z flips is an internal error."""
-    backend = type(G8_CODE.state(engine).backend)
-    readout = backend.readout
-    def drop_face_1(self, rng, flips=None):
+    read = G8_CODE._reader(engine)
+    def drop_face_1(rng, flips=None):
         flips = flips.copy()
         flips[:, 0] = False
-        return readout(self, rng, flips)
+        return read(rng, flips)
 
     argv = ["sweep", "--engine", engine, "--trials", "40", "--steps", "1", "--p-min", "0.5", "--p-max", "0.5"]
-    monkeypatch.setattr(backend, "readout", drop_face_1)
+    monkeypatch.setitem(G8_CODE._readers, engine, drop_face_1)
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"tecsim: internal error: the {engine} readout moved a check or the surface\n"
