@@ -4,9 +4,10 @@
 patterns: the volume boundaries are the parity checks, a nontrivial closed surface carries
 the protected correlation, the decoder maps each syndrome to its unique minimum-weight flip
 pattern, and the verdicts' weight enumerators give the error rates. The code owns the
-complex's cluster state, faces first, and its X reader, each built on first use per engine,
-and reads every trial through it. The per-trial names and analytic curves here are the
-eight-qubit demo :data:`G8_CODE`'s methods and rates. Monte-Carlo sweeps of any code follow.
+complex's cluster state, faces first, its X reader and its certificate, that the state holds
++X_S for every check and the surface, each made on first use per engine. The per-trial names
+and analytic curves here are the eight-qubit demo :data:`G8_CODE`'s methods and rates.
+Monte-Carlo sweeps of any code follow; they count each point from its multinomial alone.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .complexes import (
     volume_boundary_masks,
 )
 from .errors import CapacityError
+from .pauli import PauliOperator
 from .rng import philox_generator
 
 SWEEP_ENGINES = ("fast", *ENGINES)
@@ -69,6 +71,7 @@ class TopologicalCode:
     enumerators: tuple[tuple[int, ...], ...]
     _states: dict[str, ClusterState] = field(default_factory=dict, init=False, repr=False)
     _readers: dict = field(default_factory=dict, init=False, repr=False)  # engine -> the shared state's X reader
+    _certified: set[str] = field(default_factory=set, init=False, repr=False)  # engines whose state holds +X_S
 
     def rates(self, p: float) -> tuple[float, float]:
         """Protected and unprotected rates at p: A_w p^w (1 - p)^(m - w) summed from int 0 over A_w != 0."""
@@ -89,6 +92,17 @@ class TopologicalCode:
     def _reader(self, engine: str):
         """The shared state's X reader, its backend's ``reader()``, built on first use, once per engine."""
         return self._readers.get(engine) or self._readers.setdefault(engine, self._state(engine).backend.reader())
+
+    def _certify(self, engine: str) -> None:
+        """Raise unless the shared state holds +X_S for each check and the surface S (face i is qubit i); once per
+        engine. Then a correct X readout after Z on ``flips`` gives (-1)^|flips & S| over S, whatever its coins."""
+        if engine not in self._certified:
+            state = self._state(engine)
+            for name, mask in zip((*self.check_names, "the surface"), (*self.checks, self.surface)):
+                value = state.expectation(PauliOperator(state.graph.qubit_count, mask, 0))
+                if abs(value - 1.0) > 1e-9:
+                    raise AssertionError(f"the {engine} state reads <X> = {value:.3g} on {name}, not +1")
+            self._certified.add(engine)
 
     @property
     def check_names(self) -> tuple[str, ...]:
@@ -235,9 +249,6 @@ def exact_enumeration(p: float, code: TopologicalCode = G8_CODE) -> float:
 # Monte Carlo
 
 
-_BLOCK = 1 << 12  # rows per state-engine readout, so memory does not grow with trials
-
-
 def _count_failures(
     engine: str, p: float, trials: int, seed: int, point_index: int,
     code: TopologicalCode = G8_CODE,
@@ -245,27 +256,15 @@ def _count_failures(
     """(protected, unprotected) failures of ``trials`` trials at one grid point on ``engine``.
 
     A pattern's class fixes its verdicts and its weight w its chance, p^w (1 - p)^(F - w), so the point draws
-    how many trials land in each cell: one multinomial over the cells' chances, rarest first, from ``rng =
-    philox_generator(seed, point_index)``. Trial t lands in the first cell (``cells.ravel()`` order) whose running
-    count passes t. A state engine picks its pattern, member ``int(rng.random() * size)`` of the cell, one double
-    per trial in order, reads the rows out per ``_BLOCK`` (X outcomes from ``(seed, point_index, 1)``) and raises
-    if a row's faces read as -1, XOR its mask, have odd parity with a check or the surface. All sum cells by class.
-    """
+    how many trials land in each cell: one multinomial over the cells' chances, rarest first, from ``(seed,
+    point_index)``, summed by class. A state engine reads no row: once :meth:`TopologicalCode._certify` has shown
+    that its state holds +X_S, a correct readout keeps every pattern in its class."""
+    if engine != "fast":
+        code._certify(engine)
     n = len(code.faces)
     chances = (code.cells * [p**w * (1.0 - p) ** (n - w) for w in range(n + 1)]).ravel()  # per cell
-    order, rng = chances.argsort(kind="stable"), philox_generator(seed, point_index)  # rarest first, so numpy's
-    counts = rng.multinomial(trials, chances[order])[order.argsort()]  # running remainder stays accurate
-    if engine != "fast":
-        read, outcome_rng = code._reader(engine), philox_generator(seed, point_index, 1)
-        ends, sizes, seen = counts.cumsum(), code.cells.ravel(), np.array([*code.checks, code.surface])[:, None]
-        bits, firsts = (1 << np.arange(n)).astype(np.uint32), sizes.cumsum() - sizes
-        for start in range(0, trials, _BLOCK):
-            cell = ends.searchsorted(np.arange(start, min(start + _BLOCK, trials)), "right")
-            injected = code.members[firsts[cell] + (rng.random(cell.size) * sizes[cell]).astype(int)]
-            flips = np.unpackbits(injected.view(np.uint8).reshape(-1, 4), 1, n, "little").view(bool)  # face i, column i
-            faces = read(outcome_rng, flips)[:, :n] < 0  # face i is qubit i
-            if _parities(faces.view(np.uint8) @ bits ^ injected, seen).any():  # the read-out pattern's difference
-                raise AssertionError(f"the {engine} readout moved a check or the surface")
+    order = chances.argsort(kind="stable")  # rarest first, so numpy's running remainder stays accurate
+    counts = philox_generator(seed, point_index).multinomial(trials, chances[order])[order.argsort()]
     return sum(counts[2 * n + 2 :].tolist()), sum(counts.reshape(4, -1)[1::2].ravel().tolist())  # classes 2, 3; 1, 3
 
 

@@ -2,7 +2,7 @@
 
 import math
 import tracemalloc
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from operator import xor
 
 import numpy as np
@@ -120,8 +120,8 @@ def test_a_20_face_build_traces_under_80_mib():
 
 
 def test_a_20_000_trial_tableau_point_of_a_20_face_code_traces_under_2_mib():
-    """Each 4,096-row block expands its own injected masks into flip rows and audits its readout against them, so a
-    state-engine point builds no table of the 2^20 patterns."""
+    """A state-engine point certifies its state once and draws its cell counts, so it builds no table of the
+    2^20 patterns and no row."""
     code = build_code(two_chain_ring(9, 11), {"a9", "b11"})
     code._state("tableau")  # the lazy build outside the measurement
     tracemalloc.start()
@@ -256,7 +256,7 @@ def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
     """Decoding fails when one chain's majority flips: f_a (1 - f_b) + f_b (1 - f_a).
 
     Undecoded, the surface's X product flips when one of its two faces does: (1 - (1 - 2p)^2) / 2.
-    The tableau runs every pair; dense checks correlations up to 14 faces and audited sweeps up to 18.
+    The tableau runs every pair; dense checks correlations up to 14 faces and certified sweeps up to 18.
     """
     surface = {f"a{a}", f"b{b}"}
     code = build_code(two_chain_ring(a, b), surface)
@@ -273,7 +273,7 @@ def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
         state = code.state(engine)
         for faces in (*code.complex.volumes.values(), surface):
             assert surface_correlation(state, faces) == 1, (engine, sorted(faces))
-    # a ring has a + b + 2 qubits, so dense sweeps, each row audited, run up to the 20-qubit cap
+    # a ring has a + b + 2 qubits, so dense sweeps, each certifying its state, run up to the 20-qubit cap
     engines = ("tableau", "dense") if a + b <= 18 else ("tableau",)
     for p, seed in ((0.2, 3), (0.5, 8)):
         expected = tec._count_failures("fast", p, 400, seed, 0, code)
@@ -285,7 +285,7 @@ def test_a_dense_block_on_the_20_qubit_ring_peaks_under_its_state_and_a_quarter(
     """300 rows of ring (9, 9), whose state is 2^20 complex amplitudes (16 MiB), in X and in Z, through a reader
     built inside the measurement: it sums one table of 2^20 Born weights (8 MiB), real as the state is, into the
     expectations of the levels where a row may draw, at most 2^20 - 1, and maps of the others, at most 4 bytes a
-    history. The X transform holds two real copies of the state at a time. In X every row passes the parity audit;
+    history. The X transform holds two real copies of the state at a time. In X no row moves a check or the surface;
     in either basis the first rows are the per-row reference's."""
     code = build_code(two_chain_ring(9, 9), {"a9", "b9"})
     backend = code._state("dense").backend  # built outside the measurement
@@ -341,8 +341,9 @@ def test_tables_times_the_pattern_chances_are_the_codes_rates(ring5):
 
 
 def test_a_difference_that_moves_no_check_and_not_the_surface_keeps_both_verdicts(ring5):
-    """The state engines check each row's read pattern against the injected one and count neither:
-    for every pattern k and every d that moves no check and not the surface, k ^ d fails as k does.
+    """A certified state's readout may differ from the injected pattern only by such a d, and the sweep counts the
+    injected pattern's class: for every pattern k and every d that moves no check and not the surface, k ^ d fails
+    as k does.
     g8, ring5 and every odd two-chain ring up to 14 faces, each with a d besides 0."""
     rings = [build_code(two_chain_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
     for code in (G8_CODE, ring5, *rings):
@@ -354,38 +355,46 @@ def test_a_difference_that_moves_no_check_and_not_the_surface_keeps_both_verdict
             assert np.array_equal(verdicts[:, patterns ^ d], verdicts), (n, d)
 
 
-def _audit_raises(code: tec.TopologicalCode, seed: int) -> bool:
-    try:
-        tec._count_failures("tableau", 0.3, 8, seed, 0, code)
-    except AssertionError as caught:
-        assert str(caught) == "the tableau readout moved a check or the surface"
-        return True
+def _certificate_raises(code: tec.TopologicalCode, engine: str, d: int, monkeypatch) -> bool:
+    """Whether the code's certificate on ``engine`` raises once its shared state has Z on each qubit of ``d``."""
+    state = code.state(engine)
+    for q in range(d.bit_length()):
+        if d >> q & 1:
+            state.backend.apply_gate("Z", q)
+    with monkeypatch.context() as m:
+        m.setitem(code._states, engine, state)
+        code._certified.discard(engine)
+        try:
+            code._certify(engine)
+        except AssertionError as caught:
+            assert str(caught).startswith(f"the {engine} state reads <X> = -1 on "), str(caught)
+            return True
+        finally:
+            code._certified.discard(engine)  # the restored state certifies again on its next use
     return False
 
 
-def test_the_audit_raises_iff_the_readouts_difference_moves_a_check_or_the_surface(ring5, monkeypatch):
-    """A readout that XORs d into every row's face outcomes: a state-engine point raises exactly when d has odd
-    parity with a check or the surface. Every d on g8 and ring5; on each odd two-chain ring up to 14 faces, a
-    seeded sample of 256 d (all of them up to 8 faces) and every d that moves nothing."""
-    signs = [np.ones(0, np.int64)]
-    def xor_d(read, rng, flips=None):
-        rows = read(rng, flips)
-        rows[:, : signs[0].size] *= signs[0]
-        return rows
-
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
+def test_the_certificate_raises_iff_a_z_set_moves_a_check_or_the_surface(ring5, monkeypatch, engine):
+    """Z on the face qubits of d flips <X_S> exactly for the checks and the surface S that hold an odd number of
+    them, so a certificate raises iff d has odd parity with a check or the surface. Every d of g8's and ring5's
+    faces on both engines, and on the tableau every d that also takes Z on their 2 edge qubits, which no check
+    reads; on the tableau, each odd two-chain ring up to 14 faces, a seeded sample of 256 d of its faces (all of
+    them up to 8 faces) and every d that moves nothing."""
     rings = [build_code(two_chain_ring(a, b), {f"a{a}", f"b{b}"}) for a, b in ODD_PAIRS if a + b <= 14]
-    for i, code in enumerate((G8_CODE, ring5, *rings)):
-        monkeypatch.setitem(code._readers, "tableau", partial(xor_d, code._reader("tableau")))  # the code's reader
+    for i, code in enumerate((G8_CODE, ring5, *rings) if engine == "tableau" else (G8_CODE, ring5)):
         n, seen = len(code.faces), (*code.checks, code.surface)
         moves = {d: any((d & m).bit_count() & 1 for m in seen) for d in range(1 << n)}
-        if i < 2 or n <= 8:
+        if i < 2:
+            sample = range(1 << (n + 2 if engine == "tableau" else n))
+        elif n <= 8:
             sample = range(1 << n)
         else:  # a ring's d that move nothing are 2 of 2^n, so the sample takes them too
             unmoved = (d for d, moved in moves.items() if not moved)
             sample = sorted({*np.random.default_rng(i).choice(1 << n, 256, replace=False).tolist(), *unmoved})
         for d in sample:
-            signs[0] = 1 - 2 * (d >> np.arange(n) & 1)
-            assert _audit_raises(code, d) == moves[d], (n, d)
+            assert _certificate_raises(code, engine, d, monkeypatch) == moves[d & (1 << n) - 1], (n, d)
+        assert tec._count_failures(engine, 0.3, 8, 1, 0, code) == tec._count_failures("fast", 0.3, 8, 1, 0, code)
 
 
 def test_ring5_has_256_syndromes_and_distance_5(ring5):

@@ -26,16 +26,11 @@ UNCALLED = {
     "complexes.Chain.__bool__",
     "complexes.Chain.__xor__",
     "dense.StateVector.apply_gate",
-    "dense.StateVector.apply_pauli",
     "dense.StateVector.copy",
-    "dense.StateVector.expectation_pauli",
     "dense.StateVector.measure_pauli",
     "dense.StateVector.measure_x",
     "pauli.PauliOperator.__str__",
-    "pauli.PauliOperator.letter",
-    "pauli.PauliOperator.phase",
     "pauli.PauliOperator.single",
-    "pauli.PauliOperator.support",
     "pauli.check_gate",
     "pauli.pauli_to_text",
     "tableau.StabilizerTableau._collapse",
@@ -51,9 +46,6 @@ UNCALLED = {
     "tableau.StabilizerTableau.x",
     "tableau.StabilizerTableau.y",
     "tableau.StabilizerTableau.z",
-    "tec.TopologicalCode.decode_and_correct",
-    "tec.TopologicalCode.flipped",
-    "tec.TopologicalCode.run_pattern",
     "tec.TopologicalCode.simulate_trial",
     "tec.TopologicalCode.sample_errors",
     "tec.TopologicalCode.state",

@@ -25,8 +25,12 @@ def test_readme_python_blocks_run(capsys):
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
-    # the quick start prints the error-free syndrome, then the protected correlation
-    assert capsys.readouterr().out.startswith("(1, 1, 1, 1)\n1\n")
+    # the quick start prints the error-free syndrome, then the protected correlation, then Table 1 on each engine
+    out = capsys.readouterr().out
+    assert out.startswith("(1, 1, 1, 1)\n1\n")
+    for engine in ("tableau", "dense"):
+        for q in range(1, 7):
+            assert f"{engine} f{q} flipped, correction [{q}], corrected product +1\n" in out, (engine, q)
 
 
 @pytest.mark.parametrize("line", tecsim_lines())

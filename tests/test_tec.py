@@ -1,15 +1,15 @@
 import math
 import tracemalloc
 from collections import Counter
+from functools import cache
 from itertools import combinations, product
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tecsim import cli, tableau, tec
+from tecsim import cli, dense, tableau, tec
 from tecsim.cluster import OutcomeRecord, build_cluster, interaction_graph, measure_all
 from tecsim.complexes import (
     G8_PROTECTED_SURFACE,
@@ -352,6 +352,7 @@ def random_outcome_count(code):
     return probe.used
 
 
+@cache
 def verdict_classes(code=G8_CODE):
     """Each flip bitmask's class, 2 * (protected fails) + (unprotected fails): g8's from the brute-force
     verdicts, any other code's from the reference walk, neither read from the code's cells."""
@@ -359,7 +360,7 @@ def verdict_classes(code=G8_CODE):
         verdicts = _brute_force_verdicts()
     else:
         verdicts = walk_decoder(volume_boundary_masks(code.complex), code.surface, len(code.faces))[1]
-    return (2 * verdicts[0] + verdicts[1]).tolist()
+    return tuple((2 * verdicts[0] + verdicts[1]).tolist())
 
 
 def cell_chances(p, classes):
@@ -388,14 +389,15 @@ def class_sums(counts):
 
 
 def trial_patterns(p, trials, seed, point, code=G8_CODE):
-    """Each trial's flip bitmask: trial t lands in cell i while the counts of the cells before i sum to at
-    most t, and then, in trial order from the same stream, flips the cell's mask ``int(random() * size)``."""
+    """Each trial's flip bitmask, by the documented rule that defines trial t of a sweep point, whose counts
+    alone the sweep draws: trial t lands in cell i while the counts of the cells before i sum to at most t,
+    and then, in trial order from the same stream, flips the cell's mask ``int(random() * size)``."""
     cells, counts, rng = cell_counts(p, trials, seed, point, verdict_classes(code))
     return [cell[int(rng.random() * len(cell))] for cell, count in zip(cells, counts) for _ in range(count)]
 
 
 def trial_draws(engine, p, seed, point, trials, code=G8_CODE):
-    """Each trial's flipped face numbers and outcome draws, replayed in the sweep's layout: trial t's
+    """Each trial's flipped face numbers and outcome draws, in the documented layout: trial t's
     pattern from :func:`trial_patterns`, then row t of the (seed, point, 1) stream, R
     ``integers(0, 2)`` (tableau, R random outcomes, two on g8) or n doubles (dense, n qubits)."""
     n, masks = len(code.faces), trial_patterns(p, trials, seed, point, code)
@@ -435,18 +437,17 @@ def test_engine_sweep_counts_match_per_trial_reference(ring5, engine, trials):
 
 @pytest.mark.parametrize("seed", [0, 13, 2**64 + 3])
 @pytest.mark.parametrize("p", [0.0, 1e-9, 0.05, 0.5, 1.0])
-def test_sign_frame_counts_match_per_trial_loop(monkeypatch, p, seed):
-    block = 64  # a small block puts every block edge in reach of a short reference loop
-    monkeypatch.setattr(tec, "_BLOCK", block)
+def test_sign_frame_counts_match_per_trial_loop(p, seed):
     for point in (0, 5):
-        for trials in (1, block - 1, block, block + 1, 2 * block + 7):
+        for trials in (1, 63, 64, 65, 135):
             got = tec._count_failures("tableau", p, trials, seed, point)
             assert got == reference_counts(G8_CODE, p, trials, seed, point), (point, trials)
             assert got == tec._count_failures("fast", p, trials, seed, point), (point, trials)
 
 
 def test_sign_frame_counts_match_per_trial_loop_at_the_tableau_block():
-    block, seed = tec._BLOCK, 2**64 + 3
+    """4,096 +- 1 and 8,199 trials against the per-trial replay, well past the short loops above."""
+    block, seed = 1 << 12, 2**64 + 3
     for trials in (1, block - 1, block, block + 1, 2 * block + 7):
         expected = reference_counts(G8_CODE, 0.05, trials, seed, 1)
         assert tec._count_failures("tableau", 0.05, trials, seed, 1) == expected, trials
@@ -454,11 +455,9 @@ def test_sign_frame_counts_match_per_trial_loop_at_the_tableau_block():
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 3])
 @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-def test_dense_block_counts_match_per_trial_loop(monkeypatch, p, seed):
-    block = 16  # a small block puts every block edge in reach of a short reference loop
-    monkeypatch.setattr(tec, "_BLOCK", block)
+def test_dense_block_counts_match_per_trial_loop(p, seed):
     for point in (0, 5):
-        for trials in (1, block - 1, block, block + 1, 2 * block + 7):
+        for trials in (1, 15, 16, 17, 39):
             got = tec._count_failures("dense", p, trials, seed, point)
             assert got == reference_counts(G8_CODE, p, trials, seed, point, "dense"), (point, trials)
             assert got == tec._count_failures("fast", p, trials, seed, point), (point, trials)
@@ -471,13 +470,10 @@ def test_dense_block_counts_match_per_trial_loop(monkeypatch, p, seed):
     point=st.integers(0, 2**40),
     p=st.floats(0.0, 1.0),
     trials=st.integers(1, 300),
-    block=st.integers(1, 128),
 )
-def test_state_engine_counts_equal_the_fast_counts(engine, seed, point, p, trials, block):
-    """The random X outcomes change no verdict, so any block size gives the fast counts."""
-    with patch.object(tec, "_BLOCK", block):
-        got = tec._count_failures(engine, p, trials, seed, point)
-    assert got == tec._count_failures("fast", p, trials, seed, point)
+def test_state_engine_counts_equal_the_fast_counts(engine, seed, point, p, trials):
+    """The random X outcomes change no verdict, so a certified state engine counts as ``fast`` does."""
+    assert tec._count_failures(engine, p, trials, seed, point) == tec._count_failures("fast", p, trials, seed, point)
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
@@ -503,23 +499,6 @@ def test_block_outcomes_are_each_trials_readout(p, engine):
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
-def test_sweep_blocks_read_the_points_outcome_stream_in_order(monkeypatch, engine):
-    """The counts cannot show which stream the random outcomes come from; the outcomes can."""
-    seed, point, trials, p = 11, 3, 50, 0.5
-    read, outcomes = G8_CODE._reader(engine), []
-    def spy(rng, flips=None):
-        outcomes.append(read(rng, flips))
-        return outcomes[-1]
-
-    monkeypatch.setitem(G8_CODE._readers, engine, spy)
-    monkeypatch.setattr(tec, "_BLOCK", 16)
-    tec._count_failures(engine, p, trials, seed, point)
-    flips = np.array([[k >> i & 1 for i in range(6)] for k in trial_patterns(p, trials, seed, point)], bool)
-    expected = G8_CODE.state(engine).backend.readout(philox_generator(seed, point, 1), flips)
-    assert len(outcomes) == 4 and np.array_equal(np.concatenate(outcomes), expected)
-
-
-@pytest.mark.parametrize("engine", ["tableau", "dense"])
 def test_run_pattern_is_a_block_of_one(monkeypatch, engine):
     """``run_pattern`` copies no state, applies no gate and measures nothing itself."""
     backend = type(G8_CODE.state(engine).backend)
@@ -531,26 +510,42 @@ def test_run_pattern_is_a_block_of_one(monkeypatch, engine):
     assert extract_syndrome(record) == SINGLE_ERROR_SYNDROMES[5]
 
 
-def test_tableau_readout_runs_one_plan_per_code_state(monkeypatch):
-    """One readout plan per code state: the code's X reader keeps its plan for every block of every sweep point.
-    A ``readout`` call, one per record, builds a plan in the call's basis."""
-    block = 64
-    monkeypatch.setattr(tec, "_BLOCK", block)
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
+def test_a_state_engine_point_certifies_once_and_reads_no_row(monkeypatch, engine):
+    """Over three points of a fresh code, the engine evaluates its certificate once, one X string per check and
+    one for the surface; each point makes one ``philox_generator`` call, calls no reader and builds no plan.
+    A ``readout`` call, one per record, still builds a plan in the call's basis."""
     code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
-    calls = []
-    plan = tableau.StabilizerTableau._readout_plan
-    def counted(self, basis):
-        calls.append(basis)
+    expectations, streams, plans = [], [], []
+    expectation, plan = tec.ClusterState.expectation, tableau.StabilizerTableau._readout_plan
+    def counted_expectation(self, op):
+        expectations.append(op.x_bits)
+        return expectation(self, op)
+
+    def counted_plan(self, basis):
+        plans.append(basis)
         return plan(self, basis)
 
-    monkeypatch.setattr(tableau.StabilizerTableau, "_readout_plan", counted)
-    for point in range(3):  # 3 blocks each, the last one partial
-        got = tec._count_failures("tableau", 0.2, 2 * block + 5, 4, point, code)
-        assert got == tec._count_failures("fast", 0.2, 2 * block + 5, 4, point)
-    assert calls == ["x"]
+    def counted_stream(*path):
+        streams.append(path)
+        return philox_generator(*path)
+
+    monkeypatch.setattr(tec.ClusterState, "expectation", counted_expectation)
+    monkeypatch.setattr(tableau.StabilizerTableau, "_readout_plan", counted_plan)
+    monkeypatch.setattr(tec, "philox_generator", counted_stream)
+    with monkeypatch.context() as sweeping:
+        for owner, name in ((tec.TopologicalCode, "_reader"), (tableau.StabilizerTableau, "reader"),
+                            (dense.StateVector, "reader")):
+            sweeping.setattr(owner, name, lambda *args: pytest.fail("a sweep point called a reader"))
+        for point in range(3):
+            streams.clear()
+            got = tec._count_failures(engine, 0.2, 133, 4, point, code)
+            assert streams == [(4, point)], point
+            assert got == tec._count_failures("fast", 0.2, 133, 4, point, code), point
+    assert expectations == [*code.checks, code.surface] and plans == []
     measure_all(code.state("tableau"), philox_generator(4), "x")
     measure_all(code.state("tableau"), philox_generator(4), "z")
-    assert calls == ["x"] * 2 + ["z"]
+    assert plans == ["x", "z"]
 
 
 @pytest.mark.parametrize(
@@ -571,7 +566,7 @@ def test_tableau_and_dense_sweeps_agree_on_g8(p, trials, seed, point, counts):
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
 def test_no_engine_sweep_simulates_each_trial(monkeypatch, engine):
-    """Both state engines run whole blocks of trials; any code's ``simulate_trial`` and
+    """Both state engines count a point from its multinomial; any code's ``simulate_trial`` and
     ``run_pattern``, and the module names bound to G8_CODE's, are the tests' reference."""
     monte_carlo_sweep([0.3], 5, seed=1, engine=engine)  # lazy states outside the count
     calls = []
@@ -720,21 +715,15 @@ def test_huge_points_draw_no_trials_onto_patterns_they_cannot_reach(p):
     assert tec._count_failures("fast", p, trials, 3, 0) == class_sums(counts)
 
 
-def test_state_engine_rows_flip_each_pattern_at_its_chance(monkeypatch):
-    """Given the cell counts, each trial's pattern is uniform over its cell (up to the rounding of a
-    double times the cell's size), so the rows' pattern counts are multinomial(trials, pi). Pooled over 4,000 g8 points of 50 tableau trials at p = 0.2, the
-    chi^2 of the 64 pattern counts against 200,000 pi_k (63 degrees of freedom, the rarest pattern
+def test_state_engine_rows_flip_each_pattern_at_its_chance():
+    """Given the cell counts, each trial's pattern under the documented rule (:func:`trial_patterns`) is uniform
+    over its cell (up to the rounding of a double times the cell's size), so the rows that a replay of the
+    trials reads out have multinomial(trials, pi) pattern counts. Pooled over 4,000 g8 points of 50 trials at
+    p = 0.2, the chi^2 of the 64 pattern counts against 200,000 pi_k (63 degrees of freedom, the rarest pattern
     expects 12.8) must stay under the chi^2 upper 10^-6 quantile, from the Wilson-Hilferty form."""
-    read, rows = G8_CODE._reader("tableau"), []
-    def spy(rng, flips=None):
-        rows.append(flips)
-        return read(rng, flips)
-
-    monkeypatch.setitem(G8_CODE._readers, "tableau", spy)
     p, trials, seeds = 0.2, 50, 4000
-    for seed in range(seeds):
-        tec._count_failures("tableau", p, trials, seed, 0)
-    observed = np.bincount(np.concatenate(rows) @ (1 << np.arange(6)), minlength=64)
+    masks = [k for seed in range(seeds) for k in trial_patterns(p, trials, seed, 0)]
+    observed = np.bincount(masks, minlength=64)
     expected = seeds * trials * np.array(pattern_chances(p, 6))
     chi2, dof, z = ((observed - expected) ** 2 / expected).sum(), 63, 4.753  # z: the normal's 10^-6 tail
     bound = dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3  # 131.7
@@ -756,20 +745,18 @@ def test_a_fast_point_of_10_10_trials_lies_within_5_sigma_of_the_rates():
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
-def test_a_readout_that_drops_a_z_flip_makes_the_sweep_exit_3(monkeypatch, capsys, engine):
-    """Each row's read-out pattern may differ from its injected one only where no check and not
-    the surface sees it, so a readout that ignores face 1's Z flips is an internal error."""
-    read = G8_CODE._reader(engine)
-    def drop_face_1(rng, flips=None):
-        flips = flips.copy()
-        flips[:, 0] = False
-        return read(rng, flips)
-
+def test_a_shared_state_with_z_on_face_1_makes_the_sweep_exit_3(monkeypatch, capsys, engine):
+    """A Z on face qubit 0 of the code's shared state flips <X> on c12, the first check that holds face 1,
+    so the certificate fails and the sweep is an internal error, whatever its trials."""
+    broken = G8_CODE.state(engine)
+    broken.backend.apply_gate("Z", 0)
+    monkeypatch.setitem(G8_CODE._states, engine, broken)
+    G8_CODE._certified.discard(engine)  # the shared state, restored after the test, certifies again
     argv = ["sweep", "--engine", engine, "--trials", "40", "--steps", "1", "--p-min", "0.5", "--p-max", "0.5"]
-    monkeypatch.setitem(G8_CODE._readers, engine, drop_face_1)
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err == f"tecsim: internal error: the {engine} readout moved a check or the surface\n"
+    assert out == "" and err == f"tecsim: internal error: the {engine} state reads <X> = -1 on c12, not +1\n"
+    assert engine not in G8_CODE._certified
 
 
 def test_fast_tables_match_tableau_pipeline_per_pattern():
