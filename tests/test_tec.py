@@ -511,6 +511,50 @@ def test_run_pattern_is_a_block_of_one(monkeypatch, engine):
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
+def test_sweep_blocks_read_the_points_outcome_stream_in_order(engine):
+    """The sweep reads no row, but its counts are those of a readout: the code's kept reader, fed the point's
+    trials in blocks of 16 from the (seed, point, 1) stream in order, reads what one whole readout reads, and
+    decoding those rows gives the point's counts."""
+    seed, point, trials, p = 11, 3, 50, 0.5
+    read, stream = G8_CODE._reader(engine), philox_generator(seed, point, 1)
+    flips = np.array([[k >> i & 1 for i in range(6)] for k in trial_patterns(p, trials, seed, point)], bool)
+    outcomes = np.concatenate([read(stream, flips[i : i + 16]) for i in range(0, trials, 16)])
+    expected = G8_CODE.state(engine).backend.readout(philox_generator(seed, point, 1), flips)
+    assert np.array_equal(outcomes, expected)
+    vertices = G8_CODE.state(engine).graph.vertices
+    records = [OutcomeRecord(dict(zip(vertices, row)), "x") for row in outcomes.tolist()]
+    protected = sum(G8_CODE.decode_and_correct(record)[0] == -1 for record in records)
+    unprotected = sum(G8_CODE.flipped(G8_CODE.flips(record)) for record in records)
+    assert (protected, unprotected) == tec._count_failures(engine, p, trials, seed, point)
+
+
+def test_tableau_readout_runs_one_plan_per_code_state(monkeypatch):
+    """One readout plan per code state: the code's kept X reader builds it once, for every block it reads and
+    every ``run_pattern`` row; a sweep point builds none. A ``readout`` call, one per record, builds a plan in
+    the call's basis."""
+    code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
+    calls = []
+    plan = tableau.StabilizerTableau._readout_plan
+    def counted(self, basis):
+        calls.append(basis)
+        return plan(self, basis)
+
+    monkeypatch.setattr(tableau.StabilizerTableau, "_readout_plan", counted)
+    stream, flips = philox_generator(4, 0, 1), np.eye(6, dtype=bool)
+    for block in range(3):
+        assert code._reader("tableau")(stream, flips).shape == (6, code.state("tableau").graph.qubit_count)
+        assert code.run_pattern({block + 1}, philox_generator(4, block), "tableau")[:2] == (1, frozenset({block + 1}))
+    for point in range(3):
+        assert tec._count_failures("tableau", 0.2, 133, 4, point, code) == tec._count_failures(
+            "fast", 0.2, 133, 4, point, code
+        )
+    assert calls == ["x"]
+    measure_all(code.state("tableau"), philox_generator(4), "x")
+    measure_all(code.state("tableau"), philox_generator(4), "z")
+    assert calls == ["x"] * 2 + ["z"]
+
+
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
 def test_a_state_engine_point_certifies_once_and_reads_no_row(monkeypatch, engine):
     """Over three points of a fresh code, the engine evaluates its certificate once, one X string per check and
     one for the surface; each point makes one ``philox_generator`` call, calls no reader and builds no plan.
