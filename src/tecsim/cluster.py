@@ -108,10 +108,10 @@ class ClusterState:
     Both speak the same protocol, so nothing here or in the sweep asks which one
     it holds: ``copy()``, ``apply_gate(gate, *targets)``, ``measure_pauli(op, rng)``,
     ``measure_x(q, rng)``, ``expectation_pauli(op)``, ``reader(basis="x")``, a snapshot
-    of the state, and ``readout(rng, flips=None, basis="x")``, ``reader(basis)(rng, flips)``:
-    the outcomes of every qubit in one basis, "x" or "z", of the state or, given a (trials,
-    k) bool array, of one copy per row with the Pauli that anticommutes with that basis (Z
-    in X, X in Z) on qubit q wherever ``flips[t, q]`` is set. Callers find qubits by
+    of the state, and ``readout(rng, flips=0, basis="x")``, ``reader(basis)(rng, flips)``:
+    the list of outcomes of every qubit in one basis, "x" or "z", of the state after the
+    Pauli that anticommutes with that basis (Z in X, X in Z) on each qubit q whose bit is
+    set in the int mask ``flips``. Callers find qubits by
     ``graph.index`` and measure through ``backend``; the state adds only ``copy()`` and
     ``expectation(op)``, either engine's value as a float.
     """

@@ -107,13 +107,16 @@ class StateVector:
     # Pauli action
 
     def apply_pauli(self, op: PauliOperator) -> np.ndarray:
-        """Return the amplitudes of ``op|psi>`` (the state is untouched)."""
+        """Return the amplitudes of ``op|psi>`` (the state is untouched): Z is the sign (-1)^|label & z|, qubit q
+        being label bit n - 1 - q, X flips the label's X bits, and each Y, iXZ, adds a factor of i."""
         if op.n != self.n:
             raise ValueError(f"operator acts on {op.n} qubits, state has {self.n}")
-        mats = _EYE[None, None].repeat(self.n, 1)
-        for q in op.support():
-            mats[0, q] = GATE_MATRICES[op.letter(q)]
-        return op.phase * _apply_products(self.amps, mats)[0]
+        n, amps = self.n, self.amps
+        if op.z_bits:
+            z = sum(1 << (n - 1 - q) for q in range(n) if op.z_bits >> q & 1)
+            amps = np.where(np.bitwise_count(np.arange(1 << n, dtype=np.uint32) & z) & 1, -amps, amps)
+        amps = np.flip(amps.reshape((2,) * n), [q for q in range(n) if op.x_bits >> q & 1]).reshape(-1)
+        return (1, 1j, -1, -1j)[(op.phase_exp + (op.x_bits & op.z_bits).bit_count()) % 4] * amps
 
     def expectation_pauli(self, op: PauliOperator) -> float:
         """<psi|op|psi>, real as op is Hermitian."""
@@ -140,17 +143,17 @@ class StateVector:
         """Projective single-qubit X measurement."""
         return self.measure_pauli(PauliOperator.single(self.n, q, "X"), rng)
 
-    def readout(self, rng: np.random.Generator, flips: np.ndarray | None = None, basis="x") -> list[int] | np.ndarray:
+    def readout(self, rng: np.random.Generator, flips: int = 0, basis="x") -> list[int]:
         return self.reader(basis)(rng, flips)
 
     def reader(self, basis="x"):
-        """The ``readout`` in ``basis`` of the state as it is now, as a callable ``(rng, flips=None)``; see
+        """The ``readout`` in ``basis`` of the state as it is now, as a callable ``(rng, flips=0)``; see
         :class:`tecsim.cluster.ClusterState`. One table of Born weights (in X, 2^n times them, after n butterflies)
         sums pairwise into <P_q> = (w0 - w1) / (w0 + w1) after each history of q outcomes, w0 and w1 its weight with
         qubit q at 0 and at 1. A flip on q is a sign z that turns outcome s into the unflipped outcome c = s z and
-        <P_q> into z <P_q>, so each row walks the table along its products c. Rows reach only histories of weight,
-        so a level where none is random keeps no table, and a run of them is one map, h -> 2h + (<P_q> < 0) composed.
-        Thresholds and draws are :meth:`measure_pauli`'s; 512-row parts draw n doubles a row, in order."""
+        <P_q> into z <P_q>, so a row walks the table along its products c. It reaches only histories of weight, so a
+        level where none is random keeps no table, and a run of them is one map, h -> 2h + (<P_q> < 0) composed.
+        Thresholds and draws are :meth:`measure_pauli`'s; a row draws n doubles, in order."""
         n, weights = self.n, self.amps.real if not self.amps.imag.any() else self.amps
         for _ in range(n if check_basis(basis) == "x" else 0):
             weights = _butterfly(weights)
@@ -165,23 +168,19 @@ class StateVector:
             else:  # composed from the run's deepest level up; every history is below 2^n
                 step = np.arange(1 << q, dtype=np.min_scalar_type((1 << n) - 1)) * 2 | (d < 0)
                 run = step if run is None else run[step]
-        start, shifts = 0 if run is None else int(run[0]), np.arange(n - 1, -1, -1)  # before the first level that draws
-        def read(rng: np.random.Generator, flips: np.ndarray | None = None) -> list[int] | np.ndarray:
-            block = np.zeros((1, 0), bool) if flips is None else check_flips(flips, n)
-            block = np.concatenate([block, np.zeros((len(block), n - block.shape[1]), bool)], 1)  # z = -1 where set
-            outcomes = np.empty((len(block), n), np.int64)
-            for first in range(0, len(block), 512):  # each part draws its rows' doubles, in row order
-                z = block[first : first + 512]
-                draws, every, cursor = rng.random((len(z), n)), np.arange(len(z)), np.zeros(len(z), np.intp)
-                history = np.full(len(z), start)  # each row's products c so far, a 1 bit where c < 0
-                for table, after in steps:
-                    d, q = table[history], len(table).bit_length() - 1
-                    up = draws[every, cursor] < 0.5 * (1.0 + np.where(z[:, q], -d, d))
-                    random = np.abs(d) <= 1.0 - 1e-9  # s = 1 where up, so c < 0 where up matches z < 0
-                    history, cursor = 2 * history + np.where(random, up == z[:, q], d < 0), cursor + random
-                    history = history if after is None else after[history]
-                outcomes[first : first + len(z)] = 1 - 2 * (history[:, None] >> shifts & 1 ^ z)  # s = c z
-            return outcomes[0].tolist() if flips is None else outcomes
+        start = 0 if run is None else int(run[0])  # before the first level that draws
+        def read(rng: np.random.Generator, flips: int = 0) -> list[int]:
+            check_flips(flips, n)
+            z = [flips >> q & 1 for q in range(n)]  # 1 where z = -1
+            draws, history = iter(rng.random(n).tolist()), start  # the row's products c so far, a 1 bit where c < 0
+            for table, after in steps:
+                d, q = table.item(history), len(table).bit_length() - 1
+                if abs(d) <= 1.0 - 1e-9:  # s = 1 where up, so c < 0 where up matches z < 0
+                    history = 2 * history + ((next(draws) < 0.5 * (1.0 + (-d if z[q] else d))) == z[q])
+                else:
+                    history = 2 * history + (d < 0)
+                history = history if after is None else after.item(history)
+            return [1 - 2 * (history >> n - 1 - q & 1 ^ z[q]) for q in range(n)]  # s = c z
 
         return read
 

@@ -99,10 +99,10 @@ def check_basis(basis: str) -> str:
     return basis
 
 
-def check_flips(flips, n: int):
-    """``flips`` once it is a 2-D bool array of at most ``n`` columns: a block readout's flips, a row per copy."""
-    if getattr(flips, "dtype", None) != bool or flips.ndim != 2 or flips.shape[1] > n:
-        raise ValueError(f"flips must be a 2-D bool array of at most {n} columns, got {flips!r:.80}")
+def check_flips(flips, n: int) -> int:
+    """``flips`` once it is an int mask of ``n`` qubits, 0 <= flips < 2^n: bit q flips qubit q."""
+    if not isinstance(flips, int) or not 0 <= flips < 1 << n:
+        raise ValueError(f"flips must be an int mask in [0, 2**{n}), got {flips!r:.80}")
     return flips
 
 

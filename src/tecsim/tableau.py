@@ -9,10 +9,10 @@ of the rows, and :func:`_product_sign` alone signs any product of rows. The
 X or Z readout of any tableau needs no collapse: :meth:`_readout_plan` finds the
 group's X or Z strings, which fix outcomes, in two echelons, once per reader.
 
-Signs only ever add by XOR. So :func:`_x_outcomes` also runs on numpy bit
-columns, one entry per copy of a block readout; and signs may be GF(2)
-affine forms held as ints, bit 0 the constant and each higher bit a
-variable, which only the tests' symbolic reference uses.
+Signs only ever add by XOR, so a readout's flips enter each fixed outcome as
+one more parity, and signs may be GF(2) affine forms held as ints, bit 0 the
+constant and each higher bit a variable, which only the tests' symbolic
+reference uses.
 """
 
 from __future__ import annotations
@@ -140,25 +140,20 @@ class StabilizerTableau:
         """Projective single-qubit X measurement."""
         return self.measure_pauli(PauliOperator.single(self.n, q, "X"), rng)
 
-    def readout(self, rng: np.random.Generator, flips: np.ndarray | None = None, basis="x") -> list[int] | np.ndarray:
+    def readout(self, rng: np.random.Generator, flips: int = 0, basis="x") -> list[int]:
         return self.reader(basis)(rng, flips)
 
     def reader(self, basis="x"):
-        """The ``readout`` in ``basis`` of the state as it is now, as a callable ``(rng, flips=None)``, from one
+        """The ``readout`` in ``basis`` of the state as it is now, as a callable ``(rng, flips=0)``, from one
         :meth:`_readout_plan`; see :class:`tecsim.cluster.ClusterState`. Its R random outcomes, as a collapse draws
-        them, are ``rng.integers(0, 2, R)``, a block's ``rng.integers(0, 2, (trials, R))``: R scalar draws per copy."""
+        them, are ``rng.integers(0, 2, R)``; a flip on q flips each fixed outcome whose string T holds q."""
         plan, n = self._readout_plan(check_basis(basis)), self.n
-        def read(rng: np.random.Generator, flips: np.ndarray | None = None) -> list[int] | np.ndarray:
-            if flips is None:  # the outcomes so far as one int, so each fixed one is a parity
-                coins, out = iter(rng.integers(0, 2, plan.count(None)).tolist()), 0
-                for i, step in enumerate(plan):
-                    out |= (next(coins) if step is None else step[1] ^ (out & step[0]).bit_count() & 1) << i
-                return [-1 if bit == "1" else 1 for bit in f"{out:0{n}b}"[::-1]]
-            columns = np.zeros((n, len(check_flips(flips, n))), np.int8)
-            columns[: flips.shape[1]] = flips.T
-            # drawn as int64 and cast: numpy buffers narrower draws, which reorders the stream
-            draws = iter(rng.integers(0, 2, (len(flips), plan.count(None))).T.astype(np.int8))
-            return 1 - 2 * np.array(_x_outcomes(plan, columns, draws.__next__)).T
+        def read(rng: np.random.Generator, flips: int = 0) -> list[int]:
+            check_flips(flips, n)
+            coins, out = iter(rng.integers(0, 2, plan.count(None)).tolist()), 0  # the outcomes so far as one int
+            for i, step in enumerate(plan):
+                out |= (next(coins) if step is None else step[1] ^ ((out ^ flips) & step[0]).bit_count() & 1) << i
+            return [-1 if bit == "1" else 1 for bit in f"{out:0{n}b}"[::-1]]
 
         return read
 
@@ -247,20 +242,3 @@ def _product_sign(xs: list[int], zs: list[int], rs: list[int], chooser: int) -> 
         raise AssertionError("tableau rows do not commute")
     return x, z, sign ^ exp >> 1 & 1
 
-
-def _x_outcomes(plan: list[tuple[int, int] | None], flips, draw) -> list:
-    """Outcome signs (1 for -1), in qubit order, of the X readout that ``plan`` describes, after
-    Z on each qubit q where ``flips[q]`` is set: Z on q flips every X_T with q in T.
-
-    Fixed outcome i adds T's sign, its flips and the outcomes of T - {i}; any other is ``draw()``.
-    No operand is updated in place, so flips, signs and draws may be bits, bit columns or sign forms.
-    """
-    out: list = []
-    for i, step in enumerate(plan):
-        form, rest = (draw(), 0) if step is None else (step[1] ^ flips[i], step[0] ^ 1 << i)
-        while rest:
-            v = rest.bit_length() - 1
-            rest ^= 1 << v
-            form = form ^ flips[v] ^ out[v]
-        out.append(form)
-    return out

@@ -140,13 +140,13 @@ class TopologicalCode:
     def run_pattern(
         self, pattern, rng: np.random.Generator, engine: str = "tableau"
     ) -> tuple[int, frozenset, OutcomeRecord]:
-        """Z flips on the faces numbered in ``pattern``, X readout, decode: the sweep's readout
-        on one row. Returns (corrected protected product, correction, outcome record)."""
+        """Z flips on the faces numbered in ``pattern``, X readout, decode: one row of the code's X reader,
+        its flips the pattern's face bitmask. Returns (corrected protected product, correction, outcome record)."""
         numbers = range(1, len(self.faces) + 1)
         if not set(pattern) <= set(numbers):
             raise ValueError(f"unknown face numbers in {sorted(pattern)}")
-        flips = np.array([[q in pattern for q in numbers]])  # face q is qubit q - 1
-        outcomes = dict(zip(self._state(engine).graph.vertices, self._reader(engine)(rng, flips)[0].tolist()))
+        flips = sum(1 << (q - 1) for q in numbers if q in pattern)  # face q is qubit q - 1
+        outcomes = dict(zip(self._state(engine).graph.vertices, self._reader(engine)(rng, flips)))
         record = OutcomeRecord(outcomes, "x")
         return *self.decode_and_correct(record), record
 

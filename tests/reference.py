@@ -1,5 +1,6 @@
-"""Oracles the tests share: replayed draws, per-qubit readouts, per-edge CZ masks, Pauli matrices, paper data,
-a Python decoder walk and its cells, the per-pattern enumeration, flip-pattern chances and g8's hand-written
+"""Oracles the tests share: replayed draws, rows of flips read in turn, per-row and per-qubit readouts, the
+closed-form X outcomes of a readout plan, per-edge CZ masks, Pauli matrices and the Kronecker Pauli action, paper
+data, a Python decoder walk and its cells, the per-pattern enumeration, flip-pattern chances and g8's hand-written
 error polynomials, fixtures and the two-chain ring, a per-term dense expectation, and the Pauli, state, stabilizer
 and homology helpers that only tests call.
 
@@ -24,7 +25,7 @@ from tecsim.complexes import (
     _volume_echelon,
     is_closed,
 )
-from tecsim.dense import DensityModel, StateVector
+from tecsim.dense import DensityModel, StateVector, _apply_products
 from tecsim.pauli import _LETTERS, PauliOperator
 from tecsim.tableau import StabilizerTableau
 
@@ -124,6 +125,15 @@ MATS = {
 }
 
 
+def kronecker_pauli(state: StateVector, op: PauliOperator) -> np.ndarray:
+    """Reference Pauli action: the amplitudes of ``op|psi>`` through ``dense._apply_products``, one 2x2 factor per
+    qubit, the identity where ``op`` has none."""
+    mats = MATS["I"][None, None].repeat(state.n, 1)
+    for q in op.support():
+        mats[0, q] = MATS[op.letter(q)]
+    return op.phase * _apply_products(state.amps, mats)[0]
+
+
 def to_matrix(op: PauliOperator) -> np.ndarray:
     """Independent oracle: the literal matrix of a Pauli string, qubit 0 the leftmost factor."""
     out = np.array([[1.0 + 0j]])
@@ -153,6 +163,34 @@ class Replay:
     def integers(self, low, high, size=None):
         assert (low, high) == (0, 2)
         return self._take("integers", size)
+
+
+def flip_mask(row) -> int:
+    """A bool row of flips as a reader's int qubit mask: bit q set where column q is."""
+    return sum(1 << q for q in np.flatnonzero(row).tolist())
+
+
+def read_rows(read, rng, flips: np.ndarray) -> list[list[int]]:
+    """The outcomes of the reader ``read`` on each bool row of ``flips`` in turn, as its mask, from one ``rng``."""
+    return [read(rng, flip_mask(row)) for row in flips]
+
+
+def x_outcomes(plan: list[tuple[int, int] | None], flips, draw) -> list:
+    """Outcome signs (1 for -1), in qubit order, of the X readout that a tableau's ``_readout_plan`` describes,
+    after Z on each qubit q where ``flips[q]`` is set: Z on q flips every X_T with q in T.
+
+    Fixed outcome i adds T's sign, its flips and the outcomes of T - {i}; any other is ``draw()``.
+    No operand is updated in place, so flips, signs and draws may be bits or sign forms.
+    """
+    out: list = []
+    for i, step in enumerate(plan):
+        form, rest = (draw(), 0) if step is None else (step[1] ^ flips[i], step[0] ^ 1 << i)
+        while rest:
+            v = rest.bit_length() - 1
+            rest ^= 1 << v
+            form = form ^ flips[v] ^ out[v]
+        out.append(form)
+    return out
 
 
 def per_row_readout(state: StateVector, rng, flips: np.ndarray, basis: str = "x") -> np.ndarray:

@@ -43,6 +43,7 @@ TEST_ONLY = (
     (tableau.StabilizerTableau, "stabilizer", "stabilizer"),
     (tableau.StabilizerTableau, "stabilizers", "stabilizers"),
     (tableau.StabilizerTableau, "__repr__", None),
+    (tableau, "_x_outcomes", "x_outcomes"),
     (dense.StateVector, "computational_zero", "computational_zero"),
     (dense.DensityModel, "pure", "pure"),
     (dense, "fidelity", "fidelity"),

@@ -38,6 +38,7 @@ from reference import (
     fidelity,
     pauli_from_text,
     per_qubit_readout,
+    read_rows,
     stabilizer_generators,
 )
 
@@ -326,14 +327,14 @@ def test_dual_syndrome_check(g8_graph, g8_tableau):
 
 
 def test_measure_all_basis_validation(g8_graph):
-    """A basis other than "x" or "z" raises from ``measure_all`` and from either backend's single and
-    block readout, before any draw."""
+    """A basis other than "x" or "z" raises from ``measure_all`` and from either backend's readout, with
+    or without flips, before any draw."""
     for engine in ENGINES:
         state, rng = build_cluster(g8_graph, engine), philox_generator(9)
         for basis, call in [
             ("y", lambda basis: measure_all(state, rng, basis)),
             ("X", lambda basis: state.backend.readout(rng, basis=basis)),
-            ("xz", lambda basis: state.backend.readout(rng, np.zeros((3, 8), bool), basis)),
+            ("xz", lambda basis: state.backend.readout(rng, 0b101, basis)),
         ]:
             with pytest.raises(ValueError, match=f"basis must be 'x' or 'z', got '{basis}'"):
                 call(basis)
@@ -501,7 +502,8 @@ def test_z_readout_matches_per_qubit_collapse(g8_graph, engine):
 @pytest.mark.parametrize("change", ["H on qubit 0", "Z measured on qubit 0"])
 def test_a_reader_reads_the_state_as_it_was_when_built(g8_graph, engine, change):
     """A reader is a snapshot. After the state changes, a reader built before reads, in either basis, the state as it
-    was, one state or a block, and a fresh reader the state as it is: each the per-qubit collapse of its state."""
+    was, unflipped or on flipped rows, and a fresh reader the state as it is: each the per-qubit collapse of its
+    state."""
     state, flips = build_cluster(g8_graph, engine), np.random.default_rng(17).random((5, 8)) < 0.5
     old, before = {basis: state.backend.reader(basis) for basis in "xz"}, state.copy()
     if change == "H on qubit 0":
@@ -518,8 +520,8 @@ def test_a_reader_reads_the_state_as_it_was_when_built(g8_graph, engine, change)
             assert old[basis](Replay(**draws)) == was and new(Replay(**draws)) == now, (basis, t)
             moved |= was != now
         assert moved, basis  # the change shows in this basis
-        block = before.backend.readout(philox_generator(18), flips, basis)
-        assert np.array_equal(old[basis](philox_generator(18), flips), block), basis
+        rows = read_rows(before.backend.reader(basis), philox_generator(18), flips)
+        assert read_rows(old[basis], philox_generator(18), flips) == rows, basis
 
 
 def test_z_flipped_graph_state_is_read_out_in_closed_form(monkeypatch):
@@ -539,19 +541,19 @@ def test_z_flipped_graph_state_is_read_out_in_closed_form(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# block X readout of Z-flipped copies
+# X readout of Z-flipped copies, one row at a time
 
 
 def check_block_rows(state, flips, seed, first):
-    """Row t of a block readout, split after ``first`` rows, is the single-state readout of
-    Z-flipped copy t and its per-qubit ``measure_x`` reference, all given the same draws:
-    row t of n doubles (dense) or of R ``integers(0, 2)`` (tableau, R random outcomes).
-    Single-state readouts of the copies in turn on one stream read the block's draws.
+    """Row t of ``flips``, read in turn as its mask on one stream, by one reader for the first ``first`` rows and a
+    fresh one for the rest, is the single-state readout of Z-flipped copy t and its per-qubit ``measure_x``
+    reference, all given the same draws: row t of n doubles (dense) or of R ``integers(0, 2)`` (tableau, R random
+    outcomes). Single-state readouts of the copies in turn on one stream read the rows' draws.
     Returns the draws of one readout: n (dense) or R (tableau)."""
     n, backend = state.graph.qubit_count, state.backend
     rng = philox_generator(seed, 1)
-    block = np.concatenate([backend.readout(rng, flips[:first]), backend.readout(rng, flips[first:])])
-    assert block.shape == (len(flips), n)
+    block = read_rows(backend.reader(), rng, flips[:first]) + read_rows(backend.reader(), rng, flips[first:])
+    assert [len(row) for row in block] == [n] * len(flips)
     counter = Replay([0.0] * n, [0] * n)
     backend.readout(counter)
     stream, kind = philox_generator(seed, 1), "doubles" if isinstance(backend, StateVector) else "bits"
@@ -561,7 +563,7 @@ def check_block_rows(state, flips, seed, first):
         copy = state.copy()
         for q in np.flatnonzero(row).tolist():
             copy.backend.apply_gate("Z", q)
-        expected = block[t].tolist()
+        expected = block[t]
         assert copy.backend.readout(shared) == expected, t
         single = copy.backend.readout(Replay(**{kind: rows[t]}))
         assert single == expected == per_qubit_readout(copy, Replay(**{kind: rows[t]})), t
@@ -655,19 +657,23 @@ def test_block_rows_are_each_copys_single_and_per_qubit_readout(engine, name, ra
 @pytest.mark.parametrize(
     "flips",
     [
-        np.array([[2, 0, 1]]),  # int64: the tableau read a 2 as outcome -3, the dense engine as sign -3
-        np.zeros((1, 9), bool),  # more columns than g8's 8 qubits
-        np.zeros(8, bool),  # one row, not a block of one
+        np.array([[2, 0, 1]]),  # an int64 block of one row
+        np.zeros((1, 8), bool),  # a bool block of one row
+        np.zeros(8, bool),  # one bool row, not its mask
         np.zeros((1, 1, 8), bool),
-        np.array([[0.0, 1.0]]),
-        [[True, False]],  # a list, not an array
+        1 << 8,  # a flip on a ninth qubit of g8's 8
+        -1,
+        1.0,
+        [True, False],  # a list, not a mask
     ],
-    ids=["int64", "nine columns", "1-D", "3-D", "float", "list"],
+    ids=["int64", "2-D bool", "1-D", "3-D", "2**8", "negative", "float", "list"],
 )
-def test_block_readouts_take_only_a_2d_bool_array_of_at_most_n_columns(engine, name, flips):
-    backend = readout_state(name, engine).backend
-    with pytest.raises(ValueError, match="flips must be a 2-D bool array of at most 8 columns"):
-        backend.readout(philox_generator(3), flips)
+def test_readers_take_only_an_int_mask_below_2_to_the_n(engine, name, flips):
+    """A reader raises ``ValueError`` on anything but an int 0 <= flips < 2^n, before any draw."""
+    reader, rng = readout_state(name, engine).backend.reader(), philox_generator(3)
+    with pytest.raises(ValueError, match=r"flips must be an int mask in \[0, 2\*\*8\)"):
+        reader(rng, flips)
+    assert rng.bit_generator.random_raw(4).tolist() == philox_generator(3).bit_generator.random_raw(4).tolist()
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)

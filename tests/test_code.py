@@ -33,6 +33,7 @@ from reference import (
     per_edge_graph_state,
     per_pattern_enumeration,
     per_row_readout,
+    read_rows,
     two_chain_ring,
     walk_cells,
     walk_decoder,
@@ -282,18 +283,18 @@ def test_two_chain_codes_match_the_chain_formula_on_every_engine(a, b):
 
 
 def test_a_dense_block_on_the_20_qubit_ring_peaks_under_its_state_and_a_quarter():
-    """300 rows of ring (9, 9), whose state is 2^20 complex amplitudes (16 MiB), in X and in Z, through a reader
-    built inside the measurement: it sums one table of 2^20 Born weights (8 MiB), real as the state is, into the
-    expectations of the levels where a row may draw, at most 2^20 - 1, and maps of the others, at most 4 bytes a
-    history. The X transform holds two real copies of the state at a time. In X no row moves a check or the surface;
-    in either basis the first rows are the per-row reference's."""
+    """300 rows of ring (9, 9), whose state is 2^20 complex amplitudes (16 MiB), in X and in Z, read in turn as
+    their masks through a reader built inside the measurement: it sums one table of 2^20 Born weights (8 MiB), real
+    as the state is, into the expectations of the levels where a row may draw, at most 2^20 - 1, and maps of the
+    others, at most 4 bytes a history. The X transform holds two real copies of the state at a time. In X no row
+    moves a check or the surface; in either basis the first rows are the per-row reference's."""
     code = build_code(two_chain_ring(9, 9), {"a9", "b9"})
     backend = code._state("dense").backend  # built outside the measurement
     flips = np.random.default_rng(9).random((300, 18)) < 0.5
     for basis in "xz":
         tracemalloc.start()
         try:
-            rows = backend.reader(basis)(philox_generator(9, 0, 1), flips)
+            rows = np.array(read_rows(backend.reader(basis), philox_generator(9, 0, 1), flips))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

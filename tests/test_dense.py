@@ -23,12 +23,15 @@ from reference import (
     Replay,
     computational_zero,
     fidelity,
+    flip_mask,
+    kronecker_pauli,
     pauli_from_text,
     per_edge_graph_state,
     per_qubit_readout,
     per_row_readout,
     phase_flip_both_set,
     pure,
+    read_rows,
     term_expectation,
     unlabelled,
 )
@@ -243,13 +246,13 @@ def next_words(rng) -> list[int]:
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(data=st.data())
 def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
-    """Real, complex, graph and product states of 1 to 12 qubits, blocks of 1 to 1,100 rows, flips on the
-    first 0 to n qubits (Z in X, X in Z): in either basis the outcomes equal the per-row reference's bit for
-    bit, and both leave the stream rows x n doubles on. The first rows are also each flipped copy's per-qubit
-    collapse, given that row's doubles. Graph states have fixed outcomes and rows that share a history in the
-    weight table. A product of |0>, |1>, |+> and |-> makes each outcome fixed or a fair coin, and in either
-    basis the table holds histories of zero weight, whose expectations it sets to 0. One reader of the state, called
-    on the rows cut into 2 or 3 consecutive blocks on one stream, reads the same rows and leaves the stream as far on."""
+    """Real, complex, graph and product states of 1 to 12 qubits, 1 to 1,100 rows read in turn as their masks,
+    flips on the first 0 to n qubits (Z in X, X in Z): in either basis the outcomes equal the per-row reference's
+    bit for bit, and both leave the stream rows x n doubles on. The first rows are also each flipped copy's
+    per-qubit collapse, given that row's doubles. Graph states have fixed outcomes and rows that share a history
+    in the weight table. A product of |0>, |1>, |+> and |-> makes each outcome fixed or a fair coin, and in either
+    basis the table holds histories of zero weight, whose expectations it sets to 0. A fresh reader for each of 2
+    or 3 consecutive parts of the rows, on one stream, reads the same rows and leaves the stream as far on."""
     basis = data.draw(st.sampled_from("xz"), label="basis")
     n = data.draw(st.integers(1, 12), label="qubits")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="amplitude seed"))
@@ -268,13 +271,12 @@ def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
     flips = rng.random((rows, k)) < data.draw(st.floats(0.0, 1.0), label="flip rate")
     seed = data.draw(st.integers(0, 2**64), label="seed")
     block, reference, skipped, stream = (philox_generator(seed) for _ in range(4))
-    got = state.readout(block, flips, basis)
-    assert got.dtype == np.int64 and got.shape == (rows, n)
+    got = read_rows(state.reader(basis), block, flips)
+    assert np.array(got).shape == (rows, n)
     expected = per_row_readout(state, reference, flips, basis)
     assert np.array_equal(got, expected)
-    read = state.reader(basis)
     ends = sorted(data.draw(st.lists(st.integers(0, rows), min_size=1, max_size=2), label="block ends"))
-    assert np.array_equal(np.concatenate([read(stream, part) for part in np.split(flips, ends)]), expected)
+    assert [row for part in np.split(flips, ends) for row in read_rows(state.reader(basis), stream, part)] == got
     doubles = skipped.random((rows, n))
     assert next_words(block) == next_words(reference) == next_words(skipped) == next_words(stream)
     for t in range(min(rows, 4)):
@@ -282,16 +284,23 @@ def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
         for q in np.flatnonzero(flips[t]).tolist():
             copy.apply_gate("Z" if basis == "x" else "X", q)
         feed = Replay(doubles=doubles[t])
-        assert got[t].tolist() == per_qubit_readout(unlabelled(copy), feed, basis), t
+        assert got[t] == per_qubit_readout(unlabelled(copy), feed, basis), t
+        assert got[t] == state.readout(Replay(doubles=doubles[t]), flip_mask(flips[t]), basis), t
 
 
-@pytest.mark.parametrize("k", [0, 3, 8])
-def test_an_empty_dense_block_reads_out_no_row_and_draws_nothing(k):
-    state = build_graph_state_dense(interaction_graph(build_g8_complex()))
-    rng = philox_generator(5)
-    got = state.readout(rng, np.zeros((0, k), bool))
-    assert got.dtype == np.int64 and got.shape == (0, 8)
-    assert next_words(rng) == next_words(philox_generator(5))
+@pytest.mark.parametrize("basis", ["x", "z"])
+def test_an_unflipped_dense_readout_reads_the_state_and_draws_n_doubles(basis):
+    """``flips=0``, given or by default, reads the state itself, the per-qubit collapse of the row's doubles, and
+    draws exactly n doubles, though g8 after H on qubit 2 has fewer random outcomes than qubits in either basis."""
+    state = build_graph_state_dense(interaction_graph(build_g8_complex())).apply_gate("H", 2)
+    for seed in range(5):
+        rng, skipped = philox_generator(seed), philox_generator(seed)
+        doubles = skipped.random(8)
+        assert state.reader(basis)(rng, 0) == state.readout(philox_generator(seed), basis=basis)
+        assert next_words(rng) == next_words(skipped)
+        feed, reference = Replay(doubles=doubles), Replay(doubles=doubles)
+        assert state.readout(feed, 0, basis) == per_qubit_readout(unlabelled(state), reference, basis)
+        assert feed.used == 8 > reference.used, seed
 
 
 def test_density_model_validation():
@@ -327,6 +336,23 @@ def test_pauli_expectation_examples():
     assert abs(state.expectation_pauli(x1)) < 1e-12
     x1x2 = pauli_from_text("XXIIIIII")
     assert state.expectation_pauli(x1x2) == pytest.approx(1.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_pauli_action_is_the_kronecker_reference(data):
+    """Random complex states of 1 to 8 qubits, and Paulis of any x and z bits, Y included, and any of the four
+    phases: the index flip and sign of ``apply_pauli`` give the Kronecker form's amplitudes exactly, and leave the
+    state as it was."""
+    n = data.draw(st.integers(1, 8), label="qubits")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="amplitude seed"))
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state, bits = StateVector(n, amps / np.linalg.norm(amps)), st.integers(0, (1 << n) - 1)
+    x, z = data.draw(bits, label="x bits"), data.draw(bits, label="z bits")
+    op = PauliOperator(n, x, z, data.draw(st.integers(0, 3), label="phase"))
+    before = state.amps.tobytes()
+    assert np.array_equal(state.apply_pauli(op), kronecker_pauli(state, op))
+    assert state.amps.tobytes() == before
 
 
 def test_measure_pauli_projects_to_eigenstate():

@@ -30,7 +30,10 @@ UNCALLED = {
     "dense.StateVector.measure_pauli",
     "dense.StateVector.measure_x",
     "pauli.PauliOperator.__str__",
+    "pauli.PauliOperator.letter",
+    "pauli.PauliOperator.phase",
     "pauli.PauliOperator.single",
+    "pauli.PauliOperator.support",
     "pauli.check_gate",
     "pauli.pauli_to_text",
     "tableau.StabilizerTableau._collapse",

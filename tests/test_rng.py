@@ -39,8 +39,8 @@ def test_trial_generators_reject_negative_input(args):
 
 @pytest.mark.parametrize("randoms", [1, 2, 3, 5])
 def test_a_block_of_coins_is_the_scalar_coins_in_order(randoms):
-    """A tableau block draws each copy's R coins as one int64 ``integers(0, 2, (trials, R))``;
-    row t must be the R scalar ``integers(0, 2)`` calls of copy t, however the copies split."""
+    """The tests replay the coins of rows read in turn, R per row, as one int64 ``integers(0, 2, (rows, R))``;
+    row t must be the R scalar ``integers(0, 2)`` calls of row t, however the rows split."""
     scalar = philox_generator(8, 2, 1)
     expected = [[int(scalar.integers(0, 2)) for _ in range(randoms)] for _ in range(50)]
     block = philox_generator(8, 2, 1)
@@ -68,7 +68,8 @@ def g8_cell_counts(rng):
     return rng.multinomial(10**9, chances[chances.argsort(kind="stable")])
 
 
-# sampler -> (the call shape the product makes, on a fixed philox_generator path; its values on numpy 2.4)
+# sampler -> (the call shape the product makes, or the tests replay its rows by, on a fixed philox_generator path;
+# its values on numpy 2.4)
 SAMPLER_PINS = {
     "multinomial": (
         lambda: g8_cell_counts(philox_generator(7, 0)),
@@ -80,7 +81,7 @@ SAMPLER_PINS = {
         [0.048373749046626946, 0.8224166666374553, 0.09368511632803123, 0.10349355193634491],
     ),
     "integers block": (
-        lambda: philox_generator(7, 0, 1).integers(0, 2, (3, 4)),  # a tableau block's coins, (trials, R)
+        lambda: philox_generator(7, 0, 1).integers(0, 2, (3, 4)),  # the coins of rows read in turn, (rows, R)
         [[1, 0, 0, 1], [0, 1, 0, 0], [1, 0, 1, 0]],
     ),
     "integers": (

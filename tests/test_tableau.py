@@ -18,20 +18,23 @@ from tecsim.complexes import build_cuboid_complex, build_elementary_cell, build_
 from tecsim.dense import GATE_MATRICES
 from tecsim.pauli import GATE_TARGETS, PauliOperator, pauli_to_text
 from tecsim.rng import philox_generator
-from tecsim.tableau import StabilizerTableau, _product_sign, _x_outcomes
+from tecsim.tableau import StabilizerTableau, _product_sign
 
 from reference import (
     Replay,
     computational_zero,
+    flip_mask,
     identity,
     multiply,
     pauli_from_text,
     per_qubit_readout,
+    read_rows,
     stabilizer,
     stabilizer_generators,
     stabilizers,
     to_matrix,
     unlabelled,
+    x_outcomes,
 )
 
 GATE_POOL = tuple(GATE_TARGETS.items())
@@ -581,7 +584,7 @@ def test_closed_form_sign_forms_equal_reference_forms(name):
             for v, q in enumerate(flip_qubits):
                 flips[q] = 2 << v
             fresh = count(1 + len(flip_qubits))
-            assert _x_outcomes(plan, flips, lambda: 1 << next(fresh)) == readout_forms_x(tab, flip_qubits)
+            assert x_outcomes(plan, flips, lambda: 1 << next(fresh)) == readout_forms_x(tab, flip_qubits)
 
 
 @st.composite
@@ -608,10 +611,10 @@ def clifford_tableaus(draw, max_qubits=12):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(clifford_tableaus(), st.data())
 def test_x_readout_of_any_tableau_is_the_per_qubit_collapse(tab, data):
-    """In X or Z, one state and a block of flipped copies (Z in X, X in Z) read out, in closed form, as each
-    copy's per-qubit collapse in that basis given the same draws, and take as many draws; no readout collapses
-    a row. One reader of the state, called on the rows cut into 2 or 3 consecutive blocks on one stream, reads
-    the same rows from the same draws."""
+    """In X or Z, one state and rows of flipped copies (Z in X, X in Z), read in turn through one reader as their
+    masks, read out, in closed form, as each copy's per-qubit collapse in that basis given the same draws, and take
+    as many draws; no readout collapses a row. A fresh ``readout`` per row on one stream reads the same rows from
+    the same draws."""
     n, basis = tab.n, data.draw(st.sampled_from("xz"), label="basis")
     bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
     flips = np.array(data.draw(st.lists(st.booleans(), min_size=len(bits) * n, max_size=len(bits) * n)))
@@ -629,10 +632,9 @@ def test_x_readout_of_any_tableau_is_the_per_qubit_collapse(tab, data):
         patch.setattr(StabilizerTableau, "_collapse", lambda *args: calls.append(args) or collapse(*args))
         single, block = Replay(bits=bits[0]), Replay(bits=[b for row in bits for b in row[:coins]])
         assert tab.readout(single, basis=basis) == alone
-        assert tab.readout(block, flips, basis).tolist() == expected
-        read, stream = tab.reader(basis), Replay(bits=[b for row in bits for b in row[:coins]])
-        ends = sorted(data.draw(st.lists(st.integers(0, len(bits)), min_size=1, max_size=2), label="block ends"))
-        assert np.concatenate([read(stream, part) for part in np.split(flips, ends)]).tolist() == expected
+        assert read_rows(tab.reader(basis), block, flips) == expected
+        stream = Replay(bits=[b for row in bits for b in row[:coins]])
+        assert [tab.readout(stream, flip_mask(row), basis) for row in flips] == expected
     assert calls == [] and single.used == coins and block.used == stream.used == coins * len(bits)
     assert list(rows(tab)) == before
 
@@ -659,22 +661,20 @@ def test_row_product_of_anticommuting_rows_raises():
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(
     st.one_of(
-        st.one_of(random_graphs(max_qubits=20), dense_graphs(max_qubits=20)).map(
+        st.one_of(random_graphs(max_qubits=6), dense_graphs(max_qubits=6)).map(
             lambda graph: StabilizerTableau.graph_state(neighbor_masks(*graph))
         ),
-        clifford_tableaus(),
+        clifford_tableaus(max_qubits=6),
     ),
     st.integers(0, 2**32 - 1),
 )
-def test_closed_form_x_readout_runs_on_bit_columns(tab, seed):
-    """Each column of a readout on bit columns is that trial's readout on bits; the flips stay as given."""
-    plan, rng = tab._readout_plan("x"), np.random.default_rng(seed)
-    flips, draws = rng.integers(0, 2, (2, tab.n, 16)).astype(bool)
-    given_flips = flips.copy()
-    columns = iter(draws)
-    out = _x_outcomes(plan, list(flips), lambda: next(columns))
-    assert np.array_equal(flips, given_flips)
-    for t in range(16):
-        bits = iter(draws[:, t].tolist())
-        scalar = _x_outcomes(plan, flips[:, t].tolist(), lambda: next(bits))
-        assert [int(column[t]) for column in out] == [int(bit) for bit in scalar], t
+def test_x_reader_is_the_reference_x_outcomes_for_every_flip_mask(tab, seed):
+    """For each of the 2^n int flip masks and its own coins, the X reader reads the reference ``x_outcomes`` of
+    the tableau's readout plan, the mask's bits as the flips, and draws one coin per random outcome."""
+    plan, read = tab._readout_plan("x"), tab.reader("x")
+    coins = np.random.default_rng(seed).integers(0, 2, (1 << tab.n, plan.count(None))).tolist()
+    for flips, row in enumerate(coins):
+        feed, bits = Replay(bits=row), iter(row)
+        expected = x_outcomes(plan, [flips >> q & 1 for q in range(tab.n)], bits.__next__)
+        assert read(feed, flips) == [1 - 2 * sign for sign in expected], flips
+        assert feed.used == len(row), flips

@@ -42,6 +42,7 @@ from reference import (
     homologically_equivalent,
     homology_class_key,
     pattern_chances,
+    read_rows,
     walk_decoder,
 )
 
@@ -482,20 +483,22 @@ def test_block_outcomes_are_each_trials_readout(p, engine):
     """Every qubit's outcome, random ones included, is that of the trial's ``run_pattern`` record.
 
     The counts cannot show the random outcomes: on g8 they flip all six faces
-    together, which changes no verdict. The second block reads the outcome stream
-    from where the first left it.
+    together, which changes no verdict. The trials are read one row at a time, and
+    a fresh reader after the first 17 reads the outcome stream from where the first
+    left it.
     """
     seed, point, size, first = 2**64 + 3, 2, 40, 17
     state = G8_CODE.state(engine)
     draws = trial_draws(engine, p, seed, point, size)
     flips = np.array([[q in pattern for q in FACE_NUMBERS] for pattern, _ in draws])
     outcome_rng = philox_generator(seed, point, 1)
-    got = np.concatenate(
-        [state.backend.readout(outcome_rng, flips[:first]), state.backend.readout(outcome_rng, flips[first:])]
-    )
+    got = [
+        *read_rows(state.backend.reader(), outcome_rng, flips[:first]),
+        *read_rows(state.backend.reader(), outcome_rng, flips[first:]),
+    ]
     for i, (pattern, rng) in enumerate(draws):
         _, _, record = run_pattern(pattern, rng, engine)
-        assert got[i].tolist() == [record.outcomes[label] for label in state.graph.vertices], i
+        assert got[i] == [record.outcomes[label] for label in state.graph.vertices], i
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
@@ -512,24 +515,24 @@ def test_run_pattern_is_a_block_of_one(monkeypatch, engine):
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
 def test_sweep_blocks_read_the_points_outcome_stream_in_order(engine):
-    """The sweep reads no row, but its counts are those of a readout: the code's kept reader, fed the point's
-    trials in blocks of 16 from the (seed, point, 1) stream in order, reads what one whole readout reads, and
-    decoding those rows gives the point's counts."""
+    """The sweep reads no row, but its counts are those of a readout: the code's kept reader, fed each of the
+    point's trial flip masks in turn from the (seed, point, 1) stream, reads what a fresh reader of a copy of the
+    state reads, and decoding those rows gives the point's counts."""
     seed, point, trials, p = 11, 3, 50, 0.5
     read, stream = G8_CODE._reader(engine), philox_generator(seed, point, 1)
-    flips = np.array([[k >> i & 1 for i in range(6)] for k in trial_patterns(p, trials, seed, point)], bool)
-    outcomes = np.concatenate([read(stream, flips[i : i + 16]) for i in range(0, trials, 16)])
-    expected = G8_CODE.state(engine).backend.readout(philox_generator(seed, point, 1), flips)
-    assert np.array_equal(outcomes, expected)
+    masks = trial_patterns(p, trials, seed, point)
+    outcomes = [read(stream, k) for k in masks]
+    fresh, stream = G8_CODE.state(engine).backend.reader(), philox_generator(seed, point, 1)
+    assert outcomes == [fresh(stream, k) for k in masks]
     vertices = G8_CODE.state(engine).graph.vertices
-    records = [OutcomeRecord(dict(zip(vertices, row)), "x") for row in outcomes.tolist()]
+    records = [OutcomeRecord(dict(zip(vertices, row)), "x") for row in outcomes]
     protected = sum(G8_CODE.decode_and_correct(record)[0] == -1 for record in records)
     unprotected = sum(G8_CODE.flipped(G8_CODE.flips(record)) for record in records)
     assert (protected, unprotected) == tec._count_failures(engine, p, trials, seed, point)
 
 
 def test_tableau_readout_runs_one_plan_per_code_state(monkeypatch):
-    """One readout plan per code state: the code's kept X reader builds it once, for every block it reads and
+    """One readout plan per code state: the code's kept X reader builds it once, for every row it reads and
     every ``run_pattern`` row; a sweep point builds none. A ``readout`` call, one per record, builds a plan in
     the call's basis."""
     code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
@@ -540,9 +543,9 @@ def test_tableau_readout_runs_one_plan_per_code_state(monkeypatch):
         return plan(self, basis)
 
     monkeypatch.setattr(tableau.StabilizerTableau, "_readout_plan", counted)
-    stream, flips = philox_generator(4, 0, 1), np.eye(6, dtype=bool)
+    stream, flips, n = philox_generator(4, 0, 1), np.eye(6, dtype=bool), code.state("tableau").graph.qubit_count
     for block in range(3):
-        assert code._reader("tableau")(stream, flips).shape == (6, code.state("tableau").graph.qubit_count)
+        assert [len(row) for row in read_rows(code._reader("tableau"), stream, flips)] == [n] * 6
         assert code.run_pattern({block + 1}, philox_generator(4, block), "tableau")[:2] == (1, frozenset({block + 1}))
     for point in range(3):
         assert tec._count_failures("tableau", 0.2, 133, 4, point, code) == tec._count_failures(
