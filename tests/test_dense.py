@@ -288,18 +288,19 @@ def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
         assert got[t] == state.readout(Replay(doubles=doubles[t]), flip_mask(flips[t]), basis), t
 
 
+@pytest.mark.parametrize("flips", [(0,), ()], ids=["given", "default"])
 @pytest.mark.parametrize("basis", ["x", "z"])
-def test_an_unflipped_dense_readout_reads_the_state_and_draws_n_doubles(basis):
+def test_an_unflipped_dense_readout_reads_the_state_and_draws_n_doubles(basis, flips):
     """``flips=0``, given or by default, reads the state itself, the per-qubit collapse of the row's doubles, and
     draws exactly n doubles, though g8 after H on qubit 2 has fewer random outcomes than qubits in either basis."""
     state = build_graph_state_dense(interaction_graph(build_g8_complex())).apply_gate("H", 2)
     for seed in range(5):
         rng, skipped = philox_generator(seed), philox_generator(seed)
         doubles = skipped.random(8)
-        assert state.reader(basis)(rng, 0) == state.readout(philox_generator(seed), basis=basis)
+        assert state.reader(basis)(rng, *flips) == state.readout(philox_generator(seed), *flips, basis=basis)
         assert next_words(rng) == next_words(skipped)
         feed, reference = Replay(doubles=doubles), Replay(doubles=doubles)
-        assert state.readout(feed, 0, basis) == per_qubit_readout(unlabelled(state), reference, basis)
+        assert state.readout(feed, *flips, basis=basis) == per_qubit_readout(unlabelled(state), reference, basis)
         assert feed.used == 8 > reference.used, seed
 
 
