@@ -292,11 +292,11 @@ def closed_surface_summary(cx: CellComplex) -> dict:
     """Counts and homology-class sizes of the two-face closed surfaces."""
     classes: dict[int, int] = {}
     surfaces = closed_two_face_surfaces(cx)
-    # one echelon for every surface; each residue is its class's canonical face mask, equal iff homologous
-    face_index, pivots = _volume_echelon(cx)
-    for chain in surfaces:
-        key, _ = _gf2_reduce(pivots, _face_mask(chain.cells, face_index))
-        classes[key] = classes.get(key, 0) + 1
+    if surfaces:  # one echelon for all (a cuboid has none); each residue is its class's canonical face mask
+        face_index, pivots = _volume_echelon(cx)
+        for chain in surfaces:
+            key, _ = _gf2_reduce(pivots, _face_mask(chain.cells, face_index))
+            classes[key] = classes.get(key, 0) + 1
     return {
         "two_face_closed_surfaces": len(surfaces),
         "homology_classes": len(classes),

@@ -1,13 +1,13 @@
 """Stabilizer tableau engine: the n stabilizer generators of a pure state.
 
-Rows are stored as integer bitsets (one x word-set and one z word-set per
-row) so gate and measurement updates cost O(n/word) per row. H, S and CZ
-update each row in place; CNOT is H, CZ, H on its target, and X, Y and Z
-flip the sign of every row that anticommutes with them. A Pauli that
-commutes with every row is +-a product of rows, found by one GF(2) echelon
-of the rows, and :func:`_product_sign` alone signs any product of rows. The
-X or Z readout of any tableau needs no collapse: :meth:`_readout_plan` finds the
-group's X or Z strings, which fix outcomes, in two echelons, once per reader.
+Rows are integer bitsets, one x and one z word-set each. H, S and CZ update
+each row in place; CNOT is H, CZ, H on its target, and X, Y and Z flip the
+sign of every row that anticommutes with them. No X or Z readout collapses a
+row: :meth:`_readout_plan` finds the group's strings, which fix outcomes.
+Rows in graph form, row v +-X_v Z_N(v) as in every cluster state, are read in
+closed form: the X strings are the zero sums of the neighbour masks, and a
+Pauli's one candidate row product is over its X qubits (Hein, Eisert and
+Briegel, arXiv:quant-ph/0307130). Other rows take echelons of the rows.
 
 Signs only ever add by XOR, so a readout's flips enter each fixed outcome as
 one more parity, and signs may be GF(2) affine forms held as ints, bit 0 the
@@ -162,9 +162,16 @@ class StabilizerTableau:
         check_operator(op, self.n)
         if op.is_identity_string:
             return 1 if op.phase_exp == 0 else -1
-        if self._anticommuting(op.x_bits, op.z_bits):
+        x, z, sign = _product_sign(self._xs, self._zs, self._rs, op.x_bits)  # the rows on op's X qubits
+        if (x, z) == (op.x_bits, op.z_bits):
+            return 1 - 2 * (sign ^ op.phase_exp >> 1)
+        if self._graph_form() or self._anticommuting(op.x_bits, op.z_bits):  # graph form: no other product fits
             return 0
         return 1 - 2 * self._deterministic_sign(op.x_bits, op.z_bits, op.phase_exp >> 1)
+
+    def _graph_form(self) -> bool:
+        """Whether row v is +-X_v Z_zs[v] for every v, as Z, Paulis, CZ and S keep it."""
+        return all(x == 1 << v for v, x in enumerate(self._xs))
 
     def _anticommuting(self, xm: int, zm: int) -> list[int]:
         """Row indices whose symplectic product with (xm, zm) is odd."""
@@ -188,12 +195,8 @@ class StabilizerTableau:
         return bit
 
     def _deterministic_sign(self, xm: int, zm: int, r_in: int) -> int:
-        """Sign form of +-(xm, zm) inside the stabilizer group (0 for +1).
-
-        The rows, written z | x << n so that a graph state's rows are their
-        own pivots, are put in echelon form once; reducing the target against
-        it chooses the rows whose product is +-(xm, zm).
-        """
+        """Sign form of +-(xm, zm) inside the stabilizer group (0 for +1): reducing the target against one
+        echelon of the rows, written z | x << n, chooses the rows whose product it is."""
         xs, zs, n = self._xs, self._zs, self.n
         pivots = _gf2_echelon([z | x << n for x, z in zip(xs, zs)])[0]
         chooser = _gf2_reduce(pivots, zm | xm << n)[1]
@@ -209,13 +212,19 @@ class StabilizerTableau:
         group holds some +-X_T whose last qubit is i. One echelon of the rows' Z parts chooses row
         products whose Z parts cancel: a basis of the group's X strings. A second, of their X parts
         with the sign bit below, puts one string at each last qubit: X strings multiply without phase.
+        In graph form each chooser is itself a T, whose last qubit is its top bit, signed by :func:`_string_sign`.
         In Z it reads the rows of H on every qubit, X and Z parts swapped. H also sends Y to -Y, but the rows
         of a product whose X parts cancel hold an even count of Y: commuting rows have sum x_j.z_j = 0 mod 2
         there, as it equals (sum x_j).(sum z_j).
         """
         xs, zs, rs = (self._zs, self._xs, self._rs) if basis == "z" else (self._xs, self._zs, self._rs)
-        products = (_product_sign(xs, zs, rs, chooser) for chooser in _gf2_echelon(zs)[1].values())
+        choosers = _gf2_echelon(zs)[1].values()
         plan: list[tuple[int, int] | None] = [None] * self.n
+        if basis == "x" and self._graph_form():
+            for chooser in choosers:
+                plan[chooser.bit_length() - 1] = chooser, _string_sign(zs, rs, chooser)
+            return plan
+        products = (_product_sign(xs, zs, rs, chooser) for chooser in choosers)
         for top, (string, _) in _gf2_echelon([x << 1 | sign for x, _, sign in products])[0].items():
             plan[top - 1] = string >> 1, string & 1
         return plan
@@ -242,3 +251,14 @@ def _product_sign(xs: list[int], zs: list[int], rs: list[int], chooser: int) -> 
         raise AssertionError("tableau rows do not commute")
     return x, z, sign ^ exp >> 1 & 1
 
+
+def _string_sign(zs: list[int], rs: list[int], chooser: int) -> int:
+    """Sign form of +-X_chooser, the product of the graph-form rows in ``chooser``, as :func:`_product_sign` finds
+    it: their signs, and half of the sum over them of |zs[j] & chooser|, each edge inside twice and each Y once."""
+    rest, sign, twice = chooser, 0, 0
+    while rest:
+        j = rest.bit_length() - 1
+        rest ^= 1 << j
+        sign ^= rs[j]
+        twice += (zs[j] & chooser).bit_count()
+    return sign ^ twice >> 1 & 1

@@ -36,7 +36,9 @@ UNCALLED = {
     "pauli.PauliOperator.support",
     "pauli.check_gate",
     "pauli.pauli_to_text",
+    "tableau.StabilizerTableau._anticommuting",
     "tableau.StabilizerTableau._collapse",
+    "tableau.StabilizerTableau._deterministic_sign",
     "tableau.StabilizerTableau._pauli",
     "tableau.StabilizerTableau.apply_gate",
     "tableau.StabilizerTableau.cnot",

@@ -678,3 +678,51 @@ def test_x_reader_is_the_reference_x_outcomes_for_every_flip_mask(tab, seed):
         expected = x_outcomes(plan, [flips >> q & 1 for q in range(tab.n)], bits.__next__)
         assert read(feed, flips) == [1 - 2 * sign for sign in expected], flips
         assert feed.used == len(row), flips
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.one_of(random_graphs(12), dense_graphs(12)).filter(lambda graph: graph[0] > 1), st.data())  # dense: odd cycles
+def test_graph_form_reads_and_expects_as_the_collapse_the_dense_oracle_and_its_rows_reversed(graph, data):
+    """A graph state after X, Y, Z, CZ and S gates keeps its rows in graph form, +-X_v Z_zs[v] with diagonal
+    Z bits from S and signs from the Paulis. In X and Z it reads out, flipped or not, as the per-qubit collapse
+    given the same draws, and each Hermitian Pauli, in its group or not, has the dense oracle's expectation.
+    Its rows in reverse order are the same group off graph form, on the general path: they read out bit for
+    bit the same and give the same expectations."""
+    n, edges = graph
+    state = labelled_cluster(n, edges)
+    tab, vec = state.backend, build_cluster(state.graph, "dense").backend
+    for letter in data.draw(st.lists(st.sampled_from("XYZSC"), max_size=24), label="gates"):
+        name, targets = ("CZ", 2) if letter == "C" else (letter, 1)
+        targets = data.draw(st.permutations(range(n)))[:targets]
+        tab.apply_gate(name, *targets)
+        vec.apply_gate(name, *targets)
+    reversed_rows = tab.copy()
+    for part in rows(reversed_rows):
+        part.reverse()
+    assert tab._graph_form() and not reversed_rows._graph_form()
+    masks = tab._zs  # graph-form rows commute iff their neighbour masks are symmetric, which `_string_sign` relies on
+    assert all((masks[u] >> v ^ masks[v] >> u) & 1 == 0 for u in range(n) for v in range(u))
+    for basis in "xz":
+        bits = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n), label="bits")
+        flips = data.draw(st.integers(0, (1 << n) - 1), label="flips")
+        flipped = tab.copy()
+        for q in range(n):
+            if flips >> q & 1:
+                flipped.apply_gate("Z" if basis == "x" else "X", q)
+        expected = per_qubit_readout(unlabelled(flipped), Replay(bits=bits), basis)
+        assert tab.readout(Replay(bits=bits), flips, basis) == expected, basis
+        assert reversed_rows.readout(Replay(bits=bits), flips, basis) == expected, basis
+    generators = stabilizers(tab)
+    for _ in range(6):
+        chooser = data.draw(st.integers(0, (1 << n) - 1), label="rows")
+        moved = data.draw(st.one_of(st.just(0), st.integers(0, (1 << n) - 1)), label="Z bits moved")
+        product = identity(n)
+        for j in range(n):
+            if chooser >> j & 1:
+                product = multiply(product, generators[j])
+        negated = data.draw(st.integers(0, 1), label="negated")
+        op = PauliOperator(n, product.x_bits, product.z_bits ^ moved, (product.phase_exp + 2 * negated) % 4)
+        value = tab.expectation_pauli(op)
+        assert abs(vec.expectation_pauli(op) - value) < 1e-9, pauli_to_text(op)
+        assert reversed_rows.expectation_pauli(op) == value, pauli_to_text(op)
+        assert value == (0 if moved else 1 - 2 * negated), pauli_to_text(op)  # only +-a product of rows is in
