@@ -16,6 +16,8 @@ from itertools import combinations
 from math import prod
 from types import MappingProxyType
 
+import numpy as np
+
 from .errors import CapacityError
 
 # face+edge qubits of the largest cuboid build_cuboid_complex makes
@@ -154,17 +156,6 @@ G8_PROTECTED_SURFACE = frozenset({"f5", "f6"})
 _CUBOID_SPANS = ("", "x", "y", "z", "xy", "xz", "yz", "xyz")
 
 
-def _corner_ranges(dims: tuple[int, int, int], span: str) -> list[range]:
-    """Lowest corners of the cells spanning ``span``: one fewer along each spanned axis."""
-    return [range(n + (axis not in span)) for n, axis in zip(dims, "xyz")]
-
-
-def _column(cells: list, ranges: list[range], step) -> list[str]:
-    """Names ``cells[i + di][j + dj][k + dk]`` over the corners in ``ranges``, in corner order."""
-    (nx, ny, nz), (di, dj, dk) = map(len, ranges), step
-    return [c for plane in cells[di : di + nx] for row in plane[dj : dj + ny] for c in row[dk : dk + nz]]
-
-
 def build_cuboid_complex(length: int, width: int, depth: int) -> CellComplex:
     """Cubic lattice of length x width x depth unit cells.
 
@@ -172,7 +163,9 @@ def build_cuboid_complex(length: int, width: int, depth: int) -> CellComplex:
     ``e``, faces ``f`` and volumes ``v``. Its boundary drops one spanned axis,
     once at the corner and once a unit further along that axis. Face and edge
     cells carry the qubits, so their count is checked against
-    :data:`CUBOID_QUBIT_CAP` before any cell is built.
+    :data:`CUBOID_QUBIT_CAP` before any cell is built. Each span's names are
+    kept as a flat list in corner order and as an ``[i, j, k]`` object array,
+    so each boundary column is one slice of a lower span's array.
     """
     dims = (length, width, depth)
     if min(dims) < 1:
@@ -180,16 +173,19 @@ def build_cuboid_complex(length: int, width: int, depth: int) -> CellComplex:
     qubits = sum(prod(n + (a not in s) for n, a in zip(dims, "xyz")) for s in _CUBOID_SPANS if 0 < len(s) < 3)
     if qubits > CUBOID_QUBIT_CAP:
         raise CapacityError(f"{qubits} face+edge qubits exceed the cap of {CUBOID_QUBIT_CAP}")
-    names: dict[str, list] = {}  # span -> [i][j][k] -> cell name
+    coords = [[str(i) for i in range(n + 1)] for n in dims]  # per axis, as the names write them
+    names: dict[str, np.ndarray] = {}  # span -> [i, j, k] -> cell name
     maps: list[dict[str, frozenset[str]]] = [{}, {}, {}, {}]  # by dimension
     for span in _CUBOID_SPANS:
         kind, tag = "pefv"[len(span)], f"|{span}" if 0 < len(span) < 3 else ""
-        rx, ry, rz = ranges = _corner_ranges(dims, span)
-        names[span] = [[[f"{kind}({i},{j},{k}{tag})" for k in rz] for j in ry] for i in rx]
+        nx, ny, nz = (n + (axis not in span) for n, axis in zip(dims, "xyz"))  # corners: one fewer if spanned
+        xs, ys, zs = coords[0][:nx], coords[1][:ny], coords[2][:nz]
+        flat = [f"{kind}({i},{j},{k}{tag})" for i in xs for j in ys for k in zs]
+        names[span] = np.array(flat, dtype=object).reshape(nx, ny, nz)
         # per spanned axis, the cells without it: at the corner, then a unit further along it
-        columns = [_column(names[span.replace(a, "")], ranges, [s * (b == a) for b in "xyz"])
-                   for a in span for s in (0, 1)]
-        maps[len(span)].update(zip(_column(names[span], ranges, (0, 0, 0)), map(frozenset, zip(*columns))))
+        columns = [names[span.replace(a, "")][di : di + nx, dj : dj + ny, dk : dk + nz].ravel().tolist()
+                   for a in span for di, dj, dk in ((0, 0, 0), [int(b == a) for b in "xyz"])]
+        maps[len(span)].update(zip(flat, map(frozenset, zip(*columns))))
     return CellComplex(volumes=maps[3], faces=maps[2], edges=maps[1])
 
 

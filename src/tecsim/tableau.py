@@ -215,12 +215,14 @@ class StabilizerTableau:
         In graph form each chooser is itself a T, whose last qubit is its top bit, signed by :func:`_string_sign`.
         In Z it reads the rows of H on every qubit, X and Z parts swapped. H also sends Y to -Y, but the rows
         of a product whose X parts cancel hold an even count of Y: commuting rows have sum x_j.z_j = 0 mod 2
-        there, as it equals (sum x_j).(sum z_j).
+        there, as it equals (sum x_j).(sum z_j). Graph-form Z parts are unit vectors: every Z outcome is a coin.
         """
+        plan: list[tuple[int, int] | None] = [None] * self.n
+        if (graph := self._graph_form()) and basis == "z":
+            return plan
         xs, zs, rs = (self._zs, self._xs, self._rs) if basis == "z" else (self._xs, self._zs, self._rs)
         choosers = _gf2_echelon(zs)[1].values()
-        plan: list[tuple[int, int] | None] = [None] * self.n
-        if basis == "x" and self._graph_form():
+        if graph:
             for chooser in choosers:
                 plan[chooser.bit_length() - 1] = chooser, _string_sign(zs, rs, chooser)
             return plan

@@ -1,8 +1,8 @@
 """Oracles the tests share: replayed draws, rows of flips read in turn, per-row and per-qubit readouts, the
 closed-form X outcomes of a readout plan, per-edge CZ masks, Pauli matrices and the Kronecker Pauli action, paper
 data, a Python decoder walk and its cells, the per-pattern enumeration, flip-pattern chances and g8's hand-written
-error polynomials, fixtures and the two-chain ring, a per-term dense expectation, and the Pauli, state, stabilizer
-and homology helpers that only tests call.
+error polynomials, fixtures, the two-chain ring and the nested-list cuboid builder, a per-term dense expectation,
+and the Pauli, state, stabilizer and homology helpers that only tests call.
 
 Test modules import it as ``from reference import ...``; ``tests/`` has no
 ``__init__.py``, so pytest, and ``python tests/<module>.py``, put this
@@ -18,6 +18,7 @@ import numpy as np
 from tecsim.cluster import ClusterState, InteractionGraph, _neighbor_masks
 from tecsim.complexes import (
     _BOUNDARY_MAPS,
+    _CUBOID_SPANS,
     CellComplex,
     Chain,
     _face_mask,
@@ -410,6 +411,30 @@ def homologically_equivalent(
     if residue:
         return None
     return frozenset(v for i, v in enumerate(cx.cells(3)) if (combo >> i) & 1)
+
+
+def _cuboid_column(cells: list, ranges: list[range], step) -> list[str]:
+    """Names ``cells[i + di][j + dj][k + dk]`` over the corners in ``ranges``, in corner order."""
+    (nx, ny, nz), (di, dj, dk) = map(len, ranges), step
+    return [c for plane in cells[di : di + nx] for row in plane[dj : dj + ny] for c in row[dk : dk + nz]]
+
+
+def cuboid_reference(length: int, width: int, depth: int) -> CellComplex:
+    """The cuboid lattice by the nested-list rule: each span's names in ``[i][j][k]`` lists, each boundary
+    column a comprehension over them in corner order. The oracle for ``build_cuboid_complex``'s names,
+    boundaries and map insertion order; it makes no capacity check."""
+    dims = (length, width, depth)
+    names: dict[str, list] = {}  # span -> [i][j][k] -> cell name
+    maps: list[dict[str, frozenset[str]]] = [{}, {}, {}, {}]  # by dimension
+    for span in _CUBOID_SPANS:
+        kind, tag = "pefv"[len(span)], f"|{span}" if 0 < len(span) < 3 else ""
+        rx, ry, rz = ranges = [range(n + (axis not in span)) for n, axis in zip(dims, "xyz")]
+        names[span] = [[[f"{kind}({i},{j},{k}{tag})" for k in rz] for j in ry] for i in rx]
+        # per spanned axis, the cells without it: at the corner, then a unit further along it
+        columns = [_cuboid_column(names[span.replace(a, "")], ranges, [s * (b == a) for b in "xyz"])
+                   for a in span for s in (0, 1)]
+        maps[len(span)].update(zip(_cuboid_column(names[span], ranges, (0, 0, 0)), map(frozenset, zip(*columns))))
+    return CellComplex(volumes=maps[3], faces=maps[2], edges=maps[1])
 
 
 def complex_to_json(cx: CellComplex) -> str:

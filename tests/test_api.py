@@ -51,6 +51,8 @@ TEST_ONLY = (
     (complexes, "homologically_equivalent", "homologically_equivalent"),
     (complexes, "homology_class_key", "homology_class_key"),
     (complexes, "complex_to_json", "complex_to_json"),
+    (complexes, "_column", "cuboid_reference"),
+    (complexes, "_corner_ranges", "cuboid_reference"),
     (cluster, "stabilizer_generators", "stabilizer_generators"),
 )
 

@@ -2,7 +2,7 @@
 
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tecsim import complexes
@@ -11,7 +11,7 @@ from tecsim.complexes import CellComplex, build_cuboid_complex, complex_from_jso
 from tecsim.errors import CapacityError
 from tecsim.rng import philox_generator
 
-from reference import complex_to_json
+from reference import complex_to_json, cuboid_reference
 
 derandomized = settings(derandomize=True, deadline=None, max_examples=40)
 dims = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
@@ -32,6 +32,19 @@ def closed_form_counts(length, width, depth):
 @given(dims)
 def test_cuboid_counts_match_the_closed_form(d):
     assert build_cuboid_complex(*d).counts() == closed_form_counts(*d)
+
+
+@derandomized
+@given(dims)
+@example((10, 1, 1))  # two-digit coordinates, where a name's string order and its corner order differ
+@example((1, 12, 2))
+def test_cuboid_equals_the_nested_list_reference_builder(d):
+    cx, ref = build_cuboid_complex(*d), cuboid_reference(*d)
+    for key in ("volumes", "faces", "edges"):  # item lists, so the insertion order is compared too
+        assert list(getattr(cx, key).items()) == list(getattr(ref, key).items()), key
+    assert cx.vertices == ref.vertices
+    for dimension in range(4):
+        assert cx.cells(dimension) == ref.cells(dimension), dimension
 
 
 @derandomized
