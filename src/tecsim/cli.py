@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Every run is fully determined by its flags: same seed and options give
-byte-identical output files regardless of worker count. Commands re-check
+byte-identical output files. A sweep runs its grid points in this process, so
+``--workers``, kept for existing callers, changes no byte. Commands re-check
 their own core invariants and exit nonzero if any fails.
 
 The parser is the only declaration of options and defaults: each subparser
@@ -100,9 +101,9 @@ SWEEP_COLUMNS = (
 
 def cmd_sweep(args: argparse.Namespace) -> tuple[str, str]:
     grid = _grid(args.p_min, args.p_max, args.steps)
-    points = tec.monte_carlo_sweep(
-        grid, args.trials, args.seed, engine=args.engine, workers=args.workers
-    )
+    if args.workers < 1:
+        raise ValueError("workers must be >= 1")
+    points = tec.monte_carlo_sweep(grid, args.trials, args.seed, engine=args.engine)
     max_sigma = 0.0
     for pt in points:
         for est, ref in (
@@ -239,7 +240,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--p-max", type=float, default=1.0)
     sweep.add_argument("--steps", type=int, default=21)
     sweep.add_argument("--engine", choices=tec.SWEEP_ENGINES, default="fast")
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument(
+        "--workers", type=int, default=1,
+        help="kept for existing callers: any value >= 1 prints the same bytes, as the points run in this process",
+    )
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.add_argument("--out", default=None)
 

@@ -70,7 +70,7 @@ class StateVector:
         if amps.shape != (1 << n,):
             raise ValueError(f"expected {1 << n} amplitudes, got {amps.shape}")
         deviation = abs(np.linalg.norm(amps) - 1.0)
-        if deviation > 1e-12:
+        if not deviation <= 1e-12:  # so a NaN norm fails too
             raise ValueError(f"state not normalized: |norm - 1| = {deviation:.3g}")
         self.n = n
         self.amps = amps
@@ -232,14 +232,14 @@ class DensityModel:
     def __post_init__(self):
         total = self.mixed_weight
         for w, state in self.components:
-            if w < -1e-15:
+            if not w >= -1e-15:
                 raise ValueError(f"negative ensemble weight {w}")
             if state.n != self.n:
                 raise ValueError("ensemble member qubit count mismatch")
             total += w
-        if self.mixed_weight < -1e-15:
+        if not self.mixed_weight >= -1e-15:
             raise ValueError(f"negative mixed weight {self.mixed_weight}")
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total}, expected 1")
 
 
@@ -258,7 +258,7 @@ def expectation_observable(model: DensityModel, terms) -> np.ndarray:
         raise ValueError(f"expected terms of {model.n} 2x2 factors: {err}") from None
     if mats.shape[1:] != (model.n, 2, 2):
         raise ValueError(f"expected terms of {model.n} 2x2 factors, got a stack of shape {mats.shape}")
-    if (np.abs(mats - mats.conj().swapaxes(2, 3)) > 1e-10).any():
+    if not (np.abs(mats - mats.conj().swapaxes(2, 3)) <= 1e-10).all():  # a NaN entry fails too
         raise ValueError("observable factor is not Hermitian within 1e-10")
     total = np.zeros(len(mats), dtype=complex)
     for weight, state in model.components:  # einsum, not a BLAS gemv, which OpenBLAS may thread

@@ -1,8 +1,8 @@
 """Splittable, counter-based randomness: Philox generators keyed by ``(seed, *path)``.
 
-Two distinct integer paths give independent, bitwise-reproducible streams, so sweep points can run in any
-order on any number of workers. A sweep point, on every engine, draws only its class x weight cell counts:
-one multinomial from ``(seed, point)``.
+Two distinct integer paths give independent, bitwise-reproducible streams, so no sweep point's counts depend
+on any other point's draws. A sweep point, on every engine, draws only its class x weight cell counts: one
+multinomial from ``(seed, point)``.
 """
 
 from __future__ import annotations

@@ -13,9 +13,7 @@ Monte-Carlo sweeps of any code follow; they count each point from its multinomia
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -301,39 +299,22 @@ def binomial_se(rate: float, trials: int) -> float:
     return math.sqrt(rate * (1.0 - rate) / trials)
 
 
-def monte_carlo_sweep(
-    p_values,
-    trials: int,
-    seed: int,
-    engine: str = "fast",
-    workers: int = 1,
-) -> list[SweepPoint]:
+def monte_carlo_sweep(p_values, trials: int, seed: int, engine: str = "fast") -> list[SweepPoint]:
     """Estimate both error rates across a probability grid.
 
-    Each grid point draws from its own (seed, point) Philox streams, so the
-    output is bitwise identical for any worker count and any completion
-    order, and every engine gives the same counts.
+    Each grid point draws from its own (seed, point) Philox stream, in grid
+    order in this process, and every engine gives the same counts.
     """
     if not 1 <= trials <= 2**63 - 1:  # numpy draws the cell counts as int64
         raise ValueError("trials must be in [1, 2**63 - 1]")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     if engine not in SWEEP_ENGINES:
         raise ValueError(f"engine must be one of {SWEEP_ENGINES}, got {engine!r}")
     p_values = [float(p) for p in p_values]
     for p in p_values:
         _check_probability(p)
-    jobs = (repeat(engine), p_values, repeat(trials), repeat(seed), range(len(p_values)))
-    # a fork pool starts all its workers at once, so never more than the points or usable CPUs
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool_size = min(workers, len(p_values), cpus or 1)
-    if pool_size > 1:
-        # imported here, as it loads multiprocessing, which a serial sweep never needs
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            counts = list(pool.map(_count_failures, *jobs))  # in grid order, whatever the completion order
-    else:
-        counts = list(map(_count_failures, *jobs))
-    return [SweepPoint(p, trials, *pair, *G8_CODE.rates(p)) for p, pair in zip(p_values, counts)]
+    return [
+        SweepPoint(p, trials, *_count_failures(engine, p, trials, seed, i), *G8_CODE.rates(p))
+        for i, p in enumerate(p_values)
+    ]

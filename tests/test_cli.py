@@ -140,7 +140,7 @@ def test_sweep_zero_failure_point_is_not_a_false_alarm(capsys):
 
 @pytest.mark.parametrize("p", [0.0, 1.0])
 def test_sweep_exact_point_fails_on_any_deviation(monkeypatch, capsys, p):
-    def one_stray_failure(grid, trials, seed, engine, workers):
+    def one_stray_failure(grid, trials, seed, engine):
         return [tec.SweepPoint(grid[0], trials, 0, 1, *tec.G8_CODE.rates(grid[0]))]
 
     monkeypatch.setattr(tec, "monte_carlo_sweep", one_stray_failure)
@@ -182,6 +182,19 @@ def test_sweep_rejects_nonpositive_workers(capsys, workers):
     assert code == 1
     assert out == ""
     assert err == "tecsim: error: workers must be >= 1\n"
+
+
+@pytest.mark.parametrize("engine", ["fast", "tableau", "dense"])
+def test_sweep_workers_start_no_process_and_change_no_byte(monkeypatch, capsys, engine):
+    """Every point runs in this process, so --workers 8 needs no process pool and prints --workers 1's bytes."""
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("a sweep started a process pool")
+
+    argv = ("sweep", "--engine", engine, "--steps", "5", "--trials", "200", "--seed", "7")
+    serial = run_cli(capsys, *argv, "--workers", "1")
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    assert run_cli(capsys, *argv, "--workers", "8") == serial
+    assert serial[0] == 0
 
 
 @pytest.mark.parametrize("engine", ["fast", "tableau", "dense"])

@@ -19,7 +19,7 @@ FLOATS = st.sampled_from(
     ["nan", "-nan", "inf", "-inf", "-0", "-0.0", "1e308", "-1e308", "0", "0.1", "1", "1.5", "x"]
 ) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
 HUGE_INTS = st.integers(0, 2**70) | st.sampled_from([-1, -(10**30), 2**64, 10**30])
-# --steps <= 3 caps a sweep's pool at 3 workers however large --workers is
+# a sweep runs its 3 points or fewer in this process, however large --workers is
 STEPS = st.integers(1, 3) | st.sampled_from([-(10**30), -1, 0])
 # the state engines get few trials so the whole test stays within seconds; a fast point costs the
 # same at any trial count, so it also gets counts at and past the int64 limit of its multinomial draw

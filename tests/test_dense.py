@@ -314,6 +314,22 @@ def test_density_model_validation():
         DensityModel(2, ((1.0, s),))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: StateVector.from_amplitudes([np.nan, 0.0]), "state not normalized"),
+        (lambda: DensityModel(1, ((np.nan, computational_zero(1)),)), "negative ensemble weight nan"),
+        (lambda: DensityModel(1, ((1.0, computational_zero(1)),), mixed_weight=np.nan), "negative mixed weight nan"),
+        (lambda: expectation_observable(pure(computational_zero(1)), [[[[np.nan, 0], [0, 1]]]]), "not Hermitian"),
+    ],
+    ids=["amplitude", "ensemble-weight", "mixed-weight", "observable-factor"],
+)
+def test_dense_validators_reject_nan(build, message):
+    """Each check is written so that NaN fails it, as a comparison with NaN is always false."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_fidelity_examples():
     zero = computational_zero(1)
     one = StateVector.from_amplitudes([0.0, 1.0])

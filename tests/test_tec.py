@@ -309,10 +309,11 @@ def test_sweep_is_bitwise_reproducible():
 
 
 def test_sweep_worker_count_does_not_change_results():
+    """Point i is ``_count_failures`` on (seed, i) alone, so no schedule of the points can change a count."""
     grid = [0.05, 0.2, 0.4]
-    serial = monte_carlo_sweep(grid, 10_000, seed=5, workers=1)
-    parallel = monte_carlo_sweep(grid, 10_000, seed=5, workers=3)
-    assert serial == parallel
+    points = monte_carlo_sweep(grid, 10_000, seed=5)
+    alone = [tec._count_failures("fast", p, 10_000, 5, i) for i, p in enumerate(grid)]
+    assert [(pt.protected_failures, pt.unprotected_failures) for pt in points] == alone
 
 
 def test_sweep_fast_estimates_track_analytic():
@@ -427,10 +428,10 @@ def reference_counts(code, p, trials, seed, point, engine="tableau"):
 def test_engine_sweep_counts_match_per_trial_reference(ring5, engine, trials):
     grid, seed = [0.15, 0.4], 21
     expected = [reference_counts(G8_CODE, p, trials, seed, i, engine) for i, p in enumerate(grid)]
-    for eng, workers in ((engine, 1), (engine, 2), ("fast", 1)):
-        points = monte_carlo_sweep(grid, trials, seed=seed, engine=eng, workers=workers)
+    for eng in (engine, "fast"):
+        points = monte_carlo_sweep(grid, trials, seed=seed, engine=eng)
         got = [(pt.protected_failures, pt.unprotected_failures) for pt in points]
-        assert got == expected, (eng, workers)
+        assert got == expected, eng
     for i, p in enumerate(grid):  # ring5's loop replays its own draws: 1,024 patterns, R or 12 outcomes
         got = tec._count_failures(engine, p, trials, seed, i, ring5)
         assert got == reference_counts(ring5, p, trials, seed, i, engine), p
@@ -662,41 +663,10 @@ def test_dense_sweep_memory_does_not_grow_with_trials():
     engine=st.sampled_from(["fast", "tableau", "dense"]),
 )
 def test_sweep_is_invariant_to_the_worker_count(grid, trials, seed, engine):
-    serial = monte_carlo_sweep(grid, trials, seed, engine, workers=1)
-    assert monte_carlo_sweep(grid, trials, seed, engine, workers=2) == serial
-
-
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs jobs in-process."""
-
-    sizes: list[int] = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-@pytest.mark.parametrize(
-    "grid, workers, expected",
-    [([0.1, 0.2], 1000, 2), ([0.1, 0.2, 0.3], 2, 2), ([0.1, 0.2, 0.3, 0.4, 0.5], 1000, 3)],
-)
-def test_sweep_pool_is_capped_at_the_grid_size(monkeypatch, grid, workers, expected):
-    """The pool is no larger than the workers asked for, the grid or the usable CPUs (three here)."""
-    monkeypatch.setattr(tec.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    monkeypatch.setattr(tec.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    points = monte_carlo_sweep(grid, 2000, seed=3, workers=workers)
-    assert RecordingPool.sizes == [expected]
-    assert points == monte_carlo_sweep(grid, 2000, seed=3, workers=1)
+    """Each point counted alone, in reverse grid order, is the sweep's: no point's counts depend on another's."""
+    backwards = [tec._count_failures(engine, p, trials, seed, i) for i, p in reversed(list(enumerate(grid)))]
+    points = monte_carlo_sweep(grid, trials, seed, engine)
+    assert [(pt.protected_failures, pt.unprotected_failures) for pt in points] == backwards[::-1]
 
 
 def test_syndrome_pairs_are_the_g8_volume_boundaries():
