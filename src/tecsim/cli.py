@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from functools import lru_cache
@@ -111,8 +112,10 @@ def cmd_sweep(args: argparse.Namespace) -> tuple[str, str]:
             (pt.mc_unprotected, pt.analytic_unprotected),
         ):
             # the analytic sigma, so a point that observed no failures is still
-            # measured against the rate it should have seen
-            diff, sigma = abs(est - ref), tec.binomial_se(ref, pt.trials)
+            # measured against the rate it should have seen; where ref (1 - ref) / trials
+            # underflows to 0 for a positive ref (p ~ 1e-161 and below), sqrt(ref) apart does not
+            diff = abs(est - ref)
+            sigma = tec.binomial_se(ref, pt.trials) or math.sqrt(ref) * math.sqrt((1.0 - ref) / pt.trials)
             if sigma > 0.0:
                 max_sigma = max(max_sigma, diff / sigma)
             elif diff > 0.0:

@@ -4,7 +4,7 @@ Qubits live on the faces and edges of a complex; the interaction graph
 joins each face qubit to the qubits on its boundary edges. Two engines sit
 behind one interface: the stabilizer tableau for scale, the dense oracle
 for cross-validation and non-Clifford observables. Either reads all qubits
-out in X or Z in one call, the tableau in closed form from any of its states.
+out in X or Z through one reader, the tableau in closed form from any of its states.
 """
 
 from __future__ import annotations
@@ -107,12 +107,12 @@ class ClusterState:
     ``backend`` is a :class:`StabilizerTableau` or a :class:`dense.StateVector`.
     Both speak the same protocol, so nothing here or in the sweep asks which one
     it holds: ``copy()``, ``apply_gate(gate, *targets)``, ``measure_pauli(op, rng)``,
-    ``measure_x(q, rng)``, ``expectation_pauli(op)``, ``reader(basis="x")``, a snapshot
-    of the state, and ``readout(rng, flips=0, basis="x")``, ``reader(basis)(rng, flips)``:
-    the list of outcomes of every qubit in one basis, "x" or "z", of the state after the
-    Pauli that anticommutes with that basis (Z in X, X in Z) on each qubit q whose bit is
-    set in the int mask ``flips``. Callers find qubits by
-    ``graph.index`` and measure through ``backend``; the state adds only ``copy()`` and
+    ``measure_x(q, rng)``, ``expectation_pauli(op)`` and ``reader(basis="x")``, a
+    snapshot of the state as a callable ``(rng, flips=0)`` that returns the list of
+    outcomes of every qubit in one basis, "x" or "z", of the state after the Pauli
+    that anticommutes with that basis (Z in X, X in Z) on each qubit q whose bit is
+    set in the int mask ``flips``. Callers find qubits by ``graph.index`` and
+    measure through ``backend``; the state adds only ``copy()`` and
     ``expectation(op)``, either engine's value as a float.
     """
 
@@ -160,5 +160,5 @@ def surface_correlation(state: ClusterState, face_qubits) -> int:
 
 
 def measure_all(state: ClusterState, rng: np.random.Generator, basis: str = "x") -> OutcomeRecord:
-    """Single-basis readout of every qubit, in vertex order: the backend's ``readout``; ``state`` is left as is."""
-    return OutcomeRecord(dict(zip(state.graph.vertices, state.backend.readout(rng, basis=basis))), basis)
+    """Single-basis readout of every qubit, in vertex order, by the backend's ``reader``; ``state`` is left as is."""
+    return OutcomeRecord(dict(zip(state.graph.vertices, state.backend.reader(basis)(rng))), basis)

@@ -37,26 +37,20 @@ def _check_capacity(n: int) -> None:
 def _apply_products(amps: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """(T, 2^n): ``amps`` after each term's tensor product of its factors ``mats[t]``, (T, n, 2, 2).
 
-    Qubits that are the identity in every term are skipped. Each other qubit a outside an earlier run starts
-    a run that ends at the last such qubit below a + 4, and applies the terms' Kronecker products over it,
-    built by broadcasting. A run that ends at the last qubit acts from the right, so on eight qubits, with X
-    the 16x16 amplitude matrix, a term is A X B^T. If every qubit is skipped, the rows are views of ``amps``.
+    Each run of four qubits from qubit 0, the last run those left, applies the terms' Kronecker products over it,
+    built by broadcasting. The last run acts from the right, so on eight qubits, with X the 16x16 amplitude matrix,
+    a term is A X B^T. On zero qubits no factor acts, and the one row is ``amps``.
     """
-    n, out, end = mats.shape[1], amps[None], 0
-    busy = np.flatnonzero((mats != _EYE).any(axis=(0, 2, 3))).tolist()
-    for a in busy:
-        if a < end:
-            continue  # inside the previous run
-        end = 1 + max(q for q in busy if q < a + 4)
+    n, out = mats.shape[1], amps[None]
+    for a in range(0, n, 4):
         g = mats[:, a]
-        for f in mats[:, a + 1 : end].swapaxes(0, 1):
+        for f in mats[:, a + 1 : a + 4].swapaxes(0, 1):
             g = (g[:, :, None, :, None] * f[:, None, :, None, :]).reshape(len(g), 2 * len(g[0]), -1)
-        if end == n:
+        if a + 4 >= n:
             out = out.reshape(len(out), -1, len(g[0])) @ g.swapaxes(1, 2)
         else:
             out = g[:, None] @ out.reshape(len(out), 1 << a, len(g[0]), -1)
-    out = out.reshape(len(out), -1)
-    return out if len(out) == len(mats) else np.broadcast_to(out, (len(mats), amps.size))
+    return out.reshape(len(out), -1)
 
 
 class StateVector:
@@ -95,12 +89,12 @@ class StateVector:
         if gate == "CZ":
             self.amps[_odd_edges(self.n, [targets])] *= -1.0
             return self
-        local = _EYE[None, None].repeat(self.n, 1)
-        local[0, targets[-1]] = GATE_MATRICES.get(gate, _H)  # CNOT is H CZ H on its target
-        self.amps = _apply_products(self.amps, local)[0]
+        t = targets[-1]
+        u = GATE_MATRICES.get(gate, _H)  # CNOT is H CZ H on its target
+        self.amps = (u @ self.amps.reshape(1 << t, 2, -1)).reshape(-1)
         if gate == "CNOT":
             self.amps[_odd_edges(self.n, [targets])] *= -1.0
-            self.amps = _apply_products(self.amps, local)[0]
+            self.amps = (u @ self.amps.reshape(1 << t, 2, -1)).reshape(-1)
         return self
 
     # ------------------------------------------------------------------
@@ -143,44 +137,32 @@ class StateVector:
         """Projective single-qubit X measurement."""
         return self.measure_pauli(PauliOperator.single(self.n, q, "X"), rng)
 
-    def readout(self, rng: np.random.Generator, flips: int = 0, basis="x") -> list[int]:
-        return self.reader(basis)(rng, flips)
-
     def reader(self, basis="x"):
-        """The ``readout`` in ``basis`` of the state as it is now, as a callable ``(rng, flips=0)``; see
+        """The readout in ``basis`` of the state as it is now, as a callable ``(rng, flips=0)``; see
         :class:`tecsim.cluster.ClusterState`. One table of Born weights (in X, 2^n times them, after n butterflies)
         sums pairwise into <P_q> = (w0 - w1) / (w0 + w1) after each history of q outcomes, w0 and w1 its weight with
-        qubit q at 0 and at 1. A flip on q is a sign z that turns outcome s into the unflipped outcome c = s z and
-        <P_q> into z <P_q>, so a row walks the table along its products c. It reaches only histories of weight, so a
-        level where none is random keeps no table, and a run of them is one map, h -> 2h + (<P_q> < 0) composed.
+        qubit q at 0 and at 1, kept as one table per level. A flip on q is a sign z that turns outcome s into the
+        unflipped outcome c = s z and <P_q> into z <P_q>, so a row walks the tables along its products c.
         Thresholds and draws are :meth:`measure_pauli`'s; a row draws n doubles, in order."""
         n, weights = self.n, self.amps.real if not self.amps.imag.any() else self.amps
         for _ in range(n if check_basis(basis) == "x" else 0):
             weights = _butterfly(weights)
         weights = np.abs(weights)
         weights *= weights  # in place: a real state's X readout holds at most two tables at once
-        steps, run = [], None  # in qubit order, per level where a row may draw: <P_q> per history, the next run's map
-        for q in range(n - 1, -1, -1):  # the deeper table goes as soon as it is summed
+        tables = [None] * n  # <P_q> per history of q outcomes
+        for q in range(n - 1, -1, -1):  # the deeper weights go as soon as they are summed
             weights, d = weights[0::2] + weights[1::2], weights[0::2] - weights[1::2]
-            np.divide(d, weights, out=d, where=weights > 0)  # 0 where the history has no weight
-            if ((np.abs(d) <= 1.0 - 1e-9) & (weights > 0)).any():
-                steps, run = [(d, run), *steps], None
-            else:  # composed from the run's deepest level up; every history is below 2^n
-                step = np.arange(1 << q, dtype=np.min_scalar_type((1 << n) - 1)) * 2 | (d < 0)
-                run = step if run is None else run[step]
-        start = 0 if run is None else int(run[0])  # before the first level that draws
+            tables[q] = np.divide(d, weights, out=d, where=weights > 0)  # 0 where the history has no weight
         def read(rng: np.random.Generator, flips: int = 0) -> list[int]:
             check_flips(flips, n)
-            z = [flips >> q & 1 for q in range(n)]  # 1 where z = -1
-            draws, history = iter(rng.random(n).tolist()), start  # the row's products c so far, a 1 bit where c < 0
-            for table, after in steps:
-                d, q = table.item(history), len(table).bit_length() - 1
+            draws, history = iter(rng.random(n).tolist()), 0  # the row's products c so far, a 1 bit where c < 0
+            for q, table in enumerate(tables):
+                d, z = table.item(history), flips >> q & 1  # z = 1 where the flip's sign is -1
                 if abs(d) <= 1.0 - 1e-9:  # s = 1 where up, so c < 0 where up matches z < 0
-                    history = 2 * history + ((next(draws) < 0.5 * (1.0 + (-d if z[q] else d))) == z[q])
+                    history = 2 * history + ((next(draws) < 0.5 * (1.0 + (-d if z else d))) == z)
                 else:
                     history = 2 * history + (d < 0)
-                history = history if after is None else after.item(history)
-            return [1 - 2 * (history >> n - 1 - q & 1 ^ z[q]) for q in range(n)]  # s = c z
+            return [1 - 2 * (history >> n - 1 - q & 1 ^ flips >> q & 1) for q in range(n)]  # s = c z
 
         return read
 

@@ -140,11 +140,8 @@ class StabilizerTableau:
         """Projective single-qubit X measurement."""
         return self.measure_pauli(PauliOperator.single(self.n, q, "X"), rng)
 
-    def readout(self, rng: np.random.Generator, flips: int = 0, basis="x") -> list[int]:
-        return self.reader(basis)(rng, flips)
-
     def reader(self, basis="x"):
-        """The ``readout`` in ``basis`` of the state as it is now, as a callable ``(rng, flips=0)``, from one
+        """The readout in ``basis`` of the state as it is now, as a callable ``(rng, flips=0)``, from one
         :meth:`_readout_plan`; see :class:`tecsim.cluster.ClusterState`. Its R random outcomes, as a collapse draws
         them, are ``rng.integers(0, 2, R)``; a flip on q flips each fixed outcome whose string T holds q."""
         plan, n = self._readout_plan(check_basis(basis)), self.n

@@ -1,8 +1,8 @@
 """Oracles the tests share: replayed draws, rows of flips read in turn, per-row and per-qubit readouts, the
-closed-form X outcomes of a readout plan, per-edge CZ masks, Pauli matrices and the Kronecker Pauli action, paper
-data, a Python decoder walk and its cells, the per-pattern enumeration, flip-pattern chances and g8's hand-written
-error polynomials, fixtures, the two-chain ring and the nested-list cuboid builder, a per-term dense expectation,
-and the Pauli, state, stabilizer and homology helpers that only tests call.
+closed-form X outcomes of a readout plan, per-edge CZ masks, Pauli and gate matrices, the Kronecker Pauli action
+and gates, paper data, a Python decoder walk and its cells, the per-pattern enumeration, flip-pattern chances and
+g8's hand-written error polynomials, fixtures, the two-chain ring and the nested-list cuboid builder, a per-term
+dense expectation, and the Pauli, state, stabilizer and homology helpers that only tests call.
 
 Test modules import it as ``from reference import ...``; ``tests/`` has no
 ``__init__.py``, so pytest, and ``python tests/<module>.py``, put this
@@ -11,6 +11,7 @@ directory on ``sys.path``.
 
 import json
 import math
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,13 @@ MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+GATES = {  # each gate's 2x2 matrix, a two-qubit gate's the one on its target when its control is 1
+    **MATS,
+    "H": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+    "S": np.diag([1, 1j]),
+    "CZ": MATS["Z"],
+    "CNOT": MATS["X"],
+}
 
 
 def kronecker_pauli(state: StateVector, op: PauliOperator) -> np.ndarray:
@@ -133,6 +141,18 @@ def kronecker_pauli(state: StateVector, op: PauliOperator) -> np.ndarray:
     for q in op.support():
         mats[0, q] = MATS[op.letter(q)]
     return op.phase * _apply_products(state.amps, mats)[0]
+
+
+def kronecker_gate(n: int, gate: str, *targets: int) -> np.ndarray:
+    """Reference gate: its literal 2^n x 2^n matrix, qubit 0 the leftmost factor. CZ and CNOT are |0><0| on the
+    control plus |1><1| on the control times Z or X on the target."""
+    def product(factors: dict) -> np.ndarray:
+        return reduce(np.kron, [factors.get(q, MATS["I"]) for q in range(n)])
+
+    if len(targets) == 1:
+        return product({targets[0]: GATES[gate]})
+    control, target = targets
+    return product({control: np.diag([1.0, 0.0])}) + product({control: np.diag([0.0, 1.0]), target: GATES[gate]})
 
 
 def to_matrix(op: PauliOperator) -> np.ndarray:

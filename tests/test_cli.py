@@ -346,6 +346,19 @@ def test_sweep_tiny_p_is_not_a_false_alarm(capsys):
     assert float(row[5]) == pytest.approx(6e-18, rel=1e-6)
 
 
+@pytest.mark.parametrize("p", ["1e-161", "1e-320"])
+@pytest.mark.parametrize("engine", ["fast", "tableau", "dense"])
+def test_sweep_subnormal_rate_is_not_a_false_alarm(capsys, engine, p):
+    # at p = 1e-161 the analytic protected rate is 5.9e-322, at 1e-320 the unprotected one is 2e-320; for either,
+    # rate (1 - rate) / 100,000 underflows to 0, and a zero sigma turns the exact zero count into an error
+    code, out, err = run_cli(
+        capsys, "sweep", "--engine", engine, "--trials", "100000", "--p-min", p, "--p-max", p, "--steps", "1"
+    )
+    assert code == 0 and err == "max |MC - analytic| = 0.000 sigma over 1 points\n", err
+    row = out.splitlines()[2].split(",")
+    assert row[1:5] == ["0", "0", "0", "0"] and 0.0 < float(row[6]) < 1e-160
+
+
 def test_complex_with_too_many_two_face_surfaces_is_one_error_line(tmp_path, capsys):
     path = tmp_path / "crowded.json"
     path.write_text(shared_boundary_json(1000))

@@ -16,7 +16,7 @@ from tecsim.cli import main
 from reference import shared_boundary_json
 
 FLOATS = st.sampled_from(
-    ["nan", "-nan", "inf", "-inf", "-0", "-0.0", "1e308", "-1e308", "0", "0.1", "1", "1.5", "x"]
+    ["nan", "-nan", "inf", "-inf", "-0", "-0.0", "1e308", "-1e308", "0", "5e-324", "1e-161", "0.1", "1", "1.5", "x"]
 ) | st.floats(allow_nan=True, allow_infinity=True).map(repr)
 HUGE_INTS = st.integers(0, 2**70) | st.sampled_from([-1, -(10**30), 2**64, 10**30])
 # a sweep runs its 3 points or fewer in this process, however large --workers is

@@ -327,14 +327,14 @@ def test_dual_syndrome_check(g8_graph, g8_tableau):
 
 
 def test_measure_all_basis_validation(g8_graph):
-    """A basis other than "x" or "z" raises from ``measure_all`` and from either backend's readout, with
+    """A basis other than "x" or "z" raises from ``measure_all`` and from either backend's reader, with
     or without flips, before any draw."""
     for engine in ENGINES:
         state, rng = build_cluster(g8_graph, engine), philox_generator(9)
         for basis, call in [
             ("y", lambda basis: measure_all(state, rng, basis)),
-            ("X", lambda basis: state.backend.readout(rng, basis=basis)),
-            ("xz", lambda basis: state.backend.readout(rng, 0b101, basis)),
+            ("X", lambda basis: state.backend.reader(basis)(rng)),
+            ("xz", lambda basis: state.backend.reader(basis)(rng, 0b101)),
         ]:
             with pytest.raises(ValueError, match=f"basis must be 'x' or 'z', got '{basis}'"):
                 call(basis)
@@ -472,19 +472,19 @@ def test_x_readout_off_graph_form_takes_no_collapse(g8_tableau, prepare, monkeyp
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("basis", ["x", "z"])
 def test_measure_all_is_one_readout_with_no_copy_or_collapse(g8_graph, engine, basis, monkeypatch):
-    """Off graph form, in either basis, on either engine: one backend ``readout`` call, and no copy,
-    no Pauli measurement and no collapse. Neither backend keeps ``measure_z`` or ``readout_x``."""
+    """Off graph form, in either basis, on either engine: one backend ``reader`` call, and no copy,
+    no Pauli measurement and no collapse. Neither backend keeps ``measure_z``, ``readout_x`` or ``readout``."""
     state = build_cluster(g8_graph, engine)
     state.backend.apply_gate("H", 2)
     state.backend.apply_gate("S", 5)
     expected = per_qubit_readout(state, philox_generator(16), basis)
-    backend, readout, calls = type(state.backend), type(state.backend).readout, []
+    backend, reader, calls = type(state.backend), type(state.backend).reader, []
     for name in ("copy", "measure_pauli", "_collapse"):
         monkeypatch.setattr(backend, name, lambda *args, name=name: pytest.fail(f"measure_all called {name}"), False)
-    monkeypatch.setattr(backend, "readout", lambda *args, **kwargs: calls.append(kwargs) or readout(*args, **kwargs))
+    monkeypatch.setattr(backend, "reader", lambda self, basis: calls.append(basis) or reader(self, basis))
     assert record_values(measure_all(state, philox_generator(16), basis), state) == expected
-    assert calls == [{"basis": basis}]
-    assert not hasattr(backend, "measure_z") and not hasattr(backend, "readout_x")
+    assert calls == [basis]
+    assert not any(hasattr(backend, name) for name in ("measure_z", "readout_x", "readout"))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -537,7 +537,7 @@ def test_z_flipped_graph_state_is_read_out_in_closed_form(monkeypatch):
     monkeypatch.setattr(StabilizerTableau, "_collapse", collapse)
     record = measure_all(state, philox_generator(15), "x")
     assert record_values(record, state) == expected
-    assert state.backend.readout(philox_generator(15)) == expected  # the state is left as is
+    assert state.backend.reader()(philox_generator(15)) == expected  # the state is left as is
 
 
 # ----------------------------------------------------------------------
@@ -555,7 +555,7 @@ def check_block_rows(state, flips, seed, first):
     block = read_rows(backend.reader(), rng, flips[:first]) + read_rows(backend.reader(), rng, flips[first:])
     assert [len(row) for row in block] == [n] * len(flips)
     counter = Replay([0.0] * n, [0] * n)
-    backend.readout(counter)
+    backend.reader()(counter)
     stream, kind = philox_generator(seed, 1), "doubles" if isinstance(backend, StateVector) else "bits"
     rows = stream.random((len(flips), n)) if kind == "doubles" else stream.integers(0, 2, (len(flips), counter.used))
     shared = philox_generator(seed, 1)  # single-state readouts, one copy after another
@@ -564,8 +564,8 @@ def check_block_rows(state, flips, seed, first):
         for q in np.flatnonzero(row).tolist():
             copy.backend.apply_gate("Z", q)
         expected = block[t]
-        assert copy.backend.readout(shared) == expected, t
-        single = copy.backend.readout(Replay(**{kind: rows[t]}))
+        assert copy.backend.reader()(shared) == expected, t
+        single = copy.backend.reader()(Replay(**{kind: rows[t]}))
         assert single == expected == per_qubit_readout(copy, Replay(**{kind: rows[t]})), t
     return counter.used
 

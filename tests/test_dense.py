@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tecsim.cluster import InteractionGraph, interaction_graph
+from tecsim.cluster import InteractionGraph, interaction_graph, measure_all
 from tecsim.complexes import build_g8_complex
 from tecsim.dense import (
     DensityModel,
@@ -16,7 +16,7 @@ from tecsim.dense import (
     expectation_observable,
 )
 from tecsim.errors import CapacityError
-from tecsim.pauli import PauliOperator
+from tecsim.pauli import GATE_TARGETS, PauliOperator
 from tecsim.rng import philox_generator
 
 from reference import (
@@ -24,6 +24,7 @@ from reference import (
     computational_zero,
     fidelity,
     flip_mask,
+    kronecker_gate,
     kronecker_pauli,
     pauli_from_text,
     per_edge_graph_state,
@@ -109,6 +110,22 @@ def test_cz_and_cnot_are_the_per_edge_reference_bit_for_bit(gate, data):
     assert state.apply_gate(gate, a, b).amps.tobytes() == want.amps.tobytes()
 
 
+@pytest.mark.parametrize("gate", sorted(GATE_TARGETS))
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(data=st.data())
+def test_gates_are_the_kronecker_reference_on_random_states(gate, data):
+    """On random complex states of 1 to 10 qubits, each gate on any target, or ordered pair of targets, gives the
+    literal 2^n x 2^n matrix's amplitudes within 1e-12."""
+    count = GATE_TARGETS[gate]
+    n = data.draw(st.integers(count, 10), label="qubits")
+    targets = data.draw(st.lists(st.integers(0, n - 1), min_size=count, max_size=count, unique=True), label="targets")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="amplitude seed"))
+    amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    want = kronecker_gate(n, gate, *targets) @ state.amps
+    assert np.abs(state.apply_gate(gate, *targets).amps - want).max() <= 1e-12
+
+
 def test_graph_state_capacity():
     n = 21
     graph = InteractionGraph(tuple(f"q{i}" for i in range(n)), ())
@@ -167,6 +184,7 @@ def test_expectation_observable_rejects_non_hermitian():
 def test_expectation_observable_identity_factors():
     model = pure(computational_zero(2))
     assert expectation_observable(model, [[None, None]]).tolist() == pytest.approx([1.0])
+    assert expectation_observable(pure(computational_zero(0)), np.zeros((2, 0, 2, 2))).tolist() == [1.0, 1.0]  # no qubit
 
 
 def test_expectation_linear_in_ensemble():
@@ -285,22 +303,24 @@ def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
             copy.apply_gate("Z" if basis == "x" else "X", q)
         feed = Replay(doubles=doubles[t])
         assert got[t] == per_qubit_readout(unlabelled(copy), feed, basis), t
-        assert got[t] == state.readout(Replay(doubles=doubles[t]), flip_mask(flips[t]), basis), t
+        assert got[t] == state.reader(basis)(Replay(doubles=doubles[t]), flip_mask(flips[t])), t
 
 
 @pytest.mark.parametrize("flips", [(0,), ()], ids=["given", "default"])
 @pytest.mark.parametrize("basis", ["x", "z"])
 def test_an_unflipped_dense_readout_reads_the_state_and_draws_n_doubles(basis, flips):
-    """``flips=0``, given or by default, reads the state itself, the per-qubit collapse of the row's doubles, and
-    draws exactly n doubles, though g8 after H on qubit 2 has fewer random outcomes than qubits in either basis."""
+    """``flips=0``, given or by default, reads the state itself, as ``measure_all`` does, the per-qubit collapse of
+    the row's doubles, and draws exactly n doubles, though g8 after H on qubit 2 has fewer random outcomes than
+    qubits in either basis."""
     state = build_graph_state_dense(interaction_graph(build_g8_complex())).apply_gate("H", 2)
     for seed in range(5):
         rng, skipped = philox_generator(seed), philox_generator(seed)
         doubles = skipped.random(8)
-        assert state.reader(basis)(rng, *flips) == state.readout(philox_generator(seed), *flips, basis=basis)
+        record = measure_all(unlabelled(state), philox_generator(seed), basis)
+        assert state.reader(basis)(rng, *flips) == list(record.outcomes.values())
         assert next_words(rng) == next_words(skipped)
         feed, reference = Replay(doubles=doubles), Replay(doubles=doubles)
-        assert state.readout(feed, *flips, basis=basis) == per_qubit_readout(unlabelled(state), reference, basis)
+        assert state.reader(basis)(feed, *flips) == per_qubit_readout(unlabelled(state), reference, basis)
         assert feed.used == 8 > reference.used, seed
 
 

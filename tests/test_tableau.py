@@ -613,7 +613,7 @@ def clifford_tableaus(draw, max_qubits=12):
 def test_x_readout_of_any_tableau_is_the_per_qubit_collapse(tab, data):
     """In X or Z, one state and rows of flipped copies (Z in X, X in Z), read in turn through one reader as their
     masks, read out, in closed form, as each copy's per-qubit collapse in that basis given the same draws, and take
-    as many draws; no readout collapses a row. A fresh ``readout`` per row on one stream reads the same rows from
+    as many draws; no readout collapses a row. A fresh reader per row on one stream reads the same rows from
     the same draws."""
     n, basis = tab.n, data.draw(st.sampled_from("xz"), label="basis")
     bits = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
@@ -631,10 +631,10 @@ def test_x_readout_of_any_tableau_is_the_per_qubit_collapse(tab, data):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(StabilizerTableau, "_collapse", lambda *args: calls.append(args) or collapse(*args))
         single, block = Replay(bits=bits[0]), Replay(bits=[b for row in bits for b in row[:coins]])
-        assert tab.readout(single, basis=basis) == alone
+        assert tab.reader(basis)(single) == alone
         assert read_rows(tab.reader(basis), block, flips) == expected
         stream = Replay(bits=[b for row in bits for b in row[:coins]])
-        assert [tab.readout(stream, flip_mask(row), basis) for row in flips] == expected
+        assert [tab.reader(basis)(stream, flip_mask(row)) for row in flips] == expected
     assert calls == [] and single.used == coins and block.used == stream.used == coins * len(bits)
     assert list(rows(tab)) == before
 
@@ -710,8 +710,8 @@ def test_graph_form_reads_and_expects_as_the_collapse_the_dense_oracle_and_its_r
             if flips >> q & 1:
                 flipped.apply_gate("Z" if basis == "x" else "X", q)
         expected = per_qubit_readout(unlabelled(flipped), Replay(bits=bits), basis)
-        assert tab.readout(Replay(bits=bits), flips, basis) == expected, basis
-        assert reversed_rows.readout(Replay(bits=bits), flips, basis) == expected, basis
+        assert tab.reader(basis)(Replay(bits=bits), flips) == expected, basis
+        assert reversed_rows.reader(basis)(Replay(bits=bits), flips) == expected, basis
     generators = stabilizers(tab)
     for _ in range(6):
         chooser = data.draw(st.integers(0, (1 << n) - 1), label="rows")

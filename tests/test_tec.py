@@ -350,7 +350,7 @@ def random_outcome_count(code):
     """R: the coins the code's tableau draws for one X readout, counted by a replayed rng."""
     state = code.state("tableau")
     probe = Replay(bits=[0] * state.graph.qubit_count)
-    state.backend.readout(probe)
+    state.backend.reader()(probe)
     return probe.used
 
 
