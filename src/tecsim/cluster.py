@@ -108,12 +108,12 @@ class ClusterState:
     Both speak the same protocol, so nothing here or in the sweep asks which one
     it holds: ``copy()``, ``apply_gate(gate, *targets)``, ``measure_pauli(op, rng)``,
     ``measure_x(q, rng)``, ``expectation_pauli(op)`` and ``reader(basis="x")``, a
-    snapshot of the state as a callable ``(rng, flips=0)`` that returns the list of
-    outcomes of every qubit in one basis, "x" or "z", of the state after the Pauli
-    that anticommutes with that basis (Z in X, X in Z) on each qubit q whose bit is
-    set in the int mask ``flips``. Callers find qubits by ``graph.index`` and
-    measure through ``backend``; the state adds only ``copy()`` and
-    ``expectation(op)``, either engine's value as a float.
+    snapshot of the state as a callable ``(rng, flips=0)`` that reads every qubit in
+    one basis, "x" or "z", of the state after the Pauli that anticommutes with that
+    basis (Z in X, X in Z) on each qubit q whose bit is set in the int mask ``flips``,
+    and returns the outcomes as one int, bit q set where qubit q reads -1. Callers
+    find qubits by ``graph.index`` and measure through ``backend``; the state adds
+    only ``copy()`` and ``expectation(op)``, either engine's value as a float.
     """
 
     graph: InteractionGraph
@@ -160,5 +160,7 @@ def surface_correlation(state: ClusterState, face_qubits) -> int:
 
 
 def measure_all(state: ClusterState, rng: np.random.Generator, basis: str = "x") -> OutcomeRecord:
-    """Single-basis readout of every qubit, in vertex order, by the backend's ``reader``; ``state`` is left as is."""
-    return OutcomeRecord(dict(zip(state.graph.vertices, state.backend.reader(basis)(rng))), basis)
+    """Single-basis readout of every qubit by the backend's ``reader``, labelled in vertex order; ``state`` is left
+    as is."""
+    out, n = state.backend.reader(basis)(rng), state.graph.qubit_count
+    return OutcomeRecord(dict(zip(state.graph.vertices, [-1 if b == "1" else 1 for b in f"{out:0{n}b}"[::-1]])), basis)

@@ -153,7 +153,7 @@ class StateVector:
         for q in range(n - 1, -1, -1):  # the deeper weights go as soon as they are summed
             weights, d = weights[0::2] + weights[1::2], weights[0::2] - weights[1::2]
             tables[q] = np.divide(d, weights, out=d, where=weights > 0)  # 0 where the history has no weight
-        def read(rng: np.random.Generator, flips: int = 0) -> list[int]:
+        def read(rng: np.random.Generator, flips: int = 0) -> int:
             check_flips(flips, n)
             draws, history = iter(rng.random(n).tolist()), 0  # the row's products c so far, a 1 bit where c < 0
             for q, table in enumerate(tables):
@@ -162,7 +162,7 @@ class StateVector:
                     history = 2 * history + ((next(draws) < 0.5 * (1.0 + (-d if z else d))) == z)
                 else:
                     history = 2 * history + (d < 0)
-            return [1 - 2 * (history >> n - 1 - q & 1 ^ flips >> q & 1) for q in range(n)]  # s = c z
+            return int(f"{history:0{n}b}"[::-1], 2) ^ flips  # qubit q is bit q, and s = c z
 
         return read
 

@@ -145,12 +145,12 @@ class StabilizerTableau:
         :meth:`_readout_plan`; see :class:`tecsim.cluster.ClusterState`. Its R random outcomes, as a collapse draws
         them, are ``rng.integers(0, 2, R)``; a flip on q flips each fixed outcome whose string T holds q."""
         plan, n = self._readout_plan(check_basis(basis)), self.n
-        def read(rng: np.random.Generator, flips: int = 0) -> list[int]:
+        def read(rng: np.random.Generator, flips: int = 0) -> int:
             check_flips(flips, n)
             coins, out = iter(rng.integers(0, 2, plan.count(None)).tolist()), 0  # the outcomes so far as one int
             for i, step in enumerate(plan):
                 out |= (next(coins) if step is None else step[1] ^ ((out ^ flips) & step[0]).bit_count() & 1) << i
-            return [-1 if bit == "1" else 1 for bit in f"{out:0{n}b}"[::-1]]
+            return out
 
         return read
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import ENGINES, ClusterState, OutcomeRecord, build_cluster, interaction_graph
+from .cluster import ENGINES, ClusterState, build_cluster, interaction_graph
 from .cluster import measure_all  # noqa: F401  perfbench/tracing.py patches tec.measure_all
 from .complexes import (
     G8_PROTECTED_SURFACE,
@@ -51,8 +51,9 @@ class TopologicalCode:
     """Parity checks, protected surface and lookup decoder of a cell complex.
 
     Flip patterns, checks and the surface are face bitmasks: bit i is ``faces[i]``, face number i + 1 in the
-    public frozenset form, and qubit i of :meth:`state`. A syndrome holds one +-1 per check, the product of the
-    face outcomes around that volume; its key sets bit j where the j-th of the r independent checks reads -1.
+    public frozenset form, and qubit i of :meth:`state`, so they apply unchanged to an X readout row, the int that
+    sets bit q where qubit q reads -1. A syndrome holds one +-1 per check, the product of the face outcomes around
+    that volume; its key sets bit j where the j-th of the r independent checks reads -1.
     Read-only, ``leaders[k]`` is key k's unique minimum-weight flip bitmask; ``cells[c, w]`` counts the weight-w
     patterns of class c = 2 * (protected fails) + (unprotected fails), and ``members`` lists them cell by cell,
     in ``cells.ravel()`` order, mask order inside each. ``enumerators`` has each verdict's A_0..A_m over its support.
@@ -109,11 +110,8 @@ class TopologicalCode:
         return tuple("c" + sep.join(map(str, sorted(_pattern(c)))) for c in self.checks)
 
     def syndrome(self, flips: int) -> tuple[int, ...]:
+        """One product of face outcomes per check, in :attr:`check_names` order, of a flip or outcome mask."""
         return tuple(-1 if (flips & check).bit_count() & 1 else 1 for check in self.checks)
-
-    def flips(self, outcomes: OutcomeRecord) -> int:
-        """Bitmask of the faces whose outcome is -1; a face without an outcome raises KeyError."""
-        return sum(1 << i for i, face in enumerate(self.faces) if outcomes.outcomes[face] == -1)
 
     def flipped(self, flips: int) -> bool:
         """Whether ``flips`` flips the protected surface's outcome product."""
@@ -124,29 +122,23 @@ class TopologicalCode:
         _check_probability(p)
         return frozenset(q for q, u in enumerate(rng.random(len(self.faces)), 1) if u < p)
 
-    def extract_syndrome(self, outcomes: OutcomeRecord) -> tuple[int, ...]:
-        """One product of face outcomes per check, in :attr:`check_names` order."""
-        return self.syndrome(self.flips(outcomes))
-
-    def decode_and_correct(self, outcomes: OutcomeRecord) -> tuple[int, frozenset]:
-        """Corrected protected product and the correction used, applied classically."""
-        flips = self.flips(outcomes)  # read once, for key and verdict
-        key = sum(1 << j for j, i in enumerate(self.independent) if (flips & self.checks[i]).bit_count() & 1)
+    def decode_and_correct(self, outcomes: int) -> tuple[int, frozenset]:
+        """Corrected protected product and the correction used, applied classically, of an X readout row."""
+        key = sum(1 << j for j, i in enumerate(self.independent) if (outcomes & self.checks[i]).bit_count() & 1)
         leader = int(self.leaders[key])
-        return -1 if self.flipped(flips ^ leader) else 1, _pattern(leader)
+        return -1 if self.flipped(outcomes ^ leader) else 1, _pattern(leader)
 
     def run_pattern(
         self, pattern, rng: np.random.Generator, engine: str = "tableau"
-    ) -> tuple[int, frozenset, OutcomeRecord]:
+    ) -> tuple[int, frozenset, int]:
         """Z flips on the faces numbered in ``pattern``, X readout, decode: one row of the code's X reader,
-        its flips the pattern's face bitmask. Returns (corrected protected product, correction, outcome record)."""
+        its flips the pattern's face bitmask. Returns (corrected protected product, correction, outcome mask)."""
         numbers = range(1, len(self.faces) + 1)
         if not set(pattern) <= set(numbers):
             raise ValueError(f"unknown face numbers in {sorted(pattern)}")
         flips = sum(1 << (q - 1) for q in numbers if q in pattern)  # face q is qubit q - 1
-        outcomes = dict(zip(self._state(engine).graph.vertices, self._reader(engine)(rng, flips)))
-        record = OutcomeRecord(outcomes, "x")
-        return *self.decode_and_correct(record), record
+        outcomes = self._reader(engine)(rng, flips)
+        return *self.decode_and_correct(outcomes), outcomes
 
     def simulate_trial(
         self, p: float, rng: np.random.Generator, engine: str = "tableau"
@@ -154,8 +146,8 @@ class TopologicalCode:
         """One trial, :meth:`sample_errors` then :meth:`run_pattern`: (protected correlation
         failed, unprotected correlation failed, sampled pattern)."""
         pattern = self.sample_errors(p, rng)
-        corrected, _, record = self.run_pattern(pattern, rng, engine)
-        return corrected == -1, self.flipped(self.flips(record)), pattern
+        corrected, _, outcomes = self.run_pattern(pattern, rng, engine)
+        return corrected == -1, self.flipped(outcomes), pattern
 
 
 def build_code(cx: CellComplex, surface) -> TopologicalCode:
@@ -212,9 +204,9 @@ def _enumerator(row: np.ndarray) -> tuple[int, ...]:
 
 
 G8_CODE = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
-# the g8 demo's per-trial API under its module names: the code's own methods
+# the g8 demo's per-trial API under its module names: the code's own methods, extract_syndrome its syndrome
 sample_errors, extract_syndrome, decode_and_correct, run_pattern, simulate_trial = (
-    G8_CODE.sample_errors, G8_CODE.extract_syndrome, G8_CODE.decode_and_correct,
+    G8_CODE.sample_errors, G8_CODE.syndrome, G8_CODE.decode_and_correct,
     G8_CODE.run_pattern, G8_CODE.simulate_trial,
 )
 

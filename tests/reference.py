@@ -186,13 +186,19 @@ class Replay:
         return self._take("integers", size)
 
 
+def outcome_mask(outcomes) -> int:
+    """+-1 outcomes in qubit order as a reader returns them, one int: bit q set where outcome q is -1."""
+    return sum(1 << q for q, v in enumerate(outcomes) if v == -1)
+
+
 def flip_mask(row) -> int:
     """A bool row of flips as a reader's int qubit mask: bit q set where column q is."""
     return sum(1 << q for q in np.flatnonzero(row).tolist())
 
 
-def read_rows(read, rng, flips: np.ndarray) -> list[list[int]]:
-    """The outcomes of the reader ``read`` on each bool row of ``flips`` in turn, as its mask, from one ``rng``."""
+def read_rows(read, rng, flips: np.ndarray) -> list[int]:
+    """The outcome masks that the reader ``read`` returns for each bool row of ``flips`` in turn, given as its flip
+    mask, from one ``rng``."""
     return [read(rng, flip_mask(row)) for row in flips]
 
 

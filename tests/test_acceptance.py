@@ -73,10 +73,10 @@ def test_criterion_3_table_1_reproduction():
         for q, row in SINGLE_ERROR_SYNDROMES.items():
             syndromes = set()
             for seed in (0, 1):
-                corrected, correction, record = tec.run_pattern(
+                corrected, correction, outcomes = tec.run_pattern(
                     {q}, philox_generator(seed, q), engine="tableau"
                 )
-                syndromes.add(tuple(tec.extract_syndrome(record)))
+                syndromes.add(tec.extract_syndrome(outcomes))
                 assert corrected == 1
                 assert correction == frozenset({q})
             assert syndromes == {row}, f"qubit {q} syndrome not deterministic/exact"

@@ -64,3 +64,19 @@ def test_test_only_functions_live_in_the_tests_reference_module():
         assert not defined, f"{owner.__name__}.{name} is back in tecsim"
         if moved_to is not None:
             assert callable(getattr(reference, moved_to, None)), f"reference.{moved_to} is missing"
+
+
+def test_a_readout_row_is_one_int_from_reader_to_verdict():
+    """Both backends' readers, in either basis, flipped or not, return one int in [0, 2^n), bit q set where qubit q
+    reads -1. The code reads that int as it is: ``TopologicalCode`` has no ``flips`` or ``extract_syndrome``, and
+    the module name ``extract_syndrome`` is G8_CODE's ``syndrome``, so ``__all__`` keeps its 53 names."""
+    for engine in cluster.ENGINES:
+        state = tecsim.G8_CODE.state(engine)
+        for basis in "xz":
+            for flips in (0, 0b10110101):
+                row = state.backend.reader(basis)(tecsim.philox_generator(5), flips)
+                assert type(row) is int and 0 <= row < 1 << state.graph.qubit_count, (engine, basis, flips)
+    assert not any(hasattr(tecsim.TopologicalCode, name) for name in ("flips", "extract_syndrome"))
+    syndrome = tecsim.extract_syndrome
+    assert syndrome.__self__ is tecsim.G8_CODE and syndrome.__func__ is tecsim.TopologicalCode.syndrome
+    assert syndrome is tecsim.tec.extract_syndrome and len(tecsim.__all__) == len(PUBLIC_NAMES) == 53

@@ -175,6 +175,24 @@ def test_a_failed_enumeration_self_check_is_an_internal_error(monkeypatch, capsy
     assert err == "tecsim: internal error: enumeration oracle mismatch at p=0.25\n"
 
 
+def test_a_syndrome_table_missing_a_row_is_an_internal_error(monkeypatch, capsys):
+    rows = cli._syndrome_rows
+    monkeypatch.setattr(cli, "_syndrome_rows", lambda: rows()[:-1])
+    code, out, err = run_cli(capsys, "syndrome-table")
+    assert (code, out) == (3, "")
+    assert err == "tecsim: internal error: syndrome table does not cover all 16 syndromes\n"
+
+
+def test_witness_forms_that_disagree_are_an_internal_error(monkeypatch, capsys):
+    from_settings = witness.witness_from_settings
+    monkeypatch.setattr(witness, "witness_from_settings", lambda values: from_settings(values) + 1e-6)
+    model = witness.white_noise_model(0.5)
+    w_proj, w_set = witness.witness_expectation(model), from_settings(witness.setting_expectations(model)) + 1e-6
+    code, out, err = run_cli(capsys, "witness", "--visibility", "0.5")
+    assert (code, out) == (3, "")
+    assert err == f"tecsim: internal error: witness forms disagree at visibility 0.5: {w_proj} vs {w_set}\n"
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_sweep_rejects_nonpositive_workers(capsys, workers):
     code, out, err = run_cli(capsys, "sweep", "--steps", "2", "--trials", "10",

@@ -29,6 +29,9 @@ TRIALS = {
         ("fast", 1000, (10**12, 2**63 - 1, 2**63, 10**30)), ("tableau", 40, ()), ("dense", 10, ())
     )
 }
+# a grid of one p at or below 1e-161, at >= 1,000 trials: there rate (1 - rate) / trials underflows to 0 for a
+# positive analytic rate, so only the sweep's sqrt(rate) fallback keeps its self-check from a false alarm
+TINY_POINTS = st.tuples(st.sampled_from(["5e-324", "1e-320", "1e-161"]), st.integers(1000, 10**6))
 
 
 @pytest.fixture(scope="module")
@@ -69,11 +72,15 @@ def argvs(draw, paths):
         argv += draw(_opt("--format", st.sampled_from(["text", "csv", "json", "yaml"])))
     elif command == "sweep":
         engine = draw(st.sampled_from(sorted(TRIALS)))
-        argv += [f"--engine={engine}", f"--trials={draw(TRIALS[engine])}"]
-        # half the grids are valid, so the success and write-failure paths are reached too
-        p_range = st.lists(st.floats(0, 1), min_size=2, max_size=2).map(sorted)
-        p_min, p_max = draw(p_range | st.tuples(FLOATS, FLOATS))
-        argv += [f"--steps={draw(STEPS)}", f"--p-min={p_min}", f"--p-max={p_max}"]
+        if draw(st.integers(0, 3)):  # three quarters of the sweeps
+            # half of these grids are valid, so the success and write-failure paths are reached too
+            p_range = st.lists(st.floats(0, 1), min_size=2, max_size=2).map(sorted)
+            trials, steps = draw(TRIALS[engine]), draw(STEPS)
+            p_min, p_max = draw(p_range | st.tuples(FLOATS, FLOATS))
+        else:  # the other quarter: one tiny p
+            (p_min, trials), steps = draw(TINY_POINTS), draw(st.integers(1, 3))
+            p_max = p_min
+        argv += [f"--engine={engine}", f"--trials={trials}", f"--steps={steps}", f"--p-min={p_min}", f"--p-max={p_max}"]
         argv += draw(_opt("--seed", HUGE_INTS)) + draw(_opt("--workers", HUGE_INTS))
         argv += draw(_opt("--format", st.sampled_from(["csv", "json", "xml"])))
     elif command == "witness":

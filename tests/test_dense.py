@@ -26,6 +26,7 @@ from reference import (
     flip_mask,
     kronecker_gate,
     kronecker_pauli,
+    outcome_mask,
     pauli_from_text,
     per_edge_graph_state,
     per_qubit_readout,
@@ -290,9 +291,9 @@ def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
     seed = data.draw(st.integers(0, 2**64), label="seed")
     block, reference, skipped, stream = (philox_generator(seed) for _ in range(4))
     got = read_rows(state.reader(basis), block, flips)
-    assert np.array(got).shape == (rows, n)
+    assert all(0 <= row < 1 << n for row in got)
     expected = per_row_readout(state, reference, flips, basis)
-    assert np.array_equal(got, expected)
+    assert got == [outcome_mask(row) for row in expected]
     ends = sorted(data.draw(st.lists(st.integers(0, rows), min_size=1, max_size=2), label="block ends"))
     assert [row for part in np.split(flips, ends) for row in read_rows(state.reader(basis), stream, part)] == got
     doubles = skipped.random((rows, n))
@@ -302,7 +303,7 @@ def test_block_readout_is_the_per_row_reference_bit_for_bit(kind, data):
         for q in np.flatnonzero(flips[t]).tolist():
             copy.apply_gate("Z" if basis == "x" else "X", q)
         feed = Replay(doubles=doubles[t])
-        assert got[t] == per_qubit_readout(unlabelled(copy), feed, basis), t
+        assert got[t] == outcome_mask(per_qubit_readout(unlabelled(copy), feed, basis)), t
         assert got[t] == state.reader(basis)(Replay(doubles=doubles[t]), flip_mask(flips[t])), t
 
 
@@ -317,10 +318,10 @@ def test_an_unflipped_dense_readout_reads_the_state_and_draws_n_doubles(basis, f
         rng, skipped = philox_generator(seed), philox_generator(seed)
         doubles = skipped.random(8)
         record = measure_all(unlabelled(state), philox_generator(seed), basis)
-        assert state.reader(basis)(rng, *flips) == list(record.outcomes.values())
+        assert state.reader(basis)(rng, *flips) == outcome_mask(record.outcomes.values())
         assert next_words(rng) == next_words(skipped)
         feed, reference = Replay(doubles=doubles), Replay(doubles=doubles)
-        assert state.reader(basis)(feed, *flips) == per_qubit_readout(unlabelled(state), reference, basis)
+        assert state.reader(basis)(feed, *flips) == outcome_mask(per_qubit_readout(unlabelled(state), reference, basis))
         assert feed.used == 8 > reference.used, seed
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from tecsim import cli
 
+from reference import SINGLE_ERROR_SYNDROMES
+
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
@@ -25,12 +27,14 @@ def test_readme_python_blocks_run(capsys):
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
-    # the quick start prints the error-free syndrome, then the protected correlation, then Table 1 on each engine
+    # the quick start prints the error-free syndrome, the protected correlation, its readout product, the dense
+    # syndrome, then Table 1 on each engine: each flip's syndrome from the row's mask, its correction and verdict
     out = capsys.readouterr().out
-    assert out.startswith("(1, 1, 1, 1)\n1\n")
+    assert out.startswith("(1, 1, 1, 1)\n1\n1\n(1, 1, 1, 1)\n")
     for engine in ("tableau", "dense"):
-        for q in range(1, 7):
-            assert f"{engine} f{q} flipped, correction [{q}], corrected product +1\n" in out, (engine, q)
+        for q, syndrome in SINGLE_ERROR_SYNDROMES.items():
+            line = f"{engine} f{q} flipped, syndrome {syndrome}, correction [{q}], corrected +1\n"
+            assert line in out, (engine, q)
 
 
 @pytest.mark.parametrize("line", tecsim_lines())

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tecsim import cli, dense, tableau, tec
-from tecsim.cluster import OutcomeRecord, build_cluster, interaction_graph, measure_all
+from tecsim.cluster import build_cluster, interaction_graph, measure_all
 from tecsim.complexes import (
     G8_PROTECTED_SURFACE,
     build_g8_complex,
@@ -66,10 +66,9 @@ def syndrome_of_pattern(pattern):
     return tuple(-1 if len(set(pattern) & {a, b}) % 2 else 1 for a, b in G8_PAIRS)
 
 
-def representative_record(pattern):
-    """All-(+1) X outcomes with the pattern's faces flipped: fixes every face product."""
-    outcomes = {f"f{q}": -1 if q in pattern else 1 for q in FACE_NUMBERS}
-    return OutcomeRecord(outcomes, "x")
+def representative_outcomes(pattern):
+    """All-(+1) X outcomes with the pattern's faces flipped, as a readout row's mask: fixes every face product."""
+    return sum(1 << (q - 1) for q in pattern)
 
 
 def test_sample_errors_extremes():
@@ -100,8 +99,7 @@ def test_noise_model_validation():
 @pytest.mark.parametrize("qubit,row", SINGLE_ERROR_SYNDROMES.items())
 def test_single_error_syndrome_rows(qubit, row):
     assert tuple(syndrome_of_pattern({qubit})) == row
-    record = representative_record({qubit})
-    assert tuple(extract_syndrome(record)) == row
+    assert extract_syndrome(representative_outcomes({qubit})) == row
 
 
 def test_no_error_syndrome():
@@ -109,12 +107,12 @@ def test_no_error_syndrome():
 
 
 def test_extract_syndrome_requires_all_faces():
-    record = representative_record({1})
-    trimmed = dict(record.outcomes)
-    del trimmed["f4"]
-    partial = OutcomeRecord(trimmed, "x")
-    with pytest.raises(KeyError):
-        extract_syndrome(partial)
+    """Every face's outcome moves the syndrome, and no edge qubit's does: qubits F and up are g8's edges."""
+    base = representative_outcomes({1})
+    for q in FACE_NUMBERS:
+        assert extract_syndrome(base ^ 1 << (q - 1)) != extract_syndrome(base), q
+    n = G8_CODE.state().graph.qubit_count
+    assert {extract_syndrome(base ^ 1 << q) for q in range(len(FACE_NUMBERS), n)} == {extract_syndrome(base)}
 
 
 def test_decode_table_examples():
@@ -134,19 +132,19 @@ def test_decode_table_is_minimum_weight():
 
 
 def test_decode_and_correct_examples():
-    corrected, correction = decode_and_correct(representative_record({5}))
+    corrected, correction = decode_and_correct(representative_outcomes({5}))
     assert (corrected, correction) == (1, frozenset({5}))
-    corrected, correction = decode_and_correct(representative_record(frozenset()))
+    corrected, correction = decode_and_correct(representative_outcomes(frozenset()))
     assert (corrected, correction) == (1, frozenset())
     # two errors collide with the single-error signature of qubit 5
-    corrected, correction = decode_and_correct(representative_record({1, 2}))
+    corrected, correction = decode_and_correct(representative_outcomes({1, 2}))
     assert correction == frozenset({5})
     assert corrected == -1
 
 
 def test_single_error_completeness():
     for q in FACE_NUMBERS:
-        corrected, _ = decode_and_correct(representative_record({q}))
+        corrected, _ = decode_and_correct(representative_outcomes({q}))
         assert corrected == 1
 
 
@@ -216,7 +214,7 @@ def test_success_weight_profile():
 
 def test_success_set_closed_under_complementation():
     def fails(pattern):
-        corrected, _ = decode_and_correct(representative_record(pattern))
+        corrected, _ = decode_and_correct(representative_outcomes(pattern))
         return corrected == -1
 
     full = frozenset(FACE_NUMBERS)
@@ -234,12 +232,12 @@ def test_crossover_ordering():
 def test_tableau_pipeline_matches_classical_map():
     """Every one of the 64 patterns gives the classical syndrome and product."""
     for idx, pattern in enumerate(ALL_PATTERNS):
-        corrected, correction, record = run_pattern(
+        corrected, correction, outcomes = run_pattern(
             pattern, philox_generator(40, idx), engine="tableau"
         )
-        assert extract_syndrome(record) == syndrome_of_pattern(pattern)
+        assert extract_syndrome(outcomes) == syndrome_of_pattern(pattern)
         assert correction == DECODE_TABLE[syndrome_of_pattern(pattern)]
-        reference, _ = decode_and_correct(representative_record(pattern))
+        reference, _ = decode_and_correct(representative_outcomes(pattern))
         assert corrected == reference
 
 
@@ -250,21 +248,21 @@ def test_frame_equivalence(engine):
     for q in range(rotated.graph.qubit_count):
         rotated.backend.apply_gate("H", q)
     for idx, pattern in enumerate(ALL_PATTERNS):
-        z_corr, z_fix, z_rec = run_pattern(pattern, philox_generator(41, idx), engine=engine)
+        z_corr, z_fix, z_out = run_pattern(pattern, philox_generator(41, idx), engine=engine)
         state = rotated.copy()
         for q in pattern:
             state.backend.apply_gate("X", state.graph.index(G8_CODE.faces[q - 1]))
-        x_rec = measure_all(state, philox_generator(42, idx), "z")
-        x_corr, x_fix = decode_and_correct(x_rec)
-        assert extract_syndrome(z_rec) == extract_syndrome(x_rec)
+        x_out = state.backend.reader("z")(philox_generator(42, idx))
+        x_corr, x_fix = decode_and_correct(x_out)
+        assert extract_syndrome(z_out) == extract_syndrome(x_out)
         assert z_fix == x_fix
         assert z_corr == x_corr
 
 
 def test_pipeline_determinism_across_seeds():
     for seed in (0, 1, 2):
-        corrected, _, record = run_pattern({3}, philox_generator(seed), "tableau")
-        assert tuple(extract_syndrome(record)) == SINGLE_ERROR_SYNDROMES[3]
+        corrected, _, outcomes = run_pattern({3}, philox_generator(seed), "tableau")
+        assert extract_syndrome(outcomes) == SINGLE_ERROR_SYNDROMES[3]
         assert corrected == 1
 
 
@@ -418,9 +416,9 @@ def reference_counts(code, p, trials, seed, point, engine="tableau"):
     A k-trial multinomial is no prefix of a (k + 1)-trial one, so each trial count has its own."""
     prot = unprot = 0
     for pattern, rng in trial_draws(engine, p, seed, point, trials, code):
-        corrected, _, record = code.run_pattern(pattern, rng, engine)
+        corrected, _, outcomes = code.run_pattern(pattern, rng, engine)
         prot += corrected == -1
-        unprot += code.flipped(code.flips(record))
+        unprot += code.flipped(outcomes)
     return prot, unprot
 
 
@@ -481,7 +479,7 @@ def test_state_engine_counts_equal_the_fast_counts(engine, seed, point, p, trial
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
 @pytest.mark.parametrize("p", [0.05, 0.5])
 def test_block_outcomes_are_each_trials_readout(p, engine):
-    """Every qubit's outcome, random ones included, is that of the trial's ``run_pattern`` record.
+    """Every qubit's outcome, random ones included, is that of the trial's ``run_pattern`` row.
 
     The counts cannot show the random outcomes: on g8 they flip all six faces
     together, which changes no verdict. The trials are read one row at a time, and
@@ -498,8 +496,7 @@ def test_block_outcomes_are_each_trials_readout(p, engine):
         *read_rows(state.backend.reader(), outcome_rng, flips[first:]),
     ]
     for i, (pattern, rng) in enumerate(draws):
-        _, _, record = run_pattern(pattern, rng, engine)
-        assert got[i] == [record.outcomes[label] for label in state.graph.vertices], i
+        assert got[i] == run_pattern(pattern, rng, engine)[2], i
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
@@ -509,9 +506,9 @@ def test_run_pattern_is_a_block_of_one(monkeypatch, engine):
     for name in ("copy", "apply_gate", "measure_x", "measure_pauli"):
         monkeypatch.setattr(backend, name, lambda *args, name=name: pytest.fail(f"run_pattern called {name}"))
     monkeypatch.setattr(tec, "measure_all", lambda *args: pytest.fail("run_pattern called measure_all"))
-    corrected, correction, record = run_pattern({5}, philox_generator(3), engine)
+    corrected, correction, outcomes = run_pattern({5}, philox_generator(3), engine)
     assert (corrected, correction) == (1, frozenset({5}))
-    assert extract_syndrome(record) == SINGLE_ERROR_SYNDROMES[5]
+    assert extract_syndrome(outcomes) == SINGLE_ERROR_SYNDROMES[5]
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
@@ -525,16 +522,14 @@ def test_sweep_blocks_read_the_points_outcome_stream_in_order(engine):
     outcomes = [read(stream, k) for k in masks]
     fresh, stream = G8_CODE.state(engine).backend.reader(), philox_generator(seed, point, 1)
     assert outcomes == [fresh(stream, k) for k in masks]
-    vertices = G8_CODE.state(engine).graph.vertices
-    records = [OutcomeRecord(dict(zip(vertices, row)), "x") for row in outcomes]
-    protected = sum(G8_CODE.decode_and_correct(record)[0] == -1 for record in records)
-    unprotected = sum(G8_CODE.flipped(G8_CODE.flips(record)) for record in records)
+    protected = sum(G8_CODE.decode_and_correct(row)[0] == -1 for row in outcomes)
+    unprotected = sum(G8_CODE.flipped(row) for row in outcomes)
     assert (protected, unprotected) == tec._count_failures(engine, p, trials, seed, point)
 
 
 def test_tableau_readout_runs_one_plan_per_code_state(monkeypatch):
     """One readout plan per code state: the code's kept X reader builds it once, for every row it reads and
-    every ``run_pattern`` row; a sweep point builds none. A ``readout`` call, one per record, builds a plan in
+    every ``run_pattern`` row; a sweep point builds none. A ``measure_all`` call, one per record, builds a plan in
     the call's basis."""
     code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
     calls = []
@@ -546,7 +541,7 @@ def test_tableau_readout_runs_one_plan_per_code_state(monkeypatch):
     monkeypatch.setattr(tableau.StabilizerTableau, "_readout_plan", counted)
     stream, flips, n = philox_generator(4, 0, 1), np.eye(6, dtype=bool), code.state("tableau").graph.qubit_count
     for block in range(3):
-        assert [len(row) for row in read_rows(code._reader("tableau"), stream, flips)] == [n] * 6
+        assert all(0 <= row < 1 << n for row in read_rows(code._reader("tableau"), stream, flips))
         assert code.run_pattern({block + 1}, philox_generator(4, block), "tableau")[:2] == (1, frozenset({block + 1}))
     for point in range(3):
         assert tec._count_failures("tableau", 0.2, 133, 4, point, code) == tec._count_failures(
@@ -562,7 +557,7 @@ def test_tableau_readout_runs_one_plan_per_code_state(monkeypatch):
 def test_a_state_engine_point_certifies_once_and_reads_no_row(monkeypatch, engine):
     """Over three points of a fresh code, the engine evaluates its certificate once, one X string per check and
     one for the surface; each point makes one ``philox_generator`` call, calls no reader and builds no plan.
-    A ``readout`` call, one per record, still builds a plan in the call's basis."""
+    A ``measure_all`` call, one per record, still builds a plan in the call's basis."""
     code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
     expectations, streams, plans = [], [], []
     expectation, plan = tec.ClusterState.expectation, tableau.StabilizerTableau._readout_plan
@@ -781,9 +776,9 @@ def test_fast_tables_match_tableau_pipeline_per_pattern():
     assert len(ALL_PATTERNS) == 64
     for n, pattern in enumerate(ALL_PATTERNS):
         idx = sum(1 << (q - 1) for q in pattern)
-        corrected, _, record = run_pattern(pattern, philox_generator(43, n), "tableau")
+        corrected, _, outcomes = run_pattern(pattern, philox_generator(43, n), "tableau")
         assert protected[idx] == (corrected == -1), pattern
-        assert unprotected[idx] == (record.product(("f5", "f6")) == -1), pattern
+        assert unprotected[idx] == (outcomes >> G8_CODE.faces.index("f5") ^ outcomes >> G8_CODE.faces.index("f6")) & 1
 
 
 @pytest.mark.parametrize("trials", [100_000, 2_000_000])
