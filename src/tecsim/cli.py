@@ -49,11 +49,12 @@ def _grid(p_min: float, p_max: float, steps: int) -> list[float]:
         raise ValueError(f"steps must be <= {MAX_STEPS}")
     if not 0.0 <= p_min <= p_max <= 1.0:
         raise ValueError("need 0 <= p-min <= p-max <= 1")
-    # the ends are exact and the inner points clamped, so rounding never leaves
-    # [p-min, p-max]; adding +0.0 prints a -0 end as 0
+    # The ends are exact, and +0.0 prints a -0 end as 0. Every inner point is in [p-min, p-max] unclamped, as rounding
+    # is monotone: if the span is exact (Sterbenz, or both ends subnormal), span * i / (steps - 1) rounds to at most
+    # the span, since (steps - 2)(1 + 2^-53) < steps - 1; otherwise p-min < p-max / 2, and the margin (1 - i / (steps
+    # - 1)) * span >= 10^-4 * span exceeds the three roundings' error, so the exact sum is below p-max.
     span = p_max - p_min
-    inner = [min(p_min + span * i / (steps - 1), p_max) for i in range(1, steps - 1)]
-    return [p_min + 0.0, *inner, p_max + 0.0][:steps]
+    return [p_min + 0.0, *(p_min + span * i / (steps - 1) for i in range(1, steps - 1)), p_max + 0.0][:steps]
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,19 @@
 """Topological error correction on the cluster state of a cell complex.
 
-:func:`build_code` derives the code from the complex in one numpy pass over the flip
-patterns: the volume boundaries are the parity checks, a nontrivial closed surface carries
-the protected correlation, the decoder maps each syndrome to its unique minimum-weight flip
-pattern, and the verdicts' weight enumerators give the error rates. The code owns the
-complex's cluster state, faces first, its X reader and its certificate, that the state holds
-+X_S for every check and the surface, each made on first use per engine. The per-trial names
-and analytic curves here are the eight-qubit demo :data:`G8_CODE`'s methods and rates.
-Monte-Carlo sweeps of any code follow; they count each point from its multinomial alone.
+:func:`build_code` derives the code from the complex in one numpy pass over the flip patterns: the volume
+boundaries are the parity checks, a nontrivial closed surface carries the protected correlation, the decoder maps
+each syndrome to its unique minimum-weight flip pattern, and the verdicts' weight enumerators give the error rates.
+The code owns the complex's cluster state, faces first, its X reader and its certificate, that the state holds +X_S
+for every check and the surface, each made on first use per engine. The per-trial names and analytic curves here
+are the eight-qubit demo :data:`G8_CODE`'s methods and rates. A sweep point's trials have one rule: its cell
+counts, then one double per trial picks each mask in its cell (:meth:`TopologicalCode.sample_errors`, read out by
+``simulate_trial``). Monte-Carlo sweeps of any code follow; they count each point from its cell counts alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from .complexes import (
     volume_boundary_masks,
 )
 from .errors import CapacityError
-from .pauli import PauliOperator
+from .pauli import PauliOperator, check_flips
 from .rng import philox_generator
 
 SWEEP_ENGINES = ("fast", *ENGINES)
@@ -111,19 +112,16 @@ class TopologicalCode:
 
     def syndrome(self, flips: int) -> tuple[int, ...]:
         """One product of face outcomes per check, in :attr:`check_names` order, of a flip or outcome mask."""
+        check_flips(flips, len(self.faces) + len(self.complex.edges))
         return tuple(-1 if (flips & check).bit_count() & 1 else 1 for check in self.checks)
 
     def flipped(self, flips: int) -> bool:
         """Whether ``flips`` flips the protected surface's outcome product."""
         return bool((flips & self.surface).bit_count() & 1)
 
-    def sample_errors(self, p: float, rng: np.random.Generator) -> frozenset:
-        """Face numbers of the code's faces, each flipped independently with probability p."""
-        _check_probability(p)
-        return frozenset(q for q, u in enumerate(rng.random(len(self.faces)), 1) if u < p)
-
     def decode_and_correct(self, outcomes: int) -> tuple[int, frozenset]:
         """Corrected protected product and the correction used, applied classically, of an X readout row."""
+        check_flips(outcomes, len(self.faces) + len(self.complex.edges))  # one bit per qubit, faces then edges
         key = sum(1 << j for j, i in enumerate(self.independent) if (outcomes & self.checks[i]).bit_count() & 1)
         leader = int(self.leaders[key])
         return -1 if self.flipped(outcomes ^ leader) else 1, _pattern(leader)
@@ -140,14 +138,31 @@ class TopologicalCode:
         outcomes = self._reader(engine)(rng, flips)
         return *self.decode_and_correct(outcomes), outcomes
 
+    def _cell_counts(self, p: float, trials: int, seed: int, point: int) -> tuple[np.ndarray, np.random.Generator]:
+        """How many of a sweep point's trials land in each cell, in ``cells.ravel()`` order, and the point's stream:
+        one multinomial from ``(seed, point)`` over the cells' chances, size x p^w (1 - p)^(F - w), rarest first."""
+        n = len(self.faces)
+        chances = (self.cells * [p**w * (1.0 - p) ** (n - w) for w in range(n + 1)]).ravel()  # per cell
+        order = chances.argsort(kind="stable")  # rarest first, so numpy's running remainder stays accurate
+        rng = philox_generator(seed, point)
+        return rng.multinomial(trials, chances[order])[order.argsort()], rng
+
+    def sample_errors(self, p: float, trials: int, seed: int, point: int) -> np.ndarray:
+        """Flip masks of trials 0 .. trials - 1 of sweep point ``point``: trial t, in cell i by the counts, flips
+        ``members[first + int(u * size)]``, first the members before cell i, size its own, u the t-th double next."""
+        _check_probability(p)
+        (counts, rng), sizes = self._cell_counts(p, trials, seed, point), self.cells.ravel()
+        picks = (rng.random(trials) * np.repeat(sizes, counts)).astype(np.int64)
+        return self.members[np.repeat(np.cumsum(sizes) - sizes, counts) + picks]
+
     def simulate_trial(
-        self, p: float, rng: np.random.Generator, engine: str = "tableau"
-    ) -> tuple[bool, bool, frozenset]:
-        """One trial, :meth:`sample_errors` then :meth:`run_pattern`: (protected correlation
-        failed, unprotected correlation failed, sampled pattern)."""
-        pattern = self.sample_errors(p, rng)
-        corrected, _, outcomes = self.run_pattern(pattern, rng, engine)
-        return corrected == -1, self.flipped(outcomes), pattern
+        self, p: float, trials: int, seed: int, point: int, engine: str = "tableau"
+    ) -> Iterator[tuple[int, int, frozenset, int]]:
+        """Trials 0 .. trials - 1 of sweep point ``point`` on ``engine``, in order: each :meth:`sample_errors` mask
+        read out from ``(seed, point, 1)`` in turn and decoded, as (flips, corrected, correction, outcomes)."""
+        masks, read = self.sample_errors(p, trials, seed, point).tolist(), self._reader(engine)
+        stream = philox_generator(seed, point, 1)
+        return ((k, *self.decode_and_correct(row), row) for k in masks for row in [read(stream, k)])
 
 
 def build_code(cx: CellComplex, surface) -> TopologicalCode:
@@ -243,18 +258,12 @@ def _count_failures(
     engine: str, p: float, trials: int, seed: int, point_index: int,
     code: TopologicalCode = G8_CODE,
 ) -> tuple[int, int]:
-    """(protected, unprotected) failures of ``trials`` trials at one grid point on ``engine``.
-
-    A pattern's class fixes its verdicts and its weight w its chance, p^w (1 - p)^(F - w), so the point draws
-    how many trials land in each cell: one multinomial over the cells' chances, rarest first, from ``(seed,
-    point_index)``, summed by class. A state engine reads no row: once :meth:`TopologicalCode._certify` has shown
-    that its state holds +X_S, a correct readout keeps every pattern in its class."""
+    """(protected, unprotected) failures of ``trials`` trials at one grid point on ``engine``: its cell counts summed
+    by class, no per-trial draw. A state engine reads no row: once :meth:`TopologicalCode._certify` has shown that its
+    state holds +X_S, a correct readout keeps each pattern in its class, as :meth:`TopologicalCode.simulate_trial`'s."""
     if engine != "fast":
         code._certify(engine)
-    n = len(code.faces)
-    chances = (code.cells * [p**w * (1.0 - p) ** (n - w) for w in range(n + 1)]).ravel()  # per cell
-    order = chances.argsort(kind="stable")  # rarest first, so numpy's running remainder stays accurate
-    counts = philox_generator(seed, point_index).multinomial(trials, chances[order])[order.argsort()]
+    n, counts = len(code.faces), code._cell_counts(p, trials, seed, point_index)[0]
     return sum(counts[2 * n + 2 :].tolist()), sum(counts.reshape(4, -1)[1::2].ravel().tolist())  # classes 2, 3; 1, 3
 
 

@@ -488,7 +488,29 @@ def test_grid_ends_are_exact_and_every_point_is_in_range(bounds, steps):
     assert all(p_min <= p <= p_max for p in grid)
     assert grid == sorted(grid)
     for i, p in enumerate(grid[1:-1], 1):  # inner points keep the linear formula's value
-        assert p == min(p_min + (p_max - p_min) * i / (steps - 1), p_max)
+        assert p == p_min + (p_max - p_min) * i / (steps - 1)
+
+
+# ends where rounding comes closest to leaving [p_min, p_max]: p_min on either side of p_max / 2, where the
+# span stops being exact; p_min = p_max (1 - 2^-52), a few ulps below it; both ends subnormal; and any two ends
+GRID_ENDS = st.one_of(
+    st.floats(0.0, 1.0).flatmap(
+        lambda hi: st.tuples(st.floats(0.5 * hi * (1 - 2**-30), min(hi, 0.5 * hi * (1 + 2**-30))), st.just(hi))
+    ),
+    st.floats(0.0, 1.0).map(lambda hi: (hi * (1 - 2**-52), hi)),
+    st.lists(st.floats(0.0, 2.0**-1022), min_size=2, max_size=2).map(sorted).map(tuple),
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted).map(tuple),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(ends=GRID_ENDS, steps=st.integers(1, cli.MAX_STEPS))
+def test_unclamped_grid_points_stay_within_the_ends(ends, steps):
+    """No clamp keeps the grid in range: monotone rounding does (the argument is in ``cli._grid``)."""
+    p_min, p_max = ends
+    grid = cli._grid(p_min, p_max, steps)
+    assert len(grid) == steps and grid[0] == p_min and (steps == 1 or grid[-1] == p_max)
+    assert all(p_min <= p <= p_max for p in grid), (p_min, p_max, steps)
 
 
 def test_sweep_grid_reaching_one_is_not_rejected(capsys):

@@ -51,8 +51,6 @@ UNCALLED = {
     "tableau.StabilizerTableau.x",
     "tableau.StabilizerTableau.y",
     "tableau.StabilizerTableau.z",
-    "tec.TopologicalCode.simulate_trial",
-    "tec.TopologicalCode.sample_errors",
     "tec.TopologicalCode.state",
 }
 

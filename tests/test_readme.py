@@ -28,9 +28,11 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     # the quick start prints the error-free syndrome, the protected correlation, its readout product, the dense
-    # syndrome, then Table 1 on each engine: each flip's syndrome from the row's mask, its correction and verdict
+    # syndrome, then Table 1 on each engine: each flip's syndrome from the row's mask, its correction and verdict;
+    # it ends with a replayed sweep point, its first failed trial and whether its failures are the sweep's count
     out = capsys.readouterr().out
     assert out.startswith("(1, 1, 1, 1)\n1\n1\n(1, 1, 1, 1)\n")
+    assert out.endswith(", corrected -1\nTrue\n")
     for engine in ("tableau", "dense"):
         for q, syndrome in SINGLE_ERROR_SYNDROMES.items():
             line = f"{engine} f{q} flipped, syndrome {syndrome}, correction [{q}], corrected +1\n"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tecsim
 from tecsim import cli, dense, tableau, tec
 from tecsim.cluster import build_cluster, interaction_graph, measure_all
 from tecsim.complexes import (
@@ -72,28 +73,37 @@ def representative_outcomes(pattern):
 
 
 def test_sample_errors_extremes():
-    rng = philox_generator(0)
-    for _ in range(50):
-        assert sample_errors(0.0, rng) == frozenset()
-        assert sample_errors(1.0, rng) == frozenset(FACE_NUMBERS)
+    """At p = 0 every trial of a point flips nothing, and at p = 1 every face."""
+    for seed, point in ((0, 0), (2**64 + 5, 2**40)):
+        assert sample_errors(0.0, 50, seed, point).tolist() == [0] * 50
+        assert sample_errors(1.0, 50, seed, point).tolist() == [0b111111] * 50
 
 
 def test_sample_errors_binomial_mean():
-    rng = philox_generator(1)
+    """A point's trials flip each face with chance p: 100,000 at p = 0.5 weigh 3 on average, within 3 sigma."""
     trials = 100_000
-    total = sum(len(sample_errors(0.5, rng)) for _ in range(trials))
-    mean = total / trials
+    mean = np.bitwise_count(sample_errors(0.5, trials, 1, 0)).mean()
     sigma = math.sqrt(6 * 0.25 / trials)
     assert abs(mean - 3.0) < 3 * sigma
 
 
 def test_noise_model_validation():
-    rng = philox_generator(0)
+    """Both per-trial calls check p when called, before they draw or read anything."""
     for p in (-0.1, 1.1, float("nan")):
         with pytest.raises(ValueError, match="probability must be in"):
-            sample_errors(p, rng)
+            sample_errors(p, 10, 0, 0)
         with pytest.raises(ValueError, match="probability must be in"):
-            simulate_trial(p, rng)
+            simulate_trial(p, 10, 0, 0)
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 8, 1 << 40, 1.5])
+def test_a_mask_outside_the_codes_qubits_is_rejected(mask):
+    """g8 has 8 qubits, six faces then two edges: its syndrome and decode take an int mask below 2^8 and no other,
+    through the methods and through the module names bound to them."""
+    for read in (G8_CODE.syndrome, G8_CODE.decode_and_correct, tecsim.extract_syndrome, tecsim.decode_and_correct):
+        with pytest.raises(ValueError, match=r"int mask in \[0, 2\*\*8\)"):
+            read(mask)
+    assert decode_and_correct((1 << 8) - 1) == decode_and_correct(0b111111)  # the edges' bits are read, and ignored
 
 
 @pytest.mark.parametrize("qubit,row", SINGLE_ERROR_SYNDROMES.items())
@@ -267,9 +277,10 @@ def test_pipeline_determinism_across_seeds():
 
 
 def test_simulate_trial_reproducible():
-    a = simulate_trial(0.3, philox_generator(9, 0), "tableau")
-    b = simulate_trial(0.3, philox_generator(9, 0), "tableau")
-    assert a == b
+    """A point's trials rest on its (seed, point) alone: a second call gives the same rows, another point others."""
+    rows = list(simulate_trial(0.3, 200, 9, 0, "tableau"))
+    assert len(rows) == 200 and rows == list(simulate_trial(0.3, 200, 9, 0, "tableau"))
+    assert rows != list(simulate_trial(0.3, 200, 9, 1, "tableau"))
 
 
 def test_run_pattern_validation():
@@ -420,6 +431,46 @@ def reference_counts(code, p, trials, seed, point, engine="tableau"):
         prot += corrected == -1
         unprot += code.flipped(outcomes)
     return prot, unprot
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    on_ring5=st.booleans(),
+    p=st.sampled_from([0.0, 1e-9, 0.05, 0.5, 1.0]),
+    trials=st.integers(1, 5000),
+    seed=st.integers(0, 2**64 + 5),
+    point=st.integers(0, 2**40),
+)
+def test_sample_errors_is_the_documented_trial_rule(ring5, on_ring5, p, trials, seed, point):
+    """The product's masks are :func:`trial_patterns`', element for element, on g8 and ring5."""
+    code = ring5 if on_ring5 else G8_CODE
+    assert code.sample_errors(p, trials, seed, point).tolist() == trial_patterns(p, trials, seed, point, code)
+
+
+@pytest.mark.parametrize("engine,trials", [("tableau", 300), ("dense", 60)])
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+def test_simulate_trial_verdicts_sum_to_the_sweep_counts(ring5, engine, trials, p):
+    """The trials that ``simulate_trial`` reads out fail as often as the point's counts say, on g8 and ring5."""
+    for code in (G8_CODE, ring5):
+        for seed, point in ((0, 0), (2**64 + 3, 5)):
+            rows = list(code.simulate_trial(p, trials, seed, point, engine))
+            got = sum(row[1] == -1 for row in rows), sum(code.flipped(row[3]) for row in rows)
+            assert got == tec._count_failures(engine, p, trials, seed, point, code), (code.faces, seed)
+            assert got == reference_counts(code, p, trials, seed, point, engine), (code.faces, seed)
+
+
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
+def test_simulate_trial_rows_are_the_replayed_trials(ring5, engine):
+    """Row t is trial t of the replay: :func:`trial_draws`' pattern as a flip mask, then ``run_pattern`` on it with
+    row t of the (seed, point, 1) draws."""
+    seed, point, trials = 2**64 + 3, 7, 80
+    for code, p in ((G8_CODE, 0.3), (ring5, 0.2)):
+        rows = list(code.simulate_trial(p, trials, seed, point, engine))
+        draws = trial_draws(engine, p, seed, point, trials, code)
+        assert len(rows) == len(draws) == trials
+        for (flips, *row), (pattern, rng) in zip(rows, draws):
+            assert flips == sum(1 << (q - 1) for q in pattern)
+            assert tuple(row) == code.run_pattern(pattern, rng, engine)
 
 
 @pytest.mark.parametrize("engine,trials", [("tableau", 120), ("dense", 40)])
@@ -609,8 +660,8 @@ def test_tableau_and_dense_sweeps_agree_on_g8(p, trials, seed, point, counts):
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
 def test_no_engine_sweep_simulates_each_trial(monkeypatch, engine):
-    """Both state engines count a point from its multinomial; any code's ``simulate_trial`` and
-    ``run_pattern``, and the module names bound to G8_CODE's, are the tests' reference."""
+    """Both state engines count a point from its multinomial; any code's ``sample_errors``,
+    ``simulate_trial`` and ``run_pattern``, and the module names bound to G8_CODE's, replay its trials."""
     monte_carlo_sweep([0.3], 5, seed=1, engine=engine)  # lazy states outside the count
     calls = []
     def counted(*args):
@@ -618,7 +669,7 @@ def test_no_engine_sweep_simulates_each_trial(monkeypatch, engine):
         return False, False, frozenset()
 
     for owner in (tec, tec.TopologicalCode):
-        for name in ("simulate_trial", "run_pattern"):
+        for name in ("sample_errors", "simulate_trial", "run_pattern"):
             monkeypatch.setattr(owner, name, counted)
     monte_carlo_sweep([0.3], 50, seed=1, engine=engine)
     assert calls == []
