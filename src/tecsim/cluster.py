@@ -38,11 +38,13 @@ class InteractionGraph:
         object.__setattr__(self, "_pos", pos)  # label -> qubit index, shared by every lookup
         n, edges = len(pos), self.edges
         if not all(0 <= a < b < n for a, b in edges) or len(set(edges)) != len(edges):
-            for i, (a, b) in enumerate(edges):  # the error path alone names the first bad edge
+            seen = set()
+            for a, b in edges:  # the error path alone names the first bad edge
                 if not 0 <= a < b < n:
                     raise ValueError(f"edge {(a, b)} is not a pair a < b of qubit indexes below {n}")
-                if (a, b) in edges[:i]:
+                if (a, b) in seen:
                     raise ValueError(f"duplicate edge {(a, b)}")
+                seen.add((a, b))
 
     @property
     def qubit_count(self) -> int:

@@ -162,7 +162,7 @@ class StabilizerTableau:
         x, z, sign = _product_sign(self._xs, self._zs, self._rs, op.x_bits)  # the rows on op's X qubits
         if (x, z) == (op.x_bits, op.z_bits):
             return 1 - 2 * (sign ^ op.phase_exp >> 1)
-        if self._graph_form() or self._anticommuting(op.x_bits, op.z_bits):  # graph form: no other product fits
+        if self._anticommuting(op.x_bits, op.z_bits):  # always so in graph form, where no other product fits
             return 0
         return 1 - 2 * self._deterministic_sign(op.x_bits, op.z_bits, op.phase_exp >> 1)
 

@@ -3,11 +3,13 @@
 :func:`build_code` derives the code from the complex in one numpy pass over the flip patterns: the volume
 boundaries are the parity checks, a nontrivial closed surface carries the protected correlation, the decoder maps
 each syndrome to its unique minimum-weight flip pattern, and the verdicts' weight enumerators give the error rates.
-The code owns the complex's cluster state, faces first, its X reader and its certificate, that the state holds +X_S
-for every check and the surface, each made on first use per engine. The per-trial names and analytic curves here
-are the eight-qubit demo :data:`G8_CODE`'s methods and rates. A sweep point's trials have one rule: its cell
-counts, then one double per trial picks each mask in its cell (:meth:`TopologicalCode.sample_errors`, read out by
-``simulate_trial``). Monte-Carlo sweeps of any code follow; they count each point from its cell counts alone.
+The code owns the complex's cluster state, faces first, certified as it is built to hold +X_S for every check and
+the surface, and its X reader, each made on first use per engine. A flip pattern, a correction and an X readout
+row are face or qubit masks; face numbers appear only in text. The per-trial names and analytic curves here are
+the eight-qubit demo :data:`G8_CODE`'s methods and rates. A sweep point's trials have one rule: its cell counts,
+then one double per trial picks each mask in its cell (:meth:`TopologicalCode.sample_errors`), and
+``simulate_trial`` runs :meth:`TopologicalCode.run_pattern` on each. Monte-Carlo sweeps of any code follow; they
+count each point from its cell counts alone.
 """
 
 from __future__ import annotations
@@ -43,17 +45,18 @@ def _check_probability(p: float) -> None:
         raise ValueError(f"probability must be in [0, 1], got {p}")
 
 
-def _pattern(mask: int) -> frozenset:
-    return frozenset(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+def _pattern(mask: int) -> list[int]:
+    """A face mask's face numbers, ascending, for text: bit i is face i + 1."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 @dataclass(frozen=True, eq=False)
 class TopologicalCode:
     """Parity checks, protected surface and lookup decoder of a cell complex.
 
-    Flip patterns, checks and the surface are face bitmasks: bit i is ``faces[i]``, face number i + 1 in the
-    public frozenset form, and qubit i of :meth:`state`, so they apply unchanged to an X readout row, the int that
-    sets bit q where qubit q reads -1. A syndrome holds one +-1 per check, the product of the face outcomes around
+    Flip patterns, corrections, checks and the surface are face bitmasks: bit i is ``faces[i]``, face number i + 1
+    in text, and qubit i of :meth:`state`, so they apply unchanged to an X readout row, the int that sets bit q
+    where qubit q reads -1. A syndrome holds one +-1 per check, the product of the face outcomes around
     that volume; its key sets bit j where the j-th of the r independent checks reads -1.
     Read-only, ``leaders[k]`` is key k's unique minimum-weight flip bitmask; ``cells[c, w]`` counts the weight-w
     patterns of class c = 2 * (protected fails) + (unprotected fails), and ``members`` lists them cell by cell,
@@ -71,7 +74,6 @@ class TopologicalCode:
     enumerators: tuple[tuple[int, ...], ...]
     _states: dict[str, ClusterState] = field(default_factory=dict, init=False, repr=False)
     _readers: dict = field(default_factory=dict, init=False, repr=False)  # engine -> the shared state's X reader
-    _certified: set[str] = field(default_factory=set, init=False, repr=False)  # engines whose state holds +X_S
 
     def rates(self, p: float) -> tuple[float, float]:
         """Protected and unprotected rates at p: A_w p^w (1 - p)^(m - w) summed from int 0 over A_w != 0."""
@@ -84,31 +86,29 @@ class TopologicalCode:
         return self._state(engine).copy()
 
     def _state(self, engine: str) -> ClusterState:
-        """The shared state, built on first use, once per engine; only for readers that leave it as is."""
+        """The shared state, built and certified on first use, once per engine; only for readers that leave it as is."""
         if engine not in self._states:
-            self._states[engine] = build_cluster(interaction_graph(self.complex), engine)
+            self._states[engine] = self._certify(build_cluster(interaction_graph(self.complex), engine), engine)
         return self._states[engine]
 
     def _reader(self, engine: str):
         """The shared state's X reader, its backend's ``reader()``, built on first use, once per engine."""
         return self._readers.get(engine) or self._readers.setdefault(engine, self._state(engine).backend.reader())
 
-    def _certify(self, engine: str) -> None:
-        """Raise unless the shared state holds +X_S for each check and the surface S (face i is qubit i); once per
-        engine. Then a correct X readout after Z on ``flips`` gives (-1)^|flips & S| over S, whatever its coins."""
-        if engine not in self._certified:
-            state = self._state(engine)
-            for name, mask in zip((*self.check_names, "the surface"), (*self.checks, self.surface)):
-                value = state.expectation(PauliOperator(state.graph.qubit_count, mask, 0))
-                if abs(value - 1.0) > 1e-9:
-                    raise AssertionError(f"the {engine} state reads <X> = {value:.3g} on {name}, not +1")
-            self._certified.add(engine)
+    def _certify(self, state: ClusterState, engine: str) -> ClusterState:
+        """``state`` once it holds +X_S for each check and the surface S (face i is qubit i), else raise. Then a
+        correct X readout after Z on ``flips`` gives (-1)^|flips & S| over S, whatever its coins."""
+        for name, mask in zip((*self.check_names, "the surface"), (*self.checks, self.surface)):
+            value = state.expectation(PauliOperator(state.graph.qubit_count, mask, 0))
+            if abs(value - 1.0) > 1e-9:
+                raise AssertionError(f"the {engine} state reads <X> = {value:.3g} on {name}, not +1")
+        return state
 
     @property
     def check_names(self) -> tuple[str, ...]:
         """Each check's "c" and face numbers: c12, c25, c36, c34 for g8, c9_10 past 9 faces."""
         sep = "" if len(self.faces) < 10 else "_"
-        return tuple("c" + sep.join(map(str, sorted(_pattern(c)))) for c in self.checks)
+        return tuple("c" + sep.join(map(str, _pattern(c))) for c in self.checks)
 
     def syndrome(self, flips: int) -> tuple[int, ...]:
         """One product of face outcomes per check, in :attr:`check_names` order, of a flip or outcome mask."""
@@ -119,23 +119,17 @@ class TopologicalCode:
         """Whether ``flips`` flips the protected surface's outcome product."""
         return bool((flips & self.surface).bit_count() & 1)
 
-    def decode_and_correct(self, outcomes: int) -> tuple[int, frozenset]:
-        """Corrected protected product and the correction used, applied classically, of an X readout row."""
+    def decode_and_correct(self, outcomes: int) -> tuple[int, int]:
+        """Corrected protected product and the correction's face mask, applied classically, of an X readout row."""
         check_flips(outcomes, len(self.faces) + len(self.complex.edges))  # one bit per qubit, faces then edges
         key = sum(1 << j for j, i in enumerate(self.independent) if (outcomes & self.checks[i]).bit_count() & 1)
         leader = int(self.leaders[key])
-        return -1 if self.flipped(outcomes ^ leader) else 1, _pattern(leader)
+        return -1 if self.flipped(outcomes ^ leader) else 1, leader
 
-    def run_pattern(
-        self, pattern, rng: np.random.Generator, engine: str = "tableau"
-    ) -> tuple[int, frozenset, int]:
-        """Z flips on the faces numbered in ``pattern``, X readout, decode: one row of the code's X reader,
-        its flips the pattern's face bitmask. Returns (corrected protected product, correction, outcome mask)."""
-        numbers = range(1, len(self.faces) + 1)
-        if not set(pattern) <= set(numbers):
-            raise ValueError(f"unknown face numbers in {sorted(pattern)}")
-        flips = sum(1 << (q - 1) for q in numbers if q in pattern)  # face q is qubit q - 1
-        outcomes = self._reader(engine)(rng, flips)
+    def run_pattern(self, flips: int, rng: np.random.Generator, engine: str = "tableau") -> tuple[int, int, int]:
+        """Z flips on the faces of the mask ``flips``, X readout, decode: one row of the code's X reader.
+        Returns (corrected protected product, correction mask, outcome mask)."""
+        outcomes = self._reader(engine)(rng, check_flips(flips, len(self.faces)))
         return *self.decode_and_correct(outcomes), outcomes
 
     def _cell_counts(self, p: float, trials: int, seed: int, point: int) -> tuple[np.ndarray, np.random.Generator]:
@@ -157,12 +151,12 @@ class TopologicalCode:
 
     def simulate_trial(
         self, p: float, trials: int, seed: int, point: int, engine: str = "tableau"
-    ) -> Iterator[tuple[int, int, frozenset, int]]:
-        """Trials 0 .. trials - 1 of sweep point ``point`` on ``engine``, in order: each :meth:`sample_errors` mask
-        read out from ``(seed, point, 1)`` in turn and decoded, as (flips, corrected, correction, outcomes)."""
-        masks, read = self.sample_errors(p, trials, seed, point).tolist(), self._reader(engine)
-        stream = philox_generator(seed, point, 1)
-        return ((k, *self.decode_and_correct(row), row) for k in masks for row in [read(stream, k)])
+    ) -> Iterator[tuple[int, int, int, int]]:
+        """Trials 0 .. trials - 1 of sweep point ``point`` on ``engine``, in order: :meth:`run_pattern` on each
+        :meth:`sample_errors` mask in turn from ``(seed, point, 1)``, as (flips, corrected, correction, outcomes)."""
+        masks, stream = self.sample_errors(p, trials, seed, point).tolist(), philox_generator(seed, point, 1)
+        self._reader(engine)  # built, and its state certified, when called
+        return ((k, *self.run_pattern(k, stream, engine)) for k in masks)
 
 
 def build_code(cx: CellComplex, surface) -> TopologicalCode:
@@ -262,7 +256,7 @@ def _count_failures(
     by class, no per-trial draw. A state engine reads no row: once :meth:`TopologicalCode._certify` has shown that its
     state holds +X_S, a correct readout keeps each pattern in its class, as :meth:`TopologicalCode.simulate_trial`'s."""
     if engine != "fast":
-        code._certify(engine)
+        code._state(engine)  # certified as it is built
     n, counts = len(code.faces), code._cell_counts(p, trials, seed, point_index)[0]
     return sum(counts[2 * n + 2 :].tolist()), sum(counts.reshape(4, -1)[1::2].ravel().tolist())  # classes 2, 3; 1, 3
 

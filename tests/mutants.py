@@ -62,6 +62,11 @@ MUTANTS = (
         ("tests/test_cli_fuzz.py", f"{T_CLI}::test_sweep_subnormal_rate_is_not_a_false_alarm"),
     ),
     Mutant(
+        "self-check bound back to 1e-12", CLI,
+        "> 16 * math.ulp(exact):", "> 1e-12:",
+        (f"{T_CLI}::test_a_protected_rate_off_by_a_relative_2_to_the_minus_40_fails_the_enumeration_self_check",),
+    ),
+    Mutant(
         "grid's first point rebuilt from the span", CLI,
         "[p_min + 0.0, *(", "[p_max - span + 0.0, *(",
         (f"{T_CLI}::test_unclamped_grid_points_stay_within_the_ends",),
@@ -78,8 +83,14 @@ MUTANTS = (
     ),
     Mutant(
         "certificate not cached", TEC,
-        "self._certified.add(engine)", "pass",
+        "self._states[engine] = self._certify(", "return self._certify(",
         (f"{T_TEC}::test_a_state_engine_point_certifies_once_and_reads_no_row",),
+    ),
+    Mutant(
+        "state cached without its certificate", TEC,
+        "self._certify(build_cluster(interaction_graph(self.complex), engine), engine)",
+        "build_cluster(interaction_graph(self.complex), engine)",
+        (f"{T_TEC}::test_every_per_trial_call_reads_only_a_certified_state",),
     ),
     Mutant(
         "cell counts drawn in cell order, not rarest first", TEC,
@@ -103,13 +114,18 @@ MUTANTS = (
     ),
     Mutant(
         "simulate_trial reads its rows from (seed, point)", TEC,
-        "stream = philox_generator(seed, point, 1)", "stream = philox_generator(seed, point)",
+        "philox_generator(seed, point, 1)", "philox_generator(seed, point)",
         (f"{T_TEC}::test_simulate_trial_rows_are_the_replayed_trials",),
     ),
     Mutant(
         "decode_and_correct's mask check dropped", TEC,
         "check_flips(outcomes, len(self.faces) + len(self.complex.edges))", "pass",
         (f"{T_TEC}::test_a_mask_outside_the_codes_qubits_is_rejected",),
+    ),
+    Mutant(
+        "run_pattern checks against every qubit", TEC,
+        "check_flips(flips, len(self.faces)))", "check_flips(flips, len(self.faces) + len(self.complex.edges)))",
+        (f"{T_TEC}::test_run_pattern_rejects_unknown_face_numbers",),
     ),
     Mutant(
         "syndrome's mask check dropped", TEC,

@@ -74,11 +74,11 @@ def test_criterion_3_table_1_reproduction():
             syndromes = set()
             for seed in (0, 1):
                 corrected, correction, outcomes = tec.run_pattern(
-                    {q}, philox_generator(seed, q), engine="tableau"
+                    1 << (q - 1), philox_generator(seed, q), engine="tableau"
                 )
                 syndromes.add(tec.extract_syndrome(outcomes))
                 assert corrected == 1
-                assert correction == frozenset({q})
+                assert correction == 1 << (q - 1)
             assert syndromes == {row}, f"qubit {q} syndrome not deterministic/exact"
 
 

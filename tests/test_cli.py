@@ -1,6 +1,8 @@
 import json
+import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +175,30 @@ def test_a_failed_enumeration_self_check_is_an_internal_error(monkeypatch, capsy
     assert code == 3
     assert out == ""
     assert err == "tecsim: internal error: enumeration oracle mismatch at p=0.25\n"
+
+
+@pytest.mark.parametrize("p", ["1e-6", "1e-3"])
+def test_a_protected_rate_off_by_a_relative_2_to_the_minus_40_fails_the_enumeration_self_check(monkeypatch, capsys, p):
+    """The oracle comparison is relative: a rate scaled by 1 + 2^-40, about 6,700 ulps but far below an absolute
+    1e-12 at these p, is an internal error."""
+    rates = tec.TopologicalCode.rates
+    def scaled(self, q):
+        protected, unprotected = rates(self, q)
+        return protected * (1 + 2**-40), unprotected
+
+    monkeypatch.setattr(tec.TopologicalCode, "rates", scaled)
+    code, out, err = run_cli(capsys, "sweep", "--trials", "1000", "--steps", "1", "--p-min", p, "--p-max", p)
+    assert (code, out) == (3, "")
+    assert err == f"tecsim: internal error: enumeration oracle mismatch at p={float(p)}\n"
+
+
+def test_g8s_protected_rate_stays_within_the_self_checks_bound_of_the_oracle():
+    """The sweep allows 16 ulps of the correctly rounded enumeration; the rates keep within 2, from the least
+    subnormal to 1, so the check raises no false alarm on any grid point."""
+    grid = [*np.geomspace(5e-324, 1.0, 2000).tolist(), *cli._grid(0.0, 1.0, 1001), 2**-1074, 1.0 - 2**-53]
+    for p in grid:
+        exact = tec.exact_enumeration(p)
+        assert abs(exact - tec.analytic_protected(p)) <= 2 * math.ulp(exact), p
 
 
 def test_a_syndrome_table_missing_a_row_is_an_internal_error(monkeypatch, capsys):

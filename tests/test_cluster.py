@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ def test_graph_validation():
         InteractionGraph(("a", "b"), ((-1, 0),))
     with pytest.raises(ValueError, match="duplicate vertex labels"):
         InteractionGraph(("a", "a"), ())
+
+
+def test_a_long_edge_list_names_its_duplicate_in_linear_time():
+    """A 100,000-edge path with its last edge repeated is rejected, naming that edge, in well under a second: the
+    error path keeps the edges seen so far in a set, where a scan of the earlier ones took seconds at 20,000."""
+    n = 100_000
+    edges = [(i, i + 1) for i in range(n)] + [(n - 1, n)]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^duplicate edge \(99999, 100000\)$"):
+        InteractionGraph(tuple(range(n + 1)), edges)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_graph_keeps_no_caller_list():

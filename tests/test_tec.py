@@ -67,9 +67,14 @@ def syndrome_of_pattern(pattern):
     return tuple(-1 if len(set(pattern) & {a, b}) % 2 else 1 for a, b in G8_PAIRS)
 
 
+def face_mask(pattern):
+    """The flip bitmask of a set of face numbers: face q is bit q - 1."""
+    return sum(1 << (q - 1) for q in pattern)
+
+
 def representative_outcomes(pattern):
     """All-(+1) X outcomes with the pattern's faces flipped, as a readout row's mask: fixes every face product."""
-    return sum(1 << (q - 1) for q in pattern)
+    return face_mask(pattern)
 
 
 def test_sample_errors_extremes():
@@ -143,12 +148,12 @@ def test_decode_table_is_minimum_weight():
 
 def test_decode_and_correct_examples():
     corrected, correction = decode_and_correct(representative_outcomes({5}))
-    assert (corrected, correction) == (1, frozenset({5}))
+    assert (corrected, correction) == (1, 0b10000)
     corrected, correction = decode_and_correct(representative_outcomes(frozenset()))
-    assert (corrected, correction) == (1, frozenset())
+    assert (corrected, correction) == (1, 0)
     # two errors collide with the single-error signature of qubit 5
     corrected, correction = decode_and_correct(representative_outcomes({1, 2}))
-    assert correction == frozenset({5})
+    assert correction == 0b10000
     assert corrected == -1
 
 
@@ -243,10 +248,10 @@ def test_tableau_pipeline_matches_classical_map():
     """Every one of the 64 patterns gives the classical syndrome and product."""
     for idx, pattern in enumerate(ALL_PATTERNS):
         corrected, correction, outcomes = run_pattern(
-            pattern, philox_generator(40, idx), engine="tableau"
+            face_mask(pattern), philox_generator(40, idx), engine="tableau"
         )
         assert extract_syndrome(outcomes) == syndrome_of_pattern(pattern)
-        assert correction == DECODE_TABLE[syndrome_of_pattern(pattern)]
+        assert correction == face_mask(DECODE_TABLE[syndrome_of_pattern(pattern)])
         reference, _ = decode_and_correct(representative_outcomes(pattern))
         assert corrected == reference
 
@@ -258,7 +263,7 @@ def test_frame_equivalence(engine):
     for q in range(rotated.graph.qubit_count):
         rotated.backend.apply_gate("H", q)
     for idx, pattern in enumerate(ALL_PATTERNS):
-        z_corr, z_fix, z_out = run_pattern(pattern, philox_generator(41, idx), engine=engine)
+        z_corr, z_fix, z_out = run_pattern(face_mask(pattern), philox_generator(41, idx), engine=engine)
         state = rotated.copy()
         for q in pattern:
             state.backend.apply_gate("X", state.graph.index(G8_CODE.faces[q - 1]))
@@ -271,7 +276,7 @@ def test_frame_equivalence(engine):
 
 def test_pipeline_determinism_across_seeds():
     for seed in (0, 1, 2):
-        corrected, _, outcomes = run_pattern({3}, philox_generator(seed), "tableau")
+        corrected, _, outcomes = run_pattern(face_mask({3}), philox_generator(seed), "tableau")
         assert extract_syndrome(outcomes) == SINGLE_ERROR_SYNDROMES[3]
         assert corrected == 1
 
@@ -285,13 +290,19 @@ def test_simulate_trial_reproducible():
 
 def test_run_pattern_validation():
     with pytest.raises(ValueError):
-        run_pattern(frozenset(), philox_generator(0), engine="fast")
+        run_pattern(0, philox_generator(0), engine="fast")
 
 
-@pytest.mark.parametrize("pattern", [{0}, {7}, {-1, 2}])
-def test_run_pattern_rejects_unknown_face_numbers(pattern):
-    with pytest.raises(ValueError, match="unknown face numbers"):
-        run_pattern(pattern, philox_generator(0))
+NON_FACE_MASKS = (1 << 6, 1 << 7, (1 << 8) - 1, 1 << 40, -1, 1.0, {1}, frozenset())  # 2^6 and up, edges, non-ints
+
+
+@pytest.mark.parametrize("flips", NON_FACE_MASKS, ids=[f"pattern{i}" for i in range(len(NON_FACE_MASKS))])
+def test_run_pattern_rejects_unknown_face_numbers(flips):
+    """``run_pattern`` flips faces only: an int mask below 2^6 on g8, so no edge qubit's bit and no set of face
+    numbers, through the method and through the module name bound to it."""
+    for run in (G8_CODE.run_pattern, run_pattern):
+        with pytest.raises(ValueError, match=r"int mask in \[0, 2\*\*6\)"):
+            run(flips, philox_generator(0))
 
 
 def test_sweep_zero_probability_is_exactly_zero():
@@ -408,17 +419,15 @@ def trial_patterns(p, trials, seed, point, code=G8_CODE):
 
 
 def trial_draws(engine, p, seed, point, trials, code=G8_CODE):
-    """Each trial's flipped face numbers and outcome draws, in the documented layout: trial t's
+    """Each trial's flip bitmask and outcome draws, in the documented layout: trial t's
     pattern from :func:`trial_patterns`, then row t of the (seed, point, 1) stream, R
     ``integers(0, 2)`` (tableau, R random outcomes, two on g8) or n doubles (dense, n qubits)."""
-    n, masks = len(code.faces), trial_patterns(p, trials, seed, point, code)
-    patterns = [frozenset(i + 1 for i in range(n) if k >> i & 1) for k in masks]
-    outcomes = philox_generator(seed, point, 1)
+    masks, outcomes = trial_patterns(p, trials, seed, point, code), philox_generator(seed, point, 1)
     if engine == "tableau":
         draws = outcomes.integers(0, 2, (trials, random_outcome_count(code)))
-        return [(q, Replay(bits=d)) for q, d in zip(patterns, draws)]
+        return [(k, Replay(bits=d)) for k, d in zip(masks, draws)]
     draws = outcomes.random((trials, code.state("dense").graph.qubit_count))
-    return [(q, Replay(d)) for q, d in zip(patterns, draws)]
+    return [(k, Replay(d)) for k, d in zip(masks, draws)]
 
 
 def reference_counts(code, p, trials, seed, point, engine="tableau"):
@@ -426,8 +435,8 @@ def reference_counts(code, p, trials, seed, point, engine="tableau"):
 
     A k-trial multinomial is no prefix of a (k + 1)-trial one, so each trial count has its own."""
     prot = unprot = 0
-    for pattern, rng in trial_draws(engine, p, seed, point, trials, code):
-        corrected, _, outcomes = code.run_pattern(pattern, rng, engine)
+    for flips, rng in trial_draws(engine, p, seed, point, trials, code):
+        corrected, _, outcomes = code.run_pattern(flips, rng, engine)
         prot += corrected == -1
         unprot += code.flipped(outcomes)
     return prot, unprot
@@ -461,16 +470,16 @@ def test_simulate_trial_verdicts_sum_to_the_sweep_counts(ring5, engine, trials, 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
 def test_simulate_trial_rows_are_the_replayed_trials(ring5, engine):
-    """Row t is trial t of the replay: :func:`trial_draws`' pattern as a flip mask, then ``run_pattern`` on it with
-    row t of the (seed, point, 1) draws."""
+    """Row t is trial t of the replay: :func:`trial_draws`' flip mask, then ``run_pattern`` on it with row t of the
+    (seed, point, 1) draws."""
     seed, point, trials = 2**64 + 3, 7, 80
     for code, p in ((G8_CODE, 0.3), (ring5, 0.2)):
         rows = list(code.simulate_trial(p, trials, seed, point, engine))
         draws = trial_draws(engine, p, seed, point, trials, code)
         assert len(rows) == len(draws) == trials
-        for (flips, *row), (pattern, rng) in zip(rows, draws):
-            assert flips == sum(1 << (q - 1) for q in pattern)
-            assert tuple(row) == code.run_pattern(pattern, rng, engine)
+        for (flips, *row), (mask, rng) in zip(rows, draws):
+            assert flips == mask
+            assert tuple(row) == code.run_pattern(mask, rng, engine)
 
 
 @pytest.mark.parametrize("engine,trials", [("tableau", 120), ("dense", 40)])
@@ -540,14 +549,14 @@ def test_block_outcomes_are_each_trials_readout(p, engine):
     seed, point, size, first = 2**64 + 3, 2, 40, 17
     state = G8_CODE.state(engine)
     draws = trial_draws(engine, p, seed, point, size)
-    flips = np.array([[q in pattern for q in FACE_NUMBERS] for pattern, _ in draws])
+    flips = np.array([[k >> i & 1 for i in range(len(FACE_NUMBERS))] for k, _ in draws], dtype=bool)
     outcome_rng = philox_generator(seed, point, 1)
     got = [
         *read_rows(state.backend.reader(), outcome_rng, flips[:first]),
         *read_rows(state.backend.reader(), outcome_rng, flips[first:]),
     ]
-    for i, (pattern, rng) in enumerate(draws):
-        assert got[i] == run_pattern(pattern, rng, engine)[2], i
+    for i, (k, rng) in enumerate(draws):
+        assert got[i] == run_pattern(k, rng, engine)[2], i
 
 
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
@@ -557,8 +566,8 @@ def test_run_pattern_is_a_block_of_one(monkeypatch, engine):
     for name in ("copy", "apply_gate", "measure_x", "measure_pauli"):
         monkeypatch.setattr(backend, name, lambda *args, name=name: pytest.fail(f"run_pattern called {name}"))
     monkeypatch.setattr(tec, "measure_all", lambda *args: pytest.fail("run_pattern called measure_all"))
-    corrected, correction, outcomes = run_pattern({5}, philox_generator(3), engine)
-    assert (corrected, correction) == (1, frozenset({5}))
+    corrected, correction, outcomes = run_pattern(face_mask({5}), philox_generator(3), engine)
+    assert (corrected, correction) == (1, face_mask({5}))
     assert extract_syndrome(outcomes) == SINGLE_ERROR_SYNDROMES[5]
 
 
@@ -593,7 +602,7 @@ def test_tableau_readout_runs_one_plan_per_code_state(monkeypatch):
     stream, flips, n = philox_generator(4, 0, 1), np.eye(6, dtype=bool), code.state("tableau").graph.qubit_count
     for block in range(3):
         assert all(0 <= row < 1 << n for row in read_rows(code._reader("tableau"), stream, flips))
-        assert code.run_pattern({block + 1}, philox_generator(4, block), "tableau")[:2] == (1, frozenset({block + 1}))
+        assert code.run_pattern(1 << block, philox_generator(4, block), "tableau")[:2] == (1, 1 << block)
     for point in range(3):
         assert tec._count_failures("tableau", 0.2, 133, 4, point, code) == tec._count_failures(
             "fast", 0.2, 133, 4, point, code
@@ -807,27 +816,56 @@ def test_a_fast_point_of_10_10_trials_lies_within_5_sigma_of_the_rates():
             assert abs(mc - rate) <= 5 * tec.binomial_se(rate, pt.trials), (pt.p, mc, rate)
 
 
+def build_with_z_on_face_1(monkeypatch):
+    """Make every cluster state that ``tec`` builds from now on carry a Z on qubit 0, face 1."""
+    build = tec.build_cluster
+    def broken(graph, engine):
+        state = build(graph, engine)
+        state.backend.apply_gate("Z", 0)
+        return state
+
+    monkeypatch.setattr(tec, "build_cluster", broken)
+
+
 @pytest.mark.parametrize("engine", ["tableau", "dense"])
 def test_a_shared_state_with_z_on_face_1_makes_the_sweep_exit_3(monkeypatch, capsys, engine):
-    """A Z on face qubit 0 of the code's shared state flips <X> on c12, the first check that holds face 1,
-    so the certificate fails and the sweep is an internal error, whatever its trials."""
-    broken = G8_CODE.state(engine)
-    broken.backend.apply_gate("Z", 0)
-    monkeypatch.setitem(G8_CODE._states, engine, broken)
-    G8_CODE._certified.discard(engine)  # the shared state, restored after the test, certifies again
+    """A Z on face qubit 0 of the code's built state flips <X> on c12, the first check that holds face 1,
+    so the certificate fails, the state is not kept, and the sweep is an internal error, whatever its trials."""
+    build_with_z_on_face_1(monkeypatch)
+    monkeypatch.delitem(G8_CODE._states, engine, raising=False)  # the certified state comes back after the test
     argv = ["sweep", "--engine", engine, "--trials", "40", "--steps", "1", "--p-min", "0.5", "--p-max", "0.5"]
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err == f"tecsim: internal error: the {engine} state reads <X> = -1 on c12, not +1\n"
-    assert engine not in G8_CODE._certified
+    assert engine not in G8_CODE._states
+
+
+@pytest.mark.parametrize("engine", ["tableau", "dense"])
+def test_every_per_trial_call_reads_only_a_certified_state(monkeypatch, engine):
+    """With Z on face qubit 0 of the code's built state, ``state()``, ``run_pattern`` and ``simulate_trial``, when
+    called, raise the certificate's error as a sweep point does, and the code keeps no state and no reader."""
+    build_with_z_on_face_1(monkeypatch)
+    code = build_code(build_g8_complex(), G8_PROTECTED_SURFACE)
+    calls = (
+        lambda: code.state(engine),
+        lambda: code.run_pattern(0b1, philox_generator(0), engine),
+        lambda: code.simulate_trial(0.3, 10, 0, 0, engine),  # raises before its first row is asked for
+        lambda: list(code.simulate_trial(0.3, 10, 0, 0, engine)),
+        lambda: tec._count_failures(engine, 0.3, 10, 0, 0, code),
+    )
+    for i, call in enumerate(calls):
+        with pytest.raises(AssertionError) as caught:
+            call()
+        assert str(caught.value) == f"the {engine} state reads <X> = -1 on c12, not +1", i
+    assert code._states == {} and code._readers == {}
 
 
 def test_fast_tables_match_tableau_pipeline_per_pattern():
     protected, unprotected = code_verdicts(G8_CODE)
     assert len(ALL_PATTERNS) == 64
     for n, pattern in enumerate(ALL_PATTERNS):
-        idx = sum(1 << (q - 1) for q in pattern)
-        corrected, _, outcomes = run_pattern(pattern, philox_generator(43, n), "tableau")
+        idx = face_mask(pattern)
+        corrected, _, outcomes = run_pattern(idx, philox_generator(43, n), "tableau")
         assert protected[idx] == (corrected == -1), pattern
         assert unprotected[idx] == (outcomes >> G8_CODE.faces.index("f5") ^ outcomes >> G8_CODE.faces.index("f6")) & 1
 
